@@ -41,7 +41,9 @@
 //	                structured line each (0 disables; default 0)
 //	-pprof          mount net/http/pprof under /debug/pprof/ (default off)
 //	-save-index     build the engine, persist it to this directory, exit
-//	-load-index     restore the engine from this directory instead of building
+//	-load-index     restore the engine from this directory instead of
+//	                building; the build flags (-dataset -algo -n -shards
+//	                -seed -quantized -rerank) are then a usage error
 //	-serve          shard serving mode with -load-index: ram (default,
 //	                fully resident), mmap, or readat (beyond-RAM paged)
 //	-cache-pages    paged serving: per-shard page-cache budget in 4 KiB
@@ -123,9 +125,11 @@ func main() {
 	pprofOn := flag.Bool("pprof", false,
 		"mount the net/http/pprof profilers under /debug/pprof/")
 	flag.Parse()
+	var explicit []string
+	flag.Visit(func(f *flag.Flag) { explicit = append(explicit, f.Name) })
 
 	if err := validateFlags(*n, *shards, *workers, *rerank, *coalesceMax, *coalesceWait,
-		*saveIndex, *loadIndex, *serveMode, *cachePages, *compactThreshold, *slowQuery); err != nil {
+		*saveIndex, *loadIndex, *serveMode, *cachePages, *compactThreshold, *slowQuery, explicit); err != nil {
 		fmt.Fprintf(os.Stderr, "ndserve: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -189,20 +193,30 @@ func main() {
 // zero (their documented "default / disabled" values) but never
 // negative; n and shards must be positive; rerank and coalesce-wait
 // must be non-negative; -save-index and -load-index are mutually
-// exclusive (save persists a fresh build); paged -serve modes need a
+// exclusive (save persists a fresh build), and with -load-index the
+// saved index fixes everything the build flags describe, so setting one
+// explicitly (explicit lists the flag names given on the command line)
+// is rejected rather than silently ignored; paged -serve modes need a
 // snapshot directory to page from, so they require -load-index;
 // compact-threshold may be zero (background compaction disabled) but
 // never negative; slow-query may be zero (log disabled) but never
 // negative.
 func validateFlags(n, shards, workers, rerank, coalesceMax int, coalesceWait time.Duration,
 	saveIndex, loadIndex, serveMode string, cachePages, compactThreshold int,
-	slowQuery time.Duration) error {
-	if loadIndex == "" { // corpus/build flags are unused on the load path
+	slowQuery time.Duration, explicit []string) error {
+	if loadIndex == "" {
 		if n < 1 {
 			return fmt.Errorf("-n must be >= 1, got %d", n)
 		}
 		if shards < 1 {
 			return fmt.Errorf("-shards must be >= 1, got %d", shards)
+		}
+	} else {
+		for _, name := range explicit {
+			switch name {
+			case "quantized", "rerank", "algo", "dataset", "n", "shards", "seed":
+				return fmt.Errorf("-%s describes a fresh build; with -load-index the saved index decides it (see /healthz)", name)
+			}
 		}
 	}
 	switch serveMode {

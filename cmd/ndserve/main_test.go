@@ -284,36 +284,48 @@ func TestValidateFlags(t *testing.T) {
 		cachePages       int
 		compactThreshold int
 		slowQuery        time.Duration
+		explicit         []string
 		want             func(error) bool
 	}{
-		{"defaults", 20000, 4, 0, 0, 256, 500 * time.Microsecond, "", "", "ram", 0, 0, 0, ok},
-		{"rerank", 100, 2, 0, 64, 256, 0, "", "", "ram", 0, 0, 0, ok},
-		{"negative rerank", 100, 2, 0, -1, 256, 0, "", "", "ram", 0, 0, 0, bad},
-		{"zero n", 0, 4, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, bad},
-		{"negative n", -5, 4, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, bad},
-		{"zero shards", 100, 0, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, bad},
-		{"negative shards", 100, -1, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, bad},
-		{"negative workers", 100, 2, -1, 0, 256, 0, "", "", "ram", 0, 0, 0, bad},
-		{"coalesce disabled", 100, 2, 0, 0, 0, 0, "", "", "ram", 0, 0, 0, ok},
-		{"negative coalesce-max", 100, 2, 0, 0, -1, 0, "", "", "ram", 0, 0, 0, bad},
-		{"negative coalesce-wait", 100, 2, 0, 0, 256, -time.Microsecond, "", "", "ram", 0, 0, 0, bad},
-		{"save", 100, 2, 0, 0, 256, 0, "dir", "", "ram", 0, 0, 0, ok},
-		{"load ignores n/shards", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, ok},
-		{"save and load", 100, 2, 0, 0, 256, 0, "a", "b", "ram", 0, 0, 0, bad},
-		{"mmap serve with load", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 64, 0, 0, ok},
-		{"readat serve with load", 0, 0, 0, 0, 256, 0, "", "dir", "readat", 0, 0, 0, ok},
-		{"mmap serve without load", 100, 2, 0, 0, 256, 0, "", "", "mmap", 0, 0, 0, bad},
-		{"unknown serve mode", 0, 0, 0, 0, 256, 0, "", "dir", "disk", 0, 0, 0, bad},
-		{"negative cache-pages", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", -1, 0, 0, bad},
-		{"negative compact-threshold", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, -1, 0, bad},
-		{"compact threshold enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 4096, 0, ok},
-		{"slow-query enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, 5 * time.Millisecond, ok},
-		{"negative slow-query", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, -time.Millisecond, bad},
+		{"defaults", 20000, 4, 0, 0, 256, 500 * time.Microsecond, "", "", "ram", 0, 0, 0, nil, ok},
+		{"rerank", 100, 2, 0, 64, 256, 0, "", "", "ram", 0, 0, 0, nil, ok},
+		{"negative rerank", 100, 2, 0, -1, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"zero n", 0, 4, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"negative n", -5, 4, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"zero shards", 100, 0, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"negative shards", 100, -1, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"negative workers", 100, 2, -1, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"coalesce disabled", 100, 2, 0, 0, 0, 0, "", "", "ram", 0, 0, 0, nil, ok},
+		{"negative coalesce-max", 100, 2, 0, 0, -1, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"negative coalesce-wait", 100, 2, 0, 0, 256, -time.Microsecond, "", "", "ram", 0, 0, 0, nil, bad},
+		{"save", 100, 2, 0, 0, 256, 0, "dir", "", "ram", 0, 0, 0, nil, ok},
+		{"load ignores n/shards", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, nil, ok},
+		{"save and load", 100, 2, 0, 0, 256, 0, "a", "b", "ram", 0, 0, 0, nil, bad},
+		{"mmap serve with load", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 64, 0, 0, nil, ok},
+		{"readat serve with load", 0, 0, 0, 0, 256, 0, "", "dir", "readat", 0, 0, 0, nil, ok},
+		{"mmap serve without load", 100, 2, 0, 0, 256, 0, "", "", "mmap", 0, 0, 0, nil, bad},
+		{"unknown serve mode", 0, 0, 0, 0, 256, 0, "", "dir", "disk", 0, 0, 0, nil, bad},
+		{"negative cache-pages", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", -1, 0, 0, nil, bad},
+		{"negative compact-threshold", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, -1, 0, nil, bad},
+		{"compact threshold enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 4096, 0, nil, ok},
+		{"slow-query enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, 5 * time.Millisecond, nil, ok},
+		{"negative slow-query", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, -time.Millisecond, nil, bad},
+		{"build flags with a build", 100, 2, 0, 8, 256, 0, "", "", "ram", 0, 0, 0,
+			[]string{"quantized", "rerank", "algo", "dataset", "n", "shards", "seed"}, ok},
+		{"load with serving flags", 0, 0, 2, 0, 256, 0, "", "dir", "mmap", 64, 0, 0,
+			[]string{"load-index", "serve", "cache-pages", "workers", "addr", "coalesce-max"}, ok},
+		{"load with -quantized", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "quantized"}, bad},
+		{"load with -rerank", 0, 0, 0, 16, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "rerank"}, bad},
+		{"load with -algo", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"algo", "load-index"}, bad},
+		{"load with -dataset", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"dataset", "load-index"}, bad},
+		{"load with -n", 500, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "n"}, bad},
+		{"load with -shards", 0, 2, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "shards"}, bad},
+		{"load with -seed", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "seed"}, bad},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			err := validateFlags(c.n, c.shards, c.workers, c.rerank, c.coalesceMax, c.coalesceWait,
-				c.save, c.load, c.serve, c.cachePages, c.compactThreshold, c.slowQuery)
+				c.save, c.load, c.serve, c.cachePages, c.compactThreshold, c.slowQuery, c.explicit)
 			if !c.want(err) {
 				t.Errorf("validateFlags(%+v) = %v", c, err)
 			}

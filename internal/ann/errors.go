@@ -13,11 +13,8 @@ var (
 	ErrInvalidResults = errors.New("ann: invalid result list")
 
 	// ErrBadConfig reports a malformed tuning or search request
-	// (k < 1, recall target outside (0, 1], no queries).
+	// (k < 1, recall target outside (0, 1], no queries) or a served
+	// index assembled from inconsistent parts (empty store, entry out
+	// of range, quantized flag disagreeing with the store).
 	ErrBadConfig = errors.New("ann: invalid configuration")
-
-	// ErrKernelMismatch reports a kernel handed to a code path that
-	// needs the other precision tier — e.g. a quantized kernel passed
-	// to the exact reranker.
-	ErrKernelMismatch = errors.New("ann: kernel mismatch")
 )

@@ -1,0 +1,178 @@
+package ann_test
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ndsearch/internal/ann"
+	"ndsearch/internal/graph"
+	"ndsearch/internal/hcnng"
+	"ndsearch/internal/hnsw"
+	"ndsearch/internal/togg"
+	"ndsearch/internal/vamana"
+	"ndsearch/internal/vec"
+)
+
+// stubStore is a NodeStore that only answers the shape questions the
+// reconstruction checks ask (the embedded nil interface panics on
+// anything else, which a rejected reconstruction must never reach).
+type stubStore struct {
+	ann.NodeStore
+	n, dim    int
+	quantized bool
+}
+
+func (s stubStore) Len() int        { return s.n }
+func (s stubStore) Dim() int        { return s.dim }
+func (s stubStore) Quantized() bool { return s.quantized }
+
+// One table over every family's single reconstructor: the checks
+// ann.GraphIndex owns (non-empty store, entry in range, quantized flag
+// matching the store) reject identically whichever family routes
+// through it, and each family's own navigation checks sit in front.
+func TestGraphIndexReconstruction(t *testing.T) {
+	const n, dim = 40, 6
+	rng := rand.New(rand.NewSource(3))
+	data := make([]vec.Vector, n)
+	for i := range data {
+		data[i] = make(vec.Vector, dim)
+		for d := range data[i] {
+			data[i][d] = rng.Float32()
+		}
+	}
+	ring := graph.New(n)
+	for v := 0; v < n; v++ {
+		ring.SetNeighbors(uint32(v), []uint32{uint32((v + 1) % n), uint32((v + n - 1) % n)})
+	}
+	resident, err := ann.NewKernelStore(vec.L2, vec.NewMatrix(data), ring, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ann.NewKernelStore(vec.L2, vec.NewMatrix(data[:n-1]), ring, false); !errors.Is(err, ann.ErrBadConfig) {
+		t.Errorf("graph/corpus length mismatch: err = %v, want ErrBadConfig", err)
+	}
+
+	// nav is every family's navigation data in one bag; each family's
+	// reconstructor picks the fields it takes.
+	type nav struct {
+		entry     uint32
+		quantized bool
+		upper     []*graph.Graph
+		levels    []int
+		maxLevel  int
+		guideDims []int
+	}
+	good := nav{levels: make([]int, n), guideDims: []int{0, 3}}
+	families := map[string]func(ann.NodeStore, nav) (ann.Tunable, error){
+		"hnsw": func(st ann.NodeStore, v nav) (ann.Tunable, error) {
+			cfg := hnsw.DefaultConfig(vec.L2)
+			cfg.Quantized = v.quantized
+			return hnsw.FromStore(cfg, st, v.upper, v.levels, v.entry, v.maxLevel)
+		},
+		"vamana": func(st ann.NodeStore, v nav) (ann.Tunable, error) {
+			cfg := vamana.DefaultConfig(vec.L2)
+			cfg.Quantized = v.quantized
+			return vamana.FromStore(cfg, st, v.entry)
+		},
+		"hcnng": func(st ann.NodeStore, v nav) (ann.Tunable, error) {
+			cfg := hcnng.DefaultConfig(vec.L2)
+			cfg.Quantized = v.quantized
+			return hcnng.FromStore(cfg, st, v.entry)
+		},
+		"togg": func(st ann.NodeStore, v nav) (ann.Tunable, error) {
+			cfg := togg.DefaultConfig(vec.L2)
+			cfg.Quantized = v.quantized
+			return togg.FromStore(cfg, st, v.entry, v.guideDims)
+		},
+	}
+	edit := func(f func(*nav)) nav {
+		v := good
+		f(&v)
+		return v
+	}
+	cases := []struct {
+		name   string
+		only   string // family the case applies to; "" = all
+		store  ann.NodeStore
+		nav    nav
+		shared bool // rejected by the shared GraphIndex checks (ErrBadConfig)
+	}{
+		{"empty store", "", stubStore{dim: dim}, edit(func(v *nav) { v.levels = nil }), true},
+		{"entry out of range", "", resident, edit(func(v *nav) { v.entry = n }), true},
+		{"quantized config over float store", "", resident, edit(func(v *nav) { v.quantized = true }), true},
+		{"float config over quantized store", "", stubStore{n: n, dim: dim, quantized: true}, good, true},
+		{"levels for a different corpus", "hnsw", resident, edit(func(v *nav) { v.levels = make([]int, n-1) }), false},
+		{"upper layers disagree with max level", "hnsw", resident, edit(func(v *nav) { v.maxLevel = 1 }), false},
+		{"negative max level", "hnsw", resident, edit(func(v *nav) { v.maxLevel = -1 }), false},
+		{"upper layer for a different corpus", "hnsw", resident,
+			edit(func(v *nav) { v.maxLevel, v.upper = 1, []*graph.Graph{graph.New(n + 1)} }), false},
+		{"no guide dims", "togg", resident, edit(func(v *nav) { v.guideDims = nil }), false},
+		{"more guide dims than dims", "togg", resident, edit(func(v *nav) { v.guideDims = make([]int, dim+1) }), false},
+		{"guide dim out of range", "togg", resident, edit(func(v *nav) { v.guideDims = []int{0, dim} }), false},
+		{"negative guide dim", "togg", resident, edit(func(v *nav) { v.guideDims = []int{-1} }), false},
+	}
+	for name, fromStore := range families {
+		t.Run(name, func(t *testing.T) {
+			idx, err := fromStore(resident, good)
+			if err != nil {
+				t.Fatalf("valid parts rejected: %v", err)
+			}
+			// A resident store answers Matrix/BaseGraph; the search runs.
+			full := idx.(interface {
+				Store() ann.NodeStore
+				Matrix() *vec.Matrix
+				BaseGraph() *graph.Graph
+			})
+			if idx.Len() != n || full.Store() != ann.NodeStore(resident) {
+				t.Fatalf("reconstructed index: Len %d, store %T", idx.Len(), full.Store())
+			}
+			if full.Matrix() == nil || full.BaseGraph() != ring || idx.Graph() != ann.GraphView(ring) {
+				t.Error("resident store does not answer Matrix/BaseGraph/Graph")
+			}
+			if err := ann.Validate(idx.Search(data[7], 5), n); err != nil {
+				t.Error(err)
+			}
+			for _, c := range cases {
+				if c.only != "" && c.only != name {
+					continue
+				}
+				_, err := fromStore(c.store, c.nav)
+				if err == nil {
+					t.Errorf("%s: accepted", c.name)
+				} else if c.shared && !errors.Is(err, ann.ErrBadConfig) {
+					t.Errorf("%s: err = %v, want ErrBadConfig", c.name, err)
+				}
+			}
+		})
+	}
+}
+
+// A paged-style store (anything but *KernelStore) has no resident
+// matrix or graph: Matrix/BaseGraph are nil and Graph falls back to a
+// store-backed view.
+func TestGraphIndexNonResidentAccessors(t *testing.T) {
+	g := graph.New(3)
+	g.SetNeighbors(0, []uint32{1, 2})
+	resident, err := ann.NewKernelStore(vec.L2, vec.NewMatrix([]vec.Vector{{0}, {1}, {2}}), g, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := ann.WithGraph(resident, g) // same bytes, not a *KernelStore
+	gi, err := ann.NewGraphIndex(wrapped, vec.L2, 0, 4, false, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gi.Matrix() != nil || gi.BaseGraph() != nil {
+		t.Error("non-resident store answered Matrix/BaseGraph")
+	}
+	view := gi.Graph()
+	if view.Len() != 3 || view.Degree(0) != 2 || !reflect.DeepEqual(view.Neighbors(0), []uint32{1, 2}) {
+		t.Errorf("store-backed Graph view: len %d, nbrs %v", view.Len(), view.Neighbors(0))
+	}
+	gi.SetBeamWidth(0)
+	if gi.BeamWidth() != 4 {
+		t.Errorf("SetBeamWidth(0) changed the beam to %d", gi.BeamWidth())
+	}
+}

@@ -1,6 +1,9 @@
 package ann
 
 import (
+	"fmt"
+
+	"ndsearch/internal/graph"
 	"ndsearch/internal/vec"
 )
 
@@ -51,24 +54,44 @@ type NodeStore interface {
 	Components(v uint32, dims []int, buf []float32) []float32
 }
 
-// KernelStore is the in-RAM NodeStore: distances through the existing
-// kernel pair (full-precision kern, traversal tkern — the same kernel
-// when not quantized) and adjacency from a resident GraphView. It is
-// the trivial implementation that keeps every existing result
+// KernelStore is the in-RAM NodeStore: distances through a kernel pair
+// over one corpus matrix (full-precision kern, traversal tkern — the
+// same kernel when not quantized) and adjacency from a resident graph.
+// It is the trivial implementation that keeps every existing result
 // byte-identical: each method is exactly the slice access the
 // traversals performed before the NodeStore boundary existed.
 type KernelStore struct {
 	kern  *vec.Kernel
 	tkern *vec.Kernel
-	g     GraphView
+	g     *graph.Graph
 }
 
-// NewKernelStore wraps a kernel pair and a base adjacency view. g may
-// be nil for stores used only for distance evaluation (construction
-// paths pass explicit per-layer graphs via WithGraph).
-func NewKernelStore(kern, tkern *vec.Kernel, g GraphView) *KernelStore {
-	return &KernelStore{kern: kern, tkern: tkern, g: g}
+// NewKernelStore wraps a corpus matrix and its base graph — freshly
+// built or decoded from a snapshot — as the resident NodeStore. In
+// quantized mode a matrix arriving without its SQ8 tier (a fresh build
+// rather than a snapshot warm-start) is quantized here; quantization
+// is deterministic, so either path yields identical codes. g may be nil
+// for stores used only for distance evaluation (construction paths pass
+// explicit per-layer graphs via WithGraph).
+func NewKernelStore(m vec.Metric, mat *vec.Matrix, g *graph.Graph, quantized bool) (*KernelStore, error) {
+	if g != nil && g.Len() != mat.Rows() {
+		return nil, fmt.Errorf("%w: graph has %d vertices, corpus has %d", ErrBadConfig, g.Len(), mat.Rows())
+	}
+	kern := vec.NewKernel(m, mat)
+	tkern := kern
+	if quantized {
+		mat.EnableSQ8()
+		tkern = vec.NewQuantizedKernel(m, mat)
+	}
+	return &KernelStore{kern: kern, tkern: tkern, g: g}, nil
 }
+
+// Matrix returns the corpus matrix. Callers must not mutate it.
+func (s *KernelStore) Matrix() *vec.Matrix { return s.kern.Matrix() }
+
+// BaseGraph returns the resident adjacency (nil for a distance-only
+// store).
+func (s *KernelStore) BaseGraph() *graph.Graph { return s.g }
 
 // Len returns the node count.
 func (s *KernelStore) Len() int {
@@ -152,30 +175,3 @@ func (g StoreGraph) Neighbors(v uint32) []uint32 { return g.S.Neighbors(v, nil) 
 
 // Degree returns node v's out-degree.
 func (g StoreGraph) Degree(v uint32) int { return len(g.S.Neighbors(v, nil)) }
-
-// RerankExactStore is RerankExact evaluated through a NodeStore's exact
-// path — same clamping, same (distance, ID) sort, so quantized results
-// are byte-identical regardless of which store served the traversal.
-func RerankExactStore(store NodeStore, query vec.Vector, cands []Neighbor, width, k int) []Neighbor {
-	w := width
-	if w <= 0 || w > len(cands) {
-		w = len(cands)
-	}
-	if w < k {
-		w = min(k, len(cands))
-	}
-	head := make([]Neighbor, w)
-	copy(head, cands[:w])
-	q := store.PrepareExact(query)
-	for i := range head {
-		head[i].Dist = store.DistExact(q, head[i].ID)
-	}
-	sortNeighbors(head)
-	if k > len(head) {
-		k = len(head)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return head[:k]
-}

@@ -1,17 +1,15 @@
 package ann
 
-import (
-	"fmt"
+import "ndsearch/internal/vec"
 
-	"ndsearch/internal/vec"
-)
-
-// RerankExact re-scores the head of a candidate list with exact
-// full-precision distances and returns the top k — the second half of
-// the quantized two-tier search: traversal ranks candidates in SQ8
-// code space (ordering keys, not metric units), then the head is
-// re-evaluated on the float32 rows so returned distances are exact and
-// the (distance, ID) total order holds on what callers see.
+// RerankExactStore re-scores the head of a candidate list with exact
+// full-precision distances through a NodeStore's exact path and
+// returns the top k — the second half of the quantized two-tier
+// search: traversal ranks candidates in SQ8 code space (ordering keys,
+// not metric units), then the head is re-evaluated on the float32 rows
+// so returned distances are exact and the (distance, ID) total order
+// holds on what callers see, regardless of which store served the
+// traversal.
 //
 // Unlike ivfpq's rerank (PR 3), the code-space tail is NOT re-merged
 // behind the reranked head: ADC distances share the metric's scale with
@@ -24,14 +22,8 @@ import (
 // least k (reranking fewer than k would fabricate a shorter result
 // list) and at most len(cands); width <= 0 means rerank the entire
 // candidate list, the recall-optimal default. cands must be sorted by
-// code-space distance (best first) and is not mutated; kern must be a
-// full-precision kernel — a quantized kernel is rejected with
-// ErrKernelMismatch (serve paths must degrade through typed errors,
-// never panic).
-func RerankExact(kern *vec.Kernel, query vec.Vector, cands []Neighbor, width, k int) ([]Neighbor, error) {
-	if kern.Quantized() {
-		return nil, fmt.Errorf("%w: RerankExact needs a full-precision kernel", ErrKernelMismatch)
-	}
+// code-space distance (best first) and is not mutated.
+func RerankExactStore(store NodeStore, query vec.Vector, cands []Neighbor, width, k int) []Neighbor {
 	w := width
 	if w <= 0 || w > len(cands) {
 		w = len(cands)
@@ -41,9 +33,9 @@ func RerankExact(kern *vec.Kernel, query vec.Vector, cands []Neighbor, width, k 
 	}
 	head := make([]Neighbor, w)
 	copy(head, cands[:w])
-	q := kern.Prepare(query)
+	q := store.PrepareExact(query)
 	for i := range head {
-		head[i].Dist = kern.DistTo(q, int(head[i].ID))
+		head[i].Dist = store.DistExact(q, head[i].ID)
 	}
 	sortNeighbors(head)
 	if k > len(head) {
@@ -52,5 +44,5 @@ func RerankExact(kern *vec.Kernel, query vec.Vector, cands []Neighbor, width, k 
 	if k < 0 {
 		k = 0
 	}
-	return head[:k], nil
+	return head[:k]
 }

@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,14 +21,25 @@ func rerankCorpus(t *testing.T, rows, dim int, seed int64) ([]vec.Vector, *vec.M
 	return data, vec.NewMatrix(data)
 }
 
-// RerankExact over the full candidate list must reproduce the exact
+// rerankStore wraps mat as the full-precision resident store rerank
+// evaluates through.
+func rerankStore(t *testing.T, m vec.Metric, mat *vec.Matrix) *KernelStore {
+	t.Helper()
+	st, err := NewKernelStore(m, mat, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// RerankExactStore over the full candidate list must reproduce the exact
 // ordering BruteForce computes, with exact (not code-space) distances,
 // regardless of how scrambled the code-space ordering was.
-func TestRerankExactMatchesBruteForce(t *testing.T) {
+func TestRerankExactStoreMatchesBruteForce(t *testing.T) {
 	const rows, dim, k = 64, 19, 10
 	data, mat := rerankCorpus(t, rows, dim, 23)
 	for _, m := range []vec.Metric{vec.L2, vec.Angular, vec.InnerProduct} {
-		kern := vec.NewKernel(m, mat)
+		st := rerankStore(t, m, mat)
 		query := make(vec.Vector, dim)
 		for d := range query {
 			query[d] = 0.1 * float32(d%7)
@@ -40,10 +50,7 @@ func TestRerankExactMatchesBruteForce(t *testing.T) {
 		for i := range cands {
 			cands[i] = Neighbor{ID: uint32(rows - 1 - i), Dist: -1}
 		}
-		got, err := RerankExact(kern, query, cands, 0, k)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+		got := RerankExactStore(st, query, cands, 0, k)
 		want := BruteForce(m, data, query, k)
 		if len(got) != len(want) {
 			t.Fatalf("%v: got %d results, want %d", m, len(got), len(want))
@@ -59,10 +66,10 @@ func TestRerankExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRerankExactWidthClamping(t *testing.T) {
+func TestRerankExactStoreWidthClamping(t *testing.T) {
 	const rows, dim = 32, 8
 	_, mat := rerankCorpus(t, rows, dim, 29)
-	kern := vec.NewKernel(vec.L2, mat)
+	st := rerankStore(t, vec.L2, mat)
 	query := make(vec.Vector, dim)
 	cands := make([]Neighbor, rows)
 	for i := range cands {
@@ -70,29 +77,25 @@ func TestRerankExactWidthClamping(t *testing.T) {
 	}
 
 	// width below k is raised to k: the result list must not shrink.
-	if got, err := RerankExact(kern, query, cands, 3, 10); err != nil || len(got) != 10 {
+	if got := RerankExactStore(st, query, cands, 3, 10); len(got) != 10 {
 		t.Fatalf("width 3, k 10: got %d results, want 10", len(got))
 	}
 	// width above the candidate count is clamped.
-	if got, err := RerankExact(kern, query, cands, 1000, 5); err != nil || len(got) != 5 {
+	if got := RerankExactStore(st, query, cands, 1000, 5); len(got) != 5 {
 		t.Fatalf("width 1000: got %d results, want 5", len(got))
 	}
 	// Fewer candidates than k: min(k, candidates) results, same contract
 	// as the traversals.
-	if got, err := RerankExact(kern, query, cands[:4], 0, 10); err != nil || len(got) != 4 {
+	if got := RerankExactStore(st, query, cands[:4], 0, 10); len(got) != 4 {
 		t.Fatalf("4 candidates, k 10: got %d results, want 4", len(got))
 	}
-	if got, err := RerankExact(kern, query, nil, 0, 10); err != nil || len(got) != 0 {
+	if got := RerankExactStore(st, query, nil, 0, 10); len(got) != 0 {
 		t.Fatalf("no candidates: got %d results, want 0", len(got))
 	}
 
 	// A narrow width restricts the pool: only the head is re-scored, so
 	// every returned ID must come from cands[:width].
-	got, err := RerankExact(kern, query, cands, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range got {
+	for _, x := range RerankExactStore(st, query, cands, 8, 5) {
 		if x.ID >= 8 {
 			t.Fatalf("width 8 returned ID %d from outside the head", x.ID)
 		}
@@ -102,15 +105,6 @@ func TestRerankExactWidthClamping(t *testing.T) {
 		if c.ID != uint32(i) || c.Dist != float32(i) {
 			t.Fatalf("cands[%d] mutated to %+v", i, c)
 		}
-	}
-}
-
-func TestRerankExactRejectsQuantizedKernel(t *testing.T) {
-	_, mat := rerankCorpus(t, 8, 4, 31)
-	mat.EnableSQ8()
-	_, err := RerankExact(vec.NewQuantizedKernel(vec.L2, mat), make(vec.Vector, 4), nil, 0, 1)
-	if !errors.Is(err, ErrKernelMismatch) {
-		t.Fatalf("quantized kernel: err = %v, want ErrKernelMismatch", err)
 	}
 }
 

@@ -310,6 +310,18 @@ func (e *Engine) compact() error {
 	e.genMu.Unlock()
 	e.writeMu.Unlock()
 
+	// The new generation is live: count the compaction now, so a failed
+	// retirement below cannot leave the counters behind Generation.
+	dur := time.Since(start)
+	e.mu.Lock()
+	e.mut.Compactions++
+	e.mut.LastCompactDuration = dur
+	e.mut.LastCompactVectors = newGen.vectors
+	e.mu.Unlock()
+	m := e.obsm.Load()
+	m.compactions.Add(1)
+	m.compactSeconds.Observe(dur.Seconds())
+
 	// Retire the old generation.
 	for _, p := range oldGen.paged {
 		if p != nil {
@@ -321,16 +333,6 @@ func (e *Engine) compact() error {
 			return fmt.Errorf("engine: Compact: new generation live, old not retired: %w", err)
 		}
 	}
-
-	dur := time.Since(start)
-	e.mu.Lock()
-	e.mut.Compactions++
-	e.mut.LastCompactDuration = dur
-	e.mut.LastCompactVectors = newGen.vectors
-	e.mu.Unlock()
-	m := e.obsm.Load()
-	m.compactions.Add(1)
-	m.compactSeconds.Observe(dur.Seconds())
 	return nil
 }
 

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -396,6 +399,66 @@ func TestGenerationalPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	e3.Close()
+}
+
+// A compaction whose old generation cannot be retired still swapped the
+// new generation in, so it must still be counted: the stats may not fall
+// behind Generation just because cleanup failed.
+func TestCompactCountsSwapWhenRetireFails(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("root ignores directory permissions; cannot make a generation unremovable")
+	}
+	pool, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 50, Queries: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builder, err := BuilderWithOpts("exact", vec.L2, 5, IndexOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := New(pool.Vectors[:40], Config{
+		Shards: 2, Workers: 2, Builder: builder, Meta: Meta{Algo: "exact", Seed: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	built.Close()
+	e, _, err := Load(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+
+	if err := e.Upsert(40, pool.Vectors[40]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	gen1 := filepath.Join(dir, snapshot.GenerationName(1))
+	if err := os.Chmod(gen1, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chmod(gen1, 0o755) })
+
+	if err := e.Upsert(41, pool.Vectors[41]); err != nil {
+		t.Fatal(err)
+	}
+	err = e.Compact()
+	if err == nil || !strings.Contains(err.Error(), "old not retired") {
+		t.Fatalf("Compact with unremovable old generation: err = %v, want \"old not retired\"", err)
+	}
+	st := e.MutStats()
+	if st.Generation != 2 || st.Compactions != 2 {
+		t.Fatalf("after failed retirement: Generation = %d, Compactions = %d, want 2 and 2", st.Generation, st.Compactions)
+	}
+	if st.LastCompactVectors != 42 {
+		t.Fatalf("LastCompactVectors = %d, want 42", st.LastCompactVectors)
+	}
 }
 
 // TestConcurrentMutateSearchCompact is the -race stress test: writers,

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"ndsearch/internal/ann"
-	"ndsearch/internal/delta"
 	"ndsearch/internal/snapshot"
 	"ndsearch/internal/vec"
 )
@@ -245,10 +244,9 @@ func Load(dir string, workers int) (*Engine, *Manifest, error) {
 // byte-identical to RAM serving of the same directory.
 //
 // A loaded engine accepts Upsert/Delete (the delta tier's metric comes
-// from the CRC-guarded shard files, or the paged header); Compact
-// additionally requires RAM serving and a registry algorithm (the
-// builder is reconstructed from the manifest's algo, seed, and
-// quantization mode).
+// from the CRC-guarded shard files); Compact additionally requires RAM
+// serving and a registry algorithm (the builder is reconstructed from
+// the manifest's algo, seed, and quantization mode).
 func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	mode, err := normalizeServe(opts.Serve)
 	if err != nil {
@@ -354,12 +352,6 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		// Report the backend actually serving: a requested mmap may have
 		// fallen back to positioned reads on platforms without mmap.
 		e.serveMode = paged[0].Backend()
-		if e.delta == nil {
-			// Paged shards hide their concrete family type, so MetricOf
-			// could not see it; the paged header carries the metric.
-			e.metric = paged[0].Header().Metric
-			e.delta = delta.New(e.metric, man.Dim)
-		}
 	}
 	if e.delta != nil {
 		// Reconstruct the shard builder so Compact can rebuild the base.
@@ -418,6 +410,32 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
+// checkShard cross-checks the manifest's claims about shard i against
+// what its CRC-guarded file holds. The manifest itself is not
+// checksummed, so a manifest whose algo, row count, dim, or serving
+// mode disagrees must fail the load, not panic on the first search
+// (ndserve validates query dims against the manifest). quantized is the
+// in-file truth for the serving mode: presence of the SQ8 tier.
+func checkShard(man *Manifest, i int, algo string, rows, dim int, quantized bool) error {
+	f := man.Files[i]
+	if algo != man.Algo {
+		return fmt.Errorf("engine: load shard %d (%s): %w: file holds %s, manifest says %s",
+			i, f.Name, snapshot.ErrCorrupt, algo, man.Algo)
+	}
+	if rows != f.Rows {
+		return fmt.Errorf("engine: load shard %d (%s): %d rows, manifest says %d", i, f.Name, rows, f.Rows)
+	}
+	if dim != man.Dim {
+		return fmt.Errorf("engine: load shard %d (%s): %w: file dim %d, manifest says %d",
+			i, f.Name, snapshot.ErrCorrupt, dim, man.Dim)
+	}
+	if quantized != man.Quantized {
+		return fmt.Errorf("engine: load shard %d (%s): %w: file quantized=%v, manifest says %v",
+			i, f.Name, snapshot.ErrCorrupt, quantized, man.Quantized)
+	}
+	return nil
+}
+
 // loadShard reads, checksum-verifies, and decodes one shard file,
 // asserting the result serves the ann.Index interface shards require.
 func loadShard(dir string, man *Manifest, i int) (ann.Index, error) {
@@ -439,28 +457,16 @@ func loadShard(dir string, man *Manifest, i int) (ann.Index, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: load shard %d (%s): %T does not implement ann.Index", i, f.Name, idx)
 	}
-	if ai.Len() != f.Rows {
-		return nil, fmt.Errorf("engine: load shard %d (%s): %d rows, manifest says %d", i, f.Name, ai.Len(), f.Rows)
+	// An index type Detect cannot name yields "", which no manifest
+	// algo matches, so checkShard reports it.
+	algo, _ := snapshot.Detect(ai)
+	mx, ok := ai.(interface{ Matrix() *vec.Matrix })
+	if !ok {
+		return nil, fmt.Errorf("engine: load shard %d (%s): %T exposes no corpus matrix", i, f.Name, idx)
 	}
-	// The manifest itself is not checksummed, so cross-check its claims
-	// against the CRC-guarded shard files: a manifest whose algo or dim
-	// disagrees must fail the load, not panic on the first search
-	// (ndserve validates query dims against the manifest).
-	if detected, err := snapshot.Detect(ai); err != nil || detected != man.Algo {
-		return nil, fmt.Errorf("engine: load shard %d (%s): %w: file holds %s, manifest says %s",
-			i, f.Name, snapshot.ErrCorrupt, detected, man.Algo)
-	}
-	if mx, ok := ai.(interface{ Matrix() *vec.Matrix }); ok {
-		if dim := mx.Matrix().Dim(); dim != man.Dim {
-			return nil, fmt.Errorf("engine: load shard %d (%s): %w: file dim %d, manifest says %d",
-				i, f.Name, snapshot.ErrCorrupt, dim, man.Dim)
-		}
-		// The shard file's sq8 section (or its absence) is the
-		// CRC-guarded truth for the serving mode.
-		if quantized := mx.Matrix().SQ8() != nil; quantized != man.Quantized {
-			return nil, fmt.Errorf("engine: load shard %d (%s): %w: file quantized=%v, manifest says %v",
-				i, f.Name, snapshot.ErrCorrupt, quantized, man.Quantized)
-		}
+	mat := mx.Matrix()
+	if err := checkShard(man, i, algo, ai.Len(), mat.Dim(), mat.SQ8() != nil); err != nil {
+		return nil, err
 	}
 	return ai, nil
 }
@@ -480,32 +486,18 @@ func openShardPaged(dir string, man *Manifest, i int, backend string, cachePages
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
 	}
-	fail := func(err error) (*snapshot.PagedIndex, ann.Index, error) {
-		_ = pi.Close()
-		return nil, nil, err
-	}
 	ai, ok := pi.Index().(ann.Index)
 	if !ok {
-		return fail(fmt.Errorf("engine: load shard %d (%s): %T does not implement ann.Index", i, f.Name, pi.Index()))
+		err = fmt.Errorf("engine: load shard %d (%s): %T does not implement ann.Index", i, f.Name, pi.Index())
+	} else {
+		// The blocks meta's quantized bit (paired with the sq8s section)
+		// is what the opener folded into the header.
+		h := pi.Header()
+		err = checkShard(man, i, pi.Algo(), ai.Len(), h.Dim, h.Quantized)
 	}
-	if pi.Algo() != man.Algo {
-		return fail(fmt.Errorf("engine: load shard %d (%s): %w: file holds %s, manifest says %s",
-			i, f.Name, snapshot.ErrCorrupt, pi.Algo(), man.Algo))
-	}
-	if ai.Len() != f.Rows {
-		return fail(fmt.Errorf("engine: load shard %d (%s): %d rows, manifest says %d", i, f.Name, ai.Len(), f.Rows))
-	}
-	h := pi.Header()
-	if h.Dim != man.Dim {
-		return fail(fmt.Errorf("engine: load shard %d (%s): %w: file dim %d, manifest says %d",
-			i, f.Name, snapshot.ErrCorrupt, h.Dim, man.Dim))
-	}
-	// The blocks meta's quantized bit (paired with the sq8s section) is
-	// the in-file truth for the serving mode, as the sq8 section is on
-	// the RAM path.
-	if h.Quantized != man.Quantized {
-		return fail(fmt.Errorf("engine: load shard %d (%s): %w: file quantized=%v, manifest says %v",
-			i, f.Name, snapshot.ErrCorrupt, h.Quantized, man.Quantized))
+	if err != nil {
+		_ = pi.Close()
+		return nil, nil, err
 	}
 	return pi, ai, nil
 }

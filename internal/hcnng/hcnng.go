@@ -12,7 +12,6 @@ import (
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/graph"
-	"ndsearch/internal/trace"
 	"ndsearch/internal/vec"
 )
 
@@ -63,28 +62,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Index is a built HCNNG graph. The corpus lives in a contiguous
-// vec.Matrix; all distance evaluation goes through the batched kernel
-// layer (query preprocessed once per search, stored norms precomputed
-// at build).
+// Index is a built HCNNG graph: the shared served core (ann.GraphIndex)
+// seeded at the max-degree vertex, plus the build configuration.
 type Index struct {
-	cfg  Config
-	mat  *vec.Matrix
-	kern *vec.Kernel
-	// tkern is the traversal kernel: the SQ8 code-space kernel in
-	// quantized mode, otherwise kern itself. Construction and exact
-	// rerank always use kern.
-	tkern *vec.Kernel
-	// store is the traversal/storage boundary all search-time node
-	// access goes through; paged indexes (FromStore) traverse snapshot
-	// blocks and leave mat/kern/tkern/g nil.
-	store ann.NodeStore
-	g     *graph.Graph
-	entry uint32
-	n     int
+	ann.GraphIndex
+	cfg Config
 }
 
-var _ ann.Index = (*Index)(nil)
+var _ ann.Tunable = (*Index)(nil)
+
+// builder is the construction-time state; construction always
+// evaluates full precision through kern.
+type builder struct {
+	cfg  Config
+	kern *vec.Kernel
+	g    *graph.Graph
+}
 
 // Build constructs the HCNNG index. The vectors are copied into a
 // contiguous flat store; the input slices are not retained.
@@ -96,97 +89,51 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("hcnng: empty dataset")
 	}
 	mat := vec.NewMatrix(data)
-	idx := &Index{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: graph.New(len(data))}
-	idx.initTraversal()
+	b := &builder{cfg: cfg, kern: vec.NewKernel(cfg.Metric, mat), g: graph.New(len(data))}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	points := make([]uint32, len(data))
 	for i := range points {
 		points[i] = uint32(i)
 	}
 	for c := 0; c < cfg.Clusterings; c++ {
-		idx.cluster(points, rng)
+		b.cluster(points, rng)
 	}
-	idx.capDegrees()
-	idx.entry = idx.g.MinDegreeVertex()
-	// Start from a well-connected vertex instead: pick the max-degree
-	// vertex, which sits in the densest region.
-	best, bestDeg := uint32(0), -1
-	for v := 0; v < idx.g.Len(); v++ {
-		if d := idx.g.Degree(uint32(v)); d > bestDeg {
-			bestDeg, best = d, uint32(v)
+	b.capDegrees()
+	// Start from a well-connected vertex: the max-degree vertex, which
+	// sits in the densest region.
+	entry, bestDeg := uint32(0), -1
+	for v := 0; v < b.g.Len(); v++ {
+		if d := b.g.Degree(uint32(v)); d > bestDeg {
+			bestDeg, entry = d, uint32(v)
 		}
 	}
-	idx.entry = best
-	idx.initStore()
-	return idx, nil
+	store, err := ann.NewKernelStore(cfg.Metric, mat, b.g, cfg.Quantized)
+	if err != nil {
+		return nil, fmt.Errorf("hcnng: %w", err)
+	}
+	return FromStore(cfg, store, entry)
 }
 
-// initStore wires the in-RAM NodeStore once graph and kernels exist.
-func (x *Index) initStore() {
-	x.n = x.mat.Rows()
-	x.store = ann.NewKernelStore(x.kern, x.tkern, x.g)
-}
-
-// FromStore assembles a search-only index over an external NodeStore —
-// the paged (beyond-RAM) serving path, where adjacency and vectors
-// live in snapshot blocks and only the entry point is resident. The
-// index cannot be re-saved (BaseGraph is nil) and serves searches only.
+// FromStore assembles a served index over a NodeStore and the entry
+// point — the one reconstructor behind a fresh Build, a snapshot
+// warm-start (an ann.KernelStore over the decoded matrix and graph)
+// and paged serving (adjacency and vectors in snapshot blocks). No
+// construction runs; searches are byte-identical to the index the parts
+// came from.
 func FromStore(cfg Config, store ann.NodeStore, entry uint32) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := store.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("hcnng: empty store")
+	gi, err := ann.NewGraphIndex(store, cfg.Metric, entry, cfg.LSearch, cfg.Quantized, cfg.Rerank, nil)
+	if err != nil {
+		return nil, fmt.Errorf("hcnng: %w", err)
 	}
-	if cfg.Quantized != store.Quantized() {
-		return nil, fmt.Errorf("hcnng: config quantized=%v but store quantized=%v", cfg.Quantized, store.Quantized())
-	}
-	if int(entry) >= n {
-		return nil, fmt.Errorf("hcnng: entry %d out of range %d", entry, n)
-	}
-	return &Index{cfg: cfg, store: store, entry: entry, n: n}, nil
-}
-
-// FromParts reassembles a built index from its serialized parts — the
-// snapshot warm-start path. No construction runs; searches on the
-// result are byte-identical to the index the parts came from. All
-// arguments are retained.
-func FromParts(cfg Config, mat *vec.Matrix, g *graph.Graph, entry uint32) (*Index, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := mat.Rows()
-	if n == 0 {
-		return nil, fmt.Errorf("hcnng: empty matrix")
-	}
-	if g.Len() != n {
-		return nil, fmt.Errorf("hcnng: graph has %d vertices, corpus has %d", g.Len(), n)
-	}
-	if int(entry) >= n {
-		return nil, fmt.Errorf("hcnng: entry %d out of range %d", entry, n)
-	}
-	idx := &Index{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: g, entry: entry}
-	idx.initTraversal()
-	idx.initStore()
-	return idx, nil
-}
-
-// initTraversal picks the search-time kernel, quantizing the corpus
-// into the SQ8 tier if quantized mode was requested and the matrix does
-// not already carry one (quantization is deterministic, so fresh-build
-// and snapshot-attached tiers are identical).
-func (x *Index) initTraversal() {
-	x.tkern = x.kern
-	if x.cfg.Quantized {
-		x.mat.EnableSQ8()
-		x.tkern = vec.NewQuantizedKernel(x.cfg.Metric, x.mat)
-	}
+	return &Index{GraphIndex: gi, cfg: cfg}, nil
 }
 
 // cluster recursively bi-partitions points by two random pivots and
 // builds an MST in each leaf.
-func (x *Index) cluster(points []uint32, rng *rand.Rand) {
+func (x *builder) cluster(points []uint32, rng *rand.Rand) {
 	if len(points) <= x.cfg.LeafSize {
 		x.mstEdges(points)
 		return
@@ -216,7 +163,7 @@ func (x *Index) cluster(points []uint32, rng *rand.Rand) {
 
 // mstEdges adds the MST of the leaf's complete distance graph (Prim's
 // algorithm) to the index graph, bidirectionally.
-func (x *Index) mstEdges(points []uint32) {
+func (x *builder) mstEdges(points []uint32) {
 	n := len(points)
 	if n < 2 {
 		return
@@ -258,7 +205,7 @@ func (x *Index) mstEdges(points []uint32) {
 }
 
 // capDegrees trims each vertex's neighbor list to the MaxDegree nearest.
-func (x *Index) capDegrees() {
+func (x *builder) capDegrees() {
 	for v := 0; v < x.g.Len(); v++ {
 		nbrs := x.g.Neighbors(uint32(v))
 		if len(nbrs) <= x.cfg.MaxDegree {
@@ -277,70 +224,10 @@ func (x *Index) capDegrees() {
 	}
 }
 
-// Search returns the approximate top-k neighbors of query.
-func (x *Index) Search(query vec.Vector, k int) []ann.Neighbor {
-	res, _ := x.searchInternal(query, k, nil)
-	return res
-}
-
-// SearchTraced returns results plus the traversal trace.
-func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Query) {
-	tr := trace.Query{}
-	res, _ := x.searchInternal(query, k, &tr)
-	return res, tr
-}
-
-func (x *Index) searchInternal(query vec.Vector, k int, tr *trace.Query) ([]ann.Neighbor, error) {
-	l := x.cfg.LSearch
-	if l < k {
-		l = k
-	}
-	st := x.store
-	q := st.Prepare(query)
-	res := ann.BeamSearch(st, q, ann.Neighbor{ID: x.entry, Dist: st.Dist(q, x.entry)}, l, tr)
-	if x.cfg.Quantized {
-		return ann.RerankExactStore(st, query, res, x.cfg.Rerank, k), nil
-	}
-	if k < len(res) {
-		res = res[:k]
-	}
-	return res, nil
-}
-
-// Graph returns the proximity graph (a store-backed view when the
-// adjacency lives in snapshot blocks).
-func (x *Index) Graph() ann.GraphView {
-	if x.g != nil {
-		return x.g
-	}
-	return ann.StoreGraph{S: x.store}
-}
-
-// BaseGraph returns the mutable graph for placement experiments and
-// snapshot saving; nil for a paged (FromStore) index.
-func (x *Index) BaseGraph() *graph.Graph { return x.g }
-
-// Store returns the traversal/storage boundary the index searches
-// through.
-func (x *Index) Store() ann.NodeStore { return x.store }
-
-// Len returns the number of indexed vectors.
-func (x *Index) Len() int { return x.n }
-
-// Entry returns the search entry point.
-func (x *Index) Entry() uint32 { return x.entry }
-
 // Params returns the construction/search configuration of the built
-// index.
-func (x *Index) Params() Config { return x.cfg }
-
-// Matrix returns the corpus store; nil for a paged (FromStore) index.
-// Callers must not mutate it.
-func (x *Index) Matrix() *vec.Matrix { return x.mat }
-
-// SetBeamWidth implements ann.Tunable.
-func (x *Index) SetBeamWidth(w int) {
-	if w >= 1 {
-		x.cfg.LSearch = w
-	}
+// index, with LSearch at the current (possibly tuned) beam width.
+func (x *Index) Params() Config {
+	cfg := x.cfg
+	cfg.LSearch = x.BeamWidth()
+	return cfg
 }

@@ -61,31 +61,33 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Index is a built HNSW graph over a fixed corpus. The corpus lives in
-// a contiguous vec.Matrix; all distance evaluation goes through the
-// batched kernel layer (query preprocessed once per search, stored
-// norms precomputed at build).
+// Index is a built HNSW graph over a fixed corpus: the shared served
+// core (store, entry, beam, rerank — ann.GraphIndex) plus HNSW's
+// navigation data, the resident upper layers the search descends
+// through before the base-layer beam.
 type Index struct {
-	cfg  Config
-	mat  *vec.Matrix
-	kern *vec.Kernel
-	// tkern is the traversal kernel: the SQ8 code-space kernel in
-	// quantized mode, otherwise kern itself. Construction and exact
-	// rerank always use kern.
-	tkern *vec.Kernel
-	// store is the traversal/storage boundary all search-time node
-	// access goes through. In-RAM indexes wrap (kern, tkern, base
-	// layer); paged indexes (FromStore) traverse snapshot blocks and
-	// leave mat/kern/tkern nil.
-	store    ann.NodeStore
+	ann.GraphIndex
+	cfg      Config
 	layers   []*graph.Graph // layers[0] is the base layer (nil when paged)
 	levels   []int          // highest layer of each vertex
-	entry    uint32
 	maxLevel int
-	n        int
 }
 
-var _ ann.Index = (*Index)(nil)
+var _ ann.Tunable = (*Index)(nil)
+
+// builder is the construction-time state. Construction always
+// evaluates full precision (kern, and bs — a distance-only store whose
+// adjacency is swapped per layer).
+type builder struct {
+	cfg      Config
+	mat      *vec.Matrix
+	kern     *vec.Kernel
+	bs       ann.NodeStore
+	layers   []*graph.Graph
+	levels   []int
+	entry    uint32
+	maxLevel int
+}
 
 // Build constructs an HNSW index over data. The vectors are copied into
 // a contiguous flat store; the input slices are not retained.
@@ -97,125 +99,72 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("hnsw: empty dataset")
 	}
 	mat := vec.NewMatrix(data)
-	idx := &Index{
+	bs, err := ann.NewKernelStore(cfg.Metric, mat, nil, false)
+	if err != nil {
+		return nil, fmt.Errorf("hnsw: %w", err)
+	}
+	b := &builder{
 		cfg:      cfg,
 		mat:      mat,
 		kern:     vec.NewKernel(cfg.Metric, mat),
+		bs:       bs,
 		levels:   make([]int, len(data)),
 		maxLevel: -1,
-		n:        len(data),
 	}
-	idx.initTraversal()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mL := 1.0 / math.Log(float64(cfg.M))
 	for i := range data {
 		level := int(-math.Log(rng.Float64()+1e-18) * mL)
-		idx.insert(uint32(i), level)
+		b.insert(uint32(i), level)
 	}
-	idx.store = ann.NewKernelStore(idx.kern, idx.tkern, idx.layers[0])
-	return idx, nil
+	store, err := ann.NewKernelStore(cfg.Metric, mat, b.layers[0], cfg.Quantized)
+	if err != nil {
+		return nil, fmt.Errorf("hnsw: %w", err)
+	}
+	return FromStore(cfg, store, b.layers[1:], b.levels, b.entry, b.maxLevel)
 }
 
-// FromParts reassembles a built index from its serialized parts — the
-// snapshot warm-start path. No construction runs; searches on the
-// result are byte-identical to the index the parts came from. All
-// arguments are retained.
-func FromParts(cfg Config, mat *vec.Matrix, layers []*graph.Graph, levels []int, entry uint32, maxLevel int) (*Index, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := mat.Rows()
-	if n == 0 {
-		return nil, fmt.Errorf("hnsw: empty matrix")
-	}
-	if len(levels) != n {
-		return nil, fmt.Errorf("hnsw: %d levels for %d vectors", len(levels), n)
-	}
-	if maxLevel < 0 || len(layers) != maxLevel+1 {
-		return nil, fmt.Errorf("hnsw: %d layers with max level %d", len(layers), maxLevel)
-	}
-	for l, g := range layers {
-		if g.Len() != n {
-			return nil, fmt.Errorf("hnsw: layer %d has %d vertices, corpus has %d", l, g.Len(), n)
-		}
-	}
-	if int(entry) >= n {
-		return nil, fmt.Errorf("hnsw: entry %d out of range %d", entry, n)
-	}
-	idx := &Index{
-		cfg:      cfg,
-		mat:      mat,
-		kern:     vec.NewKernel(cfg.Metric, mat),
-		layers:   layers,
-		levels:   levels,
-		entry:    entry,
-		maxLevel: maxLevel,
-		n:        n,
-	}
-	idx.initTraversal()
-	idx.store = ann.NewKernelStore(idx.kern, idx.tkern, idx.layers[0])
-	return idx, nil
-}
-
-// FromStore assembles a search-only index over an external NodeStore —
-// the paged (beyond-RAM) serving path, where the base layer's
-// adjacency and vectors live in snapshot blocks and only the
-// navigation structure (upper layers, levels, entry) is resident.
-// upper holds layers 1..maxLevel; the base layer is the store's
-// adjacency. The index cannot be re-saved (BaseGraph is nil) and
-// serves searches only.
+// FromStore assembles a served index over a NodeStore and the resident
+// navigation structure (upper layers, levels, entry) — the one
+// reconstructor behind a fresh Build, a snapshot warm-start (an
+// ann.KernelStore over the decoded matrix and base layer) and paged
+// serving (base adjacency and vectors in snapshot blocks). upper holds
+// layers 1..maxLevel; the base layer is the store's adjacency. No
+// construction runs; searches are byte-identical to the index the parts
+// came from. All arguments are retained.
 func FromStore(cfg Config, store ann.NodeStore, upper []*graph.Graph, levels []int, entry uint32, maxLevel int) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := store.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("hnsw: empty store")
-	}
-	if cfg.Quantized != store.Quantized() {
-		return nil, fmt.Errorf("hnsw: config quantized=%v but store quantized=%v", cfg.Quantized, store.Quantized())
-	}
 	if len(levels) != n {
 		return nil, fmt.Errorf("hnsw: %d levels for %d vectors", len(levels), n)
 	}
 	if maxLevel < 0 || len(upper) != maxLevel {
 		return nil, fmt.Errorf("hnsw: %d upper layers with max level %d", len(upper), maxLevel)
 	}
-	layers := make([]*graph.Graph, maxLevel+1) // layers[0] stays nil: base adjacency is the store's
 	for l, g := range upper {
 		if g.Len() != n {
 			return nil, fmt.Errorf("hnsw: layer %d has %d vertices, corpus has %d", l+1, g.Len(), n)
 		}
-		layers[l+1] = g
 	}
-	if int(entry) >= n {
-		return nil, fmt.Errorf("hnsw: entry %d out of range %d", entry, n)
+	x := &Index{cfg: cfg, levels: levels, maxLevel: maxLevel}
+	gi, err := ann.NewGraphIndex(store, cfg.Metric, entry, cfg.EfSearch, cfg.Quantized, cfg.Rerank, x.descend)
+	if err != nil {
+		return nil, fmt.Errorf("hnsw: %w", err)
 	}
-	return &Index{
-		cfg: cfg, store: store, layers: layers, levels: levels,
-		entry: entry, maxLevel: maxLevel, n: n,
-	}, nil
+	x.GraphIndex = gi
+	x.layers = append([]*graph.Graph{gi.BaseGraph()}, upper...)
+	return x, nil
 }
 
-// initTraversal picks the search-time kernel. In quantized mode a
-// matrix arriving without its SQ8 tier (e.g. built fresh rather than
-// warm-started from a snapshot) is quantized here; quantization is
-// deterministic, so either path yields identical codes.
-func (x *Index) initTraversal() {
-	x.tkern = x.kern
-	if x.cfg.Quantized {
-		x.mat.EnableSQ8()
-		x.tkern = vec.NewQuantizedKernel(x.cfg.Metric, x.mat)
-	}
-}
-
-func (x *Index) ensureLayers(level int) {
+func (x *builder) ensureLayers(level int) {
 	for len(x.layers) <= level {
 		x.layers = append(x.layers, graph.New(x.mat.Rows()))
 	}
 }
 
-func (x *Index) insert(v uint32, level int) {
+func (x *builder) insert(v uint32, level int) {
 	x.ensureLayers(level)
 	x.levels[v] = level
 	if x.maxLevel < 0 { // first vertex
@@ -224,13 +173,10 @@ func (x *Index) insert(v uint32, level int) {
 		return
 	}
 	q := x.kern.Prepare(x.mat.Row(int(v)))
-	// Construction always evaluates full precision; adjacency is swapped
-	// per layer below.
-	bs := ann.NewKernelStore(x.kern, x.kern, nil)
 	ep := x.entry
 	// Greedy descent through layers above the insertion level.
 	for l := x.maxLevel; l > level; l-- {
-		ep, _ = greedyClosest(ann.WithGraph(bs, x.layers[l]), q, ep, nil)
+		ep, _ = greedyClosest(ann.WithGraph(x.bs, x.layers[l]), q, ep, nil)
 	}
 	// Beam insert from min(level, maxLevel) down to 0.
 	top := level
@@ -238,7 +184,7 @@ func (x *Index) insert(v uint32, level int) {
 		top = x.maxLevel
 	}
 	for l := top; l >= 0; l-- {
-		cands := searchLayer(ann.WithGraph(bs, x.layers[l]), q, ep, x.cfg.EfConstruction, nil)
+		cands := searchLayer(ann.WithGraph(x.bs, x.layers[l]), q, ep, x.cfg.EfConstruction, nil)
 		m := x.cfg.M
 		if l == 0 {
 			m = 2 * x.cfg.M
@@ -261,7 +207,7 @@ func (x *Index) insert(v uint32, level int) {
 
 // shrink re-prunes w's neighbor list on layer l to at most m entries
 // using the selection heuristic.
-func (x *Index) shrink(w uint32, l, m int) {
+func (x *builder) shrink(w uint32, l, m int) {
 	g := x.layers[l]
 	nbrs := g.Neighbors(w)
 	if len(nbrs) <= m {
@@ -283,7 +229,7 @@ func (x *Index) shrink(w uint32, l, m int) {
 // selectHeuristic is Malkov's Algorithm 4: keep a candidate only if it is
 // closer to the query point than to every already-selected neighbor,
 // which spreads edges across directions.
-func (x *Index) selectHeuristic(cands []ann.Neighbor, m int) []ann.Neighbor {
+func (x *builder) selectHeuristic(cands []ann.Neighbor, m int) []ann.Neighbor {
 	if len(cands) <= m {
 		return cands
 	}
@@ -358,70 +304,24 @@ func searchLayer(st ann.NodeStore, q vec.PreparedQuery, ep uint32, ef int, tr *t
 	return ann.BeamSearch(st, q, ann.Neighbor{ID: ep, Dist: st.Dist(q, ep)}, ef, tr)
 }
 
-// Search returns the approximate top-k neighbors of query.
-func (x *Index) Search(query vec.Vector, k int) []ann.Neighbor {
-	res, _ := x.search(query, k, nil)
-	return res
-}
-
-// SearchTraced returns the top-k neighbors and the traversal trace.
-func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Query) {
-	tr := trace.Query{}
-	res, _ := x.search(query, k, &tr)
-	return res, tr
-}
-
-func (x *Index) search(query vec.Vector, k int, tr *trace.Query) ([]ann.Neighbor, error) {
-	st := x.store
-	q := st.Prepare(query)
-	ep := x.entry
-	// Upper layers are always resident (the pinned navigation section in
-	// paged mode); only their adjacency is swapped in — distances come
-	// from the store either way.
+// descend is HNSW's seed step: greedy descent from the global entry
+// through the upper layers. They are always resident (the pinned
+// navigation section in paged mode); only their adjacency is swapped in
+// — distances come from the store either way.
+func (x *Index) descend(st ann.NodeStore, q vec.PreparedQuery, ep uint32, tr *trace.Query) ann.Neighbor {
 	for l := x.maxLevel; l > 0; l-- {
 		ep, _ = greedyClosest(ann.WithGraph(st, x.layers[l]), q, ep, tr)
 	}
-	ef := x.cfg.EfSearch
-	if ef < k {
-		ef = k
-	}
-	res := searchLayer(st, q, ep, ef, tr)
-	if x.cfg.Quantized {
-		// Code-space distances ordered the candidates; the head is
-		// re-scored exactly so returned distances are in metric units
-		// and the (distance, ID) total order holds.
-		return ann.RerankExactStore(st, query, res, x.cfg.Rerank, k), nil
-	}
-	if k < len(res) {
-		res = res[:k]
-	}
-	return res, nil
+	return ann.Neighbor{ID: ep, Dist: st.Dist(q, ep)}
 }
-
-// Graph returns the base-layer proximity graph (a store-backed view
-// when the base layer lives in snapshot blocks).
-func (x *Index) Graph() ann.GraphView {
-	if x.layers[0] != nil {
-		return x.layers[0]
-	}
-	return ann.StoreGraph{S: x.store}
-}
-
-// BaseGraph returns the mutable base layer for placement experiments
-// and snapshot saving; nil for a paged (FromStore) index.
-func (x *Index) BaseGraph() *graph.Graph { return x.layers[0] }
-
-// Store returns the traversal/storage boundary the index searches
-// through.
-func (x *Index) Store() ann.NodeStore { return x.store }
 
 // Params returns the construction/search configuration of the built
-// index.
-func (x *Index) Params() Config { return x.cfg }
-
-// Matrix returns the corpus store; nil for a paged (FromStore) index.
-// Callers must not mutate it.
-func (x *Index) Matrix() *vec.Matrix { return x.mat }
+// index, with EfSearch at the current (possibly tuned) beam width.
+func (x *Index) Params() Config {
+	cfg := x.cfg
+	cfg.EfSearch = x.BeamWidth()
+	return cfg
+}
 
 // Layers returns all graph layers, base layer first (nil base when
 // paged). The slice and the graphs are owned by the index and must not
@@ -431,24 +331,11 @@ func (x *Index) Layers() []*graph.Graph { return x.layers }
 // Levels returns the per-vertex top layers. Owned by the index.
 func (x *Index) Levels() []int { return x.levels }
 
-// Len returns the number of indexed vectors.
-func (x *Index) Len() int { return x.n }
-
 // MaxLevel returns the highest populated layer.
 func (x *Index) MaxLevel() int { return x.maxLevel }
 
 // EntryPoint returns the global entry vertex.
-func (x *Index) EntryPoint() uint32 { return x.entry }
+func (x *Index) EntryPoint() uint32 { return x.Entry() }
 
 // Level returns the top layer of vertex v.
 func (x *Index) Level(v uint32) int { return x.levels[v] }
-
-// SetEfSearch adjusts the search beam width.
-func (x *Index) SetEfSearch(ef int) {
-	if ef >= 1 {
-		x.cfg.EfSearch = ef
-	}
-}
-
-// SetBeamWidth implements ann.Tunable (alias of SetEfSearch).
-func (x *Index) SetBeamWidth(w int) { x.SetEfSearch(w) }

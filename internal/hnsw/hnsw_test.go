@@ -168,14 +168,14 @@ func TestTraceCoversResults(t *testing.T) {
 
 func TestSetEfSearchImprovesRecall(t *testing.T) {
 	idx, d := buildTestIndex(t, 1200)
-	idx.SetEfSearch(8)
+	idx.SetBeamWidth(8)
 	low := ann.MeanRecall(idx, vec.L2, d.Vectors, d.Queries, 10)
-	idx.SetEfSearch(128)
+	idx.SetBeamWidth(128)
 	high := ann.MeanRecall(idx, vec.L2, d.Vectors, d.Queries, 10)
 	if high < low {
 		t.Errorf("recall did not improve with ef: %.3f -> %.3f", low, high)
 	}
-	idx.SetEfSearch(0) // ignored
+	idx.SetBeamWidth(0) // ignored
 }
 
 func TestKLargerThanEf(t *testing.T) {

@@ -405,6 +405,9 @@ func (x *Index) ListLen(i int) int { return len(x.lists[i]) }
 // and NProbe after any clamping to the corpus size).
 func (x *Index) Params() Config { return x.cfg }
 
+// Metric returns the distance metric the index searches under.
+func (x *Index) Metric() vec.Metric { return x.cfg.Metric }
+
 // Matrix returns the corpus store. Callers must not mutate it.
 func (x *Index) Matrix() *vec.Matrix { return x.mat }
 

@@ -266,15 +266,24 @@ func (l *Loader) loadDirAs(dir, pkgPath string) ([]*Package, error) {
 	}
 
 	// The external test package, importing the augmented version of
-	// the package under test.
+	// the package under test. Its importer gets a private cache holding
+	// that version plus every already-checked package that does not
+	// depend on it, so dependents of the package under test are
+	// re-checked against the augmented version — the recompilation
+	// `go test` performs — instead of mixing two type universes.
 	if len(bp.XTestGoFiles) > 0 {
 		xTestNames := map[string]bool{}
 		for _, n := range bp.XTestGoFiles {
 			xTestNames[n] = true
 		}
-		imp := &moduleImporter{l: l}
+		imp := &moduleImporter{l: l, cache: l.pure}
 		if augmented != nil {
-			imp.augmented = map[string]*types.Package{pkgPath: augmented}
+			imp.cache = map[string]*types.Package{pkgPath: augmented}
+			for path, p := range l.pure {
+				if path != pkgPath && !imports(p, pkgPath, map[*types.Package]bool{}) {
+					imp.cache[path] = p
+				}
+			}
 		}
 		pkg, err := l.checkWith(dir, pkgPath+"_test", bp.XTestGoFiles, xTestNames, imp)
 		if err != nil {
@@ -285,8 +294,22 @@ func (l *Loader) loadDirAs(dir, pkgPath string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// imports reports whether p transitively imports the package at path.
+func imports(p *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[p] {
+		return false
+	}
+	seen[p] = true
+	for _, q := range p.Imports() {
+		if q.Path() == path || imports(q, path, seen) {
+			return true
+		}
+	}
+	return false
+}
+
 func (l *Loader) check(dir, pkgPath string, names []string, testNames map[string]bool) (*Package, error) {
-	return l.checkWith(dir, pkgPath, names, testNames, &moduleImporter{l: l})
+	return l.checkWith(dir, pkgPath, names, testNames, &moduleImporter{l: l, cache: l.pure})
 }
 
 func (l *Loader) checkWith(dir, pkgPath string, names []string, testNames map[string]bool, imp types.Importer) (*Package, error) {
@@ -332,9 +355,10 @@ func (l *Loader) checkWith(dir, pkgPath string, names []string, testNames map[st
 }
 
 // importPure returns the types-only view of a module package as seen by
-// its importers: non-test files, cached, cycle-checked.
-func (l *Loader) importPure(pkgPath string) (*types.Package, error) {
-	if p, ok := l.pure[pkgPath]; ok {
+// its importers: non-test files, cycle-checked, resolved through imp and
+// cached in imp.cache.
+func (l *Loader) importPure(pkgPath string, imp *moduleImporter) (*types.Package, error) {
+	if p, ok := imp.cache[pkgPath]; ok {
 		return p, nil
 	}
 	if l.loading[pkgPath] {
@@ -349,11 +373,11 @@ func (l *Loader) importPure(pkgPath string) (*types.Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loader: import %q: %w", pkgPath, err)
 	}
-	pkg, err := l.check(dir, pkgPath, append([]string{}, bp.GoFiles...), nil)
+	pkg, err := l.checkWith(dir, pkgPath, append([]string{}, bp.GoFiles...), nil, imp)
 	if err != nil {
 		return nil, err
 	}
-	l.pure[pkgPath] = pkg.Types
+	imp.cache[pkgPath] = pkg.Types
 	return pkg.Types, nil
 }
 
@@ -361,20 +385,19 @@ func (l *Loader) importPure(pkgPath string) (*types.Package, error) {
 // everything else (the standard library) to the source importer.
 type moduleImporter struct {
 	l *Loader
-	// augmented remaps an import path to a test-augmented package, used
-	// when checking external test packages.
-	augmented map[string]*types.Package
+	// cache holds the module packages type-checked through this
+	// importer: the loader-wide l.pure for ordinary imports, a private
+	// map seeded with the test-augmented package under test when
+	// checking an external test package.
+	cache map[string]*types.Package
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if p, ok := m.augmented[path]; ok {
-		return p, nil
-	}
 	if path == m.l.modulePath || strings.HasPrefix(path, m.l.modulePath+"/") {
-		return m.l.importPure(path)
+		return m.l.importPure(path, m)
 	}
 	return m.l.std.ImportFrom(path, m.l.moduleRoot, 0)
 }

@@ -290,41 +290,41 @@ func putU32(b []byte, v uint32) {
 	b[3] = byte(v >> 24)
 }
 
-// decodeBlocks reconstructs the corpus matrix, SQ8 tier, and base
-// adjacency from a parsed version-3 file's "blocks" (and "sq8s")
-// sections, for the in-RAM serving path. It sets f.base plus the
-// header's Quantized/Rerank fields, mirroring what the v1/v2 path does
-// with "matrix" + "sq8". Reconstruction is byte-identical to the saved
+// decodeBlocks reconstructs the corpus matrix (SQ8 tier attached) and
+// base adjacency from a parsed version-3 file's "blocks" (and "sq8s")
+// sections, for the in-RAM serving path. It sets the header's
+// Quantized/Rerank fields, mirroring what the v1/v2 path does with
+// "matrix" + "sq8". Reconstruction is byte-identical to the saved
 // index: rows decode through vec.Decode into a fresh vec.NewMatrix
 // (norms recomputed with the build's accumulation), neighbor order is
 // preserved, and SQ8FromParts recomputes code norms exactly.
-func decodeBlocks(f *file) (*vec.Matrix, error) {
+func decodeBlocks(f *file) (*vec.Matrix, *graph.Graph, error) {
 	payload, err := f.section("blocks")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h := f.header
 	m, err := parseBlockMeta(payload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := m.validate(h); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	payloadOff := int64(f.offsets["blocks"])
 	pad := m.imageOff - payloadOff - blockMetaSize
 	if pad < 0 || pad >= int64(m.pageSize) {
-		return nil, fmt.Errorf("%w: image offset %d does not follow the blocks meta at %d", ErrCorrupt, m.imageOff, payloadOff)
+		return nil, nil, fmt.Errorf("%w: image offset %d does not follow the blocks meta at %d", ErrCorrupt, m.imageOff, payloadOff)
 	}
 	if want := blockMetaSize + pad + m.imageLen; int64(len(payload)) != want {
 		if int64(len(payload)) < want {
-			return nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrTruncated, len(payload), want)
+			return nil, nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrTruncated, len(payload), want)
 		}
-		return nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrCorrupt, len(payload), want)
+		return nil, nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrCorrupt, len(payload), want)
 	}
 	for _, pb := range payload[blockMetaSize : blockMetaSize+pad] {
 		if pb != 0 {
-			return nil, fmt.Errorf("%w: nonzero blocks alignment padding", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: nonzero blocks alignment padding", ErrCorrupt)
 		}
 	}
 	image := payload[blockMetaSize+pad:]
@@ -341,20 +341,20 @@ func decodeBlocks(f *file) (*vec.Matrix, error) {
 		rec = rec[:m.nodeLen]
 		deg := int(getU32(rec[0:4]))
 		if deg > m.maxDegree {
-			return nil, fmt.Errorf("%w: node %d degree %d exceeds maxDegree %d", ErrCorrupt, v, deg, m.maxDegree)
+			return nil, nil, fmt.Errorf("%w: node %d degree %d exceeds maxDegree %d", ErrCorrupt, v, deg, m.maxDegree)
 		}
 		nbrs := make([]uint32, deg)
 		for i := range nbrs {
 			w := getU32(rec[4+4*i:])
 			if int(w) >= m.n {
-				return nil, fmt.Errorf("%w: node %d neighbor %d out of range %d", ErrCorrupt, v, w, m.n)
+				return nil, nil, fmt.Errorf("%w: node %d neighbor %d out of range %d", ErrCorrupt, v, w, m.n)
 			}
 			nbrs[i] = w
 		}
 		g.SetNeighbors(uint32(v), nbrs)
 		row, err := vec.Decode(h.Elem, m.dim, rec[vecOff:codeOff])
 		if err != nil {
-			return nil, corrupt(err)
+			return nil, nil, corrupt(err)
 		}
 		rows[v] = row
 		if m.quantized {
@@ -369,24 +369,23 @@ func decodeBlocks(f *file) (*vec.Matrix, error) {
 
 	rerank, scales, hasScales, err := readSQ8Scales(f, h)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if hasScales != m.quantized {
-		return nil, fmt.Errorf("%w: blocks quantized=%v but sq8s section present=%v", ErrCorrupt, m.quantized, hasScales)
+		return nil, nil, fmt.Errorf("%w: blocks quantized=%v but sq8s section present=%v", ErrCorrupt, m.quantized, hasScales)
 	}
 	if m.quantized {
 		sq, err := vec.SQ8FromParts(m.dim, m.n, scales, codes)
 		if err != nil {
-			return nil, corrupt(err)
+			return nil, nil, corrupt(err)
 		}
 		if err := mat.AttachSQ8(sq); err != nil {
-			return nil, corrupt(err)
+			return nil, nil, corrupt(err)
 		}
 		f.header.Quantized = true
 		f.header.Rerank = rerank
 	}
-	f.base = g
-	return mat, nil
+	return mat, g, nil
 }
 
 func getU32(b []byte) uint32 {

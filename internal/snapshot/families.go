@@ -14,11 +14,16 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// This file holds the per-family Saver/Loader pairs plus the shared
-// matrix / vector-list / graph codecs they compose. Loaders hand the
-// decoded parts to each package's FromParts reconstructor, which
-// revalidates the family invariants; any violation is reported as
-// ErrCorrupt (the checksums held, so the structure itself is wrong).
+// This file holds the per-family codecs plus the shared matrix /
+// vector-list / graph codecs they compose. Each graph family has one
+// reconstruct function (decode the pinned navigation sections, then the
+// package's FromStore over the given NodeStore) that serves both Load
+// (a resident ann.KernelStore over the decoded corpus) and
+// OpenPagedFile (a PagedStore over the file's blocks); the flat
+// families hand their decoded parts to ann.ExactFromMatrix /
+// ivfpq.FromParts. The reconstructors revalidate the family
+// invariants; any violation is reported as ErrCorrupt (the checksums
+// held, so the structure itself is wrong).
 
 // corrupt wraps a reconstruction error as ErrCorrupt.
 func corrupt(err error) error {
@@ -203,18 +208,65 @@ func loadExact(h Header, _ *file, mat *vec.Matrix) (Index, error) {
 	return ann.ExactFromMatrix(h.Metric, mat), nil
 }
 
-// ---- hnsw ---------------------------------------------------------------
+// ---- graph families (shared) --------------------------------------------
 
-// errPaged rejects re-saving a paged (FromStore) index: its corpus and
-// adjacency live in snapshot blocks it does not own, so the original
-// snapshot file already is its serialized form.
+// errPaged rejects re-saving a paged index: its corpus and adjacency
+// live in snapshot blocks it does not own, so the original snapshot file
+// already is its serialized form.
 var errPaged = fmt.Errorf("%w: paged index cannot be re-saved; copy the snapshot file instead", ErrUnsupported)
+
+// saveGraph finishes a graph family's Saver once its navigation
+// sections are queued: it refuses a paged index, adds the scales-only
+// "sq8s" section when quantized, and reports the header fields plus the
+// base adjacency Save packs into "blocks".
+func saveGraph(b *builder, g *ann.GraphIndex, quantized bool, rerank int) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+	mat, base := g.Matrix(), g.BaseGraph()
+	if mat == nil || base == nil {
+		return 0, nil, nil, errPaged
+	}
+	if quantized {
+		if err := addSQ8Scales(b, mat, rerank); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	return g.Metric(), mat, base, nil
+}
+
+// legacyBase decodes the base adjacency of a version-1/2 graph-family
+// file (version 3 keeps it in the blocks image): the "graph" section of
+// the flat-graph families, or the first graph of hnsw's "layers"
+// section, which held every layer before version 3.
+func legacyBase(algo string, f *file, wantN int) (*graph.Graph, error) {
+	if algo == "hnsw" {
+		gp, err := f.section("layers")
+		if err != nil {
+			return nil, err
+		}
+		d := &dec{b: gp}
+		if d.intn(len(gp), "layer count") == 0 && d.err == nil {
+			return nil, fmt.Errorf("%w: hnsw file without a base layer", ErrCorrupt)
+		}
+		return readGraph(d, wantN)
+	}
+	gp, err := f.section("graph")
+	if err != nil {
+		return nil, err
+	}
+	d := &dec{b: gp}
+	g, err := readGraph(d, wantN)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// ---- hnsw ---------------------------------------------------------------
 
 func saveHNSW(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*hnsw.Index)
-	if x.Matrix() == nil || x.BaseGraph() == nil {
-		return 0, nil, nil, errPaged
-	}
 	cfg := x.Params()
 	var p enc
 	p.u32(uint32(cfg.M))
@@ -235,33 +287,26 @@ func saveHNSW(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, err
 
 	// Version 3 pins only the upper layers (the navigation set); the
 	// base layer's adjacency lives in the blocks image.
-	layers := x.Layers()
-	upper := layers[1:]
+	upper := x.Layers()[1:]
 	var lg enc
 	lg.u32(uint32(len(upper)))
 	for _, g := range upper {
 		writeGraph(&lg, g)
 	}
 	b.add("layers", lg.b)
-	if cfg.Quantized {
-		if err := addSQ8Scales(b, x.Matrix(), cfg.Rerank); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	return cfg.Metric, x.Matrix(), layers[0], nil
+	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
 }
 
-// decodeHNSWMeta decodes the pinned hnsw navigation sections: params,
-// per-node levels, and the serialized layer list ("layers" holds every
-// layer in v1/v2, only the upper layers in v3). Shared by the in-RAM
-// loader and the paged opener.
-func decodeHNSWMeta(h Header, f *file, wantN int) (cfg hnsw.Config, entry uint32, maxLevel int, levels []int, layers []*graph.Graph, err error) {
+// reconstructHNSW decodes the pinned hnsw navigation sections — params,
+// per-node levels, and the serialized layer list — and assembles the
+// index over store.
+func reconstructHNSW(h Header, f *file, store ann.NodeStore) (Index, error) {
 	p, err := f.section("params")
 	if err != nil {
-		return cfg, 0, 0, nil, nil, err
+		return nil, err
 	}
 	d := &dec{b: p}
-	cfg = hnsw.Config{
+	cfg := hnsw.Config{
 		M:              d.intn(math.MaxInt32, "M"),
 		EfConstruction: d.intn(math.MaxInt32, "efConstruction"),
 		EfSearch:       d.intn(math.MaxInt32, "efSearch"),
@@ -270,55 +315,49 @@ func decodeHNSWMeta(h Header, f *file, wantN int) (cfg hnsw.Config, entry uint32
 		Rerank:         h.Rerank,
 	}
 	cfg.Seed = d.i64()
-	entry = d.u32()
-	maxLevel = d.intn(math.MaxInt32, "maxLevel")
+	entry := d.u32()
+	maxLevel := d.intn(math.MaxInt32, "maxLevel")
 	if err := d.done(); err != nil {
-		return cfg, 0, 0, nil, nil, err
+		return nil, err
 	}
 
 	lp, err := f.section("levels")
 	if err != nil {
-		return cfg, 0, 0, nil, nil, err
+		return nil, err
 	}
 	d = &dec{b: lp}
-	levels = make([]int, d.intn(len(lp), "level count"))
+	levels := make([]int, d.intn(len(lp), "level count"))
 	for i := range levels {
 		levels[i] = d.intn(math.MaxInt32, "level")
 	}
 	if err := d.done(); err != nil {
-		return cfg, 0, 0, nil, nil, err
+		return nil, err
 	}
 
 	gp, err := f.section("layers")
 	if err != nil {
-		return cfg, 0, 0, nil, nil, err
+		return nil, err
 	}
 	d = &dec{b: gp}
-	layers = make([]*graph.Graph, d.intn(len(gp), "layer count"))
-	for i := range layers {
-		layers[i], err = readGraph(d, wantN)
+	upper := make([]*graph.Graph, d.intn(len(gp), "layer count"))
+	for i := range upper {
+		upper[i], err = readGraph(d, store.Len())
 		if err != nil {
-			return cfg, 0, 0, nil, nil, err
+			return nil, err
 		}
 	}
 	if err := d.done(); err != nil {
-		return cfg, 0, 0, nil, nil, err
-	}
-	return cfg, entry, maxLevel, levels, layers, nil
-}
-
-func loadHNSW(h Header, f *file, mat *vec.Matrix) (Index, error) {
-	cfg, entry, maxLevel, levels, layers, err := decodeHNSWMeta(h, f, mat.Rows())
-	if err != nil {
 		return nil, err
 	}
-	if h.Version >= 3 {
-		// The section holds only the pinned upper layers; the base layer
-		// was reconstructed from the blocks image.
-		layers = append([]*graph.Graph{f.base}, layers...)
+	if h.Version < 3 {
+		// Before version 3 the section held every layer; the base layer
+		// already backs the store (legacyBase).
+		if len(upper) == 0 {
+			return nil, fmt.Errorf("%w: hnsw file without a base layer", ErrCorrupt)
+		}
+		upper = upper[1:]
 	}
-
-	x, err := hnsw.FromParts(cfg, mat, layers, levels, entry, maxLevel)
+	x, err := hnsw.FromStore(cfg, store, upper, levels, entry, maxLevel)
 	return x, corrupt(err)
 }
 
@@ -326,9 +365,6 @@ func loadHNSW(h Header, f *file, mat *vec.Matrix) (Index, error) {
 
 func saveVamana(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*vamana.Index)
-	if x.Matrix() == nil || x.BaseGraph() == nil {
-		return 0, nil, nil, errPaged
-	}
 	cfg := x.Params()
 	var p enc
 	p.u32(uint32(cfg.R))
@@ -338,22 +374,16 @@ func saveVamana(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, e
 	p.i64(cfg.Seed)
 	p.u32(x.Medoid())
 	b.add("params", p.b)
-	if cfg.Quantized {
-		if err := addSQ8Scales(b, x.Matrix(), cfg.Rerank); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	return cfg.Metric, x.Matrix(), x.BaseGraph(), nil
+	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
 }
 
-// decodeVamanaMeta decodes the vamana params section.
-func decodeVamanaMeta(h Header, f *file) (cfg vamana.Config, medoid uint32, err error) {
+func reconstructVamana(h Header, f *file, store ann.NodeStore) (Index, error) {
 	p, err := f.section("params")
 	if err != nil {
-		return cfg, 0, err
+		return nil, err
 	}
 	d := &dec{b: p}
-	cfg = vamana.Config{
+	cfg := vamana.Config{
 		R:         d.intn(math.MaxInt32, "R"),
 		L:         d.intn(math.MaxInt32, "L"),
 		LSearch:   d.intn(math.MaxInt32, "LSearch"),
@@ -363,64 +393,18 @@ func decodeVamanaMeta(h Header, f *file) (cfg vamana.Config, medoid uint32, err 
 	}
 	cfg.Alpha = d.f32()
 	cfg.Seed = d.i64()
-	medoid = d.u32()
+	medoid := d.u32()
 	if err := d.done(); err != nil {
-		return cfg, 0, err
-	}
-	return cfg, medoid, nil
-}
-
-func loadVamana(h Header, f *file, mat *vec.Matrix) (Index, error) {
-	cfg, medoid, err := decodeVamanaMeta(h, f)
-	if err != nil {
 		return nil, err
 	}
-	g, err := baseGraph(h, f, mat.Rows())
-	if err != nil {
-		return nil, err
-	}
-	x, err := vamana.FromParts(cfg, mat, g, medoid)
+	x, err := vamana.FromStore(cfg, store, medoid)
 	return x, corrupt(err)
-}
-
-// baseGraph returns the flat-graph families' base adjacency: the graph
-// reconstructed from the blocks image in version 3, the "graph" section
-// in older files.
-func baseGraph(h Header, f *file, wantN int) (*graph.Graph, error) {
-	if h.Version >= 3 {
-		if f.base == nil {
-			return nil, fmt.Errorf("%w: version-3 file without a blocks graph", ErrCorrupt)
-		}
-		return f.base, nil
-	}
-	return readSingleGraph(f, wantN)
-}
-
-// readSingleGraph decodes the "graph" section shared by the flat-graph
-// families (vamana, hcnng, togg) in version-1/2 files.
-func readSingleGraph(f *file, wantN int) (*graph.Graph, error) {
-	gp, err := f.section("graph")
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: gp}
-	g, err := readGraph(d, wantN)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // ---- hcnng --------------------------------------------------------------
 
 func saveHCNNG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*hcnng.Index)
-	if x.Matrix() == nil || x.BaseGraph() == nil {
-		return 0, nil, nil, errPaged
-	}
 	cfg := x.Params()
 	var p enc
 	p.u32(uint32(cfg.Clusterings))
@@ -430,22 +414,16 @@ func saveHCNNG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, er
 	p.i64(cfg.Seed)
 	p.u32(x.Entry())
 	b.add("params", p.b)
-	if cfg.Quantized {
-		if err := addSQ8Scales(b, x.Matrix(), cfg.Rerank); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	return cfg.Metric, x.Matrix(), x.BaseGraph(), nil
+	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
 }
 
-// decodeHCNNGMeta decodes the hcnng params section.
-func decodeHCNNGMeta(h Header, f *file) (cfg hcnng.Config, entry uint32, err error) {
+func reconstructHCNNG(h Header, f *file, store ann.NodeStore) (Index, error) {
 	p, err := f.section("params")
 	if err != nil {
-		return cfg, 0, err
+		return nil, err
 	}
 	d := &dec{b: p}
-	cfg = hcnng.Config{
+	cfg := hcnng.Config{
 		Clusterings: d.intn(math.MaxInt32, "clusterings"),
 		LeafSize:    d.intn(math.MaxInt32, "leafSize"),
 		MaxDegree:   d.intn(math.MaxInt32, "maxDegree"),
@@ -455,23 +433,11 @@ func decodeHCNNGMeta(h Header, f *file) (cfg hcnng.Config, entry uint32, err err
 		Rerank:      h.Rerank,
 	}
 	cfg.Seed = d.i64()
-	entry = d.u32()
+	entry := d.u32()
 	if err := d.done(); err != nil {
-		return cfg, 0, err
-	}
-	return cfg, entry, nil
-}
-
-func loadHCNNG(h Header, f *file, mat *vec.Matrix) (Index, error) {
-	cfg, entry, err := decodeHCNNGMeta(h, f)
-	if err != nil {
 		return nil, err
 	}
-	g, err := baseGraph(h, f, mat.Rows())
-	if err != nil {
-		return nil, err
-	}
-	x, err := hcnng.FromParts(cfg, mat, g, entry)
+	x, err := hcnng.FromStore(cfg, store, entry)
 	return x, corrupt(err)
 }
 
@@ -479,9 +445,6 @@ func loadHCNNG(h Header, f *file, mat *vec.Matrix) (Index, error) {
 
 func saveTOGG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*togg.Index)
-	if x.Matrix() == nil || x.BaseGraph() == nil {
-		return 0, nil, nil, errPaged
-	}
 	cfg := x.Params()
 	var p enc
 	p.u32(uint32(cfg.K))
@@ -498,22 +461,18 @@ func saveTOGG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, err
 		gd.u32(uint32(dim))
 	}
 	b.add("guide", gd.b)
-	if cfg.Quantized {
-		if err := addSQ8Scales(b, x.Matrix(), cfg.Rerank); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	return cfg.Metric, x.Matrix(), x.BaseGraph(), nil
+	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
 }
 
-// decodeTOGGMeta decodes the togg params and guide-dimension sections.
-func decodeTOGGMeta(h Header, f *file) (cfg togg.Config, entry uint32, dims []int, err error) {
+// reconstructTOGG decodes the togg params and guide-dimension sections
+// and assembles the index over store.
+func reconstructTOGG(h Header, f *file, store ann.NodeStore) (Index, error) {
 	p, err := f.section("params")
 	if err != nil {
-		return cfg, 0, nil, err
+		return nil, err
 	}
 	d := &dec{b: p}
-	cfg = togg.Config{
+	cfg := togg.Config{
 		K:         d.intn(math.MaxInt32, "K"),
 		GuideDims: d.intn(math.MaxInt32, "guideDims"),
 		GuideHops: d.intn(math.MaxInt32, "guideHops"),
@@ -523,35 +482,23 @@ func decodeTOGGMeta(h Header, f *file) (cfg togg.Config, entry uint32, dims []in
 		Rerank:    h.Rerank,
 	}
 	cfg.Seed = d.i64()
-	entry = d.u32()
+	entry := d.u32()
 	if err := d.done(); err != nil {
-		return cfg, 0, nil, err
+		return nil, err
 	}
 	gp, err := f.section("guide")
 	if err != nil {
-		return cfg, 0, nil, err
+		return nil, err
 	}
 	d = &dec{b: gp}
-	dims = make([]int, d.intn(len(gp), "guide dim count"))
+	dims := make([]int, d.intn(len(gp), "guide dim count"))
 	for i := range dims {
 		dims[i] = d.intn(math.MaxInt32, "guide dim")
 	}
 	if err := d.done(); err != nil {
-		return cfg, 0, nil, err
-	}
-	return cfg, entry, dims, nil
-}
-
-func loadTOGG(h Header, f *file, mat *vec.Matrix) (Index, error) {
-	cfg, entry, dims, err := decodeTOGGMeta(h, f)
-	if err != nil {
 		return nil, err
 	}
-	g, err := baseGraph(h, f, mat.Rows())
-	if err != nil {
-		return nil, err
-	}
-	x, err := togg.FromParts(cfg, mat, g, entry, dims)
+	x, err := togg.FromStore(cfg, store, entry, dims)
 	return x, corrupt(err)
 }
 

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 
-	"ndsearch/internal/graph"
 	"ndsearch/internal/vec"
 )
 
@@ -148,9 +147,6 @@ type file struct {
 	header   Header
 	sections map[string][]byte
 	offsets  map[string]int
-	// base is the base-layer adjacency reconstructed from a version-3
-	// "blocks" section; Load sets it before the family loader runs.
-	base *graph.Graph
 }
 
 // parseHeader validates the fixed header: magic, version range, header

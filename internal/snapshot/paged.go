@@ -11,10 +11,6 @@ import (
 	"sync/atomic"
 
 	"ndsearch/internal/ann"
-	"ndsearch/internal/hcnng"
-	"ndsearch/internal/hnsw"
-	"ndsearch/internal/togg"
-	"ndsearch/internal/vamana"
 	"ndsearch/internal/vec"
 )
 
@@ -339,6 +335,9 @@ func (p *PagedIndex) Search(query vec.Vector, k int) []ann.Neighbor { return p.i
 // Len returns the node count.
 func (p *PagedIndex) Len() int { return p.idx.Len() }
 
+// Metric returns the distance metric recorded in the snapshot header.
+func (p *PagedIndex) Metric() vec.Metric { return p.header.Metric }
+
 // Index returns the family index (*hnsw.Index, ...), which implements
 // ann.Index for traced search and tuning.
 func (p *PagedIndex) Index() Index { return p.idx }
@@ -524,7 +523,8 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		return nil, err
 	}
 	algo := string(algoBytes)
-	if !blockFamilies[algo] {
+	fam := families[algo]
+	if fam.reconstruct == nil {
 		return nil, fmt.Errorf("%w: algo %q has no paged serving mode", ErrUnsupported, algo)
 	}
 	if err := meta.validate(h); err != nil {
@@ -593,47 +593,10 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		return &codes
 	}
 
-	idx, err := newPagedFamily(algo, h, f, store)
+	idx, err := fam.reconstruct(h, f, store)
 	if err != nil {
 		back.Close()
 		return nil, err
 	}
 	return &PagedIndex{idx: idx, store: store, f: fh, algo: algo, header: h, backend: backend}, nil
-}
-
-// newPagedFamily assembles the search-only family index over the paged
-// store from the resident navigation sections.
-func newPagedFamily(algo string, h Header, f *file, store *PagedStore) (Index, error) {
-	switch algo {
-	case "hnsw":
-		cfg, entry, maxLevel, levels, upper, err := decodeHNSWMeta(h, f, h.Rows)
-		if err != nil {
-			return nil, err
-		}
-		x, err := hnsw.FromStore(cfg, store, upper, levels, entry, maxLevel)
-		return x, corrupt(err)
-	case "diskann":
-		cfg, medoid, err := decodeVamanaMeta(h, f)
-		if err != nil {
-			return nil, err
-		}
-		x, err := vamana.FromStore(cfg, store, medoid)
-		return x, corrupt(err)
-	case "hcnng":
-		cfg, entry, err := decodeHCNNGMeta(h, f)
-		if err != nil {
-			return nil, err
-		}
-		x, err := hcnng.FromStore(cfg, store, entry)
-		return x, corrupt(err)
-	case "togg":
-		cfg, entry, dims, err := decodeTOGGMeta(h, f)
-		if err != nil {
-			return nil, err
-		}
-		x, err := togg.FromStore(cfg, store, entry, dims)
-		return x, corrupt(err)
-	default:
-		return nil, fmt.Errorf("%w: algo %q has no paged serving mode", ErrUnsupported, algo)
-	}
 }

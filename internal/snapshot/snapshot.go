@@ -12,8 +12,8 @@
 // The container is a fixed header (magic, format version, metric, dim,
 // element kind, all CRC-guarded) followed by named CRC32-guarded
 // sections; see format.go for the layout and DESIGN.md §8 for the
-// policy. Families register Saver/Loader pairs in the registry below;
-// Load dispatches on the algo recorded in the file.
+// policy. Families register their codecs in the registry below; Load
+// and OpenPagedFile dispatch on the algo recorded in the file.
 //
 // Corruption surfaces as one of four typed errors — ErrBadMagic,
 // ErrVersion, ErrChecksum, ErrTruncated (plus ErrCorrupt for structural
@@ -89,14 +89,21 @@ type Index interface {
 // section instead. The "algo" section is written by Save itself.
 type Saver func(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error)
 
-// Loader rebuilds a family index from a parsed file. mat is the already
-// decoded corpus matrix.
+// Loader rebuilds a flat family (exact, ivfpq) from a parsed file. mat
+// is the already decoded corpus matrix.
 type Loader func(h Header, f *file, mat *vec.Matrix) (Index, error)
 
-// family couples one algo name to its codec pair.
+// family couples one algo name to its codecs. A graph-traversal family
+// sets reconstruct instead of load: the one function that rebuilds it
+// from the file's pinned navigation sections over a NodeStore, whether
+// Load hands it a resident store or OpenPagedFile a paged one. Those
+// families' version-3 snapshots pack corpus rows, SQ8 codes, and base
+// adjacency into the page-aligned "blocks" section (exact and ivfpq
+// keep the flat v2 section shapes under the v3 header).
 type family struct {
-	save Saver
-	load Loader
+	save        Saver
+	load        Loader
+	reconstruct func(h Header, f *file, store ann.NodeStore) (Index, error)
 }
 
 // families is the codec registry, keyed by the algo name recorded in
@@ -104,22 +111,11 @@ type family struct {
 // both exist ("diskann" is the Vamana graph).
 var families = map[string]family{
 	"exact":   {save: saveExact, load: loadExact},
-	"hnsw":    {save: saveHNSW, load: loadHNSW},
-	"diskann": {save: saveVamana, load: loadVamana},
-	"hcnng":   {save: saveHCNNG, load: loadHCNNG},
-	"togg":    {save: saveTOGG, load: loadTOGG},
+	"hnsw":    {save: saveHNSW, reconstruct: reconstructHNSW},
+	"diskann": {save: saveVamana, reconstruct: reconstructVamana},
+	"hcnng":   {save: saveHCNNG, reconstruct: reconstructHCNNG},
+	"togg":    {save: saveTOGG, reconstruct: reconstructTOGG},
 	"ivfpq":   {save: saveIVFPQ, load: loadIVFPQ},
-}
-
-// blockFamilies marks the graph-traversal families whose version-3
-// snapshots pack corpus rows, SQ8 codes, and base adjacency into the
-// page-aligned "blocks" section (exact and ivfpq keep the flat v2
-// section shapes under the v3 header).
-var blockFamilies = map[string]bool{
-	"hnsw":    true,
-	"diskann": true,
-	"hcnng":   true,
-	"togg":    true,
 }
 
 // Algos returns the registered family names.
@@ -152,27 +148,16 @@ func Detect(idx Index) (string, error) {
 	}
 }
 
-// MetricOf returns the distance metric a concrete index type was built
-// with — the CRC-guarded in-file truth on the load path, where the
-// engine needs the metric to stand up the mutable delta tier without
-// trusting (or extending) the unchecksummed manifest.
+// MetricOf returns the distance metric an index was built with — the
+// CRC-guarded in-file truth on the load path, where the engine needs
+// the metric to stand up the mutable delta tier without trusting (or
+// extending) the unchecksummed manifest. Every family (and PagedIndex)
+// answers Metric().
 func MetricOf(idx Index) (vec.Metric, error) {
-	switch x := idx.(type) {
-	case *ann.Exact:
+	if x, ok := idx.(interface{ Metric() vec.Metric }); ok {
 		return x.Metric(), nil
-	case *hnsw.Index:
-		return x.Params().Metric, nil
-	case *vamana.Index:
-		return x.Params().Metric, nil
-	case *hcnng.Index:
-		return x.Params().Metric, nil
-	case *togg.Index:
-		return x.Params().Metric, nil
-	case *ivfpq.Index:
-		return x.Params().Metric, nil
-	default:
-		return 0, fmt.Errorf("%w: no metric accessor for index type %T", ErrUnsupported, idx)
 	}
+	return 0, fmt.Errorf("%w: no metric accessor for index type %T", ErrUnsupported, idx)
 }
 
 // Save serialises idx to w. elem is the at-rest element kind of the
@@ -237,13 +222,14 @@ func Load(r io.Reader) (Index, error) {
 		return nil, fmt.Errorf("%w: unknown algo %q", ErrCorrupt, algo)
 	}
 	var mat *vec.Matrix
-	if f.header.Version >= 3 && blockFamilies[algo] {
+	var base *graph.Graph
+	if f.header.Version >= 3 && fam.reconstruct != nil {
 		// Version-3 graph family: rows, codes, and base adjacency live in
 		// the page-aligned "blocks" section. decodeBlocks reconstructs
 		// the matrix (norms recomputed with the same accumulation the
-		// build used), attaches the SQ8 tier from the scales-only "sq8s"
-		// section, and stashes the base graph on f for the family loader.
-		mat, err = decodeBlocks(f)
+		// build used) and attaches the SQ8 tier from the scales-only
+		// "sq8s" section.
+		mat, base, err = decodeBlocks(f)
 		if err != nil {
 			return nil, err
 		}
@@ -256,8 +242,8 @@ func Load(r io.Reader) (Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Attach the compressed tier (if saved) before the family loader
-		// runs, so FromParts finds the stored codes instead of
+		// Attach the compressed tier (if saved) before the store is
+		// assembled, so it finds the stored codes instead of
 		// requantizing.
 		rerank, quantized, err := readSQ8(f, mat)
 		if err != nil {
@@ -265,12 +251,20 @@ func Load(r io.Reader) (Index, error) {
 		}
 		f.header.Quantized = quantized
 		f.header.Rerank = rerank
+		if fam.reconstruct != nil {
+			if base, err = legacyBase(algo, f, mat.Rows()); err != nil {
+				return nil, err
+			}
+		}
 	}
-	idx, err := fam.load(f.header, f, mat)
+	if fam.reconstruct == nil {
+		return fam.load(f.header, f, mat)
+	}
+	store, err := ann.NewKernelStore(f.header.Metric, mat, base, f.header.Quantized)
 	if err != nil {
-		return nil, err
+		return nil, corrupt(err)
 	}
-	return idx, nil
+	return fam.reconstruct(f.header, f, store)
 }
 
 // SaveFile writes idx to path atomically (temp file + rename), creating

@@ -63,29 +63,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Index is a built TOGG index. The corpus lives in a contiguous
-// vec.Matrix; all distance evaluation goes through the batched kernel
-// layer (query preprocessed once per search, stored norms precomputed
-// at build).
+// Index is a built TOGG index: the shared served core (ann.GraphIndex,
+// running stage two) plus the guide dimensions stage one votes on.
 type Index struct {
+	ann.GraphIndex
+	cfg       Config
+	guideDims []int // top-variance dimensions used by stage one
+}
+
+var _ ann.Tunable = (*Index)(nil)
+
+// builder is the construction-time state; construction always
+// evaluates full precision through kern.
+type builder struct {
 	cfg  Config
 	mat  *vec.Matrix
 	kern *vec.Kernel
-	// tkern is the traversal kernel: the SQ8 code-space kernel in
-	// quantized mode, otherwise kern itself. Construction and exact
-	// rerank always use kern.
-	tkern *vec.Kernel
-	// store is the traversal/storage boundary all search-time node
-	// access goes through; paged indexes (FromStore) traverse snapshot
-	// blocks and leave mat/kern/tkern/g nil.
-	store     ann.NodeStore
-	g         *graph.Graph
-	entry     uint32
-	guideDims []int // top-variance dimensions used by stage one
-	n         int
+	g    *graph.Graph
 }
-
-var _ ann.Index = (*Index)(nil)
 
 // Build constructs the KNN base graph (exact for the scaled corpora used
 // here) and selects the guide dimensions by component variance. The
@@ -99,40 +94,29 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("togg: empty dataset")
 	}
 	mat := vec.NewMatrix(data)
-	x := &Index{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: graph.New(len(data))}
-	x.initTraversal()
-	x.buildKNN()
-	x.pickGuideDims()
+	b := &builder{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: graph.New(len(data))}
+	b.buildKNN()
+	guideDims := b.pickGuideDims()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	x.entry = uint32(rng.Intn(len(data)))
-	x.initStore()
-	return x, nil
+	entry := uint32(rng.Intn(len(data)))
+	store, err := ann.NewKernelStore(cfg.Metric, mat, b.g, cfg.Quantized)
+	if err != nil {
+		return nil, fmt.Errorf("togg: %w", err)
+	}
+	return FromStore(cfg, store, entry, guideDims)
 }
 
-// initStore wires the in-RAM NodeStore once graph and kernels exist.
-func (x *Index) initStore() {
-	x.n = x.mat.Rows()
-	x.store = ann.NewKernelStore(x.kern, x.tkern, x.g)
-}
-
-// FromStore assembles a search-only index over an external NodeStore —
-// the paged (beyond-RAM) serving path, where adjacency and vectors
-// live in snapshot blocks and only the entry point and guide
-// dimensions are resident. The index cannot be re-saved (BaseGraph is
-// nil) and serves searches only.
+// FromStore assembles a served index over a NodeStore, the entry point
+// and the guide dimensions — the one reconstructor behind a fresh
+// Build, a snapshot warm-start (an ann.KernelStore over the decoded
+// matrix and graph) and paged serving (adjacency and vectors in
+// snapshot blocks). No construction runs; searches are byte-identical
+// to the index the parts came from (guideDims order included, since the
+// guided stage's sign votes iterate it in order). All arguments are
+// retained.
 func FromStore(cfg Config, store ann.NodeStore, entry uint32, guideDims []int) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	n := store.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("togg: empty store")
-	}
-	if cfg.Quantized != store.Quantized() {
-		return nil, fmt.Errorf("togg: config quantized=%v but store quantized=%v", cfg.Quantized, store.Quantized())
-	}
-	if int(entry) >= n {
-		return nil, fmt.Errorf("togg: entry %d out of range %d", entry, n)
 	}
 	dim := store.Dim()
 	if len(guideDims) == 0 || len(guideDims) > dim {
@@ -143,58 +127,16 @@ func FromStore(cfg Config, store ann.NodeStore, entry uint32, guideDims []int) (
 			return nil, fmt.Errorf("togg: guide dim %d out of range %d", d, dim)
 		}
 	}
-	return &Index{cfg: cfg, store: store, entry: entry, guideDims: guideDims, n: n}, nil
-}
-
-// FromParts reassembles a built index from its serialized parts — the
-// snapshot warm-start path. No construction runs; searches on the
-// result are byte-identical to the index the parts came from
-// (guideDims order included, since the guided stage's sign votes
-// iterate it in order). All arguments are retained.
-func FromParts(cfg Config, mat *vec.Matrix, g *graph.Graph, entry uint32, guideDims []int) (*Index, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	x := &Index{cfg: cfg, guideDims: guideDims}
+	gi, err := ann.NewGraphIndex(store, cfg.Metric, entry, cfg.LSearch, cfg.Quantized, cfg.Rerank, x.guide)
+	if err != nil {
+		return nil, fmt.Errorf("togg: %w", err)
 	}
-	n := mat.Rows()
-	if n == 0 {
-		return nil, fmt.Errorf("togg: empty matrix")
-	}
-	if g.Len() != n {
-		return nil, fmt.Errorf("togg: graph has %d vertices, corpus has %d", g.Len(), n)
-	}
-	if int(entry) >= n {
-		return nil, fmt.Errorf("togg: entry %d out of range %d", entry, n)
-	}
-	if len(guideDims) == 0 || len(guideDims) > mat.Dim() {
-		return nil, fmt.Errorf("togg: %d guide dims for dim %d", len(guideDims), mat.Dim())
-	}
-	for _, d := range guideDims {
-		if d < 0 || d >= mat.Dim() {
-			return nil, fmt.Errorf("togg: guide dim %d out of range %d", d, mat.Dim())
-		}
-	}
-	x := &Index{
-		cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat),
-		g: g, entry: entry, guideDims: guideDims,
-	}
-	x.initTraversal()
-	x.initStore()
+	x.GraphIndex = gi
 	return x, nil
 }
 
-// initTraversal picks the search-time kernel, quantizing the corpus
-// into the SQ8 tier if quantized mode was requested and the matrix does
-// not already carry one (quantization is deterministic, so fresh-build
-// and snapshot-attached tiers are identical).
-func (x *Index) initTraversal() {
-	x.tkern = x.kern
-	if x.cfg.Quantized {
-		x.mat.EnableSQ8()
-		x.tkern = vec.NewQuantizedKernel(x.cfg.Metric, x.mat)
-	}
-}
-
-func (x *Index) buildKNN() {
+func (x *builder) buildKNN() {
 	n := x.mat.Rows()
 	k := x.cfg.K
 	if k > n-1 {
@@ -230,7 +172,7 @@ func (x *Index) buildKNN() {
 	}
 }
 
-func (x *Index) pickGuideDims() {
+func (x *builder) pickGuideDims() []int {
 	dim := x.mat.Dim()
 	rows := x.mat.Rows()
 	mean := make([]float64, dim)
@@ -253,7 +195,7 @@ func (x *Index) pickGuideDims() {
 	if g > dim {
 		g = dim
 	}
-	x.guideDims = idxs[:g]
+	return idxs[:g]
 }
 
 // guideScratch is per-search reusable buffers for the guided stage:
@@ -322,24 +264,11 @@ func (x *Index) guidedStep(st ann.NodeStore, q vec.PreparedQuery, cur uint32, cu
 	return best, bestDist, best != cur
 }
 
-// Search returns the approximate top-k neighbors of query.
-func (x *Index) Search(query vec.Vector, k int) []ann.Neighbor {
-	res, _ := x.searchInternal(query, k, nil)
-	return res
-}
-
-// SearchTraced returns results plus the traversal trace.
-func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Query) {
-	tr := trace.Query{}
-	res, _ := x.searchInternal(query, k, &tr)
-	return res, tr
-}
-
-func (x *Index) searchInternal(query vec.Vector, k int, tr *trace.Query) ([]ann.Neighbor, error) {
-	st := x.store
-	q := st.Prepare(query)
-	// Stage one: guided routing toward the query's region.
-	cur := x.entry
+// guide is TOGG's seed step, stage one: guided routing from the entry
+// toward the query's region. Stage two — the greedy beam refinement from
+// the routed vertex — is the shared ann.GraphIndex search.
+func (x *Index) guide(st ann.NodeStore, q vec.PreparedQuery, entry uint32, tr *trace.Query) ann.Neighbor {
+	cur := entry
 	curDist := st.Dist(q, cur)
 	qc := x.queryComponents(st, q)
 	var scratch guideScratch
@@ -350,59 +279,17 @@ func (x *Index) searchInternal(query vec.Vector, k int, tr *trace.Query) ([]ann.
 		}
 		cur, curDist = next, nextDist
 	}
-	// Stage two: greedy beam refinement from the routed entry.
-	l := x.cfg.LSearch
-	if l < k {
-		l = k
-	}
-	res := ann.BeamSearch(st, q, ann.Neighbor{ID: cur, Dist: curDist}, l, tr)
-	if x.cfg.Quantized {
-		return ann.RerankExactStore(st, query, res, x.cfg.Rerank, k), nil
-	}
-	if k < len(res) {
-		res = res[:k]
-	}
-	return res, nil
+	return ann.Neighbor{ID: cur, Dist: curDist}
 }
-
-// Graph returns the proximity graph (a store-backed view when the
-// adjacency lives in snapshot blocks).
-func (x *Index) Graph() ann.GraphView {
-	if x.g != nil {
-		return x.g
-	}
-	return ann.StoreGraph{S: x.store}
-}
-
-// BaseGraph returns the mutable graph for placement experiments and
-// snapshot saving; nil for a paged (FromStore) index.
-func (x *Index) BaseGraph() *graph.Graph { return x.g }
-
-// Store returns the traversal/storage boundary the index searches
-// through.
-func (x *Index) Store() ann.NodeStore { return x.store }
-
-// Len returns the number of indexed vectors.
-func (x *Index) Len() int { return x.n }
-
-// Entry returns the stage-one entry point.
-func (x *Index) Entry() uint32 { return x.entry }
 
 // GuideDims exposes the selected top-variance dimensions, in vote
 // order. Owned by the index.
 func (x *Index) GuideDims() []int { return x.guideDims }
 
 // Params returns the construction/search configuration of the built
-// index.
-func (x *Index) Params() Config { return x.cfg }
-
-// Matrix returns the corpus store; nil for a paged (FromStore) index.
-// Callers must not mutate it.
-func (x *Index) Matrix() *vec.Matrix { return x.mat }
-
-// SetBeamWidth implements ann.Tunable (stage two's beam).
-func (x *Index) SetBeamWidth(w int) {
-	if w >= 1 {
-		x.cfg.LSearch = w
-	}
+// index, with LSearch at the current (possibly tuned) beam width.
+func (x *Index) Params() Config {
+	cfg := x.cfg
+	cfg.LSearch = x.BeamWidth()
+	return cfg
 }

@@ -12,7 +12,6 @@ import (
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/graph"
-	"ndsearch/internal/trace"
 	"ndsearch/internal/vec"
 )
 
@@ -63,28 +62,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Index is a built Vamana graph. The corpus lives in a contiguous
-// vec.Matrix; all distance evaluation goes through the batched kernel
-// layer (query preprocessed once per search, stored norms precomputed
-// at build).
+// Index is a built Vamana graph: the shared served core
+// (ann.GraphIndex) seeded at the medoid, plus the build configuration.
 type Index struct {
-	cfg  Config
-	mat  *vec.Matrix
-	kern *vec.Kernel
-	// tkern is the traversal kernel: the SQ8 code-space kernel in
-	// quantized mode, otherwise kern itself. Construction and exact
-	// rerank always use kern.
-	tkern *vec.Kernel
-	// store is the traversal/storage boundary all search-time node
-	// access goes through; paged indexes (FromStore) traverse snapshot
-	// blocks and leave mat/kern/tkern/g nil.
-	store  ann.NodeStore
-	g      *graph.Graph
-	medoid uint32
-	n      int
+	ann.GraphIndex
+	cfg Config
 }
 
-var _ ann.Index = (*Index)(nil)
+var _ ann.Tunable = (*Index)(nil)
+
+// builder is the construction-time state; construction always
+// evaluates full precision through kern.
+type builder struct {
+	cfg    Config
+	mat    *vec.Matrix
+	kern   *vec.Kernel
+	g      *graph.Graph
+	medoid uint32
+}
 
 // Build constructs the Vamana graph: start from a random regular graph,
 // then run two RobustPrune passes (alpha=1 then alpha=cfg.Alpha) over a
@@ -99,106 +94,56 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("vamana: empty dataset")
 	}
 	mat := vec.NewMatrix(data)
-	idx := &Index{
-		cfg:  cfg,
-		mat:  mat,
-		kern: vec.NewKernel(cfg.Metric, mat),
-		g:    graph.New(len(data)),
-	}
-	idx.initTraversal()
+	b := &builder{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: graph.New(len(data))}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	idx.medoid = idx.computeMedoid(rng)
-	idx.randomInit(rng)
+	b.medoid = b.computeMedoid(rng)
+	b.randomInit(rng)
 	perm := rng.Perm(len(data))
 	for _, alpha := range []float32{1.0, cfg.Alpha} {
 		for _, pi := range perm {
 			p := uint32(pi)
-			visited := idx.beamSearchVisited(mat.Row(pi), cfg.L)
-			idx.robustPrune(p, visited, alpha)
-			for _, n := range idx.g.Neighbors(p) {
-				idx.g.AddEdge(n, p)
-				if idx.g.Degree(n) > cfg.R {
-					nbrs := idx.g.Neighbors(n)
+			visited := b.beamSearchVisited(mat.Row(pi), cfg.L)
+			b.robustPrune(p, visited, alpha)
+			for _, n := range b.g.Neighbors(p) {
+				b.g.AddEdge(n, p)
+				if b.g.Degree(n) > cfg.R {
+					nbrs := b.g.Neighbors(n)
 					cands := make([]ann.Neighbor, len(nbrs))
 					for i, w := range nbrs {
-						cands[i] = ann.Neighbor{ID: w, Dist: idx.kern.DistRows(int(n), int(w))}
+						cands[i] = ann.Neighbor{ID: w, Dist: b.kern.DistRows(int(n), int(w))}
 					}
-					idx.robustPrune(n, cands, alpha)
+					b.robustPrune(n, cands, alpha)
 				}
 			}
 		}
 	}
-	idx.initStore()
-	return idx, nil
+	store, err := ann.NewKernelStore(cfg.Metric, mat, b.g, cfg.Quantized)
+	if err != nil {
+		return nil, fmt.Errorf("vamana: %w", err)
+	}
+	return FromStore(cfg, store, b.medoid)
 }
 
-// initStore wires the in-RAM NodeStore once graph and kernels exist.
-func (x *Index) initStore() {
-	x.n = x.mat.Rows()
-	x.store = ann.NewKernelStore(x.kern, x.tkern, x.g)
-}
-
-// FromStore assembles a search-only index over an external NodeStore —
-// the paged (beyond-RAM) serving path, where adjacency and vectors
-// live in snapshot blocks and only the medoid is resident. The index
-// cannot be re-saved (BaseGraph is nil) and serves searches only.
+// FromStore assembles a served index over a NodeStore and the medoid —
+// the one reconstructor behind a fresh Build, a snapshot warm-start (an
+// ann.KernelStore over the decoded matrix and graph) and paged serving
+// (adjacency and vectors in snapshot blocks). No construction runs;
+// searches are byte-identical to the index the parts came from.
 func FromStore(cfg Config, store ann.NodeStore, medoid uint32) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := store.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("vamana: empty store")
+	gi, err := ann.NewGraphIndex(store, cfg.Metric, medoid, cfg.LSearch, cfg.Quantized, cfg.Rerank, nil)
+	if err != nil {
+		return nil, fmt.Errorf("vamana: %w", err)
 	}
-	if cfg.Quantized != store.Quantized() {
-		return nil, fmt.Errorf("vamana: config quantized=%v but store quantized=%v", cfg.Quantized, store.Quantized())
-	}
-	if int(medoid) >= n {
-		return nil, fmt.Errorf("vamana: medoid %d out of range %d", medoid, n)
-	}
-	return &Index{cfg: cfg, store: store, medoid: medoid, n: n}, nil
-}
-
-// FromParts reassembles a built index from its serialized parts — the
-// snapshot warm-start path. No construction runs; searches on the
-// result are byte-identical to the index the parts came from. All
-// arguments are retained.
-func FromParts(cfg Config, mat *vec.Matrix, g *graph.Graph, medoid uint32) (*Index, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := mat.Rows()
-	if n == 0 {
-		return nil, fmt.Errorf("vamana: empty matrix")
-	}
-	if g.Len() != n {
-		return nil, fmt.Errorf("vamana: graph has %d vertices, corpus has %d", g.Len(), n)
-	}
-	if int(medoid) >= n {
-		return nil, fmt.Errorf("vamana: medoid %d out of range %d", medoid, n)
-	}
-	idx := &Index{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: g, medoid: medoid}
-	idx.initTraversal()
-	idx.initStore()
-	return idx, nil
-}
-
-// initTraversal picks the search-time kernel, quantizing the corpus
-// into the SQ8 tier if quantized mode was requested and the matrix does
-// not already carry one (quantization is deterministic, so fresh-build
-// and snapshot-attached tiers are identical).
-func (x *Index) initTraversal() {
-	x.tkern = x.kern
-	if x.cfg.Quantized {
-		x.mat.EnableSQ8()
-		x.tkern = vec.NewQuantizedKernel(x.cfg.Metric, x.mat)
-	}
+	return &Index{GraphIndex: gi, cfg: cfg}, nil
 }
 
 // computeMedoid approximates the medoid by sampling: the point minimising
 // distance to a random probe set. Exact medoid is O(n^2); sampling keeps
 // construction fast and is what DiskANN's implementation does at scale.
-func (x *Index) computeMedoid(rng *rand.Rand) uint32 {
+func (x *builder) computeMedoid(rng *rand.Rand) uint32 {
 	n := x.mat.Rows()
 	probes := 64
 	if probes > n {
@@ -221,7 +166,7 @@ func (x *Index) computeMedoid(rng *rand.Rand) uint32 {
 }
 
 // randomInit seeds each vertex with R random out-neighbors.
-func (x *Index) randomInit(rng *rand.Rand) {
+func (x *builder) randomInit(rng *rand.Rand) {
 	n := x.mat.Rows()
 	for v := 0; v < n; v++ {
 		for t := 0; t < x.cfg.R && t < n-1; t++ {
@@ -235,7 +180,7 @@ func (x *Index) randomInit(rng *rand.Rand) {
 
 // beamSearchVisited runs the greedy beam search used during construction
 // and returns all visited candidates with distances.
-func (x *Index) beamSearchVisited(q vec.Vector, l int) []ann.Neighbor {
+func (x *builder) beamSearchVisited(q vec.Vector, l int) []ann.Neighbor {
 	pq := x.kern.Prepare(q)
 	visited := map[uint32]bool{x.medoid: true}
 	f := ann.NewFrontier(l)
@@ -267,7 +212,7 @@ func (x *Index) beamSearchVisited(q vec.Vector, l int) []ann.Neighbor {
 // DiskANN's alpha-RobustPrune: repeatedly take the closest remaining
 // candidate and discard every candidate c with
 // alpha * d(selected, c) <= d(p, c).
-func (x *Index) robustPrune(p uint32, cands []ann.Neighbor, alpha float32) {
+func (x *builder) robustPrune(p uint32, cands []ann.Neighbor, alpha float32) {
 	// Merge current neighbors into the pool.
 	pool := append([]ann.Neighbor(nil), cands...)
 	for _, n := range x.g.Neighbors(p) {
@@ -300,73 +245,13 @@ func (x *Index) robustPrune(p uint32, cands []ann.Neighbor, alpha float32) {
 	x.g.SetNeighbors(p, out)
 }
 
-// Search returns the approximate top-k neighbors of query.
-func (x *Index) Search(query vec.Vector, k int) []ann.Neighbor {
-	res, _ := x.searchInternal(query, k, nil)
-	return res
-}
-
-// SearchTraced returns results plus the traversal trace.
-func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Query) {
-	tr := trace.Query{}
-	res, _ := x.searchInternal(query, k, &tr)
-	return res, tr
-}
-
-func (x *Index) searchInternal(query vec.Vector, k int, tr *trace.Query) ([]ann.Neighbor, error) {
-	l := x.cfg.LSearch
-	if l < k {
-		l = k
-	}
-	st := x.store
-	q := st.Prepare(query)
-	res := ann.BeamSearch(st, q, ann.Neighbor{ID: x.medoid, Dist: st.Dist(q, x.medoid)}, l, tr)
-	if x.cfg.Quantized {
-		return ann.RerankExactStore(st, query, res, x.cfg.Rerank, k), nil
-	}
-	if k < len(res) {
-		res = res[:k]
-	}
-	return res, nil
-}
-
-// Graph returns the proximity graph (a store-backed view when the
-// adjacency lives in snapshot blocks).
-func (x *Index) Graph() ann.GraphView {
-	if x.g != nil {
-		return x.g
-	}
-	return ann.StoreGraph{S: x.store}
-}
-
-// BaseGraph returns the mutable graph for placement experiments and
-// snapshot saving; nil for a paged (FromStore) index.
-func (x *Index) BaseGraph() *graph.Graph { return x.g }
-
-// Store returns the traversal/storage boundary the index searches
-// through.
-func (x *Index) Store() ann.NodeStore { return x.store }
-
-// Len returns the number of indexed vectors.
-func (x *Index) Len() int { return x.n }
-
 // Medoid returns the search entry point.
-func (x *Index) Medoid() uint32 { return x.medoid }
+func (x *Index) Medoid() uint32 { return x.Entry() }
 
 // Params returns the construction/search configuration of the built
-// index.
-func (x *Index) Params() Config { return x.cfg }
-
-// Matrix returns the corpus store; nil for a paged (FromStore) index.
-// Callers must not mutate it.
-func (x *Index) Matrix() *vec.Matrix { return x.mat }
-
-// SetLSearch adjusts the search beam width.
-func (x *Index) SetLSearch(l int) {
-	if l >= 1 {
-		x.cfg.LSearch = l
-	}
+// index, with LSearch at the current (possibly tuned) beam width.
+func (x *Index) Params() Config {
+	cfg := x.cfg
+	cfg.LSearch = x.BeamWidth()
+	return cfg
 }
-
-// SetBeamWidth implements ann.Tunable (alias of SetLSearch).
-func (x *Index) SetBeamWidth(w int) { x.SetLSearch(w) }

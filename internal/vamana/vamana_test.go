@@ -156,9 +156,9 @@ func TestGraphConnectivityFromMedoid(t *testing.T) {
 
 func TestSetLSearch(t *testing.T) {
 	idx, d := buildTestIndex(t, 1000)
-	idx.SetLSearch(8)
+	idx.SetBeamWidth(8)
 	low := ann.MeanRecall(idx, vec.L2, d.Vectors, d.Queries, 10)
-	idx.SetLSearch(128)
+	idx.SetBeamWidth(128)
 	high := ann.MeanRecall(idx, vec.L2, d.Vectors, d.Queries, 10)
 	if high < low {
 		t.Errorf("recall did not improve with L: %.3f -> %.3f", low, high)

@@ -28,7 +28,7 @@ import (
 // dimension scales cannot be factored out of a sum of per-dimension
 // products). Consumers therefore treat quantized distances as ordering
 // keys only: graph traversal navigates on them, and the candidate head
-// is re-ranked on the full-precision rows (ann.RerankExact) before
+// is re-ranked on the full-precision rows (ann.RerankExactStore) before
 // results are returned. Integer accumulation is associative, so the
 // unrolled kernels agree bitwise with a sequential scalar evaluation —
 // the equivalence the kernel tests assert.
