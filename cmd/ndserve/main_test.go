@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -103,6 +104,49 @@ func TestSingleQueryAndDefaultK(t *testing.T) {
 	if len(resp.Results) != 1 || len(resp.Results[0]) != 10 {
 		t.Fatalf("want 1 list of default k=10, got %d lists, first len %d",
 			len(resp.Results), len(resp.Results[0]))
+	}
+}
+
+// /search accepts any k >= 1, so k must never size an allocation: the
+// widest request is answered with every live vector — through graph
+// shards, which clamp their beam to the shard, and through the k +
+// shadows widening a pending write adds.
+func TestSearchHugeKIsBoundedByTheIndex(t *testing.T) {
+	prof := dataset.Sift1B()
+	d, err := dataset.Generate(prof, dataset.GenConfig{N: 300, Queries: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.BuilderByName("hnsw", prof.Metric, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(d.Vectors, engine.Config{Shards: 2, Workers: 2, Builder: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(e, prof.Dim, prof.Name, "hnsw")
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	q := asFloats(d.Queries[0])
+	for _, live := range []int{len(d.Vectors), len(d.Vectors) + 1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, resp := postSearch(t, h, SearchRequest{Query: q, K: math.MaxInt32})
+		runtime.ReadMemStats(&after)
+		if resp == nil {
+			t.Fatalf("k=MaxInt32 with %d live: %d %s", live, rec.Code, rec.Body.String())
+		}
+		if got := len(resp.Results[0]); got != live {
+			t.Fatalf("k=MaxInt32 returned %d results, want all %d live vectors", got, live)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Errorf("k=MaxInt32 allocated %d bytes for a %d-vector index", grew, live)
+		}
+		// A pending upsert makes the next pass search at k + shadows.
+		if rec := postJSON(t, h, "/upsert", UpsertRequest{ID: ptr(9000), Vector: q}); rec.Code != http.StatusOK {
+			t.Fatalf("/upsert: %d %s", rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -5,9 +5,8 @@
 package ann
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ndsearch/internal/trace"
 	"ndsearch/internal/vec"
@@ -50,7 +49,7 @@ func BruteForce(m vec.Metric, data []vec.Vector, query vec.Vector, k int) []Neig
 	for i, v := range data {
 		all[i] = Neighbor{ID: uint32(i), Dist: q.DistanceTo(v)}
 	}
-	sortNeighbors(all)
+	SortNeighbors(all)
 	if k > len(all) {
 		k = len(all)
 	}
@@ -98,58 +97,73 @@ func MeanRecall(idx Index, m vec.Metric, data, queries []vec.Vector, k int) floa
 	return sum / float64(len(queries))
 }
 
-func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
-		}
-		return ns[i].ID < ns[j].ID
-	})
+// less is the package's strict (distance, ID) total order.
+func less(a, b Neighbor) bool {
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.ID < b.ID)
 }
 
 // SortNeighbors sorts ascending by (distance, ID).
-func SortNeighbors(ns []Neighbor) { sortNeighbors(ns) }
+func SortNeighbors(ns []Neighbor) {
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
+}
 
 // ---- candidate list / result list heaps -------------------------------
+//
+// Both heaps are plain []Neighbor binary heaps with hand-written sifts:
+// no container/heap, so no Neighbor is boxed into an interface on push
+// or pop and a reused Frontier allocates nothing. maxHeap selects the
+// order: false is the candidate min-heap (nearest at the root), true
+// the result max-heap (farthest at the root).
 
-// minHeap pops the closest neighbor first (the candidate frontier).
-type minHeap []Neighbor
-
-func (h minHeap) Len() int      { return len(h) }
-func (h minHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h minHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist < h[j].Dist
+// above reports whether a belongs closer to the root than b.
+func above(a, b Neighbor, maxHeap bool) bool {
+	if maxHeap {
+		a, b = b, a
 	}
-	return h[i].ID < h[j].ID
-}
-func (h *minHeap) Push(x any) { *h = append(*h, x.(Neighbor)) }
-func (h *minHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return less(a, b)
 }
 
-// maxHeap pops the farthest neighbor first (the bounded result list).
-type maxHeap []Neighbor
-
-func (h maxHeap) Len() int      { return len(h) }
-func (h maxHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h maxHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist > h[j].Dist
+func heapPush(h []Neighbor, n Neighbor, maxHeap bool) []Neighbor {
+	h = append(h, n)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !above(n, h[parent], maxHeap) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].ID > h[j].ID
+	h[i] = n
+	return h
 }
-func (h *maxHeap) Push(x any) { *h = append(*h, x.(Neighbor)) }
-func (h *maxHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// heapFix restores the heap after its root was overwritten.
+func heapFix(h []Neighbor, maxHeap bool) {
+	n, i := h[0], 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && above(h[c+1], h[c], maxHeap) {
+			c++
+		}
+		if !above(h[c], n, maxHeap) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = n
 }
 
 // Frontier is the best-first candidate pool used by greedy graph search:
@@ -157,17 +171,24 @@ func (h *maxHeap) Pop() any {
 // ef results seen so far (the paper's "candidate list" and "result list",
 // §II-A).
 type Frontier struct {
-	candidates minHeap
-	results    maxHeap
+	candidates []Neighbor
+	results    []Neighbor
 	ef         int
 }
 
-// NewFrontier creates a frontier with result budget ef (>= 1).
+// NewFrontier creates a frontier with result budget ef (>= 1). The
+// heaps grow on demand — ef is often a request's k, which must not
+// size an allocation.
 func NewFrontier(ef int) *Frontier {
-	if ef < 1 {
-		ef = 1
-	}
-	return &Frontier{ef: ef}
+	f := &Frontier{}
+	f.reset(ef)
+	return f
+}
+
+// reset empties the frontier for a new search with budget ef, keeping
+// the heaps' backing arrays.
+func (f *Frontier) reset(ef int) {
+	f.candidates, f.results, f.ef = f.candidates[:0], f.results[:0], max(ef, 1)
 }
 
 // Push offers a neighbor to both heaps. It returns true if the neighbor
@@ -178,7 +199,7 @@ func NewFrontier(ef int) *Frontier {
 // smallest neighbors under that order.
 func (f *Frontier) Push(n Neighbor) bool {
 	if f.PushResult(n) {
-		heap.Push(&f.candidates, n)
+		f.candidates = heapPush(f.candidates, n, false)
 		return true
 	}
 	return false
@@ -190,13 +211,12 @@ func (f *Frontier) Push(n Neighbor) bool {
 // order matches Push.
 func (f *Frontier) PushResult(n Neighbor) bool {
 	if len(f.results) < f.ef {
-		heap.Push(&f.results, n)
+		f.results = heapPush(f.results, n, true)
 		return true
 	}
-	worst := f.results[0]
-	if n.Dist < worst.Dist || (n.Dist == worst.Dist && n.ID < worst.ID) {
-		heap.Pop(&f.results)
-		heap.Push(&f.results, n)
+	if less(n, f.results[0]) {
+		f.results[0] = n
+		heapFix(f.results, true)
 		return true
 	}
 	return false
@@ -204,10 +224,17 @@ func (f *Frontier) PushResult(n Neighbor) bool {
 
 // PopNearest removes and returns the closest unexpanded candidate.
 func (f *Frontier) PopNearest() (Neighbor, bool) {
-	if len(f.candidates) == 0 {
+	last := len(f.candidates) - 1
+	if last < 0 {
 		return Neighbor{}, false
 	}
-	return heap.Pop(&f.candidates).(Neighbor), true
+	top := f.candidates[0]
+	f.candidates[0] = f.candidates[last]
+	f.candidates = f.candidates[:last]
+	if last > 0 {
+		heapFix(f.candidates, false)
+	}
+	return top, true
 }
 
 // Done reports whether the search should terminate: the closest remaining
@@ -234,9 +261,8 @@ func (f *Frontier) WorstDist() (float32, bool) {
 
 // Results returns the retained results sorted ascending.
 func (f *Frontier) Results() []Neighbor {
-	out := make([]Neighbor, len(f.results))
-	copy(out, f.results)
-	sortNeighbors(out)
+	out := slices.Clone(f.results)
+	SortNeighbors(out)
 	return out
 }
 

@@ -50,7 +50,7 @@ func (e *Exact) Search(query vec.Vector, k int) []Neighbor {
 	for i, d := range dists {
 		all[i] = Neighbor{ID: uint32(i), Dist: d}
 	}
-	sortNeighbors(all)
+	SortNeighbors(all)
 	if k > len(all) {
 		k = len(all)
 	}

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"fmt"
+	"sync"
 
 	"ndsearch/internal/graph"
 	"ndsearch/internal/trace"
@@ -13,13 +14,18 @@ import (
 // the beam search starts from, returned with its traversal distance.
 // HNSW descends greedily through its pinned upper layers, TOGG takes
 // guided hops, Vamana and HCNNG start at the entry itself (a nil
-// SeedFunc). Expansions are appended to tr when it is non-nil.
-type SeedFunc func(st NodeStore, q vec.PreparedQuery, entry uint32, tr *trace.Query) Neighbor
+// SeedFunc). Adjacency reads go through s, the search's Scratch.
+// Expansions are appended to tr when it is non-nil.
+type SeedFunc func(s *Scratch, st NodeStore, q *vec.PreparedQuery, entry uint32, tr *trace.Query) Neighbor
 
 // entrySeed is the nil SeedFunc: the beam starts at the entry vertex.
-func entrySeed(st NodeStore, q vec.PreparedQuery, entry uint32, _ *trace.Query) Neighbor {
-	return Neighbor{ID: entry, Dist: st.Dist(q, entry)}
+func entrySeed(_ *Scratch, st NodeStore, q *vec.PreparedQuery, entry uint32, _ *trace.Query) Neighbor {
+	return Neighbor{ID: entry, Dist: st.Dist(*q, entry)}
 }
+
+// scratchPool recycles search scratches across queries, indexes and
+// shards: whichever worker runs a search borrows one for its duration.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // GraphIndex is the served half of a graph index, shared by every
 // graph-traversal family: a NodeStore (resident or paged), the entry
@@ -78,8 +84,10 @@ func (g *GraphIndex) SearchTraced(query vec.Vector, k int) ([]Neighbor, trace.Qu
 func (g *GraphIndex) search(query vec.Vector, k int, tr *trace.Query) []Neighbor {
 	st := g.store
 	q := st.Prepare(query)
-	start := g.seed(st, q, g.entry, tr)
-	res := BeamSearch(st, q, start, max(g.beam, k), tr)
+	s := scratchPool.Get().(*Scratch)
+	start := g.seed(s, st, &q, g.entry, tr)
+	res := BeamSearch(s, st, &q, start, max(g.beam, k), tr, nil)
+	scratchPool.Put(s)
 	if g.quantized {
 		// Code-space distances ordered the candidates; the head is
 		// re-scored exactly so returned distances are in metric units

@@ -2,14 +2,19 @@ package ann_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/graph"
 	"ndsearch/internal/hcnng"
 	"ndsearch/internal/hnsw"
+	"ndsearch/internal/snapshot"
 	"ndsearch/internal/togg"
 	"ndsearch/internal/vamana"
 	"ndsearch/internal/vec"
@@ -34,14 +39,7 @@ func (s stubStore) Quantized() bool { return s.quantized }
 // through it, and each family's own navigation checks sit in front.
 func TestGraphIndexReconstruction(t *testing.T) {
 	const n, dim = 40, 6
-	rng := rand.New(rand.NewSource(3))
-	data := make([]vec.Vector, n)
-	for i := range data {
-		data[i] = make(vec.Vector, dim)
-		for d := range data[i] {
-			data[i][d] = rng.Float32()
-		}
-	}
+	data := uniformData(n, dim, 3)
 	ring := graph.New(n)
 	for v := 0; v < n; v++ {
 		ring.SetNeighbors(uint32(v), []uint32{uint32((v + 1) % n), uint32((v + n - 1) % n)})
@@ -175,4 +173,120 @@ func TestGraphIndexNonResidentAccessors(t *testing.T) {
 	if gi.BeamWidth() != 4 {
 		t.Errorf("SetBeamWidth(0) changed the beam to %d", gi.BeamWidth())
 	}
+}
+
+// uniformData is n seeded uniform vectors in [0,1)^dim.
+func uniformData(n, dim int, seed int64) []vec.Vector {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]vec.Vector, n)
+	for i := range data {
+		data[i] = make(vec.Vector, dim)
+		for d := range data[i] {
+			data[i][d] = rng.Float32()
+		}
+	}
+	return data
+}
+
+// A request-sized k sizes nothing: it is clamped to the index, so the
+// widest possible search returns every vertex, sorted, float and
+// quantized alike.
+func TestSearchClampsKToIndexSize(t *testing.T) {
+	const n = 100
+	data := uniformData(n, 8, 2)
+	for _, quantized := range []bool{false, true} {
+		cfg := hnsw.DefaultConfig(vec.L2)
+		cfg.Quantized = quantized
+		idx, err := hnsw.Build(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := idx.Search(data[3], math.MaxInt32)
+		if len(res) != n {
+			t.Fatalf("quantized=%v: Search(k=MaxInt32) returned %d results, want %d", quantized, len(res), n)
+		}
+		if err := ann.Validate(res, n); err != nil {
+			t.Fatalf("quantized=%v: %v", quantized, err)
+		}
+		if !slices.Equal(res, idx.Search(data[3], n)) {
+			t.Errorf("quantized=%v: k=MaxInt32 and k=Len() disagree", quantized)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// The allocation budget of the traversal core: an untraced float search
+// on a warmed scratch allocates what it returns (the result slice, the
+// escaping prepared query), not per expansion, push or visited vertex —
+// resident and served from snapshot pages alike.
+func TestSearchAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	data := uniformData(1500, 32, 4)
+	built, err := hnsw.Build(data, hnsw.DefaultConfig(vec.L2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.ndss")
+	if _, err := snapshot.SaveFile(path, built, vec.F32); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: "mmap", CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	q := data[11]
+	for name, idx := range map[string]interface {
+		Search(vec.Vector, int) []ann.Neighbor
+	}{"resident": built, "mmap": paged} {
+		for _, warm := range data[:20] { // pooled scratch, page-cache slots
+			idx.Search(warm, 10)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { idx.Search(q, 10) }); allocs > 8 {
+			t.Errorf("%s hnsw Search allocates %.1f objects per query, budget 8", name, allocs)
+		}
+	}
+}
+
+// Indexes of different sizes and families share the scratch pool: eight
+// goroutines searching two of them concurrently get the answers a
+// single goroutine does (run under -race in CI).
+func TestConcurrentSearchesShareScratchPool(t *testing.T) {
+	big, err := hnsw.Build(uniformData(600, 8, 5), hnsw.DefaultConfig(vec.L2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := vamana.Build(uniformData(150, 8, 6), vamana.DefaultConfig(vec.L2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes := []ann.Index{big, small}
+	queries := uniformData(16, 8, 7)
+	want := make([][][]ann.Neighbor, len(indexes))
+	for i, idx := range indexes {
+		for _, q := range queries {
+			want[i] = append(want[i], idx.Search(q, 10))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 6; rep++ {
+				for qi, q := range queries {
+					i := (w + rep + qi) % len(indexes)
+					if got := indexes[i].Search(q, 10); !slices.Equal(got, want[i][qi]) {
+						t.Errorf("worker %d index %d query %d: %v, want %v", w, i, qi, got, want[i][qi])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

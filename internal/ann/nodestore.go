@@ -37,6 +37,12 @@ type NodeStore interface {
 	// Dist returns the traversal distance from a Prepare'd query to
 	// node v.
 	Dist(q vec.PreparedQuery, v uint32) float32
+	// Dists is the batched traversal distance: out[i] = Dist(*q, ids[i])
+	// bit for bit, evaluated in ids order (a paged store touches its
+	// records in that order). len(out) must equal len(ids). It is what
+	// BeamSearch scores an expansion with — one interface call and one
+	// metric dispatch per expansion instead of per neighbour.
+	Dists(q *vec.PreparedQuery, ids []uint32, out []float32)
 	// DistExact returns the exact metric distance from a PrepareExact'd
 	// query to node v.
 	DistExact(q vec.PreparedQuery, v uint32) float32
@@ -45,7 +51,11 @@ type NodeStore interface {
 	// append into buf[:0] and return it; in-RAM stores may ignore buf
 	// and return a view they own. Either way the result is only valid
 	// until the next Neighbors call with the same buf, and callers must
-	// not mutate it.
+	// not mutate it. Ownership: a caller that reuses buf across calls
+	// must keep passing its own backing array and never adopt the
+	// returned slice as its next buf — it may be the store's resident
+	// adjacency, and the next materializing store would append into it
+	// (Scratch.Neighbors is the one place traversal code does this).
 	Neighbors(v uint32, buf []uint32) []uint32
 	// Components appends node v's value at each listed dimension to
 	// buf[:0], in the traversal representation: widened SQ8 codes when
@@ -118,6 +128,12 @@ func (s *KernelStore) PrepareExact(query vec.Vector) vec.PreparedQuery {
 // Dist is the traversal-kernel distance to node v.
 func (s *KernelStore) Dist(q vec.PreparedQuery, v uint32) float32 {
 	return s.tkern.DistTo(q, int(v))
+}
+
+// Dists is the batched traversal-kernel distance (vec.Kernel.DistsTo,
+// which shares DistTo's accumulation).
+func (s *KernelStore) Dists(q *vec.PreparedQuery, ids []uint32, out []float32) {
+	s.tkern.DistsTo(*q, ids, out)
 }
 
 // DistExact is the full-precision distance to node v.

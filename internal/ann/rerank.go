@@ -37,7 +37,7 @@ func RerankExactStore(store NodeStore, query vec.Vector, cands []Neighbor, width
 	for i := range head {
 		head[i].Dist = store.DistExact(q, head[i].ID)
 	}
-	sortNeighbors(head)
+	SortNeighbors(head)
 	if k > len(head) {
 		k = len(head)
 	}

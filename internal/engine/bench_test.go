@@ -3,14 +3,17 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
+	"ndsearch/internal/dataset"
 	"ndsearch/internal/vec"
 )
 
 // BenchmarkSearchBatch is the end-to-end engine throughput benchmark:
 // a sharded exact engine (every query pays the full kernel scan of
-// every shard) driven with a fixed query batch. qps is reported as a
+// every shard) driven with a fixed query batch, then the hnsw/ram and
+// hnsw/mmap sub-benchmarks (benchSearchBatchHNSW). qps is reported as a
 // custom metric; BENCH_kernels.json commits a run as the serving-layer
 // perf baseline.
 func BenchmarkSearchBatch(b *testing.B) {
@@ -61,5 +64,70 @@ func BenchmarkSearchBatch(b *testing.B) {
 				b.ReportMetric(qps, "qps")
 			})
 		}
+	}
+	benchSearchBatchHNSW(b)
+}
+
+// benchSearchBatchHNSW is BenchmarkSearchBatch's graph-traversal half at
+// ndbench's shape — 8000×128 sift-1b profile, 4 hnsw shards, batch 32,
+// k 10 — resident (hnsw/ram) and paged with ndbench's 1/8 page cache
+// (hnsw/mmap). Its allocs/op is the traversal core's allocation budget:
+// a search should allocate what it returns and nothing per expansion.
+func benchSearchBatchHNSW(b *testing.B) {
+	const (
+		n      = 8000
+		shards = 4
+		batch  = 32
+		k      = 10
+	)
+	prof := dataset.Sift1B()
+	d, err := dataset.Generate(prof, dataset.GenConfig{N: n, Queries: batch, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	builder, err := BuilderByName("hnsw", prof.Metric, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ram, err := New(d.Vectors, Config{
+		Shards: shards, Builder: builder,
+		Meta: Meta{Algo: "hnsw", Dataset: prof.Name, Seed: 1, Elem: prof.Elem},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ram.Close()
+	dir := filepath.Join(b.TempDir(), "snapshot")
+	if err := ram.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	probe, _, err := LoadWithOptions(dir, LoadOptions{Serve: ServeMmap})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps, _ := probe.PageStats()
+	probe.Close()
+	perShard := (int(ps.TotalPages) + shards - 1) / shards
+	mmap, _, err := LoadWithOptions(dir, LoadOptions{Serve: ServeMmap, CachePages: (perShard + 7) / 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mmap.Close()
+	for _, mode := range []struct {
+		name string
+		e    *Engine
+	}{{"hnsw/ram", ram}, {"hnsw/mmap", mmap}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var qps float64
+			for i := 0; i < b.N; i++ {
+				res, st := mode.e.SearchBatch(d.Queries, k)
+				if len(res) != batch {
+					b.Fatalf("got %d results, want %d", len(res), batch)
+				}
+				qps = st.QPS
+			}
+			b.ReportMetric(qps, "qps")
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/graph"
@@ -68,22 +69,26 @@ func (c Config) Validate() error {
 type Index struct {
 	ann.GraphIndex
 	cfg      Config
-	layers   []*graph.Graph // layers[0] is the base layer (nil when paged)
-	levels   []int          // highest layer of each vertex
+	layers   []*graph.Graph  // layers[0] is the base layer (nil when paged)
+	nav      []ann.NodeStore // nav[l], l >= 1: the store's distances over layers[l]
+	levels   []int           // highest layer of each vertex
 	maxLevel int
 }
 
 var _ ann.Tunable = (*Index)(nil)
 
 // builder is the construction-time state. Construction always
-// evaluates full precision (kern, and bs — a distance-only store whose
-// adjacency is swapped per layer).
+// evaluates full precision (kern, and bs — a distance-only store;
+// stores[l] is bs over layers[l]'s adjacency). Every insert searches
+// through the one scratch.
 type builder struct {
 	cfg      Config
 	mat      *vec.Matrix
 	kern     *vec.Kernel
 	bs       ann.NodeStore
+	scratch  *ann.Scratch
 	layers   []*graph.Graph
+	stores   []ann.NodeStore
 	levels   []int
 	entry    uint32
 	maxLevel int
@@ -108,6 +113,7 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 		mat:      mat,
 		kern:     vec.NewKernel(cfg.Metric, mat),
 		bs:       bs,
+		scratch:  ann.NewScratch(),
 		levels:   make([]int, len(data)),
 		maxLevel: -1,
 	}
@@ -155,12 +161,18 @@ func FromStore(cfg Config, store ann.NodeStore, upper []*graph.Graph, levels []i
 	}
 	x.GraphIndex = gi
 	x.layers = append([]*graph.Graph{gi.BaseGraph()}, upper...)
+	x.nav = make([]ann.NodeStore, len(x.layers))
+	for l := 1; l < len(x.layers); l++ {
+		x.nav[l] = ann.WithGraph(store, x.layers[l])
+	}
 	return x, nil
 }
 
 func (x *builder) ensureLayers(level int) {
 	for len(x.layers) <= level {
-		x.layers = append(x.layers, graph.New(x.mat.Rows()))
+		g := graph.New(x.mat.Rows())
+		x.layers = append(x.layers, g)
+		x.stores = append(x.stores, ann.WithGraph(x.bs, g))
 	}
 }
 
@@ -176,7 +188,7 @@ func (x *builder) insert(v uint32, level int) {
 	ep := x.entry
 	// Greedy descent through layers above the insertion level.
 	for l := x.maxLevel; l > level; l-- {
-		ep, _ = greedyClosest(ann.WithGraph(x.bs, x.layers[l]), q, ep, nil)
+		ep, _ = greedyClosest(x.scratch, x.stores[l], &q, ep, nil)
 	}
 	// Beam insert from min(level, maxLevel) down to 0.
 	top := level
@@ -184,7 +196,8 @@ func (x *builder) insert(v uint32, level int) {
 		top = x.maxLevel
 	}
 	for l := top; l >= 0; l-- {
-		cands := searchLayer(ann.WithGraph(x.bs, x.layers[l]), q, ep, x.cfg.EfConstruction, nil)
+		start := ann.Neighbor{ID: ep, Dist: x.bs.Dist(q, ep)}
+		cands := ann.BeamSearch(x.scratch, x.stores[l], &q, start, x.cfg.EfConstruction, nil, nil)
 		m := x.cfg.M
 		if l == 0 {
 			m = 2 * x.cfg.M
@@ -252,17 +265,14 @@ func (x *builder) selectHeuristic(cands []ann.Neighbor, m int) []ann.Neighbor {
 	// Backfill with the nearest rejected candidates if the heuristic was
 	// too aggressive, as hnswlib does.
 	if len(selected) < m {
-		have := map[uint32]bool{}
-		for _, s := range selected {
-			have[s.ID] = true
-		}
 		for _, c := range cands {
 			if len(selected) >= m {
 				break
 			}
-			if !have[c.ID] {
+			// selected holds at most m (2*M on the base layer) entries, so
+			// a linear scan beats building a set per call.
+			if !slices.ContainsFunc(selected, func(s ann.Neighbor) bool { return s.ID == c.ID }) {
 				selected = append(selected, c)
-				have[c.ID] = true
 			}
 		}
 		ann.SortNeighbors(selected)
@@ -275,19 +285,17 @@ func (x *builder) selectHeuristic(cands []ann.Neighbor, m int) []ann.Neighbor {
 // representation (float or SQ8 code space) and the adjacency (a pinned
 // upper layer via WithGraph, or the base layer/blocks). When tr is
 // non-nil each expansion is recorded.
-func greedyClosest(st ann.NodeStore, q vec.PreparedQuery, ep uint32, tr *trace.Query) (uint32, float32) {
+func greedyClosest(s *ann.Scratch, st ann.NodeStore, q *vec.PreparedQuery, ep uint32, tr *trace.Query) (uint32, float32) {
 	cur := ep
-	curDist := st.Dist(q, cur)
-	var scratch []uint32
+	curDist := st.Dist(*q, cur)
 	for {
 		improved := false
-		scratch = st.Neighbors(cur, scratch)
-		if tr != nil && len(scratch) > 0 {
-			it := trace.Iter{Entry: cur, Neighbors: append([]uint32(nil), scratch...)}
-			tr.Iters = append(tr.Iters, it)
+		nbrs := s.Neighbors(st, cur)
+		if tr != nil && len(nbrs) > 0 {
+			tr.Iters = append(tr.Iters, trace.Iter{Entry: cur, Neighbors: slices.Clone(nbrs)})
 		}
-		for _, n := range scratch {
-			if d := st.Dist(q, n); d < curDist {
+		for _, n := range nbrs {
+			if d := st.Dist(*q, n); d < curDist {
 				cur, curDist = n, d
 				improved = true
 			}
@@ -298,21 +306,16 @@ func greedyClosest(st ann.NodeStore, q vec.PreparedQuery, ep uint32, tr *trace.Q
 	}
 }
 
-// searchLayer is the ef-bounded best-first search over st's adjacency
-// (ann.BeamSearch with the entry distance evaluated here).
-func searchLayer(st ann.NodeStore, q vec.PreparedQuery, ep uint32, ef int, tr *trace.Query) []ann.Neighbor {
-	return ann.BeamSearch(st, q, ann.Neighbor{ID: ep, Dist: st.Dist(q, ep)}, ef, tr)
-}
-
 // descend is HNSW's seed step: greedy descent from the global entry
 // through the upper layers. They are always resident (the pinned
 // navigation section in paged mode); only their adjacency is swapped in
-// — distances come from the store either way.
-func (x *Index) descend(st ann.NodeStore, q vec.PreparedQuery, ep uint32, tr *trace.Query) ann.Neighbor {
+// (nav, bound once in FromStore) — distances come from the store
+// either way.
+func (x *Index) descend(s *ann.Scratch, st ann.NodeStore, q *vec.PreparedQuery, ep uint32, tr *trace.Query) ann.Neighbor {
 	for l := x.maxLevel; l > 0; l-- {
-		ep, _ = greedyClosest(ann.WithGraph(st, x.layers[l]), q, ep, tr)
+		ep, _ = greedyClosest(s, x.nav[l], q, ep, tr)
 	}
-	return ann.Neighbor{ID: ep, Dist: st.Dist(q, ep)}
+	return ann.Neighbor{ID: ep, Dist: st.Dist(*q, ep)}
 }
 
 // Params returns the construction/search configuration of the built

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -98,58 +97,115 @@ func (b *readatBackend) readPage(i int64) ([]byte, error) {
 
 func (b *readatBackend) Close() error { return nil }
 
-// pageCache is the bounded LRU of resident pages. For the readat
+// pageCache is the bounded exact LRU of resident pages. For the readat
 // backend it is the only copy of the bytes; for mmap it pins mapping
 // subslices, making the fault counter a software model of the working
 // set rather than a hardware measurement.
+//
+// Pages are dense (0..totalPages-1), so residency is a page→slot table
+// and the recency list is intrusive over the slot arrays: a touch or a
+// fault moves indices, allocating nothing. The table costs 4 bytes per
+// page of the image whatever the budget; the slot arrays grow with
+// occupancy up to cap.
 type pageCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[int64]*list.Element
-	lru *list.List
+	mu   sync.Mutex
+	cap  int
+	slot []int32 // page → its index in the slot arrays, -1 when not resident
+
+	// Slot arrays, parallel: the resident page, its bytes, and its
+	// neighbours in recency order (-1 at either end).
+	page       []int64
+	buf        [][]byte
+	prev, next []int32
+	head, tail int32 // most / least recently used slot, -1 when empty
 }
 
-type cachePage struct {
-	id  int64
-	buf []byte
-}
-
-func newPageCache(capPages int) *pageCache {
+func newPageCache(capPages int, totalPages int64) *pageCache {
 	if capPages < 1 {
 		capPages = 1
 	}
-	return &pageCache{cap: capPages, m: make(map[int64]*list.Element), lru: list.New()}
+	c := &pageCache{cap: capPages, slot: make([]int32, totalPages), head: -1, tail: -1}
+	for i := range c.slot {
+		c.slot[i] = -1
+	}
+	return c
+}
+
+// unlink removes slot i from the recency list.
+func (c *pageCache) unlink(i int32) {
+	p, n := c.prev[i], c.next[i]
+	if p >= 0 {
+		c.next[p] = n
+	} else {
+		c.head = n
+	}
+	if n >= 0 {
+		c.prev[n] = p
+	} else {
+		c.tail = p
+	}
+}
+
+// pushFront makes slot i the most recently used.
+func (c *pageCache) pushFront(i int32) {
+	c.prev[i], c.next[i] = -1, c.head
+	if c.head >= 0 {
+		c.prev[c.head] = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+// touch marks resident slot i most recently used.
+func (c *pageCache) touch(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
 }
 
 func (c *pageCache) get(id int64) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[id]; ok {
-		c.lru.MoveToFront(e)
-		return e.Value.(*cachePage).buf
+	i := c.slot[id]
+	if i < 0 {
+		return nil
 	}
-	return nil
+	c.touch(i)
+	return c.buf[i]
 }
 
 func (c *pageCache) put(id int64, buf []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[id]; ok { // concurrent fill of the same page
-		c.lru.MoveToFront(e)
+	if i := c.slot[id]; i >= 0 { // concurrent fill of the same page
+		c.touch(i)
 		return
 	}
-	c.m[id] = c.lru.PushFront(&cachePage{id: id, buf: buf})
-	for c.lru.Len() > c.cap {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.m, last.Value.(*cachePage).id)
+	var i int32
+	if len(c.page) < c.cap {
+		i = int32(len(c.page))
+		c.page = append(c.page, id)
+		c.buf = append(c.buf, buf)
+		c.prev = append(c.prev, -1)
+		c.next = append(c.next, -1)
+	} else {
+		// Full: the least recently used page gives up its slot. Its
+		// buffer is dropped, never recycled — readers may still hold it.
+		i = c.tail
+		c.unlink(i)
+		c.slot[c.page[i]] = -1
+		c.page[i], c.buf[i] = id, buf
 	}
+	c.slot[id] = i
+	c.pushFront(i)
 }
 
 func (c *pageCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return len(c.page)
 }
 
 // PagedStore is the ann.NodeStore over a snapshot's blocks section.
@@ -231,35 +287,48 @@ func (s *PagedStore) PrepareExact(query vec.Vector) vec.PreparedQuery {
 
 // Dist evaluates the traversal distance to node v from its record.
 func (s *PagedStore) Dist(q vec.PreparedQuery, v uint32) float32 {
-	rec := s.record(v)
-	if s.meta.quantized {
-		cp := s.codePool.Get().(*[]int8)
-		codes := *cp
-		src := rec[s.vecEnd : s.vecEnd+s.meta.dim]
-		for i, b := range src {
-			codes[i] = int8(b)
-		}
-		d := q.DistanceToCodes(codes)
-		s.codePool.Put(cp)
-		return d
+	var d [1]float32
+	s.Dists(&q, []uint32{v}, d[:])
+	return d[0]
+}
+
+// Dists evaluates the traversal distances to ids from their records,
+// read in ids order (so touches and faults fall exactly as one Dist
+// call per id would make them) through one decode buffer.
+func (s *PagedStore) Dists(q *vec.PreparedQuery, ids []uint32, out []float32) {
+	if !s.meta.quantized {
+		s.distsExact(q, ids, out)
+		return
 	}
-	return s.distExactRec(q, rec)
+	cp := s.codePool.Get().(*[]int8)
+	codes := *cp
+	for i, v := range ids {
+		rec := s.record(v)
+		for j, b := range rec[s.vecEnd : s.vecEnd+s.meta.dim] {
+			codes[j] = int8(b)
+		}
+		out[i] = q.DistanceToCodes(codes)
+	}
+	s.codePool.Put(cp)
 }
 
 // DistExact evaluates the full-precision distance to node v.
 func (s *PagedStore) DistExact(q vec.PreparedQuery, v uint32) float32 {
-	return s.distExactRec(q, s.record(v))
+	var d [1]float32
+	s.distsExact(&q, []uint32{v}, d[:])
+	return d[0]
 }
 
-func (s *PagedStore) distExactRec(q vec.PreparedQuery, rec []byte) float32 {
+func (s *PagedStore) distsExact(q *vec.PreparedQuery, ids []uint32, out []float32) {
 	rp := s.rowPool.Get().(*vec.Vector)
 	row := *rp
-	// The record bytes were validated at save; DecodeInto cannot fail on
-	// a full-length slice of a known kind.
-	_ = vec.DecodeInto(s.elem, rec[s.vecOff:s.vecEnd], row)
-	d := q.DistanceTo(row)
+	for i, v := range ids {
+		// The record bytes were validated at save; DecodeInto cannot fail
+		// on a full-length slice of a known kind.
+		_ = vec.DecodeInto(s.elem, s.record(v)[s.vecOff:s.vecEnd], row)
+		out[i] = q.DistanceTo(row)
+	}
 	s.rowPool.Put(rp)
-	return d
 }
 
 // Neighbors copies node v's adjacency into buf. The image carries no
@@ -578,7 +647,7 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		elem:    h.Elem,
 		scales:  scales,
 		back:    back,
-		cache:   newPageCache(cachePages),
+		cache:   newPageCache(cachePages, meta.pages()),
 		vecOff:  meta.vecOffset(),
 		vecEnd:  meta.codeOffset(h.Elem),
 		zeroRec: make([]byte, meta.nodeLen),

@@ -199,11 +199,10 @@ func (x *builder) pickGuideDims() []int {
 }
 
 // guideScratch is per-search reusable buffers for the guided stage:
-// neighbor IDs plus the current vertex's and each neighbor's guide
-// components (paged stores decode into them; in-RAM stores overwrite
-// them with copies of resident values).
+// the current vertex's and each neighbor's guide components (paged
+// stores decode into them; in-RAM stores overwrite them with copies of
+// resident values). Neighbor IDs come from the search's ann.Scratch.
 type guideScratch struct {
-	nbrs     []uint32
 	cur, nbr []float32
 }
 
@@ -213,7 +212,7 @@ type guideScratch struct {
 // their pairwise differences are exact in float32, so the sign votes
 // match the previous integer arithmetic bit for bit), float32
 // components otherwise.
-func (x *Index) queryComponents(st ann.NodeStore, q vec.PreparedQuery) []float32 {
+func (x *Index) queryComponents(st ann.NodeStore, q *vec.PreparedQuery) []float32 {
 	out := make([]float32, len(x.guideDims))
 	if st.Quantized() {
 		qc := q.Codes()
@@ -233,13 +232,13 @@ func (x *Index) queryComponents(st ann.NodeStore, q vec.PreparedQuery) []float32
 // query's direction octant (sign agreement over the guide dimensions).
 // Returns false if no neighbor qualifies or improves. qc holds the
 // query's guide components from queryComponents.
-func (x *Index) guidedStep(st ann.NodeStore, q vec.PreparedQuery, cur uint32, curDist float32, qc []float32, s *guideScratch, tr *trace.Query) (uint32, float32, bool) {
-	s.nbrs = st.Neighbors(cur, s.nbrs)
+func (x *Index) guidedStep(ss *ann.Scratch, st ann.NodeStore, q *vec.PreparedQuery, cur uint32, curDist float32, qc []float32, s *guideScratch, tr *trace.Query) (uint32, float32, bool) {
+	nbrs := ss.Neighbors(st, cur)
 	best := cur
 	bestDist := curDist
 	var computed []uint32
 	s.cur = st.Components(cur, x.guideDims, s.cur)
-	for _, n := range s.nbrs {
+	for _, n := range nbrs {
 		agree := 0
 		s.nbr = st.Components(n, x.guideDims, s.nbr)
 		for i := range x.guideDims {
@@ -253,8 +252,10 @@ func (x *Index) guidedStep(st ann.NodeStore, q vec.PreparedQuery, cur uint32, cu
 		if agree*2 < len(x.guideDims) {
 			continue
 		}
-		computed = append(computed, n)
-		if d := st.Dist(q, n); d < bestDist {
+		if tr != nil {
+			computed = append(computed, n)
+		}
+		if d := st.Dist(*q, n); d < bestDist {
 			best, bestDist = n, d
 		}
 	}
@@ -267,13 +268,13 @@ func (x *Index) guidedStep(st ann.NodeStore, q vec.PreparedQuery, cur uint32, cu
 // guide is TOGG's seed step, stage one: guided routing from the entry
 // toward the query's region. Stage two — the greedy beam refinement from
 // the routed vertex — is the shared ann.GraphIndex search.
-func (x *Index) guide(st ann.NodeStore, q vec.PreparedQuery, entry uint32, tr *trace.Query) ann.Neighbor {
+func (x *Index) guide(ss *ann.Scratch, st ann.NodeStore, q *vec.PreparedQuery, entry uint32, tr *trace.Query) ann.Neighbor {
 	cur := entry
-	curDist := st.Dist(q, cur)
+	curDist := st.Dist(*q, cur)
 	qc := x.queryComponents(st, q)
 	var scratch guideScratch
 	for hop := 0; hop < x.cfg.GuideHops; hop++ {
-		next, nextDist, moved := x.guidedStep(st, q, cur, curDist, qc, &scratch, tr)
+		next, nextDist, moved := x.guidedStep(ss, st, q, cur, curDist, qc, &scratch, tr)
 		if !moved {
 			break
 		}

@@ -72,13 +72,18 @@ type Index struct {
 var _ ann.Tunable = (*Index)(nil)
 
 // builder is the construction-time state; construction always
-// evaluates full precision through kern.
+// evaluates full precision: row pairs through kern, the insertion beam
+// searches through store (kern's distances over the graph under
+// construction) on one scratch.
 type builder struct {
-	cfg    Config
-	mat    *vec.Matrix
-	kern   *vec.Kernel
-	g      *graph.Graph
-	medoid uint32
+	cfg     Config
+	mat     *vec.Matrix
+	kern    *vec.Kernel
+	g       *graph.Graph
+	store   *ann.KernelStore
+	scratch *ann.Scratch
+	scored  []ann.Neighbor // beamSearchVisited's result, reused per insertion
+	medoid  uint32
 }
 
 // Build constructs the Vamana graph: start from a random regular graph,
@@ -94,7 +99,12 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("vamana: empty dataset")
 	}
 	mat := vec.NewMatrix(data)
-	b := &builder{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: graph.New(len(data))}
+	g := graph.New(len(data))
+	bs, err := ann.NewKernelStore(cfg.Metric, mat, g, false)
+	if err != nil {
+		return nil, fmt.Errorf("vamana: %w", err)
+	}
+	b := &builder{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: g, store: bs, scratch: ann.NewScratch()}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b.medoid = b.computeMedoid(rng)
 	b.randomInit(rng)
@@ -179,33 +189,14 @@ func (x *builder) randomInit(rng *rand.Rand) {
 }
 
 // beamSearchVisited runs the greedy beam search used during construction
-// and returns all visited candidates with distances.
+// and returns every scored candidate with its distance (the medoid
+// first). The slice is reused by the next call.
 func (x *builder) beamSearchVisited(q vec.Vector, l int) []ann.Neighbor {
-	pq := x.kern.Prepare(q)
-	visited := map[uint32]bool{x.medoid: true}
-	f := ann.NewFrontier(l)
-	medoidDist := x.kern.DistTo(pq, int(x.medoid))
-	f.Push(ann.Neighbor{ID: x.medoid, Dist: medoidDist})
-	all := []ann.Neighbor{{ID: x.medoid, Dist: medoidDist}}
-	for {
-		c, ok := f.PopNearest()
-		if !ok {
-			break
-		}
-		if worst, full := f.WorstDist(); full && c.Dist > worst {
-			break
-		}
-		for _, n := range x.g.Neighbors(c.ID) {
-			if visited[n] {
-				continue
-			}
-			visited[n] = true
-			nb := ann.Neighbor{ID: n, Dist: x.kern.DistTo(pq, int(n))}
-			all = append(all, nb)
-			f.Push(nb)
-		}
-	}
-	return all
+	pq := x.store.Prepare(q)
+	start := ann.Neighbor{ID: x.medoid, Dist: x.store.Dist(pq, x.medoid)}
+	x.scored = x.scored[:0]
+	ann.BeamSearch(x.scratch, x.store, &pq, start, l, nil, &x.scored)
+	return x.scored
 }
 
 // robustPrune sets p's out-neighbors to at most R candidates using

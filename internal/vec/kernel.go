@@ -233,11 +233,10 @@ func (k *Kernel) DistTo(q PreparedQuery, row int) float32 {
 
 // DistsTo evaluates the prepared query against each listed row, writing
 // distances into out (len(out) must equal len(rows)). It is the batched
-// entry point for candidate shortlists; the greedy traversals currently
-// evaluate per pair with DistTo (batching their neighbor loops would
-// cost an allocation per expansion), so cache-blocked consumers are the
-// ones that reach for this form. The metric switch is hoisted out of
-// the row loop.
+// entry point for candidate shortlists: the graph traversals score each
+// expansion's unvisited neighbours through it (ann.KernelStore.Dists).
+// The metric switch is hoisted out of the row loop, and each distance
+// is bit-identical to DistTo's.
 func (k *Kernel) DistsTo(q PreparedQuery, rows []uint32, out []float32) {
 	if len(out) != len(rows) {
 		panic(fmt.Sprintf("vec: DistsTo out length %d != rows %d", len(out), len(rows)))
