@@ -31,6 +31,7 @@
 //	-workers        worker-pool size (default GOMAXPROCS)
 //	-seed           generation/build seed (default 1)
 //	-quantized      build shards with the SQ8 compressed traversal tier
+//	                (graph families only)
 //	-rerank         exact-rerank width when quantized, 0 = full list (default 0)
 //	-coalesce-max   coalesced batch size threshold, 0 disables (default 256)
 //	-coalesce-wait  coalescing deadline (default 500us)
@@ -105,7 +106,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "generation/build seed")
 	quantized := flag.Bool("quantized", false,
-		"build shard indexes with the SQ8 compressed traversal tier (hnsw, diskann)")
+		"build shard indexes with the SQ8 compressed traversal tier (graph families only)")
 	rerank := flag.Int("rerank", 0,
 		"exact-rerank width for -quantized (0 = rerank the full candidate list)")
 	coalesceMax := flag.Int("coalesce-max", batcher.DefaultMaxBatch,

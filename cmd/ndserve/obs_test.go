@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +21,49 @@ func get(h http.Handler, path string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 	return rec
+}
+
+// jsonShape flattens a JSON document to "path: type" lines, keys sorted
+// at every level — the key set and JSON types with the values dropped.
+// An array contributes the shape of its first element.
+func jsonShape(t *testing.T, raw []byte) string {
+	t.Helper()
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	var walk func(path string, v any) string
+	walk = func(path string, v any) string {
+		switch v := v.(type) {
+		case map[string]any:
+			keys := make([]string, 0, len(v))
+			for k := range v {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				if typ := walk(path+k+".", v[k]); typ != "" {
+					fmt.Fprintf(&b, "%s%s: %s\n", path, k, typ)
+				}
+			}
+			return ""
+		case []any:
+			if len(v) == 0 {
+				return "[]"
+			}
+			return "[" + walk(path, v[0]) + "]"
+		case string:
+			return "string"
+		case bool:
+			return "bool"
+		case float64:
+			return "number"
+		}
+		return "null"
+	}
+	walk("", doc)
+	return b.String()
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -55,6 +100,96 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+
+	// Mixed traffic through every counted path: a direct batch, two
+	// coalesced singles, upserts, a delete of a live and of an absent ID,
+	// one compaction. Every fact /stats and /metrics both carry must then
+	// be equal — they are two renderings of the same instruments.
+	srv.EnableCoalescing(batcher.Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
+	batch := SearchRequest{K: 5}
+	for _, q := range d.Queries[:3] {
+		batch.Queries = append(batch.Queries, asFloats(q))
+	}
+	for _, req := range []SearchRequest{batch, {Query: asFloats(d.Queries[1])}, {Query: asFloats(d.Queries[2])}} {
+		if rec, resp := postSearch(t, h, req); resp == nil {
+			t.Fatalf("search failed: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	for _, call := range []struct {
+		path string
+		body any
+	}{
+		{"/upsert", UpsertRequest{ID: ptr(9100), Vector: asFloats(d.Vectors[0])}},
+		{"/upsert", UpsertRequest{ID: ptr(9101), Vector: asFloats(d.Vectors[1])}},
+		{"/delete", DeleteRequest{ID: ptr(3)}},
+		{"/delete", DeleteRequest{ID: ptr(77777)}},
+		{"/compact", struct{}{}},
+	} {
+		if rec := postJSON(t, h, call.path, call.body); rec.Code != http.StatusOK {
+			t.Fatalf("POST %s = %d %s", call.path, rec.Code, rec.Body.String())
+		}
+	}
+	rawStats := get(h, "/stats").Body.Bytes()
+	var st StatsResponse
+	if err := json.Unmarshal(rawStats, &st); err != nil {
+		t.Fatal(err)
+	}
+	out = get(h, "/metrics").Body.String()
+	for _, f := range []struct {
+		sample    string
+		got, want int64
+	}{
+		{"nd_search_batches_total", st.Batches, 4},
+		{"nd_search_queries_total", st.Queries, 6},
+		{"nd_shard_searches_total", st.ShardSearches, 12},
+		{"nd_upserts_total", st.Mutation.Upserts, 2},
+		{"nd_deletes_total", st.Mutation.Deletes, 1},
+		{"nd_compactions_total", st.Mutation.Compactions, 1},
+		{"nd_generation", int64(st.Mutation.Generation), 1},
+		{"nd_coalesce_submits_total", st.Coalescer.Submits, 2},
+		{"nd_coalesce_batches_total", st.Coalescer.Batches, 2},
+		{"nd_coalesce_formed_batch_size_sum", st.Coalescer.Queries, 2},
+	} {
+		if f.got != f.want {
+			t.Errorf("/stats fact behind %s = %d, want %d", f.sample, f.got, f.want)
+		}
+		if line := fmt.Sprintf("%s %d\n", f.sample, f.got); !strings.Contains(out, line) {
+			t.Errorf("/metrics disagrees with /stats: missing %q:\n%s", line, out)
+		}
+	}
+
+	// The /stats key set (names and JSON types, not values) is wire
+	// contract: dashboards and ndbench parse it.
+	const wantShape = `batches: number
+busy_us: number
+coalescer.batches: number
+coalescer.max_formed_batch: number
+coalescer.max_wait_us: number
+coalescer.mean_formed_batch: number
+coalescer.mean_wait_us: number
+coalescer.queries: number
+coalescer.queue_depth: number
+coalescer.submits: number
+max_batch_latency_us: number
+mean_query_latency_us: number
+mutation.base_tombstones: number
+mutation.compacting: bool
+mutation.compactions: number
+mutation.deletes: number
+mutation.delta_live: number
+mutation.delta_tombstones: number
+mutation.generation: number
+mutation.last_compact_us: number
+mutation.last_compact_vectors: number
+mutation.upserts: number
+per_shard_searches: [number]
+queries: number
+serve: string
+shard_searches: number
+`
+	if got := jsonShape(t, rawStats); got != wantShape {
+		t.Errorf("/stats key set changed:\n got:\n%s\nwant:\n%s", got, wantShape)
 	}
 
 	// Wrong method: 405 plus Allow, like every read-only endpoint.

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,6 +86,18 @@ func TestServeModeMmapFlow(t *testing.T) {
 	}
 	if stats.Pages.IOErrors != 0 {
 		t.Fatalf("paged serving hit %d I/O errors", stats.Pages.IOErrors)
+	}
+	// /metrics carries the same page counters (no traffic in between).
+	metrics := get(paged.Handler(), "/metrics").Body.String()
+	for sample, v := range map[string]uint64{
+		"nd_page_touches_total":   stats.Pages.Touches,
+		"nd_page_faults_total":    stats.Pages.Faults,
+		"nd_page_io_errors_total": stats.Pages.IOErrors,
+		"nd_page_resident_pages":  uint64(stats.Pages.ResidentPages),
+	} {
+		if line := fmt.Sprintf("%s %d\n", sample, v); !strings.Contains(metrics, line) {
+			t.Errorf("/metrics disagrees with /stats pages: missing %q:\n%s", line, metrics)
+		}
 	}
 
 	// The RAM server's /stats has no pages section and reports serve=ram.

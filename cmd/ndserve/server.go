@@ -40,7 +40,7 @@ type Server struct {
 	// so the maxBatch check cannot be bypassed by one huge payload.
 	maxBodyBytes int64
 	// metrics is the observability registry behind GET /metrics; the
-	// engine (and coalescer, when enabled) feed it.
+	// engine's (and coalescer's, when enabled) instruments are on it.
 	metrics *obs.Registry
 	// pprofOn mounts /debug/pprof/ on Handler (EnablePprof).
 	pprofOn bool
@@ -180,7 +180,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		info    BatchInfo
 	)
 	if s.coalescer != nil && len(batch) == 1 {
-		res, bi, err := s.coalescer.SearchTraced(batch[0], k, tr)
+		res, bi, err := s.coalescer.Search(batch[0], k, tr)
 		if err != nil {
 			httpError(w, http.StatusServiceUnavailable, "%v", err)
 			return

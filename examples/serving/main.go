@@ -150,9 +150,10 @@ func main() {
 	coal := batcher.New(eng, batcher.Config{MaxBatch: 256, MaxWait: 200 * time.Microsecond})
 	defer coal.Close()
 
-	// The §13 observability surface over the same stack: one registry,
-	// engine and coalescer both feeding it. ndserve exposes this at
-	// GET /metrics; here we scrape it in-process after the runs.
+	// The §13 observability surface over the same stack: one registry
+	// naming the engine's and the coalescer's instruments. ndserve
+	// exposes this at GET /metrics; here we scrape it in-process after
+	// the runs.
 	reg := obs.NewRegistry()
 	eng.EnableMetrics(reg)
 	coal.EnableMetrics(reg)
@@ -168,7 +169,7 @@ func main() {
 			wg.Add(1)
 			go func(q vec.Vector) {
 				defer wg.Done()
-				if _, _, err := coal.Search(q, 10); err != nil {
+				if _, _, err := coal.Search(q, 10, nil); err != nil {
 					once.Do(func() { firstErr = err })
 				}
 			}(q)

@@ -30,20 +30,6 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// Engine is the backend a Batcher coalesces onto. *engine.Engine
-// satisfies it.
-type Engine interface {
-	SearchBatch(queries []vec.Vector, k int) ([][]ann.Neighbor, *engine.BatchStats)
-}
-
-// tracingEngine is the optional backend extension SubmitTraced uses to
-// thread a stage trace through the engine batch. *engine.Engine
-// satisfies it; backends without it still serve traced submits, minus
-// the engine-side spans.
-type tracingEngine interface {
-	SearchBatchOpts(queries []vec.Vector, k int, opts engine.SearchOptions) ([][]ann.Neighbor, *engine.BatchStats)
-}
-
 // Defaults applied by New when the corresponding Config field is unset.
 const (
 	DefaultMaxBatch = 256
@@ -128,7 +114,7 @@ func (s Stats) MeanWait() time.Duration {
 // Batcher coalesces concurrent Submit calls into engine batches. It is
 // safe for concurrent use.
 type Batcher struct {
-	eng    Engine
+	eng    *engine.Engine
 	cfg    Config
 	submit chan *waiter
 	// done is closed when the dispatcher (and every in-flight batch it
@@ -141,47 +127,33 @@ type Batcher struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	// obsm holds the registry instruments (EnableMetrics); the zero
-	// value's nil instruments are no-ops, so dispatch updates them
-	// unconditionally.
-	obsm atomic.Pointer[batcherMetrics]
-
-	mu    sync.Mutex
-	stats Stats
+	// The obs instruments are the only coalescing counters: Stats is
+	// computed from them and EnableMetrics names them on a registry. The
+	// atomics carry what a histogram cannot give back exactly — the wait
+	// sum and maximum in nanoseconds, and the largest formed batch.
+	wait           *obs.Histogram
+	formed         *obs.Histogram
+	submits        *obs.Counter
+	batches        *obs.Counter
+	waitTotal      atomic.Int64
+	waitMax        atomic.Int64
+	maxFormedBatch atomic.Int64
 }
 
-// batcherMetrics are the admission-layer instruments.
-type batcherMetrics struct {
-	wait    *obs.Histogram
-	formed  *obs.Histogram
-	submits *obs.Counter
-	batches *obs.Counter
-}
-
-// EnableMetrics registers the coalescing metrics on r and starts
-// feeding them: per-submit admission wait, formed engine-batch sizes,
-// cumulative submit/batch counters, and a scrape-time queue-depth
-// gauge. Call it once per registry, before serving traffic.
+// EnableMetrics exposes the coalescing metrics on r: per-submit
+// admission wait, formed engine-batch sizes, cumulative submit/batch
+// counters, and a scrape-time queue-depth gauge. Call it once per
+// registry.
 func (b *Batcher) EnableMetrics(r *obs.Registry) {
-	m := &batcherMetrics{
-		wait: r.NewHistogram("nd_coalesce_wait_seconds",
-			"time a submit queued before its coalesced batch dispatched", obs.LatencyBuckets),
-		formed: r.NewHistogram("nd_coalesce_formed_batch_size",
-			"queries per formed engine batch", obs.SizeBuckets),
-		submits: r.NewCounter("nd_coalesce_submits_total",
-			"dispatched Submit calls"),
-		batches: r.NewCounter("nd_coalesce_batches_total",
-			"formed engine batches"),
-	}
-	r.NewGaugeFunc("nd_coalesce_queue_depth",
-		"queries pending admission",
-		func() float64 { return float64(b.depth.Load()) })
-	b.obsm.Store(m)
+	r.Register(b.wait, b.formed, b.submits, b.batches,
+		obs.NewGaugeFunc("nd_coalesce_queue_depth",
+			"queries pending admission",
+			func() float64 { return float64(b.depth.Load()) }))
 }
 
 // New starts a Batcher over eng. Call Close to stop it; the Batcher
 // does not own (and never closes) the engine.
-func New(eng Engine, cfg Config) *Batcher {
+func New(eng *engine.Engine, cfg Config) *Batcher {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
@@ -193,26 +165,28 @@ func New(eng Engine, cfg Config) *Batcher {
 		cfg:    cfg,
 		submit: make(chan *waiter, cfg.MaxBatch),
 		done:   make(chan struct{}),
+		wait: obs.NewHistogram("nd_coalesce_wait_seconds",
+			"time a submit queued before its coalesced batch dispatched", obs.LatencyBuckets),
+		formed: obs.NewHistogram("nd_coalesce_formed_batch_size",
+			"queries per formed engine batch", obs.SizeBuckets),
+		submits: obs.NewCounter("nd_coalesce_submits_total",
+			"dispatched Submit calls"),
+		batches: obs.NewCounter("nd_coalesce_batches_total",
+			"formed engine batches"),
 	}
-	b.obsm.Store(&batcherMetrics{})
 	go b.dispatch()
 	return b
 }
 
 // Submit enqueues queries for coalesced execution and blocks until the
 // batch they joined completes. Results[i] answers queries[i],
-// byte-identical to a direct engine search with the same k.
-func (b *Batcher) Submit(queries []vec.Vector, k int) ([][]ann.Neighbor, BatchInfo, error) {
-	return b.SubmitTraced(queries, k, nil)
-}
-
-// SubmitTraced is Submit with an optional stage trace: tr receives a
-// coalesce_wait span for the admission delay plus the engine batch's
-// own spans (fanout, shard_search, merge), rebased onto tr's clock.
-// The engine spans describe the formed batch the submit rode in, which
-// it may share with co-tenant submits — span query indices are
-// positions within that batch. Results are byte-identical to Submit.
-func (b *Batcher) SubmitTraced(queries []vec.Vector, k int, tr *obs.Trace) ([][]ann.Neighbor, BatchInfo, error) {
+// byte-identical to a direct engine search with the same k. tr, when
+// non-nil, receives a coalesce_wait span for the admission delay plus
+// the engine batch's own spans (fanout, shard_search, merge), rebased
+// onto tr's clock. The engine spans describe the formed batch the
+// submit rode in, which it may share with co-tenant submits — span
+// query indices are positions within that batch.
+func (b *Batcher) Submit(queries []vec.Vector, k int, tr *obs.Trace) ([][]ann.Neighbor, BatchInfo, error) {
 	if len(queries) == 0 {
 		return nil, BatchInfo{}, errors.New("batcher: empty submit")
 	}
@@ -235,13 +209,8 @@ func (b *Batcher) SubmitTraced(queries []vec.Vector, k int, tr *obs.Trace) ([][]
 
 // Search submits a single query — the coalesced counterpart of
 // engine.Engine.Search.
-func (b *Batcher) Search(query vec.Vector, k int) ([]ann.Neighbor, BatchInfo, error) {
-	return b.SearchTraced(query, k, nil)
-}
-
-// SearchTraced is Search with an optional stage trace (SubmitTraced).
-func (b *Batcher) SearchTraced(query vec.Vector, k int, tr *obs.Trace) ([]ann.Neighbor, BatchInfo, error) {
-	res, info, err := b.SubmitTraced([]vec.Vector{query}, k, tr)
+func (b *Batcher) Search(query vec.Vector, k int, tr *obs.Trace) ([]ann.Neighbor, BatchInfo, error) {
+	res, info, err := b.Submit([]vec.Vector{query}, k, tr)
 	if err != nil {
 		return nil, info, err
 	}
@@ -260,13 +229,19 @@ func (b *Batcher) Close() {
 	<-b.done
 }
 
-// Stats returns a snapshot of the cumulative counters.
+// Stats returns a snapshot of the cumulative counters, read from the
+// same instruments /metrics renders. Formed sizes are whole numbers, so
+// the histogram's float sum gives the query count back exactly.
 func (b *Batcher) Stats() Stats {
-	b.mu.Lock()
-	st := b.stats
-	b.mu.Unlock()
-	st.QueueDepth = int(b.depth.Load())
-	return st
+	return Stats{
+		Submits:        int64(b.submits.Value()),
+		Queries:        int64(b.formed.Sum()),
+		Batches:        int64(b.batches.Value()),
+		MaxFormedBatch: int(b.maxFormedBatch.Load()),
+		WaitTotal:      time.Duration(b.waitTotal.Load()),
+		WaitMax:        time.Duration(b.waitMax.Load()),
+		QueueDepth:     int(b.depth.Load()),
+	}
 }
 
 // dispatch is the scheduler loop: it accumulates waiters and hands each
@@ -319,7 +294,7 @@ func (b *Batcher) dispatch() {
 // run executes one flush: group the waiters by k (k shapes the search,
 // so mixing k values would make a caller's results depend on its
 // co-tenants), run one engine batch per group, and fan each waiter's
-// slice of its group's results back. Stats are published before any
+// slice of its group's results back. Everything is counted before any
 // waiter is released, so a caller that has returned from Submit is
 // always already counted in Stats().
 func (b *Batcher) run(batch []*waiter, n int) {
@@ -327,50 +302,24 @@ func (b *Batcher) run(batch []*waiter, n int) {
 	dispatched := time.Now()
 	b.depth.Add(-int64(n))
 	groups := make(map[int][]*waiter)
+	sizes := make(map[int]int)
 	for _, w := range batch {
 		groups[w.k] = append(groups[w.k], w)
+		sizes[w.k] += len(w.queries)
+		wait := dispatched.Sub(w.enq)
+		b.wait.Observe(wait.Seconds())
+		b.waitTotal.Add(int64(wait))
+		obs.StoreMax(&b.waitMax, int64(wait))
 	}
-
-	var waitTotal, waitMax time.Duration
-	maxFormed := 0
-	sizes := make(map[int]int, len(groups))
-	for k, ws := range groups {
-		gn := 0
-		for _, w := range ws {
-			gn += len(w.queries)
-			wait := dispatched.Sub(w.enq)
-			waitTotal += wait
-			if wait > waitMax {
-				waitMax = wait
-			}
-		}
-		sizes[k] = gn
-		if gn > maxFormed {
-			maxFormed = gn
-		}
-	}
-	b.mu.Lock()
-	b.stats.Submits += int64(len(batch))
-	b.stats.Queries += int64(n)
-	b.stats.Batches += int64(len(groups))
-	if maxFormed > b.stats.MaxFormedBatch {
-		b.stats.MaxFormedBatch = maxFormed
-	}
-	b.stats.WaitTotal += waitTotal
-	if waitMax > b.stats.WaitMax {
-		b.stats.WaitMax = waitMax
-	}
-	b.mu.Unlock()
-	m := b.obsm.Load()
-	m.submits.Add(uint64(len(batch)))
-	m.batches.Add(uint64(len(groups)))
-	for _, w := range batch {
-		m.wait.Observe(dispatched.Sub(w.enq).Seconds())
+	b.submits.Add(uint64(len(batch)))
+	b.batches.Add(uint64(len(groups)))
+	for _, gn := range sizes {
+		b.formed.Observe(float64(gn))
+		obs.StoreMax(&b.maxFormedBatch, int64(gn))
 	}
 
 	for k, ws := range groups {
 		gn := sizes[k]
-		m.formed.Observe(float64(gn))
 		queries := make([]vec.Vector, 0, gn)
 		traced := false
 		for _, w := range ws {
@@ -381,15 +330,11 @@ func (b *Batcher) run(batch []*waiter, n int) {
 		// under a fresh trace and fan its spans out to every traced
 		// waiter afterwards — the engine spans belong to the shared
 		// formed batch, so each requester gets the same attribution.
-		var res [][]ann.Neighbor
-		var est *engine.BatchStats
 		var etr *obs.Trace
-		if te, ok := b.eng.(tracingEngine); ok && traced {
+		if traced {
 			etr = obs.NewTrace()
-			res, est = te.SearchBatchOpts(queries, k, engine.SearchOptions{Trace: etr})
-		} else {
-			res, est = b.eng.SearchBatch(queries, k)
 		}
+		res, est := b.eng.SearchBatchOpts(queries, k, engine.SearchOptions{Trace: etr})
 		off := 0
 		for _, w := range ws {
 			w.res = res[off : off+len(w.queries)]

@@ -50,7 +50,7 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 			wg.Add(1)
 			go func(r, qi int) {
 				defer wg.Done()
-				res, info, err := bat.Search(d.Queries[qi], k)
+				res, info, err := bat.Search(d.Queries[qi], k, nil)
 				if err != nil {
 					t.Errorf("round %d query %d: %v", r, qi, err)
 					return
@@ -83,6 +83,84 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 	}
 }
 
+// Stats(), MutStats() and Batcher.Stats() are lock-free views over
+// atomics: snapshots taken while searches, coalesced submits and
+// upserts run must never go backwards in any cumulative field, and the
+// final snapshot must account for every operation (run with -race).
+func TestStatsSnapshotsMonotone(t *testing.T) {
+	e, d := testEngine(t, 300, 16, 2, 4)
+	bat := New(e, Config{MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	defer bat.Close()
+	const rounds, k = 20, 5
+
+	snapshot := func() []int64 {
+		es, ms, bs := e.Stats(), e.MutStats(), bat.Stats()
+		return []int64{
+			es.Batches, es.Queries, es.ShardSearches, int64(es.Busy), int64(es.MaxBatchLatency),
+			ms.Upserts, ms.Deletes, ms.Compactions,
+			bs.Submits, bs.Queries, bs.Batches, int64(bs.MaxFormedBatch), int64(bs.WaitTotal), int64(bs.WaitMax),
+		}
+	}
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		prev := snapshot()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := snapshot()
+			for i := range cur {
+				if cur[i] < prev[i] {
+					t.Errorf("field %d went backwards: %d after %d", i, cur[i], prev[i])
+					return
+				}
+			}
+			prev = cur
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				e.SearchBatch(d.Queries[:4], k)
+			}
+		}()
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, _, err := bat.Search(d.Queries[(g+r)%len(d.Queries)], k, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			if err := e.Upsert(uint32(1000+r), d.Vectors[r]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-sampled
+
+	es, ms, bs := e.Stats(), e.MutStats(), bat.Stats()
+	if want := int64(3 * rounds * 5); es.Queries != want || ms.Upserts != rounds || bs.Submits != 3*rounds || bs.Queries != bs.Submits {
+		t.Fatalf("final snapshot lost an operation: engine %+v, mutation %+v, batcher %+v (want %d queries)", es, ms, bs, want)
+	}
+}
+
 // Submits with different k flush together but dispatch as separate
 // engine batches (k shapes an approximate index's search width), so
 // each caller's results match a direct engine search at its own k.
@@ -101,7 +179,7 @@ func TestMixedKSplitsEngineBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, info, err := bat.Search(d.Queries[i], ks[i])
+			res, info, err := bat.Search(d.Queries[i], ks[i], nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -139,7 +217,7 @@ func TestSizeTriggeredDispatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, _, err := bat.Search(d.Queries[i], 3); err != nil {
+			if _, _, err := bat.Search(d.Queries[i], 3, nil); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -158,7 +236,7 @@ func TestDeadlineTriggeredDispatch(t *testing.T) {
 	e, d := testEngine(t, 200, 1, 2, 2)
 	bat := New(e, Config{MaxBatch: 1 << 20, MaxWait: time.Millisecond})
 	defer bat.Close()
-	res, info, err := bat.Search(d.Queries[0], 5)
+	res, info, err := bat.Search(d.Queries[0], 5, nil)
 	if err != nil || len(res) != 5 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -174,7 +252,7 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 	bat := New(e, Config{MaxBatch: 1 << 20, MaxWait: time.Minute})
 	done := make(chan error, 1)
 	go func() {
-		res, _, err := bat.Search(d.Queries[0], 3)
+		res, _, err := bat.Search(d.Queries[0], 3, nil)
 		if err == nil && len(res) != 3 {
 			t.Errorf("pending submit returned %d results, want 3", len(res))
 		}
@@ -188,7 +266,7 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("pending submit must be served on Close, got %v", err)
 	}
-	if _, _, err := bat.Submit([]vec.Vector{d.Queries[1]}, 3); err != ErrClosed {
+	if _, _, err := bat.Submit([]vec.Vector{d.Queries[1]}, 3, nil); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	bat.Close() // idempotent
@@ -198,10 +276,10 @@ func TestSubmitValidation(t *testing.T) {
 	e, d := testEngine(t, 100, 1, 1, 1)
 	bat := New(e, Config{})
 	defer bat.Close()
-	if _, _, err := bat.Submit(nil, 3); err == nil {
+	if _, _, err := bat.Submit(nil, 3, nil); err == nil {
 		t.Error("empty submit must fail")
 	}
-	if _, _, err := bat.Submit([]vec.Vector{d.Queries[0]}, 0); err == nil {
+	if _, _, err := bat.Submit([]vec.Vector{d.Queries[0]}, 0, nil); err == nil {
 		t.Error("k=0 must fail")
 	}
 }
@@ -239,7 +317,7 @@ func TestCoalescedThroughputBeatsSerialized(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for qi := g; qi < len(d.Queries); qi += submitters {
-				res, _, err := bat.Search(d.Queries[qi], k)
+				res, _, err := bat.Search(d.Queries[qi], k, nil)
 				if err != nil {
 					t.Error(err)
 					return

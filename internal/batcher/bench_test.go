@@ -30,7 +30,7 @@ func BenchmarkCoalescedSingleQuery(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			qi := int(next.Add(1)) % len(d.Queries)
-			if _, _, err := bat.Search(d.Queries[qi], 10); err != nil {
+			if _, _, err := bat.Search(d.Queries[qi], 10, nil); err != nil {
 				b.Error(err)
 				return
 			}

@@ -14,8 +14,8 @@ import (
 // a sharded exact engine (every query pays the full kernel scan of
 // every shard) driven with a fixed query batch, then the hnsw/ram and
 // hnsw/mmap sub-benchmarks (benchSearchBatchHNSW). qps is reported as a
-// custom metric; BENCH_kernels.json commits a run as the serving-layer
-// perf baseline.
+// custom metric. Supporting evidence only: the serving-layer scoreboard
+// is ndbench's ram_batch and paged_batch (bench/README.md).
 func BenchmarkSearchBatch(b *testing.B) {
 	const (
 		n     = 4096

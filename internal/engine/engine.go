@@ -226,16 +226,18 @@ type Engine struct {
 	// write there).
 	formatVersion int
 
-	// obsm holds the registry instruments (obs.go); a zero-value struct
-	// of nil (no-op) instruments is installed at construction so update
-	// sites never branch on whether metrics are enabled.
-	obsm atomic.Pointer[engineMetrics]
+	// m holds the obs instruments (obs.go), the engine's only serving
+	// counters. The atomics beside them carry what no instrument gives
+	// back exactly; the durations are nanoseconds.
+	m                  engineMetrics
+	busy               atomic.Int64
+	maxBatchLatency    atomic.Int64
+	lastCompactDur     atomic.Int64
+	lastCompactVectors atomic.Int64
 
-	mu    sync.Mutex
-	stats Stats
-	mut   MutStats
 	// notifyC, when set (setNotify), is poked non-blockingly after every
-	// accepted mutation — the compactor's wakeup signal.
+	// accepted mutation — the compactor's wakeup signal. Guarded by
+	// writeMu, which every mutator already holds.
 	notifyC chan<- struct{}
 }
 
@@ -346,8 +348,8 @@ func newEngine(gen *generation, workers, dim int, meta Meta) *Engine {
 		// A modest buffer decouples task producers from worker pickup
 		// without letting one huge batch monopolise the queue.
 		tasks: make(chan task, 4*workers),
+		m:     newEngineMetrics(),
 	}
-	e.obsm.Store(&engineMetrics{})
 	e.liveLen.Store(int64(gen.vectors))
 	if len(gen.shards) > 0 {
 		if m, err := snapshot.MetricOf(gen.shards[0].index); err == nil {
@@ -667,33 +669,28 @@ func (s Stats) MeanQueryLatency() time.Duration {
 	return time.Duration(int64(s.Busy) / s.Queries)
 }
 
+// record counts one completed batch, lock-free, before SearchBatchOpts
+// returns: a caller holding results is already counted on both surfaces.
 func (e *Engine) record(st *BatchStats) {
-	// /stats and /metrics are fed from this one site, so the two
-	// surfaces can never drift: the registry instruments below are the
-	// Prometheus rendering of the same per-batch observations the Stats
-	// struct accumulates.
-	m := e.obsm.Load()
-	m.searchLatency.Observe(st.Latency.Seconds())
-	m.batchSize.Observe(float64(st.BatchSize))
-	m.batches.Add(1)
-	m.queries.Add(uint64(st.BatchSize))
-	m.shardSearches.Add(uint64(st.ShardSearches))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats.Batches++
-	e.stats.Queries += int64(st.BatchSize)
-	e.stats.ShardSearches += int64(st.ShardSearches)
-	e.stats.Busy += st.Latency
-	if st.Latency > e.stats.MaxBatchLatency {
-		e.stats.MaxBatchLatency = st.Latency
-	}
+	e.m.searchLatency.Observe(st.Latency.Seconds())
+	e.m.batchSize.Observe(float64(st.BatchSize))
+	e.m.batches.Add(1)
+	e.m.queries.Add(uint64(st.BatchSize))
+	e.m.shardSearches.Add(uint64(st.ShardSearches))
+	e.busy.Add(int64(st.Latency))
+	obs.StoreMax(&e.maxBatchLatency, int64(st.Latency))
 }
 
-// Stats returns a snapshot of the cumulative counters.
+// Stats returns a snapshot of the cumulative counters, read from the
+// same instruments /metrics renders.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	st := e.stats
-	e.mu.Unlock()
+	st := Stats{
+		Batches:         int64(e.m.batches.Value()),
+		Queries:         int64(e.m.queries.Value()),
+		ShardSearches:   int64(e.m.shardSearches.Value()),
+		Busy:            time.Duration(e.busy.Load()),
+		MaxBatchLatency: time.Duration(e.maxBatchLatency.Load()),
+	}
 	e.genMu.RLock()
 	gen := e.gen
 	e.genMu.RUnlock()

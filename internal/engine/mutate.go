@@ -52,10 +52,7 @@ func (e *Engine) Upsert(id uint32, v vec.Vector) error {
 	if !shadowedBefore && e.gen.has(id) {
 		e.baseTombs.Add(1)
 	}
-	e.mu.Lock()
-	e.mut.Upserts++
-	e.mu.Unlock()
-	e.obsm.Load().upserts.Add(1)
+	e.m.upserts.Inc()
 	e.notifyCompactor()
 	return nil
 }
@@ -82,15 +79,10 @@ func (e *Engine) Delete(id uint32) (bool, error) {
 	e.delta.Delete(id, lowerHolds)
 	if wasLive {
 		e.liveLen.Add(-1)
+		e.m.deletes.Inc()
 	}
 	if !shadowedBefore && e.gen.has(id) {
 		e.baseTombs.Add(1)
-	}
-	if wasLive {
-		e.mu.Lock()
-		e.mut.Deletes++
-		e.mu.Unlock()
-		e.obsm.Load().deletes.Add(1)
 	}
 	e.notifyCompactor()
 	return wasLive, nil
@@ -163,9 +155,16 @@ type MutStats struct {
 
 // MutStats returns a snapshot of the mutation counters.
 func (e *Engine) MutStats() MutStats {
-	e.mu.Lock()
-	st := e.mut
-	e.mu.Unlock()
+	// Compactions is read before LastCompact*, which compact stores
+	// first: a snapshot showing compaction n describes n or later.
+	st := MutStats{
+		Upserts:     int64(e.m.upserts.Value()),
+		Deletes:     int64(e.m.deletes.Value()),
+		Compactions: int64(e.m.compactions.Value()),
+
+		LastCompactDuration: time.Duration(e.lastCompactDur.Load()),
+		LastCompactVectors:  int(e.lastCompactVectors.Load()),
+	}
 	e.genMu.RLock()
 	st.Generation = e.gen.num
 	if e.delta != nil {
@@ -185,20 +184,18 @@ func (e *Engine) MutStats() MutStats {
 // setNotify registers the compactor's wakeup channel; Upsert/Delete
 // poke it (non-blocking) after every accepted mutation.
 func (e *Engine) setNotify(c chan<- struct{}) {
-	e.mu.Lock()
+	e.writeMu.Lock()
 	e.notifyC = c
-	e.mu.Unlock()
+	e.writeMu.Unlock()
 }
 
+// notifyCompactor pokes the compactor; callers hold writeMu.
 func (e *Engine) notifyCompactor() {
-	e.mu.Lock()
-	c := e.notifyC
-	e.mu.Unlock()
-	if c == nil {
+	if e.notifyC == nil {
 		return
 	}
 	select {
-	case c <- struct{}{}:
+	case e.notifyC <- struct{}{}:
 	default:
 	}
 }
@@ -313,14 +310,10 @@ func (e *Engine) compact() error {
 	// The new generation is live: count the compaction now, so a failed
 	// retirement below cannot leave the counters behind Generation.
 	dur := time.Since(start)
-	e.mu.Lock()
-	e.mut.Compactions++
-	e.mut.LastCompactDuration = dur
-	e.mut.LastCompactVectors = newGen.vectors
-	e.mu.Unlock()
-	m := e.obsm.Load()
-	m.compactions.Add(1)
-	m.compactSeconds.Observe(dur.Seconds())
+	e.lastCompactDur.Store(int64(dur))
+	e.lastCompactVectors.Store(int64(newGen.vectors))
+	e.m.compactSeconds.Observe(dur.Seconds())
+	e.m.compactions.Inc()
 
 	// Retire the old generation.
 	for _, p := range oldGen.paged {

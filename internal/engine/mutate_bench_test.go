@@ -27,7 +27,8 @@ func benchCorpus(b *testing.B, n, dim int, seed int64) []vec.Vector {
 // while a background writer churns the delta tier: the price of the
 // generational merge (delta scan + tombstone filtering + widened base
 // k) relative to the pure-read fast path, which is benchmarked as the
-// writers=0 case. examples/livemut commits a run as BENCH_mutate.json.
+// writers=0 case. Supporting evidence only: reads under writes are
+// scored by ndbench's mutate_mix (bench/README.md).
 func BenchmarkReadUnderWrite(b *testing.B) {
 	const (
 		n     = 4096

@@ -1,6 +1,7 @@
-// Observability wiring: EnableMetrics registers the engine's serving
-// metrics on an obs.Registry, and SearchOptions threads an optional
-// per-query stage trace through SearchBatchOpts. See DESIGN.md §13.
+// Observability wiring: the engine's serving counters are obs
+// instruments, EnableMetrics exposes them on an obs.Registry, and
+// SearchOptions threads an optional per-query stage trace through
+// SearchBatchOpts. See DESIGN.md §13.
 package engine
 
 import (
@@ -17,11 +18,9 @@ type SearchOptions struct {
 	Trace *obs.Trace
 }
 
-// engineMetrics holds the registry instruments the hot path updates.
-// The zero value (all nil instruments) is installed at construction, so
-// update sites call through unconditionally: obs instruments are no-ops
-// on nil receivers, which keeps the uninstrumented cost to one atomic
-// pointer load per batch.
+// engineMetrics are the engine's only serving counters, live from
+// construction: Stats and MutStats are views computed from them, and
+// EnableMetrics only names them on a registry.
 type engineMetrics struct {
 	searchLatency *obs.Histogram
 	batchSize     *obs.Histogram
@@ -35,54 +34,61 @@ type engineMetrics struct {
 	deletes        *obs.Counter
 }
 
-// EnableMetrics registers the engine's metrics on r and starts feeding
-// them: search latency and batch-size histograms, cumulative
-// search/mutation/compaction counters, and scrape-time gauges over the
-// generational and paged-serving state the engine already tracks. Call
-// it once per registry, before serving traffic.
-func (e *Engine) EnableMetrics(r *obs.Registry) {
-	m := &engineMetrics{
-		searchLatency: r.NewHistogram("nd_search_latency_seconds",
+func newEngineMetrics() engineMetrics {
+	return engineMetrics{
+		searchLatency: obs.NewHistogram("nd_search_latency_seconds",
 			"engine batch execution wall time", obs.LatencyBuckets),
-		batchSize: r.NewHistogram("nd_search_batch_size",
+		batchSize: obs.NewHistogram("nd_search_batch_size",
 			"queries per executed engine batch", obs.SizeBuckets),
-		batches: r.NewCounter("nd_search_batches_total",
+		batches: obs.NewCounter("nd_search_batches_total",
 			"completed engine batch executions"),
-		queries: r.NewCounter("nd_search_queries_total",
+		queries: obs.NewCounter("nd_search_queries_total",
 			"queries carried by completed engine batches"),
-		shardSearches: r.NewCounter("nd_shard_searches_total",
+		shardSearches: obs.NewCounter("nd_shard_searches_total",
 			"executed (query, shard) search tasks"),
-		compactSeconds: r.NewHistogram("nd_compaction_seconds",
+		compactSeconds: obs.NewHistogram("nd_compaction_seconds",
 			"delta-drain compaction duration (freeze through swap)", obs.LatencyBuckets),
-		compactions: r.NewCounter("nd_compactions_total",
+		compactions: obs.NewCounter("nd_compactions_total",
 			"completed generation compactions"),
-		upserts: r.NewCounter("nd_upserts_total",
+		upserts: obs.NewCounter("nd_upserts_total",
 			"accepted upserts into the delta tier"),
-		deletes: r.NewCounter("nd_deletes_total",
+		deletes: obs.NewCounter("nd_deletes_total",
 			"deletes that removed a live vector"),
 	}
-	r.NewGaugeFunc("nd_live_vectors",
-		"live vector count across base and delta tiers",
-		func() float64 { return float64(e.Len()) })
-	r.NewGaugeFunc("nd_generation",
-		"current base generation number (increments per compaction)",
-		func() float64 { return float64(e.Generation()) })
-	r.NewGaugeFunc("nd_delta_live",
-		"live vectors in the mutable delta tiers",
-		func() float64 { return float64(e.MutStats().DeltaLive) })
-	r.NewGaugeFunc("nd_base_tombstones",
-		"base-generation entries shadowed by the delta tiers",
-		func() float64 { return float64(e.MutStats().BaseTombstones) })
-	r.NewCounterFunc("nd_page_touches_total",
-		"software page-cache touches across paged shards (0 when resident)",
-		func() float64 { ps, _ := e.PageStats(); return float64(ps.Touches) })
-	r.NewCounterFunc("nd_page_faults_total",
-		"software page-cache fills across paged shards (0 when resident)",
-		func() float64 { ps, _ := e.PageStats(); return float64(ps.Faults) })
-	r.NewGaugeFunc("nd_page_resident_pages",
-		"pages resident in the per-shard page caches",
-		func() float64 { ps, _ := e.PageStats(); return float64(ps.ResidentPages) })
-	e.obsm.Store(m)
+}
+
+// EnableMetrics exposes the engine's metrics on r: the instruments it
+// already keeps, plus scrape-time readings of the generational and
+// paged-serving state. Call it once per registry.
+func (e *Engine) EnableMetrics(r *obs.Registry) {
+	r.Register(
+		e.m.searchLatency, e.m.batchSize, e.m.batches, e.m.queries, e.m.shardSearches,
+		e.m.compactSeconds, e.m.compactions, e.m.upserts, e.m.deletes,
+		obs.NewGaugeFunc("nd_live_vectors",
+			"live vector count across base and delta tiers",
+			func() float64 { return float64(e.Len()) }),
+		obs.NewGaugeFunc("nd_generation",
+			"current base generation number (increments per compaction)",
+			func() float64 { return float64(e.Generation()) }),
+		obs.NewGaugeFunc("nd_delta_live",
+			"live vectors in the mutable delta tiers",
+			func() float64 { return float64(e.MutStats().DeltaLive) }),
+		obs.NewGaugeFunc("nd_base_tombstones",
+			"base-generation entries shadowed by the delta tiers",
+			func() float64 { return float64(e.MutStats().BaseTombstones) }),
+		obs.NewCounterFunc("nd_page_touches_total",
+			"software page-cache touches across paged shards (0 when resident)",
+			func() float64 { ps, _ := e.PageStats(); return float64(ps.Touches) }),
+		obs.NewCounterFunc("nd_page_faults_total",
+			"software page-cache fills across paged shards (0 when resident)",
+			func() float64 { ps, _ := e.PageStats(); return float64(ps.Faults) }),
+		obs.NewCounterFunc("nd_page_io_errors_total",
+			"failed page reads across paged shards (0 when resident)",
+			func() float64 { ps, _ := e.PageStats(); return float64(ps.IOErrors) }),
+		obs.NewGaugeFunc("nd_page_resident_pages",
+			"pages resident in the per-shard page caches",
+			func() float64 { ps, _ := e.PageStats(); return float64(ps.ResidentPages) }),
+	)
 }
 
 // Generation returns the current base generation number: 0 until the

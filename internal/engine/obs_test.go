@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,89 +106,101 @@ func TestNilTraceOptsMatchesSearchBatch(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics checks the registry wiring end to end: search,
-// mutation, and compaction traffic shows up in the instruments and the
-// rendered exposition.
+// TestEngineMetrics checks that the instruments are the one source of
+// serving numbers: after mixed traffic (a batch, a single search,
+// upserts, a delete of a live and of an absent ID, one compaction)
+// Stats()/MutStats() carry the expected counts and the exposition
+// carries the same values — and the views count just the same on an
+// engine EnableMetrics was never called on (the embedded, scrape-less
+// shape).
 func TestEngineMetrics(t *testing.T) {
 	pool, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 40, Queries: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n0 = 32
-	e, err := New(pool.Vectors[:n0], Config{
-		Shards: 2, Workers: 2,
-		Builder: exhaustiveBuilder(t, "exact", vec.L2, 1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
+	for _, exposed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("exposed=%t", exposed), func(t *testing.T) {
+			e, err := New(pool.Vectors[:n0], Config{
+				Shards: 2, Workers: 2,
+				Builder: exhaustiveBuilder(t, "exact", vec.L2, 1),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(e.Close)
+			r := obs.NewRegistry()
+			if exposed {
+				e.EnableMetrics(r)
+			}
 
-	r := obs.NewRegistry()
-	e.EnableMetrics(r)
-	e.SearchBatch(pool.Queries, 3)
+			e.SearchBatch(pool.Queries, 3)
+			e.Search(pool.Queries[0], 3)
+			for i, v := range pool.Vectors[n0:] {
+				if err := e.Upsert(uint32(n0+i), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if wasLive, err := e.Delete(1); err != nil || !wasLive {
+				t.Fatalf("Delete(1) = %v, %v", wasLive, err)
+			}
+			if wasLive, err := e.Delete(9999); err != nil || wasLive {
+				t.Fatalf("Delete(absent) = %v, %v", wasLive, err)
+			}
+			if got := e.Generation(); got != 0 {
+				t.Errorf("Generation() = %d before compaction, want 0", got)
+			}
+			if err := e.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Generation(); got != 1 {
+				t.Errorf("Generation() = %d after compaction, want 1", got)
+			}
 
-	m := e.obsm.Load()
-	if got := m.batches.Value(); got != 1 {
-		t.Errorf("batches = %d, want 1", got)
-	}
-	if got := m.queries.Value(); got != uint64(len(pool.Queries)) {
-		t.Errorf("queries = %d, want %d", got, len(pool.Queries))
-	}
-	if got := m.shardSearches.Value(); got != uint64(len(pool.Queries)*2) {
-		t.Errorf("shardSearches = %d, want %d", got, len(pool.Queries)*2)
-	}
-	if got := m.searchLatency.Count(); got != 1 {
-		t.Errorf("searchLatency count = %d, want 1", got)
-	}
-
-	for i, v := range pool.Vectors[n0:] {
-		if err := e.Upsert(uint32(n0+i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if wasLive, err := e.Delete(1); err != nil || !wasLive {
-		t.Fatalf("Delete(1) = %v, %v", wasLive, err)
-	}
-	if got := m.upserts.Value(); got != uint64(len(pool.Vectors)-n0) {
-		t.Errorf("upserts = %d, want %d", got, len(pool.Vectors)-n0)
-	}
-	if got := m.deletes.Value(); got != 1 {
-		t.Errorf("deletes = %d, want 1", got)
-	}
-
-	if got := e.Generation(); got != 0 {
-		t.Errorf("Generation() = %d before compaction, want 0", got)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Generation(); got != 1 {
-		t.Errorf("Generation() = %d after compaction, want 1", got)
-	}
-	if got := m.compactions.Value(); got != 1 {
-		t.Errorf("compactions = %d, want 1", got)
-	}
-	if got := m.compactSeconds.Count(); got != 1 {
-		t.Errorf("compactSeconds count = %d, want 1", got)
-	}
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"nd_search_queries_total 4",
-		"nd_search_batches_total 1",
-		"nd_upserts_total 8",
-		"nd_deletes_total 1",
-		"nd_compactions_total 1",
-		"nd_generation 1",
-		"# TYPE nd_search_latency_seconds histogram",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
+			st, mu := e.Stats(), e.MutStats()
+			nq, added := int64(len(pool.Queries)+1), int64(len(pool.Vectors)-n0)
+			facts := []struct {
+				sample    string
+				got, want int64
+			}{
+				{"nd_search_batches_total", st.Batches, 2},
+				{"nd_search_queries_total", st.Queries, nq},
+				{"nd_shard_searches_total", st.ShardSearches, 2 * nq},
+				{"nd_search_latency_seconds_count", int64(e.m.searchLatency.Count()), 2},
+				{"nd_search_batch_size_sum", int64(e.m.batchSize.Sum()), nq},
+				{"nd_upserts_total", mu.Upserts, added},
+				{"nd_deletes_total", mu.Deletes, 1},
+				{"nd_compactions_total", mu.Compactions, 1},
+				{"nd_compaction_seconds_count", int64(e.m.compactSeconds.Count()), 1},
+				{"nd_generation", int64(mu.Generation), 1},
+				{"nd_live_vectors", int64(e.Len()), n0 + added - 1},
+			}
+			var b strings.Builder
+			if err := r.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			if !exposed && out != "" {
+				t.Fatalf("nothing was registered, yet the exposition is:\n%s", out)
+			}
+			for _, f := range facts {
+				if f.got != f.want {
+					t.Errorf("%s: view reads %d, want %d", f.sample, f.got, f.want)
+				}
+				if line := fmt.Sprintf("%s %d\n", f.sample, f.got); exposed && !strings.Contains(out, line) {
+					t.Errorf("exposition missing %q:\n%s", line, out)
+				}
+			}
+			if st.MaxBatchLatency <= 0 || st.Busy < st.MaxBatchLatency {
+				t.Errorf("Busy = %v, MaxBatchLatency = %v: want 0 < max <= busy", st.Busy, st.MaxBatchLatency)
+			}
+			if mu.LastCompactDuration <= 0 || mu.LastCompactVectors != e.Len() {
+				t.Errorf("last compaction = %v over %d vectors, want > 0 over %d",
+					mu.LastCompactDuration, mu.LastCompactVectors, e.Len())
+			}
+			if exposed && !strings.Contains(out, "# TYPE nd_search_latency_seconds histogram\n") {
+				t.Errorf("exposition missing the latency histogram:\n%s", out)
+			}
+		})
 	}
 }

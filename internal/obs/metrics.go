@@ -5,16 +5,16 @@
 //
 // Design constraints, in order:
 //
-//   - Zero cost when disabled. Every instrument is nil-safe: calling
-//     Inc/Add/Observe/Set on a nil *Counter, *Gauge, or *Histogram is a
-//     no-op, so instrumented code paths never branch on "is
-//     observability on" — they hold possibly-nil instrument pointers
-//     and call through unconditionally.
+//   - Always on. Instruments are plain values their owner constructs
+//     (NewCounter, NewHistogram, ...) and updates from its first
+//     operation; they are the owner's only accumulators, so there is no
+//     "observability off" state. A Registry only names them for
+//     exposition (Register).
 //   - Lock-free on the hot path. Counters, gauges, and histogram
 //     buckets are single atomic operations; the only mutex in the
 //     package guards registration and scraping, which are cold.
 //   - Deterministic output shape. Metric names render sorted, bucket
-//     bounds are fixed at registration, and float formatting is
+//     bounds are fixed at construction, and float formatting is
 //     canonical — two scrapes of identical counter states are
 //     byte-identical. (Values themselves are wall-clock derived; obs is
 //     the sanctioned time.Now consumer, see DESIGN.md §13.)
@@ -37,9 +37,10 @@ import (
 // ExpositionContentType is the Content-Type of WritePrometheus output.
 const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// metric is one registered instrument: a name for sorting/dup checks
-// and a renderer for the exposition.
-type metric interface {
+// Metric is one registrable instrument: a name for sorting/dup checks
+// and a renderer for the exposition. Only this package's instruments
+// implement it.
+type Metric interface {
 	metricName() string
 	writeExposition(w io.Writer) error
 }
@@ -53,33 +54,36 @@ type Registry struct {
 	mu sync.Mutex
 	// byName detects duplicates; ordered keeps metrics sorted by name so
 	// exposition order is deterministic without ranging over the map.
-	byName  map[string]metric
-	ordered []metric
+	byName  map[string]Metric
+	ordered []Metric
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]metric)}
+	return &Registry{byName: make(map[string]Metric)}
 }
 
-// register adds m, keeping ordered sorted by name.
-func (r *Registry) register(m metric) {
-	name := m.metricName()
-	if !validName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
+// Register adds the instruments to the exposition, keeping ordered
+// sorted by name.
+func (r *Registry) Register(ms ...Metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		panic(fmt.Sprintf("obs: duplicate metric name %q", name))
+	for _, m := range ms {
+		name := m.metricName()
+		if !validName(name) {
+			panic(fmt.Sprintf("obs: invalid metric name %q", name))
+		}
+		if _, dup := r.byName[name]; dup {
+			panic(fmt.Sprintf("obs: duplicate metric name %q", name))
+		}
+		r.byName[name] = m
+		i := sort.Search(len(r.ordered), func(i int) bool {
+			return r.ordered[i].metricName() >= name
+		})
+		r.ordered = append(r.ordered, nil)
+		copy(r.ordered[i+1:], r.ordered[i:])
+		r.ordered[i] = m
 	}
-	r.byName[name] = m
-	i := sort.Search(len(r.ordered), func(i int) bool {
-		return r.ordered[i].metricName() >= name
-	})
-	r.ordered = append(r.ordered, nil)
-	copy(r.ordered[i+1:], r.ordered[i:])
-	r.ordered[i] = m
 }
 
 // validName checks the Prometheus metric-name grammar
@@ -101,7 +105,7 @@ func validName(name string) bool {
 // format, sorted by metric name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	metrics := make([]metric, len(r.ordered))
+	metrics := make([]Metric, len(r.ordered))
 	copy(metrics, r.ordered)
 	r.mu.Unlock()
 	for _, m := range metrics {
@@ -120,51 +124,43 @@ func header(w io.Writer, name, help, typ string) error {
 	return err
 }
 
-// formatFloat renders a sample value canonically (shortest round-trip
-// form, matching strconv 'g' with -1 precision).
+// formatFloat renders a sample value canonically: shortest round-trip
+// form (strconv 'g' with -1 precision), except that integral values a
+// float64 holds exactly print in full — 'g' switches to an exponent at
+// 1e6, and a scrape-time counter must read like a Counter's %d.
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
 		return "+Inf"
 	case math.IsInf(v, -1):
 		return "-Inf"
+	case v == math.Trunc(v) && math.Abs(v) < 1<<53:
+		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // Counter is a monotonically increasing integer-valued counter. All
-// methods are safe for concurrent use and no-ops on a nil receiver.
+// methods are safe for concurrent use.
 type Counter struct {
 	name, help string
 	v          atomic.Uint64
 }
 
-// NewCounter registers and returns a counter. By Prometheus convention
-// counter names end in _total.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(c)
-	return c
+// NewCounter returns a counter. By Prometheus convention counter names
+// end in _total.
+func NewCounter(name, help string) *Counter {
+	return &Counter{name: name, help: help}
 }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (c *Counter) metricName() string { return c.name }
 
@@ -177,32 +173,22 @@ func (c *Counter) writeExposition(w io.Writer) error {
 }
 
 // Gauge is a float-valued instrument that can go up and down. All
-// methods are safe for concurrent use and no-ops on a nil receiver.
+// methods are safe for concurrent use.
 type Gauge struct {
 	name, help string
 	bits       atomic.Uint64 // math.Float64bits
 }
 
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
+// NewGauge returns a gauge.
+func NewGauge(name, help string) *Gauge {
+	return &Gauge{name: name, help: help}
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds d (atomically, via compare-and-swap).
 func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
@@ -211,13 +197,8 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *Gauge) metricName() string { return g.name }
 
@@ -237,17 +218,17 @@ type funcMetric struct {
 	read            func() float64
 }
 
-// NewCounterFunc registers a counter whose value is read at scrape
-// time. read must be monotonically non-decreasing and safe for
-// concurrent use.
-func (r *Registry) NewCounterFunc(name, help string, read func() float64) {
-	r.register(&funcMetric{name: name, help: help, typ: "counter", read: read})
+// NewCounterFunc returns a counter whose value is read at scrape time.
+// read must be monotonically non-decreasing and safe for concurrent
+// use.
+func NewCounterFunc(name, help string, read func() float64) Metric {
+	return &funcMetric{name: name, help: help, typ: "counter", read: read}
 }
 
-// NewGaugeFunc registers a gauge whose value is read at scrape time.
-// read must be safe for concurrent use.
-func (r *Registry) NewGaugeFunc(name, help string, read func() float64) {
-	r.register(&funcMetric{name: name, help: help, typ: "gauge", read: read})
+// NewGaugeFunc returns a gauge whose value is read at scrape time. read
+// must be safe for concurrent use.
+func NewGaugeFunc(name, help string, read func() float64) Metric {
+	return &funcMetric{name: name, help: help, typ: "gauge", read: read}
 }
 
 func (m *funcMetric) metricName() string { return m.name }
@@ -261,11 +242,11 @@ func (m *funcMetric) writeExposition(w io.Writer) error {
 }
 
 // Histogram is a fixed-bucket distribution. Bucket upper bounds are
-// frozen at registration (deterministic across restarts), observation
+// frozen at construction (deterministic across restarts), observation
 // is one binary search plus two atomic adds, and the rendered _count is
 // derived from the buckets themselves so a scrape can never show a
 // count that disagrees with its own bucket sums. All methods are safe
-// for concurrent use and no-ops on a nil receiver.
+// for concurrent use.
 type Histogram struct {
 	name, help string
 	// bounds are the ascending finite upper bounds; counts has one extra
@@ -276,10 +257,10 @@ type Histogram struct {
 	sumBits atomic.Uint64 // math.Float64bits of the observation sum
 }
 
-// NewHistogram registers and returns a histogram over the given
-// ascending, finite bucket upper bounds (the +Inf bucket is implicit).
-// Panics if bounds are empty or not strictly ascending.
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
+// NewHistogram returns a histogram over the given ascending, finite
+// bucket upper bounds (the +Inf bucket is implicit). Panics if bounds
+// are empty or not strictly ascending.
+func NewHistogram(name, help string, bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic(fmt.Sprintf("obs: histogram %q needs at least one bucket bound", name))
 	}
@@ -288,21 +269,16 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 			panic(fmt.Sprintf("obs: histogram %q bounds must be finite and strictly ascending", name))
 		}
 	}
-	h := &Histogram{
+	return &Histogram{
 		name:   name,
 		help:   help,
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	r.register(h)
-	return h
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	// First bound >= v is the tightest le bucket; past the last bound the
 	// sample lands in +Inf.
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
@@ -314,11 +290,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations (0 on nil).
+// Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
 	var total uint64
 	for i := range h.counts {
 		total += h.counts[i].Load()
@@ -326,13 +299,8 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
+// Sum returns the sum of observed values.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 func (h *Histogram) metricName() string { return h.name }
 
@@ -368,3 +336,14 @@ var LatencyBuckets = []float64{
 // SizeBuckets are the standard count bounds (batch sizes, queue
 // depths): powers of two through the ndserve batch cap.
 var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+
+// StoreMax raises a to v if v is larger — the lock-free running maximum
+// instrument owners keep beside a histogram, whose buckets cannot give
+// an exact maximum back.
+func StoreMax(a *atomic.Int64, v int64) {
+	for old := a.Load(); v > old; old = a.Load() {
+		if a.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}

@@ -2,14 +2,15 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestCounter(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("nd_test_total", "test counter")
+	c := NewCounter("nd_test_total", "test counter")
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
@@ -18,8 +19,7 @@ func TestCounter(t *testing.T) {
 }
 
 func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.NewGauge("nd_test_gauge", "test gauge")
+	g := NewGauge("nd_test_gauge", "test gauge")
 	g.Set(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
@@ -29,7 +29,8 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("nd_test_seconds", "test histogram", []float64{1, 2, 4})
+	h := NewHistogram("nd_test_seconds", "test histogram", []float64{1, 2, 4})
+	r.Register(h)
 	// Boundary sample lands in the le=bound bucket; past-last lands in +Inf.
 	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 4, 9} {
 		h.Observe(v)
@@ -59,17 +60,42 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestNilInstrumentsNoOp(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil instruments must read as zero")
+// TestFormatFloat pins the sample rendering: integral values print in
+// full (a scrape-time counter past 1e6 must read like a Counter's %d),
+// everything else — including the histogram le labels — keeps the
+// shortest round-trip form.
+func TestFormatFloat(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{0, "0"}, {7, "7"}, {-3, "-3"},
+		{999999, "999999"}, {1e6, "1000000"}, {2570123, "2570123"},
+		{1<<53 - 1, "9007199254740991"},
+		{1 << 53, "9.007199254740992e+15"}, {1e21, "1e+21"},
+		{5e-05, "5e-05"}, {0.00025, "0.00025"}, {2.5, "2.5"}, {10, "10"}, {4096, "4096"},
+		{1234567.5, "1.2345675e+06"},
+		{math.Inf(1), "+Inf"}, {math.Inf(-1), "-Inf"}, {math.NaN(), "NaN"},
+	} {
+		if got := formatFloat(tc.v); got != tc.want {
+			t.Errorf("formatFloat(%v) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+	// The standard bucket labels are unchanged by the integral rule.
+	for _, b := range append(append([]float64(nil), LatencyBuckets...), SizeBuckets...) {
+		if got, want := formatFloat(b), strconv.FormatFloat(b, 'g', -1, 64); got != want {
+			t.Errorf("bucket label %v renders %q, want %q", b, got, want)
+		}
+	}
+
+	r := NewRegistry()
+	r.Register(NewCounterFunc("nd_big_total", "b", func() float64 { return 2570123 }))
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "nd_big_total 2570123\n") {
+		t.Fatalf("scrape-time counter rendered with an exponent:\n%s", b.String())
 	}
 }
 
@@ -84,21 +110,23 @@ func TestRegistrationPanics(t *testing.T) {
 		f()
 	}
 	r := NewRegistry()
-	r.NewCounter("nd_dup_total", "first")
-	mustPanic("duplicate name", func() { r.NewCounter("nd_dup_total", "second") })
-	mustPanic("empty name", func() { r.NewCounter("", "x") })
-	mustPanic("bad char", func() { r.NewCounter("nd-dash", "x") })
-	mustPanic("leading digit", func() { r.NewCounter("9metric", "x") })
-	mustPanic("empty bounds", func() { r.NewHistogram("nd_h1", "x", nil) })
-	mustPanic("unordered bounds", func() { r.NewHistogram("nd_h2", "x", []float64{2, 1}) })
-	mustPanic("infinite bound", func() { r.NewHistogram("nd_h3", "x", []float64{1, math.Inf(1)}) })
+	r.Register(NewCounter("nd_dup_total", "first"))
+	mustPanic("duplicate name", func() { r.Register(NewCounter("nd_dup_total", "second")) })
+	mustPanic("empty name", func() { r.Register(NewCounter("", "x")) })
+	mustPanic("bad char", func() { r.Register(NewCounter("nd-dash", "x")) })
+	mustPanic("leading digit", func() { r.Register(NewCounter("9metric", "x")) })
+	mustPanic("empty bounds", func() { NewHistogram("nd_h1", "x", nil) })
+	mustPanic("unordered bounds", func() { NewHistogram("nd_h2", "x", []float64{2, 1}) })
+	mustPanic("infinite bound", func() { NewHistogram("nd_h3", "x", []float64{1, math.Inf(1)}) })
 }
 
 func TestExpositionSortedAndStable(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("nd_zeta_total", "z")
-	r.NewGauge("nd_alpha", "a")
-	r.NewGaugeFunc("nd_mid", "m", func() float64 { return 7 })
+	r.Register(
+		NewCounter("nd_zeta_total", "z"),
+		NewGauge("nd_alpha", "a"),
+		NewGaugeFunc("nd_mid", "m", func() float64 { return 7 }),
+	)
 	var b1, b2 strings.Builder
 	if err := r.WritePrometheus(&b1); err != nil {
 		t.Fatal(err)
@@ -122,9 +150,11 @@ func TestExpositionSortedAndStable(t *testing.T) {
 
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("nd_conc_total", "c")
-	g := r.NewGauge("nd_conc_gauge", "g")
-	h := r.NewHistogram("nd_conc_seconds", "h", LatencyBuckets)
+	c := NewCounter("nd_conc_total", "c")
+	g := NewGauge("nd_conc_gauge", "g")
+	h := NewHistogram("nd_conc_seconds", "h", LatencyBuckets)
+	r.Register(c, g, h)
+	var mx atomic.Int64
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -135,6 +165,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(1e-3)
+				StoreMax(&mx, int64(i))
 			}
 		}()
 	}
@@ -160,6 +191,9 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := h.Count(); got != workers*per {
 		t.Errorf("histogram count = %d, want %d", got, workers*per)
+	}
+	if got := mx.Load(); got != per-1 {
+		t.Errorf("StoreMax = %d, want %d", got, per-1)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // The load-vs-rebuild benchmarks quantify the warm-start win: Load
 // must beat Build by a wide margin, since that ratio is the whole point
 // of the subsystem (restart in file-I/O time instead of construction
-// time). BENCH_snapshot.json is the committed baseline.
+// time). Supporting evidence only: ndbench's traced pass reports
+// snapshot.load_ram_ms beside hnsw.build_s (bench/README.md).
 
 const (
 	benchN   = 2000

@@ -9,8 +9,9 @@ import (
 // The kernel microbenchmarks compare the scalar per-pair path
 // (vec.Distance over []float32 slices, norms recomputed every call)
 // against the Matrix/Kernel path (contiguous rows, precomputed norms,
-// 4-way unrolled loops, query preprocessed once). BENCH_kernels.json at
-// the repo root commits a run of these as the perf trajectory baseline.
+// 4-way unrolled loops, query preprocessed once). Supporting evidence
+// only: ndbench's traced pass reports vec.*_ns_per_dist at the served
+// shapes (bench/README.md).
 
 var benchSink float32
 
@@ -87,8 +88,8 @@ func BenchmarkDistRows(b *testing.B) {
 
 // BenchmarkQuantKernel compares the float32 kernel full scan against
 // the SQ8 code-space kernel over the same corpus: same metric switch
-// hoisting, 4x less memory traffic per row. BENCH_quant.json commits a
-// run of these next to the end-to-end numbers.
+// hoisting, a quarter of the vector bytes per row. ndbench reports the
+// served-shape pair as vec.l2_d128_ns_per_dist / vec.sq8_d128_ns_per_dist.
 func BenchmarkQuantKernel(b *testing.B) {
 	const rows = 1024
 	for _, m := range []Metric{L2, Angular, InnerProduct} {
