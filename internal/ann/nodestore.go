@@ -14,10 +14,10 @@ import (
 // node ID, with no commitment to where the bytes live. The in-RAM
 // implementation (KernelStore) reads the vec.Matrix/vec.SQ8 slices the
 // traversals used to touch directly; the paged implementation
-// (snapshot.OpenPaged) decodes node records out of page-aligned blocks
-// on demand. Both are bit-identical per the kernel layer's shared
-// accumulation contract, which is what lets every serving mode return
-// byte-identical results.
+// (snapshot.OpenPagedFile) scores node records where they lie, in
+// page-aligned blocks, without decoding them. Both are bit-identical
+// per the kernel layer's shared accumulation contract, which is what
+// lets every serving mode return byte-identical results.
 //
 // A NodeStore must be safe for concurrent searches.
 type NodeStore interface {
@@ -38,10 +38,11 @@ type NodeStore interface {
 	// node v.
 	Dist(q vec.PreparedQuery, v uint32) float32
 	// Dists is the batched traversal distance: out[i] = Dist(*q, ids[i])
-	// bit for bit, evaluated in ids order (a paged store touches its
-	// records in that order). len(out) must equal len(ids). It is what
-	// BeamSearch scores an expansion with — one interface call and one
-	// metric dispatch per expansion instead of per neighbour.
+	// bit for bit, evaluated in ids order (a paged store resolves the
+	// list's pages in that order, in one cache transaction, before it
+	// scores the records). len(out) must equal len(ids). It is what
+	// BeamSearch scores an expansion with — one interface call per
+	// expansion instead of per neighbour.
 	Dists(q *vec.PreparedQuery, ids []uint32, out []float32)
 	// DistExact returns the exact metric distance from a PrepareExact'd
 	// query to node v.

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"ndsearch/internal/hnsw"
@@ -99,5 +100,58 @@ func BenchmarkLoadVamana(b *testing.B) {
 		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPagedDists measures PagedStore.Dists — one expansion's worth
+// of ids resolved in one cache transaction and scored on the page — on
+// at-rest U8 rows (the sift shape), F32 rows and SQ8 code bytes, over
+// mmap with a cache of an eighth of the image so most look-ups fault.
+// It must report 0 allocs/op. Supporting evidence only: ndbench's
+// paged_batch is the scoreboard (bench/README.md).
+func BenchmarkPagedDists(b *testing.B) {
+	const dim, expansion = 128, 32
+	for _, c := range []struct {
+		name      string
+		kind      vec.ElemKind
+		quantized bool
+	}{{"u8", vec.U8, false}, {"f32", vec.F32, false}, {"sq8", vec.F32, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := benchHNSWConfig()
+			cfg.Quantized = c.quantized
+			idx, err := hnsw.Build(toKind(c.kind, testData(benchN, dim, 1)), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := savedSnapshot(b, idx, c.kind)
+			probe, err := OpenPagedFile(path, PagedOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pages := probe.Stats().TotalPages
+			probe.Close()
+			paged, err := OpenPagedFile(path, PagedOptions{CachePages: int((pages + 7) / 8)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer paged.Close()
+			st := paged.Store()
+			rng := rand.New(rand.NewSource(2))
+			lists := make([][]uint32, 256)
+			for i := range lists {
+				lists[i] = make([]uint32, expansion)
+				for j := range lists[i] {
+					lists[i][j] = uint32(rng.Intn(benchN))
+				}
+			}
+			q := st.Prepare(toKind(c.kind, testQueries(2, dim, 3))[1])
+			out := make([]float32, expansion)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Dists(&q, lists[i%len(lists)], out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*expansion), "ns/dist")
+		})
 	}
 }

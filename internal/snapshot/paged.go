@@ -23,10 +23,12 @@ import (
 // page-fault counters are backend-independent and comparable to the
 // searssd cost model's page-read predictions.
 //
-// Byte-identity with in-RAM serving holds because every distance goes
-// through the same matrix-free kernel paths (PreparedQuery.DistanceTo /
-// DistanceToCodes) that are bit-identical to the Kernel over a resident
-// Matrix, and records decode to exactly the bytes Save encoded.
+// Records are scored where they lie: every distance is one of vec's
+// at-rest kernels (PreparedQuery.DistanceToStored / DistanceToCodeBytes)
+// over the record's bytes in the cache page, never a decoded copy.
+// Byte-identity with in-RAM serving holds because those kernels share
+// the resident Kernel's accumulation order bit for bit, over exactly
+// the bytes Save encoded.
 
 // PagedOptions configures OpenPagedFile.
 type PagedOptions struct {
@@ -44,7 +46,9 @@ const DefaultCachePages = 256
 
 // PagedStats is a snapshot of a paged store's software counters.
 type PagedStats struct {
-	// Touches counts node-record accesses (one per page lookup).
+	// Touches counts node-record look-ups: one per id asked of the store
+	// (a Dist, Neighbors or Components call, or each id of a Dists call),
+	// however many of them one cache lock hold resolves.
 	Touches uint64
 	// Faults counts cache misses, i.e. page reads from the backend.
 	Faults uint64
@@ -61,6 +65,10 @@ type PagedStats struct {
 // pageBackend fetches one page of the node image by page index.
 type pageBackend interface {
 	readPage(i int64) ([]byte, error)
+	// blocking reports whether readPage performs I/O, as opposed to
+	// slicing memory already mapped: the cache drops its mutex around a
+	// blocking read and holds it across any other.
+	blocking() bool
 	Close() error
 }
 
@@ -75,6 +83,8 @@ func (b *mmapBackend) readPage(i int64) ([]byte, error) {
 	off := b.meta.imageOff + i*int64(b.meta.pageSize)
 	return b.data[off : off+int64(b.meta.pageSize)], nil
 }
+
+func (b *mmapBackend) blocking() bool { return false }
 
 func (b *mmapBackend) Close() error { return munmapFile(b.data) }
 
@@ -95,6 +105,8 @@ func (b *readatBackend) readPage(i int64) ([]byte, error) {
 	return buf, nil
 }
 
+func (b *readatBackend) blocking() bool { return true }
+
 func (b *readatBackend) Close() error { return nil }
 
 // pageCache is the bounded exact LRU of resident pages. For the readat
@@ -108,9 +120,10 @@ func (b *readatBackend) Close() error { return nil }
 // page of the image whatever the budget; the slot arrays grow with
 // occupancy up to cap.
 type pageCache struct {
-	mu   sync.Mutex
-	cap  int
-	slot []int32 // page → its index in the slot arrays, -1 when not resident
+	mu       sync.Mutex
+	cap      int
+	resident atomic.Int32 // len(page), written under mu, read without it
+	slot     []int32      // page → its index in the slot arrays, -1 when not resident
 
 	// Slot arrays, parallel: the resident page, its bytes, and its
 	// neighbours in recency order (-1 at either end).
@@ -165,23 +178,59 @@ func (c *pageCache) touch(i int32) {
 	}
 }
 
-func (c *pageCache) get(id int64) []byte {
+// resolve is the cache's one entry point: it looks up pages, in list
+// order, under a single lock acquisition and writes each page's bytes
+// to the matching out element. Per page it is an LRU get-then-fill: a
+// resident page moves to the front; a miss counts a fault, reads the
+// page from back and inserts it, evicting the least recently used; a
+// failed read counts an I/O error, leaves the cache alone and yields
+// nil. A list may name a page twice or be longer than the budget —
+// each entry sees the cache as the entries before it left it, exactly
+// as one call per page would.
+//
+// The lock hold is bookkeeping only: callers score the returned bytes
+// after it ends. A non-blocking backend (mmap) reads under the lock — a
+// subslice of the mapping; a blocking one (readat) is read with the
+// lock dropped, so a slow disk never stalls other searches' hits, and
+// insert re-checks residency on relock.
+func (c *pageCache) resolve(back pageBackend, pages []int64, out [][]byte) (faults, ioErrs uint64) {
+	blocking := back.blocking()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := c.slot[id]
-	if i < 0 {
-		return nil
+	for k, id := range pages {
+		if i := c.slot[id]; i >= 0 {
+			c.touch(i)
+			out[k] = c.buf[i]
+			continue
+		}
+		faults++
+		var buf []byte
+		var err error
+		if blocking {
+			c.mu.Unlock()
+			buf, err = back.readPage(id)
+			c.mu.Lock()
+		} else {
+			buf, err = back.readPage(id)
+		}
+		if err != nil {
+			ioErrs++
+			out[k] = nil
+			continue
+		}
+		out[k] = c.insert(id, buf)
 	}
-	c.touch(i)
-	return c.buf[i]
+	c.mu.Unlock()
+	return faults, ioErrs
 }
 
-func (c *pageCache) put(id int64, buf []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i := c.slot[id]; i >= 0 { // concurrent fill of the same page
+// insert makes page id resident with bytes buf as the most recently
+// used page and returns the resident bytes. If another search filled
+// the page while the lock was dropped for the read, the second fill
+// keeps the first buffer.
+func (c *pageCache) insert(id int64, buf []byte) []byte {
+	if i := c.slot[id]; i >= 0 {
 		c.touch(i)
-		return
+		return c.buf[i]
 	}
 	var i int32
 	if len(c.page) < c.cap {
@@ -190,6 +239,7 @@ func (c *pageCache) put(id int64, buf []byte) {
 		c.buf = append(c.buf, buf)
 		c.prev = append(c.prev, -1)
 		c.next = append(c.next, -1)
+		c.resident.Store(int32(len(c.page)))
 	} else {
 		// Full: the least recently used page gives up its slot. Its
 		// buffer is dropped, never recycled — readers may still hold it.
@@ -200,13 +250,11 @@ func (c *pageCache) put(id int64, buf []byte) {
 	}
 	c.slot[id] = i
 	c.pushFront(i)
+	return buf
 }
 
-func (c *pageCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.page)
-}
+// len returns the resident page count without taking the mutex.
+func (c *pageCache) len() int { return int(c.resident.Load()) }
 
 // PagedStore is the ann.NodeStore over a snapshot's blocks section.
 // Safe for concurrent searches; all mutable state is the cache (mutex)
@@ -224,9 +272,6 @@ type PagedStore struct {
 	faults  atomic.Uint64
 	ioErrs  atomic.Uint64
 
-	rowPool  sync.Pool // *vec.Vector, len dim
-	codePool sync.Pool // *[]int8, len dim
-
 	vecOff  int
 	vecEnd  int
 	zeroRec []byte // served in place of a record the backend failed to read
@@ -234,25 +279,57 @@ type PagedStore struct {
 
 var _ ann.NodeStore = (*PagedStore)(nil)
 
-// record returns node v's nodeLen-byte record, faulting its page into
-// the cache if needed. The slice aliases a cache page: valid until
-// Close (mmap) or indefinitely (readat buffers are never reused).
-func (s *PagedStore) record(v uint32) []byte {
-	s.touches.Add(1)
-	page := int64(v) / int64(s.meta.nodesPerPage)
-	buf := s.cache.get(page)
-	if buf == nil {
-		s.faults.Add(1)
-		b, err := s.back.readPage(page)
-		if err != nil {
-			s.ioErrs.Add(1)
-			return s.zeroRec
-		}
-		s.cache.put(page, b)
-		buf = b
+// resolveChunk bounds how many records one cache transaction resolves:
+// the record slices live in a fixed array on the caller's stack, and an
+// expansion (at most maxDegree ids) practically always fits in one.
+const resolveChunk = 64
+
+// records resolves the records of ids (at most resolveChunk of them)
+// into recs in one cache transaction: one lock hold, one add per
+// counter. Pages are touched in ids order, so touches, faults and
+// evictions fall exactly as one look-up per id would make them. Each
+// slice aliases a cache page — valid until Close (mmap) or indefinitely
+// (readat buffers are never reused) — or is the zero record where the
+// backend failed to read the page.
+func (s *PagedStore) records(ids []uint32, recs [][]byte) {
+	var pages [resolveChunk]int64
+	perPage := uint32(s.meta.nodesPerPage)
+	for i, v := range ids {
+		pages[i] = int64(v / perPage)
 	}
-	off := (int64(v) % int64(s.meta.nodesPerPage)) * int64(s.meta.nodeLen)
-	return buf[off : off+int64(s.meta.nodeLen)]
+	s.touches.Add(uint64(len(ids)))
+	faults, ioErrs := s.cache.resolve(s.back, pages[:len(ids)], recs)
+	if faults > 0 {
+		s.faults.Add(faults)
+	}
+	if ioErrs > 0 {
+		s.ioErrs.Add(ioErrs)
+	}
+	nodeLen := s.meta.nodeLen
+	for i, v := range ids {
+		if recs[i] == nil {
+			recs[i] = s.zeroRec
+			continue
+		}
+		off := int(v%perPage) * nodeLen
+		recs[i] = recs[i][off : off+nodeLen]
+	}
+}
+
+// record returns node v's nodeLen-byte record.
+func (s *PagedStore) record(v uint32) []byte {
+	var rec [1][]byte
+	s.records([]uint32{v}, rec[:])
+	return rec[0]
+}
+
+// score evaluates q against a record where it lies: the SQ8 code bytes
+// when codes is set, the at-rest row otherwise.
+func (s *PagedStore) score(q *vec.PreparedQuery, rec []byte, codes bool) float32 {
+	if codes {
+		return q.DistanceToCodeBytes(rec[s.vecEnd : s.vecEnd+s.meta.dim])
+	}
+	return q.DistanceToStored(s.elem, rec[s.vecOff:s.vecEnd])
 }
 
 // Len returns the node count.
@@ -287,48 +364,30 @@ func (s *PagedStore) PrepareExact(query vec.Vector) vec.PreparedQuery {
 
 // Dist evaluates the traversal distance to node v from its record.
 func (s *PagedStore) Dist(q vec.PreparedQuery, v uint32) float32 {
-	var d [1]float32
-	s.Dists(&q, []uint32{v}, d[:])
-	return d[0]
+	return s.score(&q, s.record(v), s.meta.quantized)
 }
 
-// Dists evaluates the traversal distances to ids from their records,
-// read in ids order (so touches and faults fall exactly as one Dist
-// call per id would make them) through one decode buffer.
+// Dists evaluates the traversal distances to ids from their records.
+// The whole list (each resolveChunk of it) is one cache transaction —
+// pages resolved in ids order, so touches and faults fall exactly as
+// one Dist call per id would make them — and the records are scored in
+// place after the cache lock is released, so concurrent searches on one
+// shard contend for bookkeeping only, never for the kernel.
 func (s *PagedStore) Dists(q *vec.PreparedQuery, ids []uint32, out []float32) {
-	if !s.meta.quantized {
-		s.distsExact(q, ids, out)
-		return
-	}
-	cp := s.codePool.Get().(*[]int8)
-	codes := *cp
-	for i, v := range ids {
-		rec := s.record(v)
-		for j, b := range rec[s.vecEnd : s.vecEnd+s.meta.dim] {
-			codes[j] = int8(b)
+	var recs [resolveChunk][]byte
+	for len(ids) > 0 {
+		n := min(len(ids), resolveChunk)
+		s.records(ids[:n], recs[:n])
+		for i, rec := range recs[:n] {
+			out[i] = s.score(q, rec, s.meta.quantized)
 		}
-		out[i] = q.DistanceToCodes(codes)
+		ids, out = ids[n:], out[n:]
 	}
-	s.codePool.Put(cp)
 }
 
 // DistExact evaluates the full-precision distance to node v.
 func (s *PagedStore) DistExact(q vec.PreparedQuery, v uint32) float32 {
-	var d [1]float32
-	s.distsExact(&q, []uint32{v}, d[:])
-	return d[0]
-}
-
-func (s *PagedStore) distsExact(q *vec.PreparedQuery, ids []uint32, out []float32) {
-	rp := s.rowPool.Get().(*vec.Vector)
-	row := *rp
-	for i, v := range ids {
-		// The record bytes were validated at save; DecodeInto cannot fail
-		// on a full-length slice of a known kind.
-		_ = vec.DecodeInto(s.elem, s.record(v)[s.vecOff:s.vecEnd], row)
-		out[i] = q.DistanceTo(row)
-	}
-	s.rowPool.Put(rp)
+	return s.score(&q, s.record(v), false)
 }
 
 // Neighbors copies node v's adjacency into buf. The image carries no
@@ -351,8 +410,8 @@ func (s *PagedStore) Neighbors(v uint32, buf []uint32) []uint32 {
 }
 
 // Components appends node v's traversal-representation components at
-// the listed dimensions: widened SQ8 codes when quantized, decoded
-// float32 row values otherwise.
+// the listed dimensions, reading only those from the record: widened
+// SQ8 codes when quantized, the at-rest row's float32 values otherwise.
 func (s *PagedStore) Components(v uint32, dims []int, buf []float32) []float32 {
 	rec := s.record(v)
 	buf = buf[:0]
@@ -363,17 +422,15 @@ func (s *PagedStore) Components(v uint32, dims []int, buf []float32) []float32 {
 		}
 		return buf
 	}
-	rp := s.rowPool.Get().(*vec.Vector)
-	row := *rp
-	_ = vec.DecodeInto(s.elem, rec[s.vecOff:s.vecEnd], row)
+	src := rec[s.vecOff:s.vecEnd]
 	for _, d := range dims {
-		buf = append(buf, row[d])
+		buf = append(buf, vec.DecodeAt(s.elem, src, d))
 	}
-	s.rowPool.Put(rp)
 	return buf
 }
 
-// Stats snapshots the software counters.
+// Stats snapshots the software counters. It takes no lock: all four
+// moving values are atomics.
 func (s *PagedStore) Stats() PagedStats {
 	return PagedStats{
 		Touches:       s.touches.Load(),
@@ -652,16 +709,6 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		vecEnd:  meta.codeOffset(h.Elem),
 		zeroRec: make([]byte, meta.nodeLen),
 	}
-	dim := meta.dim
-	store.rowPool.New = func() any {
-		row := make(vec.Vector, dim)
-		return &row
-	}
-	store.codePool.New = func() any {
-		codes := make([]int8, dim)
-		return &codes
-	}
-
 	idx, err := fam.reconstruct(h, f, store)
 	if err != nil {
 		back.Close()

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,125 +20,156 @@ func writeFileForTest(path string, data []byte) error {
 // order for deterministic subtest names.
 var pagedAlgos = []string{"hnsw", "diskann", "hcnng", "togg"}
 
-func savedSnapshot(t testing.TB, idx Index) string {
+func savedSnapshot(t testing.TB, idx Index, elem vec.ElemKind) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.ndss")
-	if _, err := SaveFile(path, idx, vec.F32); err != nil {
+	if _, err := SaveFile(path, idx, elem); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	return path
 }
 
+// atRestKinds are the element kinds a snapshot's rows can be stored in.
+var atRestKinds = []vec.ElemKind{vec.F32, vec.U8, vec.I8}
+
+// toKind maps testData/testQueries vectors (components in [-1, 1]) onto
+// values kind stores exactly, which Save insists on: whole numbers in
+// 0..200 for U8 and -100..100 for I8. F32 vectors are returned as they
+// are; zero vectors stay zero.
+func toKind(kind vec.ElemKind, vs []vec.Vector) []vec.Vector {
+	if kind == vec.F32 {
+		return vs
+	}
+	out := make([]vec.Vector, len(vs))
+	for i, v := range vs {
+		scaled := v.Clone()
+		for j, x := range scaled {
+			if scaled[j] = x * 100; kind == vec.U8 {
+				scaled[j] = float32(math.Abs(float64(x))) * 200
+			}
+		}
+		out[i] = vec.Quantize(kind, scaled)
+	}
+	return out
+}
+
 // The acceptance property: a paged (beyond-RAM) index returns results
 // byte-identical to the in-RAM load of the same snapshot, across all
 // four graph families, every metric each supports, full-precision and
-// quantized, multiple k, and both byte backends — with a cache far
-// smaller than the image so eviction is actually exercised.
+// quantized, every at-rest element kind, multiple k, and both byte
+// backends — with a cache far smaller than the image so eviction is
+// actually exercised.
 func TestPagedByteIdentity(t *testing.T) {
 	const n, dim = 260, 12
-	queries := testQueries(8, dim, 99)
 	for _, algo := range pagedAlgos {
 		for _, m := range metricsOf(algo) {
-			for _, quantized := range []bool{false, true} {
-				name := algo + "/" + m.String()
-				if quantized {
-					name += "/sq8"
-				}
-				t.Run(name, func(t *testing.T) {
-					var built Index
+			for _, kind := range atRestKinds {
+				for _, quantized := range []bool{false, true} {
+					name := algo + "/" + m.String() + "/" + kind.String()
 					if quantized {
-						built = buildQuantFamily(t, algo, m, testData(n, dim, 7), 24)
-					} else {
-						built = buildFamily(t, algo, m, testData(n, dim, 7))
+						name += "/sq8"
 					}
-					path := savedSnapshot(t, built)
-					ram, err := LoadFile(path)
-					if err != nil {
-						t.Fatalf("load: %v", err)
-					}
-					for _, backend := range []string{"mmap", "readat"} {
-						paged, err := OpenPagedFile(path, PagedOptions{Backend: backend, CachePages: 2})
+					t.Run(name, func(t *testing.T) {
+						queries := toKind(kind, testQueries(8, dim, 99))
+						data := toKind(kind, testData(n, dim, 7))
+						var built Index
+						if quantized {
+							built = buildQuantFamily(t, algo, m, data, 24)
+						} else {
+							built = buildFamily(t, algo, m, data)
+						}
+						path := savedSnapshot(t, built, kind)
+						ram, err := LoadFile(path)
 						if err != nil {
-							t.Fatalf("open paged (%s): %v", backend, err)
+							t.Fatalf("load: %v", err)
 						}
-						defer paged.Close()
-						if !mmapSupported && backend == "mmap" && paged.Backend() != "readat" {
-							t.Fatalf("mmap unsupported but backend = %q", paged.Backend())
-						}
-						for _, q := range queries {
-							for _, k := range []int{1, 5, 17, n + 50} {
-								requireSameResults(t, name+"/"+backend,
-									paged.Search(q, k), ram.Search(q, k))
+						for _, backend := range []string{"mmap", "readat"} {
+							paged, err := OpenPagedFile(path, PagedOptions{Backend: backend, CachePages: 2})
+							if err != nil {
+								t.Fatalf("open paged (%s): %v", backend, err)
+							}
+							defer paged.Close()
+							if !mmapSupported && backend == "mmap" && paged.Backend() != "readat" {
+								t.Fatalf("mmap unsupported but backend = %q", paged.Backend())
+							}
+							for _, q := range queries {
+								for _, k := range []int{1, 5, 17, n + 50} {
+									requireSameResults(t, name+"/"+backend,
+										paged.Search(q, k), ram.Search(q, k))
+								}
+							}
+							st := paged.Stats()
+							if st.Touches == 0 || st.Faults == 0 {
+								t.Errorf("%s: counters not advancing: %+v", backend, st)
+							}
+							if st.ResidentPages > st.CachePages {
+								t.Errorf("%s: resident %d exceeds cache budget %d", backend, st.ResidentPages, st.CachePages)
+							}
+							if st.IOErrors != 0 {
+								t.Errorf("%s: %d I/O errors", backend, st.IOErrors)
 							}
 						}
-						st := paged.Stats()
-						if st.Touches == 0 || st.Faults == 0 {
-							t.Errorf("%s: counters not advancing: %+v", backend, st)
-						}
-						if st.ResidentPages > st.CachePages {
-							t.Errorf("%s: resident %d exceeds cache budget %d", backend, st.ResidentPages, st.CachePages)
-						}
-						if st.IOErrors != 0 {
-							t.Errorf("%s: %d I/O errors", backend, st.IOErrors)
-						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}
 }
 
 // Concurrent searches over one paged store stay byte-identical to the
-// RAM index — the test the CI race pass runs with -race to check the
-// page cache's locking.
+// RAM index on both backends — the test the CI race pass runs with
+// -race to check the page cache's locking, the readat backend's
+// unlocked read window included.
 func TestPagedConcurrentSearches(t *testing.T) {
 	const n, dim, workers = 200, 10, 8
 	built := buildQuantFamily(t, "hnsw", vec.L2, testData(n, dim, 5), 16)
-	path := savedSnapshot(t, built)
+	path := savedSnapshot(t, built, vec.F32)
 	ram, err := LoadFile(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	paged, err := OpenPagedFile(path, PagedOptions{CachePages: 2})
-	if err != nil {
-		t.Fatalf("open paged: %v", err)
-	}
-	defer paged.Close()
 	queries := testQueries(24, dim, 77)
 	want := make([][]ann.Neighbor, len(queries))
 	for i, q := range queries {
 		want[i] = ram.Search(q, 9)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep := 0; rep < 4; rep++ {
-				for i, q := range queries {
-					got := paged.Search(q, 9)
-					if len(got) != len(want[i]) {
-						t.Errorf("worker %d query %d: %d results, want %d", w, i, len(got), len(want[i]))
-						return
-					}
-					for j := range got {
-						if got[j] != want[i][j] {
-							t.Errorf("worker %d query %d rank %d: %+v, want %+v", w, i, j, got[j], want[i][j])
+	for _, backend := range []string{"mmap", "readat"} {
+		paged, err := OpenPagedFile(path, PagedOptions{Backend: backend, CachePages: 2})
+		if err != nil {
+			t.Fatalf("open paged (%s): %v", backend, err)
+		}
+		defer paged.Close()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for rep := 0; rep < 4; rep++ {
+					for i, q := range queries {
+						got := paged.Search(q, 9)
+						if len(got) != len(want[i]) {
+							t.Errorf("%s worker %d query %d: %d results, want %d", backend, w, i, len(got), len(want[i]))
 							return
+						}
+						for j := range got {
+							if got[j] != want[i][j] {
+								t.Errorf("%s worker %d query %d rank %d: %+v, want %+v", backend, w, i, j, got[j], want[i][j])
+								return
+							}
 						}
 					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // A paged index cannot be re-saved (its corpus lives in blocks it does
 // not own); Save must say so instead of panicking on nil internals.
 func TestPagedIndexResaveRejected(t *testing.T) {
 	built := buildFamily(t, "hnsw", vec.L2, testData(120, 8, 3))
-	path := savedSnapshot(t, built)
+	path := savedSnapshot(t, built, vec.F32)
 	paged, err := OpenPagedFile(path, PagedOptions{})
 	if err != nil {
 		t.Fatalf("open paged: %v", err)
@@ -152,7 +184,7 @@ func TestPagedIndexResaveRejected(t *testing.T) {
 // with a clear error rather than a structural parse failure.
 func TestPagedOpenRejectsFlatFamilies(t *testing.T) {
 	built := buildFamily(t, "exact", vec.L2, testData(60, 8, 3))
-	path := savedSnapshot(t, built)
+	path := savedSnapshot(t, built, vec.F32)
 	if _, err := OpenPagedFile(path, PagedOptions{}); err == nil {
 		t.Fatalf("paged open of an exact snapshot succeeded")
 	}

@@ -152,15 +152,7 @@ func TestQuantizedElemKinds(t *testing.T) {
 	raw := testData(n, dim, 5)
 	for _, kind := range []vec.ElemKind{vec.U8, vec.I8} {
 		t.Run(kind.String(), func(t *testing.T) {
-			data := make([]vec.Vector, n)
-			for i, v := range raw {
-				scaled := v.Clone()
-				for j := range scaled {
-					scaled[j] *= 100
-				}
-				data[i] = vec.Quantize(kind, scaled)
-			}
-			built := buildFamily(t, "hnsw", vec.L2, data)
+			built := buildFamily(t, "hnsw", vec.L2, toKind(kind, raw))
 			var buf bytes.Buffer
 			if err := Save(&buf, built, kind); err != nil {
 				t.Fatalf("save quantized as %v: %v", kind, err)

@@ -49,9 +49,9 @@ func Decode(k ElemKind, dim int, src []byte) (Vector, error) {
 }
 
 // DecodeInto decodes len(out) components of element kind k from src
-// into out — the allocation-free path paged stores run per distance
-// evaluation, decoding node records into pooled buffers. Semantics are
-// identical to Decode.
+// into out without allocating. Semantics are identical to Decode; the
+// at-rest kernels (stored.go) score the same bytes without decoding and
+// are bit-identical to scoring the row this writes.
 func DecodeInto(k ElemKind, src []byte, out Vector) error {
 	dim := len(out)
 	need := StoredBytes(k, dim)
@@ -61,7 +61,7 @@ func DecodeInto(k ElemKind, src []byte, out Vector) error {
 	switch k {
 	case F32:
 		for i := range out {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+			out[i] = f32le(src[4*i:])
 		}
 	case U8:
 		for i := range out {
@@ -76,6 +76,23 @@ func DecodeInto(k ElemKind, src []byte, out Vector) error {
 	}
 	return nil
 }
+
+// DecodeAt returns component d of a vector stored with element kind k:
+// DecodeInto's value for that one component.
+func DecodeAt(k ElemKind, src []byte, d int) float32 {
+	switch k {
+	case F32:
+		return f32le(src[4*d:])
+	case U8:
+		return u8f32[src[d]]
+	case I8:
+		return s8f32[src[d]]
+	default:
+		panic(fmt.Sprintf("vec: unknown element kind %d", k))
+	}
+}
+
+func f32le(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
 
 func clamp(x, lo, hi float32) float32 {
 	if x < lo {

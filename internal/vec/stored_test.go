@@ -1,0 +1,135 @@
+package vec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// storedRow draws a row representable in kind k (random, or all zero)
+// and returns its at-rest bytes.
+func storedRow(t testing.TB, rng *rand.Rand, k ElemKind, dim int, zero bool) []byte {
+	t.Helper()
+	row := make(Vector, dim)
+	if !zero {
+		for i := range row {
+			switch k {
+			case U8:
+				row[i] = float32(rng.Intn(256))
+			case I8:
+				row[i] = float32(rng.Intn(256) - 128)
+			default:
+				row[i] = float32(rng.NormFloat64() * 37)
+			}
+		}
+	}
+	src := make([]byte, StoredBytes(k, dim))
+	if _, err := Encode(k, row, src); err != nil {
+		t.Fatalf("encode %v: %v", k, err)
+	}
+	return src
+}
+
+var storedDims = []int{0, 1, 3, 4, 5, 12, 100, 128, 131}
+
+// The at-rest kernels are the decode-then-score path bit for bit: for
+// every metric, element kind and dimension (multiples of the unroll
+// width and not), on random and all-zero rows and queries,
+// DistanceToStored equals DecodeInto + DistanceTo by Float32bits, and
+// DecodeAt reads what DecodeInto writes.
+func TestDistanceToStoredMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, m := range []Metric{L2, Angular, InnerProduct} {
+		for _, k := range []ElemKind{F32, U8, I8} {
+			for _, dim := range storedDims {
+				t.Run(fmt.Sprintf("%v/%v/d%d", m, k, dim), func(t *testing.T) {
+					queries := []PreparedQuery{
+						PrepareQuery(m, randVec(rng, dim)),
+						PrepareQuery(m, make(Vector, dim)),
+					}
+					for trial := 0; trial < 6; trial++ {
+						src := storedRow(t, rng, k, dim, trial == 0)
+						row := make(Vector, dim)
+						if err := DecodeInto(k, src, row); err != nil {
+							t.Fatal(err)
+						}
+						for d := range row {
+							if got := DecodeAt(k, src, d); math.Float32bits(got) != math.Float32bits(row[d]) {
+								t.Fatalf("DecodeAt(%d) = %v, DecodeInto = %v", d, got, row[d])
+							}
+						}
+						for qi := range queries {
+							q := &queries[qi]
+							got, want := q.DistanceToStored(k, src), q.DistanceTo(row)
+							if math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("trial %d query %d: at rest %v (%08x), decoded %v (%08x)",
+									trial, qi, got, math.Float32bits(got), want, math.Float32bits(want))
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// The code-bytes kernel is DistanceToCodes bit for bit, including the
+// Angular code norm computed on the fly.
+func TestDistanceToCodeBytesMatchesCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, m := range []Metric{L2, Angular, InnerProduct} {
+		for _, dim := range storedDims {
+			t.Run(fmt.Sprintf("%v/d%d", m, dim), func(t *testing.T) {
+				scales := make([]float32, dim)
+				for i := range scales {
+					scales[i] = 1.0 / 127
+				}
+				queries := []PreparedQuery{
+					PrepareQuantized(m, randVec(rng, dim), scales),
+					PrepareQuantized(m, make(Vector, dim), scales),
+				}
+				for trial := 0; trial < 6; trial++ {
+					codes, src := make([]int8, dim), make([]byte, dim)
+					if trial > 0 {
+						for i := range codes {
+							codes[i] = int8(rng.Intn(255) - 127)
+							src[i] = byte(codes[i])
+						}
+					}
+					for qi := range queries {
+						q := &queries[qi]
+						got, want := q.DistanceToCodeBytes(src), q.DistanceToCodes(codes)
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("trial %d query %d: code bytes %v, codes %v", trial, qi, got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// A record of the wrong length panics, like every other kernel entry.
+func TestStoredKernelsPanicOnDimMismatch(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	q := PrepareQuantized(L2, make(Vector, 8), make([]float32, 8))
+	for _, k := range []ElemKind{F32, U8, I8} {
+		for _, n := range []int{StoredBytes(k, 7), StoredBytes(k, 9)} {
+			mustPanic(fmt.Sprintf("%v/%d bytes", k, n), func() { q.DistanceToStored(k, make([]byte, n)) })
+		}
+	}
+	mustPanic("unknown kind", func() { q.DistanceToStored(ElemKind(9), make([]byte, 8)) })
+	mustPanic("codes/7", func() { q.DistanceToCodeBytes(make([]byte, 7)) })
+	mustPanic("codes/9", func() { q.DistanceToCodeBytes(make([]byte, 9)) })
+	plain := PrepareQuery(L2, make(Vector, 8))
+	mustPanic("no codes", func() { plain.DistanceToCodeBytes(make([]byte, 8)) })
+}
