@@ -298,21 +298,14 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if mode == ServeRAM {
-				idx, err := loadShard(loadDir, man, i)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				shards[i] = shard{index: idx, base: uint32(man.Bounds[i])}
-				return
-			}
-			pi, idx, err := openShardPaged(loadDir, man, i, mode, opts.CachePages)
+			pi, idx, err := openShard(loadDir, man, i, mode, opts.CachePages)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			paged[i] = pi
+			if paged != nil {
+				paged[i] = pi
+			}
 			shards[i] = shard{index: idx, base: uint32(man.Bounds[i])}
 		}(i)
 	}
@@ -436,67 +429,66 @@ func checkShard(man *Manifest, i int, algo string, rows, dim int, quantized bool
 	return nil
 }
 
-// loadShard reads, checksum-verifies, and decodes one shard file,
-// asserting the result serves the ann.Index interface shards require.
-func loadShard(dir string, man *Manifest, i int) (ann.Index, error) {
+// openShard opens shard i of the manifest in the given serving mode and
+// cross-checks the manifest's claims against what its CRC-guarded file
+// holds. The modes differ only in how the bytes arrive. ServeRAM reads
+// the whole file, verifies the manifest's whole-file CRC, and decodes it
+// with snapshot.Load. The paged modes open it with
+// snapshot.OpenPagedFile, which walks the same sections but skips both
+// the whole-file CRC and the blocks payload's: reading the block image
+// up front is what paged serving exists to avoid, so serve-time record
+// damage is handled defensively by the paged store. The returned
+// PagedIndex is nil in ServeRAM.
+func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (*snapshot.PagedIndex, ann.Index, error) {
 	f := man.Files[i]
 	path := filepath.Join(dir, f.Name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("engine: load shard %d: %w", i, err)
-	}
-	if got := crc32.ChecksumIEEE(data); got != f.CRC32 {
-		return nil, fmt.Errorf("engine: load shard %d (%s): %w: file CRC %08x, manifest says %08x",
-			i, f.Name, snapshot.ErrChecksum, got, f.CRC32)
-	}
-	idx, err := snapshot.Load(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
+	var (
+		pi        *snapshot.PagedIndex
+		idx       snapshot.Index
+		dim       int
+		quantized bool
+		err       error
+	)
+	if mode == ServeRAM {
+		var data []byte
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, nil, fmt.Errorf("engine: load shard %d: %w", i, err)
+		}
+		if got := crc32.ChecksumIEEE(data); got != f.CRC32 {
+			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w: file CRC %08x, manifest says %08x",
+				i, f.Name, snapshot.ErrChecksum, got, f.CRC32)
+		}
+		if idx, err = snapshot.Load(bytes.NewReader(data)); err != nil {
+			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
+		}
+		mx, ok := idx.(interface{ Matrix() *vec.Matrix })
+		if !ok {
+			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %T exposes no corpus matrix", i, f.Name, idx)
+		}
+		mat := mx.Matrix()
+		dim, quantized = mat.Dim(), mat.SQ8() != nil
+	} else {
+		if pi, err = snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: mode, CachePages: cachePages}); err != nil {
+			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
+		}
+		// The blocks meta's quantized bit (paired with the sq8s section)
+		// is what the opener folded into the header.
+		idx = pi.Index()
+		dim, quantized = pi.Header().Dim, pi.Header().Quantized
 	}
 	ai, ok := idx.(ann.Index)
 	if !ok {
-		return nil, fmt.Errorf("engine: load shard %d (%s): %T does not implement ann.Index", i, f.Name, idx)
-	}
-	// An index type Detect cannot name yields "", which no manifest
-	// algo matches, so checkShard reports it.
-	algo, _ := snapshot.Detect(ai)
-	mx, ok := ai.(interface{ Matrix() *vec.Matrix })
-	if !ok {
-		return nil, fmt.Errorf("engine: load shard %d (%s): %T exposes no corpus matrix", i, f.Name, idx)
-	}
-	mat := mx.Matrix()
-	if err := checkShard(man, i, algo, ai.Len(), mat.Dim(), mat.SQ8() != nil); err != nil {
-		return nil, err
-	}
-	return ai, nil
-}
-
-// openShardPaged opens one shard file for paged serving and cross-checks
-// the manifest's claims against it. The whole-file CRC the RAM path
-// verifies is deliberately skipped here — reading the multi-gigabyte
-// block image up front is exactly what paged serving exists to avoid;
-// instead every resident navigation section is CRC-checked individually
-// and the blocks meta is self-checksummed (snapshot.OpenPagedFile), with
-// serve-time record damage handled defensively by the paged store.
-func openShardPaged(dir string, man *Manifest, i int, backend string, cachePages int) (*snapshot.PagedIndex, ann.Index, error) {
-	f := man.Files[i]
-	pi, err := snapshot.OpenPagedFile(filepath.Join(dir, f.Name), snapshot.PagedOptions{
-		Backend: backend, CachePages: cachePages,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
-	}
-	ai, ok := pi.Index().(ann.Index)
-	if !ok {
-		err = fmt.Errorf("engine: load shard %d (%s): %T does not implement ann.Index", i, f.Name, pi.Index())
+		err = fmt.Errorf("engine: load shard %d (%s): %T does not implement ann.Index", i, f.Name, idx)
 	} else {
-		// The blocks meta's quantized bit (paired with the sq8s section)
-		// is what the opener folded into the header.
-		h := pi.Header()
-		err = checkShard(man, i, pi.Algo(), ai.Len(), h.Dim, h.Quantized)
+		// An index type Detect cannot name yields "", which no manifest
+		// algo matches, so checkShard reports it.
+		algo, _ := snapshot.Detect(idx)
+		err = checkShard(man, i, algo, ai.Len(), dim, quantized)
 	}
 	if err != nil {
-		_ = pi.Close()
+		if pi != nil {
+			_ = pi.Close()
+		}
 		return nil, nil, err
 	}
 	return pi, ai, nil

@@ -118,9 +118,73 @@ func (m blockMeta) encodeTo(e *enc) {
 	e.u32(crc32.ChecksumIEEE(e.b[start : start+blockMetaSize-4]))
 }
 
-// parseBlockMeta decodes and CRC-checks a 45-byte meta buffer. It is
-// shared by the RAM loader (payload head) and the paged opener (a small
-// ReadAt). Geometry is validated against the header separately.
+// blocksSection is a walked blocks section: its meta, and where its
+// payload sits in the file with the frame CRC that covers it.
+type blocksSection struct {
+	meta     blockMeta
+	off, len int64  // payload offset and length
+	crc      uint32 // CRC32-IEEE of "blocks" ++ payload, checked by Load only
+}
+
+// readBlocksSection reads the meta at the head of a blocks payload of n
+// bytes at off and checks the frame geometry: meta, alignment padding
+// shorter than a page, then the image filling the payload exactly. The
+// meta's agreement with the header is prepareBlocks' job.
+func readBlocksSection(src source, off, n int64, crc uint32) (*blocksSection, error) {
+	head, err := src.at(off, int(min(n, blockMetaSize)))
+	if err != nil {
+		return nil, err
+	}
+	m, err := parseBlockMeta(head)
+	if err != nil {
+		return nil, err
+	}
+	pad := m.imageOff - off - blockMetaSize
+	if pad < 0 || (m.pageSize > 0 && pad >= int64(m.pageSize)) {
+		return nil, fmt.Errorf("%w: image offset %d does not follow the blocks meta at %d", ErrCorrupt, m.imageOff, off)
+	}
+	if want := blockMetaSize + pad + m.imageLen; n != want {
+		if n < want {
+			return nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrTruncated, n, want)
+		}
+		return nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrCorrupt, n, want)
+	}
+	return &blocksSection{meta: m, off: off, len: n, crc: crc}, nil
+}
+
+// prepareBlocks is what both serving paths check before a graph family's
+// node records are read, by Load (decodeBlocks) or served from the file
+// (OpenPagedFile): the file is version 3 and has a blocks section, its
+// meta agrees with the header, and an "sq8s" section is present exactly
+// when the records carry SQ8 codes. It sets the header's Quantized and
+// Rerank fields and returns the meta and the SQ8 scales (nil unless
+// quantized).
+func (f *file) prepareBlocks() (blockMeta, []float32, error) {
+	h := &f.header
+	if h.Version < 3 {
+		return blockMeta{}, nil, fmt.Errorf("%w: file version %d predates the version-3 blocks layout; re-save to version %d",
+			ErrCorrupt, h.Version, FormatVersion)
+	}
+	if f.blocks == nil {
+		return blockMeta{}, nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, "blocks")
+	}
+	m := f.blocks.meta
+	if err := m.validate(*h); err != nil {
+		return blockMeta{}, nil, err
+	}
+	rerank, scales, hasScales, err := readSQ8Scales(f, *h)
+	if err != nil {
+		return blockMeta{}, nil, err
+	}
+	if hasScales != m.quantized {
+		return blockMeta{}, nil, fmt.Errorf("%w: blocks quantized=%v but sq8s section present=%v", ErrCorrupt, m.quantized, hasScales)
+	}
+	h.Quantized, h.Rerank = m.quantized, rerank
+	return m, scales, nil
+}
+
+// parseBlockMeta decodes and CRC-checks a 45-byte meta buffer.
+// Geometry is validated against the header separately.
 func parseBlockMeta(buf []byte) (blockMeta, error) {
 	var m blockMeta
 	if len(buf) < blockMetaSize {
@@ -186,8 +250,9 @@ func (m blockMeta) validate(h Header) error {
 }
 
 // encodeRowChecked writes row into dst in the at-rest element encoding,
-// rejecting any component not exactly representable (same contract as
-// encodeMatrix: a reload must never silently change distances).
+// rejecting any component not exactly representable: a reload must
+// never silently change distances. Both corpus writers (the blocks
+// records and the flat "matrix" section) encode through it.
 func encodeRowChecked(elem vec.ElemKind, i int, row vec.Vector, dst []byte) error {
 	if _, err := vec.Encode(elem, row, dst); err != nil {
 		return err
@@ -291,37 +356,25 @@ func putU32(b []byte, v uint32) {
 }
 
 // decodeBlocks reconstructs the corpus matrix (SQ8 tier attached) and
-// base adjacency from a parsed version-3 file's "blocks" (and "sq8s")
-// sections, for the in-RAM serving path. It sets the header's
-// Quantized/Rerank fields, mirroring what the v1/v2 path does with
-// "matrix" + "sq8". Reconstruction is byte-identical to the saved
-// index: rows decode through vec.Decode into a fresh vec.NewMatrix
-// (norms recomputed with the build's accumulation), neighbor order is
-// preserved, and SQ8FromParts recomputes code norms exactly.
-func decodeBlocks(f *file) (*vec.Matrix, *graph.Graph, error) {
-	payload, err := f.section("blocks")
+// base adjacency of a walked version-3 graph file whose bytes are data,
+// for the in-RAM serving path. Beyond prepareBlocks it does what only
+// this path does: checksum the whole blocks payload and check its
+// padding is zero, then decode every record. Reconstruction is
+// byte-identical to the saved index: rows decode through vec.Decode into
+// a fresh vec.NewMatrix (norms recomputed with the build's
+// accumulation), neighbor order is preserved, and SQ8FromParts
+// recomputes code norms exactly.
+func decodeBlocks(f *file, data image) (*vec.Matrix, *graph.Graph, error) {
+	m, scales, err := f.prepareBlocks()
 	if err != nil {
 		return nil, nil, err
 	}
-	h := f.header
-	m, err := parseBlockMeta(payload)
-	if err != nil {
-		return nil, nil, err
+	h, b := f.header, f.blocks
+	payload := data[b.off : b.off+b.len]
+	if crc := sectionCRC("blocks", payload); crc != b.crc {
+		return nil, nil, fmt.Errorf("%w: section %q CRC %08x, computed %08x", ErrChecksum, "blocks", b.crc, crc)
 	}
-	if err := m.validate(h); err != nil {
-		return nil, nil, err
-	}
-	payloadOff := int64(f.offsets["blocks"])
-	pad := m.imageOff - payloadOff - blockMetaSize
-	if pad < 0 || pad >= int64(m.pageSize) {
-		return nil, nil, fmt.Errorf("%w: image offset %d does not follow the blocks meta at %d", ErrCorrupt, m.imageOff, payloadOff)
-	}
-	if want := blockMetaSize + pad + m.imageLen; int64(len(payload)) != want {
-		if int64(len(payload)) < want {
-			return nil, nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrTruncated, len(payload), want)
-		}
-		return nil, nil, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrCorrupt, len(payload), want)
-	}
+	pad := m.imageOff - b.off - blockMetaSize
 	for _, pb := range payload[blockMetaSize : blockMetaSize+pad] {
 		if pb != 0 {
 			return nil, nil, fmt.Errorf("%w: nonzero blocks alignment padding", ErrCorrupt)
@@ -366,14 +419,6 @@ func decodeBlocks(f *file) (*vec.Matrix, *graph.Graph, error) {
 		}
 	}
 	mat := vec.NewMatrix(rows)
-
-	rerank, scales, hasScales, err := readSQ8Scales(f, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	if hasScales != m.quantized {
-		return nil, nil, fmt.Errorf("%w: blocks quantized=%v but sq8s section present=%v", ErrCorrupt, m.quantized, hasScales)
-	}
 	if m.quantized {
 		sq, err := vec.SQ8FromParts(m.dim, m.n, scales, codes)
 		if err != nil {
@@ -382,12 +427,14 @@ func decodeBlocks(f *file) (*vec.Matrix, *graph.Graph, error) {
 		if err := mat.AttachSQ8(sq); err != nil {
 			return nil, nil, corrupt(err)
 		}
-		f.header.Quantized = true
-		f.header.Rerank = rerank
 	}
 	return mat, g, nil
 }
 
 func getU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+func getU64(b []byte) uint64 {
+	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }

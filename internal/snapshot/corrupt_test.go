@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ndsearch/internal/vec"
@@ -34,7 +35,10 @@ func loadBytes(t *testing.T, label string, data []byte) (idx Index, err error) {
 
 // The corruption table: truncated file, flipped byte, wrong magic, and
 // future format version each produce their own typed error, for every
-// index family.
+// index family. Frame-level damage is caught by the one walker both
+// entry points share, before it matters which family or serving mode
+// the file is for, so Load and OpenPagedFile must report the same
+// sentinel for it.
 func TestCorruptionTypedErrors(t *testing.T) {
 	for _, algo := range Algos() {
 		t.Run(algo, func(t *testing.T) {
@@ -42,30 +46,37 @@ func TestCorruptionTypedErrors(t *testing.T) {
 			if _, err := loadBytes(t, "pristine", good); err != nil {
 				t.Fatalf("pristine snapshot failed to load: %v", err)
 			}
+			check := func(label string, img []byte, want error) {
+				t.Helper()
+				if _, err := loadBytes(t, label, img); !errors.Is(err, want) {
+					t.Errorf("%s: Load err = %v, want %v", label, err, want)
+				}
+				pi, err := openPagedBytes(t, label, img)
+				if err == nil {
+					pi.Close()
+				}
+				if !errors.Is(err, want) {
+					t.Errorf("%s: OpenPagedFile err = %v, want %v", label, err, want)
+				}
+			}
 
 			// Wrong magic.
 			bad := append([]byte(nil), good...)
 			bad[0] = 'X'
-			if _, err := loadBytes(t, "magic", bad); !errors.Is(err, ErrBadMagic) {
-				t.Errorf("wrong magic: err = %v, want ErrBadMagic", err)
-			}
+			check("wrong magic", bad, ErrBadMagic)
 
 			// Future format version (checked before the header CRC, so a
 			// genuinely newer file reports its version rather than a
 			// checksum failure).
 			bad = append([]byte(nil), good...)
 			binary.LittleEndian.PutUint16(bad[4:6], FormatVersion+1)
-			if _, err := loadBytes(t, "version", bad); !errors.Is(err, ErrVersion) {
-				t.Errorf("future version: err = %v, want ErrVersion", err)
-			}
+			check("future version", bad, ErrVersion)
 
 			// Truncations at every structural boundary class: inside the
 			// magic, inside the header, at the first section frame, mid
 			// payload, and just before the terminator.
 			for _, cut := range []int{0, 3, 10, headerSize, headerSize + 3, len(good) / 2, len(good) - 1} {
-				if _, err := loadBytes(t, "truncate", good[:cut]); !errors.Is(err, ErrTruncated) {
-					t.Errorf("truncated at %d: err = %v, want ErrTruncated", cut, err)
-				}
+				check(fmt.Sprintf("truncated at %d", cut), good[:cut], ErrTruncated)
 			}
 
 			// Flipped byte in a section payload (the first byte of the
@@ -73,10 +84,9 @@ func TestCorruptionTypedErrors(t *testing.T) {
 			algoPayload := headerSize + 1 + len("algo") + 8 + 4
 			bad = append([]byte(nil), good...)
 			bad[algoPayload] ^= 0xFF
-			if _, err := loadBytes(t, "flip", bad); !errors.Is(err, ErrChecksum) {
-				t.Errorf("flipped algo payload byte: err = %v, want ErrChecksum", err)
-			}
-			// And deep in the file (structure payloads).
+			check("flipped algo payload byte", bad, ErrChecksum)
+			// And deep in the file (structure payloads). For a graph
+			// family that is the node image, which only Load checksums.
 			bad = append([]byte(nil), good...)
 			bad[len(bad)*3/4] ^= 0x40
 			if _, err := loadBytes(t, "flip deep", bad); !errors.Is(err, ErrChecksum) {
@@ -86,9 +96,7 @@ func TestCorruptionTypedErrors(t *testing.T) {
 			// catches it.
 			bad = append([]byte(nil), good...)
 			bad[8] ^= 0xFF // low byte of dim
-			if _, err := loadBytes(t, "flip header", bad); !errors.Is(err, ErrChecksum) {
-				t.Errorf("flipped header byte: err = %v, want ErrChecksum", err)
-			}
+			check("flipped header byte", bad, ErrChecksum)
 		})
 	}
 }
@@ -138,11 +146,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		"not magic": []byte("this is not a snapshot file at all"),
 	} {
 		_, err := loadBytes(t, label, data)
-		if err == nil {
-			t.Errorf("%s: loaded successfully", label)
+		pi, perr := openPagedBytes(t, label, data)
+		if perr == nil {
+			pi.Close()
 		}
-		if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s: err = %v, want ErrBadMagic or ErrTruncated", label, err)
+		for _, got := range []error{err, perr} {
+			if !errors.Is(got, ErrBadMagic) && !errors.Is(got, ErrTruncated) {
+				t.Errorf("%s: err = %v, want ErrBadMagic or ErrTruncated", label, got)
+			}
+		}
+		if errors.Is(err, ErrBadMagic) != errors.Is(perr, ErrBadMagic) {
+			t.Errorf("%s: Load err = %v, OpenPagedFile err = %v, want the same sentinel", label, err, perr)
 		}
 	}
 }

@@ -49,24 +49,10 @@ func encodeMatrix(mat *vec.Matrix, elem vec.ElemKind) ([]byte, error) {
 	e.u8(uint8(elem))
 	e.u32(uint32(rows))
 	e.u32(uint32(dim))
-	stride := vec.StoredBytes(elem, dim)
-	scratch := make([]byte, stride)
+	scratch := make([]byte, vec.StoredBytes(elem, dim))
 	for i := 0; i < rows; i++ {
-		row := mat.Row(i)
-		if _, err := vec.Encode(elem, row, scratch); err != nil {
+		if err := encodeRowChecked(elem, i, mat.Row(i), scratch); err != nil {
 			return nil, err
-		}
-		if elem != vec.F32 {
-			back, err := vec.Decode(elem, dim, scratch)
-			if err != nil {
-				return nil, err
-			}
-			for j := range row {
-				if math.Float32bits(row[j]) != math.Float32bits(back[j]) {
-					return nil, fmt.Errorf("%w: row %d component %d (%v) is not representable as %v; save with vec.F32",
-						ErrBadInput, i, j, row[j], elem)
-				}
-			}
 		}
 		e.b = append(e.b, scratch...)
 	}
@@ -236,8 +222,8 @@ func saveGraph(b *builder, g *ann.GraphIndex, quantized bool, rerank int) (vec.M
 // file (version 3 keeps it in the blocks image): the "graph" section of
 // the flat-graph families, or the first graph of hnsw's "layers"
 // section, which held every layer before version 3.
-func legacyBase(algo string, f *file, wantN int) (*graph.Graph, error) {
-	if algo == "hnsw" {
+func legacyBase(f *file, wantN int) (*graph.Graph, error) {
+	if f.algo == "hnsw" {
 		gp, err := f.section("layers")
 		if err != nil {
 			return nil, err

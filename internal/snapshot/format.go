@@ -2,9 +2,12 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"os"
 
 	"ndsearch/internal/vec"
 )
@@ -13,7 +16,7 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "NDSS"
-//	4       2     format version (currently 2)
+//	4       2     format version (currently 3)
 //	6       1     metric (vec.Metric encoding)
 //	7       1     element kind (vec.ElemKind)
 //	8       4     dim
@@ -74,11 +77,12 @@ type Header struct {
 	Elem vec.ElemKind
 	// Dim and Rows describe the corpus matrix.
 	Dim, Rows int
-	// Quantized and Rerank carry the decoded "sq8" section's mode to the
-	// family loaders: Quantized is set by Load when the section is
-	// present (it is not a header byte on disk), and Rerank is the saved
-	// exact-rerank width. Version-1 files never have the section, so
-	// both stay zero there.
+	// Quantized and Rerank carry the saved SQ8 mode to the family
+	// loaders: Quantized is set when the file carries the SQ8 tier (a
+	// version-2 "sq8" section, or version-3 blocks records with codes
+	// beside an "sq8s" section; it is not a header byte on disk), and
+	// Rerank is the saved exact-rerank width. Version-1 files never
+	// carry the tier, so both stay zero there.
 	Quantized bool
 	Rerank    int
 }
@@ -130,28 +134,57 @@ func (b *builder) assemble(h Header) []byte {
 		out = append(out, uint8(len(s.name)))
 		out = append(out, s.name...)
 		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
-		crc := crc32.ChecksumIEEE([]byte(s.name))
-		crc = crc32.Update(crc, crc32.IEEETable, s.payload)
-		out = binary.LittleEndian.AppendUint32(out, crc)
+		out = binary.LittleEndian.AppendUint32(out, sectionCRC(s.name, s.payload))
 		out = append(out, s.payload...)
 	}
 	out = append(out, 0) // terminator
 	return out
 }
 
-// file is a parsed snapshot: validated header plus CRC-checked sections.
-// offsets records each section payload's absolute byte offset in the
-// original file image, so the blocks loader can verify the recorded
-// image offset against where the payload actually sits.
+// file is a walked snapshot, the one parse both entry points share: the
+// validated header, every other section's CRC-checked payload by name,
+// and — when the file has one — where the blocks section sits with its
+// self-checksummed meta and frame geometry already validated. The
+// blocks payload is deliberately not in sections: Load reads and
+// checksums it (decodeBlocks), OpenPagedFile never materializes it.
 type file struct {
 	header   Header
+	algo     string // the "algo" section, set by open
 	sections map[string][]byte
-	offsets  map[string]int
+	blocks   *blocksSection
+}
+
+// source is the byte source the walker reads a snapshot from. parse
+// only asks for ranges it has checked lie inside the file.
+type source interface {
+	at(off int64, n int) ([]byte, error)
+}
+
+// image is an in-memory snapshot (Load): at returns subslices, so
+// walking it copies nothing.
+type image []byte
+
+func (m image) at(off int64, n int) ([]byte, error) { return m[off : off+int64(n)], nil }
+
+// fileSource is an open snapshot file (OpenPagedFile), read with
+// positioned reads into fresh buffers. A short read — the file shrank
+// after it was sized — is ErrTruncated, as a short image would be.
+type fileSource struct{ fh *os.File }
+
+func (s fileSource) at(off int64, n int) ([]byte, error) {
+	buf := make([]byte, n)
+	if _, err := s.fh.ReadAt(buf, off); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("%w: %d bytes at offset %d", ErrTruncated, n, off)
+		}
+		return nil, fmt.Errorf("snapshot: read %d bytes at offset %d: %w", n, off, err)
+	}
+	return buf, nil
 }
 
 // parseHeader validates the fixed header: magic, version range, header
-// CRC, metric and element encodings. data may be just the header bytes
-// (the paged opener reads exactly headerSize) or the whole file.
+// CRC, metric and element encodings. data is the file's first
+// headerSize bytes, or the whole file when it is shorter.
 func parseHeader(data []byte) (Header, error) {
 	var h Header
 	if len(data) < len(magic) {
@@ -190,57 +223,99 @@ func parseHeader(data []byte) (Header, error) {
 	}, nil
 }
 
-// parseFile validates the container framing: magic, version, header CRC,
-// then every section's CRC. Errors discriminate the failure mode so
-// callers (and operators) can tell a stale format from disk corruption.
-func parseFile(data []byte) (*file, error) {
-	h, err := parseHeader(data)
+// parse is the one walker over the container, size bytes read from src:
+// magic, version and header CRC, then every section frame and every
+// section CRC — except the blocks section's, whose payload is the node
+// image. For it the walker reads only the meta (self-checksummed) and
+// checks the frame geometry; Load checksums the payload when it decodes
+// the records, OpenPagedFile never reads it whole. Errors discriminate
+// the failure mode so callers (and operators) can tell a stale format
+// from disk corruption.
+func parse(src source, size int64) (*file, error) {
+	hdr, err := src.at(0, int(min(size, headerSize)))
 	if err != nil {
 		return nil, err
 	}
-	f := &file{
-		header:   h,
-		sections: map[string][]byte{},
-		offsets:  map[string]int{},
+	h, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	off := headerSize
+	f := &file{header: h, sections: map[string][]byte{}}
+	off := int64(headerSize)
 	for {
-		if off >= len(data) {
+		if off >= size {
 			return nil, fmt.Errorf("%w: missing section terminator", ErrTruncated)
 		}
-		nameLen := int(data[off])
+		nb, err := src.at(off, 1)
+		if err != nil {
+			return nil, err
+		}
+		nameLen := int64(nb[0])
 		off++
 		if nameLen == 0 { // terminator
-			if off != len(data) {
-				return nil, fmt.Errorf("%w: %d trailing bytes after terminator", ErrCorrupt, len(data)-off)
+			if off != size {
+				return nil, fmt.Errorf("%w: %d trailing bytes after terminator", ErrCorrupt, size-off)
 			}
 			return f, nil
 		}
-		if off+nameLen+8+4 > len(data) {
+		if off+nameLen+8+4 > size {
 			return nil, fmt.Errorf("%w: section frame at offset %d", ErrTruncated, off-1)
 		}
-		name := string(data[off : off+nameLen])
-		off += nameLen
-		payloadLen := binary.LittleEndian.Uint64(data[off : off+8])
-		off += 8
-		wantCRC := binary.LittleEndian.Uint32(data[off : off+4])
-		off += 4
-		if payloadLen > uint64(len(data)-off) {
-			return nil, fmt.Errorf("%w: section %q claims %d payload bytes, %d remain", ErrTruncated, name, payloadLen, len(data)-off)
+		frame, err := src.at(off, int(nameLen+8+4))
+		if err != nil {
+			return nil, err
 		}
-		payload := data[off : off+int(payloadLen)]
-		off += int(payloadLen)
-		crc := crc32.ChecksumIEEE([]byte(name))
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		if crc != wantCRC {
-			return nil, fmt.Errorf("%w: section %q CRC %08x, computed %08x", ErrChecksum, name, wantCRC, crc)
+		name := string(frame[:nameLen])
+		payloadLen := getU64(frame[nameLen:])
+		wantCRC := getU32(frame[nameLen+8:])
+		off += nameLen + 8 + 4
+		if payloadLen > uint64(size-off) {
+			return nil, fmt.Errorf("%w: section %q claims %d payload bytes, %d remain", ErrTruncated, name, payloadLen, size-off)
 		}
-		if _, dup := f.sections[name]; dup {
+		if _, dup := f.sections[name]; dup || (name == "blocks" && f.blocks != nil) {
 			return nil, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, name)
 		}
-		f.sections[name] = payload
-		f.offsets[name] = off - int(payloadLen)
+		if name == "blocks" {
+			if f.blocks, err = readBlocksSection(src, off, int64(payloadLen), wantCRC); err != nil {
+				return nil, err
+			}
+		} else {
+			payload, err := src.at(off, int(payloadLen))
+			if err != nil {
+				return nil, err
+			}
+			if crc := sectionCRC(name, payload); crc != wantCRC {
+				return nil, fmt.Errorf("%w: section %q CRC %08x, computed %08x", ErrChecksum, name, wantCRC, crc)
+			}
+			f.sections[name] = payload
+		}
+		off += int64(payloadLen)
 	}
+}
+
+// sectionCRC is a section frame's CRC32-IEEE of name ++ payload.
+func sectionCRC(name string, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE([]byte(name)), crc32.IEEETable, payload)
+}
+
+// open walks src and looks up the family its "algo" section names. The
+// lookup comes before anything family-specific, so what a file is (a
+// flat family, an unknown algo) is reported before what it lacks.
+func open(src source, size int64) (*file, family, error) {
+	f, err := parse(src, size)
+	if err != nil {
+		return nil, family{}, err
+	}
+	algo, err := f.section("algo")
+	if err != nil {
+		return nil, family{}, err
+	}
+	f.algo = string(algo)
+	fam, ok := families[f.algo]
+	if !ok {
+		return nil, family{}, fmt.Errorf("%w: unknown algo %q", ErrCorrupt, f.algo)
+	}
+	return f, fam, nil
 }
 
 // section returns a named section's payload; a missing section is a

@@ -8,14 +8,18 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// FuzzLoadQuantized drives Load with mutated snapshot bytes, seeded
-// from valid saves across the format's whole version range: current
-// version-3 files (page-aligned blocks) for every graph family,
-// quantized and full-precision, plus genuine version-1/2 images (flat
-// matrix + graph sections) so the legacy decoders stay inside the
-// fuzzer's input space. The contract under test is the package's error
-// discipline: Load either succeeds or returns one of the six typed
-// errors — it never panics and never leaks an undiscriminated error.
+// FuzzLoadQuantized drives both snapshot entry points with every
+// mutated input: Load over the bytes and OpenPagedFile over the same
+// bytes written to a temp file. Seeds come from valid saves across the
+// format's whole version range: current version-3 files (page-aligned
+// blocks) for every graph family, quantized and full-precision, plus
+// genuine version-1/2 images (flat matrix + graph sections) so the
+// legacy decoders stay inside the fuzzer's input space. (The name
+// predates the paged entry point; it covers the whole reader now.) The
+// contract under test is the package's error discipline, the same for
+// both: success or one of the six typed errors — never a panic, never
+// an undiscriminated error. OpenPagedFile may also refuse an intact flat
+// family as ErrUnsupported.
 func FuzzLoadQuantized(f *testing.F) {
 	data := testData(60, 8, 17)
 	for _, algo := range quantAlgos {
@@ -34,19 +38,27 @@ func FuzzLoadQuantized(f *testing.F) {
 	f.Add([]byte("NDSS"))
 
 	typed := []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrCorrupt, ErrMisaligned}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		idx, err := Load(bytes.NewReader(in)) // a panic fails the fuzz run
-		if err == nil {
-			if idx == nil {
-				t.Fatal("Load returned nil index and nil error")
-			}
-			return
-		}
-		for _, want := range typed {
+	requireTyped := func(t *testing.T, entry string, err error, allowed []error) {
+		for _, want := range allowed {
 			if errors.Is(err, want) {
 				return
 			}
 		}
-		t.Fatalf("Load returned untyped error: %v", err)
+		t.Fatalf("%s returned untyped error: %v", entry, err)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		idx, err := loadBytes(t, "Load", in)
+		if err == nil && idx == nil {
+			t.Fatal("Load returned nil index and nil error")
+		}
+		if err != nil {
+			requireTyped(t, "Load", err, typed)
+		}
+		pi, err := openPagedBytes(t, "OpenPagedFile", in)
+		if err != nil {
+			requireTyped(t, "OpenPagedFile", err, append(typed, ErrUnsupported))
+			return
+		}
+		pi.Close()
 	})
 }

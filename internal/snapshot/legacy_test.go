@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ndsearch/internal/hcnng"
@@ -130,6 +131,30 @@ func saveLegacy(tb testing.TB, idx Index, version int) []byte {
 	b.sections = append([]section{b.sections[0], {name: "matrix", payload: payload}}, b.sections[1:]...)
 	h := Header{Version: version, Metric: metric, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()}
 	return b.assemble(h)
+}
+
+// addSQ8 appends the version-2 "sq8" section (quant.go) for a quantized
+// index's matrix: scales and the whole int8 code buffer.
+func addSQ8(b *builder, mat *vec.Matrix, rerank int) error {
+	sq := mat.SQ8()
+	if sq == nil {
+		return fmt.Errorf("%w: quantized index has no SQ8 tier", ErrUnsupported)
+	}
+	var e enc
+	e.u32(uint32(rerank))
+	e.u32(uint32(sq.Rows()))
+	e.u32(uint32(sq.Dim()))
+	for _, s := range sq.Scales() {
+		e.f32(s)
+	}
+	codes := sq.Codes()
+	buf := make([]byte, len(codes))
+	for i, c := range codes {
+		buf[i] = byte(c)
+	}
+	e.b = append(e.b, buf...)
+	b.add("sq8", e.b)
+	return nil
 }
 
 // TestLegacyCompatMatrix is the version compatibility matrix: files in

@@ -1,10 +1,7 @@
 package snapshot
 
 import (
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -341,9 +338,6 @@ func (s *PagedStore) Dim() int { return s.meta.dim }
 // Quantized reports whether traversal runs on SQ8 codes.
 func (s *PagedStore) Quantized() bool { return s.meta.quantized }
 
-// NodeLen returns the fixed per-node record length in bytes.
-func (s *PagedStore) NodeLen() int { return s.meta.nodeLen }
-
 // NodesPerPage returns how many records share one page (records never
 // straddle a page boundary).
 func (s *PagedStore) NodesPerPage() int { return s.meta.nodesPerPage }
@@ -493,133 +487,18 @@ func (p *PagedIndex) Close() error {
 	return err
 }
 
-// readFullAt fills buf from fh at off, classifying short reads as
-// ErrTruncated so the paged opener reports the same typed errors the
-// in-RAM parser does.
-func readFullAt(fh *os.File, buf []byte, off int64, what string) error {
-	if _, err := fh.ReadAt(buf, off); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: %s", ErrTruncated, what)
-		}
-		return fmt.Errorf("snapshot: read %s: %w", what, err)
-	}
-	return nil
-}
-
-// parsePagedFile walks the container with positioned reads: the header
-// and every pinned navigation section are read fully and CRC-checked
-// exactly as parseFile does, while the blocks payload is read only
-// through its self-checksummed 45-byte meta — the multi-gigabyte image
-// is what paging exists to avoid materializing.
-func parsePagedFile(fh *os.File, size int64) (*file, blockMeta, error) {
-	var meta blockMeta
-	hdr := make([]byte, headerSize)
-	if size < int64(len(magic)) {
-		return nil, meta, fmt.Errorf("%w: %d bytes, need at least the %d-byte magic", ErrTruncated, size, len(magic))
-	}
-	if size < headerSize {
-		hdr = hdr[:size]
-	}
-	if err := readFullAt(fh, hdr, 0, "header"); err != nil {
-		return nil, meta, err
-	}
-	h, err := parseHeader(hdr)
-	if err != nil {
-		return nil, meta, err
-	}
-	f := &file{header: h, sections: map[string][]byte{}, offsets: map[string]int{}}
-	haveBlocks := false
-	off := int64(headerSize)
-	for {
-		if off >= size {
-			return nil, meta, fmt.Errorf("%w: missing section terminator", ErrTruncated)
-		}
-		var nb [1]byte
-		if err := readFullAt(fh, nb[:], off, "section frame"); err != nil {
-			return nil, meta, err
-		}
-		nameLen := int(nb[0])
-		off++
-		if nameLen == 0 { // terminator
-			if off != size {
-				return nil, meta, fmt.Errorf("%w: %d trailing bytes after terminator", ErrCorrupt, size-off)
-			}
-			break
-		}
-		if off+int64(nameLen)+12 > size {
-			return nil, meta, fmt.Errorf("%w: section frame at offset %d", ErrTruncated, off-1)
-		}
-		frame := make([]byte, nameLen+12)
-		if err := readFullAt(fh, frame, off, "section frame"); err != nil {
-			return nil, meta, err
-		}
-		name := string(frame[:nameLen])
-		payloadLen := int64(getU64(frame[nameLen:]))
-		wantCRC := getU32(frame[nameLen+8:])
-		off += int64(nameLen) + 12
-		if payloadLen < 0 || payloadLen > size-off {
-			return nil, meta, fmt.Errorf("%w: section %q claims %d payload bytes, %d remain", ErrTruncated, name, payloadLen, size-off)
-		}
-		if _, dup := f.sections[name]; dup {
-			return nil, meta, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, name)
-		}
-		if name == "blocks" {
-			head := make([]byte, blockMetaSize)
-			if payloadLen < blockMetaSize {
-				head = head[:payloadLen]
-			}
-			if err := readFullAt(fh, head, off, "blocks meta"); err != nil {
-				return nil, meta, err
-			}
-			meta, err = parseBlockMeta(head)
-			if err != nil {
-				return nil, meta, err
-			}
-			f.sections[name] = head
-			f.offsets[name] = int(off)
-			// Geometry against the payload frame: meta, alignment pad,
-			// then the image filling the payload exactly.
-			pad := meta.imageOff - off - blockMetaSize
-			if pad < 0 || (meta.pageSize > 0 && pad >= int64(meta.pageSize)) {
-				return nil, meta, fmt.Errorf("%w: image offset %d does not follow the blocks meta at %d", ErrCorrupt, meta.imageOff, off)
-			}
-			if want := blockMetaSize + pad + meta.imageLen; payloadLen != want {
-				if payloadLen < want {
-					return nil, meta, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrTruncated, payloadLen, want)
-				}
-				return nil, meta, fmt.Errorf("%w: blocks payload is %d bytes, image needs %d", ErrCorrupt, payloadLen, want)
-			}
-			haveBlocks = true
-		} else {
-			payload := make([]byte, payloadLen)
-			if err := readFullAt(fh, payload, off, "section "+name); err != nil {
-				return nil, meta, err
-			}
-			crc := crc32.ChecksumIEEE([]byte(name))
-			crc = crc32.Update(crc, crc32.IEEETable, payload)
-			if crc != wantCRC {
-				return nil, meta, fmt.Errorf("%w: section %q CRC %08x, computed %08x", ErrChecksum, name, wantCRC, crc)
-			}
-			f.sections[name] = payload
-			f.offsets[name] = int(off)
-		}
-		off += payloadLen
-	}
-	if !haveBlocks {
-		return nil, meta, fmt.Errorf("%w: no blocks section; file version %d cannot be page-served (re-save to version %d)",
-			ErrCorrupt, h.Version, FormatVersion)
-	}
-	return f, meta, nil
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
-}
-
 // OpenPagedFile opens a version-3 graph-family snapshot for beyond-RAM
 // serving: navigation sections resident, node records traversed through
 // a bounded page cache over mmap (or positioned reads). The returned
 // index serves searches byte-identical to LoadFile of the same file.
+//
+// The file is walked with Load's parser through positioned reads, so
+// both entry points check the header, the frames, every navigation
+// section's CRC, and the blocks meta and geometry alike, and report the
+// same typed errors. What it skips is the blocks payload's CRC: reading
+// the whole node image up front is what paged serving exists to avoid,
+// so image damage degrades searches defensively instead (PagedStore).
+// A flat family (exact, ivfpq) is ErrUnsupported.
 func OpenPagedFile(path string, opts PagedOptions) (*PagedIndex, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -639,39 +518,18 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	size := st.Size()
-	f, meta, err := parsePagedFile(fh, size)
+	f, fam, err := open(fileSource{fh}, size)
+	if err != nil {
+		return nil, err
+	}
+	if fam.reconstruct == nil {
+		return nil, fmt.Errorf("%w: algo %q has no paged serving mode", ErrUnsupported, f.algo)
+	}
+	meta, scales, err := f.prepareBlocks()
 	if err != nil {
 		return nil, err
 	}
 	h := f.header
-	algoBytes, err := f.section("algo")
-	if err != nil {
-		return nil, err
-	}
-	algo := string(algoBytes)
-	fam := families[algo]
-	if fam.reconstruct == nil {
-		return nil, fmt.Errorf("%w: algo %q has no paged serving mode", ErrUnsupported, algo)
-	}
-	if err := meta.validate(h); err != nil {
-		return nil, err
-	}
-	if meta.imageOff+meta.imageLen > size {
-		return nil, fmt.Errorf("%w: image ends at %d, file is %d bytes", ErrTruncated, meta.imageOff+meta.imageLen, size)
-	}
-
-	rerank, scales, hasScales, err := readSQ8Scales(f, h)
-	if err != nil {
-		return nil, err
-	}
-	if hasScales != meta.quantized {
-		return nil, fmt.Errorf("%w: blocks quantized=%v but sq8s section present=%v", ErrCorrupt, meta.quantized, hasScales)
-	}
-	if meta.quantized {
-		h.Quantized = true
-		h.Rerank = rerank
-	}
-	f.header = h
 
 	backend := opts.Backend
 	if backend == "" {
@@ -714,5 +572,5 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		back.Close()
 		return nil, err
 	}
-	return &PagedIndex{idx: idx, store: store, f: fh, algo: algo, header: h, backend: backend}, nil
+	return &PagedIndex{idx: idx, store: store, f: fh, algo: f.algo, header: h, backend: backend}, nil
 }

@@ -1,10 +1,13 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -180,18 +183,22 @@ func TestPagedIndexResaveRejected(t *testing.T) {
 	}
 }
 
-// Flat families have no blocks section; the paged opener refuses them
-// with a clear error rather than a structural parse failure.
+// Flat families have no blocks section; the paged opener refuses an
+// intact one as ErrUnsupported rather than a structural parse failure.
 func TestPagedOpenRejectsFlatFamilies(t *testing.T) {
-	built := buildFamily(t, "exact", vec.L2, testData(60, 8, 3))
-	path := savedSnapshot(t, built, vec.F32)
-	if _, err := OpenPagedFile(path, PagedOptions{}); err == nil {
-		t.Fatalf("paged open of an exact snapshot succeeded")
+	for _, algo := range []string{"exact", "ivfpq"} {
+		built := buildFamily(t, algo, metricsOf(algo)[0], testData(60, 8, 3))
+		path := savedSnapshot(t, built, vec.F32)
+		if _, err := OpenPagedFile(path, PagedOptions{}); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("paged open of an %s snapshot: err = %v, want ErrUnsupported", algo, err)
+		}
 	}
 }
 
 // Legacy (v1/v2) files have no blocks section either; paged open fails
-// typed, in-RAM load still works.
+// typed, in-RAM load still works. A blocks section under a pre-v3 header
+// is damage, not a legacy file: both entry points reject it as
+// ErrCorrupt naming the version, for every graph family.
 func TestPagedOpenRejectsLegacyFiles(t *testing.T) {
 	built := buildFamily(t, "diskann", vec.L2, testData(80, 8, 17))
 	img := saveLegacy(t, built, 2)
@@ -204,5 +211,23 @@ func TestPagedOpenRejectsLegacyFiles(t *testing.T) {
 	}
 	if _, err := LoadFile(path); err != nil {
 		t.Fatalf("RAM load of a v2 file: %v", err)
+	}
+
+	for _, algo := range pagedAlgos {
+		img := snapshotOf(t, algo)
+		binary.LittleEndian.PutUint16(img[4:6], 2)
+		putU32(img[20:24], crc32.ChecksumIEEE(img[:20]))
+		want := func(entry string, err error) {
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 2") {
+				t.Errorf("%s: %s of a v3 image relabelled version 2: err = %v, want ErrCorrupt naming version 2", algo, entry, err)
+			}
+		}
+		_, err := loadBytes(t, algo, img)
+		want("Load", err)
+		pi, err := openPagedBytes(t, algo, img)
+		if err == nil {
+			pi.Close()
+		}
+		want("OpenPagedFile", err)
 	}
 }

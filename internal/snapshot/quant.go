@@ -21,30 +21,9 @@ import (
 // Presence of the section is what marks a snapshot as quantized; the
 // per-family params sections are unchanged from version 1, which is why
 // old files keep loading (as full-precision indexes) without any
-// per-family migration.
-
-// addSQ8 appends the "sq8" section for a quantized index's matrix.
-func addSQ8(b *builder, mat *vec.Matrix, rerank int) error {
-	sq := mat.SQ8()
-	if sq == nil {
-		return fmt.Errorf("%w: quantized index has no SQ8 tier", ErrUnsupported)
-	}
-	var e enc
-	e.u32(uint32(rerank))
-	e.u32(uint32(sq.Rows()))
-	e.u32(uint32(sq.Dim()))
-	for _, s := range sq.Scales() {
-		e.f32(s)
-	}
-	codes := sq.Codes()
-	buf := make([]byte, len(codes))
-	for i, c := range codes {
-		buf[i] = byte(c)
-	}
-	e.b = append(e.b, buf...)
-	b.add("sq8", e.b)
-	return nil
-}
+// per-family migration. This package only reads it (readSQ8): version 3
+// moved the codes into the blocks records, and the version-2 writer
+// lives on in the tests' legacy-file builder (legacy_test.go).
 
 // The "sq8s" section (format version 3, graph families) carries only
 // the quantizer parameters — rerank width and per-dimension scales —
@@ -72,9 +51,8 @@ func addSQ8Scales(b *builder, mat *vec.Matrix, rerank int) error {
 	return nil
 }
 
-// readSQ8Scales decodes the "sq8s" section if present. The caller
-// (decodeBlocks, or the paged opener) pairs the scales with the codes
-// stored in the blocks image.
+// readSQ8Scales decodes the "sq8s" section if present. prepareBlocks
+// pairs the scales with the codes stored in the blocks image.
 func readSQ8Scales(f *file, h Header) (rerank int, scales []float32, ok bool, err error) {
 	payload, present := f.sections["sq8s"]
 	if !present {

@@ -157,7 +157,7 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 			if err := Save(&first, built, vec.F32); err != nil {
 				t.Fatalf("save: %v", err)
 			}
-			f, err := parseFile(first.Bytes())
+			f, err := parse(image(first.Bytes()), int64(first.Len()))
 			if err != nil {
 				t.Fatalf("parse own save: %v", err)
 			}
@@ -183,7 +183,7 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 			if err := Save(&pbuf, plain, vec.F32); err != nil {
 				t.Fatalf("save plain: %v", err)
 			}
-			pf, err := parseFile(pbuf.Bytes())
+			pf, err := parse(image(pbuf.Bytes()), int64(pbuf.Len()))
 			if err != nil {
 				t.Fatalf("parse plain save: %v", err)
 			}

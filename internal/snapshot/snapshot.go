@@ -201,35 +201,30 @@ func Save(w io.Writer, idx Index, elem vec.ElemKind) error {
 }
 
 // Load restores an index from r, dispatching on the algo recorded in
-// the file. The returned value's concrete type is the family index
-// (*hnsw.Index, *ann.Exact, ...).
+// the file. It reads the whole file into memory and walks it with the
+// same parser OpenPagedFile uses, then checks what only a full read
+// can: the CRC of a graph family's whole blocks section, before
+// decoding every node record. The returned value's concrete type is the
+// family index (*hnsw.Index, *ann.Exact, ...).
 func Load(r io.Reader) (Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
-	f, err := parseFile(data)
+	f, fam, err := open(image(data), int64(len(data)))
 	if err != nil {
 		return nil, err
-	}
-	algoBytes, err := f.section("algo")
-	if err != nil {
-		return nil, err
-	}
-	algo := string(algoBytes)
-	fam, ok := families[algo]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown algo %q", ErrCorrupt, algo)
 	}
 	var mat *vec.Matrix
 	var base *graph.Graph
-	if f.header.Version >= 3 && fam.reconstruct != nil {
+	if fam.reconstruct != nil && (f.header.Version >= 3 || f.blocks != nil) {
 		// Version-3 graph family: rows, codes, and base adjacency live in
 		// the page-aligned "blocks" section. decodeBlocks reconstructs
 		// the matrix (norms recomputed with the same accumulation the
 		// build used) and attaches the SQ8 tier from the scales-only
-		// "sq8s" section.
-		mat, base, err = decodeBlocks(f)
+		// "sq8s" section; a blocks section under an older header fails
+		// its version check.
+		mat, base, err = decodeBlocks(f, data)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +247,7 @@ func Load(r io.Reader) (Index, error) {
 		f.header.Quantized = quantized
 		f.header.Rerank = rerank
 		if fam.reconstruct != nil {
-			if base, err = legacyBase(algo, f, mat.Rows()); err != nil {
+			if base, err = legacyBase(f, mat.Rows()); err != nil {
 				return nil, err
 			}
 		}
