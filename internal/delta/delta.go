@@ -9,38 +9,58 @@
 // A layer tracks two disjoint sets keyed by external vector ID:
 //
 //   - live: vectors upserted into this layer (authoritative values);
-//   - deleted: IDs deleted through this layer that still exist in a
-//     lower tier (the base generation or a frozen delta) and must be
-//     shadowed there.
+//   - deleted: IDs deleted through this layer that still exist in the
+//     base generation (or in the generation a compaction is building)
+//     and must be shadowed there.
 //
 // Shadows(id) — membership in either set — is the tombstone predicate
-// the engine's merge fold applies to lower tiers: a live entry shadows
-// the stale lower copy it replaced, a deleted entry shadows the copy it
-// removed. Within one engine generation the shadow set only grows
-// (Delete moves an ID from live to deleted, never erases it), which is
-// what makes the lock-staggered merge in engine.SearchBatch dup-free;
-// shadows are dropped only wholesale, when a compaction folds the layer
-// into a new base generation.
+// the engine's merge fold applies to the base: a live entry shadows the
+// stale base copy it replaced, a deleted entry shadows the copy it
+// removed. Within one engine generation the shadow set over base IDs
+// only grows (Delete moves an ID from live to deleted, never erases a
+// shadow a lower tier still needs), which is what makes the
+// lock-staggered merge in engine.SearchBatch dup-free.
+//
+// Every write is numbered. A compaction Captures the layer at a write
+// number, builds a new base generation from the capture while the layer
+// keeps serving and absorbing writes, and then Releases it: on success
+// every entry written at or before the capture leaves the layer (the new
+// base holds it), on failure nothing does.
 package delta
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/vec"
 )
 
+// entry is one live vector and the number of the write that stored it.
+type entry struct {
+	v   vec.Vector
+	seq uint64
+}
+
 // Index is one mutable delta layer. The zero value is not usable; call
 // New. All methods are safe for concurrent use.
 type Index struct {
-	mu      sync.RWMutex
-	metric  vec.Metric
-	dim     int
-	live    map[uint32]vec.Vector
-	deleted map[uint32]struct{}
+	mu     sync.RWMutex
+	metric vec.Metric
+	dim    int
+	// seq numbers the writes: it is the number of the latest one.
+	seq  uint64
+	live map[uint32]entry
+	// deleted maps each deleted ID to the number of the write that
+	// deleted it.
+	deleted map[uint32]uint64
+	// pinned is the sorted live-ID set of the capture in flight (nil when
+	// none): the generation being built holds those IDs, so deleting one
+	// must leave a tombstone even when the current base lacks it.
+	pinned []uint32
 }
 
 // New returns an empty delta layer over metric m for dim-dimensional
@@ -49,16 +69,10 @@ func New(m vec.Metric, dim int) *Index {
 	return &Index{
 		metric:  m,
 		dim:     dim,
-		live:    make(map[uint32]vec.Vector),
-		deleted: make(map[uint32]struct{}),
+		live:    make(map[uint32]entry),
+		deleted: make(map[uint32]uint64),
 	}
 }
-
-// Metric returns the layer's distance metric.
-func (d *Index) Metric() vec.Metric { return d.metric }
-
-// Dim returns the layer's dimensionality.
-func (d *Index) Dim() int { return d.dim }
 
 // CheckVector validates a vector for insertion: the layer's exact
 // dimensionality and finite components. NaN components poison every
@@ -79,8 +93,8 @@ func (d *Index) CheckVector(v vec.Vector) error {
 // Upsert inserts or replaces id's vector in the live set (copying v, so
 // the caller may reuse the slice) and clears any deleted mark — a
 // delete-then-reinsert resurrects the ID with the new value while the
-// shadow over lower tiers persists. It reports whether id was already
-// live in this layer.
+// shadow over the base persists. It reports whether id was already live
+// in this layer.
 func (d *Index) Upsert(id uint32, v vec.Vector) (wasLive bool, err error) {
 	if err := d.CheckVector(v); err != nil {
 		return false, err
@@ -90,22 +104,26 @@ func (d *Index) Upsert(id uint32, v vec.Vector) (wasLive bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	_, wasLive = d.live[id]
-	d.live[id] = cp
+	d.seq++
+	d.live[id] = entry{v: cp, seq: d.seq}
 	delete(d.deleted, id)
 	return wasLive, nil
 }
 
-// Delete removes id from the live set. shadow reports whether a lower
-// tier still holds id (so the deletion must be remembered as a
+// Delete removes id from the live set. shadow reports whether the base
+// generation still holds id (so the deletion must be remembered as a
 // tombstone); an ID that only ever lived in this layer is simply
-// forgotten. It reports whether id was live in this layer.
+// forgotten — unless the capture in flight holds it, because the
+// generation being built from that capture will. It reports whether id
+// was live in this layer.
 func (d *Index) Delete(id uint32, shadow bool) (wasLive bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	_, wasLive = d.live[id]
 	delete(d.live, id)
-	if shadow {
-		d.deleted[id] = struct{}{}
+	d.seq++
+	if _, captured := slices.BinarySearch(d.pinned, id); shadow || captured {
+		d.deleted[id] = d.seq
 	}
 	return wasLive
 }
@@ -115,8 +133,8 @@ func (d *Index) Delete(id uint32, shadow bool) (wasLive bool) {
 func (d *Index) Get(id uint32) (vec.Vector, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	v, ok := d.live[id]
-	return v, ok
+	e, ok := d.live[id]
+	return e.v, ok
 }
 
 // Has reports whether id is live in this layer.
@@ -128,8 +146,8 @@ func (d *Index) Has(id uint32) bool {
 }
 
 // Shadows reports whether id is shadowed by this layer: live here (the
-// lower copy is stale) or deleted through here (the lower copy is
-// dead). This is the tombstone predicate merges apply to lower tiers.
+// base copy is stale) or deleted through here (the base copy is dead).
+// This is the tombstone predicate merges apply to the base.
 func (d *Index) Shadows(id uint32) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -169,14 +187,12 @@ func (d *Index) Empty() bool { return d.ShadowCount() == 0 }
 
 // Search scans the live set and returns the top-k neighbors of query
 // under the layer's metric, ascending by the ann (distance, ID) total
-// order. skip, when non-nil, drops entries before admission — the
-// engine passes a higher layer's Shadows so a frozen delta never
-// resurfaces vectors the live delta replaced. Distances run on the same
-// prepared-query path as ann.BruteForce, so they are bit-identical to
-// the exact tier for identical vectors. A dimension-mismatched query
-// returns nil rather than panicking (engine and server validate dims at
-// admission; this is the defensive backstop).
-func (d *Index) Search(query vec.Vector, k int, skip func(uint32) bool) []ann.Neighbor {
+// order. Distances run on the same prepared-query path as
+// ann.BruteForce, so they are bit-identical to the exact tier for
+// identical vectors. A dimension-mismatched query returns nil rather
+// than panicking (engine and server validate dims at admission; this is
+// the defensive backstop).
+func (d *Index) Search(query vec.Vector, k int) []ann.Neighbor {
 	if k < 1 || len(query) != d.dim {
 		return nil
 	}
@@ -190,31 +206,53 @@ func (d *Index) Search(query vec.Vector, k int, skip func(uint32) bool) []ann.Ne
 	// (distance, ID) total order, so the retained top-k is canonical
 	// regardless of scan order.
 	f := ann.NewFrontier(k)
-	for id, v := range d.live {
-		if skip != nil && skip(id) {
-			continue
-		}
-		f.PushResult(ann.Neighbor{ID: id, Dist: q.DistanceTo(v)})
+	for id, e := range d.live {
+		f.PushResult(ann.Neighbor{ID: id, Dist: q.DistanceTo(e.v)})
 	}
 	return f.Results()
 }
 
-// Live returns the live entries sorted ascending by ID, with vectors
-// aliased (not copied) — the compaction drain reads them after the
-// layer is frozen, when no writer can touch it.
-func (d *Index) Live() (ids []uint32, vecs []vec.Vector) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ids = make([]uint32, 0, len(d.live))
-	for id := range d.live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// Capture pins the layer's current state for a compaction and returns
+// it: the live entries sorted ascending by ID with vectors aliased (not
+// copied; callers must not mutate either slice), the sorted shadow set
+// the new base must drop, and the number at of the latest write the
+// capture includes. The layer keeps every captured entry — searches
+// still see it, later writes still replace it — until Release(at, ...).
+// One capture may be pinned at a time.
+func (d *Index) Capture() (ids []uint32, vecs []vec.Vector, drop []uint32, at uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ids = slices.Sorted(maps.Keys(d.live))
 	vecs = make([]vec.Vector, len(ids))
 	for i, id := range ids {
-		vecs[i] = d.live[id]
+		vecs[i] = d.live[id].v
 	}
-	return ids, vecs
+	d.pinned = ids
+	return ids, vecs, d.shadowIDsLocked(), d.seq
+}
+
+// Release ends the capture taken at write number at. built reports
+// whether a new base generation now holds the capture: then every entry
+// written at or before at leaves the layer, and what stays are the
+// writes that landed during the compaction. Otherwise nothing left the
+// layer and Release only unpins.
+func (d *Index) Release(at uint64, built bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.pinned = nil
+	if !built {
+		return
+	}
+	for id, e := range d.live {
+		if e.seq <= at {
+			delete(d.live, id)
+		}
+	}
+	for id, seq := range d.deleted {
+		if seq <= at {
+			delete(d.deleted, id)
+		}
+	}
 }
 
 // ShadowIDs returns every shadowed ID (live and deleted), sorted
@@ -223,6 +261,10 @@ func (d *Index) Live() (ids []uint32, vecs []vec.Vector) {
 func (d *Index) ShadowIDs() []uint32 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.shadowIDsLocked()
+}
+
+func (d *Index) shadowIDsLocked() []uint32 {
 	ids := make([]uint32, 0, len(d.live)+len(d.deleted))
 	for id := range d.live {
 		ids = append(ids, id)
@@ -230,53 +272,6 @@ func (d *Index) ShadowIDs() []uint32 {
 	for id := range d.deleted {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
-}
-
-// Absorb folds a lower layer into this one: lower live entries and
-// deleted marks apply only where this layer does not already shadow the
-// ID (this layer is newer, so its state wins). It is the compaction
-// failure path — a frozen delta that could not be drained into a new
-// generation is folded back under the writes that accumulated above it,
-// restoring the single-delta invariant with no update lost.
-//
-// Absorb snapshots lower first and then applies under this layer's
-// write lock, so it never holds both locks at once; the engine calls it
-// with all searches and writers excluded (the generation write lock).
-func (d *Index) Absorb(lower *Index) {
-	lower.mu.RLock()
-	liveIDs := make([]uint32, 0, len(lower.live))
-	for id := range lower.live {
-		liveIDs = append(liveIDs, id)
-	}
-	sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i] < liveIDs[j] })
-	liveVecs := make([]vec.Vector, len(liveIDs))
-	for i, id := range liveIDs {
-		liveVecs[i] = lower.live[id]
-	}
-	deadIDs := make([]uint32, 0, len(lower.deleted))
-	for id := range lower.deleted {
-		deadIDs = append(deadIDs, id)
-	}
-	sort.Slice(deadIDs, func(i, j int) bool { return deadIDs[i] < deadIDs[j] })
-	lower.mu.RUnlock()
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, id := range liveIDs {
-		if _, ok := d.live[id]; ok {
-			continue
-		}
-		if _, ok := d.deleted[id]; ok {
-			continue
-		}
-		d.live[id] = liveVecs[i]
-	}
-	for _, id := range deadIDs {
-		if _, ok := d.live[id]; ok {
-			continue
-		}
-		d.deleted[id] = struct{}{}
-	}
 }

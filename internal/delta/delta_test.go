@@ -113,7 +113,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			got := d.Search(q, 10, nil)
+			got := d.Search(q, 10)
 			want := ann.BruteForce(m, vs, q, 10)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("metric %v: delta search diverges from brute force", m)
@@ -122,40 +122,18 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestSearchSkipFilter(t *testing.T) {
-	vs := testVectors(t, 32)
-	d := New(vec.L2, len(vs[0]))
-	for i, v := range vs {
-		if _, err := d.Upsert(uint32(i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := vs[0]
-	full := d.Search(q, 5, nil)
-	banned := full[0].ID
-	filtered := d.Search(q, 5, func(id uint32) bool { return id == banned })
-	for _, n := range filtered {
-		if n.ID == banned {
-			t.Fatal("skip filter ignored")
-		}
-	}
-	if len(filtered) != 5 {
-		t.Fatalf("filtered search returned %d results, want 5", len(filtered))
-	}
-}
-
 func TestSearchEdgeCases(t *testing.T) {
 	d := New(vec.L2, 4)
-	if got := d.Search(vec.Vector{1, 2, 3, 4}, 5, nil); got != nil {
+	if got := d.Search(vec.Vector{1, 2, 3, 4}, 5); got != nil {
 		t.Fatal("empty layer returned results")
 	}
 	if _, err := d.Upsert(1, vec.Vector{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Search(vec.Vector{1, 2}, 5, nil); got != nil {
+	if got := d.Search(vec.Vector{1, 2}, 5); got != nil {
 		t.Fatal("dim-mismatched query returned results")
 	}
-	if got := d.Search(vec.Vector{1, 2, 3, 4}, 0, nil); got != nil {
+	if got := d.Search(vec.Vector{1, 2, 3, 4}, 0); got != nil {
 		t.Fatal("k=0 returned results")
 	}
 }
@@ -168,66 +146,79 @@ func TestLiveAndShadowIDsSorted(t *testing.T) {
 		}
 	}
 	d.Delete(3, true)
-	ids, vecs := d.Live()
+	ids, vecs, drop, at := d.Capture()
 	if !reflect.DeepEqual(ids, []uint32{1, 9, 27}) {
-		t.Fatalf("Live ids = %v", ids)
+		t.Fatalf("Capture ids = %v", ids)
 	}
 	for i, id := range ids {
 		if vecs[i][0] != float32(id) {
-			t.Fatalf("Live vecs misaligned at %d", i)
+			t.Fatalf("Capture vecs misaligned at %d", i)
 		}
 	}
-	if got := d.ShadowIDs(); !reflect.DeepEqual(got, []uint32{1, 3, 9, 27}) {
+	if !reflect.DeepEqual(drop, []uint32{1, 3, 9, 27}) {
+		t.Fatalf("Capture shadow set = %v", drop)
+	}
+	if at != 5 {
+		t.Fatalf("Capture at = %d after 5 writes", at)
+	}
+	if got := d.ShadowIDs(); !reflect.DeepEqual(got, drop) {
 		t.Fatalf("ShadowIDs = %v", got)
 	}
 	if d.ShadowCount() != 4 {
 		t.Fatalf("ShadowCount = %d", d.ShadowCount())
 	}
+	d.Release(at, false)
 }
 
-// Absorb folds a lower (older) layer under this one with newer-wins
-// semantics.
-func TestAbsorb(t *testing.T) {
-	upper := New(vec.L2, 1)
-	lower := New(vec.L2, 1)
-	// Lower: live 1, 2, 3; deleted 4.
-	for _, id := range []uint32{1, 2, 3} {
-		if _, err := lower.Upsert(id, vec.Vector{float32(100 + id)}); err != nil {
+// A capture stays in the layer until its release: writes after it
+// replace captured entries as usual, a delete of a captured ID leaves a
+// tombstone (the generation being built holds it), and a successful
+// release drops exactly the entries written at or before the capture.
+func TestCaptureRelease(t *testing.T) {
+	up := func(d *Index, id uint32, x float32) {
+		t.Helper()
+		if _, err := d.Upsert(id, vec.Vector{x}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lower.Delete(4, true)
-	// Upper: re-upserted 1, deleted 2, and an unrelated live 5 plus a
-	// resurrected 4.
-	if _, err := upper.Upsert(1, vec.Vector{1}); err != nil {
-		t.Fatal(err)
-	}
-	upper.Delete(2, true)
-	if _, err := upper.Upsert(5, vec.Vector{5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := upper.Upsert(4, vec.Vector{4}); err != nil {
-		t.Fatal(err)
-	}
+	for _, built := range []bool{true, false} {
+		d := New(vec.L2, 1)
+		up(d, 1, 1)       // captured, then overwritten and deleted
+		up(d, 2, 2)       // captured, then deleted
+		up(d, 3, 3)       // captured, untouched
+		d.Delete(4, true) // captured tombstone, then re-inserted
+		d.Delete(5, true) // captured tombstone, untouched
+		_, _, _, at := d.Capture()
 
-	upper.Absorb(lower)
+		up(d, 1, 10)
+		d.Delete(1, false)
+		d.Delete(2, false)
+		up(d, 4, 40)
+		up(d, 6, 60)
+		d.Delete(6, false) // new and never captured: forgotten
+		if d.Has(6) || d.Shadows(6) {
+			t.Fatal("uncaptured delete-only id left a tombstone")
+		}
+		if !d.Has(3) || !d.Shadows(5) || d.Has(1) || !d.Shadows(1) || !d.Shadows(2) {
+			t.Fatal("captured state left the layer before release")
+		}
 
-	if v, _ := upper.Get(1); v[0] != 1 {
-		t.Fatal("upper's value for 1 lost")
-	}
-	if upper.Has(2) || !upper.Shadows(2) {
-		t.Fatal("upper's delete of 2 lost")
-	}
-	if v, ok := upper.Get(3); !ok || v[0] != 103 {
-		t.Fatal("lower's live 3 not absorbed")
-	}
-	if v, ok := upper.Get(4); !ok || v[0] != 4 {
-		t.Fatal("upper's resurrected 4 clobbered by lower's tombstone")
-	}
-	if !upper.Shadows(4) {
-		t.Fatal("4 not shadowed")
-	}
-	if upper.Len() != 4 {
-		t.Fatalf("absorbed len = %d, want 4", upper.Len())
+		d.Release(at, built)
+		wantShadows := []uint32{1, 2, 3, 4, 5}
+		if built {
+			wantShadows = []uint32{1, 2, 4}
+		}
+		if got := d.ShadowIDs(); !reflect.DeepEqual(got, wantShadows) {
+			t.Fatalf("built=%v: shadows after release = %v, want %v", built, got, wantShadows)
+		}
+		if v, ok := d.Get(4); !ok || v[0] != 40 {
+			t.Fatalf("built=%v: post-capture upsert of 4 lost", built)
+		}
+		// Released: deleting an uncaptured, base-less id forgets it again.
+		up(d, 7, 7)
+		d.Delete(7, false)
+		if d.Shadows(7) {
+			t.Fatalf("built=%v: delete after release still pinned", built)
+		}
 	}
 }

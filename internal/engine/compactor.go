@@ -5,10 +5,13 @@ import (
 )
 
 // Compactor runs threshold-triggered background compaction: every
-// accepted Upsert/Delete pokes it, and once the live delta's shadow-set
-// size reaches the threshold it calls Engine.Compact. The trigger is
-// purely notification-driven — no timers, no wall clock — so a quiet
-// engine costs nothing and test runs stay deterministic.
+// accepted Upsert/Delete pokes it, and once the delta's shadow-set size
+// reaches the threshold it calls Engine.Compact. The trigger is purely
+// notification-driven — no timers, no wall clock — so a quiet engine
+// costs nothing and test runs stay deterministic. Entries a compaction
+// in flight captured keep counting toward the threshold until its swap,
+// so a write landing during a manual Compact can trigger the loop; its
+// call then meets ErrCompacting, which the loop ignores.
 //
 // Create with NewCompactor, stop with Close (before closing the
 // engine). Compaction errors do not stop the loop; the most recent one
@@ -31,7 +34,7 @@ type Compactor struct {
 const DefaultCompactThreshold = 1024
 
 // NewCompactor starts a background compaction loop over e, triggering
-// whenever the live delta's shadow-set size (live upserts + tombstones)
+// whenever the delta's shadow-set size (live upserts + tombstones)
 // reaches threshold (<= 0 selects DefaultCompactThreshold). Call Close
 // to stop the loop before closing the engine.
 func NewCompactor(e *Engine, threshold int) *Compactor {

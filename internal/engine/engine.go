@@ -165,34 +165,33 @@ func (g *generation) has(id uint32) bool {
 // holds engine-wide across concurrent callers by construction.
 //
 // Concurrency contract: SearchBatch/Search hold genMu read-locked for
-// the whole batch, Upsert/Delete serialize on writeMu and then read-lock
-// genMu (they mutate only the delta tier, behind its own lock), and
-// Compact's freeze and swap take genMu write-locked — so a generation
-// swap waits for in-flight searches to drain, and no search ever
-// observes a half-swapped shard set.
+// the whole batch; Upsert/Delete and Compact's capture hold writeMu
+// alone (writes mutate only the delta tier, behind its own lock); and
+// Compact's swap takes writeMu and then genMu write-locked — so a
+// generation swap waits for in-flight searches to drain, no search ever
+// observes a half-swapped shard set, and anything holding writeMu sees
+// a stable gen.
 type Engine struct {
 	workers int
 	dim     int
 	meta    Meta
 
-	// genMu guards the generational state triple (gen, delta, frozen)
-	// and brackets in-flight searches; see the contract above.
+	// genMu guards gen (replaced only under writeMu too) and brackets
+	// in-flight searches; see the contract above.
 	genMu sync.RWMutex
 	gen   *generation
-	// delta absorbs writes; frozen is the draining delta while a
-	// compaction is in flight (nil otherwise). delta is nil only on
-	// engines whose shard metric could not be detected (custom index
-	// types), which serve read-only.
-	delta  *delta.Index
-	frozen *delta.Index
+	// delta absorbs writes; it is set once at construction and is nil
+	// only on engines whose shard metric could not be detected (custom
+	// index types), which serve read-only.
+	delta *delta.Index
 
 	// writeMu serializes mutators (Upsert/Delete) and compaction's
-	// freeze/swap sections, so the live-count and tombstone counters
+	// capture/swap sections, so the live-count and tombstone counters
 	// stay consistent with the layered membership they summarize.
 	writeMu sync.Mutex
 
 	// liveLen is the current live vector count across base and delta;
-	// baseTombs counts base entries shadowed by the delta tiers.
+	// baseTombs counts base entries shadowed by the delta tier.
 	liveLen   atomic.Int64
 	baseTombs atomic.Int64
 
@@ -529,10 +528,10 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	//ndvet:ignore determinism wall time feeds only latency fields in BatchStats, never results
 	start := time.Now()
 	// The read lock brackets the whole batch: a compaction swap waits
-	// for it, so gen/delta/frozen are a consistent triple throughout.
+	// for it, so gen and the delta are a consistent pair throughout.
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()
-	gen, dlt, frozen := e.gen, e.delta, e.frozen
+	gen, dlt := e.gen, e.delta
 	st := &BatchStats{
 		BatchSize: len(queries),
 		Shards:    len(gen.shards),
@@ -551,9 +550,6 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	shadows := 0
 	if dlt != nil {
 		shadows = dlt.ShadowCount()
-	}
-	if frozen != nil {
-		shadows += frozen.ShadowCount()
 	}
 	kBase := k + shadows
 
@@ -578,7 +574,7 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	merge := tr.Span("merge")
 	out := make([][]ann.Neighbor, len(queries))
 	for qi := range queries {
-		out[qi] = mergeGenerational(queries[qi], partial[qi], k, dlt, frozen, shadows > 0, tr, qi)
+		out[qi] = mergeGenerational(queries[qi], partial[qi], k, dlt, shadows > 0, tr, qi)
 	}
 	merge.End()
 	st.ShardSearches = len(queries) * len(gen.shards)
@@ -591,48 +587,34 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 }
 
 // mergeGenerational folds one query's per-shard base lists and the
-// delta tiers into the exact top-k under the ann (distance, ID) total
+// delta tier into the exact top-k under the ann (distance, ID) total
 // order. Tier order matters for concurrent dup-safety: the delta is
-// searched first, then the frozen delta (filtered by the delta's
-// shadows), then the base lists (filtered by both shadow sets). Within
-// a generation the shadow sets only grow, so an ID admitted from a
-// delta tier is guaranteed filtered from every lower tier even if a
-// concurrent writer landed it between the folds; a write racing the
+// searched first, then the base lists are filtered by its shadows.
+// Within a generation the shadow set over base IDs only grows, so an ID
+// admitted from the delta is guaranteed filtered from the base even if
+// a concurrent writer landed it between the folds; a write racing the
 // other direction at worst hides the ID for that one query — the
 // serializable outcome of searching mid-write.
 //
-// With no shadows and no frozen tier (mutated == false, the pure-read
-// path) the fold is ann.MergeTopK with a nil filter — byte-identical to
-// the pre-generational engine's merge. tr/qi record per-tier fold spans
-// on a traced, mutated batch (nil tr records nothing).
+// With no shadows (mutated == false, the pure-read path) the fold is
+// ann.MergeTopK with a nil filter — byte-identical to the
+// pre-generational engine's merge. tr/qi record per-tier fold spans on
+// a traced, mutated batch (nil tr records nothing).
 func mergeGenerational(query vec.Vector, base [][]ann.Neighbor, k int,
-	dlt, frozen *delta.Index, mutated bool, tr *obs.Trace, qi int) []ann.Neighbor {
+	dlt *delta.Index, mutated bool, tr *obs.Trace, qi int) []ann.Neighbor {
 	if !mutated {
 		return ann.MergeTopK(base, k, nil)
 	}
 	f := ann.NewFrontier(k)
 	sp := tr.Span("merge_delta")
-	for _, n := range dlt.Search(query, k, nil) {
+	for _, n := range dlt.Search(query, k) {
 		f.PushResult(n)
 	}
 	sp.Query(qi).End()
-	if frozen != nil {
-		sp = tr.Span("merge_frozen")
-		for _, n := range frozen.Search(query, k, dlt.Shadows) {
-			f.PushResult(n)
-		}
-		sp.Query(qi).End()
-	}
-	live := func(id uint32) bool {
-		if dlt.Shadows(id) {
-			return false
-		}
-		return frozen == nil || !frozen.Shadows(id)
-	}
 	sp = tr.Span("merge_base")
 	for _, list := range base {
 		for _, n := range list {
-			if live(n.ID) {
+			if !dlt.Shadows(n.ID) {
 				f.PushResult(n)
 			}
 		}

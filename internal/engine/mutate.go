@@ -6,11 +6,11 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 
-	"ndsearch/internal/delta"
 	"ndsearch/internal/snapshot"
 	"ndsearch/internal/vec"
 )
@@ -28,21 +28,16 @@ var (
 // Upsert inserts or replaces the vector with external ID id. The value
 // lands in the mutable delta tier immediately (v is copied) and becomes
 // visible to the next SearchBatch; any older copy in the base
-// generation or a draining delta is shadowed from that point on. The
-// vector must have the engine's dimensionality and finite components.
+// generation is shadowed from that point on. The vector must have the
+// engine's dimensionality and finite components.
 func (e *Engine) Upsert(id uint32, v vec.Vector) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	e.genMu.RLock()
-	defer e.genMu.RUnlock()
 	if e.delta == nil {
 		return ErrReadOnly
 	}
-	if err := e.delta.CheckVector(v); err != nil {
-		return fmt.Errorf("engine: upsert %d: %w", id, err)
-	}
 	wasLive := e.isLiveLocked(id)
-	shadowedBefore := e.shadowedLocked(id)
+	shadowedBefore := e.delta.Shadows(id)
 	if _, err := e.delta.Upsert(id, v); err != nil {
 		return fmt.Errorf("engine: upsert %d: %w", id, err)
 	}
@@ -58,74 +53,48 @@ func (e *Engine) Upsert(id uint32, v vec.Vector) error {
 }
 
 // Delete removes the vector with external ID id and reports whether it
-// was live. A copy in the base generation or a draining delta is
-// tombstoned (shadowed by the delta tier) rather than erased; the
-// storage is reclaimed by the next Compact. Deleting an absent ID is a
-// no-op that reports false.
+// was live. A copy in the base generation is tombstoned (shadowed by
+// the delta tier) rather than erased; the storage is reclaimed by the
+// next Compact. Deleting an absent ID is a no-op that reports false and
+// leaves no tombstone behind.
 func (e *Engine) Delete(id uint32) (bool, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	e.genMu.RLock()
-	defer e.genMu.RUnlock()
 	if e.delta == nil {
 		return false, ErrReadOnly
 	}
-	wasLive := e.isLiveLocked(id)
-	shadowedBefore := e.shadowedLocked(id)
-	// The deletion must be remembered as a tombstone only when a lower
-	// tier still holds the ID; an ID that only ever lived in the delta is
-	// simply forgotten.
-	lowerHolds := e.gen.has(id) || (e.frozen != nil && e.frozen.Has(id))
-	e.delta.Delete(id, lowerHolds)
-	if wasLive {
-		e.liveLen.Add(-1)
-		e.m.deletes.Inc()
+	if !e.isLiveLocked(id) {
+		return false, nil
 	}
-	if !shadowedBefore && e.gen.has(id) {
+	// The deletion must be remembered as a tombstone only when the base
+	// still holds the ID; an ID that only ever lived in the delta is
+	// simply forgotten (the delta itself keeps one for an ID a compaction
+	// in flight captured).
+	inBase := e.gen.has(id)
+	if !e.delta.Shadows(id) && inBase {
 		e.baseTombs.Add(1)
 	}
+	e.delta.Delete(id, inBase)
+	e.liveLen.Add(-1)
+	e.m.deletes.Inc()
 	e.notifyCompactor()
-	return wasLive, nil
+	return true, nil
 }
 
 // isLiveLocked reports whether external ID id is live in the layered
-// corpus. Callers hold writeMu and at least a read lock on genMu.
+// corpus. Callers hold writeMu, which also keeps e.gen from being
+// swapped.
 func (e *Engine) isLiveLocked(id uint32) bool {
 	if e.delta.Has(id) {
 		return true
 	}
-	if e.delta.Shadows(id) {
-		// Shadowed but not live in the delta: a deleted mark.
-		return false
-	}
-	if e.frozen != nil {
-		if e.frozen.Has(id) {
-			return true
-		}
-		if e.frozen.Shadows(id) {
-			return false
-		}
-	}
-	return e.gen.has(id)
-}
-
-// shadowedLocked reports whether a delta tier already shadows id (so
-// the base copy, if any, is already counted as tombstoned). Callers
-// hold writeMu and at least a read lock on genMu.
-func (e *Engine) shadowedLocked(id uint32) bool {
-	if e.delta.Shadows(id) {
-		return true
-	}
-	return e.frozen != nil && e.frozen.Shadows(id)
+	// Shadowed but not live in the delta is a deleted mark.
+	return !e.delta.Shadows(id) && e.gen.has(id)
 }
 
 // ReadOnly reports whether the engine lacks a mutable delta tier (see
 // ErrReadOnly).
-func (e *Engine) ReadOnly() bool {
-	e.genMu.RLock()
-	defer e.genMu.RUnlock()
-	return e.delta == nil
-}
+func (e *Engine) ReadOnly() bool { return e.delta == nil }
 
 // MutStats is a snapshot of the mutation and compaction counters (the
 // /stats mutability block).
@@ -137,12 +106,13 @@ type MutStats struct {
 	// current base generation number.
 	Compactions int64
 	Generation  int
-	// DeltaLive and DeltaTombstones are the live-vector and deleted-mark
-	// counts across the delta tiers (including a draining frozen delta).
+	// DeltaLive and DeltaTombstones are the delta tier's live-vector and
+	// deleted-mark counts, including entries a compaction in flight has
+	// captured (they leave the delta at its swap).
 	DeltaLive       int
 	DeltaTombstones int
 	// BaseTombstones counts base-generation entries currently shadowed by
-	// the delta tiers — the vectors a Compact would reclaim.
+	// the delta tier — the vectors a Compact would reclaim.
 	BaseTombstones int64
 	// Compacting reports an in-flight compaction.
 	Compacting bool
@@ -167,15 +137,11 @@ func (e *Engine) MutStats() MutStats {
 	}
 	e.genMu.RLock()
 	st.Generation = e.gen.num
+	e.genMu.RUnlock()
 	if e.delta != nil {
 		st.DeltaLive = e.delta.Len()
 		st.DeltaTombstones = e.delta.Tombstones()
 	}
-	if e.frozen != nil {
-		st.DeltaLive += e.frozen.Len()
-		st.DeltaTombstones += e.frozen.Tombstones()
-	}
-	e.genMu.RUnlock()
 	st.BaseTombstones = e.baseTombs.Load()
 	st.Compacting = e.compacting.Load()
 	return st
@@ -200,12 +166,12 @@ func (e *Engine) notifyCompactor() {
 	}
 }
 
-// DeltaPressure returns the live delta tier's shadow-set size — the
-// threshold signal compaction policies watch. A draining frozen delta
-// does not count: that pressure is already being relieved.
+// DeltaPressure returns the delta tier's shadow-set size — the
+// threshold signal compaction policies watch. Entries a compaction in
+// flight has captured count until its swap, so the pressure does not
+// drop while the drain runs; a policy that triggers on it then meets
+// ErrCompacting.
 func (e *Engine) DeltaPressure() int {
-	e.genMu.RLock()
-	defer e.genMu.RUnlock()
 	if e.delta == nil {
 		return 0
 	}
@@ -214,28 +180,30 @@ func (e *Engine) DeltaPressure() int {
 
 // Compact drains the delta tier into a freshly built base generation:
 //
-//  1. Freeze: under the write locks, the current delta becomes the
-//     frozen tier and a fresh empty delta is installed for new writes.
-//     Searches and mutations continue against all three tiers.
+//  1. Capture: under writeMu alone, the delta pins its current state —
+//     live entries, shadow set, and the number of the latest write.
+//     Nothing moves: searches and mutations keep running against base +
+//     delta, and the delta keeps every captured entry until the swap.
 //  2. Merge + build (no locks held): the merged corpus — base entries
-//     not shadowed by the frozen delta, plus the frozen delta's live
-//     vectors, sorted by external ID — is re-partitioned and rebuilt
-//     with the engine's shard builder. On a snapshot-backed engine the
-//     new generation is persisted as a gen-NNNNNN directory and the
-//     CURRENT pointer atomically renamed onto it before the swap, so a
-//     crash leaves a consistent directory.
+//     not in the captured shadow set, plus the captured live vectors,
+//     sorted by external ID — is re-partitioned and rebuilt with the
+//     engine's shard builder. On a snapshot-backed engine the new
+//     generation is persisted as a gen-NNNNNN directory and the CURRENT
+//     pointer atomically renamed onto it before the swap, so a crash
+//     leaves a consistent directory.
 //  3. Swap: under the write locks (which wait for in-flight searches to
-//     drain), the new generation replaces the old, the frozen tier is
-//     dropped, and the base-tombstone counter is recomputed against the
-//     new base. The old generation is then retired (paged handles
-//     closed, directory deleted).
+//     drain), the new generation replaces the old, the delta releases
+//     every entry the capture covered (the new base holds them), and
+//     the base-tombstone counter is recomputed against the new base.
+//     The old generation is then retired (paged handles closed,
+//     directory deleted).
 //
 // Compact is single-flight (ErrCompacting when one is in flight) and
 // returns nil without work when the delta is empty. It requires a shard
 // builder (engines built by New, or loaded from snapshots of registry
 // algorithms) and a RAM-resident base (paged engines cannot read their
-// corpus back); on build failure the frozen delta is folded back into
-// the live delta and no update is lost.
+// corpus back); on build failure the delta only unpins — nothing left
+// it, so no update is lost.
 func (e *Engine) Compact() error {
 	if !e.compacting.CompareAndSwap(false, true) {
 		return ErrCompacting
@@ -253,41 +221,27 @@ func (e *Engine) compact() error {
 	if e.serveMode != "" && e.serveMode != ServeRAM {
 		return fmt.Errorf("engine: Compact: paged engine (%s) cannot read its corpus back; load with ServeRAM to compact", e.serveMode)
 	}
-
-	// Freeze the delta; new writes land in a fresh one.
-	e.writeMu.Lock()
-	e.genMu.Lock()
 	if e.delta == nil {
-		e.genMu.Unlock()
-		e.writeMu.Unlock()
 		return ErrReadOnly
 	}
+
+	// Capture the delta. writeMu excludes writers, and only the swap
+	// below (which also holds writeMu) replaces e.gen.
+	e.writeMu.Lock()
 	if e.delta.Empty() {
-		e.genMu.Unlock()
 		e.writeMu.Unlock()
 		return nil
 	}
 	oldGen := e.gen
-	frozen := e.delta
-	e.frozen = frozen
-	e.delta = delta.New(e.metric, e.dim)
-	e.genMu.Unlock()
+	ids, vecs, drop, at := e.delta.Capture()
 	e.writeMu.Unlock()
 
-	newGen, err := e.buildGeneration(oldGen, frozen)
+	newGen, err := e.buildGeneration(oldGen, ids, vecs, drop)
 	if err == nil && e.genDir != "" {
 		err = e.persistGeneration(newGen)
 	}
 	if err != nil {
-		// Fold the frozen delta back under the writes that accumulated
-		// above it; no update is lost and the counters still hold (the
-		// layered membership is unchanged by the fold).
-		e.writeMu.Lock()
-		e.genMu.Lock()
-		e.delta.Absorb(frozen)
-		e.frozen = nil
-		e.genMu.Unlock()
-		e.writeMu.Unlock()
+		e.delta.Release(at, false)
 		return err
 	}
 
@@ -296,7 +250,7 @@ func (e *Engine) compact() error {
 	e.writeMu.Lock()
 	e.genMu.Lock()
 	e.gen = newGen
-	e.frozen = nil
+	e.delta.Release(at, true)
 	tombs := int64(0)
 	for _, id := range e.delta.ShadowIDs() {
 		if newGen.has(id) {
@@ -329,12 +283,13 @@ func (e *Engine) compact() error {
 	return nil
 }
 
-// buildGeneration merges the base generation with a frozen delta and
-// builds the successor generation's shards. No engine locks are held:
-// oldGen is immutable and frozen receives no writes once frozen.
-func (e *Engine) buildGeneration(oldGen *generation, frozen *delta.Index) (*generation, error) {
-	ids := make([]uint32, 0, oldGen.vectors+frozen.Len())
-	vecs := make([]vec.Vector, 0, oldGen.vectors+frozen.Len())
+// buildGeneration merges the base generation with a delta capture —
+// base rows whose IDs are not in drop, plus the captured live (ids,
+// vecs) — and builds the successor generation's shards. No engine locks
+// are held: oldGen is immutable and the capture is a private snapshot.
+func (e *Engine) buildGeneration(oldGen *generation, capIDs []uint32, capVecs []vec.Vector, drop []uint32) (*generation, error) {
+	ids := make([]uint32, 0, oldGen.vectors+len(capIDs))
+	vecs := make([]vec.Vector, 0, oldGen.vectors+len(capIDs))
 	for _, sh := range oldGen.shards {
 		mx, ok := sh.index.(interface{ Matrix() *vec.Matrix })
 		if !ok {
@@ -343,23 +298,22 @@ func (e *Engine) buildGeneration(oldGen *generation, frozen *delta.Index) (*gene
 		mat := mx.Matrix()
 		for r := 0; r < mat.Rows(); r++ {
 			ext := oldGen.extID(sh.base + uint32(r))
-			if frozen.Shadows(ext) {
+			if _, shadowed := slices.BinarySearch(drop, ext); shadowed {
 				continue
 			}
 			ids = append(ids, ext)
 			vecs = append(vecs, mat.Row(r))
 		}
 	}
-	fids, fvecs := frozen.Live()
-	ids = append(ids, fids...)
-	vecs = append(vecs, fvecs...)
+	ids = append(ids, capIDs...)
+	vecs = append(vecs, capVecs...)
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("engine: Compact: refusing to build an empty generation (every vector deleted); the delta keeps serving")
 	}
 
 	// Sort the merged corpus ascending by external ID. Both halves are
 	// already sorted (base positions ascend through an ascending ID
-	// table; Live returns sorted IDs), so this is one merge pass for
+	// table; Capture returns sorted IDs), so this is one merge pass for
 	// sort.Sort's purposes — and the invariant generations rely on:
 	// gen.ids strictly ascending, so membership is a binary search.
 	sort.Sort(&byExtID{ids: ids, vecs: vecs})

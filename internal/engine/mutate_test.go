@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ndsearch/internal/ann"
@@ -14,6 +16,7 @@ import (
 	"ndsearch/internal/hcnng"
 	"ndsearch/internal/hnsw"
 	"ndsearch/internal/ivfpq"
+	"ndsearch/internal/obs"
 	"ndsearch/internal/snapshot"
 	"ndsearch/internal/togg"
 	"ndsearch/internal/vamana"
@@ -266,8 +269,8 @@ func TestCompactRefusesEmptyCorpus(t *testing.T) {
 	if err := e.Compact(); err == nil {
 		t.Fatal("compacting a fully deleted corpus succeeded")
 	}
-	// The failed compaction folded the frozen delta back: the engine
-	// still serves (zero results) and still accepts writes.
+	// The failed compaction left the delta as it was: the engine still
+	// serves (zero results) and still accepts writes.
 	if res := e.Search(d.Queries[0], 5); len(res) != 0 {
 		t.Fatalf("deleted corpus returned %v", res)
 	}
@@ -276,6 +279,188 @@ func TestCompactRefusesEmptyCorpus(t *testing.T) {
 	}
 	if got := e.Search(d.Vectors[1], 1); len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("post-failure upsert not served: %v", got)
+	}
+}
+
+// buildGate holds a compaction's shard builds inside the capture→swap
+// window: once armed, every build announces itself on entered (closed by
+// the first) and blocks until release closes, then fails if fail is set.
+type buildGate struct {
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+	fail    bool
+}
+
+func newBuildGate(fail bool) *buildGate {
+	return &buildGate{entered: make(chan struct{}), release: make(chan struct{}), fail: fail}
+}
+
+// wrap returns inner behind the gate; builds pass straight through until
+// the gate is armed, so the engine's initial build is never held.
+func (g *buildGate) wrap(inner Builder) Builder {
+	return func(shard int, data []vec.Vector) (ann.Index, error) {
+		if g.armed.Load() {
+			g.once.Do(func() { close(g.entered) })
+			<-g.release
+			if g.fail {
+				return nil, errors.New("gated build failed")
+			}
+		}
+		return inner(shard, data)
+	}
+}
+
+// startCompact arms the gate, starts Compact in the background, and
+// returns once the compaction is blocked in its shard builds; the
+// returned function opens the gate and yields Compact's result.
+func (g *buildGate) startCompact(e *Engine) (finish func() error) {
+	g.armed.Store(true)
+	errc := make(chan error, 1)
+	go func() { errc <- e.Compact() }()
+	<-g.entered
+	return func() error {
+		close(g.release)
+		err := <-errc
+		g.armed.Store(false)
+		return err
+	}
+}
+
+// TestWritesDuringCompactionMatchModel lands every kind of write inside
+// the window between a compaction's capture and its swap — while the new
+// generation is being built from state those writes supersede — and
+// checks the engine against the brute-force model before, during, and
+// after the swap, for a build that succeeds and one that fails.
+func TestWritesDuringCompactionMatchModel(t *testing.T) {
+	pool, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 96, Queries: 6, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n0 = 24
+	base, spare, queries := pool.Vectors[:n0], pool.Vectors[n0:], pool.Queries
+	for _, algo := range []string{"exact", "hnsw"} {
+		for _, fail := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fail=%t", algo, fail), func(t *testing.T) {
+				gate := newBuildGate(fail)
+				e, err := New(base, Config{
+					Shards: 3, Workers: 2,
+					Builder: gate.wrap(exhaustiveBuilder(t, algo, vec.L2, 1)),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(e.Close)
+
+				model := make(map[uint32]vec.Vector, n0)
+				for i, v := range base {
+					model[uint32(i)] = v
+				}
+				upsert := func(id uint32, v vec.Vector) {
+					t.Helper()
+					if err := e.Upsert(id, v); err != nil {
+						t.Fatal(err)
+					}
+					model[id] = v
+				}
+				del := func(id uint32) {
+					t.Helper()
+					_, inModel := model[id]
+					if was, err := e.Delete(id); err != nil || was != inModel {
+						t.Fatalf("Delete(%d) = %v, %v; model says live=%v", id, was, err, inModel)
+					}
+					delete(model, id)
+				}
+				check := func(stage string) {
+					t.Helper()
+					for _, k := range []int{1, 3, 10} {
+						checkAgainstModel(t, e, vec.L2, model, queries, k, fmt.Sprintf("%s/k%d", stage, k))
+					}
+				}
+
+				// State the compaction captures.
+				upsert(n0, spare[0])   // delta entry, overwritten in flight
+				upsert(n0+1, spare[1]) // delta entry, deleted in flight
+				upsert(n0+2, spare[2]) // delta entry, overwritten then deleted in flight
+				upsert(3, spare[3])    // base overwrite, kept
+				del(4)                 // tombstone, re-inserted in flight
+				del(5)                 // tombstone, kept
+				check("before")
+
+				finish := gate.startCompact(e)
+				upsert(n0, spare[4])
+				del(n0 + 1)
+				upsert(n0+2, spare[5])
+				del(n0 + 2)
+				upsert(4, spare[6])
+				del(6) // untouched base vector
+				upsert(n0+10, spare[7])
+				del(n0 + 10)
+				upsert(7, spare[8]) // base vector overwritten twice
+				upsert(7, spare[9])
+				check("during")
+
+				err = finish()
+				wantGen := 1
+				if fail {
+					wantGen = 0
+					if err == nil {
+						t.Fatal("gated failing build compacted")
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if st := e.MutStats(); st.Generation != wantGen || st.Compacting {
+					t.Fatalf("after swap: %+v, want generation %d", st, wantGen)
+				}
+				check("after swap")
+
+				if err := e.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				check("after second compact")
+				if st := e.MutStats(); st.DeltaLive != 0 || st.DeltaTombstones != 0 || st.BaseTombstones != 0 {
+					t.Fatalf("delta not clean after second compact: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// A delete of an already-deleted base ID while a compaction is in flight
+// is a no-op: it must not leave a tombstone the swap cannot clear, which
+// would keep Save refusing and every search off the pure-read merge.
+func TestRepeatDeleteDuringCompactionLeavesNoTombstone(t *testing.T) {
+	d := testData(t, 30, 2)
+	gate := newBuildGate(false)
+	e, err := New(d.Vectors, Config{
+		Shards: 2, Workers: 2, Builder: gate.wrap(exhaustiveBuilder(t, "exact", vec.L2, 1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	if was, err := e.Delete(9); err != nil || !was {
+		t.Fatalf("Delete(9) = %v, %v", was, err)
+	}
+	finish := gate.startCompact(e)
+	if was, err := e.Delete(9); err != nil || was {
+		t.Fatalf("repeated Delete(9) = %v, %v", was, err)
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.MutStats(); st.DeltaLive != 0 || st.DeltaTombstones != 0 || st.BaseTombstones != 0 {
+		t.Fatalf("delta not clean after the swap: %+v", st)
+	}
+	if err := e.Save(t.TempDir()); err != nil {
+		t.Fatalf("Save after the swap: %v", err)
+	}
+	tr := obs.NewTrace()
+	e.SearchBatchOpts(d.Queries, 5, SearchOptions{Trace: tr})
+	if n := stageSet(tr.Spans())["merge_delta"]; n != 0 {
+		t.Fatalf("clean engine still merges the delta tier (%d merge_delta spans)", n)
 	}
 }
 

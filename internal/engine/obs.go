@@ -47,7 +47,7 @@ func newEngineMetrics() engineMetrics {
 		shardSearches: obs.NewCounter("nd_shard_searches_total",
 			"executed (query, shard) search tasks"),
 		compactSeconds: obs.NewHistogram("nd_compaction_seconds",
-			"delta-drain compaction duration (freeze through swap)", obs.LatencyBuckets),
+			"delta-drain compaction duration (capture through swap)", obs.LatencyBuckets),
 		compactions: obs.NewCounter("nd_compactions_total",
 			"completed generation compactions"),
 		upserts: obs.NewCounter("nd_upserts_total",
@@ -71,10 +71,10 @@ func (e *Engine) EnableMetrics(r *obs.Registry) {
 			"current base generation number (increments per compaction)",
 			func() float64 { return float64(e.Generation()) }),
 		obs.NewGaugeFunc("nd_delta_live",
-			"live vectors in the mutable delta tiers",
+			"live vectors in the mutable delta tier",
 			func() float64 { return float64(e.MutStats().DeltaLive) }),
 		obs.NewGaugeFunc("nd_base_tombstones",
-			"base-generation entries shadowed by the delta tiers",
+			"base-generation entries shadowed by the delta tier",
 			func() float64 { return float64(e.MutStats().BaseTombstones) }),
 		obs.NewCounterFunc("nd_page_touches_total",
 			"software page-cache touches across paged shards (0 when resident)",

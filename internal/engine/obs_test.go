@@ -23,8 +23,8 @@ func stageSet(spans []obs.Span) map[string]int {
 // TestTracedSearchByteIdentical is the tracing acceptance property:
 // attaching a trace to a batch must not perturb results — traced and
 // untraced executions return deep-equal top-k lists, for every family,
-// on both the pure-read path and a mutated engine (delta + frozen
-// tiers live, so the per-tier merge folds run).
+// on both the pure-read path and a mutated engine (delta tier live, so
+// the per-tier merge folds run).
 func TestTracedSearchByteIdentical(t *testing.T) {
 	pool, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 72, Queries: 5, Seed: 11})
 	if err != nil {

@@ -92,7 +92,7 @@ type ShardFile struct {
 func (e *Engine) Save(dir string) error {
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()
-	if (e.delta != nil && !e.delta.Empty()) || e.frozen != nil {
+	if e.delta != nil && !e.delta.Empty() {
 		return fmt.Errorf("engine: save: delta tier holds un-compacted writes; Compact first so the snapshot captures the merged corpus")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -164,8 +164,8 @@ func writeGenerationDir(dir string, gen *generation, meta Meta, dim int) error {
 // on disk before the rename lands, so a crash anywhere leaves CURRENT
 // naming a fully written generation — the old one until the rename, the
 // new one after. On failure the partial directory is removed and the
-// caller's compaction fails (the frozen delta folds back; nothing
-// lost).
+// caller's compaction fails (the delta still holds every captured
+// entry; nothing lost).
 func (e *Engine) persistGeneration(gen *generation) error {
 	name := snapshot.GenerationName(gen.num)
 	gdir := filepath.Join(e.genDir, name)

@@ -16,7 +16,7 @@ import (
 // (query, shard) task; Shard and Query set, page counters populated on
 // the paged serving path), merge (top-k fold over all queries of the
 // batch), and — on a mutated engine — the per-query tier folds
-// merge_delta, merge_frozen, and merge_base.
+// merge_delta and merge_base.
 type Span struct {
 	Stage string `json:"stage"`
 	// Shard and Query scope the span: the shard ordinal for per-shard
