@@ -37,7 +37,8 @@
 //	-coalesce-wait  coalescing deadline (default 500us)
 //	-compact-threshold  delta shadow-set size that triggers background
 //	                compaction, 0 disables (manual /compact only;
-//	                default engine.DefaultCompactThreshold)
+//	                default engine.DefaultCompactThreshold; RAM serving
+//	                only — a paged engine never starts a compactor)
 //	-slow-query     log /search requests slower than this as one
 //	                structured line each (0 disables; default 0)
 //	-pprof          mount net/http/pprof under /debug/pprof/ (default off)
@@ -84,6 +85,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -151,7 +153,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ndserve: %v\n", err)
 		os.Exit(1)
 	}
-	if *compactThreshold > 0 && !srv.engine.ReadOnly() {
+	if *compactThreshold > 0 && srv.engine.ServeMode() == engine.ServeRAM {
 		srv.EnableCompaction(*compactThreshold)
 		log.Printf("ndserve: background compaction at delta shadow-set size %d", *compactThreshold)
 	}
@@ -200,8 +202,9 @@ func main() {
 // is rejected rather than silently ignored; paged -serve modes need a
 // snapshot directory to page from, so they require -load-index;
 // compact-threshold may be zero (background compaction disabled) but
-// never negative; slow-query may be zero (log disabled) but never
-// negative.
+// never negative, and a paged engine cannot compact, so an explicitly
+// set positive threshold beside a paged -serve is rejected; slow-query
+// may be zero (log disabled) but never negative.
 func validateFlags(n, shards, workers, rerank, coalesceMax int, coalesceWait time.Duration,
 	saveIndex, loadIndex, serveMode string, cachePages, compactThreshold int,
 	slowQuery time.Duration, explicit []string) error {
@@ -250,6 +253,9 @@ func validateFlags(n, shards, workers, rerank, coalesceMax int, coalesceWait tim
 	}
 	if compactThreshold < 0 {
 		return fmt.Errorf("-compact-threshold must be >= 0 (0 disables background compaction), got %d", compactThreshold)
+	}
+	if compactThreshold > 0 && serveMode != engine.ServeRAM && slices.Contains(explicit, "compact-threshold") {
+		return fmt.Errorf("-compact-threshold %d: a paged engine (-serve %s) cannot read its corpus back to compact", compactThreshold, serveMode)
 	}
 	if slowQuery < 0 {
 		return fmt.Errorf("-slow-query must be >= 0 (0 disables the slow-query log), got %v", slowQuery)

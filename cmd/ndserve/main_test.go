@@ -352,6 +352,18 @@ func TestValidateFlags(t *testing.T) {
 		{"negative cache-pages", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", -1, 0, 0, nil, bad},
 		{"negative compact-threshold", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, -1, 0, nil, bad},
 		{"compact threshold enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 4096, 0, nil, ok},
+		// A paged engine cannot compact: an explicitly set threshold is a
+		// usage error there, the flag's default is not, and 0 opts out.
+		{"mmap serve with -compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 0, 512, 0,
+			[]string{"load-index", "serve", "compact-threshold"}, bad},
+		{"readat serve with -compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "readat", 0, 512, 0,
+			[]string{"load-index", "serve", "compact-threshold"}, bad},
+		{"mmap serve with default compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 0, 1024, 0,
+			[]string{"load-index", "serve"}, ok},
+		{"mmap serve with -compact-threshold 0", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 0, 0, 0,
+			[]string{"load-index", "serve", "compact-threshold"}, ok},
+		{"ram load with -compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 512, 0,
+			[]string{"load-index", "compact-threshold"}, ok},
 		{"slow-query enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, 5 * time.Millisecond, nil, ok},
 		{"negative slow-query", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, -time.Millisecond, nil, bad},
 		{"build flags with a build", 100, 2, 0, 8, 256, 0, "", "", "ram", 0, 0, 0,

@@ -78,18 +78,14 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // mutationError maps engine mutation errors onto HTTP statuses: a
-// read-only engine refuses writes outright (403), a racing compaction
-// is a retryable conflict (409), anything else from the write path is
-// caller error (400).
+// racing compaction is a retryable conflict (409), anything else from
+// the write path is caller error (400).
 func mutationError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, engine.ErrReadOnly):
-		httpError(w, http.StatusForbidden, "%v", err)
-	case errors.Is(err, engine.ErrCompacting):
+	if errors.Is(err, engine.ErrCompacting) {
 		httpError(w, http.StatusConflict, "%v", err)
-	default:
-		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
+	httpError(w, http.StatusBadRequest, "%v", err)
 }
 
 func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
@@ -235,12 +231,8 @@ type MutationStats struct {
 	CompactorError   string  `json:"compactor_error,omitempty"`
 }
 
-// mutationStats assembles the /stats mutation block, or nil for a
-// read-only engine (no delta tier to report on).
+// mutationStats assembles the /stats mutation block.
 func (s *Server) mutationStats() *MutationStats {
-	if s.engine.ReadOnly() {
-		return nil
-	}
 	st := s.engine.MutStats()
 	out := &MutationStats{
 		Upserts:         st.Upserts,

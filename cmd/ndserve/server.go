@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -147,15 +146,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Handler wall time feeds the slow-query log only.
 	start := time.Now()
 	var req SearchRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.maxBodyBytes)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	batch, err := s.batchOf(&req)
@@ -340,8 +331,7 @@ type StatsResponse struct {
 	Serve              string          `json:"serve"`
 	Pages              *PageStats      `json:"pages,omitempty"`
 	Coalescer          *CoalescerStats `json:"coalescer,omitempty"`
-	// Mutation carries the live-mutability counters (absent on a
-	// read-only engine).
+	// Mutation carries the live-mutability counters.
 	Mutation *MutationStats `json:"mutation,omitempty"`
 }
 

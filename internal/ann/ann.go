@@ -18,7 +18,9 @@ type Neighbor struct {
 	Dist float32
 }
 
-// Index is the common search interface over a built ANNS graph.
+// Index is the common search interface over a built ANNS index — the
+// one shard contract: every family (the four graph families, Exact,
+// ivfpq), built in-process, loaded resident, or served paged, is one.
 type Index interface {
 	// Search returns the approximate top-k neighbors of query.
 	Search(query vec.Vector, k int) []Neighbor
@@ -30,6 +32,8 @@ type Index interface {
 	Graph() GraphView
 	// Len returns the number of indexed vectors.
 	Len() int
+	// Metric returns the distance metric the index was built with.
+	Metric() vec.Metric
 }
 
 // GraphView is the read-only adjacency view placement code needs.
@@ -278,71 +282,41 @@ func (f *Frontier) TopK(k int) []Neighbor {
 	return rs[:k]
 }
 
-// MergeTopK folds per-tier result lists through a bounded Frontier into
-// the exact top-k under the package's (distance, ID) total order. live,
-// when non-nil, is the tombstone filter of the generational shard set:
-// entries for which it returns false (deleted or superseded by a newer
-// tier) are dropped before admission, during the fold rather than after
-// it, so a list whose head is entirely tombstoned still yields its best
-// surviving entries. With a nil filter the fold is the plain exact
-// merge the sharded engine has always used, byte-identical to it.
-func MergeTopK(lists [][]Neighbor, k int, live func(uint32) bool) []Neighbor {
+// MergeTopK folds per-shard result lists through a bounded Frontier
+// into the exact top-k under the package's (distance, ID) total order —
+// the sharded engine's merge.
+func MergeTopK(lists [][]Neighbor, k int) []Neighbor {
 	f := NewFrontier(k)
 	for _, list := range lists {
 		for _, n := range list {
-			if live != nil && !live(n.ID) {
-				continue
-			}
 			f.PushResult(n)
 		}
 	}
 	return f.Results()
 }
 
-// ValidateIn is Validate for result lists whose IDs are not dense
-// [0, n) positions: the generational engine's merged results carry
-// arbitrary external IDs, so range-checking against a corpus length is
-// meaningless. contains must report membership in the live corpus; the
-// order, finiteness, and uniqueness checks match Validate.
+// Validate sanity-checks a result list over a dense corpus of n
+// vectors: ValidateIn with IDs in [0, n).
+func Validate(ns []Neighbor, n int) error {
+	return ValidateIn(ns, func(id uint32) bool { return int(id) < n })
+}
+
+// ValidateIn sanity-checks a result list: ascending (distance, ID)
+// order — the package's total order, including ID-ascending tie-breaks
+// — finite distances, unique IDs, and every ID a member of the corpus
+// (contains; nil skips the check). The generational engine's merged
+// results carry arbitrary external IDs, so membership is a predicate
+// rather than a range. Used by tests and the simulator's invariant
+// checks. NaN distances are rejected explicitly: NaN compares false
+// against everything, so a NaN entry would otherwise slip through the
+// order checks while silently breaking the total order downstream
+// (quantized rerank made this reachable in principle — a corrupted
+// scale table could poison reranked distances).
 func ValidateIn(ns []Neighbor, contains func(uint32) bool) error {
 	seen := make(map[uint32]bool, len(ns))
 	for i, x := range ns {
 		if contains != nil && !contains(x.ID) {
-			return fmt.Errorf("%w: result ID %d is not a live corpus member", ErrInvalidResults, x.ID)
-		}
-		if x.Dist != x.Dist {
-			return fmt.Errorf("%w: result %d (ID %d) has NaN distance", ErrInvalidResults, i, x.ID)
-		}
-		if seen[x.ID] {
-			return fmt.Errorf("%w: duplicate result ID %d", ErrInvalidResults, x.ID)
-		}
-		seen[x.ID] = true
-		if i > 0 {
-			prev := ns[i-1]
-			if x.Dist < prev.Dist {
-				return fmt.Errorf("%w: results not sorted at index %d", ErrInvalidResults, i)
-			}
-			if x.Dist == prev.Dist && x.ID < prev.ID {
-				return fmt.Errorf("%w: tie at index %d not in ascending ID order (%d after %d)", ErrInvalidResults, i, x.ID, prev.ID)
-			}
-		}
-	}
-	return nil
-}
-
-// Validate sanity-checks a result list: ascending (distance, ID) order
-// — the package's total order, including ID-ascending tie-breaks —
-// finite distances, unique IDs, IDs within range. Used by tests and the
-// simulator's invariant checks. NaN distances are rejected explicitly:
-// NaN compares false against everything, so a NaN entry would otherwise
-// slip through the order checks while silently breaking the total order
-// downstream (quantized rerank made this reachable in principle — a
-// corrupted scale table could poison reranked distances).
-func Validate(ns []Neighbor, n int) error {
-	seen := make(map[uint32]bool, len(ns))
-	for i, x := range ns {
-		if int(x.ID) >= n {
-			return fmt.Errorf("%w: result ID %d out of range %d", ErrInvalidResults, x.ID, n)
+			return fmt.Errorf("%w: result ID %d is not a corpus member", ErrInvalidResults, x.ID)
 		}
 		if x.Dist != x.Dist {
 			return fmt.Errorf("%w: result %d (ID %d) has NaN distance", ErrInvalidResults, i, x.ID)

@@ -240,9 +240,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 	}
 	defer paged.Close()
 	q := data[11]
-	for name, idx := range map[string]interface {
-		Search(vec.Vector, int) []ann.Neighbor
-	}{"resident": built, "mmap": paged} {
+	for name, idx := range map[string]ann.Index{"resident": built, "mmap": paged.Index()} {
 		for _, warm := range data[:20] { // pooled scratch, page-cache slots
 			idx.Search(warm, 10)
 		}

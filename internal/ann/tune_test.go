@@ -40,8 +40,9 @@ func (s *stubIndex) Search(q vec.Vector, k int) []Neighbor {
 func (s *stubIndex) SearchTraced(q vec.Vector, k int) ([]Neighbor, trace.Query) {
 	return s.Search(q, k), trace.Query{}
 }
-func (s *stubIndex) Graph() GraphView { return nil }
-func (s *stubIndex) Len() int         { return len(s.data) }
+func (s *stubIndex) Graph() GraphView   { return nil }
+func (s *stubIndex) Len() int           { return len(s.data) }
+func (s *stubIndex) Metric() vec.Metric { return s.metric }
 func (s *stubIndex) SetBeamWidth(w int) {
 	if w >= 1 {
 		s.beam = w

@@ -8,13 +8,15 @@
 // The shard set is generational (DESIGN.md §12): an immutable base
 // generation — built in-process or restored from a snapshot — serves
 // reads, while a small mutable delta tier (internal/delta) absorbs
-// Upsert/Delete traffic. The merge fold filters base results through
-// the delta's tombstone set during the fold, so top-k stays exact over
-// the merged corpus, and a pure-read engine (no writes ever) returns
-// results byte-identical to the pre-generational engine. Compact drains
-// the delta into a freshly built generation and swaps it in behind the
-// search path (atomic CURRENT rename on disk, write-lock swap in
-// memory), retiring the old generation after in-flight searches drain.
+// Upsert/Delete traffic. Every engine, built or loaded, has both the
+// delta (over its shards' metric) and a shard builder. The merge fold
+// filters base results through the delta's tombstone set during the
+// fold, so top-k stays exact over the merged corpus, and an engine that
+// has taken no writes returns results byte-identical to the
+// pre-generational engine. Compact drains the delta into a freshly
+// built generation and swaps it in behind the search path (atomic
+// CURRENT rename on disk, write-lock swap in memory), retiring the old
+// generation after in-flight searches drain.
 //
 // Sharding is contiguous, so a shard's local vertex i is global
 // position base+i; generation 0 positions are the global IDs, and
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,9 +183,8 @@ type Engine struct {
 	// in-flight searches; see the contract above.
 	genMu sync.RWMutex
 	gen   *generation
-	// delta absorbs writes; it is set once at construction and is nil
-	// only on engines whose shard metric could not be detected (custom
-	// index types), which serve read-only.
+	// delta absorbs writes; it is set once at construction, over the
+	// shards' metric.
 	delta *delta.Index
 
 	// writeMu serializes mutators (Upsert/Delete) and compaction's
@@ -195,11 +197,9 @@ type Engine struct {
 	liveLen   atomic.Int64
 	baseTombs atomic.Int64
 
-	// metric is the shard distance metric (valid when delta != nil);
-	// builder rebuilds shards at compaction (nil disables Compact);
-	// reqShards is the configured shard count compaction re-partitions
-	// to; genDir is the on-disk generation root ("" = in-memory).
-	metric    vec.Metric
+	// builder rebuilds shards at compaction; reqShards is the configured
+	// shard count compaction re-partitions to; genDir is the on-disk
+	// generation root ("" = in-memory).
 	builder   Builder
 	reqShards int
 	genDir    string
@@ -295,8 +295,7 @@ func New(data []vec.Vector, cfg Config) (*Engine, error) {
 		vectors:  len(data),
 		perShard: make([]atomic.Int64, len(shards)),
 	}
-	e := newEngine(gen, cfg.Workers, len(data[0]), cfg.Meta)
-	e.builder = cfg.Builder
+	e := newEngine(gen, cfg.Workers, len(data[0]), cfg.Meta, cfg.Builder)
 	e.reqShards = cfg.Shards
 	return e, nil
 }
@@ -333,29 +332,24 @@ func buildShards(data []vec.Vector, shards, workers int, builder Builder) ([]sha
 }
 
 // newEngine assembles an engine around an already-built base generation
-// and starts the persistent worker pool — shared by New (cold build),
-// Load (snapshot warm-start), and Compact (generation rebuild reuses
-// only the shard-building half). The mutable delta tier is stood up
-// when the shard metric is detectable from the shard indexes; engines
-// over custom index types serve read-only.
-func newEngine(gen *generation, workers, dim int, meta Meta) *Engine {
+// (at least one shard), stands up the mutable delta tier over the
+// shards' metric, and starts the persistent worker pool — shared by New
+// (cold build) and Load (snapshot warm-start); Compact reuses only the
+// shard-building half.
+func newEngine(gen *generation, workers, dim int, meta Meta, builder Builder) *Engine {
 	e := &Engine{
 		gen:     gen,
+		delta:   delta.New(gen.shards[0].index.Metric(), dim),
 		workers: workers,
 		dim:     dim,
 		meta:    meta,
+		builder: builder,
 		// A modest buffer decouples task producers from worker pickup
 		// without letting one huge batch monopolise the queue.
 		tasks: make(chan task, 4*workers),
 		m:     newEngineMetrics(),
 	}
 	e.liveLen.Store(int64(gen.vectors))
-	if len(gen.shards) > 0 {
-		if m, err := snapshot.MetricOf(gen.shards[0].index); err == nil {
-			e.metric = m
-			e.delta = delta.New(m, dim)
-		}
-	}
 	for w := 0; w < workers; w++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -547,10 +541,7 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	// shard's top-(k+S) minus at most S shadowed entries still carries
 	// its top-k live vectors, keeping the merge exact. S is zero on the
 	// pure-read path, where results must stay byte-identical.
-	shadows := 0
-	if dlt != nil {
-		shadows = dlt.ShadowCount()
-	}
+	shadows := dlt.ShadowCount()
 	kBase := k + shadows
 
 	// partial[qi][si] is query qi's top-k from shard si; every task owns
@@ -597,13 +588,13 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 // serializable outcome of searching mid-write.
 //
 // With no shadows (mutated == false, the pure-read path) the fold is
-// ann.MergeTopK with a nil filter — byte-identical to the
+// ann.MergeTopK — byte-identical to the
 // pre-generational engine's merge. tr/qi record per-tier fold spans on
 // a traced, mutated batch (nil tr records nothing).
 func mergeGenerational(query vec.Vector, base [][]ann.Neighbor, k int,
 	dlt *delta.Index, mutated bool, tr *obs.Trace, qi int) []ann.Neighbor {
 	if !mutated {
-		return ann.MergeTopK(base, k, nil)
+		return ann.MergeTopK(base, k)
 	}
 	f := ann.NewFrontier(k)
 	sp := tr.Span("merge_delta")
@@ -778,19 +769,6 @@ func Algos() []string {
 	return out
 }
 
-// algosList formats Algos for error and usage text.
-func algosList() string {
-	names := Algos()
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
-}
-
 // BuilderByName returns a shard-index Builder for a named algorithm.
 // Every family in the snapshot codec registry is available — the list
 // is Algos(): exact, hcnng, hnsw, ivfpq, togg, and diskann (the Vamana
@@ -807,7 +785,7 @@ func BuilderByName(algo string, m vec.Metric, seed int64) (Builder, error) {
 func BuilderWithOpts(algo string, m vec.Metric, seed int64, opts IndexOpts) (Builder, error) {
 	factory, ok := builders[algo]
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown algorithm %q (want one of: %s)", algo, algosList())
+		return nil, fmt.Errorf("engine: unknown algorithm %q (want one of: %s)", algo, strings.Join(Algos(), ", "))
 	}
 	return factory(m, seed, opts)
 }

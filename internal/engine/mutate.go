@@ -15,15 +15,9 @@ import (
 	"ndsearch/internal/vec"
 )
 
-var (
-	// ErrReadOnly means the engine has no mutable delta tier: its shard
-	// metric could not be detected (custom index types), so it serves the
-	// base generation read-only.
-	ErrReadOnly = errors.New("engine: read-only engine (no mutable delta tier)")
-	// ErrCompacting means a compaction is already in flight; Compact is
-	// single-flight by design.
-	ErrCompacting = errors.New("engine: compaction already in flight")
-)
+// ErrCompacting means a compaction is already in flight; Compact is
+// single-flight by design.
+var ErrCompacting = errors.New("engine: compaction already in flight")
 
 // Upsert inserts or replaces the vector with external ID id. The value
 // lands in the mutable delta tier immediately (v is copied) and becomes
@@ -33,9 +27,6 @@ var (
 func (e *Engine) Upsert(id uint32, v vec.Vector) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if e.delta == nil {
-		return ErrReadOnly
-	}
 	wasLive := e.isLiveLocked(id)
 	shadowedBefore := e.delta.Shadows(id)
 	if _, err := e.delta.Upsert(id, v); err != nil {
@@ -60,9 +51,6 @@ func (e *Engine) Upsert(id uint32, v vec.Vector) error {
 func (e *Engine) Delete(id uint32) (bool, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if e.delta == nil {
-		return false, ErrReadOnly
-	}
 	if !e.isLiveLocked(id) {
 		return false, nil
 	}
@@ -91,10 +79,6 @@ func (e *Engine) isLiveLocked(id uint32) bool {
 	// Shadowed but not live in the delta is a deleted mark.
 	return !e.delta.Shadows(id) && e.gen.has(id)
 }
-
-// ReadOnly reports whether the engine lacks a mutable delta tier (see
-// ErrReadOnly).
-func (e *Engine) ReadOnly() bool { return e.delta == nil }
 
 // MutStats is a snapshot of the mutation and compaction counters (the
 // /stats mutability block).
@@ -138,10 +122,8 @@ func (e *Engine) MutStats() MutStats {
 	e.genMu.RLock()
 	st.Generation = e.gen.num
 	e.genMu.RUnlock()
-	if e.delta != nil {
-		st.DeltaLive = e.delta.Len()
-		st.DeltaTombstones = e.delta.Tombstones()
-	}
+	st.DeltaLive = e.delta.Len()
+	st.DeltaTombstones = e.delta.Tombstones()
 	st.BaseTombstones = e.baseTombs.Load()
 	st.Compacting = e.compacting.Load()
 	return st
@@ -171,12 +153,7 @@ func (e *Engine) notifyCompactor() {
 // flight has captured count until its swap, so the pressure does not
 // drop while the drain runs; a policy that triggers on it then meets
 // ErrCompacting.
-func (e *Engine) DeltaPressure() int {
-	if e.delta == nil {
-		return 0
-	}
-	return e.delta.ShadowCount()
-}
+func (e *Engine) DeltaPressure() int { return e.delta.ShadowCount() }
 
 // Compact drains the delta tier into a freshly built base generation:
 //
@@ -199,11 +176,10 @@ func (e *Engine) DeltaPressure() int {
 //     directory deleted).
 //
 // Compact is single-flight (ErrCompacting when one is in flight) and
-// returns nil without work when the delta is empty. It requires a shard
-// builder (engines built by New, or loaded from snapshots of registry
-// algorithms) and a RAM-resident base (paged engines cannot read their
-// corpus back); on build failure the delta only unpins — nothing left
-// it, so no update is lost.
+// returns nil without work when the delta is empty. It requires a
+// RAM-resident base (paged engines cannot read their corpus back); on
+// build failure the delta only unpins — nothing left it, so no update
+// is lost.
 func (e *Engine) Compact() error {
 	if !e.compacting.CompareAndSwap(false, true) {
 		return ErrCompacting
@@ -215,14 +191,8 @@ func (e *Engine) Compact() error {
 func (e *Engine) compact() error {
 	//ndvet:ignore determinism wall time feeds only the LastCompactDuration stat, never results
 	start := time.Now()
-	if e.builder == nil {
-		return fmt.Errorf("engine: Compact: no shard builder (custom-built or unrecognized-algorithm engine)")
-	}
 	if e.serveMode != "" && e.serveMode != ServeRAM {
 		return fmt.Errorf("engine: Compact: paged engine (%s) cannot read its corpus back; load with ServeRAM to compact", e.serveMode)
-	}
-	if e.delta == nil {
-		return ErrReadOnly
 	}
 
 	// Capture the delta. writeMu excludes writers, and only the swap

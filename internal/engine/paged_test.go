@@ -2,9 +2,11 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ndsearch/internal/ann"
+	"ndsearch/internal/dataset"
 	"ndsearch/internal/snapshot"
 )
 
@@ -27,10 +29,43 @@ func sameNeighbors(t *testing.T, label string, got, want [][]ann.Neighbor) {
 	}
 }
 
+// applyWrites lands one fixed write script on e: new IDs upserted next
+// to the queries, base IDs overwritten, a delta entry overwritten, base
+// IDs deleted (among them the pure-read top hits, so the tombstone
+// filter decides results), and a delta-only ID deleted.
+func applyWrites(t *testing.T, e *Engine, d *dataset.Dataset, pureRead [][]ann.Neighbor) {
+	t.Helper()
+	n := uint32(len(d.Vectors))
+	upsert := func(id uint32, v []float32) {
+		t.Helper()
+		if err := e.Upsert(id, v); err != nil {
+			t.Fatalf("upsert %d: %v", id, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		upsert(n+uint32(i), d.Queries[i])
+		upsert(uint32(150*i), d.Queries[4+i])
+	}
+	upsert(n+1, d.Vectors[5])
+	dels := []uint32{1, 2, 3, n + 2}
+	for _, res := range pureRead[4:] {
+		dels = append(dels, res[0].ID)
+	}
+	for _, id := range dels {
+		if _, err := e.Delete(id); err != nil {
+			t.Fatalf("delete %d: %v", id, err)
+		}
+	}
+}
+
 // The engine-level beyond-RAM property: an engine loaded with a paged
 // serving mode answers SearchBatch byte-identically to the RAM load of
 // the same snapshot directory, for both graph shard algorithms and both
 // backends, while the page counters advance under the configured budget.
+// The same holds after the same writes land on every engine: the delta
+// merges over a paged base exactly as over a resident one. A paged
+// engine cannot compact; Compact fails without touching the generation,
+// the counters, or the directory, and the delta keeps serving.
 func TestEnginePagedServingByteIdentity(t *testing.T) {
 	for _, algo := range []string{"hnsw", "diskann"} {
 		t.Run(algo, func(t *testing.T) {
@@ -51,6 +86,11 @@ func TestEnginePagedServingByteIdentity(t *testing.T) {
 				t.Fatal("RAM engine reports page stats")
 			}
 			want, _ := ram.SearchBatch(d.Queries, 10)
+			applyWrites(t, ram, d, want)
+			wantMut, _ := ram.SearchBatch(d.Queries, 10)
+			if reflect.DeepEqual(wantMut, want) {
+				t.Fatal("the write script changed no result")
+			}
 
 			for _, mode := range []string{ServeMmap, ServeReadAt} {
 				paged, man, err := LoadWithOptions(dir, LoadOptions{
@@ -93,6 +133,27 @@ func TestEnginePagedServingByteIdentity(t *testing.T) {
 					t.Errorf("%s: resident %d over budget %d (cache pages %d)",
 						mode, ps.ResidentPages, ps.CachePages, ps.CachePages)
 				}
+
+				applyWrites(t, paged, d, want)
+				res, _ = paged.SearchBatch(d.Queries, 10)
+				sameNeighbors(t, algo+"/"+mode+" after writes", res, wantMut)
+				mst := paged.MutStats()
+				if mst != ram.MutStats() || paged.Len() != ram.Len() {
+					t.Fatalf("%s: mutation stats %+v (len %d), RAM engine %+v (len %d)",
+						mode, mst, paged.Len(), ram.MutStats(), ram.Len())
+				}
+				if err := paged.Compact(); err == nil {
+					t.Fatalf("%s: Compact on a paged engine succeeded", mode)
+				}
+				if paged.Generation() != 0 || paged.MutStats() != mst {
+					t.Fatalf("%s: failed Compact moved generation %d / stats %+v (before %+v)",
+						mode, paged.Generation(), paged.MutStats(), mst)
+				}
+				if _, ok, err := snapshot.ReadCurrent(dir); ok || err != nil {
+					t.Fatalf("%s: failed Compact left CURRENT (ok=%v err=%v)", mode, ok, err)
+				}
+				res, _ = paged.SearchBatch(d.Queries, 10)
+				sameNeighbors(t, algo+"/"+mode+" after failed compact", res, wantMut)
 			}
 		})
 	}

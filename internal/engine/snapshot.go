@@ -92,7 +92,7 @@ type ShardFile struct {
 func (e *Engine) Save(dir string) error {
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()
-	if e.delta != nil && !e.delta.Empty() {
+	if !e.delta.Empty() {
 		return fmt.Errorf("engine: save: delta tier holds un-compacted writes; Compact first so the snapshot captures the merged corpus")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -244,9 +244,10 @@ func Load(dir string, workers int) (*Engine, *Manifest, error) {
 // byte-identical to RAM serving of the same directory.
 //
 // A loaded engine accepts Upsert/Delete (the delta tier's metric comes
-// from the CRC-guarded shard files); Compact additionally requires RAM
-// serving and a registry algorithm (the builder is reconstructed from
-// the manifest's algo, seed, and quantization mode).
+// from the CRC-guarded shard files) and carries the shard builder
+// Compact rebuilds with, reconstructed from the manifest's algo, seed,
+// and quantization mode; a manifest no builder accepts fails the load.
+// Compact additionally requires RAM serving.
 func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	mode, err := normalizeServe(opts.Serve)
 	if err != nil {
@@ -312,12 +313,7 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			// Release whatever paged shards did open before failing.
-			for _, p := range paged {
-				if p != nil {
-					_ = p.Close()
-				}
-			}
+			closePaged(paged)
 			return nil, nil, err
 		}
 	}
@@ -337,7 +333,17 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	if hasGen {
 		gen.dir = genName
 	}
-	e := newEngine(gen, workers, man.Dim, meta)
+	// Reconstruct the shard builder so Compact can rebuild the base. Every
+	// loadable directory has one: checkShard pinned the algo and the
+	// quantized mode to the files, and the metric is the files' own.
+	builder, err := BuilderWithOpts(man.Algo, shards[0].index.Metric(), man.Seed, IndexOpts{
+		Quantized: man.Quantized, Rerank: man.Rerank,
+	})
+	if err != nil {
+		closePaged(paged)
+		return nil, nil, fmt.Errorf("engine: load: %w", err)
+	}
+	e := newEngine(gen, workers, man.Dim, meta, builder)
 	e.formatVersion = man.FormatVersion
 	e.genDir = dir
 	e.reqShards = man.Shards
@@ -346,17 +352,17 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		// fallen back to positioned reads on platforms without mmap.
 		e.serveMode = paged[0].Backend()
 	}
-	if e.delta != nil {
-		// Reconstruct the shard builder so Compact can rebuild the base.
-		// Non-registry algos (or modes a family rejects) just leave the
-		// builder nil: the engine still mutates, Compact reports why not.
-		if b, err := BuilderWithOpts(man.Algo, e.metric, man.Seed, IndexOpts{
-			Quantized: man.Quantized, Rerank: man.Rerank,
-		}); err == nil {
-			e.builder = b
+	return e, man, nil
+}
+
+// closePaged releases whatever paged shards did open before a load
+// failed.
+func closePaged(paged []*snapshot.PagedIndex) {
+	for _, p := range paged {
+		if p != nil {
+			_ = p.Close()
 		}
 	}
-	return e, man, nil
 }
 
 // validate checks the manifest's internal consistency before any shard
@@ -444,7 +450,7 @@ func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (*
 	path := filepath.Join(dir, f.Name)
 	var (
 		pi        *snapshot.PagedIndex
-		idx       snapshot.Index
+		idx       ann.Index
 		dim       int
 		quantized bool
 		err       error
@@ -476,20 +482,14 @@ func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (*
 		idx = pi.Index()
 		dim, quantized = pi.Header().Dim, pi.Header().Quantized
 	}
-	ai, ok := idx.(ann.Index)
-	if !ok {
-		err = fmt.Errorf("engine: load shard %d (%s): %T does not implement ann.Index", i, f.Name, idx)
-	} else {
-		// An index type Detect cannot name yields "", which no manifest
-		// algo matches, so checkShard reports it.
-		algo, _ := snapshot.Detect(idx)
-		err = checkShard(man, i, algo, ai.Len(), dim, quantized)
-	}
-	if err != nil {
+	// An index type Detect cannot name yields "", which no manifest algo
+	// matches, so checkShard reports it.
+	algo, _ := snapshot.Detect(idx)
+	if err := checkShard(man, i, algo, idx.Len(), dim, quantized); err != nil {
 		if pi != nil {
 			_ = pi.Close()
 		}
 		return nil, nil, err
 	}
-	return pi, ai, nil
+	return pi, idx, nil
 }

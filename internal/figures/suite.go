@@ -242,11 +242,9 @@ func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann
 	if backend != "" {
 		return s.loadOrBuildPaged(path, algo, d, backend)
 	}
-	if cached, err := snapshot.LoadFile(path); err == nil {
-		if idx, ok := cached.(ann.Index); ok && idx.Len() == len(d.Vectors) &&
-			s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
-			return idx, workloadMaxDegree, nil
-		}
+	if idx, err := snapshot.LoadFile(path); err == nil && idx.Len() == len(d.Vectors) &&
+		s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
+		return idx, workloadMaxDegree, nil
 	}
 	idx, maxDeg, err := buildIndex(algo, d, s.Scale.Seed, s.Scale.quant())
 	if err != nil {
@@ -269,8 +267,7 @@ func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann
 // lifetime, as the suite serves from them until exit.
 func (s *Suite) loadOrBuildPaged(path, algo string, d *dataset.Dataset, backend string) (ann.Index, int, error) {
 	if pi, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: backend}); err == nil {
-		if idx, ok := pi.Index().(ann.Index); ok && idx.Len() == len(d.Vectors) &&
-			s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
+		if idx := pi.Index(); idx.Len() == len(d.Vectors) && s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
 			return idx, workloadMaxDegree, nil
 		}
 		_ = pi.Close()
@@ -281,10 +278,7 @@ func (s *Suite) loadOrBuildPaged(path, algo string, d *dataset.Dataset, backend 
 	}
 	if _, err := snapshot.SaveFile(path, idx, vec.F32); err == nil {
 		if pi, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: backend}); err == nil {
-			if pidx, ok := pi.Index().(ann.Index); ok {
-				return pidx, maxDeg, nil
-			}
-			_ = pi.Close()
+			return pi.Index(), maxDeg, nil
 		}
 	}
 	return idx, maxDeg, nil

@@ -172,7 +172,7 @@ func TestV3ImageDamageServesDefensively(t *testing.T) {
 		}
 	}()
 	for _, q := range testQueries(4, 8, 23) {
-		_ = pi.Search(q, 5)
+		_ = pi.Index().Search(q, 5)
 	}
 }
 

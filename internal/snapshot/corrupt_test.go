@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ndsearch/internal/ann"
 	"ndsearch/internal/vec"
 )
 
@@ -23,7 +24,7 @@ func snapshotOf(t testing.TB, algo string) []byte {
 
 // loadBytes runs Load and converts any panic into a test failure — the
 // contract is that corruption surfaces as a typed error, never a panic.
-func loadBytes(t *testing.T, label string, data []byte) (idx Index, err error) {
+func loadBytes(t *testing.T, label string, data []byte) (idx ann.Index, err error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {

@@ -185,12 +185,12 @@ func readGraph(d *dec, wantN int) (*graph.Graph, error) {
 
 // ---- exact --------------------------------------------------------------
 
-func saveExact(idx Index, _ *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveExact(idx ann.Index, _ *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*ann.Exact)
 	return x.Metric(), x.Matrix(), nil, nil
 }
 
-func loadExact(h Header, _ *file, mat *vec.Matrix) (Index, error) {
+func loadExact(h Header, _ *file, mat *vec.Matrix) (ann.Index, error) {
 	return ann.ExactFromMatrix(h.Metric, mat), nil
 }
 
@@ -251,7 +251,7 @@ func legacyBase(f *file, wantN int) (*graph.Graph, error) {
 
 // ---- hnsw ---------------------------------------------------------------
 
-func saveHNSW(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveHNSW(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*hnsw.Index)
 	cfg := x.Params()
 	var p enc
@@ -286,7 +286,7 @@ func saveHNSW(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, err
 // reconstructHNSW decodes the pinned hnsw navigation sections — params,
 // per-node levels, and the serialized layer list — and assembles the
 // index over store.
-func reconstructHNSW(h Header, f *file, store ann.NodeStore) (Index, error) {
+func reconstructHNSW(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
 	p, err := f.section("params")
 	if err != nil {
 		return nil, err
@@ -349,7 +349,7 @@ func reconstructHNSW(h Header, f *file, store ann.NodeStore) (Index, error) {
 
 // ---- vamana / diskann ---------------------------------------------------
 
-func saveVamana(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveVamana(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*vamana.Index)
 	cfg := x.Params()
 	var p enc
@@ -363,7 +363,7 @@ func saveVamana(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, e
 	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
 }
 
-func reconstructVamana(h Header, f *file, store ann.NodeStore) (Index, error) {
+func reconstructVamana(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
 	p, err := f.section("params")
 	if err != nil {
 		return nil, err
@@ -389,7 +389,7 @@ func reconstructVamana(h Header, f *file, store ann.NodeStore) (Index, error) {
 
 // ---- hcnng --------------------------------------------------------------
 
-func saveHCNNG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveHCNNG(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*hcnng.Index)
 	cfg := x.Params()
 	var p enc
@@ -403,7 +403,7 @@ func saveHCNNG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, er
 	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
 }
 
-func reconstructHCNNG(h Header, f *file, store ann.NodeStore) (Index, error) {
+func reconstructHCNNG(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
 	p, err := f.section("params")
 	if err != nil {
 		return nil, err
@@ -429,7 +429,7 @@ func reconstructHCNNG(h Header, f *file, store ann.NodeStore) (Index, error) {
 
 // ---- togg ---------------------------------------------------------------
 
-func saveTOGG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveTOGG(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*togg.Index)
 	cfg := x.Params()
 	var p enc
@@ -452,7 +452,7 @@ func saveTOGG(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, err
 
 // reconstructTOGG decodes the togg params and guide-dimension sections
 // and assembles the index over store.
-func reconstructTOGG(h Header, f *file, store ann.NodeStore) (Index, error) {
+func reconstructTOGG(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
 	p, err := f.section("params")
 	if err != nil {
 		return nil, err
@@ -490,7 +490,7 @@ func reconstructTOGG(h Header, f *file, store ann.NodeStore) (Index, error) {
 
 // ---- ivfpq --------------------------------------------------------------
 
-func saveIVFPQ(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveIVFPQ(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*ivfpq.Index)
 	cfg := x.Params()
 	var p enc
@@ -529,7 +529,7 @@ func saveIVFPQ(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, er
 	return cfg.Metric, x.Matrix(), nil, nil
 }
 
-func loadIVFPQ(h Header, f *file, mat *vec.Matrix) (Index, error) {
+func loadIVFPQ(h Header, f *file, mat *vec.Matrix) (ann.Index, error) {
 	p, err := f.section("params")
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ndsearch/internal/ann"
 	"ndsearch/internal/hcnng"
 	"ndsearch/internal/hnsw"
 	"ndsearch/internal/togg"
@@ -19,7 +20,7 @@ import (
 // that the current writer emits the version-3 blocks layout for graph
 // families. Version 1 predates the sq8 section, so quantized indexes
 // are rejected there.
-func saveLegacy(tb testing.TB, idx Index, version int) []byte {
+func saveLegacy(tb testing.TB, idx ann.Index, version int) []byte {
 	tb.Helper()
 	algo, err := Detect(idx)
 	if err != nil {
@@ -166,7 +167,7 @@ func addSQ8(b *builder, mat *vec.Matrix, rerank int) error {
 func TestLegacyCompatMatrix(t *testing.T) {
 	data := testData(90, 8, 17)
 	q := testQueries(3, 8, 18)
-	check := func(t *testing.T, label string, loaded, built Index) {
+	check := func(t *testing.T, label string, loaded, built ann.Index) {
 		t.Helper()
 		for _, qu := range q {
 			for _, k := range []int{1, 7, 23} {

@@ -438,10 +438,10 @@ func (s *PagedStore) Stats() PagedStats {
 }
 
 // PagedIndex couples a paged family index with the store serving it and
-// the open snapshot file. Search/Len delegate to the family index, so a
-// PagedIndex is itself a snapshot.Index.
+// the open snapshot file. Searches go through Index; the handle itself
+// owns the file, the counters, and Close.
 type PagedIndex struct {
-	idx     Index
+	idx     ann.Index
 	store   *PagedStore
 	f       *os.File
 	algo    string
@@ -449,18 +449,9 @@ type PagedIndex struct {
 	backend string
 }
 
-// Search delegates to the family index.
-func (p *PagedIndex) Search(query vec.Vector, k int) []ann.Neighbor { return p.idx.Search(query, k) }
-
-// Len returns the node count.
-func (p *PagedIndex) Len() int { return p.idx.Len() }
-
-// Metric returns the distance metric recorded in the snapshot header.
-func (p *PagedIndex) Metric() vec.Metric { return p.header.Metric }
-
-// Index returns the family index (*hnsw.Index, ...), which implements
-// ann.Index for traced search and tuning.
-func (p *PagedIndex) Index() Index { return p.idx }
+// Index returns the family index (*hnsw.Index, ...) serving over the
+// paged store.
+func (p *PagedIndex) Index() ann.Index { return p.idx }
 
 // Store returns the paged NodeStore.
 func (p *PagedIndex) Store() *PagedStore { return p.store }

@@ -38,7 +38,7 @@ func TestPagedDistsMatchDist(t *testing.T) {
 			for _, quantized := range []bool{false, true} {
 				name := m.String() + "/" + kind.String()
 				data := toKind(kind, testData(n, dim, 7))
-				var built Index
+				var built ann.Index
 				if quantized {
 					name += "/sq8"
 					built = buildQuantFamily(t, "hnsw", m, data, 24)
@@ -247,14 +247,14 @@ func TestPagedScratchDoesNotAliasResidentGraph(t *testing.T) {
 			}
 			resident := ram.(interface{ BaseGraph() *graph.Graph }).BaseGraph()
 			before := resident.Clone()
-			modes := []Index{ram}
+			modes := []ann.Index{ram}
 			for _, backend := range []string{"mmap", "readat"} {
 				p, err := OpenPagedFile(path, PagedOptions{Backend: backend, CachePages: 2})
 				if err != nil {
 					t.Fatalf("open paged (%s): %v", backend, err)
 				}
 				defer p.Close()
-				modes = append(modes, p)
+				modes = append(modes, p.Index())
 			}
 			for round := 0; round < 3; round++ {
 				for i, q := range queries {

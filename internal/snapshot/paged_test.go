@@ -23,7 +23,7 @@ func writeFileForTest(path string, data []byte) error {
 // order for deterministic subtest names.
 var pagedAlgos = []string{"hnsw", "diskann", "hcnng", "togg"}
 
-func savedSnapshot(t testing.TB, idx Index, elem vec.ElemKind) string {
+func savedSnapshot(t testing.TB, idx ann.Index, elem vec.ElemKind) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.ndss")
 	if _, err := SaveFile(path, idx, elem); err != nil {
@@ -75,7 +75,7 @@ func TestPagedByteIdentity(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						queries := toKind(kind, testQueries(8, dim, 99))
 						data := toKind(kind, testData(n, dim, 7))
-						var built Index
+						var built ann.Index
 						if quantized {
 							built = buildQuantFamily(t, algo, m, data, 24)
 						} else {
@@ -98,7 +98,7 @@ func TestPagedByteIdentity(t *testing.T) {
 							for _, q := range queries {
 								for _, k := range []int{1, 5, 17, n + 50} {
 									requireSameResults(t, name+"/"+backend,
-										paged.Search(q, k), ram.Search(q, k))
+										paged.Index().Search(q, k), ram.Search(q, k))
 								}
 							}
 							st := paged.Stats()
@@ -149,7 +149,7 @@ func TestPagedConcurrentSearches(t *testing.T) {
 				defer wg.Done()
 				for rep := 0; rep < 4; rep++ {
 					for i, q := range queries {
-						got := paged.Search(q, 9)
+						got := paged.Index().Search(q, 9)
 						if len(got) != len(want[i]) {
 							t.Errorf("%s worker %d query %d: %d results, want %d", backend, w, i, len(got), len(want[i]))
 							return

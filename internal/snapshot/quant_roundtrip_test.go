@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"ndsearch/internal/ann"
 	"ndsearch/internal/hcnng"
 	"ndsearch/internal/hnsw"
 	"ndsearch/internal/togg"
@@ -21,10 +22,10 @@ var quantAlgos = []string{"hnsw", "diskann", "hcnng", "togg"}
 // buildQuantFamily mirrors buildFamily but with Quantized set and a
 // non-trivial rerank width, so the saved "sq8" section carries every
 // field the codec round-trips.
-func buildQuantFamily(tb testing.TB, algo string, m vec.Metric, data []vec.Vector, rerank int) Index {
+func buildQuantFamily(tb testing.TB, algo string, m vec.Metric, data []vec.Vector, rerank int) ann.Index {
 	tb.Helper()
 	var (
-		idx Index
+		idx ann.Index
 		err error
 	)
 	switch algo {
@@ -58,7 +59,7 @@ func buildQuantFamily(tb testing.TB, algo string, m vec.Metric, data []vec.Vecto
 }
 
 // quantParams extracts the quantization mode a loaded index reports.
-func quantParams(tb testing.TB, idx Index) (quantized bool, rerank int, mat *vec.Matrix) {
+func quantParams(tb testing.TB, idx ann.Index) (quantized bool, rerank int, mat *vec.Matrix) {
 	tb.Helper()
 	switch x := idx.(type) {
 	case *hnsw.Index:

@@ -44,10 +44,10 @@ func testQueries(n, dim int, seed int64) []vec.Vector {
 
 // buildFamily constructs one small index per registry name. dim must be
 // divisible by 4 for ivfpq (Segments: 4); the graph families accept any.
-func buildFamily(t testing.TB, algo string, m vec.Metric, data []vec.Vector) Index {
+func buildFamily(t testing.TB, algo string, m vec.Metric, data []vec.Vector) ann.Index {
 	t.Helper()
 	var (
-		idx Index
+		idx ann.Index
 		err error
 	)
 	switch algo {
@@ -210,20 +210,16 @@ func TestLoadedIndexServesAnnInterface(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", algo, err)
 		}
-		ai, ok := loaded.(ann.Index)
-		if !ok {
-			t.Fatalf("%s: %T does not implement ann.Index", algo, loaded)
-		}
 		q := testQueries(1, 10, 32)[0]
-		res, tr := ai.SearchTraced(q, 5)
+		res, tr := loaded.SearchTraced(q, 5)
 		requireSameResults(t, algo, res, built.Search(q, 5))
-		wantRes, wantTr := built.(ann.Index).SearchTraced(q, 5)
+		wantRes, wantTr := built.SearchTraced(q, 5)
 		requireSameResults(t, algo+" traced", res, wantRes)
 		if len(tr.Iters) != len(wantTr.Iters) {
 			t.Fatalf("%s: %d trace iters, want %d", algo, len(tr.Iters), len(wantTr.Iters))
 		}
-		if ai.Graph().Len() != built.Len() {
-			t.Fatalf("%s: graph len %d, want %d", algo, ai.Graph().Len(), built.Len())
+		if loaded.Graph().Len() != built.Len() {
+			t.Fatalf("%s: graph len %d, want %d", algo, loaded.Graph().Len(), built.Len())
 		}
 	}
 }

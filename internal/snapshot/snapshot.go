@@ -73,25 +73,17 @@ var (
 	ErrBadInput = errors.New("snapshot: invalid input")
 )
 
-// Index is the minimal interface a snapshot restores: enough to serve
-// searches. All six families satisfy it; the graph families additionally
-// implement ann.Index (which engine shards assert after Load).
-type Index interface {
-	Search(query vec.Vector, k int) []ann.Neighbor
-	Len() int
-}
-
 // Saver appends a family's structure sections to the file under
 // construction and reports the header fields (metric + corpus matrix)
 // plus, for the graph families, the base-layer adjacency that Save
 // packs into the page-aligned "blocks" section. A nil graph means the
 // family is flat (exact, ivfpq) and Save writes the classic "matrix"
 // section instead. The "algo" section is written by Save itself.
-type Saver func(idx Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error)
+type Saver func(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error)
 
 // Loader rebuilds a flat family (exact, ivfpq) from a parsed file. mat
 // is the already decoded corpus matrix.
-type Loader func(h Header, f *file, mat *vec.Matrix) (Index, error)
+type Loader func(h Header, f *file, mat *vec.Matrix) (ann.Index, error)
 
 // family couples one algo name to its codecs. A graph-traversal family
 // sets reconstruct instead of load: the one function that rebuilds it
@@ -103,7 +95,7 @@ type Loader func(h Header, f *file, mat *vec.Matrix) (Index, error)
 type family struct {
 	save        Saver
 	load        Loader
-	reconstruct func(h Header, f *file, store ann.NodeStore) (Index, error)
+	reconstruct func(h Header, f *file, store ann.NodeStore) (ann.Index, error)
 }
 
 // families is the codec registry, keyed by the algo name recorded in
@@ -129,7 +121,7 @@ func Algos() []string {
 }
 
 // Detect returns the registry name for a concrete index type.
-func Detect(idx Index) (string, error) {
+func Detect(idx ann.Index) (string, error) {
 	switch idx.(type) {
 	case *ann.Exact:
 		return "exact", nil
@@ -148,23 +140,11 @@ func Detect(idx Index) (string, error) {
 	}
 }
 
-// MetricOf returns the distance metric an index was built with — the
-// CRC-guarded in-file truth on the load path, where the engine needs
-// the metric to stand up the mutable delta tier without trusting (or
-// extending) the unchecksummed manifest. Every family (and PagedIndex)
-// answers Metric().
-func MetricOf(idx Index) (vec.Metric, error) {
-	if x, ok := idx.(interface{ Metric() vec.Metric }); ok {
-		return x.Metric(), nil
-	}
-	return 0, fmt.Errorf("%w: no metric accessor for index type %T", ErrUnsupported, idx)
-}
-
 // Save serialises idx to w. elem is the at-rest element kind of the
 // corpus matrix (vec.F32 is always lossless; U8/I8 shrink the file 4x
 // but are rejected unless every stored component is representable, so
 // a reload can never silently change search results).
-func Save(w io.Writer, idx Index, elem vec.ElemKind) error {
+func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) error {
 	algo, err := Detect(idx)
 	if err != nil {
 		return err
@@ -206,7 +186,7 @@ func Save(w io.Writer, idx Index, elem vec.ElemKind) error {
 // can: the CRC of a graph family's whole blocks section, before
 // decoding every node record. The returned value's concrete type is the
 // family index (*hnsw.Index, *ann.Exact, ...).
-func Load(r io.Reader) (Index, error) {
+func Load(r io.Reader) (ann.Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
@@ -266,7 +246,7 @@ func Load(r io.Reader) (Index, error) {
 // parent directories as needed. It returns the CRC32-IEEE of the whole
 // file, computed while writing, so callers recording file checksums
 // (the engine manifest) need not read the file back.
-func SaveFile(path string, idx Index, elem vec.ElemKind) (uint32, error) {
+func SaveFile(path string, idx ann.Index, elem vec.ElemKind) (uint32, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, fmt.Errorf("snapshot: %w", err)
 	}
@@ -290,7 +270,7 @@ func SaveFile(path string, idx Index, elem vec.ElemKind) (uint32, error) {
 }
 
 // LoadFile restores an index from path.
-func LoadFile(path string) (Index, error) {
+func LoadFile(path string) (ann.Index, error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
