@@ -109,8 +109,8 @@ func TestSingleQueryAndDefaultK(t *testing.T) {
 
 // /search accepts any k >= 1, so k must never size an allocation: the
 // widest request is answered with every live vector — through graph
-// shards, which clamp their beam to the shard, and through the k +
-// shadows widening a pending write adds.
+// shards, which clamp their beam to the shard, and through the filtered
+// shard search and delta merge a pending write turns on.
 func TestSearchHugeKIsBoundedByTheIndex(t *testing.T) {
 	prof := dataset.Sift1B()
 	d, err := dataset.Generate(prof, dataset.GenConfig{N: 300, Queries: 1, Seed: 11})
@@ -143,7 +143,7 @@ func TestSearchHugeKIsBoundedByTheIndex(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 			t.Errorf("k=MaxInt32 allocated %d bytes for a %d-vector index", grew, live)
 		}
-		// A pending upsert makes the next pass search at k + shadows.
+		// A pending upsert makes the next pass filter its shard searches.
 		if rec := postJSON(t, h, "/upsert", UpsertRequest{ID: ptr(9000), Vector: q}); rec.Code != http.StatusOK {
 			t.Fatalf("/upsert: %d %s", rec.Code, rec.Body)
 		}

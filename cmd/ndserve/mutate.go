@@ -119,10 +119,14 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate every vector before applying any, so a rejected batch has
 	// no partial effect: the same dim + finiteness gate /search queries
-	// pass through.
+	// pass through, then the engine's at-rest representability check.
 	for i, it := range items {
 		if err := s.checkVector(i, it.Vector); err != nil {
 			httpError(w, http.StatusBadRequest, "item %v", err)
+			return
+		}
+		if err := s.engine.CheckElem(it.Vector); err != nil {
+			httpError(w, http.StatusBadRequest, "item %d: %v", i, err)
 			return
 		}
 	}

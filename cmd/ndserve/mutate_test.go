@@ -6,7 +6,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
+
+	"ndsearch/internal/dataset"
+	"ndsearch/internal/engine"
 )
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -170,6 +174,50 @@ func TestUpsertRejectsInvalidVectors(t *testing.T) {
 		if rec := postJSON(t, h, "/delete", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("delete %s: got %d, want 400", name, rec.Code)
 		}
+	}
+}
+
+// On an engine whose snapshots store u8 (a sift-1b build or load), an
+// upsert carrying a component u8 cannot hold is a 400 and applies
+// nothing — a batch with one such item included — so compaction keeps
+// working.
+func TestUpsertRejectsUnrepresentableVectors(t *testing.T) {
+	prof := dataset.Sift1B()
+	d, err := dataset.Generate(prof, dataset.GenConfig{N: 200, Queries: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.BuilderByName("exact", prof.Metric, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(d.Vectors, engine.Config{Shards: 2, Workers: 2, Builder: b, Meta: engine.Meta{Elem: prof.Elem}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(e, prof.Dim, prof.Name, "exact")
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+
+	frac := append([]float32(nil), d.Queries[0]...)
+	frac[0] = 0.1
+	for name, body := range map[string]UpsertRequest{
+		"single": {ID: ptr(7), Vector: frac},
+		"batch":  {Items: []UpsertItem{{ID: 9100, Vector: asFloats(d.Vectors[0])}, {ID: 7, Vector: frac}}},
+	} {
+		rec := postJSON(t, h, "/upsert", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "not representable") {
+			t.Fatalf("%s: got %d %s, want 400 not representable", name, rec.Code, rec.Body)
+		}
+	}
+	if st := e.MutStats(); st.Upserts != 0 || st.DeltaLive != 0 || e.Len() != len(d.Vectors) {
+		t.Fatalf("rejected upserts reached the engine: %+v, len %d", st, e.Len())
+	}
+	if rec := postJSON(t, h, "/upsert", UpsertRequest{ID: ptr(7), Vector: asFloats(d.Queries[0])}); rec.Code != http.StatusOK {
+		t.Fatalf("representable upsert: %d %s", rec.Code, rec.Body)
+	}
+	if rec := postJSON(t, h, "/compact", struct{}{}); rec.Code != http.StatusOK {
+		t.Fatalf("/compact: %d %s", rec.Code, rec.Body)
 	}
 }
 

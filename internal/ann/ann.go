@@ -22,8 +22,14 @@ type Neighbor struct {
 // one shard contract: every family (the four graph families, Exact,
 // ivfpq), built in-process, loaded resident, or served paged, is one.
 type Index interface {
-	// Search returns the approximate top-k neighbors of query.
+	// Search returns the approximate top-k neighbors of query; it is
+	// SearchFilter with a nil skip.
 	Search(query vec.Vector, k int) []Neighbor
+	// SearchFilter returns the approximate top-k neighbors of query among
+	// the vectors skip does not reject (index-local IDs; nil rejects
+	// none). Skipped vectors may still route a graph traversal but are
+	// never returned.
+	SearchFilter(query vec.Vector, k int, skip func(id uint32) bool) []Neighbor
 	// SearchTraced behaves like Search and additionally records the
 	// graph-traversal trace (entry vertex and candidate neighbors per
 	// iteration) that the platform simulators consume.
@@ -207,6 +213,20 @@ func (f *Frontier) Push(n Neighbor) bool {
 		return true
 	}
 	return false
+}
+
+// pushFiltered is Push under BeamSearch's skip predicate: a competitive
+// neighbor that skip rejects enters the candidate heap only — it routes
+// the traversal but never reaches the result list. skip is evaluated
+// only once the neighbor is known to be competitive.
+func (f *Frontier) pushFiltered(n Neighbor, skip func(id uint32) bool) {
+	if len(f.results) >= f.ef && !less(n, f.results[0]) {
+		return
+	}
+	if !skip(n.ID) {
+		f.PushResult(n)
+	}
+	f.candidates = heapPush(f.candidates, n, false)
 }
 
 // PushResult offers a neighbor to the bounded result list only, leaving

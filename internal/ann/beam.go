@@ -68,7 +68,9 @@ func (s *Scratch) begin(n int) {
 // and paged snapshot blocks byte-identically. start must carry its
 // distance (st.Dist of the entry point); ef bounds the result list and
 // is clamped to st.Len() — a result list can never be longer, so the
-// heaps are sized by the index, not by the caller.
+// heaps are sized by the index, not by the caller. With a skip
+// predicate the list may end shorter than ef: skipped vertices never
+// fill it.
 //
 // Each expansion filters the popped vertex's unvisited neighbours into
 // s, scores them in one st.Dists call and admits them in adjacency
@@ -78,14 +80,26 @@ func (s *Scratch) begin(n int) {
 // scored. When scored is non-nil every scored vertex — start included —
 // is appended to it in scoring order (Vamana's construction prunes
 // over that set).
-func BeamSearch(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, ef int, tr *trace.Query, scored *[]Neighbor) []Neighbor {
+//
+// skip, when non-nil, names vertices that route but are never returned
+// (the engine's shadowed base copies): a competitive scored vertex —
+// start included — that skip rejects enters the candidate heap only, so
+// the traversal still expands through it but the result list never
+// holds it. skip is asked only about competitive vertices, the few the
+// beam admits, never about every scored one. A nil skip is the plain
+// loop.
+func BeamSearch(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, ef int, tr *trace.Query, scored *[]Neighbor, skip func(id uint32) bool) []Neighbor {
 	n := st.Len()
 	s.begin(n)
 	visited, epoch := s.visited, s.epoch
 	f := &s.frontier
 	f.reset(min(ef, n))
 	visited[start.ID] = epoch
-	f.Push(start)
+	if skip == nil {
+		f.Push(start)
+	} else {
+		f.pushFiltered(start, skip)
+	}
 	if scored != nil {
 		*scored = append(*scored, start)
 	}
@@ -113,7 +127,11 @@ func BeamSearch(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, 
 		st.Dists(q, ids, dists)
 		for i, v := range ids {
 			n := Neighbor{ID: v, Dist: dists[i]}
-			f.Push(n)
+			if skip == nil {
+				f.Push(n)
+			} else {
+				f.pushFiltered(n, skip)
+			}
 			if scored != nil {
 				*scored = append(*scored, n)
 			}

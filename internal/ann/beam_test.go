@@ -108,10 +108,14 @@ func randomQuery(rng *rand.Rand, dim int) vec.Vector {
 
 // referenceBeam is the loop BeamSearch replaced, kept as the test
 // oracle: a map visited set, one Dist call per neighbour, and the two
-// lists as sorted slices.
-func referenceBeam(st NodeStore, q vec.PreparedQuery, start Neighbor, ef int) (res, scored []Neighbor, tr trace.Query) {
+// lists as sorted slices. A competitive vertex that skip (nil: none)
+// rejects joins the candidates but not the results.
+func referenceBeam(st NodeStore, q vec.PreparedQuery, start Neighbor, ef int, skip func(uint32) bool) (res, scored []Neighbor, tr trace.Query) {
 	visited := map[uint32]bool{start.ID: true}
 	results, cands := []Neighbor{start}, []Neighbor{start}
+	if skip != nil && skip(start.ID) {
+		results = nil
+	}
 	scored = []Neighbor{start}
 	for len(cands) > 0 {
 		c := cands[0]
@@ -129,9 +133,11 @@ func referenceBeam(st NodeStore, q vec.PreparedQuery, start Neighbor, ef int) (r
 			n := Neighbor{ID: v, Dist: st.Dist(q, v)}
 			scored = append(scored, n)
 			if len(results) < ef || less(n, results[len(results)-1]) {
-				results = append(results, n)
-				sortOracle(results)
-				results = results[:min(len(results), ef)]
+				if skip == nil || !skip(v) {
+					results = append(results, n)
+					sortOracle(results)
+					results = results[:min(len(results), ef)]
+				}
 				cands = append(cands, n)
 				sortOracle(cands)
 			}
@@ -158,10 +164,10 @@ func TestBeamSearchMatchesReferenceLoop(t *testing.T) {
 				entry := uint32(rng.Intn(n))
 				start := Neighbor{ID: entry, Dist: st.Dist(q, entry)}
 				for _, ef := range []int{1, 7, 40, n, n + 100} {
-					wantRes, wantScored, wantTr := referenceBeam(st, q, start, ef)
+					wantRes, wantScored, wantTr := referenceBeam(st, q, start, ef, nil)
 					var tr trace.Query
 					var scored []Neighbor
-					got := BeamSearch(s, st, &q, start, ef, &tr, &scored)
+					got := BeamSearch(s, st, &q, start, ef, &tr, &scored, nil)
 					if !slices.Equal(got, wantRes) {
 						t.Fatalf("%v sq8=%v ef=%d: results differ\n got %v\nwant %v", m, quantized, ef, got, wantRes)
 					}
@@ -171,9 +177,177 @@ func TestBeamSearchMatchesReferenceLoop(t *testing.T) {
 					if !reflect.DeepEqual(tr, wantTr) {
 						t.Fatalf("%v sq8=%v ef=%d: trace differs", m, quantized, ef)
 					}
-					if untraced := BeamSearch(s, st, &q, start, ef, nil, nil); !slices.Equal(untraced, wantRes) {
+					if untraced := BeamSearch(s, st, &q, start, ef, nil, nil, nil); !slices.Equal(untraced, wantRes) {
 						t.Fatalf("%v sq8=%v ef=%d: untraced results differ", m, quantized, ef)
 					}
+				}
+			}
+		}
+	}
+}
+
+// randomSkip returns a predicate rejecting each of n vertices with
+// probability p, and the rejected set.
+func randomSkip(rng *rand.Rand, n int, p float64) (func(uint32) bool, map[uint32]bool) {
+	set := map[uint32]bool{}
+	for v := 0; v < n; v++ {
+		if rng.Float64() < p {
+			set[uint32(v)] = true
+		}
+	}
+	return func(id uint32) bool { return set[id] }, set
+}
+
+// The filter seam is the reference loop's skip rule step for step: same
+// results, trace and scored sequence for every metric on float and SQ8
+// traversal over random skip sets (the start vertex included), and no
+// skipped vertex is ever returned. A predicate that rejects nothing is
+// the unfiltered search exactly.
+func TestBeamSearchFilterMatchesReferenceLoop(t *testing.T) {
+	const n, dim = 240, 6
+	s := NewScratch()
+	none := func(uint32) bool { return false }
+	for _, m := range []vec.Metric{vec.L2, vec.Angular, vec.InnerProduct} {
+		for _, quantized := range []bool{false, true} {
+			st := randomStore(t, m, n, dim, 5, quantized, 3)
+			rng := rand.New(rand.NewSource(21))
+			for trial := 0; trial < 20; trial++ {
+				q := st.Prepare(randomQuery(rng, dim))
+				entry := uint32(rng.Intn(n))
+				start := Neighbor{ID: entry, Dist: st.Dist(q, entry)}
+				skip, set := randomSkip(rng, n, []float64{0.05, 0.3, 0.7, 0.95}[trial%4])
+				calls := 0
+				counted := func(id uint32) bool { calls++; return skip(id) }
+				for _, ef := range []int{1, 7, 40, n, n + 100} {
+					calls = 0
+					wantRes, wantScored, wantTr := referenceBeam(st, q, start, ef, counted)
+					wantCalls := calls
+					calls = 0
+					var tr trace.Query
+					var scored []Neighbor
+					got := BeamSearch(s, st, &q, start, ef, &tr, &scored, counted)
+					if !slices.Equal(got, wantRes) {
+						t.Fatalf("%v sq8=%v ef=%d: filtered results differ\n got %v\nwant %v", m, quantized, ef, got, wantRes)
+					}
+					if calls != wantCalls {
+						t.Fatalf("%v sq8=%v ef=%d: skip asked %d times, want %d (competitive vertices only)", m, quantized, ef, calls, wantCalls)
+					}
+					if !slices.Equal(scored, wantScored) {
+						t.Fatalf("%v sq8=%v ef=%d: filtered scored sequence differs", m, quantized, ef)
+					}
+					if !reflect.DeepEqual(tr, wantTr) {
+						t.Fatalf("%v sq8=%v ef=%d: filtered trace differs", m, quantized, ef)
+					}
+					for _, r := range got {
+						if set[r.ID] {
+							t.Fatalf("%v sq8=%v ef=%d: skipped vertex %d returned", m, quantized, ef, r.ID)
+						}
+					}
+					var plainTr, noneTr trace.Query
+					var plainScored, noneScored []Neighbor
+					plain := BeamSearch(s, st, &q, start, ef, &plainTr, &plainScored, nil)
+					if kept := BeamSearch(s, st, &q, start, ef, &noneTr, &noneScored, none); !slices.Equal(kept, plain) ||
+						!slices.Equal(noneScored, plainScored) || !reflect.DeepEqual(noneTr, plainTr) {
+						t.Fatalf("%v sq8=%v ef=%d: a predicate rejecting nothing changed the search", m, quantized, ef)
+					}
+				}
+			}
+		}
+	}
+}
+
+// At exhaustive width (ef >= Len()) the filtered traversal reaches the
+// whole connected store, so its results are brute force over the
+// unskipped vectors — IDs and distance bits.
+func TestBeamSearchFilterExhaustiveIsBruteForce(t *testing.T) {
+	const n, dim = 200, 5
+	s := NewScratch()
+	for _, m := range []vec.Metric{vec.L2, vec.Angular, vec.InnerProduct} {
+		st := randomStore(t, m, n, dim, 4, false, 7)
+		data := make([]vec.Vector, n)
+		for i := range data {
+			data[i] = st.Matrix().Row(i)
+		}
+		rng := rand.New(rand.NewSource(13))
+		for trial := 0; trial < 10; trial++ {
+			query := randomQuery(rng, dim)
+			q := st.Prepare(query)
+			entry := uint32(rng.Intn(n))
+			skip, set := randomSkip(rng, n, 0.4)
+			var want []Neighbor
+			for _, nb := range BruteForce(m, data, query, n) {
+				if !set[nb.ID] {
+					want = append(want, nb)
+				}
+			}
+			for _, ef := range []int{n, n + 50} {
+				got := BeamSearch(s, st, &q, Neighbor{ID: entry, Dist: st.Dist(q, entry)}, ef, nil, nil, skip)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v trial %d ef=%d: filtered exhaustive search\n got %v\nwant %v", m, trial, ef, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Skipped vertices route: on a path 0-1-2-3 whose only way from the
+// start (0) to the nearest live vertex (3) runs through two skipped
+// ones, even a one-slot beam reaches 3 — and returns neither 1 nor 2.
+func TestBeamSearchFilterRoutesThroughSkipped(t *testing.T) {
+	const n = 4
+	data := make([]vec.Vector, n)
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		data[v] = vec.Vector{float32(v), 0}
+		if v > 0 {
+			g.AddEdge(uint32(v-1), uint32(v))
+			g.AddEdge(uint32(v), uint32(v-1))
+		}
+	}
+	st, err := NewKernelStore(vec.L2, vec.NewMatrix(data), g, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := st.Prepare(vec.Vector{3, 0})
+	start := Neighbor{ID: 0, Dist: st.Dist(q, 0)}
+	skip := func(id uint32) bool { return id == 1 || id == 2 }
+	for _, ef := range []int{1, 2, n} {
+		var scored []Neighbor
+		got := BeamSearch(NewScratch(), st, &q, start, ef, nil, &scored, skip)
+		if len(got) == 0 || got[0].ID != 3 || got[0].Dist != 0 {
+			t.Fatalf("ef=%d: results %v, want vertex 3 first at distance 0", ef, got)
+		}
+		for _, r := range got {
+			if skip(r.ID) {
+				t.Fatalf("ef=%d: skipped vertex %d returned in %v", ef, r.ID, got)
+			}
+		}
+		if len(scored) != n {
+			t.Fatalf("ef=%d: scored %v, want the whole path", ef, scored)
+		}
+	}
+	// Skipping only the target leaves its live neighbour on top.
+	if got := BeamSearch(NewScratch(), st, &q, start, 1, nil, nil, func(id uint32) bool { return id == 3 }); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("skipping only the target: %v, want [2]", got)
+	}
+}
+
+// Exact.SearchFilter is "scan everything, then drop the skipped rows":
+// the same IDs and distance bits as filtering a full-width Search.
+func TestExactSearchFilterDropsSkipped(t *testing.T) {
+	const n, dim = 150, 6
+	data := randomData(n, dim, 12)
+	rng := rand.New(rand.NewSource(14))
+	for _, m := range []vec.Metric{vec.L2, vec.Angular, vec.InnerProduct} {
+		ex := NewExact(m, data)
+		for trial := 0; trial < 10; trial++ {
+			query := randomQuery(rng, dim)
+			skip, _ := randomSkip(rng, n, 0.5)
+			all := slices.DeleteFunc(ex.Search(query, n), func(nb Neighbor) bool { return skip(nb.ID) })
+			for _, k := range []int{1, 10, n} {
+				want := all[:min(k, len(all))]
+				if got := ex.SearchFilter(query, k, skip); !slices.Equal(got, want) {
+					t.Fatalf("%v k=%d: SearchFilter %v, want %v", m, k, got, want)
 				}
 			}
 		}
@@ -191,7 +365,7 @@ func TestScratchReuseAcrossStoresAndEpochWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	search := func(s *Scratch, st *KernelStore, query vec.Vector, entry uint32) []Neighbor {
 		q := st.Prepare(query)
-		return BeamSearch(s, st, &q, Neighbor{ID: entry, Dist: st.Dist(q, entry)}, 12, nil, nil)
+		return BeamSearch(s, st, &q, Neighbor{ID: entry, Dist: st.Dist(q, entry)}, 12, nil, nil, nil)
 	}
 	check := func(label string) {
 		t.Helper()

@@ -39,6 +39,12 @@ func (e *Exact) Matrix() *vec.Matrix { return e.kern.Matrix() }
 // kernel arithmetic (BruteForce computes stored norms on the fly with
 // the same accumulation Matrix construction uses).
 func (e *Exact) Search(query vec.Vector, k int) []Neighbor {
+	return e.SearchFilter(query, k, nil)
+}
+
+// SearchFilter returns the exact top-k among the rows skip does not
+// reject: skipped rows are dropped from the scan before ranking.
+func (e *Exact) SearchFilter(query vec.Vector, k int, skip func(id uint32) bool) []Neighbor {
 	n := e.kern.Matrix().Rows()
 	if n == 0 {
 		return nil
@@ -46,9 +52,11 @@ func (e *Exact) Search(query vec.Vector, k int) []Neighbor {
 	q := e.kern.Prepare(query)
 	dists := make([]float32, n)
 	e.kern.DistsAll(q, dists)
-	all := make([]Neighbor, n)
+	all := make([]Neighbor, 0, n)
 	for i, d := range dists {
-		all[i] = Neighbor{ID: uint32(i), Dist: d}
+		if skip == nil || !skip(uint32(i)) {
+			all = append(all, Neighbor{ID: uint32(i), Dist: d})
+		}
 	}
 	SortNeighbors(all)
 	if k > len(all) {

@@ -71,22 +71,29 @@ func NewGraphIndex(store NodeStore, metric vec.Metric, entry uint32, beam int, q
 
 // Search returns the approximate top-k neighbors of query.
 func (g *GraphIndex) Search(query vec.Vector, k int) []Neighbor {
-	return g.search(query, k, nil)
+	return g.SearchFilter(query, k, nil)
+}
+
+// SearchFilter returns the approximate top-k neighbors of query that
+// skip does not reject. The seed descent only routes, so it runs
+// unfiltered; skip applies to the beam's result list.
+func (g *GraphIndex) SearchFilter(query vec.Vector, k int, skip func(id uint32) bool) []Neighbor {
+	return g.search(query, k, nil, skip)
 }
 
 // SearchTraced returns the top-k neighbors and the traversal trace.
 func (g *GraphIndex) SearchTraced(query vec.Vector, k int) ([]Neighbor, trace.Query) {
 	tr := trace.Query{}
-	res := g.search(query, k, &tr)
+	res := g.search(query, k, &tr, nil)
 	return res, tr
 }
 
-func (g *GraphIndex) search(query vec.Vector, k int, tr *trace.Query) []Neighbor {
+func (g *GraphIndex) search(query vec.Vector, k int, tr *trace.Query, skip func(id uint32) bool) []Neighbor {
 	st := g.store
 	q := st.Prepare(query)
 	s := scratchPool.Get().(*Scratch)
 	start := g.seed(s, st, &q, g.entry, tr)
-	res := BeamSearch(s, st, &q, start, max(g.beam, k), tr, nil)
+	res := BeamSearch(s, st, &q, start, max(g.beam, k), tr, nil, skip)
 	scratchPool.Put(s)
 	if g.quantized {
 		// Code-space distances ordered the candidates; the head is

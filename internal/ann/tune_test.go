@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"slices"
 	"testing"
 
 	"ndsearch/internal/trace"
@@ -18,8 +19,13 @@ type stubIndex struct {
 	// recall non-trivial.
 }
 
-func (s *stubIndex) Search(q vec.Vector, k int) []Neighbor {
+func (s *stubIndex) Search(q vec.Vector, k int) []Neighbor { return s.SearchFilter(q, k, nil) }
+
+func (s *stubIndex) SearchFilter(q vec.Vector, k int, skip func(uint32) bool) []Neighbor {
 	full := BruteForce(s.metric, s.data, q, s.beam)
+	if skip != nil {
+		full = slices.DeleteFunc(full, func(n Neighbor) bool { return skip(n.ID) })
+	}
 	// Keep only every other candidate when the beam is tiny, simulating
 	// a weak search.
 	if s.beam < 8 {

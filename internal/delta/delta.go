@@ -14,12 +14,12 @@
 //     and must be shadowed there.
 //
 // Shadows(id) — membership in either set — is the tombstone predicate
-// the engine's merge fold applies to the base: a live entry shadows the
-// stale base copy it replaced, a deleted entry shadows the copy it
-// removed. Within one engine generation the shadow set over base IDs
-// only grows (Delete moves an ID from live to deleted, never erases a
-// shadow a lower tier still needs), which is what makes the
-// lock-staggered merge in engine.SearchBatch dup-free.
+// the engine's base shard searches and merge fold apply to the base: a
+// live entry shadows the stale base copy it replaced, a deleted entry
+// shadows the copy it removed. Within one engine generation the shadow
+// set over base IDs only grows (Delete moves an ID from live to
+// deleted, never erases a shadow a lower tier still needs), which is
+// what makes the lock-staggered merge in engine.SearchBatch dup-free.
 //
 // Every write is numbered. A compaction Captures the layer at a write
 // number, builds a new base generation from the capture while the layer
@@ -172,9 +172,9 @@ func (d *Index) Tombstones() int {
 	return len(d.deleted)
 }
 
-// ShadowCount returns the total shadow-set size (live + deleted) — the
-// widening the engine applies to base top-k requests so tombstone
-// filtering cannot starve the merge below k live results.
+// ShadowCount returns the total shadow-set size (live + deleted): the
+// compaction pressure signal, and the engine's test for whether a batch
+// must filter its base shard searches through Shadows at all.
 func (d *Index) ShadowCount() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

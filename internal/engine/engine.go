@@ -9,14 +9,16 @@
 // generation — built in-process or restored from a snapshot — serves
 // reads, while a small mutable delta tier (internal/delta) absorbs
 // Upsert/Delete traffic. Every engine, built or loaded, has both the
-// delta (over its shards' metric) and a shard builder. The merge fold
-// filters base results through the delta's tombstone set during the
-// fold, so top-k stays exact over the merged corpus, and an engine that
-// has taken no writes returns results byte-identical to the
-// pre-generational engine. Compact drains the delta into a freshly
-// built generation and swaps it in behind the search path (atomic
-// CURRENT rename on disk, write-lock swap in memory), retiring the old
-// generation after in-flight searches drain.
+// delta (over its shards' metric) and a shard builder. Each shard search
+// skips base vertices the delta shadows inside its traversal (they
+// route but are never returned), so every shard searches at k, and the
+// merge fold re-checks the base lists against the same tombstone set to
+// catch a write that landed mid-batch; top-k stays exact over the merged
+// corpus, and an engine that has taken no writes returns results
+// byte-identical to the pre-generational engine. Compact drains the
+// delta into a freshly built generation and swaps it in behind the
+// search path (atomic CURRENT rename on disk, write-lock swap in
+// memory), retiring the old generation after in-flight searches drain.
 //
 // Sharding is contiguous, so a shard's local vertex i is global
 // position base+i; generation 0 positions are the global IDs, and
@@ -243,13 +245,16 @@ type Engine struct {
 // task is one (query, shard) search. Each task owns a distinct result
 // slot, so workers need no locking; done releases the waiting caller.
 // The task carries its generation so a batch in flight across a
-// compaction swap keeps searching the generation it started on. qi and
-// tr label the task for stage tracing (tr is nil on untraced batches).
+// compaction swap keeps searching the generation it started on. skip is
+// the shard's tombstone predicate over its local IDs (nil when the batch
+// started with an empty shadow set). qi and tr label the task for stage
+// tracing (tr is nil on untraced batches).
 type task struct {
 	query vec.Vector
 	k     int
 	gen   *generation
 	si    int
+	skip  func(local uint32) bool
 	qi    int
 	tr    *obs.Trace
 	out   *[]ann.Neighbor
@@ -374,7 +379,7 @@ func (e *Engine) worker() {
 			paged = t.gen.paged[t.si]
 			before = paged.Stats()
 		}
-		res := sh.index.Search(t.query, t.k)
+		res := sh.index.SearchFilter(t.query, t.k, t.skip)
 		// Translate shard-local IDs to global positions, then to
 		// external IDs, in place on the freshly returned slice. The
 		// identity-table fast path keeps pure-read results byte-equal
@@ -516,7 +521,10 @@ func (e *Engine) SearchBatch(queries []vec.Vector, k int) ([][]ann.Neighbor, *Ba
 
 // SearchBatchOpts is SearchBatch with per-call options: an optional
 // stage trace recording fanout, per-shard, and merge spans. Results are
-// byte-identical to SearchBatch — tracing only observes.
+// byte-identical to SearchBatch — tracing only observes. Every shard
+// task searches at k: when the delta shadows anything, the shard search
+// skips shadowed base vertices inside its traversal rather than
+// over-fetching and dropping them afterwards.
 func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions) ([][]ann.Neighbor, *BatchStats) {
 	tr := opts.Trace
 	//ndvet:ignore determinism wall time feeds only latency fields in BatchStats, never results
@@ -536,13 +544,20 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 		return nil, st
 	}
 
-	// Tombstone filtering can only drop entries from a base shard's
-	// list, so widen the per-shard request by the shadow-set size: a
-	// shard's top-(k+S) minus at most S shadowed entries still carries
-	// its top-k live vectors, keeping the merge exact. S is zero on the
-	// pure-read path, where results must stay byte-identical.
-	shadows := dlt.ShadowCount()
-	kBase := k + shadows
+	// A batch that starts with shadows hands every shard the tombstone
+	// predicate over its local IDs: a shadowed base vertex still routes
+	// the traversal but never enters the shard's result list, so each
+	// shard's top-k is already its top-k live vectors. With no shadows
+	// (the pure-read path) the shard search is the unfiltered one and
+	// results stay byte-identical.
+	mutated := dlt.ShadowCount() > 0
+	var skips []func(uint32) bool
+	if mutated {
+		skips = make([]func(uint32) bool, len(gen.shards))
+		for si, sh := range gen.shards {
+			skips[si] = func(local uint32) bool { return dlt.Shadows(gen.extID(local + sh.base)) }
+		}
+	}
 
 	// partial[qi][si] is query qi's top-k from shard si; every task owns
 	// a distinct slot, so workers need no locking. The done WaitGroup
@@ -556,7 +571,11 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	done.Add(len(queries) * len(gen.shards))
 	for qi, q := range queries {
 		for si := range gen.shards {
-			e.tasks <- task{query: q, k: kBase, gen: gen, si: si, qi: qi, tr: tr, out: &partial[qi][si], done: &done}
+			t := task{query: q, k: k, gen: gen, si: si, qi: qi, tr: tr, out: &partial[qi][si], done: &done}
+			if mutated {
+				t.skip = skips[si]
+			}
+			e.tasks <- t
 		}
 	}
 	done.Wait()
@@ -565,7 +584,7 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	merge := tr.Span("merge")
 	out := make([][]ann.Neighbor, len(queries))
 	for qi := range queries {
-		out[qi] = mergeGenerational(queries[qi], partial[qi], k, dlt, shadows > 0, tr, qi)
+		out[qi] = mergeGenerational(queries[qi], partial[qi], k, dlt, mutated, tr, qi)
 	}
 	merge.End()
 	st.ShardSearches = len(queries) * len(gen.shards)
@@ -580,7 +599,10 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 // mergeGenerational folds one query's per-shard base lists and the
 // delta tier into the exact top-k under the ann (distance, ID) total
 // order. Tier order matters for concurrent dup-safety: the delta is
-// searched first, then the base lists are filtered by its shadows.
+// searched first, then the base lists are re-checked against its
+// shadows. The shard searches already skipped every ID shadowed when
+// they ran, so the re-check (over at most k entries per shard) only
+// catches a write that landed between a traversal and this fold.
 // Within a generation the shadow set over base IDs only grows, so an ID
 // admitted from the delta is guaranteed filtered from the base even if
 // a concurrent writer landed it between the folds; a write racing the

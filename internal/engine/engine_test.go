@@ -158,14 +158,14 @@ func TestMergeResolvesTiesLikeBruteForce(t *testing.T) {
 	}
 }
 
-// countingIndex observes concurrent Search calls so tests can assert
+// countingIndex observes concurrent shard searches so tests can assert
 // the engine-wide worker bound.
 type countingIndex struct {
 	*ann.Exact
 	active, peak *int64
 }
 
-func (c countingIndex) Search(q vec.Vector, k int) []ann.Neighbor {
+func (c countingIndex) SearchFilter(q vec.Vector, k int, skip func(uint32) bool) []ann.Neighbor {
 	n := atomic.AddInt64(c.active, 1)
 	for {
 		p := atomic.LoadInt64(c.peak)
@@ -174,7 +174,7 @@ func (c countingIndex) Search(q vec.Vector, k int) []ann.Neighbor {
 		}
 	}
 	time.Sleep(200 * time.Microsecond) // widen the overlap window
-	res := c.Exact.Search(q, k)
+	res := c.Exact.SearchFilter(q, k, skip)
 	atomic.AddInt64(c.active, -1)
 	return res
 }

@@ -19,12 +19,33 @@ import (
 // single-flight by design.
 var ErrCompacting = errors.New("engine: compaction already in flight")
 
+// ErrUnrepresentable means a written vector has a component the
+// engine's at-rest element kind (Meta.Elem) cannot store exactly. The
+// write is refused up front: accepted, it would make every later Save
+// or persisted compaction fail until the ID was overwritten.
+var ErrUnrepresentable = errors.New("engine: vector not representable at rest")
+
+// CheckElem reports, as an ErrUnrepresentable, the first component of v
+// the engine's at-rest element kind cannot store exactly — the check
+// the snapshot writers apply to every row. Upsert runs it; a caller
+// applying a batch runs it first to keep the batch all-or-nothing.
+func (e *Engine) CheckElem(v vec.Vector) error {
+	if j := vec.Unrepresentable(e.meta.Elem, v); j >= 0 {
+		return fmt.Errorf("%w: component %d (%v) is not representable as %v", ErrUnrepresentable, j, v[j], e.meta.Elem)
+	}
+	return nil
+}
+
 // Upsert inserts or replaces the vector with external ID id. The value
 // lands in the mutable delta tier immediately (v is copied) and becomes
 // visible to the next SearchBatch; any older copy in the base
 // generation is shadowed from that point on. The vector must have the
-// engine's dimensionality and finite components.
+// engine's dimensionality and finite components, each exactly
+// representable in the at-rest element kind (ErrUnrepresentable).
 func (e *Engine) Upsert(id uint32, v vec.Vector) error {
+	if err := e.CheckElem(v); err != nil {
+		return fmt.Errorf("engine: upsert %d: %w", id, err)
+	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	wasLive := e.isLiveLocked(id)

@@ -25,10 +25,10 @@ func benchCorpus(b *testing.B, n, dim int, seed int64) []vec.Vector {
 
 // BenchmarkReadUnderWrite measures sustained SearchBatch throughput
 // while a background writer churns the delta tier: the price of the
-// generational merge (delta scan + tombstone filtering + widened base
-// k) relative to the pure-read fast path, which is benchmarked as the
-// writers=0 case. Supporting evidence only: reads under writes are
-// scored by ndbench's mutate_mix (bench/README.md).
+// generational merge (delta scan + in-traversal tombstone filtering +
+// base re-check) relative to the pure-read fast path, which is
+// benchmarked as the writers=0 case. Supporting evidence only: reads
+// under writes are scored by ndbench's mutate_mix (bench/README.md).
 func BenchmarkReadUnderWrite(b *testing.B) {
 	const (
 		n     = 4096

@@ -3,9 +3,11 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -222,6 +224,123 @@ func TestMutableEngineMatchesModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordingIndex records the k and the presence of a skip predicate of
+// every shard search the engine runs through it. It keeps the wrapped
+// index's Matrix, which compaction reads the corpus back through.
+type recordingIndex struct {
+	matrixIndex
+	rec *shardCalls
+}
+
+type matrixIndex interface {
+	ann.Index
+	Matrix() *vec.Matrix
+}
+
+type shardCalls struct {
+	mu       sync.Mutex
+	ks       map[int]int
+	filtered map[bool]int
+}
+
+func (r recordingIndex) SearchFilter(q vec.Vector, k int, skip func(uint32) bool) []ann.Neighbor {
+	r.rec.mu.Lock()
+	r.rec.ks[k]++
+	r.rec.filtered[skip != nil]++
+	r.rec.mu.Unlock()
+	return r.matrixIndex.SearchFilter(q, k, skip)
+}
+
+func (c *shardCalls) reset() {
+	c.mu.Lock()
+	c.ks, c.filtered = map[int]int{}, map[bool]int{}
+	c.mu.Unlock()
+}
+
+// Every shard task searches at the caller's k, never widened by the
+// shadow-set size, with the tombstone predicate exactly when the delta
+// shadows something: nil on an empty delta (the pure-read path),
+// non-nil with 300 shadows, before and after a compaction gives the
+// base a translated ID table. The filtered results stay exact against
+// the model.
+func TestShardSearchesRunAtK(t *testing.T) {
+	pool, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 800, Queries: 8, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n0, k = 500, 10
+	base, spare, queries := pool.Vectors[:n0], pool.Vectors[n0:], pool.Queries
+	rec := &shardCalls{}
+	rec.reset()
+	inner := exhaustiveBuilder(t, "hnsw", vec.L2, 3)
+	e, err := New(base, Config{Shards: 2, Workers: 2, Builder: func(shard int, data []vec.Vector) (ann.Index, error) {
+		idx, err := inner(shard, data)
+		if err != nil {
+			return nil, err
+		}
+		return recordingIndex{matrixIndex: idx.(matrixIndex), rec: rec}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	model := make(map[uint32]vec.Vector, n0)
+	for i, v := range base {
+		model[uint32(i)] = v
+	}
+	expect := func(stage string, filtered bool) {
+		t.Helper()
+		rec.reset()
+		checkAgainstModel(t, e, vec.L2, model, queries, k, stage)
+		tasks := len(queries) * e.Shards()
+		if rec.ks[k] != tasks || len(rec.ks) != 1 {
+			t.Fatalf("%s: shard searches by k %v, want all %d at k=%d", stage, rec.ks, tasks, k)
+		}
+		if rec.filtered[filtered] != tasks {
+			t.Fatalf("%s: shard searches by predicate presence %v, want all %d filtered=%v", stage, rec.filtered, tasks, filtered)
+		}
+	}
+
+	expect("empty delta", false)
+	for i := 0; i < 100; i++ {
+		id := uint32(i)
+		if err := e.Upsert(id, spare[i]); err != nil { // overwrite a base vector
+			t.Fatal(err)
+		}
+		model[id] = spare[i]
+		if _, err := e.Delete(id + 100); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, id+100)
+		if err := e.Upsert(id+n0, spare[100+i]); err != nil { // new ID
+			t.Fatal(err)
+		}
+		model[id+n0] = spare[100+i]
+	}
+	if got := e.DeltaPressure(); got != 300 {
+		t.Fatalf("shadow set %d, want 300", got)
+	}
+	expect("300 shadows", true)
+
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	expect("compacted, empty delta", false)
+	// Shadow base IDs on either side of the deleted gap, so the predicate
+	// must translate through the new generation's ID table.
+	for _, id := range []uint32{99, 200, 450, n0 + 5} {
+		if _, err := e.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, id)
+	}
+	if err := e.Upsert(n0+6, spare[250]); err != nil {
+		t.Fatal(err)
+	}
+	model[n0+6] = spare[250]
+	expect("writes on compacted base", true)
 }
 
 // TestCompactIsSingleFlightAndIdempotent covers the cheap invariants:
@@ -584,6 +703,58 @@ func TestGenerationalPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	e3.Close()
+}
+
+// An engine whose snapshots store u8 refuses, with ErrUnrepresentable
+// and before the delta sees it, a write no generation could persist —
+// so its next persisted compaction still succeeds.
+func TestUpsertRejectsUnrepresentable(t *testing.T) {
+	pool, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 50, Queries: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builder, err := BuilderWithOpts("exact", vec.L2, 5, IndexOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := New(pool.Vectors[:40], Config{
+		Shards: 2, Workers: 2, Builder: builder, Meta: Meta{Algo: "exact", Seed: 5, Elem: vec.U8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	built.Close()
+	e, _, err := Load(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+
+	before := e.MutStats()
+	for _, c := range []float32{0.1, 255.5, 256, -1, float32(math.Copysign(0, -1))} {
+		v := slices.Clone(pool.Vectors[41])
+		v[3] = c
+		err := e.Upsert(7, v)
+		if !errors.Is(err, ErrUnrepresentable) {
+			t.Fatalf("component %v: Upsert error %v, want ErrUnrepresentable", c, err)
+		}
+		if e.MutStats() != before || e.Len() != 40 || e.delta.Shadows(7) {
+			t.Fatalf("component %v: the rejected write reached the delta: %+v", c, e.MutStats())
+		}
+	}
+	if err := e.Upsert(7, pool.Vectors[41]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatalf("persisted compaction after a rejected write: %v", err)
+	}
+	if got := e.Search(pool.Vectors[41], 1); len(got) != 1 || got[0].ID != 7 || got[0].Dist != 0 {
+		t.Fatalf("accepted write not served after compaction: %v", got)
+	}
 }
 
 // A compaction whose old generation cannot be retired still swapped the

@@ -197,7 +197,7 @@ func (x *builder) insert(v uint32, level int) {
 	}
 	for l := top; l >= 0; l-- {
 		start := ann.Neighbor{ID: ep, Dist: x.bs.Dist(q, ep)}
-		cands := ann.BeamSearch(x.scratch, x.stores[l], &q, start, x.cfg.EfConstruction, nil, nil)
+		cands := ann.BeamSearch(x.scratch, x.stores[l], &q, start, x.cfg.EfConstruction, nil, nil, nil)
 		m := x.cfg.M
 		if l == 0 {
 			m = 2 * x.cfg.M

@@ -266,7 +266,14 @@ func nearestCentroid(centroids []vec.Vector, p vec.Vector) int {
 // Search returns the approximate top-k via ADC over the probed lists,
 // optionally re-ranked with exact distances.
 func (x *Index) Search(query vec.Vector, k int) []ann.Neighbor {
-	res, _ := x.SearchStats(query, k)
+	return x.SearchFilter(query, k, nil)
+}
+
+// SearchFilter is Search over the postings skip does not reject:
+// skipped postings are dropped before ADC scoring, so they neither
+// occupy the re-rank shortlist nor reach the results.
+func (x *Index) SearchFilter(query vec.Vector, k int, skip func(id uint32) bool) []ann.Neighbor {
+	res, _ := x.search(query, k, skip)
 	return res
 }
 
@@ -289,6 +296,10 @@ func (x *Index) CodeBytes() int { return 4 + x.cfg.Segments }
 
 // SearchStats is Search plus scan statistics.
 func (x *Index) SearchStats(query vec.Vector, k int) ([]ann.Neighbor, ScanStats) {
+	return x.search(query, k, nil)
+}
+
+func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]ann.Neighbor, ScanStats) {
 	var st ScanStats
 	// Rank coarse centroids.
 	type cd struct {
@@ -318,6 +329,9 @@ func (x *Index) SearchStats(query vec.Vector, k int) ([]ann.Neighbor, ScanStats)
 		}
 		tables := x.adcTables(residual)
 		for _, e := range x.lists[li] {
+			if skip != nil && skip(e.ID) {
+				continue
+			}
 			cands = append(cands, ann.Neighbor{ID: e.ID, Dist: vec.ADCSum(tables, e.Code)})
 			st.CodesScanned++
 		}

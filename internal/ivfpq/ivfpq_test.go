@@ -208,6 +208,44 @@ func TestDeterministicBuild(t *testing.T) {
 	}
 }
 
+// At exhaustive width (every list probed, every candidate re-ranked)
+// SearchFilter is "search everything, then drop the skipped IDs": the
+// same IDs and distance bits.
+func TestSearchFilterDropsSkipped(t *testing.T) {
+	const n = 300
+	cfg := DefaultConfig()
+	cfg.NProbe, cfg.Rerank = cfg.NList, n
+	idx, d := buildTestIndex(t, n, cfg)
+	rng := rand.New(rand.NewSource(5))
+	for _, q := range d.Queries {
+		set := map[uint32]bool{}
+		for id := 0; id < n; id++ {
+			if rng.Intn(2) == 0 {
+				set[uint32(id)] = true
+			}
+		}
+		skip := func(id uint32) bool { return set[id] }
+		var all []ann.Neighbor
+		for _, nb := range idx.Search(q, n) {
+			if !skip(nb.ID) {
+				all = append(all, nb)
+			}
+		}
+		for _, k := range []int{1, 10, n} {
+			want := all[:min(k, len(all))]
+			got := idx.SearchFilter(q, k, skip)
+			if len(got) != len(want) {
+				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d result %d: %+v, want %+v", k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // Regression: when Rerank < k, the reranked shortlist must be re-merged
 // with the remaining ADC candidates so the search still returns
 // min(k, candidates) results instead of truncating to the shortlist.

@@ -257,18 +257,9 @@ func encodeRowChecked(elem vec.ElemKind, i int, row vec.Vector, dst []byte) erro
 	if _, err := vec.Encode(elem, row, dst); err != nil {
 		return err
 	}
-	if elem == vec.F32 {
-		return nil
-	}
-	back, err := vec.Decode(elem, len(row), dst)
-	if err != nil {
-		return err
-	}
-	for j := range row {
-		if math.Float32bits(row[j]) != math.Float32bits(back[j]) {
-			return fmt.Errorf("%w: row %d component %d (%v) is not representable as %v; save with vec.F32",
-				ErrBadInput, i, j, row[j], elem)
-		}
+	if j := vec.Unrepresentable(elem, row); j >= 0 {
+		return fmt.Errorf("%w: row %d component %d (%v) is not representable as %v; save with vec.F32",
+			ErrBadInput, i, j, row[j], elem)
 	}
 	return nil
 }

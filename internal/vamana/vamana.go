@@ -195,7 +195,7 @@ func (x *builder) beamSearchVisited(q vec.Vector, l int) []ann.Neighbor {
 	pq := x.store.Prepare(q)
 	start := ann.Neighbor{ID: x.medoid, Dist: x.store.Dist(pq, x.medoid)}
 	x.scored = x.scored[:0]
-	ann.BeamSearch(x.scratch, x.store, &pq, start, l, nil, &x.scored)
+	ann.BeamSearch(x.scratch, x.store, &pq, start, l, nil, &x.scored, nil)
 	return x.scored
 }
 

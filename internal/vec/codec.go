@@ -104,21 +104,39 @@ func clamp(x, lo, hi float32) float32 {
 	return x
 }
 
+// roundTrip returns x as element kind k stores it: Decode(Encode(x)).
+func roundTrip(k ElemKind, x float32) float32 {
+	switch k {
+	case U8:
+		return float32(uint8(clamp(x, 0, 255)))
+	case I8:
+		return float32(int8(clamp(x, -128, 127)))
+	}
+	return x
+}
+
 // Quantize rounds v to the representable grid of kind k and returns the
 // result as a float32 vector. F32 is returned unchanged (cloned). This is
 // used by dataset generators so that ground truth is computed on exactly
 // the values the simulated NAND stores.
 func Quantize(k ElemKind, v Vector) Vector {
 	out := v.Clone()
-	switch k {
-	case U8:
-		for i, x := range out {
-			out[i] = float32(uint8(clamp(x, 0, 255)))
-		}
-	case I8:
-		for i, x := range out {
-			out[i] = float32(int8(clamp(x, -128, 127)))
-		}
+	for i, x := range out {
+		out[i] = roundTrip(k, x)
 	}
 	return out
+}
+
+// Unrepresentable returns the index of the first component of v that
+// element kind k cannot store exactly — one whose Encode/Decode round
+// trip changes its bits — or -1 when k stores all of v exactly. It is
+// the one representability check: the snapshot writers refuse such a
+// row, and the engine refuses such a write before it can reach one.
+func Unrepresentable(k ElemKind, v Vector) int {
+	for i, x := range v {
+		if math.Float32bits(roundTrip(k, x)) != math.Float32bits(x) {
+			return i
+		}
+	}
+	return -1
 }

@@ -248,6 +248,41 @@ func TestU8CodecProperty(t *testing.T) {
 	}
 }
 
+// Unrepresentable is the Encode/Decode round trip, component by
+// component: it flags exactly the first component whose bits the trip
+// changes, for every element kind, on grid points, fractions, values
+// past either clamp and negative zero.
+func TestUnrepresentableIsTheRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	values := []float32{0, float32(math.Copysign(0, -1)), 1, 127, 128, 255, 256, -1, -128, -129, 0.1, 254.5, -0.5, 1e9}
+	for i := 0; i < 200; i++ {
+		values = append(values, float32(rng.Intn(600)-300), float32(rng.NormFloat64()*100))
+	}
+	for _, k := range []ElemKind{F32, U8, I8} {
+		for _, x := range values {
+			v := Vector{7, x, x}
+			buf := make([]byte, StoredBytes(k, len(v)))
+			if _, err := Encode(k, v, buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Decode(k, len(v), buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := -1
+			for j := range v {
+				if math.Float32bits(back[j]) != math.Float32bits(v[j]) {
+					want = j
+					break
+				}
+			}
+			if got := Unrepresentable(k, v); got != want {
+				t.Fatalf("%v: Unrepresentable(%v) = %d, round trip says %d", k, v, got, want)
+			}
+		}
+	}
+}
+
 // Property: angular distance stays within [0, 2] and is symmetric.
 func TestAngularProperties(t *testing.T) {
 	f := func(xs, ys [6]float32) bool {
