@@ -33,8 +33,6 @@
 //	-quantized      build shards with the SQ8 compressed traversal tier
 //	                (graph families only)
 //	-rerank         exact-rerank width when quantized, 0 = full list (default 0)
-//	-coalesce-max   coalesced batch size threshold, 0 disables (default 256)
-//	-coalesce-wait  coalescing deadline (default 500us)
 //	-compact-threshold  delta shadow-set size that triggers background
 //	                compaction, 0 disables (manual /compact only;
 //	                default engine.DefaultCompactThreshold; RAM serving
@@ -57,10 +55,11 @@
 // background past -compact-threshold, or on demand via POST /compact —
 // drains the delta into a freshly built base generation.
 //
-// With coalescing enabled (the default), concurrent single-query
-// /search requests are admitted through a micro-batcher that forms
-// engine batches of up to -coalesce-max queries, dispatching at the
-// latest -coalesce-wait after a request arrives.
+// Single-query /search requests are admitted through a micro-batcher
+// (internal/batcher): an idle engine serves a lone request at once, and
+// while a batch runs the requests arriving meanwhile queue and form the
+// next one — a request waits at most for the batch already running.
+// Explicit "queries" batches go to the engine directly.
 //
 // -save-index and -load-index are the build-once / serve-many split:
 // one invocation pays graph construction and writes a checksummed
@@ -90,7 +89,6 @@ import (
 	"syscall"
 	"time"
 
-	"ndsearch/internal/batcher"
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
 )
@@ -111,10 +109,6 @@ func main() {
 		"build shard indexes with the SQ8 compressed traversal tier (graph families only)")
 	rerank := flag.Int("rerank", 0,
 		"exact-rerank width for -quantized (0 = rerank the full candidate list)")
-	coalesceMax := flag.Int("coalesce-max", batcher.DefaultMaxBatch,
-		"coalesced batch size threshold for single-query requests (0 disables coalescing)")
-	coalesceWait := flag.Duration("coalesce-wait", batcher.DefaultMaxWait,
-		"max time a single-query request waits for a coalesced batch to form")
 	saveIndex := flag.String("save-index", "", "build the engine, save it to this directory, and exit")
 	loadIndex := flag.String("load-index", "", "serve from a saved engine directory (skips corpus generation and build)")
 	serveMode := flag.String("serve", engine.ServeRAM,
@@ -131,7 +125,7 @@ func main() {
 	var explicit []string
 	flag.Visit(func(f *flag.Flag) { explicit = append(explicit, f.Name) })
 
-	if err := validateFlags(*n, *shards, *workers, *rerank, *coalesceMax, *coalesceWait,
+	if err := validateFlags(*n, *shards, *workers, *rerank,
 		*saveIndex, *loadIndex, *serveMode, *cachePages, *compactThreshold, *slowQuery, explicit); err != nil {
 		fmt.Fprintf(os.Stderr, "ndserve: %v\n", err)
 		flag.Usage()
@@ -144,10 +138,10 @@ func main() {
 	)
 	if *loadIndex != "" {
 		lo := engine.LoadOptions{Workers: *workers, Serve: *serveMode, CachePages: *cachePages}
-		srv, err = loadServer(*loadIndex, lo, *coalesceMax, *coalesceWait)
+		srv, err = loadServer(*loadIndex, lo)
 	} else {
 		opts := engine.IndexOpts{Quantized: *quantized, Rerank: *rerank}
-		srv, err = buildServer(*profName, *algo, *n, *shards, *workers, *seed, opts, *coalesceMax, *coalesceWait)
+		srv, err = buildServer(*profName, *algo, *n, *shards, *workers, *seed, opts)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ndserve: %v\n", err)
@@ -191,11 +185,10 @@ func main() {
 	}
 }
 
-// validateFlags rejects configurations that would build a broken engine
-// or batcher, before any work happens. workers and coalesce-max may be
-// zero (their documented "default / disabled" values) but never
-// negative; n and shards must be positive; rerank and coalesce-wait
-// must be non-negative; -save-index and -load-index are mutually
+// validateFlags rejects configurations that would build a broken engine,
+// before any work happens. workers may be zero (its documented default)
+// but never negative; n and shards must be positive; rerank must be
+// non-negative; -save-index and -load-index are mutually
 // exclusive (save persists a fresh build), and with -load-index the
 // saved index fixes everything the build flags describe, so setting one
 // explicitly (explicit lists the flag names given on the command line)
@@ -205,7 +198,7 @@ func main() {
 // never negative, and a paged engine cannot compact, so an explicitly
 // set positive threshold beside a paged -serve is rejected; slow-query
 // may be zero (log disabled) but never negative.
-func validateFlags(n, shards, workers, rerank, coalesceMax int, coalesceWait time.Duration,
+func validateFlags(n, shards, workers, rerank int,
 	saveIndex, loadIndex, serveMode string, cachePages, compactThreshold int,
 	slowQuery time.Duration, explicit []string) error {
 	if loadIndex == "" {
@@ -241,12 +234,6 @@ func validateFlags(n, shards, workers, rerank, coalesceMax int, coalesceWait tim
 	}
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
-	}
-	if coalesceMax < 0 {
-		return fmt.Errorf("-coalesce-max must be >= 0 (0 disables coalescing), got %d", coalesceMax)
-	}
-	if coalesceWait < 0 {
-		return fmt.Errorf("-coalesce-wait must be >= 0, got %v", coalesceWait)
 	}
 	if saveIndex != "" && loadIndex != "" {
 		return fmt.Errorf("-save-index and -load-index are mutually exclusive")
@@ -297,10 +284,9 @@ func serve(hsrv *http.Server, srv *Server, ln net.Listener, sig <-chan os.Signal
 }
 
 // buildServer generates the corpus, builds the sharded engine, and
-// wraps it in a Server, enabling coalescing when coalesceMax > 0. Split
-// from main so tests can drive it.
+// wraps it in a Server. Split from main so tests can drive it.
 func buildServer(profName, algo string, n, shards, workers int, seed int64,
-	opts engine.IndexOpts, coalesceMax int, coalesceWait time.Duration) (*Server, error) {
+	opts engine.IndexOpts) (*Server, error) {
 	prof, err := dataset.ProfileByName(profName)
 	if err != nil {
 		return nil, err
@@ -330,7 +316,7 @@ func buildServer(profName, algo string, n, shards, workers int, seed int64,
 	}
 	log.Printf("ndserve: built %d-shard %s%s engine over %d %s vectors in %v",
 		e.Shards(), algo, mode, e.Len(), profName, time.Since(start).Round(time.Millisecond))
-	return newServer(e, prof.Dim, profName, algo, coalesceMax, coalesceWait), nil
+	return NewServer(e, prof.Dim, profName, algo), nil
 }
 
 // loadServer warm-starts the engine from a snapshot directory written
@@ -338,7 +324,7 @@ func buildServer(profName, algo string, n, shards, workers int, seed int64,
 // build — the serving configuration comes from the manifest. With a
 // paged serving mode, shard node records stay in the files and are
 // traversed through a bounded per-shard page cache.
-func loadServer(dir string, lo engine.LoadOptions, coalesceMax int, coalesceWait time.Duration) (*Server, error) {
+func loadServer(dir string, lo engine.LoadOptions) (*Server, error) {
 	start := time.Now()
 	e, man, err := engine.LoadWithOptions(dir, lo)
 	if err != nil {
@@ -347,16 +333,5 @@ func loadServer(dir string, lo engine.LoadOptions, coalesceMax int, coalesceWait
 	log.Printf("ndserve: loaded %d-shard %s engine over %d %s vectors from %s in %v (serve=%s, format v%d)",
 		e.Shards(), man.Algo, e.Len(), man.Dataset, dir,
 		time.Since(start).Round(time.Millisecond), e.ServeMode(), e.FormatVersion())
-	return newServer(e, man.Dim, man.Dataset, man.Algo, coalesceMax, coalesceWait), nil
-}
-
-func newServer(e *engine.Engine, dim int, dataset, algo string,
-	coalesceMax int, coalesceWait time.Duration) *Server {
-	srv := NewServer(e, dim, dataset, algo)
-	if coalesceMax > 0 {
-		srv.EnableCoalescing(batcher.Config{MaxBatch: coalesceMax, MaxWait: coalesceWait})
-		log.Printf("ndserve: coalescing single-query requests (max %d, wait %v)",
-			coalesceMax, coalesceWait)
-	}
-	return srv
+	return NewServer(e, man.Dim, man.Dataset, man.Algo), nil
 }

@@ -9,11 +9,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"ndsearch/internal/ann"
-	"ndsearch/internal/batcher"
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
 	"ndsearch/internal/vec"
@@ -225,12 +225,11 @@ func TestHealthzStatsRejectNonGet(t *testing.T) {
 	}
 }
 
-// With coalescing enabled, a single-query request returns the same
-// results as the direct path and reports coalesced batch info; /stats
-// grows a coalescer section.
+// A plain NewServer answers a single-query request through the
+// coalescer, with the same results as the direct path and coalesced
+// batch info; /stats carries a coalescer section.
 func TestCoalescedSingleQueryPath(t *testing.T) {
 	srv, d := testServer(t, 2)
-	srv.EnableCoalescing(batcher.Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
 	h := srv.Handler()
 	unsharded := ann.NewExact(d.Profile.Metric, d.Vectors)
 	for qi, q := range d.Queries[:4] {
@@ -262,11 +261,18 @@ func TestCoalescedSingleQueryPath(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["coalescer"]; !ok {
+		t.Fatalf("/stats has no coalescer block: %s", rec.Body.String())
+	}
 	var stats StatsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Coalescer == nil || stats.Coalescer.Submits != 4 || stats.Coalescer.Batches < 1 {
+	if stats.Coalescer.Submits != 4 || stats.Coalescer.Batches < 1 {
 		t.Fatalf("bad coalescer stats: %+v", stats.Coalescer)
 	}
 	if len(stats.PerShardSearches) != 2 {
@@ -310,9 +316,9 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// Flag validation: values that would build a broken engine or batcher
-// are rejected up front with a usage error instead of surfacing later
-// as a panic or a zero-shard engine.
+// Flag validation: values that would build a broken engine are rejected
+// up front with a usage error instead of surfacing later as a panic or a
+// zero-shard engine.
 func TestValidateFlags(t *testing.T) {
 	ok := func(err error) bool { return err == nil }
 	bad := func(err error) bool { return err != nil }
@@ -321,8 +327,6 @@ func TestValidateFlags(t *testing.T) {
 		n, shards        int
 		workers          int
 		rerank           int
-		coalesceMax      int
-		coalesceWait     time.Duration
 		save, load       string
 		serve            string
 		cachePages       int
@@ -331,56 +335,53 @@ func TestValidateFlags(t *testing.T) {
 		explicit         []string
 		want             func(error) bool
 	}{
-		{"defaults", 20000, 4, 0, 0, 256, 500 * time.Microsecond, "", "", "ram", 0, 0, 0, nil, ok},
-		{"rerank", 100, 2, 0, 64, 256, 0, "", "", "ram", 0, 0, 0, nil, ok},
-		{"negative rerank", 100, 2, 0, -1, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
-		{"zero n", 0, 4, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
-		{"negative n", -5, 4, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
-		{"zero shards", 100, 0, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
-		{"negative shards", 100, -1, 0, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
-		{"negative workers", 100, 2, -1, 0, 256, 0, "", "", "ram", 0, 0, 0, nil, bad},
-		{"coalesce disabled", 100, 2, 0, 0, 0, 0, "", "", "ram", 0, 0, 0, nil, ok},
-		{"negative coalesce-max", 100, 2, 0, 0, -1, 0, "", "", "ram", 0, 0, 0, nil, bad},
-		{"negative coalesce-wait", 100, 2, 0, 0, 256, -time.Microsecond, "", "", "ram", 0, 0, 0, nil, bad},
-		{"save", 100, 2, 0, 0, 256, 0, "dir", "", "ram", 0, 0, 0, nil, ok},
-		{"load ignores n/shards", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, nil, ok},
-		{"save and load", 100, 2, 0, 0, 256, 0, "a", "b", "ram", 0, 0, 0, nil, bad},
-		{"mmap serve with load", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 64, 0, 0, nil, ok},
-		{"readat serve with load", 0, 0, 0, 0, 256, 0, "", "dir", "readat", 0, 0, 0, nil, ok},
-		{"mmap serve without load", 100, 2, 0, 0, 256, 0, "", "", "mmap", 0, 0, 0, nil, bad},
-		{"unknown serve mode", 0, 0, 0, 0, 256, 0, "", "dir", "disk", 0, 0, 0, nil, bad},
-		{"negative cache-pages", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", -1, 0, 0, nil, bad},
-		{"negative compact-threshold", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, -1, 0, nil, bad},
-		{"compact threshold enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 4096, 0, nil, ok},
+		{"defaults", 20000, 4, 0, 0, "", "", "ram", 0, 0, 0, nil, ok},
+		{"rerank", 100, 2, 0, 64, "", "", "ram", 0, 0, 0, nil, ok},
+		{"negative rerank", 100, 2, 0, -1, "", "", "ram", 0, 0, 0, nil, bad},
+		{"zero n", 0, 4, 0, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"negative n", -5, 4, 0, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"zero shards", 100, 0, 0, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"negative shards", 100, -1, 0, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"negative workers", 100, 2, -1, 0, "", "", "ram", 0, 0, 0, nil, bad},
+		{"save", 100, 2, 0, 0, "dir", "", "ram", 0, 0, 0, nil, ok},
+		{"load ignores n/shards", 0, 0, 0, 0, "", "dir", "ram", 0, 0, 0, nil, ok},
+		{"save and load", 100, 2, 0, 0, "a", "b", "ram", 0, 0, 0, nil, bad},
+		{"mmap serve with load", 0, 0, 0, 0, "", "dir", "mmap", 64, 0, 0, nil, ok},
+		{"readat serve with load", 0, 0, 0, 0, "", "dir", "readat", 0, 0, 0, nil, ok},
+		{"mmap serve without load", 100, 2, 0, 0, "", "", "mmap", 0, 0, 0, nil, bad},
+		{"unknown serve mode", 0, 0, 0, 0, "", "dir", "disk", 0, 0, 0, nil, bad},
+		{"negative cache-pages", 0, 0, 0, 0, "", "dir", "mmap", -1, 0, 0, nil, bad},
+		{"negative compact-threshold", 100, 2, 0, 0, "", "", "ram", 0, -1, 0, nil, bad},
+		{"compact threshold enabled", 100, 2, 0, 0, "", "", "ram", 0, 4096, 0, nil, ok},
 		// A paged engine cannot compact: an explicitly set threshold is a
 		// usage error there, the flag's default is not, and 0 opts out.
-		{"mmap serve with -compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 0, 512, 0,
+		{"mmap serve with -compact-threshold", 0, 0, 0, 0, "", "dir", "mmap", 0, 512, 0,
 			[]string{"load-index", "serve", "compact-threshold"}, bad},
-		{"readat serve with -compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "readat", 0, 512, 0,
+		{"readat serve with -compact-threshold", 0, 0, 0, 0, "", "dir", "readat", 0, 512, 0,
 			[]string{"load-index", "serve", "compact-threshold"}, bad},
-		{"mmap serve with default compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 0, 1024, 0,
+		{"mmap serve with default compact-threshold", 0, 0, 0, 0, "", "dir", "mmap", 0, 1024, 0,
 			[]string{"load-index", "serve"}, ok},
-		{"mmap serve with -compact-threshold 0", 0, 0, 0, 0, 256, 0, "", "dir", "mmap", 0, 0, 0,
+		{"mmap serve with -compact-threshold 0", 0, 0, 0, 0, "", "dir", "mmap", 0, 0, 0,
 			[]string{"load-index", "serve", "compact-threshold"}, ok},
-		{"ram load with -compact-threshold", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 512, 0,
+		{"ram load with -compact-threshold", 0, 0, 0, 0, "", "dir", "ram", 0, 512, 0,
 			[]string{"load-index", "compact-threshold"}, ok},
-		{"slow-query enabled", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, 5 * time.Millisecond, nil, ok},
-		{"negative slow-query", 100, 2, 0, 0, 256, 0, "", "", "ram", 0, 0, -time.Millisecond, nil, bad},
-		{"build flags with a build", 100, 2, 0, 8, 256, 0, "", "", "ram", 0, 0, 0,
+		{"slow-query enabled", 100, 2, 0, 0, "", "", "ram", 0, 0, 5 * time.Millisecond, nil, ok},
+		{"negative slow-query", 100, 2, 0, 0, "", "", "ram", 0, 0, -time.Millisecond, nil, bad},
+		{"build flags with a build", 100, 2, 0, 8, "", "", "ram", 0, 0, 0,
 			[]string{"quantized", "rerank", "algo", "dataset", "n", "shards", "seed"}, ok},
-		{"load with serving flags", 0, 0, 2, 0, 256, 0, "", "dir", "mmap", 64, 0, 0,
-			[]string{"load-index", "serve", "cache-pages", "workers", "addr", "coalesce-max"}, ok},
-		{"load with -quantized", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "quantized"}, bad},
-		{"load with -rerank", 0, 0, 0, 16, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "rerank"}, bad},
-		{"load with -algo", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"algo", "load-index"}, bad},
-		{"load with -dataset", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"dataset", "load-index"}, bad},
-		{"load with -n", 500, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "n"}, bad},
-		{"load with -shards", 0, 2, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "shards"}, bad},
-		{"load with -seed", 0, 0, 0, 0, 256, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "seed"}, bad},
+		{"load with serving flags", 0, 0, 2, 0, "", "dir", "mmap", 64, 0, 0,
+			[]string{"load-index", "serve", "cache-pages", "workers", "addr"}, ok},
+		{"load with -quantized", 0, 0, 0, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "quantized"}, bad},
+		{"load with -rerank", 0, 0, 0, 16, "", "dir", "ram", 0, 0, 0, []string{"load-index", "rerank"}, bad},
+		{"load with -algo", 0, 0, 0, 0, "", "dir", "ram", 0, 0, 0, []string{"algo", "load-index"}, bad},
+		{"load with -dataset", 0, 0, 0, 0, "", "dir", "ram", 0, 0, 0, []string{"dataset", "load-index"}, bad},
+		{"load with -n", 500, 0, 0, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "n"}, bad},
+		{"load with -shards", 0, 2, 0, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "shards"}, bad},
+		{"load with -seed", 0, 0, 0, 0, "", "dir", "ram", 0, 0, 0, []string{"load-index", "seed"}, bad},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.n, c.shards, c.workers, c.rerank, c.coalesceMax, c.coalesceWait,
+			err := validateFlags(c.n, c.shards, c.workers, c.rerank,
 				c.save, c.load, c.serve, c.cachePages, c.compactThreshold, c.slowQuery, c.explicit)
 			if !c.want(err) {
 				t.Errorf("validateFlags(%+v) = %v", c, err)
@@ -393,7 +394,7 @@ func TestValidateFlags(t *testing.T) {
 // directory answers exactly like the server that saved it, and the
 // manifest supplies dataset/algo/dim so no generation or build runs.
 func TestSaveLoadIndexFlow(t *testing.T) {
-	built, err := buildServer("sift-1b", "hnsw", 500, 3, 2, 7, engine.IndexOpts{}, 32, time.Millisecond)
+	built, err := buildServer("sift-1b", "hnsw", 500, 3, 2, 7, engine.IndexOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +403,7 @@ func TestSaveLoadIndexFlow(t *testing.T) {
 	if err := built.engine.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadServer(dir, engine.LoadOptions{Workers: 2}, 32, time.Millisecond)
+	loaded, err := loadServer(dir, engine.LoadOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +411,6 @@ func TestSaveLoadIndexFlow(t *testing.T) {
 	if loaded.dim != built.dim || loaded.dataset != built.dataset || loaded.algo != built.algo {
 		t.Fatalf("loaded server identity (%d, %s, %s), want (%d, %s, %s)",
 			loaded.dim, loaded.dataset, loaded.algo, built.dim, built.dataset, built.algo)
-	}
-	if loaded.coalescer == nil {
-		t.Error("load path must honour coalescing flags")
 	}
 	prof := dataset.Sift1B()
 	d, err := dataset.Generate(prof, dataset.GenConfig{N: 1, Queries: 6, Seed: 77})
@@ -438,15 +436,59 @@ func TestSaveLoadIndexFlow(t *testing.T) {
 	}
 }
 
-// Graceful shutdown: a signal drains the in-flight coalesced search
-// (it completes with a 200) before serve returns, and the listener is
-// closed afterwards.
+// gatedServer is testServer on one shard and one worker, every shard
+// search parked until open is called; held receives as a search parks.
+// Cleanup opens the gate before closing the server.
+func gatedServer(t *testing.T) (srv *Server, d *dataset.Dataset, held <-chan struct{}, open func()) {
+	t.Helper()
+	prof := dataset.Sift1B()
+	d, err := dataset.Generate(prof, dataset.GenConfig{N: 200, Queries: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.BuilderByName("exact", prof.Metric, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold, release := make(chan struct{}, 1), make(chan struct{})
+	e, err := engine.New(d.Vectors, engine.Config{Shards: 1, Workers: 1,
+		Builder: func(shard int, data []vec.Vector) (ann.Index, error) {
+			idx, err := b(shard, data)
+			if err != nil {
+				return nil, err
+			}
+			return gatedIndex{idx, hold, release}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = NewServer(e, prof.Dim, prof.Name, "exact")
+	t.Cleanup(srv.Close)
+	var once sync.Once
+	open = func() { once.Do(func() { close(release) }) }
+	t.Cleanup(open)
+	return srv, d, hold, open
+}
+
+type gatedIndex struct {
+	ann.Index
+	held, release chan struct{}
+}
+
+func (x gatedIndex) SearchFilter(q vec.Vector, k int, skip func(uint32) bool) []ann.Neighbor {
+	select {
+	case x.held <- struct{}{}:
+	default:
+	}
+	<-x.release
+	return x.Index.SearchFilter(q, k, skip)
+}
+
+// Graceful shutdown: a signal closes the listener, then drains both the
+// search running in the engine and the one queued in the coalescer
+// behind it (each completes with a 200) before serve returns.
 func TestServeGracefulShutdown(t *testing.T) {
-	srv, d := testServer(t, 2)
-	// A long coalescing deadline parks the request in the batcher, so
-	// the drain provably covers admission-layer queues, not just handler
-	// bodies that already reached the engine.
-	srv.EnableCoalescing(batcher.Config{MaxBatch: 1024, MaxWait: 250 * time.Millisecond})
+	srv, d, held, open := gatedServer(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -457,14 +499,14 @@ func TestServeGracefulShutdown(t *testing.T) {
 	go func() { serveErr <- serve(hsrv, srv, ln, sig, 5*time.Second) }()
 
 	base := "http://" + ln.Addr().String()
-	body, _ := json.Marshal(SearchRequest{Query: asFloats(d.Queries[0]), K: 5})
 	type result struct {
 		code int
 		resp SearchResponse
 		err  error
 	}
-	reqDone := make(chan result, 1)
-	go func() {
+	reqDone := make(chan result, 2)
+	post := func(q vec.Vector) {
+		body, _ := json.Marshal(SearchRequest{Query: asFloats(q), K: 5})
 		resp, err := http.Post(base+"/search", "application/json", bytes.NewReader(body))
 		if err != nil {
 			reqDone <- result{err: err}
@@ -474,18 +516,33 @@ func TestServeGracefulShutdown(t *testing.T) {
 		var sr SearchResponse
 		err = json.NewDecoder(resp.Body).Decode(&sr)
 		reqDone <- result{code: resp.StatusCode, resp: sr, err: err}
-	}()
+	}
 
-	// Wait until the request is queued inside the coalescer, then pull
-	// the trigger: the drain must complete it.
+	// The first request parks in the engine; the second queues in the
+	// coalescer behind it, so the drain provably covers the admission
+	// queue, not just handler bodies that already reached the engine.
+	go post(d.Queries[0])
+	<-held
+	go post(d.Queries[1])
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.coalescer.Stats().Submits == 0 {
+	for srv.coalescer.Stats().QueueDepth == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("request never reached the coalescer")
+			t.Fatal("second request never queued in the coalescer")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	sig <- os.Interrupt
+	// Open the gate only once shutdown has closed the listener.
+	for {
+		if _, err := http.Get(base + "/healthz"); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after the signal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	open()
 
 	select {
 	case err := <-serveErr:
@@ -495,15 +552,14 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("serve did not return after signal")
 	}
-	r := <-reqDone
-	if r.err != nil || r.code != http.StatusOK {
-		t.Fatalf("in-flight request: code %d err %v, want 200 nil", r.code, r.err)
-	}
-	if len(r.resp.Results) != 1 || len(r.resp.Results[0]) != 5 {
-		t.Fatalf("in-flight request returned malformed results %+v", r.resp.Results)
-	}
-	if _, err := http.Get(base + "/healthz"); err == nil {
-		t.Error("listener still accepting after shutdown")
+	for i := 0; i < 2; i++ {
+		r := <-reqDone
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("in-flight request: code %d err %v, want 200 nil", r.code, r.err)
+		}
+		if len(r.resp.Results) != 1 || len(r.resp.Results[0]) != 5 {
+			t.Fatalf("in-flight request returned malformed results %+v", r.resp.Results)
+		}
 	}
 }
 
@@ -530,7 +586,7 @@ func TestServeListenerError(t *testing.T) {
 }
 
 func TestBuildServer(t *testing.T) {
-	srv, err := buildServer("glove-100", "exact", 300, 2, 2, 1, engine.IndexOpts{}, 64, time.Millisecond)
+	srv, err := buildServer("glove-100", "exact", 300, 2, 2, 1, engine.IndexOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,21 +594,10 @@ func TestBuildServer(t *testing.T) {
 	if srv.engine.Shards() != 2 || srv.engine.Len() != 300 {
 		t.Fatalf("unexpected engine shape: shards=%d len=%d", srv.engine.Shards(), srv.engine.Len())
 	}
-	if srv.coalescer == nil {
-		t.Error("coalesce-max > 0 must enable coalescing")
-	}
-	plain, err := buildServer("glove-100", "exact", 100, 1, 1, 1, engine.IndexOpts{}, 0, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(plain.Close)
-	if plain.coalescer != nil {
-		t.Error("coalesce-max = 0 must disable coalescing")
-	}
-	if _, err := buildServer("nope", "exact", 100, 1, 1, 1, engine.IndexOpts{}, 0, 0); err == nil {
+	if _, err := buildServer("nope", "exact", 100, 1, 1, 1, engine.IndexOpts{}); err == nil {
 		t.Error("unknown dataset must fail")
 	}
-	if _, err := buildServer("sift-1b", "nope", 100, 1, 1, 1, engine.IndexOpts{}, 0, 0); err == nil {
+	if _, err := buildServer("sift-1b", "nope", 100, 1, 1, 1, engine.IndexOpts{}); err == nil {
 		t.Error("unknown algorithm must fail")
 	}
 }

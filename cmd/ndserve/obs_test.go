@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ndsearch/internal/batcher"
 	"ndsearch/internal/obs"
 )
 
@@ -102,11 +101,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Mixed traffic through every counted path: a direct batch, two
+	// Mixed traffic through every counted path: a direct batch, two more
 	// coalesced singles, upserts, a delete of a live and of an absent ID,
 	// one compaction. Every fact /stats and /metrics both carry must then
 	// be equal — they are two renderings of the same instruments.
-	srv.EnableCoalescing(batcher.Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
 	batch := SearchRequest{K: 5}
 	for _, q := range d.Queries[:3] {
 		batch.Queries = append(batch.Queries, asFloats(q))
@@ -147,9 +145,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"nd_deletes_total", st.Mutation.Deletes, 1},
 		{"nd_compactions_total", st.Mutation.Compactions, 1},
 		{"nd_generation", int64(st.Mutation.Generation), 1},
-		{"nd_coalesce_submits_total", st.Coalescer.Submits, 2},
-		{"nd_coalesce_batches_total", st.Coalescer.Batches, 2},
-		{"nd_coalesce_formed_batch_size_sum", st.Coalescer.Queries, 2},
+		{"nd_coalesce_submits_total", st.Coalescer.Submits, 3},
+		{"nd_coalesce_batches_total", st.Coalescer.Batches, 3},
+		{"nd_coalesce_formed_batch_size_sum", st.Coalescer.Queries, 3},
 	} {
 		if f.got != f.want {
 			t.Errorf("/stats fact behind %s = %d, want %d", f.sample, f.got, f.want)
@@ -240,7 +238,7 @@ func TestSlowQueryLog(t *testing.T) {
 	line := buf.String()
 	for _, want := range []string{
 		"slowquery ", "dataset=" + d.Profile.Name, "algo=exact",
-		"latency_us=", "threshold_us=", "k=10", "queries=1", "coalesced=false",
+		"latency_us=", "threshold_us=", "k=10", "queries=1", "coalesced=true",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow-query line missing %q: %q", want, line)
@@ -306,7 +304,6 @@ func TestSearchTraceOptIn(t *testing.T) {
 // engine batch's spans.
 func TestSearchTraceCoalesced(t *testing.T) {
 	srv, d := testServer(t, 2)
-	srv.EnableCoalescing(batcher.Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
 	h := srv.Handler()
 
 	req := SearchRequest{Query: asFloats(d.Queries[0]), K: 5, Trace: true}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
@@ -17,7 +16,7 @@ import (
 // one that saved it.
 func TestQuantSaveLoadFlow(t *testing.T) {
 	opts := engine.IndexOpts{Quantized: true, Rerank: 32}
-	built, err := buildServer("sift-1b", "hnsw", 500, 2, 2, 7, opts, 0, time.Millisecond)
+	built, err := buildServer("sift-1b", "hnsw", 500, 2, 2, 7, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func TestQuantSaveLoadFlow(t *testing.T) {
 	if err := built.engine.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadServer(dir, engine.LoadOptions{Workers: 2}, 0, time.Millisecond)
+	loaded, err := loadServer(dir, engine.LoadOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestQuantSaveLoadFlow(t *testing.T) {
 
 	// A full-precision server reports quantized=false, so the field is
 	// live, not a constant.
-	plain, err := buildServer("sift-1b", "exact", 100, 1, 1, 1, engine.IndexOpts{}, 0, time.Millisecond)
+	plain, err := buildServer("sift-1b", "exact", 100, 1, 1, 1, engine.IndexOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
@@ -18,7 +17,7 @@ import (
 // /healthz reports the serving mode and snapshot format version, and
 // /stats carries the page counters.
 func TestServeModeMmapFlow(t *testing.T) {
-	built, err := buildServer("sift-1b", "hnsw", 400, 2, 2, 7, engine.IndexOpts{}, 0, time.Millisecond)
+	built, err := buildServer("sift-1b", "hnsw", 400, 2, 2, 7, engine.IndexOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,12 +27,12 @@ func TestServeModeMmapFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ram, err := loadServer(dir, engine.LoadOptions{Workers: 2}, 0, time.Millisecond)
+	ram, err := loadServer(dir, engine.LoadOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ram.Close)
-	paged, err := loadServer(dir, engine.LoadOptions{Workers: 2, Serve: engine.ServeMmap, CachePages: 8}, 0, time.Millisecond)
+	paged, err := loadServer(dir, engine.LoadOptions{Workers: 2, Serve: engine.ServeMmap, CachePages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

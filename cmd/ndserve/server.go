@@ -17,16 +17,16 @@ import (
 
 // Server exposes a sharded engine over HTTP: POST /search for single
 // and batch queries, GET /healthz for liveness, GET /stats for the
-// engine's cumulative serving counters. With coalescing enabled,
-// single-query requests are admitted through a batcher.Batcher so
-// concurrent callers share engine batches.
+// engine's cumulative serving counters. Single-query requests are
+// admitted through a batcher.Batcher so concurrent callers share engine
+// batches.
 type Server struct {
 	engine  *engine.Engine
 	dim     int
 	dataset string
 	algo    string
-	// coalescer, when non-nil, serves single-query requests; explicit
-	// batch requests already amortise a dispatch and go direct.
+	// coalescer serves single-query requests; explicit batch requests
+	// already amortise a dispatch and go direct.
 	coalescer *batcher.Batcher
 	// compactor, when non-nil, drains the engine's delta tier in the
 	// background once it crosses the configured threshold.
@@ -39,7 +39,7 @@ type Server struct {
 	// so the maxBatch check cannot be bypassed by one huge payload.
 	maxBodyBytes int64
 	// metrics is the observability registry behind GET /metrics; the
-	// engine's (and coalescer's, when enabled) instruments are on it.
+	// engine's and the coalescer's instruments are on it.
 	metrics *obs.Registry
 	// pprofOn mounts /debug/pprof/ on Handler (EnablePprof).
 	pprofOn bool
@@ -49,32 +49,24 @@ type Server struct {
 	slowLog   *log.Logger
 }
 
-// NewServer wraps a built engine. dim is the corpus dimensionality used
-// to validate request vectors.
+// NewServer wraps a built engine and starts the coalescer over it. dim
+// is the corpus dimensionality used to validate request vectors.
 func NewServer(e *engine.Engine, dim int, dataset, algo string) *Server {
 	s := &Server{
 		engine: e, dim: dim, dataset: dataset, algo: algo,
 		defaultK: 10, maxBatch: 4096, maxBodyBytes: 64 << 20,
-		metrics: obs.NewRegistry(), slowLog: log.Default(),
+		coalescer: batcher.New(e), metrics: obs.NewRegistry(), slowLog: log.Default(),
 	}
 	e.EnableMetrics(s.metrics)
+	s.coalescer.EnableMetrics(s.metrics)
 	return s
 }
 
-// EnableCoalescing routes single-query /search requests through an
-// asynchronous micro-batcher over the engine.
-func (s *Server) EnableCoalescing(cfg batcher.Config) {
-	s.coalescer = batcher.New(s.engine, cfg)
-	s.coalescer.EnableMetrics(s.metrics)
-}
-
-// Close stops the coalescer and background compactor (if enabled) and
+// Close stops the coalescer, the background compactor (if enabled) and
 // the engine's worker pool, in that order — the compactor must finish
 // any in-flight drain before the engine goes away.
 func (s *Server) Close() {
-	if s.coalescer != nil {
-		s.coalescer.Close()
-	}
+	s.coalescer.Close()
 	if s.compactor != nil {
 		s.compactor.Close()
 	}
@@ -170,7 +162,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		results [][]ann.Neighbor
 		info    BatchInfo
 	)
-	if s.coalescer != nil && len(batch) == 1 {
+	if len(batch) == 1 {
 		res, bi, err := s.coalescer.Search(batch[0], k, tr)
 		if err != nil {
 			httpError(w, http.StatusServiceUnavailable, "%v", err)
@@ -317,20 +309,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse is the /stats payload: cumulative engine counters,
-// per-shard task counts, and (when enabled) coalescer counters. On the
+// per-shard task counts, and coalescer counters. On the
 // paged serving path, Pages carries the software page counters summed
 // across the shards.
 type StatsResponse struct {
-	Batches            int64           `json:"batches"`
-	Queries            int64           `json:"queries"`
-	ShardSearches      int64           `json:"shard_searches"`
-	PerShardSearches   []int64         `json:"per_shard_searches"`
-	BusyUS             float64         `json:"busy_us"`
-	MeanQueryLatencyUS float64         `json:"mean_query_latency_us"`
-	MaxBatchLatencyUS  float64         `json:"max_batch_latency_us"`
-	Serve              string          `json:"serve"`
-	Pages              *PageStats      `json:"pages,omitempty"`
-	Coalescer          *CoalescerStats `json:"coalescer,omitempty"`
+	Batches            int64          `json:"batches"`
+	Queries            int64          `json:"queries"`
+	ShardSearches      int64          `json:"shard_searches"`
+	PerShardSearches   []int64        `json:"per_shard_searches"`
+	BusyUS             float64        `json:"busy_us"`
+	MeanQueryLatencyUS float64        `json:"mean_query_latency_us"`
+	MaxBatchLatencyUS  float64        `json:"max_batch_latency_us"`
+	Serve              string         `json:"serve"`
+	Pages              *PageStats     `json:"pages,omitempty"`
+	Coalescer          CoalescerStats `json:"coalescer"`
 	// Mutation carries the live-mutability counters.
 	Mutation *MutationStats `json:"mutation,omitempty"`
 }
@@ -355,7 +347,7 @@ type CoalescerStats struct {
 	MeanFormedBatch float64 `json:"mean_formed_batch"`
 	MaxFormedBatch  int     `json:"max_formed_batch"`
 	MeanWaitUS      float64 `json:"mean_wait_us"`
-	MaxWaitUS       float64 `json:"max_wait_us"`
+	WaitMaxUS       float64 `json:"max_wait_us"`
 	QueueDepth      int     `json:"queue_depth"`
 }
 
@@ -363,7 +355,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !allowGet(w, r) {
 		return
 	}
-	st := s.engine.Stats()
+	st, cs := s.engine.Stats(), s.coalescer.Stats()
 	resp := StatsResponse{
 		Batches:            st.Batches,
 		Queries:            st.Queries,
@@ -373,7 +365,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MeanQueryLatencyUS: float64(st.MeanQueryLatency()) / float64(time.Microsecond),
 		MaxBatchLatencyUS:  float64(st.MaxBatchLatency) / float64(time.Microsecond),
 		Serve:              s.engine.ServeMode(),
-		Mutation:           s.mutationStats(),
+		Coalescer: CoalescerStats{
+			Submits:         cs.Submits,
+			Queries:         cs.Queries,
+			Batches:         cs.Batches,
+			MeanFormedBatch: cs.MeanFormedBatch(),
+			MaxFormedBatch:  cs.MaxFormedBatch,
+			MeanWaitUS:      float64(cs.MeanWait()) / float64(time.Microsecond),
+			WaitMaxUS:       float64(cs.WaitMax) / float64(time.Microsecond),
+			QueueDepth:      cs.QueueDepth,
+		},
+		Mutation: s.mutationStats(),
 	}
 	if ps, ok := s.engine.PageStats(); ok {
 		resp.Pages = &PageStats{
@@ -384,19 +386,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CachePages:    ps.CachePages,
 			PageSizeBytes: ps.PageSize,
 			TotalPages:    ps.TotalPages,
-		}
-	}
-	if s.coalescer != nil {
-		cs := s.coalescer.Stats()
-		resp.Coalescer = &CoalescerStats{
-			Submits:         cs.Submits,
-			Queries:         cs.Queries,
-			Batches:         cs.Batches,
-			MeanFormedBatch: cs.MeanFormedBatch(),
-			MaxFormedBatch:  cs.MaxFormedBatch,
-			MeanWaitUS:      float64(cs.MeanWait()) / float64(time.Microsecond),
-			MaxWaitUS:       float64(cs.WaitMax) / float64(time.Microsecond),
-			QueueDepth:      cs.QueueDepth,
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

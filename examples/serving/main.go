@@ -146,8 +146,10 @@ func main() {
 	}
 	// The coalesced backend: the same engine behind the admission-layer
 	// micro-batcher. Each request of the front-end batch is submitted as
-	// an independent single query — the batcher re-forms engine batches.
-	coal := batcher.New(eng, batcher.Config{MaxBatch: 256, MaxWait: 200 * time.Microsecond})
+	// an independent single query — the batcher re-forms engine batches
+	// from whatever queued while the previous one ran, so a request
+	// waits at most for the batch already running.
+	coal := batcher.New(eng)
 	defer coal.Close()
 
 	// The §13 observability surface over the same stack: one registry

@@ -7,14 +7,17 @@
 // only one query (or a small batch), instead of batching only what a
 // single request happens to contain.
 //
-// A batch is dispatched when the pending queue reaches Config.MaxBatch
-// queries or when Config.MaxWait has elapsed since the first pending
-// query arrived, whichever comes first — so coalescing adds at most
-// MaxWait of queueing latency. Submits sharing a k coalesce into one
-// engine batch; distinct k values dispatch as separate engine batches
-// within the same flush, because k shapes an approximate index's search
-// width — this keeps every caller's results byte-identical to a direct
-// engine search at its own k, independent of co-tenants.
+// Dispatch is run-to-completion: one dispatcher blocks for the first
+// submit, takes whatever else is already queued (up to maxBatch
+// queries) without waiting, runs that batch, and repeats. An idle
+// engine therefore serves a lone submit at once, and under load each
+// batch is exactly what arrived while the previous one ran — a submit
+// waits at most for the batch already running. Submits sharing a k
+// coalesce into one engine batch; distinct k values dispatch as separate
+// engine batches within the same flush, because k shapes an approximate
+// index's search width — this keeps every caller's results
+// byte-identical to a direct engine search at its own k, independent of
+// co-tenants.
 package batcher
 
 import (
@@ -30,25 +33,13 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// Defaults applied by New when the corresponding Config field is unset.
-const (
-	DefaultMaxBatch = 256
-	DefaultMaxWait  = 500 * time.Microsecond
-)
+// maxBatch caps the queries one flush takes off the queue, and sizes the
+// submit channel: once it is full, Submit blocks on the send (still
+// counted in the queue depth) until the dispatcher drains it.
+const maxBatch = 256
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("batcher: closed")
-
-// Config parameterises the coalescing policy.
-type Config struct {
-	// MaxBatch dispatches the pending queue once it holds this many
-	// queries. Defaults to DefaultMaxBatch.
-	MaxBatch int
-	// MaxWait dispatches a non-empty pending queue this long after its
-	// first query arrived, bounding the latency cost of coalescing.
-	// Defaults to DefaultMaxWait.
-	MaxWait time.Duration
-}
 
 // waiter is one Submit call parked until its batch completes. tr, when
 // non-nil, receives the admission-wait span and (rebased) engine-batch
@@ -115,10 +106,8 @@ func (s Stats) MeanWait() time.Duration {
 // safe for concurrent use.
 type Batcher struct {
 	eng    *engine.Engine
-	cfg    Config
 	submit chan *waiter
-	// done is closed when the dispatcher (and every in-flight batch it
-	// spawned) has drained.
+	// done is closed when the dispatcher has drained the closed queue.
 	done  chan struct{}
 	depth atomic.Int64
 
@@ -153,17 +142,10 @@ func (b *Batcher) EnableMetrics(r *obs.Registry) {
 
 // New starts a Batcher over eng. Call Close to stop it; the Batcher
 // does not own (and never closes) the engine.
-func New(eng *engine.Engine, cfg Config) *Batcher {
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = DefaultMaxWait
-	}
+func New(eng *engine.Engine) *Batcher {
 	b := &Batcher{
 		eng:    eng,
-		cfg:    cfg,
-		submit: make(chan *waiter, cfg.MaxBatch),
+		submit: make(chan *waiter, maxBatch),
 		done:   make(chan struct{}),
 		wait: obs.NewHistogram("nd_coalesce_wait_seconds",
 			"time a submit queued before its coalesced batch dispatched", obs.LatencyBuckets),
@@ -218,7 +200,7 @@ func (b *Batcher) Search(query vec.Vector, k int, tr *obs.Trace) ([]ann.Neighbor
 }
 
 // Close stops accepting submits, dispatches whatever is pending, and
-// waits for in-flight batches to complete. It is idempotent.
+// waits for those batches to complete. It is idempotent.
 func (b *Batcher) Close() {
 	b.closeMu.Lock()
 	if !b.closed {
@@ -244,50 +226,27 @@ func (b *Batcher) Stats() Stats {
 	}
 }
 
-// dispatch is the scheduler loop: it accumulates waiters and hands each
-// formed batch to its own goroutine, so a slow engine pass never blocks
-// the next batch from forming.
+// dispatch is the scheduler loop: block for the first waiter, take
+// whatever else is already queued without waiting, run that batch here,
+// repeat. After Close the range drains what is still queued, then ends.
 func (b *Batcher) dispatch() {
 	defer close(b.done)
-	var (
-		pending  []*waiter
-		nqueries int
-		// deadline is nil (never fires) while the queue is empty and is
-		// armed by the first enqueue, giving the MaxWait bound.
-		deadline <-chan time.Time
-		inflight sync.WaitGroup
-	)
-	flush := func() {
-		if len(pending) == 0 {
-			return
+	for w := range b.submit {
+		batch, n := []*waiter{w}, len(w.queries)
+	drain:
+		for n < maxBatch {
+			select {
+			case w, ok := <-b.submit:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, w)
+				n += len(w.queries)
+			default:
+				break drain
+			}
 		}
-		batch, n := pending, nqueries
-		pending, nqueries, deadline = nil, 0, nil
-		inflight.Add(1)
-		go func() {
-			defer inflight.Done()
-			b.run(batch, n)
-		}()
-	}
-	for {
-		select {
-		case w, ok := <-b.submit:
-			if !ok {
-				flush()
-				inflight.Wait()
-				return
-			}
-			if len(pending) == 0 {
-				deadline = time.After(b.cfg.MaxWait)
-			}
-			pending = append(pending, w)
-			nqueries += len(w.queries)
-			if nqueries >= b.cfg.MaxBatch {
-				flush()
-			}
-		case <-deadline:
-			flush()
-		}
+		b.run(batch, n)
 	}
 }
 

@@ -14,6 +14,12 @@ import (
 )
 
 func testEngine(t testing.TB, n, queries, shards, workers int) (*engine.Engine, *dataset.Dataset) {
+	return wrappedEngine(t, n, queries, shards, workers, func(idx ann.Index) ann.Index { return idx })
+}
+
+// wrappedEngine is testEngine with every exact shard index passed
+// through wrap.
+func wrappedEngine(t testing.TB, n, queries, shards, workers int, wrap func(ann.Index) ann.Index) (*engine.Engine, *dataset.Dataset) {
 	t.Helper()
 	d, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: n, Queries: queries, Seed: 9})
 	if err != nil {
@@ -23,12 +29,78 @@ func testEngine(t testing.TB, n, queries, shards, workers int) (*engine.Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(d.Vectors, engine.Config{Shards: shards, Workers: workers, Builder: b})
+	e, err := engine.New(d.Vectors, engine.Config{Shards: shards, Workers: workers,
+		Builder: func(shard int, data []vec.Vector) (ann.Index, error) {
+			idx, err := b(shard, data)
+			if err != nil {
+				return nil, err
+			}
+			return wrap(idx), nil
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
 	return e, d
+}
+
+// gate parks every shard search until open is called, signalling held
+// as a search arrives: a test keeps the engine (and so the dispatcher)
+// busy for exactly as long as it needs, without a clock.
+type gate struct {
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
+
+type gatedIndex struct {
+	ann.Index
+	g *gate
+}
+
+func (x gatedIndex) SearchFilter(q vec.Vector, k int, skip func(uint32) bool) []ann.Neighbor {
+	select {
+	case x.g.held <- struct{}{}:
+	default:
+	}
+	<-x.g.release
+	return x.Index.SearchFilter(q, k, skip)
+}
+
+// gatedEngine is a one-shard, one-worker engine behind a closed gate,
+// with a batcher over it. The gate opens at cleanup, before the batcher
+// and engine close.
+func gatedEngine(t *testing.T, n, queries int) (*engine.Engine, *dataset.Dataset, *Batcher, *gate) {
+	t.Helper()
+	g := &gate{held: make(chan struct{}, 1), release: make(chan struct{})}
+	e, d := wrappedEngine(t, n, queries, 1, 1, func(idx ann.Index) ann.Index { return gatedIndex{idx, g} })
+	bat := New(e)
+	t.Cleanup(bat.Close)
+	t.Cleanup(g.open)
+	return e, d, bat, g
+}
+
+// hold submits q in the background and returns once its batch is parked
+// at the gate, so the dispatcher is busy; the returned channel yields
+// the submit's error when it completes.
+func hold(bat *Batcher, g *gate, q vec.Vector) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := bat.Search(q, 1, nil)
+		done <- err
+	}()
+	<-g.held
+	return done
+}
+
+// waitQueued blocks until n submits sit in the submit channel, every one
+// of them past its send.
+func waitQueued(bat *Batcher, n int) {
+	for len(bat.submit) < n {
+		runtime.Gosched()
+	}
 }
 
 // The acceptance invariant: results fanned back through the batcher are
@@ -39,7 +111,7 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 	const k = 7
 	direct, _ := e.SearchBatch(d.Queries, k)
 
-	bat := New(e, Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
+	bat := New(e)
 	defer bat.Close()
 	const rounds = 4
 	got := make([][][]ann.Neighbor, rounds)
@@ -89,7 +161,7 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 // final snapshot must account for every operation (run with -race).
 func TestStatsSnapshotsMonotone(t *testing.T) {
 	e, d := testEngine(t, 300, 16, 2, 4)
-	bat := New(e, Config{MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	bat := New(e)
 	defer bat.Close()
 	const rounds, k = 20, 5
 
@@ -165,9 +237,8 @@ func TestStatsSnapshotsMonotone(t *testing.T) {
 // engine batches (k shapes an approximate index's search width), so
 // each caller's results match a direct engine search at its own k.
 func TestMixedKSplitsEngineBatches(t *testing.T) {
-	e, d := testEngine(t, 300, 2, 2, 2)
-	bat := New(e, Config{MaxBatch: 2, MaxWait: time.Minute})
-	defer bat.Close()
+	_, d, bat, g := gatedEngine(t, 300, 3)
+	held := hold(bat, g, d.Queries[2])
 	type out struct {
 		res  []ann.Neighbor
 		info BatchInfo
@@ -187,7 +258,12 @@ func TestMixedKSplitsEngineBatches(t *testing.T) {
 			outs[i] = out{res, info}
 		}(i)
 	}
+	waitQueued(bat, 2)
+	g.open()
 	wg.Wait()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if len(outs[i].res) != ks[i] {
 			t.Fatalf("submit %d: %d results, want k=%d", i, len(outs[i].res), ks[i])
@@ -200,41 +276,16 @@ func TestMixedKSplitsEngineBatches(t *testing.T) {
 			t.Fatalf("submit %d: %v != brute force %v", i, outs[i].res, want)
 		}
 	}
-	if st := bat.Stats(); st.Batches != 2 || st.Submits != 2 || st.MaxFormedBatch != 1 {
+	// The held batch plus one flush of two engine batches.
+	if st := bat.Stats(); st.Batches != 3 || st.Submits != 3 || st.MaxFormedBatch != 1 {
 		t.Fatalf("mixed-k flush must form one engine batch per k: %+v", st)
 	}
 }
 
-// Reaching MaxBatch queries dispatches immediately, without waiting out
-// the deadline.
-func TestSizeTriggeredDispatch(t *testing.T) {
-	e, d := testEngine(t, 200, 4, 2, 2)
-	bat := New(e, Config{MaxBatch: 4, MaxWait: time.Minute})
-	defer bat.Close()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := bat.Search(d.Queries[i], 3, nil); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("size-triggered dispatch took %v; deadline must not be the trigger", elapsed)
-	}
-	if st := bat.Stats(); st.Batches != 1 || st.MaxFormedBatch != 4 {
-		t.Fatalf("want one batch of 4, got %+v", st)
-	}
-}
-
-// A lone submit below MaxBatch dispatches once MaxWait elapses.
-func TestDeadlineTriggeredDispatch(t *testing.T) {
+// A lone submit on an idle batcher dispatches at once, alone.
+func TestIdleSubmitDispatchesAlone(t *testing.T) {
 	e, d := testEngine(t, 200, 1, 2, 2)
-	bat := New(e, Config{MaxBatch: 1 << 20, MaxWait: time.Millisecond})
+	bat := New(e)
 	defer bat.Close()
 	res, info, err := bat.Search(d.Queries[0], 5, nil)
 	if err != nil || len(res) != 5 {
@@ -245,26 +296,116 @@ func TestDeadlineTriggeredDispatch(t *testing.T) {
 	}
 }
 
-// Close dispatches the pending queue, then rejects new submits; it is
-// idempotent.
-func TestCloseFlushesAndRejects(t *testing.T) {
-	e, d := testEngine(t, 200, 2, 2, 2)
-	bat := New(e, Config{MaxBatch: 1 << 20, MaxWait: time.Minute})
-	done := make(chan error, 1)
-	go func() {
-		res, _, err := bat.Search(d.Queries[0], 3, nil)
-		if err == nil && len(res) != 3 {
-			t.Errorf("pending submit returned %d results, want 3", len(res))
-		}
-		done <- err
-	}()
-	// Let the submit reach the dispatcher before closing.
-	for bat.Stats().QueueDepth == 0 {
-		time.Sleep(100 * time.Microsecond)
+// While a batch runs, submits queue; the next batch is exactly what
+// queued, and its results equal a direct search.
+func TestBusyEngineBatchesTheQueue(t *testing.T) {
+	e, d, bat, g := gatedEngine(t, 300, 6)
+	held := hold(bat, g, d.Queries[5])
+	const k = 4
+	got := make([][]ann.Neighbor, 5)
+	infos := make([]BatchInfo, 5)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, info, err := bat.Search(d.Queries[i], k, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i], infos[i] = res, info
+		}(i)
 	}
-	bat.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("pending submit must be served on Close, got %v", err)
+	waitQueued(bat, 5)
+	if depth := bat.Stats().QueueDepth; depth != 5 {
+		t.Fatalf("QueueDepth = %d behind a busy engine, want 5", depth)
+	}
+	g.open()
+	wg.Wait()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	direct, _ := e.SearchBatch(d.Queries[:5], k)
+	for i := range got {
+		if infos[i].FormedSize != 5 || infos[i].Submits != 5 || infos[i].K != k {
+			t.Fatalf("submit %d: info %+v, want the 5 queued submits in one batch", i, infos[i])
+		}
+		if !reflect.DeepEqual(got[i], direct[i]) {
+			t.Fatalf("submit %d: coalesced %v != direct %v", i, got[i], direct[i])
+		}
+	}
+	if st := bat.Stats(); st.Batches != 2 || st.Submits != 6 || st.QueueDepth != 0 {
+		t.Fatalf("stats %+v, want the held batch and one batch of 5", st)
+	}
+}
+
+// Past the channel's capacity senders block on the send, still counted
+// in the queue depth, and one flush takes at most maxBatch queries.
+func TestFlushCapsAtMaxBatch(t *testing.T) {
+	_, d, bat, g := gatedEngine(t, 100, 1)
+	held := hold(bat, g, d.Queries[0])
+	const extra = 10
+	var wg sync.WaitGroup
+	for i := 0; i < maxBatch+extra; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := bat.Search(d.Queries[0], 2, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for bat.Stats().QueueDepth < maxBatch+extra {
+		runtime.Gosched()
+	}
+	g.open()
+	wg.Wait()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if st := bat.Stats(); st.MaxFormedBatch != maxBatch || st.Submits != maxBatch+extra+1 {
+		t.Fatalf("stats %+v, want no flush above %d queries", st, maxBatch)
+	}
+}
+
+// Close serves the submits parked behind a running batch, then rejects
+// new submits; it is idempotent.
+func TestCloseFlushesAndRejects(t *testing.T) {
+	_, d, bat, g := gatedEngine(t, 200, 3)
+	held := hold(bat, g, d.Queries[2])
+	parked := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			res, _, err := bat.Search(d.Queries[i], 3, nil)
+			if err == nil && len(res) != 3 {
+				t.Errorf("parked submit returned %d results, want 3", len(res))
+			}
+			parked <- err
+		}(i)
+	}
+	waitQueued(bat, 2)
+	closed := make(chan struct{})
+	go func() {
+		bat.Close()
+		close(closed)
+	}()
+	// Open the gate only once Close has shut the queue.
+	for {
+		bat.closeMu.RLock()
+		c := bat.closed
+		bat.closeMu.RUnlock()
+		if c {
+			break
+		}
+		runtime.Gosched()
+	}
+	g.open()
+	<-closed
+	for _, ch := range []<-chan error{held, parked, parked} {
+		if err := <-ch; err != nil {
+			t.Fatalf("queued submit must be served on Close, got %v", err)
+		}
 	}
 	if _, _, err := bat.Submit([]vec.Vector{d.Queries[1]}, 3, nil); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
@@ -274,7 +415,7 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	e, d := testEngine(t, 100, 1, 1, 1)
-	bat := New(e, Config{})
+	bat := New(e)
 	defer bat.Close()
 	if _, _, err := bat.Submit(nil, 3, nil); err == nil {
 		t.Error("empty submit must fail")
@@ -306,7 +447,7 @@ func TestCoalescedThroughputBeatsSerialized(t *testing.T) {
 	}
 	serial := time.Since(serialStart)
 
-	bat := New(e, Config{MaxBatch: 64, MaxWait: 200 * time.Microsecond})
+	bat := New(e)
 	defer bat.Close()
 	const submitters = 16
 	got := make([][]ann.Neighbor, len(d.Queries))

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // The serialized baseline: one-query SearchBatch calls back to back —
@@ -22,7 +21,7 @@ func BenchmarkSerializedSingleQuery(b *testing.B) {
 // multicore host the ratio is the acceptance target (>= 3x).
 func BenchmarkCoalescedSingleQuery(b *testing.B) {
 	e, d := testEngine(b, 3000, 64, 1, runtime.GOMAXPROCS(0))
-	bat := New(e, Config{MaxBatch: 64, MaxWait: 200 * time.Microsecond})
+	bat := New(e)
 	defer bat.Close()
 	var next atomic.Int64
 	b.SetParallelism(16) // submitters per proc: drive real coalescing
