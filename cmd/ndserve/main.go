@@ -40,7 +40,8 @@
 //	-slow-query     log /search requests slower than this as one
 //	                structured line each (0 disables; default 0)
 //	-pprof          mount net/http/pprof under /debug/pprof/ (default off)
-//	-save-index     build the engine, persist it to this directory, exit
+//	-save-index     build the engine, persist it to this directory, exit;
+//	                the directory must not already hold a snapshot
 //	-load-index     restore the engine from this directory instead of
 //	                building; the build flags (-dataset -algo -n -shards
 //	                -seed -quantized -rerank) are then a usage error
@@ -91,6 +92,7 @@ import (
 
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
+	"ndsearch/internal/snapshot"
 )
 
 // shutdownGrace bounds how long a drain may take after a signal.
@@ -332,6 +334,6 @@ func loadServer(dir string, lo engine.LoadOptions) (*Server, error) {
 	}
 	log.Printf("ndserve: loaded %d-shard %s engine over %d %s vectors from %s in %v (serve=%s, format v%d)",
 		e.Shards(), man.Algo, e.Len(), man.Dataset, dir,
-		time.Since(start).Round(time.Millisecond), e.ServeMode(), e.FormatVersion())
+		time.Since(start).Round(time.Millisecond), e.ServeMode(), snapshot.FormatVersion)
 	return NewServer(e, man.Dim, man.Dataset, man.Algo), nil
 }

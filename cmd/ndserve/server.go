@@ -12,6 +12,7 @@ import (
 	"ndsearch/internal/batcher"
 	"ndsearch/internal/engine"
 	"ndsearch/internal/obs"
+	"ndsearch/internal/snapshot"
 	"ndsearch/internal/vec"
 )
 
@@ -273,8 +274,8 @@ type HealthResponse struct {
 	// or "readat" (engine.ServeMode — a requested mmap that fell back
 	// to positioned reads reports "readat").
 	Serve string `json:"serve"`
-	// SnapshotFormat is the snapshot container format version backing
-	// the engine (the version a fresh build would save at).
+	// SnapshotFormat is the snapshot container format version, the one
+	// version this build saves and loads.
 	SnapshotFormat int `json:"snapshot_format_version"`
 	// Generations is the current base generation number — 0 until the
 	// first compaction, then incrementing per completed compaction — so
@@ -303,7 +304,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Workers: s.engine.Workers(), Dim: s.dim,
 		Quantized:      s.engine.Meta().Quantized,
 		Serve:          s.engine.ServeMode(),
-		SnapshotFormat: s.engine.FormatVersion(),
+		SnapshotFormat: snapshot.FormatVersion,
 		Generations:    s.engine.Generation(),
 	})
 }

@@ -123,8 +123,9 @@ type shard struct {
 // never mutated after the engine starts serving it; compaction replaces
 // the whole value.
 type generation struct {
-	// num is the generation number: 0 for the initial build or a legacy
-	// (pre-generational) snapshot load, then incremented per compaction.
+	// num is the generation number: 0 for the initial build, then
+	// incremented per compaction. On a snapshot-backed engine it also
+	// names the generation's directory (snapshot.GenerationName).
 	num    int
 	shards []shard
 	// ids maps global position to external vector ID, strictly
@@ -136,10 +137,6 @@ type generation struct {
 	// paged holds the open per-shard handles on the paged serving path,
 	// for counters and for Close/retirement.
 	paged []*snapshot.PagedIndex
-	// dir is the generation's subdirectory name under the engine's
-	// generation root ("" for in-memory generations and the legacy
-	// top-level layout, which is never retired).
-	dir string
 	// perShard counts executed tasks per shard (load-skew telemetry);
 	// it lives on the generation because the shard count can change
 	// across compactions.
@@ -221,11 +218,6 @@ type Engine struct {
 	// (LoadOptions.Serve) traverse node records through a bounded page
 	// cache over the snapshot files.
 	serveMode string
-	// formatVersion is the snapshot container version backing the
-	// engine: the manifest's version on the load path, zero for
-	// in-process builds (FormatVersion reports the version Save would
-	// write there).
-	formatVersion int
 
 	// m holds the obs instruments (obs.go), the engine's only serving
 	// counters. The atomics beside them carry what no instrument gives
@@ -446,17 +438,6 @@ func (e *Engine) ServeMode() string {
 		return ServeRAM
 	}
 	return e.serveMode
-}
-
-// FormatVersion reports the snapshot container format version backing
-// the engine: the manifest's recorded version when the engine was
-// loaded from a snapshot directory, and the version Save would write
-// (snapshot.FormatVersion) for an engine built in-process.
-func (e *Engine) FormatVersion() int {
-	if e.formatVersion == 0 {
-		return snapshot.FormatVersion
-	}
-	return e.formatVersion
 }
 
 // PageStats aggregates the software page counters across all paged

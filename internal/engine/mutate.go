@@ -229,7 +229,7 @@ func (e *Engine) compact() error {
 
 	newGen, err := e.buildGeneration(oldGen, ids, vecs, drop)
 	if err == nil && e.genDir != "" {
-		err = e.persistGeneration(newGen)
+		err = persistGeneration(e.genDir, newGen, e.meta, e.dim)
 	}
 	if err != nil {
 		e.delta.Release(at, false)
@@ -266,8 +266,8 @@ func (e *Engine) compact() error {
 			_ = p.Close()
 		}
 	}
-	if e.genDir != "" && oldGen.dir != "" {
-		if err := snapshot.RetireGeneration(e.genDir, oldGen.dir); err != nil {
+	if e.genDir != "" {
+		if err := snapshot.RetireGeneration(e.genDir, snapshot.GenerationName(oldGen.num)); err != nil {
 			return fmt.Errorf("engine: Compact: new generation live, old not retired: %w", err)
 		}
 	}

@@ -600,9 +600,11 @@ func TestSaveRejectsDirtyDelta(t *testing.T) {
 }
 
 // TestGenerationalPersistence drives the full on-disk protocol: load a
-// saved engine, mutate, compact (gen-000001 + CURRENT appear), reload
-// from the same directory, and get identical results; a second
-// compaction retires the first generation directory.
+// saved engine (gen-000000 + CURRENT), mutate, compact (gen-000001
+// replaces gen-000000), reload from the same directory, and get
+// identical results; a second compaction retires gen-000001. After the
+// save and after each compaction the directory holds exactly CURRENT
+// and the generation it names.
 func TestGenerationalPersistence(t *testing.T) {
 	pool, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 80, Queries: 4, Seed: 9})
 	if err != nil {
@@ -622,10 +624,25 @@ func TestGenerationalPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	onlyGeneration := func(num int) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, ent := range entries {
+			names = append(names, ent.Name())
+		}
+		if want := []string{snapshot.CurrentName, snapshot.GenerationName(num)}; !slices.Equal(names, want) {
+			t.Fatalf("directory holds %v, want %v", names, want)
+		}
+	}
 	if err := built.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	built.Close()
+	onlyGeneration(0)
 
 	e, man, err := Load(dir, 2)
 	if err != nil {
@@ -633,7 +650,7 @@ func TestGenerationalPersistence(t *testing.T) {
 	}
 	t.Cleanup(e.Close)
 	if man.Generation != 0 {
-		t.Fatalf("flat-layout manifest generation = %d", man.Generation)
+		t.Fatalf("saved manifest generation = %d", man.Generation)
 	}
 
 	model := make(map[uint32]vec.Vector, n0)
@@ -663,6 +680,7 @@ func TestGenerationalPersistence(t *testing.T) {
 	if err != nil || !ok || name != snapshot.GenerationName(1) {
 		t.Fatalf("CURRENT after compact: name=%q ok=%v err=%v", name, ok, err)
 	}
+	onlyGeneration(1)
 
 	// A fresh load of the directory serves the compacted generation,
 	// byte-identically, and reports the right generation number.
@@ -698,6 +716,7 @@ func TestGenerationalPersistence(t *testing.T) {
 	if err != nil || name != snapshot.GenerationName(2) {
 		t.Fatalf("CURRENT after second compact: %q (%v)", name, err)
 	}
+	onlyGeneration(2)
 	e3, _, err := Load(dir, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -103,9 +103,6 @@ func TestEnginePagedServingByteIdentity(t *testing.T) {
 				if man.FormatVersion != snapshot.FormatVersion {
 					t.Fatalf("manifest format version %d", man.FormatVersion)
 				}
-				if paged.FormatVersion() != man.FormatVersion {
-					t.Fatalf("engine format version %d, manifest %d", paged.FormatVersion(), man.FormatVersion)
-				}
 				// A requested mmap may legitimately fall back to readat on
 				// platforms without mmap; readat must stay readat.
 				got := paged.ServeMode()
@@ -149,8 +146,8 @@ func TestEnginePagedServingByteIdentity(t *testing.T) {
 					t.Fatalf("%s: failed Compact moved generation %d / stats %+v (before %+v)",
 						mode, paged.Generation(), paged.MutStats(), mst)
 				}
-				if _, ok, err := snapshot.ReadCurrent(dir); ok || err != nil {
-					t.Fatalf("%s: failed Compact left CURRENT (ok=%v err=%v)", mode, ok, err)
+				if name, ok, err := snapshot.ReadCurrent(dir); name != snapshot.GenerationName(0) || !ok || err != nil {
+					t.Fatalf("%s: failed Compact moved CURRENT to %q (ok=%v err=%v), want it still naming gen-000000", mode, name, ok, err)
 				}
 				res, _ = paged.SearchBatch(d.Queries, 10)
 				sameNeighbors(t, algo+"/"+mode+" after failed compact", res, wantMut)

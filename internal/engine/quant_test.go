@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"ndsearch/internal/ann"
@@ -86,7 +85,7 @@ func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 
 			// Clearing the manifest's quantized bit must fail the load:
 			// the shard files carry sq8 sections the manifest now denies.
-			manPath := filepath.Join(dir, ManifestName)
+			manPath := inCurrent(t, dir, ManifestName)
 			blob, err := os.ReadFile(manPath)
 			if err != nil {
 				t.Fatal(err)

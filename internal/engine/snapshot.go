@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,12 +24,17 @@ import (
 // of graph construction — the build-once / serve-many model the paper's
 // on-SSD indexes assume.
 //
-// Two directory layouts load: the classic flat layout Save writes
-// (manifest and shard files at the top level) and the generational
-// layout the compactor maintains (a CURRENT pointer naming a gen-NNNNNN
-// subdirectory holding the manifest and shard files; see
-// snapshot/generations.go). Load resolves CURRENT first and falls back
-// to the flat layout, so directories from either writer round-trip.
+// An engine directory has one layout, written by Save and by every
+// persisted compaction alike: a CURRENT pointer naming a gen-NNNNNN
+// subdirectory that holds the manifest and shard files (see
+// snapshot/generations.go). A directory saved in the older flat layout
+// (manifest and shard files at the top level) migrates by hand; see
+// migrateFlat.
+
+// migrateFlat is the one-line shell migration, run inside a directory
+// in the older flat layout, that makes it generation 0 of the one
+// layout.
+const migrateFlat = "mkdir gen-000000 && mv manifest.json shard-*.ndx gen-000000/ && echo gen-000000 > CURRENT"
 
 // ManifestName is the manifest file written alongside the shard files.
 const ManifestName = "manifest.json"
@@ -36,7 +42,7 @@ const ManifestName = "manifest.json"
 // Manifest describes a saved engine directory.
 type Manifest struct {
 	// FormatVersion is the snapshot container version the shard files
-	// were written with.
+	// were written with; Load accepts only snapshot.FormatVersion.
 	FormatVersion int `json:"format_version"`
 	// Algo is the shard index family (a snapshot registry name).
 	Algo string `json:"algo"`
@@ -49,7 +55,7 @@ type Manifest struct {
 	ElemKind uint8 `json:"elem_kind"`
 	// Quantized and Rerank record the shards' SQ8 traversal mode. The
 	// quantized bit is cross-checked against each CRC-guarded shard file
-	// (presence of its sq8 section) at load time, so a hand-edited
+	// (presence of its SQ8 tier) at load time, so a hand-edited
 	// manifest cannot silently change the serving mode.
 	Quantized bool `json:"quantized,omitempty"`
 	Rerank    int  `json:"rerank,omitempty"`
@@ -59,16 +65,16 @@ type Manifest struct {
 	Vectors int   `json:"vectors"`
 	Shards  int   `json:"shards"`
 	Bounds  []int `json:"bounds"`
-	// Generation is the base generation number (0 for a fresh build or a
-	// flat-layout save; cross-checked against the gen-NNNNNN directory
-	// name in the generational layout).
+	// Generation is the base generation number (0 for a fresh build),
+	// cross-checked against the gen-NNNNNN directory holding the
+	// manifest.
 	Generation int `json:"generation,omitempty"`
 	// Ids is the global-position → external-ID table of a compacted
 	// generation, strictly ascending and of length Vectors; omitted when
 	// positions are the IDs (the identity fast path).
 	Ids []uint32 `json:"ids,omitempty"`
 	// Files lists the per-shard snapshot files with their CRC32-IEEE
-	// whole-file checksums.
+	// whole-file checksums. File i is named shardFileName(i).
 	Files []ShardFile `json:"files"`
 }
 
@@ -79,13 +85,21 @@ type ShardFile struct {
 	CRC32 uint32 `json:"crc32"`
 }
 
-// Save persists the current base generation's shards plus the manifest
-// to dir (created if missing) in the flat layout. Shard files are
-// written atomically; the manifest is written last, so a directory with
-// a readable manifest always refers to complete shard files.
+// shardFileName is the name of shard i's snapshot file inside a
+// generation directory: the one name the writer uses and the loader
+// accepts, so a manifest cannot point the loader anywhere else.
+func shardFileName(i int) string {
+	return fmt.Sprintf("shard-%04d.ndx", i)
+}
+
+// Save persists the current base generation to dir (created if
+// missing) through persistGeneration, the writer compaction uses. dir
+// must not already hold a snapshot (a CURRENT file), so Save only ever
+// creates a fresh generation directory and never touches a generation
+// another snapshot serves.
 //
 // The delta tier must be clean (no un-compacted upserts or tombstones,
-// no compaction in flight): a flat snapshot has nowhere to put delta
+// no compaction in flight): a generation has nowhere to put delta
 // state, so saving one would silently drop acknowledged writes. Compact
 // first; a compacted engine saves fine (the manifest carries the
 // external-ID table).
@@ -95,16 +109,38 @@ func (e *Engine) Save(dir string) error {
 	if !e.delta.Empty() {
 		return fmt.Errorf("engine: save: delta tier holds un-compacted writes; Compact first so the snapshot captures the merged corpus")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	name, ok, err := snapshot.ReadCurrent(dir)
+	if err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}
-	return writeGenerationDir(dir, e.gen, e.meta, e.dim)
+	if ok {
+		return fmt.Errorf("engine: save: %s already holds a snapshot (%s names %s): %w",
+			dir, snapshot.CurrentName, name, fs.ErrExist)
+	}
+	return persistGeneration(dir, e.gen, e.meta, e.dim)
 }
 
-// writeGenerationDir writes one generation's shard files and manifest
-// into dir — the body shared by Save (flat layout, any generation
-// number) and the compactor's persistGeneration (gen-NNNNNN layout).
-func writeGenerationDir(dir string, gen *generation, meta Meta, dim int) error {
+// persistGeneration writes gen into root as a gen-NNNNNN subdirectory
+// (NNNNNN = gen.num) — shard files atomically, the manifest last — and
+// then atomically points root's CURRENT at it. Ordering is the
+// crash-safety argument: the generation's files are complete on disk
+// before the rename lands, so a crash anywhere leaves CURRENT naming a
+// fully written generation (the old one until the rename, the new one
+// after) or, on a first save, no CURRENT at all. On failure the partial
+// directory is removed; it is never one CURRENT names, since a
+// compaction always writes a higher number and Save refuses a directory
+// that has a CURRENT.
+func persistGeneration(root string, gen *generation, meta Meta, dim int) (err error) {
+	genName := snapshot.GenerationName(gen.num)
+	gdir := filepath.Join(root, genName)
+	if err := os.MkdirAll(gdir, 0o755); err != nil {
+		return fmt.Errorf("engine: save: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			_ = os.RemoveAll(gdir)
+		}
+	}()
 	var detected string
 	man := &Manifest{
 		FormatVersion: snapshot.FormatVersion,
@@ -136,8 +172,8 @@ func writeGenerationDir(dir string, gen *generation, meta Meta, dim int) error {
 		} else if d != detected {
 			return fmt.Errorf("engine: save: shard %d is %s, shard 0 is %s", i, d, detected)
 		}
-		name := fmt.Sprintf("shard-%04d.ndx", i)
-		crc, err := snapshot.SaveFile(filepath.Join(dir, name), sh.index, meta.Elem)
+		name := shardFileName(i)
+		crc, err := snapshot.SaveFile(filepath.Join(gdir, name), sh.index, meta.Elem)
 		if err != nil {
 			return fmt.Errorf("engine: save shard %d: %w", i, err)
 		}
@@ -151,36 +187,12 @@ func writeGenerationDir(dir string, gen *generation, meta Meta, dim int) error {
 	if err != nil {
 		return fmt.Errorf("engine: save manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(gdir, ManifestName), append(blob, '\n'), 0o644); err != nil {
 		return fmt.Errorf("engine: save manifest: %w", err)
 	}
-	return nil
-}
-
-// persistGeneration writes a freshly compacted generation into the
-// engine's generation root as a gen-NNNNNN subdirectory and atomically
-// repoints CURRENT at it. Ordering is the crash-safety argument: the
-// generation's files (shard files atomic, manifest last) are complete
-// on disk before the rename lands, so a crash anywhere leaves CURRENT
-// naming a fully written generation — the old one until the rename, the
-// new one after. On failure the partial directory is removed and the
-// caller's compaction fails (the delta still holds every captured
-// entry; nothing lost).
-func (e *Engine) persistGeneration(gen *generation) error {
-	name := snapshot.GenerationName(gen.num)
-	gdir := filepath.Join(e.genDir, name)
-	if err := os.MkdirAll(gdir, 0o755); err != nil {
-		return fmt.Errorf("engine: persist generation: %w", err)
+	if err := snapshot.WriteCurrent(root, genName); err != nil {
+		return fmt.Errorf("engine: save: %w", err)
 	}
-	if err := writeGenerationDir(gdir, gen, e.meta, e.dim); err != nil {
-		_ = os.RemoveAll(gdir)
-		return err
-	}
-	if err := snapshot.WriteCurrent(e.genDir, name); err != nil {
-		_ = os.RemoveAll(gdir)
-		return fmt.Errorf("engine: persist generation: %w", err)
-	}
-	gen.dir = name
 	return nil
 }
 
@@ -202,8 +214,8 @@ type LoadOptions struct {
 	// (< 1 means GOMAXPROCS).
 	Workers int
 	// Serve selects the shard serving mode: ServeRAM (or empty),
-	// ServeMmap, or ServeReadAt. The paged modes require version-3
-	// (page-aligned blocks) shard files; older files load only in RAM.
+	// ServeMmap, or ServeReadAt. The paged modes serve the graph
+	// families only; exact and ivfpq shards load only in RAM.
 	Serve string
 	// CachePages bounds each paged shard's resident page cache
 	// (0 = snapshot.DefaultCachePages). Ignored for ServeRAM.
@@ -223,11 +235,13 @@ func normalizeServe(mode string) (string, error) {
 	}
 }
 
-// Load restores an engine from a directory written by Save (flat
-// layout) or maintained by the compactor (CURRENT + gen-NNNNNN layout):
-// shard files are checksum-verified, decoded concurrently (bounded by
-// workers, which also sizes the search pool; < 1 means GOMAXPROCS), and
-// served without invoking any index Build. The returned manifest
+// Load restores an engine from a directory written by Save and
+// maintained by the compactor, serving the generation CURRENT names (a
+// directory without CURRENT fails with an error matching
+// fs.ErrNotExist): shard files are checksum-verified, decoded
+// concurrently (bounded by workers, which also sizes the search pool;
+// < 1 means GOMAXPROCS), and served without invoking any index Build.
+// The returned manifest
 // carries the provenance the writer recorded. Shards are fully
 // resident; use LoadWithOptions for the paged (beyond-RAM) serving
 // modes.
@@ -253,19 +267,20 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Generational layout indirection: CURRENT names the generation
-	// subdirectory to serve; absence means the flat layout.
-	genName, hasGen, err := snapshot.ReadCurrent(dir)
+	// CURRENT names the generation subdirectory to serve.
+	genName, ok, err := snapshot.ReadCurrent(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: load: %w", err)
 	}
-	loadDir, genNum := dir, 0
-	if hasGen {
-		loadDir = filepath.Join(dir, genName)
-		if genNum, err = snapshot.ParseGenerationName(genName); err != nil {
-			return nil, nil, fmt.Errorf("engine: load: %w", err)
-		}
+	if !ok {
+		return nil, nil, fmt.Errorf("engine: load: %s has no %s: %w (to migrate a directory in the older flat layout, run inside it: %s)",
+			dir, snapshot.CurrentName, fs.ErrNotExist, migrateFlat)
 	}
+	genNum, err := snapshot.ParseGenerationName(genName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: load: %w", err)
+	}
+	loadDir := filepath.Join(dir, genName)
 	blob, err := os.ReadFile(filepath.Join(loadDir, ManifestName))
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: load: %w", err)
@@ -277,7 +292,7 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	if err := man.validate(); err != nil {
 		return nil, nil, err
 	}
-	if hasGen && man.Generation != genNum {
+	if man.Generation != genNum {
 		return nil, nil, fmt.Errorf("engine: load manifest: %w: directory %s holds generation %d",
 			snapshot.ErrCorrupt, genName, man.Generation)
 	}
@@ -330,9 +345,6 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		paged:    paged,
 		perShard: make([]atomic.Int64, len(shards)),
 	}
-	if hasGen {
-		gen.dir = genName
-	}
 	// Reconstruct the shard builder so Compact can rebuild the base. Every
 	// loadable directory has one: checkShard pinned the algo and the
 	// quantized mode to the files, and the metric is the files' own.
@@ -344,7 +356,6 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		return nil, nil, fmt.Errorf("engine: load: %w", err)
 	}
 	e := newEngine(gen, workers, man.Dim, meta, builder)
-	e.formatVersion = man.FormatVersion
 	e.genDir = dir
 	e.reqShards = man.Shards
 	if mode != ServeRAM {
@@ -368,8 +379,8 @@ func closePaged(paged []*snapshot.PagedIndex) {
 // validate checks the manifest's internal consistency before any shard
 // file is read.
 func (m *Manifest) validate() error {
-	if m.FormatVersion > snapshot.FormatVersion {
-		return fmt.Errorf("engine: load manifest: %w: version %d, this build reads <= %d",
+	if m.FormatVersion != snapshot.FormatVersion {
+		return fmt.Errorf("engine: load manifest: %w: version %d, this build reads only version %d",
 			snapshot.ErrVersion, m.FormatVersion, snapshot.FormatVersion)
 	}
 	if m.Shards < 1 || len(m.Files) != m.Shards || len(m.Bounds) != m.Shards+1 {
@@ -392,6 +403,12 @@ func (m *Manifest) validate() error {
 		return fmt.Errorf("engine: load manifest: bounds %v do not cover %d vectors", m.Bounds, m.Vectors)
 	}
 	for i, f := range m.Files {
+		// File names are untrusted input: anything but the name the writer
+		// uses could point the loader at an arbitrary path.
+		if f.Name != shardFileName(i) {
+			return fmt.Errorf("engine: load manifest: %w: shard %d file %q, want %q",
+				snapshot.ErrCorrupt, i, f.Name, shardFileName(i))
+		}
 		if want := m.Bounds[i+1] - m.Bounds[i]; f.Rows != want || want < 1 {
 			return fmt.Errorf("engine: load manifest: shard %d has %d rows, bounds say %d", i, f.Rows, want)
 		}

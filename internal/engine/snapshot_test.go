@@ -3,8 +3,10 @@ package engine
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -36,6 +38,17 @@ func buildTestEngine(t *testing.T, algo string, shards int) (*Engine, *dataset.D
 	return e, d
 }
 
+// inCurrent resolves name inside the generation directory dir's CURRENT
+// names.
+func inCurrent(t *testing.T, dir, name string) string {
+	t.Helper()
+	gen, ok, err := snapshot.ReadCurrent(dir)
+	if err != nil || !ok {
+		t.Fatalf("CURRENT in %s: ok=%v err=%v", dir, ok, err)
+	}
+	return filepath.Join(dir, gen, name)
+}
+
 // The engine-level acceptance property: a reloaded engine's SearchBatch
 // is byte-identical to the engine it was saved from, for every
 // registered shard algorithm.
@@ -52,6 +65,16 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("load: %v", err)
 			}
 			t.Cleanup(loaded.Close)
+			// A directory that already holds a snapshot is refused, and
+			// still loads afterwards.
+			if err := loaded.Save(dir); !errors.Is(err, fs.ErrExist) {
+				t.Fatalf("save over a snapshot: err = %v, want fs.ErrExist", err)
+			}
+			if again, _, err := Load(dir, 4); err != nil {
+				t.Fatalf("load after a refused save: %v", err)
+			} else {
+				again.Close()
+			}
 			if man.Algo != algo || man.Dataset != d.Profile.Name || man.Seed != 9 {
 				t.Fatalf("manifest provenance %+v", man)
 			}
@@ -108,7 +131,7 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 	}
 
 	// Flip one byte of a shard file: the manifest CRC must catch it.
-	shardPath := filepath.Join(dir, "shard-0001.ndx")
+	shardPath := inCurrent(t, dir, "shard-0001.ndx")
 	data, err := os.ReadFile(shardPath)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +149,7 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 	if err := os.WriteFile(shardPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	manPath := filepath.Join(dir, ManifestName)
+	manPath := inCurrent(t, dir, ManifestName)
 	blob, err := os.ReadFile(manPath)
 	if err != nil {
 		t.Fatal(err)
@@ -169,20 +192,70 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 	}
 	man.Algo = "exact"
 
-	// A future manifest format version is refused up front.
-	man.FormatVersion = snapshot.FormatVersion + 1
-	mutated, _ = json.Marshal(&man)
-	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-		t.Fatal(err)
+	// Any manifest format version but the current one is refused up
+	// front: a future one, and a past one.
+	for _, v := range []int{snapshot.FormatVersion + 1, snapshot.FormatVersion - 1} {
+		man.FormatVersion = v
+		mutated, _ = json.Marshal(&man)
+		if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("manifest version %d: err = %v, want ErrVersion", v, err)
+		}
 	}
-	if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("future manifest version: err = %v, want ErrVersion", err)
+	man.FormatVersion = snapshot.FormatVersion
+
+	// Shard file names are untrusted input: anything but the writer's own
+	// name is refused before any file opens.
+	for _, name := range []string{"../shard-0001.ndx", shardPath} {
+		man.Files[1].Name = name
+		mutated, _ = json.Marshal(&man)
+		if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("manifest file name %q: err = %v, want ErrCorrupt", name, err)
+		}
 	}
+	man.Files[1].Name = "shard-0001.ndx"
 
 	// Missing directory.
 	if _, _, err := Load(filepath.Join(dir, "nope"), 2); err == nil {
 		t.Fatal("missing directory must fail")
 	}
+
+	// The older flat layout (manifest and shard files at the top level)
+	// fails as not found, and loads after the documented migration.
+	mutated, _ = json.Marshal(&man)
+	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gen := filepath.Dir(manPath)
+	for _, name := range []string{ManifestName, "shard-0000.ndx", "shard-0001.ndx"} {
+		if err := os.Rename(filepath.Join(gen, name), filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(gen); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, snapshot.CurrentName)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(dir, 2); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("flat layout: err = %v, want fs.ErrNotExist", err)
+	}
+	cmd := exec.Command("sh", "-c", migrateFlat)
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("migration %q: %v\n%s", migrateFlat, err, out)
+	}
+	migrated, _, err := Load(dir, 2)
+	if err != nil {
+		t.Fatalf("load after migration: %v", err)
+	}
+	migrated.Close()
 }
 
 // Save without caller-supplied Meta still produces a loadable manifest

@@ -154,17 +154,12 @@ func readBlocksSection(src source, off, n int64, crc uint32) (*blocksSection, er
 
 // prepareBlocks is what both serving paths check before a graph family's
 // node records are read, by Load (decodeBlocks) or served from the file
-// (OpenPagedFile): the file is version 3 and has a blocks section, its
-// meta agrees with the header, and an "sq8s" section is present exactly
-// when the records carry SQ8 codes. It sets the header's Quantized and
-// Rerank fields and returns the meta and the SQ8 scales (nil unless
-// quantized).
+// (OpenPagedFile): the file has a blocks section, its meta agrees with
+// the header, and an "sq8s" section is present exactly when the records
+// carry SQ8 codes. It sets the header's Quantized and Rerank fields and
+// returns the meta and the SQ8 scales (nil unless quantized).
 func (f *file) prepareBlocks() (blockMeta, []float32, error) {
 	h := &f.header
-	if h.Version < 3 {
-		return blockMeta{}, nil, fmt.Errorf("%w: file version %d predates the version-3 blocks layout; re-save to version %d",
-			ErrCorrupt, h.Version, FormatVersion)
-	}
 	if f.blocks == nil {
 		return blockMeta{}, nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, "blocks")
 	}
@@ -172,7 +167,7 @@ func (f *file) prepareBlocks() (blockMeta, []float32, error) {
 	if err := m.validate(*h); err != nil {
 		return blockMeta{}, nil, err
 	}
-	rerank, scales, hasScales, err := readSQ8Scales(f, *h)
+	rerank, scales, hasScales, err := parseSQ8Scales(f, *h)
 	if err != nil {
 		return blockMeta{}, nil, err
 	}

@@ -11,27 +11,35 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// blocksFrame walks a file image's section frames and returns the
-// "blocks" frame's CRC-field offset and payload bounds.
-func blocksFrame(t *testing.T, img []byte) (crcOff, payloadOff, payloadLen int) {
+// sectionFrame walks a file image's section frames and returns the named
+// frame's CRC-field offset and payload bounds.
+func sectionFrame(t *testing.T, img []byte, name string) (crcOff, payloadOff, payloadLen int) {
 	t.Helper()
 	off := headerSize
 	for {
 		nameLen := int(img[off])
 		off++
 		if nameLen == 0 {
-			t.Fatal("no blocks section in image")
+			t.Fatalf("no %s section in image", name)
 		}
-		name := string(img[off : off+nameLen])
+		got := string(img[off : off+nameLen])
 		off += nameLen
 		plen := int(getU64(img[off:]))
 		crc := off + 8
 		payload := crc + 4
-		if name == "blocks" {
+		if got == name {
 			return crc, payload, plen
 		}
 		off = payload + plen
 	}
+}
+
+// resealFrame recomputes the named frame's CRC after a payload edit, so
+// the damage under test is the structural one, not the checksum.
+func resealFrame(t *testing.T, img []byte, name string) {
+	t.Helper()
+	crcOff, payloadOff, payloadLen := sectionFrame(t, img, name)
+	putU32(img[crcOff:], sectionCRC(name, img[payloadOff:payloadOff+payloadLen]))
 }
 
 // patchBlocksMeta returns a copy of img with the blocks meta mutated.
@@ -42,15 +50,13 @@ func blocksFrame(t *testing.T, img []byte) (crcOff, payloadOff, payloadLen int) 
 func patchBlocksMeta(t *testing.T, img []byte, refreshMetaCRC bool, mutate func(meta []byte)) []byte {
 	t.Helper()
 	out := append([]byte(nil), img...)
-	crcOff, payloadOff, payloadLen := blocksFrame(t, out)
-	payload := out[payloadOff : payloadOff+payloadLen]
-	mutate(payload[:blockMetaSize])
+	_, payloadOff, _ := sectionFrame(t, out, "blocks")
+	meta := out[payloadOff : payloadOff+blockMetaSize]
+	mutate(meta)
 	if refreshMetaCRC {
-		putU32(payload[blockMetaSize-4:], crc32.ChecksumIEEE(payload[:blockMetaSize-4]))
+		putU32(meta[blockMetaSize-4:], crc32.ChecksumIEEE(meta[:blockMetaSize-4]))
 	}
-	crc := crc32.ChecksumIEEE([]byte("blocks"))
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	putU32(out[crcOff:], crc)
+	resealFrame(t, out, "blocks")
 	return out
 }
 
@@ -125,20 +131,8 @@ func TestV3BlocksCorruptionTypedErrors(t *testing.T) {
 			// Navigation-section damage (first byte of the pinned "params"
 			// payload) fails that section's CRC on both paths.
 			bad := append([]byte(nil), good...)
-			off := headerSize
-			for {
-				nameLen := int(bad[off])
-				off++
-				name := string(bad[off : off+nameLen])
-				off += nameLen
-				plen := int(getU64(bad[off:]))
-				off += 12
-				if name == "params" {
-					bad[off] ^= 0xFF
-					break
-				}
-				off += plen
-			}
+			_, params, _ := sectionFrame(t, bad, "params")
+			bad[params] ^= 0xFF
 			check("bad nav CRC", bad, ErrChecksum)
 		})
 	}
@@ -152,7 +146,7 @@ func TestV3BlocksCorruptionTypedErrors(t *testing.T) {
 // still reports ErrChecksum for the same bytes.
 func TestV3ImageDamageServesDefensively(t *testing.T) {
 	good := snapshotOf(t, "hnsw")
-	_, payloadOff, payloadLen := blocksFrame(t, good)
+	_, payloadOff, payloadLen := sectionFrame(t, good, "blocks")
 	bad := append([]byte(nil), good...)
 	// Flip a degree field deep in the image: a huge degree must clamp,
 	// not walk out of the record.
@@ -176,9 +170,8 @@ func TestV3ImageDamageServesDefensively(t *testing.T) {
 	}
 }
 
-// The flat families under version 3 keep their version-2 section shapes
-// (matrix + per-family payloads); a v3 exact/ivfpq file round-trips and
-// the compat matrix in legacy_test.go covers the older versions.
+// The flat families keep the "matrix" section plus per-family payloads
+// under the version-3 header; a v3 exact/ivfpq file round-trips.
 func TestV3FlatFamiliesRoundTrip(t *testing.T) {
 	for _, algo := range []string{"exact", "ivfpq"} {
 		built := buildFamily(t, algo, metricsOf(algo)[0], testData(60, 8, 9))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"ndsearch/internal/ann"
@@ -22,6 +23,15 @@ func snapshotOf(t testing.TB, algo string) []byte {
 	return buf.Bytes()
 }
 
+// withVersion returns a copy of img relabelled as container version v
+// with its header CRC recomputed, so the version is all that differs.
+func withVersion(img []byte, v uint16) []byte {
+	out := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint16(out[4:6], v)
+	putU32(out[20:24], crc32.ChecksumIEEE(out[:20]))
+	return out
+}
+
 // loadBytes runs Load and converts any panic into a test failure — the
 // contract is that corruption surfaces as a typed error, never a panic.
 func loadBytes(t *testing.T, label string, data []byte) (idx ann.Index, err error) {
@@ -35,8 +45,8 @@ func loadBytes(t *testing.T, label string, data []byte) (idx ann.Index, err erro
 }
 
 // The corruption table: truncated file, flipped byte, wrong magic, and
-// future format version each produce their own typed error, for every
-// index family. Frame-level damage is caught by the one walker both
+// past or future format version each produce their own typed error, for
+// every index family. Frame-level damage is caught by the one walker both
 // entry points share, before it matters which family or serving mode
 // the file is for, so Load and OpenPagedFile must report the same
 // sentinel for it.
@@ -72,6 +82,11 @@ func TestCorruptionTypedErrors(t *testing.T) {
 			bad = append([]byte(nil), good...)
 			binary.LittleEndian.PutUint16(bad[4:6], FormatVersion+1)
 			check("future version", bad, ErrVersion)
+			// Past versions, under a valid header CRC: their decoders are
+			// gone, so this build refuses them by version.
+			for _, v := range []uint16{1, 2} {
+				check(fmt.Sprintf("past version %d", v), withVersion(good, v), ErrVersion)
+			}
 
 			// Truncations at every structural boundary class: inside the
 			// magic, inside the header, at the first section frame, mid
@@ -98,6 +113,53 @@ func TestCorruptionTypedErrors(t *testing.T) {
 			bad = append([]byte(nil), good...)
 			bad[8] ^= 0xFF // low byte of dim
 			check("flipped header byte", bad, ErrChecksum)
+		})
+	}
+}
+
+// TestLegacyCompatMatrix is the version compatibility matrix: this build
+// reads exactly FormatVersion. For every family, and every quantized
+// graph family, a current file serves searches identically to the built
+// index, while the same bytes labelled as a past version fail with
+// ErrVersion instead of being decoded as something they are not.
+func TestLegacyCompatMatrix(t *testing.T) {
+	data := testData(90, 8, 17)
+	q := testQueries(3, 8, 18)
+	check := func(t *testing.T, built ann.Index) ann.Index {
+		t.Helper()
+		var cur bytes.Buffer
+		if err := Save(&cur, built, vec.F32); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		loaded, err := loadBytes(t, "current", cur.Bytes())
+		if err != nil {
+			t.Fatalf("load v%d: %v", FormatVersion, err)
+		}
+		for _, qu := range q {
+			for _, k := range []int{1, 7, 23} {
+				requireSameResults(t, "current", loaded.Search(qu, k), built.Search(qu, k))
+			}
+		}
+		for _, v := range []uint16{1, 2} {
+			if _, err := loadBytes(t, "past", withVersion(cur.Bytes(), v)); !errors.Is(err, ErrVersion) {
+				t.Errorf("load as v%d: err = %v, want ErrVersion", v, err)
+			}
+		}
+		return loaded
+	}
+	for _, algo := range Algos() {
+		t.Run(algo, func(t *testing.T) {
+			check(t, buildFamily(t, algo, metricsOf(algo)[0], data))
+		})
+	}
+	// The quantized column: the files that were version 2 before the
+	// blocks layout.
+	for _, algo := range quantAlgos {
+		t.Run(algo+"/quantized-v2", func(t *testing.T) {
+			loaded := check(t, buildQuantFamily(t, algo, vec.L2, data, 12))
+			if quantized, rerank, _ := quantParams(t, loaded); !quantized || rerank != 12 {
+				t.Fatalf("loaded params quantized=%v rerank=%d, want true/12", quantized, rerank)
+			}
 		})
 	}
 }
@@ -173,7 +235,7 @@ func TestLoadRejectsUnknownAlgo(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.add("matrix", payload)
-	data := b.assemble(Header{Version: FormatVersion, Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()})
+	data := b.assemble(Header{Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()})
 	if _, err := loadBytes(t, "unknown algo", data); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown algo: err = %v, want ErrCorrupt", err)
 	}

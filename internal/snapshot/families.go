@@ -218,37 +218,6 @@ func saveGraph(b *builder, g *ann.GraphIndex, quantized bool, rerank int) (vec.M
 	return g.Metric(), mat, base, nil
 }
 
-// legacyBase decodes the base adjacency of a version-1/2 graph-family
-// file (version 3 keeps it in the blocks image): the "graph" section of
-// the flat-graph families, or the first graph of hnsw's "layers"
-// section, which held every layer before version 3.
-func legacyBase(f *file, wantN int) (*graph.Graph, error) {
-	if f.algo == "hnsw" {
-		gp, err := f.section("layers")
-		if err != nil {
-			return nil, err
-		}
-		d := &dec{b: gp}
-		if d.intn(len(gp), "layer count") == 0 && d.err == nil {
-			return nil, fmt.Errorf("%w: hnsw file without a base layer", ErrCorrupt)
-		}
-		return readGraph(d, wantN)
-	}
-	gp, err := f.section("graph")
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: gp}
-	g, err := readGraph(d, wantN)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // ---- hnsw ---------------------------------------------------------------
 
 func saveHNSW(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
@@ -271,8 +240,8 @@ func saveHNSW(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph,
 	}
 	b.add("levels", lv.b)
 
-	// Version 3 pins only the upper layers (the navigation set); the
-	// base layer's adjacency lives in the blocks image.
+	// Only the upper layers are pinned (the navigation set); the base
+	// layer's adjacency lives in the blocks image.
 	upper := x.Layers()[1:]
 	var lg enc
 	lg.u32(uint32(len(upper)))
@@ -334,14 +303,6 @@ func reconstructHNSW(h Header, f *file, store ann.NodeStore) (ann.Index, error) 
 	}
 	if err := d.done(); err != nil {
 		return nil, err
-	}
-	if h.Version < 3 {
-		// Before version 3 the section held every layer; the base layer
-		// already backs the store (legacyBase).
-		if len(upper) == 0 {
-			return nil, fmt.Errorf("%w: hnsw file without a base layer", ErrCorrupt)
-		}
-		upper = upper[1:]
 	}
 	x, err := hnsw.FromStore(cfg, store, upper, levels, entry, maxLevel)
 	return x, corrupt(err)

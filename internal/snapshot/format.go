@@ -37,29 +37,27 @@ import (
 //
 // Version history:
 //
-//	1  initial container (PR 4)
-//	2  adds the optional "sq8" section (quant.go) carrying the SQ8
-//	   compressed tier: rerank width, per-dimension scale factors, and
-//	   the int8 code buffer. Presence of the section is what marks an
-//	   index as quantized — no per-family params changed, so version-1
-//	   files parse under the same per-family codecs and load as
-//	   full-precision indexes.
+//	1  initial container: a "matrix" corpus section plus per-family
+//	   structure sections, graph adjacency included.
+//	2  adds an "sq8" section carrying the whole SQ8 code buffer.
 //	3  page-served layout for the graph families (blocks.go): the
-//	   "matrix" section, the base-layer adjacency, and the sq8 code
-//	   buffer move into a page-aligned "blocks" section co-locating
-//	   each node's adjacency and vector in fixed-size records, so a
-//	   paged NodeStore can serve searches without materializing the
-//	   file. The sections that remain ("params", hnsw's "levels" and
-//	   upper "layers", togg's "guide", the scales-only "sq8s") are the
-//	   pinned navigation set — small, resident in every serving mode.
-//	   exact/ivfpq keep their version-2 section shapes under the new
-//	   version number; version-1/2 files keep loading through the old
-//	   per-family paths.
+//	   corpus rows, the base-layer adjacency, and the SQ8 codes move
+//	   into a page-aligned "blocks" section co-locating each node's
+//	   adjacency and vector in fixed-size records, so a paged NodeStore
+//	   can serve searches without materializing the file. The sections
+//	   that remain ("params", hnsw's "levels" and upper "layers",
+//	   togg's "guide", the scales-only "sq8s") are the pinned
+//	   navigation set — small, resident in every serving mode.
+//	   exact/ivfpq keep the flat "matrix" section.
+//
+// This build reads exactly version 3. Nothing writes versions 1 or 2
+// any more, and a snapshot is a build cache that a rebuild reproduces,
+// so keeping their decoders would only give one format two readers.
 
 const (
-	// FormatVersion is the container format version this package writes.
-	// Loaders reject files with a greater version (ErrVersion) and
-	// accept every older version back to 1.
+	// FormatVersion is the container format version this package writes
+	// and the only one it reads: Load and OpenPagedFile reject any other
+	// version with ErrVersion.
 	FormatVersion = 3
 
 	headerSize = 24
@@ -69,8 +67,6 @@ var magic = [4]byte{'N', 'D', 'S', 'S'}
 
 // Header carries the corpus-level fields every snapshot records.
 type Header struct {
-	// Version is the container format version of the parsed file.
-	Version int
 	// Metric is the index's distance metric.
 	Metric vec.Metric
 	// Elem is the at-rest element kind of the serialized corpus matrix.
@@ -78,11 +74,9 @@ type Header struct {
 	// Dim and Rows describe the corpus matrix.
 	Dim, Rows int
 	// Quantized and Rerank carry the saved SQ8 mode to the family
-	// loaders: Quantized is set when the file carries the SQ8 tier (a
-	// version-2 "sq8" section, or version-3 blocks records with codes
-	// beside an "sq8s" section; it is not a header byte on disk), and
-	// Rerank is the saved exact-rerank width. Version-1 files never
-	// carry the tier, so both stay zero there.
+	// loaders: Quantized is set when the file carries the SQ8 tier
+	// (blocks records with codes beside an "sq8s" section; it is not a
+	// header byte on disk), and Rerank is the saved exact-rerank width.
 	Quantized bool
 	Rerank    int
 }
@@ -123,7 +117,7 @@ func (b *builder) assemble(h Header) []byte {
 	out := make([]byte, 0, size)
 	hdr := make([]byte, headerSize)
 	copy(hdr[0:4], magic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], uint16(h.Version))
+	binary.LittleEndian.PutUint16(hdr[4:6], FormatVersion)
 	hdr[6] = uint8(h.Metric)
 	hdr[7] = uint8(h.Elem)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(h.Dim))
@@ -182,9 +176,9 @@ func (s fileSource) at(off int64, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// parseHeader validates the fixed header: magic, version range, header
-// CRC, metric and element encodings. data is the file's first
-// headerSize bytes, or the whole file when it is shorter.
+// parseHeader validates the fixed header: magic, version, header CRC,
+// metric and element encodings. data is the file's first headerSize
+// bytes, or the whole file when it is shorter.
 func parseHeader(data []byte) (Header, error) {
 	var h Header
 	if len(data) < len(magic) {
@@ -196,12 +190,8 @@ func parseHeader(data []byte) (Header, error) {
 	if len(data) < headerSize {
 		return h, fmt.Errorf("%w: %d bytes, need %d-byte header", ErrTruncated, len(data), headerSize)
 	}
-	version := int(binary.LittleEndian.Uint16(data[4:6]))
-	if version > FormatVersion {
-		return h, fmt.Errorf("%w: file is version %d, this build reads <= %d", ErrVersion, version, FormatVersion)
-	}
-	if version < 1 {
-		return h, fmt.Errorf("%w: version %d", ErrVersion, version)
+	if version := binary.LittleEndian.Uint16(data[4:6]); version != FormatVersion {
+		return h, fmt.Errorf("%w: file is version %d, this build reads only version %d", ErrVersion, version, FormatVersion)
 	}
 	if got, want := binary.LittleEndian.Uint32(data[20:24]), crc32.ChecksumIEEE(data[:20]); got != want {
 		return h, fmt.Errorf("%w: header CRC %08x, computed %08x", ErrChecksum, got, want)
@@ -215,11 +205,10 @@ func parseHeader(data []byte) (Header, error) {
 		return h, fmt.Errorf("%w: unknown element kind %d", ErrCorrupt, elem)
 	}
 	return Header{
-		Version: version,
-		Metric:  metric,
-		Elem:    elem,
-		Dim:     int(binary.LittleEndian.Uint32(data[8:12])),
-		Rows:    int(binary.LittleEndian.Uint32(data[12:16])),
+		Metric: metric,
+		Elem:   elem,
+		Dim:    int(binary.LittleEndian.Uint32(data[8:12])),
+		Rows:   int(binary.LittleEndian.Uint32(data[12:16])),
 	}, nil
 }
 

@@ -10,30 +10,31 @@ import (
 
 // FuzzLoadQuantized drives both snapshot entry points with every
 // mutated input: Load over the bytes and OpenPagedFile over the same
-// bytes written to a temp file. Seeds come from valid saves across the
-// format's whole version range: current version-3 files (page-aligned
-// blocks) for every graph family, quantized and full-precision, plus
-// genuine version-1/2 images (flat matrix + graph sections) so the
-// legacy decoders stay inside the fuzzer's input space. (The name
-// predates the paged entry point; it covers the whole reader now.) The
-// contract under test is the package's error discipline, the same for
-// both: success or one of the six typed errors — never a panic, never
-// an undiscriminated error. OpenPagedFile may also refuse an intact flat
-// family as ErrUnsupported.
+// bytes written to a temp file. Seeds are valid saves: for every graph
+// family a quantized file (blocks + sq8s sections), a full-precision one
+// (blocks, no sq8s), and the quantized one labelled as a past version;
+// plus a flat-family file ("matrix" section). (The name predates the
+// paged entry point; it covers the whole reader now.) The contract under
+// test is the package's error discipline, the same for both: success or
+// one of the six typed errors — never a panic, never an undiscriminated
+// error. OpenPagedFile may also refuse an intact flat family as
+// ErrUnsupported.
 func FuzzLoadQuantized(f *testing.F) {
 	data := testData(60, 8, 17)
 	for _, algo := range quantAlgos {
-		// Version-3 quantized seed (blocks + sq8s sections).
 		var buf bytes.Buffer
 		if err := Save(&buf, buildQuantFamily(f, algo, vec.L2, data, 16), vec.F32); err != nil {
 			f.Fatalf("seed save %s: %v", algo, err)
 		}
 		f.Add(buf.Bytes())
-		// Legacy seeds: v1 full-precision and v2 quantized (sq8 section).
-		f.Add(saveLegacy(f, buildFamily(f, algo, vec.L2, data), 1))
-		f.Add(saveLegacy(f, buildQuantFamily(f, algo, vec.L2, data, 16), 2))
+		var plain bytes.Buffer
+		if err := Save(&plain, buildFamily(f, algo, vec.L2, data), vec.F32); err != nil {
+			f.Fatalf("seed save %s: %v", algo, err)
+		}
+		f.Add(plain.Bytes())
+		f.Add(withVersion(buf.Bytes(), 2))
 	}
-	f.Add(snapshotOf(f, "hnsw")) // full-precision v3 seed: blocks, no sq8s
+	f.Add(snapshotOf(f, "ivfpq"))
 	f.Add([]byte{})
 	f.Add([]byte("NDSS"))
 

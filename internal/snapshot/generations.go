@@ -1,15 +1,16 @@
-// Generation-numbered snapshot directories: the on-disk shape of the
-// engine's generational shard set. A mutable serving directory holds one
-// subdirectory per compacted generation (gen-000001, gen-000002, ...),
-// each a complete engine snapshot with its own manifest and CRC-guarded
-// shard files, plus a CURRENT pointer file naming the generation to
-// serve. CURRENT is replaced by atomic rename, so a crash at any point
-// leaves either the old or the new generation fully referenced — never
-// a torn pointer — and a directory whose CURRENT names a generation
-// always names one whose manifest was completely written first (the
-// compactor writes the generation, fsync-free but rename-ordered, before
-// repointing CURRENT). Retired generations are deleted only after the
-// pointer has moved and in-flight searches have drained.
+// Generation-numbered snapshot directories: the one on-disk shape of an
+// engine's shard set. An engine directory holds one subdirectory per
+// generation (gen-000000 for a fresh save, then gen-000001, ... per
+// compaction), each a complete engine snapshot with its own manifest and
+// CRC-guarded shard files, plus a CURRENT pointer file naming the
+// generation to serve. CURRENT is replaced by atomic rename, so a crash
+// at any point leaves either the old or the new generation fully
+// referenced — never a torn pointer — and a directory whose CURRENT
+// names a generation always names one whose manifest was completely
+// written first (the writer finishes the generation, fsync-free but
+// rename-ordered, before repointing CURRENT). Retired generations are
+// deleted only after the pointer has moved and in-flight searches have
+// drained.
 package snapshot
 
 import (
@@ -21,8 +22,7 @@ import (
 )
 
 // CurrentName is the pointer file naming the generation subdirectory to
-// serve. A directory without one is a plain (pre-generational) engine
-// snapshot whose manifest sits at the top level.
+// serve. A directory without one holds no engine snapshot.
 const CurrentName = "CURRENT"
 
 // genNamePattern pins the generation directory shape so a corrupted or
@@ -48,9 +48,9 @@ func ParseGenerationName(name string) (int, error) {
 }
 
 // ReadCurrent resolves dir's CURRENT pointer. ok is false (with no
-// error) when the file does not exist — the legacy single-manifest
-// layout. A pointer naming anything but a well-formed generation
-// directory is corruption, not absence.
+// error) when the file does not exist: dir holds no snapshot. A pointer
+// naming anything but a well-formed generation directory is
+// corruption, not absence.
 func ReadCurrent(dir string) (name string, ok bool, err error) {
 	blob, err := os.ReadFile(filepath.Join(dir, CurrentName))
 	if os.IsNotExist(err) {
@@ -86,9 +86,7 @@ func WriteCurrent(dir, name string) error {
 
 // RetireGeneration deletes a generation subdirectory after the CURRENT
 // pointer has moved past it. The name must be a well-formed generation
-// directory — the legacy top-level manifest and shard files of a
-// pre-generational snapshot are never candidates — and must not be the
-// generation CURRENT still names.
+// directory and must not be the generation CURRENT still names.
 func RetireGeneration(dir, name string) error {
 	if _, err := ParseGenerationName(name); err != nil {
 		return err

@@ -36,7 +36,7 @@ func TestParseGenerationNameRejectsMalformed(t *testing.T) {
 func TestCurrentPointerLifecycle(t *testing.T) {
 	dir := t.TempDir()
 
-	// Absent pointer: the legacy layout, not an error.
+	// Absent pointer: no snapshot, not an error.
 	if _, ok, err := ReadCurrent(dir); err != nil || ok {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}

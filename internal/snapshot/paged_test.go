@@ -1,11 +1,8 @@
 package snapshot
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -14,10 +11,6 @@ import (
 	"ndsearch/internal/ann"
 	"ndsearch/internal/vec"
 )
-
-func writeFileForTest(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
-}
 
 // pagedAlgos is the family set with a paged serving mode, in a fixed
 // order for deterministic subtest names.
@@ -195,31 +188,16 @@ func TestPagedOpenRejectsFlatFamilies(t *testing.T) {
 	}
 }
 
-// Legacy (v1/v2) files have no blocks section either; paged open fails
-// typed, in-RAM load still works. A blocks section under a pre-v3 header
-// is damage, not a legacy file: both entry points reject it as
-// ErrCorrupt naming the version, for every graph family.
+// Past-version (v1/v2) files are refused by their version, not parsed:
+// a v3 image relabelled version 2 under a valid header CRC fails both
+// entry points with ErrVersion naming the version, for every graph
+// family.
 func TestPagedOpenRejectsLegacyFiles(t *testing.T) {
-	built := buildFamily(t, "diskann", vec.L2, testData(80, 8, 17))
-	img := saveLegacy(t, built, 2)
-	path := filepath.Join(t.TempDir(), "legacy.ndss")
-	if err := writeFileForTest(path, img); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := OpenPagedFile(path, PagedOptions{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("paged open of a v2 file: err = %v, want ErrCorrupt", err)
-	}
-	if _, err := LoadFile(path); err != nil {
-		t.Fatalf("RAM load of a v2 file: %v", err)
-	}
-
 	for _, algo := range pagedAlgos {
-		img := snapshotOf(t, algo)
-		binary.LittleEndian.PutUint16(img[4:6], 2)
-		putU32(img[20:24], crc32.ChecksumIEEE(img[:20]))
+		img := withVersion(snapshotOf(t, algo), 2)
 		want := func(entry string, err error) {
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 2") {
-				t.Errorf("%s: %s of a v3 image relabelled version 2: err = %v, want ErrCorrupt naming version 2", algo, entry, err)
+			if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") {
+				t.Errorf("%s: %s of a v3 image relabelled version 2: err = %v, want ErrVersion naming version 2", algo, entry, err)
 			}
 		}
 		_, err := loadBytes(t, algo, img)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"testing"
 
@@ -20,8 +19,8 @@ import (
 var quantAlgos = []string{"hnsw", "diskann", "hcnng", "togg"}
 
 // buildQuantFamily mirrors buildFamily but with Quantized set and a
-// non-trivial rerank width, so the saved "sq8" section carries every
-// field the codec round-trips.
+// non-trivial rerank width, so the saved SQ8 tier carries every field
+// the codec round-trips.
 func buildQuantFamily(tb testing.TB, algo string, m vec.Metric, data []vec.Vector, rerank int) ann.Index {
 	tb.Helper()
 	var (
@@ -195,108 +194,59 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 	}
 }
 
-// Version-1 files (written before the sq8 section existed) must keep
-// loading as full-precision indexes. saveLegacy reproduces the exact
-// byte layout the version-1 writer emitted.
-func TestVersion1SnapshotStillLoads(t *testing.T) {
-	for _, algo := range Algos() {
-		t.Run(algo, func(t *testing.T) {
-			data := testData(80, 8, 17)
-			built := buildFamily(t, algo, metricsOf(algo)[0], data)
-			v1 := saveLegacy(t, built, 1)
-			loaded, err := Load(bytes.NewReader(v1))
-			if err != nil {
-				t.Fatalf("load v1 file: %v", err)
-			}
-			switch loaded.(type) {
-			case *hnsw.Index, *vamana.Index, *hcnng.Index, *togg.Index:
-				if quantized, rerank, _ := quantParams(t, loaded); quantized || rerank != 0 {
-					t.Fatalf("v1 file loaded quantized=%v rerank=%d, want false/0", quantized, rerank)
-				}
-			}
-			q := testQueries(1, 8, 18)[0]
-			requireSameResults(t, algo, loaded.Search(q, 7), built.Search(q, 7))
-		})
-	}
-}
-
-// findSection walks the section frames of a serialized snapshot and
-// returns the offsets of the named section's CRC field and payload.
-func findSection(tb testing.TB, data []byte, name string) (crcOff, payloadOff, payloadLen int) {
-	tb.Helper()
-	off := headerSize
-	for off < len(data) {
-		nameLen := int(data[off])
-		off++
-		if nameLen == 0 {
-			break
-		}
-		got := string(data[off : off+nameLen])
-		off += nameLen
-		plen := int(binary.LittleEndian.Uint64(data[off : off+8]))
-		off += 8
-		if got == name {
-			return off, off + 4, plen
-		}
-		off += 4 + plen
-	}
-	tb.Fatalf("section %q not found", name)
-	return 0, 0, 0
-}
-
-// resealSection recomputes the named section's CRC after a payload
-// edit, so the corruption under test is the structural one, not the
-// checksum.
-func resealSection(data []byte, name string, crcOff, payloadOff, payloadLen int) {
-	crc := crc32.ChecksumIEEE([]byte(name))
-	crc = crc32.Update(crc, crc32.IEEETable, data[payloadOff:payloadOff+payloadLen])
-	binary.LittleEndian.PutUint32(data[crcOff:crcOff+4], crc)
-}
-
-// Damage inside a legacy (version-2) file's sq8 section surfaces as
-// the right typed error: bit rot under the checksum is ErrChecksum;
-// structurally invalid payloads behind a valid checksum are ErrCorrupt.
-// Never a panic.
+// Damage to a quantized file's SQ8 tier surfaces as the right typed
+// error: bit rot under a checksum (the scales in "sq8s", the codes in
+// the blocks records) is ErrChecksum; a structurally invalid "sq8s"
+// payload behind a valid checksum is ErrCorrupt. Never a panic.
 func TestSQ8SectionCorruption(t *testing.T) {
 	built := buildQuantFamily(t, "hnsw", vec.L2, testData(100, 8, 23), 8)
-	good := saveLegacy(t, built, 2)
-	crcOff, payloadOff, payloadLen := findSection(t, good, "sq8")
+	var buf bytes.Buffer
+	if err := Save(&buf, built, vec.F32); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	good := buf.Bytes()
+	f, err := parse(image(good), int64(len(good)))
+	if err != nil {
+		t.Fatalf("parse own save: %v", err)
+	}
+	// The last code byte of node 0's record.
+	m := f.blocks.meta
+	codeByte := m.nodeOffset(0) + int64(m.codeOffset(f.header.Elem)+m.dim-1)
 
-	// Payload layout offsets (see quant.go): rerank u32, rows u32,
-	// dim u32, then scales, then codes.
+	// "sq8s" payload layout (see quant.go): rerank u32, dim u32, scales.
 	const (
 		rerankOff = 0
-		rowsOff   = 4
-		scalesOff = 12
+		dimOff    = 4
+		scalesOff = 8
 	)
-
 	cases := []struct {
 		name   string
-		mutate func(p []byte) // p is the sq8 payload
+		mutate func(img, sq8s []byte)
 		reseal bool
 		want   error
 	}{
-		{"flip scale byte", func(p []byte) { p[scalesOff] ^= 0xFF }, false, ErrChecksum},
-		{"flip code byte", func(p []byte) { p[payloadLen-1] ^= 0xFF }, false, ErrChecksum},
-		{"rows mismatch", func(p []byte) {
-			binary.LittleEndian.PutUint32(p[rowsOff:], binary.LittleEndian.Uint32(p[rowsOff:])+1)
+		{"flip scale byte", func(_, p []byte) { p[scalesOff] ^= 0xFF }, false, ErrChecksum},
+		{"flip code byte", func(img, _ []byte) { img[codeByte] ^= 0xFF }, false, ErrChecksum},
+		{"dim mismatch", func(_, p []byte) {
+			binary.LittleEndian.PutUint32(p[dimOff:], binary.LittleEndian.Uint32(p[dimOff:])+1)
 		}, true, ErrCorrupt},
-		{"rerank out of range", func(p []byte) {
+		{"rerank out of range", func(_, p []byte) {
 			binary.LittleEndian.PutUint32(p[rerankOff:], 0xFFFFFFFF)
 		}, true, ErrCorrupt},
-		{"NaN scale", func(p []byte) {
+		{"NaN scale", func(_, p []byte) {
 			binary.LittleEndian.PutUint32(p[scalesOff:], math.Float32bits(float32(math.NaN())))
 		}, true, ErrCorrupt},
-		{"negative scale", func(p []byte) {
+		{"negative scale", func(_, p []byte) {
 			binary.LittleEndian.PutUint32(p[scalesOff:], math.Float32bits(-1))
 		}, true, ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), good...)
-			tc.mutate(bad[payloadOff : payloadOff+payloadLen])
+			_, off, n := sectionFrame(t, bad, "sq8s")
+			tc.mutate(bad, bad[off:off+n])
 			if tc.reseal {
-				resealSection(bad, "sq8", crcOff, payloadOff, payloadLen)
+				resealFrame(t, bad, "sq8s")
 			}
 			if _, err := loadBytes(t, tc.name, bad); !errors.Is(err, tc.want) {
 				t.Errorf("err = %v, want %v", err, tc.want)

@@ -46,8 +46,8 @@ import (
 var (
 	// ErrBadMagic means the file does not start with the snapshot magic.
 	ErrBadMagic = errors.New("snapshot: bad magic")
-	// ErrVersion means the file's format version is newer than this
-	// build understands.
+	// ErrVersion means the file's format version is not FormatVersion,
+	// the only one this build reads.
 	ErrVersion = errors.New("snapshot: unsupported format version")
 	// ErrChecksum means a CRC32 guard (header, section, or manifest
 	// file hash) did not match the stored bytes.
@@ -89,9 +89,9 @@ type Loader func(h Header, f *file, mat *vec.Matrix) (ann.Index, error)
 // sets reconstruct instead of load: the one function that rebuilds it
 // from the file's pinned navigation sections over a NodeStore, whether
 // Load hands it a resident store or OpenPagedFile a paged one. Those
-// families' version-3 snapshots pack corpus rows, SQ8 codes, and base
-// adjacency into the page-aligned "blocks" section (exact and ivfpq
-// keep the flat v2 section shapes under the v3 header).
+// families' snapshots pack corpus rows, SQ8 codes, and base adjacency
+// into the page-aligned "blocks" section; exact and ivfpq keep the flat
+// "matrix" section.
 type family struct {
 	save        Saver
 	load        Loader
@@ -156,7 +156,7 @@ func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) error {
 	if err != nil {
 		return fmt.Errorf("snapshot: save %s: %w", algo, err)
 	}
-	h := Header{Version: FormatVersion, Metric: metric, Elem: elem, Dim: mat.Dim(), Rows: mat.Rows()}
+	h := Header{Metric: metric, Elem: elem, Dim: mat.Dim(), Rows: mat.Rows()}
 	if base != nil {
 		// Graph family: corpus rows, codes, and base adjacency co-locate
 		// in the page-aligned "blocks" section, written last so its node
@@ -195,45 +195,25 @@ func Load(r io.Reader) (ann.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mat *vec.Matrix
-	var base *graph.Graph
-	if fam.reconstruct != nil && (f.header.Version >= 3 || f.blocks != nil) {
-		// Version-3 graph family: rows, codes, and base adjacency live in
-		// the page-aligned "blocks" section. decodeBlocks reconstructs
-		// the matrix (norms recomputed with the same accumulation the
-		// build used) and attaches the SQ8 tier from the scales-only
-		// "sq8s" section; a blocks section under an older header fails
-		// its version check.
-		mat, base, err = decodeBlocks(f, data)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		matPayload, err := f.section("matrix")
-		if err != nil {
-			return nil, err
-		}
-		mat, err = decodeMatrix(f.header, matPayload)
-		if err != nil {
-			return nil, err
-		}
-		// Attach the compressed tier (if saved) before the store is
-		// assembled, so it finds the stored codes instead of
-		// requantizing.
-		rerank, quantized, err := readSQ8(f, mat)
-		if err != nil {
-			return nil, err
-		}
-		f.header.Quantized = quantized
-		f.header.Rerank = rerank
-		if fam.reconstruct != nil {
-			if base, err = legacyBase(f, mat.Rows()); err != nil {
-				return nil, err
-			}
-		}
-	}
 	if fam.reconstruct == nil {
+		// Flat family: the corpus is the "matrix" section.
+		payload, err := f.section("matrix")
+		if err != nil {
+			return nil, err
+		}
+		mat, err := decodeMatrix(f.header, payload)
+		if err != nil {
+			return nil, err
+		}
 		return fam.load(f.header, f, mat)
+	}
+	// Graph family: rows, codes, and base adjacency live in the
+	// page-aligned "blocks" section. decodeBlocks reconstructs the matrix
+	// (norms recomputed with the same accumulation the build used) and
+	// attaches the SQ8 tier from the scales-only "sq8s" section.
+	mat, base, err := decodeBlocks(f, data)
+	if err != nil {
+		return nil, err
 	}
 	store, err := ann.NewKernelStore(f.header.Metric, mat, base, f.header.Quantized)
 	if err != nil {
