@@ -21,11 +21,10 @@
 //	-quantized  build suite indexes with the SQ8 compressed traversal
 //	            tier (cache entries keyed separately, "-sq8" suffix)
 //	-rerank     exact-rerank width when quantized, 0 = full list
-//	-serve      index serving mode: ram (default), mmap, or readat —
-//	            the paged modes traverse the cached snapshot files in
-//	            place (beyond-RAM serving; requires -cache) with
-//	            byte-identical output; cache entries are keyed
-//	            separately per mode ("-mmap"/"-readat" suffix)
+//
+// Every index is built through the engine registry from its family's
+// DefaultConfig (hnsw, vamana, hcnng, togg), the same recipe ndserve
+// builds with.
 package main
 
 import (
@@ -45,20 +44,9 @@ func main() {
 	cacheDir := flag.String("cache", "", "index snapshot cache directory (empty disables)")
 	quantized := flag.Bool("quantized", false, "build suite indexes with the SQ8 compressed traversal tier")
 	rerank := flag.Int("rerank", 0, "exact-rerank width for -quantized (0 = full candidate list)")
-	serve := flag.String("serve", "ram", "index serving mode: ram, mmap, or readat (paged modes require -cache)")
 	flag.Parse()
 	if *rerank < 0 {
 		fmt.Fprintf(os.Stderr, "ndsearch: -rerank must be >= 0, got %d\n", *rerank)
-		os.Exit(2)
-	}
-	switch *serve {
-	case "ram", "mmap", "readat":
-	default:
-		fmt.Fprintf(os.Stderr, "ndsearch: -serve must be ram, mmap, or readat, got %q\n", *serve)
-		os.Exit(2)
-	}
-	if *serve != "ram" && *cacheDir == "" {
-		fmt.Fprintf(os.Stderr, "ndsearch: -serve %s pages indexes out of cached snapshot files; it requires -cache\n", *serve)
 		os.Exit(2)
 	}
 
@@ -69,24 +57,11 @@ func main() {
 		os.Exit(2)
 	}
 	scale := figures.Scale{N: *n, Batch: *batch, K: 10, Seed: *seed,
-		Quantized: *quantized, Rerank: *rerank, Serve: *serve}
+		Quantized: *quantized, Rerank: *rerank}
 	suite := figures.NewSuite(scale)
 	suite.CacheDir = *cacheDir
 	if err := figures.RunMany(suite, args, *jobs, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ndsearch: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// run executes one experiment serially and prints its tables — the
-// single-name path RunMany generalises; kept for direct use and tests.
-func run(s *figures.Suite, name string) error {
-	tables, err := s.Run(name)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		t.Fprint(os.Stdout)
-	}
-	return nil
 }

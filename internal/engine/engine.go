@@ -692,7 +692,9 @@ type builderFactory func(m vec.Metric, seed int64, opts IndexOpts) (Builder, err
 // builders is the shard-family registry. It covers every family in the
 // snapshot codec registry (snapshot.Algos): the flat families exact and
 // ivfpq, and the graph families hnsw, diskann (Vamana), hcnng, and
-// togg. Algos derives the documented name list from this map, so the
+// togg. Every entry starts from its family's DefaultConfig, the one
+// recipe the figure suite builds with too; shard i is built with seed
+// seed+i. Algos derives the documented name list from this map, so the
 // two can never drift apart again.
 var builders = map[string]builderFactory{
 	"exact": func(m vec.Metric, _ int64, opts IndexOpts) (Builder, error) {
@@ -705,38 +707,30 @@ var builders = map[string]builderFactory{
 	},
 	"hnsw": func(m vec.Metric, seed int64, opts IndexOpts) (Builder, error) {
 		return func(shard int, data []vec.Vector) (ann.Index, error) {
-			return hnsw.Build(data, hnsw.Config{
-				M: 12, EfConstruction: 100, EfSearch: 64,
-				Metric: m, Seed: seed + int64(shard),
-				Quantized: opts.Quantized, Rerank: opts.Rerank,
-			})
+			cfg := hnsw.DefaultConfig(m)
+			cfg.Seed, cfg.Quantized, cfg.Rerank = seed+int64(shard), opts.Quantized, opts.Rerank
+			return hnsw.Build(data, cfg)
 		}, nil
 	},
 	"diskann": func(m vec.Metric, seed int64, opts IndexOpts) (Builder, error) {
 		return func(shard int, data []vec.Vector) (ann.Index, error) {
-			return vamana.Build(data, vamana.Config{
-				R: 24, L: 64, LSearch: 64, Alpha: 1.2,
-				Metric: m, Seed: seed + int64(shard),
-				Quantized: opts.Quantized, Rerank: opts.Rerank,
-			})
+			cfg := vamana.DefaultConfig(m)
+			cfg.Seed, cfg.Quantized, cfg.Rerank = seed+int64(shard), opts.Quantized, opts.Rerank
+			return vamana.Build(data, cfg)
 		}, nil
 	},
 	"hcnng": func(m vec.Metric, seed int64, opts IndexOpts) (Builder, error) {
 		return func(shard int, data []vec.Vector) (ann.Index, error) {
-			return hcnng.Build(data, hcnng.Config{
-				Clusterings: 10, LeafSize: 40, MaxDegree: 24, LSearch: 64,
-				Metric: m, Seed: seed + int64(shard),
-				Quantized: opts.Quantized, Rerank: opts.Rerank,
-			})
+			cfg := hcnng.DefaultConfig(m)
+			cfg.Seed, cfg.Quantized, cfg.Rerank = seed+int64(shard), opts.Quantized, opts.Rerank
+			return hcnng.Build(data, cfg)
 		}, nil
 	},
 	"togg": func(m vec.Metric, seed int64, opts IndexOpts) (Builder, error) {
 		return func(shard int, data []vec.Vector) (ann.Index, error) {
-			return togg.Build(data, togg.Config{
-				K: 12, GuideDims: 8, GuideHops: 32, LSearch: 64,
-				Metric: m, Seed: seed + int64(shard),
-				Quantized: opts.Quantized, Rerank: opts.Rerank,
-			})
+			cfg := togg.DefaultConfig(m)
+			cfg.Seed, cfg.Quantized, cfg.Rerank = seed+int64(shard), opts.Quantized, opts.Rerank
+			return togg.Build(data, cfg)
 		}, nil
 	},
 	"ivfpq": func(m vec.Metric, seed int64, opts IndexOpts) (Builder, error) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Experiment names in the paper's presentation order — the expansion of
@@ -109,6 +108,11 @@ func (s *Suite) Run(name string) ([]*Table, error) {
 // order. The first error aborts the emission (outstanding experiments
 // finish, their output is dropped).
 func RunMany(s *Suite, names []string, jobs int, w io.Writer) error {
+	return runMany(s.Run, names, jobs, w)
+}
+
+// runMany is RunMany over any experiment runner.
+func runMany(run func(name string) ([]*Table, error), names []string, jobs int, w io.Writer) error {
 	names = ExpandNames(names)
 	// Validate before launching anything: a typo must fail in
 	// microseconds, not after minutes of workload builds.
@@ -117,12 +121,7 @@ func RunMany(s *Suite, names []string, jobs int, w io.Writer) error {
 			return fmt.Errorf("unknown experiment %q", name)
 		}
 	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(names) {
-		jobs = len(names)
-	}
+	jobs = max(1, min(jobs, len(names)))
 
 	bufs := make([]bytes.Buffer, len(names))
 	errs := make([]error, len(names))
@@ -130,27 +129,30 @@ func RunMany(s *Suite, names []string, jobs int, w io.Writer) error {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
+	// The launcher takes a slot before spawning each experiment, so they
+	// start in input order; goroutines spawned first and left to race
+	// for the semaphore start in scheduler order (newest first).
 	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			defer close(done[i])
+	go func() {
+		for i, name := range names {
 			sem <- struct{}{}
-			defer func() { <-sem }()
-			tables, err := s.Run(name)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", name, err)
-				return
-			}
-			for _, t := range tables {
-				t.Fprint(&bufs[i])
-			}
-		}(i, name)
-	}
+			go func() {
+				defer func() { <-sem }()
+				defer close(done[i])
+				tables, err := run(name)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %w", name, err)
+					return
+				}
+				for _, t := range tables {
+					t.Fprint(&bufs[i])
+				}
+			}()
+		}
+	}()
 	// Emit in input order as experiments complete, so a long-running run
 	// streams results like the serial path while staying byte-identical.
+	// Every experiment has finished once its done channel is closed.
 	var firstErr error
 	for i := range names {
 		<-done[i]
@@ -165,6 +167,5 @@ func RunMany(s *Suite, names []string, jobs int, w io.Writer) error {
 			firstErr = err
 		}
 	}
-	wg.Wait()
 	return firstErr
 }

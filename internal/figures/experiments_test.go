@@ -2,6 +2,9 @@ package figures
 
 import (
 	"bytes"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +31,44 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("RunMany must surface the error")
 	} else if !strings.Contains(err.Error(), "fig99") {
 		t.Fatalf("error %v does not name the failing experiment", err)
+	}
+}
+
+// Experiments start in input order whenever jobs < len(names): `all`
+// at -j 1 starts with fig1 and streams it, instead of whichever
+// experiment the scheduler happens to run first.
+func TestRunManyStartsInInputOrder(t *testing.T) {
+	names := ExperimentNames()
+	for _, jobs := range []int{1, 2} {
+		var mu sync.Mutex
+		var started []string
+		run := func(name string) ([]*Table, error) {
+			mu.Lock()
+			started = append(started, name)
+			mu.Unlock()
+			return []*Table{{Title: name}}, nil
+		}
+		var buf bytes.Buffer
+		if err := runMany(run, []string{"all"}, jobs, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if jobs == 1 && !slices.Equal(started, names) {
+			t.Fatalf("-j 1 started experiments in order %v, want %v", started, names)
+		}
+		// With two slots the first two may swap, but nothing starts
+		// before the experiment two places ahead of it.
+		for i, name := range started {
+			if at := slices.Index(names, name); at > i+jobs-1 {
+				t.Fatalf("-j %d started %s at position %d: %v", jobs, name, i, started)
+			}
+		}
+		var want bytes.Buffer
+		for _, name := range names {
+			(&Table{Title: name}).Fprint(&want)
+		}
+		if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+			t.Fatalf("-j %d output not in input order:\n%s", jobs, buf.String())
+		}
 	}
 }
 
@@ -112,5 +153,44 @@ func TestSuiteConcurrentWorkloads(t *testing.T) {
 		if got[i] != got[0] {
 			t.Fatal("concurrent callers received different workload instances")
 		}
+	}
+}
+
+// Upsizing a workload (fig19 asks for 8x the batch) keeps the slot's
+// index and traces only the added queries: the smaller batch is a
+// prefix of the larger, which equals a from-scratch trace at that size,
+// and callers holding the smaller workload see it unchanged.
+func TestWorkloadSizedUpsizeReusesIndex(t *testing.T) {
+	s := NewSuite(expScale())
+	small, err := s.Workload("sift-1b", "hnsw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := s.Scale.Batch
+	smallQueries := slices.Clone(small.Batch.Queries)
+	big, err := s.WorkloadSized("sift-1b", "hnsw", 4*batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.Index != small.Index {
+		t.Fatal("upsizing rebuilt the workload's index")
+	}
+	if len(big.Batch.Queries) != 4*batch || len(small.Batch.Queries) != batch {
+		t.Fatalf("batch sizes %d and %d, want %d and %d",
+			len(big.Batch.Queries), len(small.Batch.Queries), 4*batch, batch)
+	}
+	if !reflect.DeepEqual(big.Batch.Queries[:batch], smallQueries) ||
+		!reflect.DeepEqual(small.Batch.Queries, smallQueries) {
+		t.Fatal("the smaller batch is not a prefix of the upsized one")
+	}
+	if math.Float64bits(big.Recall10) != math.Float64bits(small.Recall10) {
+		t.Fatalf("recall drifted on upsize: %v vs %v", big.Recall10, small.Recall10)
+	}
+	fresh, err := NewSuite(expScale()).WorkloadSized("sift-1b", "hnsw", 4*batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Batch, big.Batch) {
+		t.Fatal("upsized batch differs from a from-scratch trace at that size")
 	}
 }

@@ -8,11 +8,13 @@ package figures
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/core"
 	"ndsearch/internal/dataset"
+	"ndsearch/internal/engine"
 	"ndsearch/internal/graph"
 	"ndsearch/internal/hcnng"
 	"ndsearch/internal/hnsw"
@@ -42,32 +44,7 @@ type Scale struct {
 	// mode. Cached snapshots are keyed separately per mode.
 	Quantized bool
 	Rerank    int
-	// Serve selects how the graph indexes are served: "" or "ram"
-	// (fully resident, the default), "mmap", or "readat" (beyond-RAM
-	// paged serving over the cached snapshot files — requires a suite
-	// CacheDir, since the paged store traverses the file in place).
-	// Results are byte-identical across modes, so every figure is
-	// unchanged; cache entries are keyed separately per serving mode so
-	// paged runs, which hold their snapshot files open, never collide
-	// with RAM runs in the disk cache.
-	Serve string
 }
-
-// pagedBackend returns the paged serving backend, or "" for RAM modes.
-func (s Scale) pagedBackend() string {
-	if s.Serve == "" || s.Serve == "ram" {
-		return ""
-	}
-	return s.Serve
-}
-
-// quantOpts is the slice of Scale the index constructors need.
-type quantOpts struct {
-	quantized bool
-	rerank    int
-}
-
-func (s Scale) quant() quantOpts { return quantOpts{quantized: s.Quantized, rerank: s.Rerank} }
 
 // DefaultScale returns the standard experiment scale.
 func DefaultScale() Scale { return Scale{N: 4000, Batch: 1024, K: 10, Seed: 1} }
@@ -161,7 +138,10 @@ func (s *Suite) Workload(profName, algo string) (*Workload, error) {
 }
 
 // WorkloadSized returns a workload traced with at least `queries`
-// queries, rebuilding the cached entry if it is too small.
+// queries. Upsizing a cached workload keeps its index and traces only
+// the added queries: dataset.Generate draws the corpus before the
+// queries, so the corpus does not depend on the query count and the
+// cached batch is a prefix of the larger one.
 func (s *Suite) WorkloadSized(profName, algo string, queries int) (*Workload, error) {
 	key := fmt.Sprintf("%s/%s", profName, algo)
 	s.mu.Lock()
@@ -184,176 +164,120 @@ func (s *Suite) WorkloadSized(profName, algo string, queries int) (*Workload, er
 	if err != nil {
 		return nil, err
 	}
-	idx, maxDeg, err := s.buildOrLoadIndex(profName, algo, d)
-	if err != nil {
-		return nil, err
+	var w *Workload
+	if slot.w == nil {
+		idx, err := s.buildOrLoadIndex(profName, algo, d)
+		if err != nil {
+			return nil, err
+		}
+		w = &Workload{Profile: prof, Algo: algo, Index: idx, MaxDegree: workloadMaxDegree,
+			Batch: &trace.Batch{Dataset: prof.Name, Algo: algo}, Recall10: s.recall(idx, d)}
+	} else {
+		// A copy: callers still holding the smaller workload keep reading
+		// it while this one grows.
+		up, b := *slot.w, *slot.w.Batch
+		b.Queries = slices.Clip(b.Queries)
+		up.Batch = &b
+		w = &up
 	}
-	w := &Workload{Profile: prof, Algo: algo, Index: idx, MaxDegree: maxDeg}
-	w.Batch = &trace.Batch{Dataset: prof.Name, Algo: algo}
-	for qi, q := range d.Queries {
-		_, tr := idx.SearchTraced(q, s.Scale.K)
+	for qi := len(w.Batch.Queries); qi < len(d.Queries); qi++ {
+		_, tr := w.Index.SearchTraced(d.Queries[qi], s.Scale.K)
 		tr.QueryID = qi
 		w.Batch.Queries = append(w.Batch.Queries, tr)
-	}
-	// Measure recall on a small prefix to keep suite construction fast.
-	probe := 20
-	if probe > len(d.Queries) {
-		probe = len(d.Queries)
-	}
-	var sum float64
-	for _, q := range d.Queries[:probe] {
-		exact := ann.BruteForce(prof.Metric, d.Vectors, q, s.Scale.K)
-		approx := idx.Search(q, s.Scale.K)
-		sum += ann.Recall(approx, exact, s.Scale.K)
-	}
-	if probe > 0 {
-		w.Recall10 = sum / float64(probe)
 	}
 	slot.w = w
 	return w, nil
 }
 
-// buildOrLoadIndex consults the on-disk snapshot cache (when enabled)
-// before paying graph construction. The slot lock in WorkloadSized
-// serialises same-key callers, and snapshot.SaveFile is atomic
-// (temp + rename), so concurrent suite processes sharing a cache
-// directory race benignly.
-func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann.Index, int, error) {
-	backend := s.Scale.pagedBackend()
-	if s.CacheDir == "" {
-		if backend != "" {
-			return nil, 0, fmt.Errorf("figures: serving mode %q pages indexes out of snapshot files; it requires a cache directory", s.Scale.Serve)
-		}
-		return buildIndex(algo, d, s.Scale.Seed, s.Scale.quant())
+// recall measures idx's recall@K on a small query prefix, to keep suite
+// construction fast.
+func (s *Suite) recall(idx ann.Index, d *dataset.Dataset) float64 {
+	probe := min(20, len(d.Queries))
+	if probe == 0 {
+		return 0
 	}
-	// Mode-specific key suffixes keep every serving mode's entries apart:
-	// quantized beside full-precision (the "-sq8" precedent), and paged
-	// runs — which keep their snapshot files open/mmapped for the whole
-	// process — beside RAM runs that may rewrite stale entries.
+	var sum float64
+	for _, q := range d.Queries[:probe] {
+		exact := ann.BruteForce(d.Profile.Metric, d.Vectors, q, s.Scale.K)
+		sum += ann.Recall(idx.Search(q, s.Scale.K), exact, s.Scale.K)
+	}
+	return sum / float64(probe)
+}
+
+// buildOrLoadIndex builds the workload's index through the engine
+// registry as shard 0 (built with the suite's own seed), consulting the
+// on-disk snapshot cache (when enabled) before paying construction. The
+// slot lock in WorkloadSized serialises same-key callers, and
+// snapshot.SaveFile is atomic (temp + rename), so concurrent suite
+// processes sharing a cache directory race benignly.
+func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann.Index, error) {
+	build, err := engine.BuilderWithOpts(algo, d.Profile.Metric, s.Scale.Seed,
+		engine.IndexOpts{Quantized: s.Scale.Quantized, Rerank: s.Scale.Rerank})
+	if err != nil {
+		return nil, err
+	}
+	if s.CacheDir == "" {
+		return build(0, d.Vectors)
+	}
+	// Quantized entries are keyed apart from full-precision ones.
 	mode := ""
 	if s.Scale.Quantized {
 		mode = "-sq8"
 	}
-	if backend != "" {
-		mode += "-" + backend
-	}
 	path := filepath.Join(s.CacheDir,
 		fmt.Sprintf("%s-%s-n%d-seed%d%s.ndx", profName, algo, s.Scale.N, s.Scale.Seed, mode))
-	if backend != "" {
-		return s.loadOrBuildPaged(path, algo, d, backend)
-	}
 	if idx, err := snapshot.LoadFile(path); err == nil && idx.Len() == len(d.Vectors) &&
 		s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
-		return idx, workloadMaxDegree, nil
+		return idx, nil
 	}
-	idx, maxDeg, err := buildIndex(algo, d, s.Scale.Seed, s.Scale.quant())
+	idx, err := build(0, d.Vectors)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// Best effort: the cache is an optimization, so a write failure
 	// (read-only or full cache directory) must not fail a figure run
 	// that already holds a good index.
 	_, _ = snapshot.SaveFile(path, idx, vec.F32)
-	return idx, maxDeg, nil
-}
-
-// loadOrBuildPaged serves a suite workload's index out of its cached
-// snapshot file through the paged NodeStore (mmap or readat backend):
-// the beyond-RAM counterpart of the resident cache path, byte-identical
-// by the paged store's contract. A missing or stale entry is rebuilt,
-// saved, and reopened paged; if the save or reopen fails (read-only
-// cache directory), the freshly built resident index serves instead —
-// same results, just not paged. Paged handles stay open for the process
-// lifetime, as the suite serves from them until exit.
-func (s *Suite) loadOrBuildPaged(path, algo string, d *dataset.Dataset, backend string) (ann.Index, int, error) {
-	if pi, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: backend}); err == nil {
-		if idx := pi.Index(); idx.Len() == len(d.Vectors) && s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
-			return idx, workloadMaxDegree, nil
-		}
-		_ = pi.Close()
-	}
-	idx, maxDeg, err := buildIndex(algo, d, s.Scale.Seed, s.Scale.quant())
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := snapshot.SaveFile(path, idx, vec.F32); err == nil {
-		if pi, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: backend}); err == nil {
-			return pi.Index(), maxDeg, nil
-		}
-	}
-	return idx, maxDeg, nil
+	return idx, nil
 }
 
 // cachedIndexCurrent reports whether a cache-loaded index was built
-// with exactly the parameters buildIndex would use today — a stale
-// entry (hyperparameters changed since it was written) must be rebuilt,
-// or cached figure runs would silently diverge from cache-less ones.
+// with exactly the parameters a fresh build uses today — its family's
+// DefaultConfig with the suite's seed and quantized mode. A stale entry
+// (hyperparameters changed since it was written) must be rebuilt, or
+// cached figure runs would silently diverge from cache-less ones.
 func (s *Suite) cachedIndexCurrent(algo string, idx ann.Index, m vec.Metric) bool {
-	seed, q := s.Scale.Seed, s.Scale.quant()
+	seed, quantized, rerank := s.Scale.Seed, s.Scale.Quantized, s.Scale.Rerank
 	switch algo {
 	case "hnsw":
 		x, ok := idx.(*hnsw.Index)
-		return ok && x.Params() == suiteHNSWConfig(m, seed, q)
+		want := hnsw.DefaultConfig(m)
+		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
+		return ok && x.Params() == want
 	case "diskann":
 		x, ok := idx.(*vamana.Index)
-		return ok && x.Params() == suiteVamanaConfig(m, seed, q)
+		want := vamana.DefaultConfig(m)
+		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
+		return ok && x.Params() == want
 	case "hcnng":
 		x, ok := idx.(*hcnng.Index)
-		return ok && x.Params() == suiteHCNNGConfig(m, seed, q)
+		want := hcnng.DefaultConfig(m)
+		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
+		return ok && x.Params() == want
 	case "togg":
 		x, ok := idx.(*togg.Index)
-		return ok && x.Params() == suiteTOGGConfig(m, seed, q)
+		want := togg.DefaultConfig(m)
+		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
+		return ok && x.Params() == want
 	default:
 		return false
 	}
 }
 
-// workloadMaxDegree is the layout max degree every suite algorithm is
-// built with (buildIndex returns it per build; cache loads reuse it).
+// workloadMaxDegree is the graph R (the layout constant for footprints)
+// every suite workload reports to the platform models, whatever its
+// family.
 const workloadMaxDegree = 24
-
-// The suite build configurations, shared by buildIndex and the cache
-// staleness check so the two can never disagree.
-
-func suiteHNSWConfig(m vec.Metric, seed int64, q quantOpts) hnsw.Config {
-	return hnsw.Config{M: 12, EfConstruction: 100, EfSearch: 64, Metric: m, Seed: seed,
-		Quantized: q.quantized, Rerank: q.rerank}
-}
-
-func suiteVamanaConfig(m vec.Metric, seed int64, q quantOpts) vamana.Config {
-	return vamana.Config{R: 24, L: 64, LSearch: 64, Alpha: 1.2, Metric: m, Seed: seed,
-		Quantized: q.quantized, Rerank: q.rerank}
-}
-
-func suiteHCNNGConfig(m vec.Metric, seed int64, q quantOpts) hcnng.Config {
-	return hcnng.Config{Clusterings: 10, LeafSize: 40, MaxDegree: 24, LSearch: 64, Metric: m, Seed: seed,
-		Quantized: q.quantized, Rerank: q.rerank}
-}
-
-func suiteTOGGConfig(m vec.Metric, seed int64, q quantOpts) togg.Config {
-	return togg.Config{K: 12, GuideDims: 8, GuideHops: 32, LSearch: 64, Metric: m, Seed: seed,
-		Quantized: q.quantized, Rerank: q.rerank}
-}
-
-func buildIndex(algo string, d *dataset.Dataset, seed int64, q quantOpts) (ann.Index, int, error) {
-	m := d.Profile.Metric
-	switch algo {
-	case "hnsw":
-		idx, err := hnsw.Build(d.Vectors, suiteHNSWConfig(m, seed, q))
-		return idx, workloadMaxDegree, err
-	case "diskann":
-		idx, err := vamana.Build(d.Vectors, suiteVamanaConfig(m, seed, q))
-		return idx, workloadMaxDegree, err
-	case "hcnng":
-		idx, err := hcnng.Build(d.Vectors, suiteHCNNGConfig(m, seed, q))
-		return idx, workloadMaxDegree, err
-	case "togg":
-		idx, err := buildTOGG(d, seed, q)
-		return idx, workloadMaxDegree, err
-	default:
-		return nil, 0, fmt.Errorf("figures: unknown algorithm %q", algo)
-	}
-}
 
 // NDConfig returns the NDSEARCH configuration used by the experiments:
 // the full scheduling stack on the experiment-scale geometry.

@@ -4,11 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"ndsearch/internal/dataset"
-	"ndsearch/internal/togg"
-
-	"ndsearch/internal/ann"
 )
 
 // Table is one reproduced figure/table: a title, column headers, and
@@ -72,8 +67,4 @@ func (t *Table) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-func buildTOGG(d *dataset.Dataset, seed int64, q quantOpts) (ann.Index, error) {
-	return togg.Build(d.Vectors, suiteTOGGConfig(d.Profile.Metric, seed, q))
 }

@@ -40,9 +40,11 @@ type Config struct {
 	Rerank int
 }
 
-// DefaultConfig follows the HCNNG paper's recommended settings.
+// DefaultConfig is the HCNNG recipe engine and figures build with: the
+// one place these hyperparameters live. Callers fill in Seed and the
+// quantized mode.
 func DefaultConfig(metric vec.Metric) Config {
-	return Config{Clusterings: 12, LeafSize: 40, MaxDegree: 32, LSearch: 64, Metric: metric, Seed: 1}
+	return Config{Clusterings: 10, LeafSize: 40, MaxDegree: 24, LSearch: 64, Metric: metric, Seed: 1}
 }
 
 // Validate rejects unusable configurations.

@@ -42,10 +42,11 @@ type Config struct {
 	Rerank int
 }
 
-// DefaultConfig mirrors the common hnswlib defaults used by the paper's
-// CPU baseline.
+// DefaultConfig is the HNSW recipe engine and figures build with: the
+// one place these hyperparameters live. Callers fill in Seed and the
+// quantized mode.
 func DefaultConfig(metric vec.Metric) Config {
-	return Config{M: 16, EfConstruction: 200, EfSearch: 64, Metric: metric, Seed: 1}
+	return Config{M: 12, EfConstruction: 100, EfSearch: 64, Metric: metric, Seed: 1}
 }
 
 // Validate rejects unusable configurations.

@@ -44,9 +44,11 @@ type Config struct {
 	Rerank int
 }
 
-// DefaultConfig returns a configuration close to the TOGG paper's.
+// DefaultConfig is the TOGG recipe engine and figures build with: the
+// one place these hyperparameters live. Callers fill in Seed and the
+// quantized mode.
 func DefaultConfig(metric vec.Metric) Config {
-	return Config{K: 16, GuideDims: 8, GuideHops: 64, LSearch: 64, Metric: metric, Seed: 1}
+	return Config{K: 12, GuideDims: 8, GuideHops: 32, LSearch: 64, Metric: metric, Seed: 1}
 }
 
 // Validate rejects unusable configurations.

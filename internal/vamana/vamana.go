@@ -40,9 +40,11 @@ type Config struct {
 	Rerank int
 }
 
-// DefaultConfig mirrors the DiskANN defaults.
+// DefaultConfig is the Vamana (DiskANN) recipe engine and figures build
+// with: the one place these hyperparameters live. Callers fill in Seed
+// and the quantized mode.
 func DefaultConfig(metric vec.Metric) Config {
-	return Config{R: 32, L: 75, LSearch: 64, Alpha: 1.2, Metric: metric, Seed: 1}
+	return Config{R: 24, L: 64, LSearch: 64, Alpha: 1.2, Metric: metric, Seed: 1}
 }
 
 // Validate rejects unusable configurations.
