@@ -366,14 +366,22 @@ func (s *PagedStore) Dist(q vec.PreparedQuery, v uint32) float32 {
 // pages resolved in ids order, so touches and faults fall exactly as
 // one Dist call per id would make them — and the records are scored in
 // place after the cache lock is released, so concurrent searches on one
-// shard contend for bookkeeping only, never for the kernel.
+// shard contend for bookkeeping only, never for the kernel. An at-rest
+// chunk is scored in one batched call (vec's four-row L2 kernels).
 func (s *PagedStore) Dists(q *vec.PreparedQuery, ids []uint32, out []float32) {
 	var recs [resolveChunk][]byte
 	for len(ids) > 0 {
 		n := min(len(ids), resolveChunk)
 		s.records(ids[:n], recs[:n])
-		for i, rec := range recs[:n] {
-			out[i] = s.score(q, rec, s.meta.quantized)
+		if s.meta.quantized {
+			for i, rec := range recs[:n] {
+				out[i] = s.score(q, rec, true)
+			}
+		} else {
+			for i, rec := range recs[:n] {
+				recs[i] = rec[s.vecOff:s.vecEnd]
+			}
+			q.DistancesToStored(s.elem, recs[:n], out[:n])
 		}
 		ids, out = ids[n:], out[n:]
 	}

@@ -56,5 +56,12 @@ func parseSQ8Scales(f *file, h Header) (rerank int, scales []float32, ok bool, e
 	if err := d.done(); err != nil {
 		return 0, nil, false, err
 	}
+	// The rule vec.SQ8FromParts enforces, checked here so the paged
+	// open (which never builds an SQ8) refuses the same files Load does.
+	for i, sc := range scales {
+		if math.IsNaN(float64(sc)) || math.IsInf(float64(sc), 0) || sc < 0 {
+			return 0, nil, false, fmt.Errorf("%w: sq8 scale %d is %v", ErrCorrupt, i, sc)
+		}
+	}
 	return rerank, scales, true, nil
 }

@@ -197,7 +197,10 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 // Damage to a quantized file's SQ8 tier surfaces as the right typed
 // error: bit rot under a checksum (the scales in "sq8s", the codes in
 // the blocks records) is ErrChecksum; a structurally invalid "sq8s"
-// payload behind a valid checksum is ErrCorrupt. Never a panic.
+// payload behind a valid checksum is ErrCorrupt. Never a panic, and
+// the paged open refuses each "sq8s" image with the same sentinel as
+// Load; a flipped code byte it cannot see, because it never reads the
+// whole blocks payload.
 func TestSQ8SectionCorruption(t *testing.T) {
 	built := buildQuantFamily(t, "hnsw", vec.L2, testData(100, 8, 23), 8)
 	var buf bytes.Buffer
@@ -224,21 +227,24 @@ func TestSQ8SectionCorruption(t *testing.T) {
 		mutate func(img, sq8s []byte)
 		reseal bool
 		want   error
+		// pagedOpens marks damage inside the blocks payload, which
+		// OpenPagedFile never checksums (only Load reads all of it).
+		pagedOpens bool
 	}{
-		{"flip scale byte", func(_, p []byte) { p[scalesOff] ^= 0xFF }, false, ErrChecksum},
-		{"flip code byte", func(img, _ []byte) { img[codeByte] ^= 0xFF }, false, ErrChecksum},
+		{"flip scale byte", func(_, p []byte) { p[scalesOff] ^= 0xFF }, false, ErrChecksum, false},
+		{"flip code byte", func(img, _ []byte) { img[codeByte] ^= 0xFF }, false, ErrChecksum, true},
 		{"dim mismatch", func(_, p []byte) {
 			binary.LittleEndian.PutUint32(p[dimOff:], binary.LittleEndian.Uint32(p[dimOff:])+1)
-		}, true, ErrCorrupt},
+		}, true, ErrCorrupt, false},
 		{"rerank out of range", func(_, p []byte) {
 			binary.LittleEndian.PutUint32(p[rerankOff:], 0xFFFFFFFF)
-		}, true, ErrCorrupt},
+		}, true, ErrCorrupt, false},
 		{"NaN scale", func(_, p []byte) {
 			binary.LittleEndian.PutUint32(p[scalesOff:], math.Float32bits(float32(math.NaN())))
-		}, true, ErrCorrupt},
+		}, true, ErrCorrupt, false},
 		{"negative scale", func(_, p []byte) {
 			binary.LittleEndian.PutUint32(p[scalesOff:], math.Float32bits(-1))
-		}, true, ErrCorrupt},
+		}, true, ErrCorrupt, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,7 +255,18 @@ func TestSQ8SectionCorruption(t *testing.T) {
 				resealFrame(t, bad, "sq8s")
 			}
 			if _, err := loadBytes(t, tc.name, bad); !errors.Is(err, tc.want) {
-				t.Errorf("err = %v, want %v", err, tc.want)
+				t.Errorf("Load: err = %v, want %v", err, tc.want)
+			}
+			want := tc.want
+			if tc.pagedOpens {
+				want = nil
+			}
+			pi, err := openPagedBytes(t, tc.name, bad)
+			if err == nil {
+				pi.Close()
+			}
+			if !errors.Is(err, want) {
+				t.Errorf("OpenPagedFile: err = %v, want %v", err, want)
 			}
 		})
 	}

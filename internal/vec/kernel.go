@@ -19,6 +19,10 @@ import (
 // same accumulation order, so distances are internally consistent and
 // exact-search results are reproducible bit for bit across BruteForce,
 // Exact, and the sharded engine.
+//
+// Every L2 path over float32 rows goes through l2sq / l2sqRows4, which
+// run SSE2 bodies on amd64 (kernel_amd64.s) with l2sq4's exact bits;
+// l2sq4 itself is the reference and the path on other GOARCHes.
 
 // dot4 is the 4-way unrolled inner product.
 func dot4(a, b []float32) float32 {
@@ -57,6 +61,18 @@ func l2sq4(a, b []float32) float32 {
 		s0 += d * d
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// l2sq is the float32 L2 entry every kernel path calls: l2sq4's bits,
+// from the SSE2 body on amd64 (kernel_amd64.go). b is sliced to len(a)
+// here, so a short row panics in Go before the assembly runs.
+func l2sq(a, b []float32) float32 { return l2sqF32x1(a, b[:len(a)]) }
+
+// l2sqRows4 is l2sq from q to four rows in one pass: four independent
+// add chains whose loads overlap, each result l2sq's bits.
+func l2sqRows4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
+	n := len(q)
+	return l2sqF32x4(q, r0[:n], r1[:n], r2[:n], r3[:n])
 }
 
 // squaredNorm is the 4-way unrolled squared Euclidean norm. Matrix
@@ -139,7 +155,7 @@ func (q *PreparedQuery) DistanceTo(v Vector) float32 {
 	}
 	switch q.metric {
 	case L2:
-		return l2sq4(q.vec, v)
+		return l2sq(q.vec, v)
 	case Angular:
 		vn := float32(math.Sqrt(float64(squaredNorm(v))))
 		return angularFromDot(dot4(q.vec, v), q.norm, vn)
@@ -221,7 +237,7 @@ func (k *Kernel) DistTo(q PreparedQuery, row int) float32 {
 	}
 	switch k.metric {
 	case L2:
-		return l2sq4(q.vec, r)
+		return l2sq(q.vec, r)
 	case Angular:
 		return angularFromDot(dot4(q.vec, r), q.norm, k.mat.norms[row])
 	case InnerProduct:
@@ -250,8 +266,15 @@ func (k *Kernel) DistsTo(q PreparedQuery, rows []uint32, out []float32) {
 	dim, buf := k.mat.dim, k.mat.buf
 	switch k.metric {
 	case L2:
-		for i, r := range rows {
-			out[i] = l2sq4(q.vec, buf[int(r)*dim:int(r)*dim+dim])
+		i := 0
+		for ; i+4 <= len(rows); i += 4 {
+			r := rows[i : i+4 : i+4]
+			out[i], out[i+1], out[i+2], out[i+3] = l2sqRows4(q.vec,
+				buf[int(r[0])*dim:int(r[0])*dim+dim], buf[int(r[1])*dim:int(r[1])*dim+dim],
+				buf[int(r[2])*dim:int(r[2])*dim+dim], buf[int(r[3])*dim:int(r[3])*dim+dim])
+		}
+		for ; i < len(rows); i++ {
+			out[i] = l2sq(q.vec, buf[int(rows[i])*dim:int(rows[i])*dim+dim])
 		}
 	case Angular:
 		for i, r := range rows {
@@ -282,8 +305,14 @@ func (k *Kernel) DistsAll(q PreparedQuery, out []float32) {
 	dim, buf := k.mat.dim, k.mat.buf
 	switch k.metric {
 	case L2:
-		for i := range out {
-			out[i] = l2sq4(q.vec, buf[i*dim:i*dim+dim])
+		i := 0
+		for ; i+4 <= len(out); i += 4 {
+			r := buf[i*dim : (i+4)*dim]
+			out[i], out[i+1], out[i+2], out[i+3] = l2sqRows4(q.vec,
+				r[:dim], r[dim:2*dim], r[2*dim:3*dim], r[3*dim:])
+		}
+		for ; i < len(out); i++ {
+			out[i] = l2sq(q.vec, buf[i*dim:i*dim+dim])
 		}
 	case Angular:
 		for i := range out {
@@ -326,7 +355,7 @@ func (k *Kernel) DistRows(i, j int) float32 {
 	a, b := k.mat.Row(i), k.mat.Row(j)
 	switch k.metric {
 	case L2:
-		return l2sq4(a, b)
+		return l2sq(a, b)
 	case Angular:
 		return angularFromDot(dot4(a, b), k.mat.norms[i], k.mat.norms[j])
 	case InnerProduct:

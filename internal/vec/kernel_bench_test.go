@@ -119,3 +119,51 @@ func BenchmarkQuantKernel(b *testing.B) {
 		}
 	}
 }
+
+// expansionShape is one graph expansion on the served corpus: 24
+// random rows of an 8 000 × 128 matrix (sift-1b's dim), the shortlist
+// a traversal hands DistsTo or a paged chunk hands DistancesToStored.
+const expansionRows, expansionCorpus, expansionDim = 24, 8000, 128
+
+// BenchmarkDistsTo measures one expansion's float32 L2 shortlist
+// through the batched kernel (four rows per pass).
+func BenchmarkDistsTo(b *testing.B) {
+	data, query := benchData(expansionCorpus, expansionDim)
+	k := NewKernel(L2, NewMatrix(data))
+	q := k.Prepare(query)
+	rng := rand.New(rand.NewSource(43))
+	ids := make([]uint32, expansionRows)
+	for i := range ids {
+		ids[i] = uint32(rng.Intn(expansionCorpus))
+	}
+	out := make([]float32, expansionRows)
+	for b.Loop() {
+		k.DistsTo(q, ids, out)
+	}
+	benchSink = out[0]
+}
+
+// BenchmarkDistancesToStored is BenchmarkDistsTo's shape over u8
+// at-rest rows — the paged store's per-chunk scoring call.
+func BenchmarkDistancesToStored(b *testing.B) {
+	rng := rand.New(rand.NewSource(43))
+	corpus := make([]byte, expansionCorpus*expansionDim)
+	for i := range corpus {
+		corpus[i] = byte(rng.Intn(256))
+	}
+	query := make(Vector, expansionDim)
+	for i := range query {
+		query[i] = float32(rng.Intn(256))
+	}
+	q := PrepareQuery(L2, query)
+	rows := make([][]byte, expansionRows)
+	for i := range rows {
+		r := rng.Intn(expansionCorpus)
+		rows[i] = corpus[r*expansionDim : (r+1)*expansionDim]
+	}
+	out := make([]float32, expansionRows)
+	for b.Loop() {
+		q.DistancesToStored(U8, rows, out)
+	}
+	benchSink = out[0]
+}

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,4 +153,116 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	k.DistTo(q, 0)
+}
+
+// asmDraws are the value distributions the assembly oracle draws rows
+// and queries from: all zero, normal × 37, the full u8 range, and
+// magnitudes whose differences and squares overflow to ±Inf.
+var asmDraws = []struct {
+	name string
+	draw func(rng *rand.Rand) float32
+}{
+	{"zero", func(*rand.Rand) float32 { return 0 }},
+	{"normal", func(rng *rand.Rand) float32 { return float32(rng.NormFloat64() * 37) }},
+	{"u8", func(rng *rand.Rand) float32 { return float32(rng.Intn(256)) }},
+	{"huge", func(rng *rand.Rand) float32 {
+		x := float32(math.Pow(10, 19+19*rng.Float64()))
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		return x
+	}},
+}
+
+// The L2 entries (assembly on amd64) are their Go bodies bit for bit:
+// l2sqF32x1/l2sqF32x4 against l2sq4, l2sqU8x1/l2sqU8x4 against l2sqU8,
+// and the batched callers built on them (Kernel.DistsTo, DistsAll,
+// PreparedQuery.DistancesToStored) at every batch length 0–9, so each
+// remainder mod 4 is hit. U8 rows sit at odd byte offsets inside a
+// page-sized buffer, as records in a cache page do.
+func TestAsmKernelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	same := func(t *testing.T, what string, got, want float32) {
+		t.Helper()
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s: got %v (%08x), Go body %v (%08x)", what, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+	for _, dim := range []int{0, 1, 3, 4, 5, 7, 100, 127, 128, 131, 960} {
+		for _, qd := range asmDraws {
+			for _, rd := range asmDraws {
+				t.Run(fmt.Sprintf("d%d/q=%s/rows=%s", dim, qd.name, rd.name), func(t *testing.T) {
+					q := make(Vector, dim)
+					for i := range q {
+						q[i] = qd.draw(rng)
+					}
+					const maxRows = 9
+					rows := make([]Vector, maxRows)
+					for r := range rows {
+						rows[r] = make(Vector, dim)
+						for i := range rows[r] {
+							rows[r][i] = rd.draw(rng)
+						}
+					}
+					// U8 rows (all zero, or over the full byte range),
+					// each at an odd offset in page-sized memory.
+					stride := (dim | 1) + 1
+					page := make([]byte, max(4096, (1+maxRows*stride+4095)/4096*4096))
+					bytesRows := make([][]byte, maxRows)
+					for r := range bytesRows {
+						b := page[1+r*stride : 1+r*stride+dim]
+						if rd.name != "zero" {
+							for i := range b {
+								b[i] = byte(rng.Intn(256))
+							}
+						}
+						bytesRows[r] = b
+					}
+					wantF := make([]float32, maxRows)
+					wantU := make([]float32, maxRows)
+					for r := 0; r < maxRows; r++ {
+						wantF[r] = l2sq4(q, rows[r])
+						wantU[r] = l2sqU8(q, bytesRows[r])
+						same(t, fmt.Sprintf("l2sqF32x1 row %d", r), l2sqF32x1(q, rows[r]), wantF[r])
+						same(t, fmt.Sprintf("l2sqU8x1 row %d", r), l2sqU8x1(q, bytesRows[r]), wantU[r])
+					}
+					for r := 0; r+4 <= maxRows; r++ {
+						var f, u [4]float32
+						f[0], f[1], f[2], f[3] = l2sqF32x4(q, rows[r], rows[r+1], rows[r+2], rows[r+3])
+						u[0], u[1], u[2], u[3] = l2sqU8x4(q, bytesRows[r], bytesRows[r+1], bytesRows[r+2], bytesRows[r+3])
+						for j := range f {
+							same(t, fmt.Sprintf("l2sqF32x4 row %d", r+j), f[j], wantF[r+j])
+							same(t, fmt.Sprintf("l2sqU8x4 row %d", r+j), u[j], wantU[r+j])
+						}
+					}
+
+					k := NewKernel(L2, NewMatrix(rows))
+					pq := k.Prepare(q)
+					for n := 0; n <= maxRows; n++ {
+						ids := make([]uint32, n)
+						srcs := make([][]byte, n)
+						for i := range ids {
+							ids[i] = uint32(rng.Intn(maxRows))
+							srcs[i] = bytesRows[ids[i]]
+						}
+						out := make([]float32, n)
+						k.DistsTo(pq, ids, out)
+						for i, id := range ids {
+							same(t, fmt.Sprintf("DistsTo n=%d [%d]", n, i), out[i], wantF[id])
+						}
+						pq.DistancesToStored(U8, srcs, out)
+						for i, id := range ids {
+							same(t, fmt.Sprintf("DistancesToStored n=%d [%d]", n, i), out[i], wantU[id])
+						}
+						if n > 0 {
+							NewKernel(L2, NewMatrix(rows[:n])).DistsAll(pq, out)
+							for i := range out {
+								same(t, fmt.Sprintf("DistsAll n=%d [%d]", n, i), out[i], wantF[i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }

@@ -19,26 +19,22 @@ import (
 // DecodeInto followed by DistanceTo / DistanceToCodes, and through
 // those to the resident Kernel. The Angular kernels carry the dot and
 // the row's squared norm through one pass in independent accumulators,
-// which changes neither sum.
+// which changes neither sum. L2 over U8 rows runs the SSE2 bodies on
+// amd64 (kernel_amd64.s), bit-identical to l2sqU8.
 
 // DistanceToStored evaluates the prepared query against one vector in
 // its at-rest encoding of element kind k (the bytes Encode wrote).
 // Bit-identical to DecodeInto + DistanceTo; src must be exactly
 // StoredBytes(k, dim) long.
 func (q *PreparedQuery) DistanceToStored(k ElemKind, src []byte) float32 {
-	if k > I8 {
-		panic(fmt.Sprintf("vec: unknown element kind %d", k))
-	}
-	if len(src) != StoredBytes(k, len(q.vec)) {
-		panic(fmt.Sprintf("vec: dim mismatch %d vs %d stored bytes of %v", len(q.vec), len(src), k))
-	}
+	q.checkStored(k, src)
 	switch q.metric {
 	case L2:
 		switch k {
 		case F32:
 			return l2sqF32(q.vec, src)
 		case U8:
-			return l2sqU8(q.vec, src)
+			return l2sqU8x1(q.vec, src)
 		default:
 			return l2sqS8(q.vec, src)
 		}
@@ -64,6 +60,42 @@ func (q *PreparedQuery) DistanceToStored(k ElemKind, src []byte) float32 {
 		}
 	default:
 		panic(fmt.Sprintf("vec: unknown metric %d", q.metric))
+	}
+}
+
+// DistancesToStored evaluates the prepared query against each at-rest
+// row of element kind k, writing out[i] = DistanceToStored(k, rows[i])
+// bit for bit (len(out) must equal len(rows)). It is the batched entry
+// paged stores score a resolved chunk of records through: L2 over U8
+// rows runs four rows per kernel pass, like Kernel.DistsTo.
+func (q *PreparedQuery) DistancesToStored(k ElemKind, rows [][]byte, out []float32) {
+	if len(out) != len(rows) {
+		panic(fmt.Sprintf("vec: DistancesToStored out length %d != rows %d", len(out), len(rows)))
+	}
+	i := 0
+	if q.metric == L2 && k == U8 {
+		for ; i+4 <= len(rows); i += 4 {
+			r := rows[i : i+4 : i+4]
+			for _, src := range r {
+				q.checkStored(k, src)
+			}
+			out[i], out[i+1], out[i+2], out[i+3] = l2sqU8x4(q.vec, r[0], r[1], r[2], r[3])
+		}
+	}
+	for ; i < len(rows); i++ {
+		out[i] = q.DistanceToStored(k, rows[i])
+	}
+}
+
+// checkStored panics unless src is one vector of q's dimension in
+// element kind k — the check every at-rest entry makes before a kernel
+// reads src.
+func (q *PreparedQuery) checkStored(k ElemKind, src []byte) {
+	if k > I8 {
+		panic(fmt.Sprintf("vec: unknown element kind %d", k))
+	}
+	if len(src) != StoredBytes(k, len(q.vec)) {
+		panic(fmt.Sprintf("vec: dim mismatch %d vs %d stored bytes of %v", len(q.vec), len(src), k))
 	}
 }
 

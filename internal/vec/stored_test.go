@@ -36,7 +36,8 @@ var storedDims = []int{0, 1, 3, 4, 5, 12, 100, 128, 131}
 // The at-rest kernels are the decode-then-score path bit for bit: for
 // every metric, element kind and dimension (multiples of the unroll
 // width and not), on random and all-zero rows and queries,
-// DistanceToStored equals DecodeInto + DistanceTo by Float32bits, and
+// DistanceToStored (and the batched DistancesToStored over all of a
+// case's rows) equals DecodeInto + DistanceTo by Float32bits, and
 // DecodeAt reads what DecodeInto writes.
 func TestDistanceToStoredMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -48,8 +49,12 @@ func TestDistanceToStoredMatchesDecode(t *testing.T) {
 						PrepareQuery(m, randVec(rng, dim)),
 						PrepareQuery(m, make(Vector, dim)),
 					}
-					for trial := 0; trial < 6; trial++ {
+					const trials = 6
+					srcs := make([][]byte, trials)
+					wants := make([][trials]float32, len(queries))
+					for trial := 0; trial < trials; trial++ {
 						src := storedRow(t, rng, k, dim, trial == 0)
+						srcs[trial] = src
 						row := make(Vector, dim)
 						if err := DecodeInto(k, src, row); err != nil {
 							t.Fatal(err)
@@ -64,6 +69,18 @@ func TestDistanceToStoredMatchesDecode(t *testing.T) {
 							got, want := q.DistanceToStored(k, src), q.DistanceTo(row)
 							if math.Float32bits(got) != math.Float32bits(want) {
 								t.Fatalf("trial %d query %d: at rest %v (%08x), decoded %v (%08x)",
+									trial, qi, got, math.Float32bits(got), want, math.Float32bits(want))
+							}
+							wants[qi][trial] = want
+						}
+					}
+					// The batched entry over all trials' rows at once.
+					for qi := range queries {
+						out := make([]float32, trials)
+						queries[qi].DistancesToStored(k, srcs, out)
+						for trial, got := range out {
+							if want := wants[qi][trial]; math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("batched trial %d query %d: at rest %v (%08x), decoded %v (%08x)",
 									trial, qi, got, math.Float32bits(got), want, math.Float32bits(want))
 							}
 						}
@@ -128,6 +145,10 @@ func TestStoredKernelsPanicOnDimMismatch(t *testing.T) {
 		}
 	}
 	mustPanic("unknown kind", func() { q.DistanceToStored(ElemKind(9), make([]byte, 8)) })
+	// The batched entry checks every row, inside a four-row pass too.
+	short := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 7), make([]byte, 8)}
+	mustPanic("batched/short row", func() { q.DistancesToStored(U8, short, make([]float32, 4)) })
+	mustPanic("batched/out length", func() { q.DistancesToStored(U8, short[:1], make([]float32, 2)) })
 	mustPanic("codes/7", func() { q.DistanceToCodeBytes(make([]byte, 7)) })
 	mustPanic("codes/9", func() { q.DistanceToCodeBytes(make([]byte, 9)) })
 	plain := PrepareQuery(L2, make(Vector, 8))
