@@ -15,8 +15,8 @@
 //	GET  /healthz  liveness + engine configuration (incl. generation count)
 //	GET  /stats    cumulative serving counters (incl. mutation/compaction)
 //	GET  /metrics  Prometheus text exposition (latency/batch-size
-//	               histograms, coalescer wait, compaction, page and
-//	               mutation counters; DESIGN.md §13)
+//	               histograms, compaction, page and mutation counters;
+//	               DESIGN.md §13)
 //	GET  /debug/pprof/*  runtime profilers (only with -pprof)
 //
 // Flags:
@@ -56,11 +56,8 @@
 // background past -compact-threshold, or on demand via POST /compact —
 // drains the delta into a freshly built base generation.
 //
-// Single-query /search requests are admitted through a micro-batcher
-// (internal/batcher): an idle engine serves a lone request at once, and
-// while a batch runs the requests arriving meanwhile queue and form the
-// next one — a request waits at most for the batch already running.
-// Explicit "queries" batches go to the engine directly.
+// Every /search request, single query or "queries" batch, runs as one
+// engine batch; the engine's task channel is the only admission queue.
 //
 // -save-index and -load-index are the build-once / serve-many split:
 // one invocation pays graph construction and writes a checksummed
@@ -72,8 +69,7 @@
 // §10), serving corpora larger than resident memory with results
 // byte-identical to -serve ram; /stats then reports the software
 // page-touch and fault counters. On SIGINT/SIGTERM the server drains gracefully:
-// in-flight (including coalesced) searches complete before the process
-// exits.
+// in-flight searches complete before the process exits.
 package main
 
 import (
@@ -255,13 +251,13 @@ func validateFlags(n, shards, workers, rerank int,
 // serve runs hsrv on ln until the listener fails or a shutdown signal
 // arrives, then drains gracefully: http.Server.Shutdown (with a
 // deadline) stops accepting and waits for in-flight handlers — so
-// coalesced searches queued in the batcher complete and respond — and
-// only then srv.Close drains the batcher and stops the engine's worker
-// pool. Both exit paths go through Shutdown first: handlers may still
-// be mid-search even when the accept loop fails, and closing the
-// batcher/engine under them would panic their channel sends. If the
-// grace deadline expires with handlers still running, srv is left
-// unclosed on purpose (the process is exiting anyway).
+// searches whose tasks are queued in the engine complete and respond —
+// and only then srv.Close stops the engine's worker pool. Both exit
+// paths go through Shutdown first: handlers may still be mid-search
+// even when the accept loop fails, and closing the engine under them
+// would panic their task sends. If the grace deadline expires with
+// handlers still running, srv is left unclosed on purpose (the process
+// is exiting anyway).
 func serve(hsrv *http.Server, srv *Server, ln net.Listener, sig <-chan os.Signal, grace time.Duration) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- hsrv.Serve(ln) }()

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,58 +228,66 @@ func TestHealthzStatsRejectNonGet(t *testing.T) {
 	}
 }
 
-// A plain NewServer answers a single-query request through the
-// coalescer, with the same results as the direct path and coalesced
-// batch info; /stats carries a coalescer section.
-func TestCoalescedSingleQueryPath(t *testing.T) {
+// A single-query /search runs the same engine call as a batch: its
+// reply has the batch reply's keys, and each query's results are
+// byte-identical to its slot in one batch reply (and to the exact
+// unsharded answer).
+func TestSingleQueryMatchesBatchReply(t *testing.T) {
 	srv, d := testServer(t, 2)
 	h := srv.Handler()
-	unsharded := ann.NewExact(d.Profile.Metric, d.Vectors)
-	for qi, q := range d.Queries[:4] {
-		rec, resp := postSearch(t, h, SearchRequest{Query: asFloats(q), K: 5})
-		if resp == nil {
-			t.Fatalf("query %d failed: %d %s", qi, rec.Code, rec.Body.String())
-		}
-		if !resp.Batch.Coalesced || resp.Batch.Size < 1 || resp.Batch.CoalescedSubmits < 1 {
-			t.Fatalf("query %d: batch info not coalesced: %+v", qi, resp.Batch)
-		}
-		want := unsharded.Search(q, 5)
-		if len(resp.Results) != 1 || len(resp.Results[0]) != len(want) {
-			t.Fatalf("query %d: bad result shape", qi)
-		}
-		for i := range want {
-			if resp.Results[0][i].ID != want[i].ID || resp.Results[0][i].Dist != want[i].Dist {
-				t.Fatalf("query %d result %d: got %+v, want %+v",
-					qi, i, resp.Results[0][i], want[i])
-			}
-		}
+	type reply struct {
+		Results []json.RawMessage          `json:"results"`
+		Batch   map[string]json.RawMessage `json:"batch"`
 	}
-	// Explicit batches stay on the direct path.
-	_, resp := postSearch(t, h, SearchRequest{
-		Queries: [][]float32{asFloats(d.Queries[0]), asFloats(d.Queries[1])}, K: 3,
-	})
-	if resp == nil || resp.Batch.Coalesced {
-		t.Fatalf("explicit batch must not be coalesced: %+v", resp)
+	post := func(req SearchRequest) reply {
+		t.Helper()
+		rec, resp := postSearch(t, h, req)
+		if resp == nil {
+			t.Fatalf("search failed: %d %s", rec.Code, rec.Body.String())
+		}
+		var r reply
+		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	queries := d.Queries[:4]
+	batchReq := SearchRequest{K: 5}
+	for _, q := range queries {
+		batchReq.Queries = append(batchReq.Queries, asFloats(q))
+	}
+	batch := post(batchReq)
+	if len(batch.Results) != len(queries) {
+		t.Fatalf("batch reply has %d result lists, want %d", len(batch.Results), len(queries))
+	}
+	wantKeys := []string{"latency_us", "qps", "shards", "size"}
+	if got := slices.Sorted(maps.Keys(batch.Batch)); !slices.Equal(got, wantKeys) {
+		t.Fatalf("batch reply batch keys = %v, want %v", got, wantKeys)
+	}
+	unsharded := ann.NewExact(d.Profile.Metric, d.Vectors)
+	for qi, q := range queries {
+		single := post(SearchRequest{Query: asFloats(q), K: 5})
+		if got := slices.Sorted(maps.Keys(single.Batch)); !slices.Equal(got, wantKeys) {
+			t.Fatalf("query %d: single reply batch keys = %v, want %v", qi, got, wantKeys)
+		}
+		if len(single.Results) != 1 || !bytes.Equal(single.Results[0], batch.Results[qi]) {
+			t.Fatalf("query %d: single reply results %s, batch slot %s", qi, single.Results, batch.Results[qi])
+		}
+		want, err := json.Marshal(toWire(unsharded.Search(q, 5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(single.Results[0], want) {
+			t.Fatalf("query %d: results %s, exact unsharded %s", qi, single.Results[0], want)
+		}
 	}
 
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw["coalescer"]; !ok {
-		t.Fatalf("/stats has no coalescer block: %s", rec.Body.String())
-	}
 	var stats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+	if err := json.Unmarshal(get(h, "/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Coalescer.Submits != 4 || stats.Coalescer.Batches < 1 {
-		t.Fatalf("bad coalescer stats: %+v", stats.Coalescer)
-	}
-	if len(stats.PerShardSearches) != 2 {
-		t.Fatalf("per_shard_searches = %v, want 2 shards", stats.PerShardSearches)
+	if stats.Batches != 5 || stats.Queries != 8 || len(stats.PerShardSearches) != 2 {
+		t.Fatalf("stats %+v, want 5 engine batches of 8 queries over 2 shards", stats)
 	}
 }
 
@@ -286,6 +297,48 @@ func TestSearchRejectsOversizedBody(t *testing.T) {
 	rec, _ := postSearch(t, srv.Handler(), SearchRequest{Query: asFloats(d.Queries[0])})
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: code %d, want 413 (%s)", rec.Code, rec.Body.String())
+	}
+}
+
+// A body is exactly one JSON value: a second value or trailing garbage
+// after it is a 400 with nothing applied, on every decoding endpoint;
+// trailing whitespace is fine.
+func TestRejectsTrailingDataAfterBody(t *testing.T) {
+	srv, d := testServer(t, 2)
+	h := srv.Handler()
+	q, err := json.Marshal(asFloats(d.Queries[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := `{"query":` + string(q) + `,"k":3}`
+	upsert := `{"id":9000,"vector":` + string(q) + `}`
+	for _, c := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/delete", `{"ids":[1]}{"ids":[2,3]}`, http.StatusBadRequest},
+		{"/delete", `{"ids":[1]} garbage`, http.StatusBadRequest},
+		{"/upsert", upsert + `{"id":9001,"vector":` + string(q) + `}`, http.StatusBadRequest},
+		{"/upsert", upsert + `]`, http.StatusBadRequest},
+		{"/search", search + search, http.StatusBadRequest},
+		{"/search", search + ` 7`, http.StatusBadRequest},
+		{"/search", search + " \n\t", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.code {
+			t.Errorf("POST %s %.40q...: code %d, want %d (%s)", c.path, c.body, rec.Code, c.code, rec.Body.String())
+			continue
+		}
+		if c.code == http.StatusBadRequest && !strings.Contains(rec.Body.String(), "trailing data after JSON body") {
+			t.Errorf("POST %s: error %s, want trailing-data message", c.path, rec.Body.String())
+		}
+	}
+	if st := srv.engine.MutStats(); st.Upserts != 0 || st.Deletes != 0 {
+		t.Fatalf("a rejected body was applied: %+v", st)
+	}
+	if st := srv.engine.Stats(); st.Batches != 1 {
+		t.Fatalf("engine ran %d batches, want only the whitespace-tailed search", st.Batches)
 	}
 }
 
@@ -436,13 +489,13 @@ func TestSaveLoadIndexFlow(t *testing.T) {
 	}
 }
 
-// gatedServer is testServer on one shard and one worker, every shard
+// gatedServer is testServer on one shard and two workers, every shard
 // search parked until open is called; held receives as a search parks.
 // Cleanup opens the gate before closing the server.
 func gatedServer(t *testing.T) (srv *Server, d *dataset.Dataset, held <-chan struct{}, open func()) {
 	t.Helper()
 	prof := dataset.Sift1B()
-	d, err := dataset.Generate(prof, dataset.GenConfig{N: 200, Queries: 2, Seed: 11})
+	d, err := dataset.Generate(prof, dataset.GenConfig{N: 200, Queries: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +504,7 @@ func gatedServer(t *testing.T) (srv *Server, d *dataset.Dataset, held <-chan str
 		t.Fatal(err)
 	}
 	hold, release := make(chan struct{}, 1), make(chan struct{})
-	e, err := engine.New(d.Vectors, engine.Config{Shards: 1, Workers: 1,
+	e, err := engine.New(d.Vectors, engine.Config{Shards: 1, Workers: 2,
 		Builder: func(shard int, data []vec.Vector) (ann.Index, error) {
 			idx, err := b(shard, data)
 			if err != nil {
@@ -484,9 +537,10 @@ func (x gatedIndex) SearchFilter(q vec.Vector, k int, skip func(uint32) bool) []
 	return x.Index.SearchFilter(q, k, skip)
 }
 
-// Graceful shutdown: a signal closes the listener, then drains both the
-// search running in the engine and the one queued in the coalescer
-// behind it (each completes with a 200) before serve returns.
+// Graceful shutdown: a signal closes the listener, then drains both
+// requests parked in the engine — a single query and a batch whose
+// second task waits in the engine's task channel behind the gate — so
+// each completes with a 200 before serve returns.
 func TestServeGracefulShutdown(t *testing.T) {
 	srv, d, held, open := gatedServer(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -504,35 +558,34 @@ func TestServeGracefulShutdown(t *testing.T) {
 		resp SearchResponse
 		err  error
 	}
-	reqDone := make(chan result, 2)
-	post := func(q vec.Vector) {
-		body, _ := json.Marshal(SearchRequest{Query: asFloats(q), K: 5})
-		resp, err := http.Post(base+"/search", "application/json", bytes.NewReader(body))
-		if err != nil {
-			reqDone <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var sr SearchResponse
-		err = json.NewDecoder(resp.Body).Decode(&sr)
-		reqDone <- result{code: resp.StatusCode, resp: sr, err: err}
+	post := func(req SearchRequest) <-chan result {
+		done := make(chan result, 1)
+		go func() {
+			body, _ := json.Marshal(req)
+			resp, err := http.Post(base+"/search", "application/json", bytes.NewReader(body))
+			if err != nil {
+				done <- result{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			var sr SearchResponse
+			err = json.NewDecoder(resp.Body).Decode(&sr)
+			done <- result{code: resp.StatusCode, resp: sr, err: err}
+		}()
+		return done
 	}
 
-	// The first request parks in the engine; the second queues in the
-	// coalescer behind it, so the drain provably covers the admission
-	// queue, not just handler bodies that already reached the engine.
-	go post(d.Queries[0])
+	// Two workers: the single query's task parks one, the batch's first
+	// task the other, and its second task queues behind them — so the
+	// drain provably covers the engine's admission queue, not just tasks
+	// already running.
+	single := post(SearchRequest{Query: asFloats(d.Queries[0]), K: 5})
 	<-held
-	go post(d.Queries[1])
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.coalescer.Stats().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never queued in the coalescer")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	batch := post(SearchRequest{Queries: [][]float32{asFloats(d.Queries[1]), asFloats(d.Queries[2])}, K: 5})
+	<-held
 	sig <- os.Interrupt
 	// Open the gate only once shutdown has closed the listener.
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := http.Get(base + "/healthz"); err != nil {
 			break
@@ -552,13 +605,21 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("serve did not return after signal")
 	}
-	for i := 0; i < 2; i++ {
-		r := <-reqDone
+	for name, c := range map[string]struct {
+		done  <-chan result
+		lists int
+	}{"single": {single, 1}, "batch": {batch, 2}} {
+		r := <-c.done
 		if r.err != nil || r.code != http.StatusOK {
-			t.Fatalf("in-flight request: code %d err %v, want 200 nil", r.code, r.err)
+			t.Fatalf("in-flight %s request: code %d err %v, want 200 nil", name, r.code, r.err)
 		}
-		if len(r.resp.Results) != 1 || len(r.resp.Results[0]) != 5 {
-			t.Fatalf("in-flight request returned malformed results %+v", r.resp.Results)
+		if len(r.resp.Results) != c.lists {
+			t.Fatalf("in-flight %s request returned %d result lists, want %d", name, len(r.resp.Results), c.lists)
+		}
+		for _, res := range r.resp.Results {
+			if len(res) != 5 {
+				t.Fatalf("in-flight %s request returned malformed results %+v", name, r.resp.Results)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 
@@ -60,21 +61,29 @@ func allowPost(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // decodeBody decodes a JSON request body under the server's size cap,
-// writing the error response itself when the body is oversized or
-// malformed.
+// writing the error response itself when the body is oversized,
+// malformed, or carries anything but whitespace after the one JSON
+// value — a second value would otherwise be silently dropped.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.maxBodyBytes)
-			return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBodyBytes))
+	err := dec.Decode(v)
+	trailing := err == nil
+	if trailing {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return false
 	}
-	return true
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", s.maxBodyBytes)
+	case trailing:
+		httpError(w, http.StatusBadRequest, "trailing data after JSON body")
+	default:
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return false
 }
 
 // mutationError maps engine mutation errors onto HTTP statuses: a

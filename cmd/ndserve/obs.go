@@ -68,10 +68,10 @@ func mountPprof(mux *http.ServeMux) {
 // key=value pairs so the line is grep- and machine-friendly.
 func (s *Server) logSlowQuery(elapsed time.Duration, k, queries int, info BatchInfo) {
 	s.slowLog.Printf(
-		"slowquery dataset=%s algo=%s latency_us=%.0f threshold_us=%.0f k=%d queries=%d batch_size=%d coalesced=%t coalesce_wait_us=%.0f",
+		"slowquery dataset=%s algo=%s latency_us=%.0f threshold_us=%.0f k=%d queries=%d batch_size=%d",
 		s.dataset, s.algo,
 		float64(elapsed)/float64(time.Microsecond),
 		float64(s.slowQuery)/float64(time.Microsecond),
-		k, queries, info.Size, info.Coalesced, info.CoalesceWaitUS,
+		k, queries, info.Size,
 	)
 }

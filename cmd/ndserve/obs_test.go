@@ -101,8 +101,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Mixed traffic through every counted path: a direct batch, two more
-	// coalesced singles, upserts, a delete of a live and of an absent ID,
+	// Mixed traffic through every counted path: a batch, two more
+	// singles, upserts, a delete of a live and of an absent ID,
 	// one compaction. Every fact /stats and /metrics both carry must then
 	// be equal — they are two renderings of the same instruments.
 	batch := SearchRequest{K: 5}
@@ -145,9 +145,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"nd_deletes_total", st.Mutation.Deletes, 1},
 		{"nd_compactions_total", st.Mutation.Compactions, 1},
 		{"nd_generation", int64(st.Mutation.Generation), 1},
-		{"nd_coalesce_submits_total", st.Coalescer.Submits, 3},
-		{"nd_coalesce_batches_total", st.Coalescer.Batches, 3},
-		{"nd_coalesce_formed_batch_size_sum", st.Coalescer.Queries, 3},
 	} {
 		if f.got != f.want {
 			t.Errorf("/stats fact behind %s = %d, want %d", f.sample, f.got, f.want)
@@ -161,14 +158,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	// contract: dashboards and ndbench parse it.
 	const wantShape = `batches: number
 busy_us: number
-coalescer.batches: number
-coalescer.max_formed_batch: number
-coalescer.max_wait_us: number
-coalescer.mean_formed_batch: number
-coalescer.mean_wait_us: number
-coalescer.queries: number
-coalescer.queue_depth: number
-coalescer.submits: number
 max_batch_latency_us: number
 mean_query_latency_us: number
 mutation.base_tombstones: number
@@ -238,7 +227,7 @@ func TestSlowQueryLog(t *testing.T) {
 	line := buf.String()
 	for _, want := range []string{
 		"slowquery ", "dataset=" + d.Profile.Name, "algo=exact",
-		"latency_us=", "threshold_us=", "k=10", "queries=1", "coalesced=true",
+		"latency_us=", "threshold_us=", "k=10", "queries=1", "batch_size=1",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow-query line missing %q: %q", want, line)
@@ -299,38 +288,32 @@ func TestSearchTraceOptIn(t *testing.T) {
 	}
 }
 
-// TestSearchTraceCoalesced drives the traced coalesced path: the
-// admission wait gets its own span and the request adopts the shared
-// engine batch's spans.
-func TestSearchTraceCoalesced(t *testing.T) {
+// TestSearchTraceSingleQuery: a traced single query carries exactly
+// the engine batch's stages — one fanout, one shard_search per shard,
+// one merge — and the same results as the untraced request.
+func TestSearchTraceSingleQuery(t *testing.T) {
 	srv, d := testServer(t, 2)
 	h := srv.Handler()
 
 	req := SearchRequest{Query: asFloats(d.Queries[0]), K: 5, Trace: true}
 	rec, traced := postSearch(t, h, req)
 	if traced == nil {
-		t.Fatalf("traced coalesced search failed: %d %s", rec.Code, rec.Body.String())
-	}
-	if !traced.Batch.Coalesced {
-		t.Fatal("request did not ride the coalescer")
+		t.Fatalf("traced search failed: %d %s", rec.Code, rec.Body.String())
 	}
 	stages := make(map[string]int)
 	for _, s := range traced.Trace {
 		stages[s.Stage]++
 	}
-	for _, want := range []string{"coalesce_wait", "fanout", "shard_search", "merge"} {
-		if stages[want] == 0 {
-			t.Fatalf("coalesced trace missing %q: %v", want, stages)
-		}
+	if want := map[string]int{"fanout": 1, "shard_search": 2, "merge": 1}; !reflect.DeepEqual(stages, want) {
+		t.Fatalf("trace stages = %v, want %v", stages, want)
 	}
 
-	// Untraced through the same coalescer returns the same neighbors.
 	rec, plain := postSearch(t, h, SearchRequest{Query: asFloats(d.Queries[0]), K: 5})
 	if plain == nil {
 		t.Fatalf("search failed: %d %s", rec.Code, rec.Body.String())
 	}
 	if !reflect.DeepEqual(plain.Results, traced.Results) {
-		t.Fatalf("coalesced traced results differ:\n%v\n%v", plain.Results, traced.Results)
+		t.Fatalf("traced results differ:\n%v\n%v", plain.Results, traced.Results)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ndsearch/internal/ann"
-	"ndsearch/internal/batcher"
 	"ndsearch/internal/engine"
 	"ndsearch/internal/obs"
 	"ndsearch/internal/snapshot"
@@ -18,17 +17,14 @@ import (
 
 // Server exposes a sharded engine over HTTP: POST /search for single
 // and batch queries, GET /healthz for liveness, GET /stats for the
-// engine's cumulative serving counters. Single-query requests are
-// admitted through a batcher.Batcher so concurrent callers share engine
-// batches.
+// engine's cumulative serving counters. Every /search request, single
+// or batch, is one engine batch: the engine's task channel is the only
+// admission queue.
 type Server struct {
 	engine  *engine.Engine
 	dim     int
 	dataset string
 	algo    string
-	// coalescer serves single-query requests; explicit batch requests
-	// already amortise a dispatch and go direct.
-	coalescer *batcher.Batcher
 	// compactor, when non-nil, drains the engine's delta tier in the
 	// background once it crosses the configured threshold.
 	compactor *engine.Compactor
@@ -40,7 +36,7 @@ type Server struct {
 	// so the maxBatch check cannot be bypassed by one huge payload.
 	maxBodyBytes int64
 	// metrics is the observability registry behind GET /metrics; the
-	// engine's and the coalescer's instruments are on it.
+	// engine's instruments are on it.
 	metrics *obs.Registry
 	// pprofOn mounts /debug/pprof/ on Handler (EnablePprof).
 	pprofOn bool
@@ -50,24 +46,22 @@ type Server struct {
 	slowLog   *log.Logger
 }
 
-// NewServer wraps a built engine and starts the coalescer over it. dim
-// is the corpus dimensionality used to validate request vectors.
+// NewServer wraps a built engine. dim is the corpus dimensionality used
+// to validate request vectors.
 func NewServer(e *engine.Engine, dim int, dataset, algo string) *Server {
 	s := &Server{
 		engine: e, dim: dim, dataset: dataset, algo: algo,
 		defaultK: 10, maxBatch: 4096, maxBodyBytes: 64 << 20,
-		coalescer: batcher.New(e), metrics: obs.NewRegistry(), slowLog: log.Default(),
+		metrics: obs.NewRegistry(), slowLog: log.Default(),
 	}
 	e.EnableMetrics(s.metrics)
-	s.coalescer.EnableMetrics(s.metrics)
 	return s
 }
 
-// Close stops the coalescer, the background compactor (if enabled) and
-// the engine's worker pool, in that order — the compactor must finish
-// any in-flight drain before the engine goes away.
+// Close stops the background compactor (if enabled), then the engine's
+// worker pool — the compactor must finish any in-flight drain before
+// the engine goes away.
 func (s *Server) Close() {
-	s.coalescer.Close()
 	if s.compactor != nil {
 		s.compactor.Close()
 	}
@@ -107,19 +101,12 @@ type SearchResult struct {
 }
 
 // BatchInfo reports the executed engine batch, mirroring
-// engine.BatchStats. For a coalesced request, Size is the formed engine
-// batch the request rode in and the coalesce fields describe admission.
+// engine.BatchStats; Size is the request's own query count.
 type BatchInfo struct {
 	Size      int     `json:"size"`
 	Shards    int     `json:"shards"`
 	LatencyUS float64 `json:"latency_us"`
 	QPS       float64 `json:"qps"`
-	// Coalesced marks requests served through the micro-batcher.
-	Coalesced bool `json:"coalesced,omitempty"`
-	// CoalescedSubmits is the number of requests sharing the batch.
-	CoalescedSubmits int `json:"coalesced_submits,omitempty"`
-	// CoalesceWaitUS is the time the request queued before dispatch.
-	CoalesceWaitUS float64 `json:"coalesce_wait_us,omitempty"`
 }
 
 // SearchResponse is the /search reply: Results[i] answers query i.
@@ -159,46 +146,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		tr = obs.NewTrace()
 	}
-	var (
-		results [][]ann.Neighbor
-		info    BatchInfo
-	)
-	if len(batch) == 1 {
-		res, bi, err := s.coalescer.Search(batch[0], k, tr)
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		results = [][]ann.Neighbor{res}
-		info = BatchInfo{
-			Size:             bi.FormedSize,
-			Shards:           bi.Engine.Shards,
-			LatencyUS:        float64(bi.Engine.Latency) / float64(time.Microsecond),
-			QPS:              bi.Engine.QPS,
-			Coalesced:        true,
-			CoalescedSubmits: bi.Submits,
-			CoalesceWaitUS:   float64(bi.Wait) / float64(time.Microsecond),
-		}
-	} else {
-		var st *engine.BatchStats
-		results, st = s.engine.SearchBatchOpts(batch, k, engine.SearchOptions{Trace: tr})
-		info = BatchInfo{
+	results, st := s.engine.SearchBatchOpts(batch, k, engine.SearchOptions{Trace: tr})
+	resp := SearchResponse{
+		Results: make([][]SearchResult, len(results)),
+		Batch: BatchInfo{
 			Size:      st.BatchSize,
 			Shards:    st.Shards,
 			LatencyUS: float64(st.Latency) / float64(time.Microsecond),
 			QPS:       st.QPS,
-		}
-	}
-	resp := SearchResponse{
-		Results: make([][]SearchResult, len(results)),
-		Batch:   info,
-		Trace:   tr.Spans(),
+		},
+		Trace: tr.Spans(),
 	}
 	for i, ns := range results {
 		resp.Results[i] = toWire(ns)
 	}
 	if elapsed := time.Since(start); s.slowQuery > 0 && elapsed >= s.slowQuery {
-		s.logSlowQuery(elapsed, k, len(batch), info)
+		s.logSlowQuery(elapsed, k, len(batch), resp.Batch)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -309,21 +272,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatsResponse is the /stats payload: cumulative engine counters,
-// per-shard task counts, and coalescer counters. On the
-// paged serving path, Pages carries the software page counters summed
-// across the shards.
+// StatsResponse is the /stats payload: cumulative engine counters and
+// per-shard task counts. On the paged serving path, Pages carries the
+// software page counters summed across the shards.
 type StatsResponse struct {
-	Batches            int64          `json:"batches"`
-	Queries            int64          `json:"queries"`
-	ShardSearches      int64          `json:"shard_searches"`
-	PerShardSearches   []int64        `json:"per_shard_searches"`
-	BusyUS             float64        `json:"busy_us"`
-	MeanQueryLatencyUS float64        `json:"mean_query_latency_us"`
-	MaxBatchLatencyUS  float64        `json:"max_batch_latency_us"`
-	Serve              string         `json:"serve"`
-	Pages              *PageStats     `json:"pages,omitempty"`
-	Coalescer          CoalescerStats `json:"coalescer"`
+	Batches            int64      `json:"batches"`
+	Queries            int64      `json:"queries"`
+	ShardSearches      int64      `json:"shard_searches"`
+	PerShardSearches   []int64    `json:"per_shard_searches"`
+	BusyUS             float64    `json:"busy_us"`
+	MeanQueryLatencyUS float64    `json:"mean_query_latency_us"`
+	MaxBatchLatencyUS  float64    `json:"max_batch_latency_us"`
+	Serve              string     `json:"serve"`
+	Pages              *PageStats `json:"pages,omitempty"`
 	// Mutation carries the live-mutability counters.
 	Mutation *MutationStats `json:"mutation,omitempty"`
 }
@@ -340,23 +301,11 @@ type PageStats struct {
 	TotalPages    int64  `json:"total_pages"`
 }
 
-// CoalescerStats is the admission-layer section of /stats.
-type CoalescerStats struct {
-	Submits         int64   `json:"submits"`
-	Queries         int64   `json:"queries"`
-	Batches         int64   `json:"batches"`
-	MeanFormedBatch float64 `json:"mean_formed_batch"`
-	MaxFormedBatch  int     `json:"max_formed_batch"`
-	MeanWaitUS      float64 `json:"mean_wait_us"`
-	WaitMaxUS       float64 `json:"max_wait_us"`
-	QueueDepth      int     `json:"queue_depth"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !allowGet(w, r) {
 		return
 	}
-	st, cs := s.engine.Stats(), s.coalescer.Stats()
+	st := s.engine.Stats()
 	resp := StatsResponse{
 		Batches:            st.Batches,
 		Queries:            st.Queries,
@@ -366,17 +315,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MeanQueryLatencyUS: float64(st.MeanQueryLatency()) / float64(time.Microsecond),
 		MaxBatchLatencyUS:  float64(st.MaxBatchLatency) / float64(time.Microsecond),
 		Serve:              s.engine.ServeMode(),
-		Coalescer: CoalescerStats{
-			Submits:         cs.Submits,
-			Queries:         cs.Queries,
-			Batches:         cs.Batches,
-			MeanFormedBatch: cs.MeanFormedBatch(),
-			MaxFormedBatch:  cs.MaxFormedBatch,
-			MeanWaitUS:      float64(cs.MeanWait()) / float64(time.Microsecond),
-			WaitMaxUS:       float64(cs.WaitMax) / float64(time.Microsecond),
-			QueueDepth:      cs.QueueDepth,
-		},
-		Mutation: s.mutationStats(),
+		Mutation:           s.mutationStats(),
 	}
 	if ps, ok := s.engine.PageStats(); ok {
 		resp.Pages = &PageStats{

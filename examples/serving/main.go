@@ -1,14 +1,11 @@
 // Serving example: end-to-end request latency under load, now driven
 // through the sharded batch-search engine. An open-loop Poisson arrival
-// stream feeds a batching front-end; batches execute on four backends:
-// the CPU baseline model, the simulated NDSEARCH device, the real
-// concurrent engine (measured wall-clock over sharded HNSW), and the
-// engine behind the request coalescer — each request arrives as an
-// independent single-query submit and the batcher re-forms engine
-// batches. The output shows what the paper's throughput numbers mean
-// for tail latency in a vector database deployment, and how shard
-// parallelism plus admission-layer coalescing move the saturation
-// point.
+// stream feeds a batching front-end; batches execute on three backends:
+// the CPU baseline model, the simulated NDSEARCH device, and the real
+// concurrent engine (measured wall-clock over sharded HNSW). The output
+// shows what the paper's throughput numbers mean for tail latency in a
+// vector database deployment, and how shard parallelism moves the
+// saturation point.
 package main
 
 import (
@@ -16,10 +13,8 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
-	"ndsearch/internal/batcher"
 	"ndsearch/internal/core"
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
@@ -28,7 +23,6 @@ import (
 	"ndsearch/internal/obs"
 	"ndsearch/internal/platform"
 	"ndsearch/internal/trace"
-	"ndsearch/internal/vec"
 	"ndsearch/internal/workload"
 )
 
@@ -144,41 +138,11 @@ func main() {
 		_, st := eng.SearchBatch(d.Queries[:size], 10)
 		return st.Latency, nil
 	}
-	// The coalesced backend: the same engine behind the admission-layer
-	// micro-batcher. Each request of the front-end batch is submitted as
-	// an independent single query — the batcher re-forms engine batches
-	// from whatever queued while the previous one ran, so a request
-	// waits at most for the batch already running.
-	coal := batcher.New(eng)
-	defer coal.Close()
-
-	// The §13 observability surface over the same stack: one registry
-	// naming the engine's and the coalescer's instruments. ndserve
-	// exposes this at GET /metrics; here we scrape it in-process after
-	// the runs.
+	// The §13 observability surface over the same stack: the engine's
+	// instruments on one registry. ndserve exposes this at GET /metrics;
+	// here we scrape it in-process after the runs.
 	reg := obs.NewRegistry()
 	eng.EnableMetrics(reg)
-	coal.EnableMetrics(reg)
-	coalRun := func(size int) (time.Duration, error) {
-		if size > len(d.Queries) {
-			size = len(d.Queries)
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		var firstErr error
-		var once sync.Once
-		for _, q := range d.Queries[:size] {
-			wg.Add(1)
-			go func(q vec.Vector) {
-				defer wg.Done()
-				if _, _, err := coal.Search(q, 10, nil); err != nil {
-					once.Do(func() { firstErr = err })
-				}
-			}(q)
-		}
-		wg.Wait()
-		return time.Since(start), firstErr
-	}
 
 	fmt.Println("vector-database serving on a billion-scale (sift-profile) corpus")
 	fmt.Printf("%10s  %-9s %10s %10s %10s %10s  %s\n",
@@ -191,7 +155,7 @@ func main() {
 		for _, dev := range []struct {
 			name string
 			run  workload.BatchRunner
-		}{{"CPU", cpuRun}, {"NDSEARCH", ndRun}, {"engine", engineRun}, {"coalesce", coalRun}} {
+		}{{"CPU", cpuRun}, {"NDSEARCH", ndRun}, {"engine", engineRun}} {
 			res, err := workload.Simulate(scfg, dev.run)
 			if err != nil {
 				log.Fatal(err)
@@ -212,9 +176,6 @@ func main() {
 	fmt.Printf("\nengine counters: %d batches, %d queries, %d shard searches, mean %v/query\n",
 		st.Batches, st.Queries, st.ShardSearches, st.MeanQueryLatency().Round(time.Microsecond))
 	fmt.Printf("per-shard searches: %v\n", st.PerShardSearches)
-	cs := coal.Stats()
-	fmt.Printf("coalescer: %d submits -> %d batches (mean %.1f queries/batch, mean wait %v)\n",
-		cs.Submits, cs.Batches, cs.MeanFormedBatch(), cs.MeanWait().Round(time.Microsecond))
 
 	var scrape strings.Builder
 	if err := reg.WritePrometheus(&scrape); err != nil {
@@ -225,14 +186,12 @@ func main() {
 		switch {
 		case strings.HasPrefix(line, "nd_search_latency_seconds_count"),
 			strings.HasPrefix(line, "nd_search_queries_total"),
-			strings.HasPrefix(line, "nd_coalesce_batches_total"),
-			strings.HasPrefix(line, "nd_coalesce_formed_batch_size_count"),
+			strings.HasPrefix(line, "nd_search_batches_total"),
 			strings.HasPrefix(line, "nd_live_vectors"):
 			fmt.Println("  " + line)
 		}
 	}
 	fmt.Println("the CPU node saturates an order of magnitude earlier; NDSEARCH")
 	fmt.Println("holds millisecond-scale tails at loads that melt the host baseline,")
-	fmt.Println("and the sharded engine — fed by the request coalescer — is the")
-	fmt.Println("software seam those gains flow through.")
+	fmt.Println("and the sharded engine is the software seam those gains flow through.")
 }

@@ -256,6 +256,84 @@ func TestPerShardSearchCounters(t *testing.T) {
 	}
 }
 
+// Stats() and MutStats() are lock-free views over atomics: snapshots
+// taken while batches, single searches and upserts run must never go
+// backwards in any cumulative field, and the final snapshot must
+// account for every operation (run with -race).
+func TestStatsSnapshotsMonotone(t *testing.T) {
+	d := testData(t, 300, 16)
+	e := exactEngine(t, d.Vectors, d.Profile.Metric, 2, 4)
+	const rounds, k = 20, 5
+
+	snapshot := func() []int64 {
+		es, ms := e.Stats(), e.MutStats()
+		return []int64{
+			es.Batches, es.Queries, es.ShardSearches, int64(es.Busy), int64(es.MaxBatchLatency),
+			es.PerShardSearches[0], es.PerShardSearches[1],
+			ms.Upserts, ms.Deletes, ms.Compactions,
+		}
+	}
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		prev := snapshot()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := snapshot()
+			for i := range cur {
+				if cur[i] < prev[i] {
+					t.Errorf("field %d went backwards: %d after %d", i, cur[i], prev[i])
+					return
+				}
+			}
+			prev = cur
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				e.SearchBatch(d.Queries[:4], k)
+			}
+		}()
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if res := e.Search(d.Queries[(g+r)%len(d.Queries)], k); len(res) != k {
+					t.Errorf("Search returned %d results, want %d", len(res), k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			if err := e.Upsert(uint32(1000+r), d.Vectors[r]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-sampled
+
+	es, ms := e.Stats(), e.MutStats()
+	if es.Batches != 3*rounds*2 || es.Queries != 3*rounds*5 || es.ShardSearches != 2*es.Queries ||
+		ms.Upserts != rounds {
+		t.Fatalf("final snapshot lost an operation: engine %+v, mutation %+v", es, ms)
+	}
+}
+
 func TestPartition(t *testing.T) {
 	// wantParts is the clamped part count: parts bounded to [1, n]
 	// (to 1 when n == 0), so no range is empty for non-empty input.

@@ -21,7 +21,7 @@ type CloseCheckConfig struct {
 
 // CloseCheck returns the analyzer that keeps tests and examples from
 // leaking goroutine pools and mapped files: constructing one of the
-// configured types (engine.Engine, batcher.Batcher,
+// configured types (engine.Engine, engine.Compactor,
 // snapshot.PagedIndex) in a test or example without a reachable Close
 // is flagged. Only direct constructor calls are tracked — New*, Open*,
 // Load* functions declared in the type's own package — so local

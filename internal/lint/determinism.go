@@ -20,8 +20,7 @@ type DeterminismConfig struct {
 
 // Determinism returns the analyzer enforcing the byte-identical-results
 // invariant (DESIGN.md §4/§7/§10): identical inputs must produce
-// identical outputs across the serial, parallel, coalesced, and paged
-// paths. It flags
+// identical outputs across the serial, parallel, and paged paths. It flags
 //
 //   - iteration over a map whose body leaks iteration order into an
 //     order-sensitive sink — appending to a slice that is never sorted

@@ -37,7 +37,6 @@ var sentinelPackages = []string{
 var closableTypes = []string{
 	modPath + "/internal/engine.Engine",
 	modPath + "/internal/engine.Compactor",
-	modPath + "/internal/batcher.Batcher",
 	modPath + "/internal/snapshot.PagedIndex",
 }
 

@@ -1,6 +1,6 @@
 // Package closecheck is the golden fixture for the closecheck
 // analyzer: Engine stands in for the repo's resource-owning types
-// (engine.Engine, batcher.Batcher, snapshot.PagedIndex).
+// (engine.Engine, engine.Compactor, snapshot.PagedIndex).
 package closecheck
 
 import "errors"

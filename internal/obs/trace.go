@@ -10,13 +10,12 @@ import (
 // durations are microseconds relative to the owning trace's start, so
 // the wire form needs no absolute timestamps.
 //
-// Stage names used by the serving stack (DESIGN.md §13): coalesce_wait
-// (admission queueing in the batcher), fanout (engine dispatch: task
-// enqueue through the last shard completion), shard_search (one
-// (query, shard) task; Shard and Query set, page counters populated on
-// the paged serving path), merge (top-k fold over all queries of the
-// batch), and — on a mutated engine — the per-query tier folds
-// merge_delta and merge_base.
+// Stage names used by the serving stack (DESIGN.md §13): fanout (engine
+// dispatch: task enqueue through the last shard completion),
+// shard_search (one (query, shard) task; Shard and Query set, page
+// counters populated on the paged serving path), merge (top-k fold over
+// all queries of the batch), and — on a mutated engine — the per-query
+// tier folds merge_delta and merge_base.
 type Span struct {
 	Stage string `json:"stage"`
 	// Shard and Query scope the span: the shard ordinal for per-shard
@@ -105,39 +104,6 @@ func (a *ActiveSpan) End() {
 	a.span.StartUS = us(a.start.Sub(a.t.start))
 	a.span.DurUS = us(time.Since(a.start))
 	a.t.append(a.span)
-}
-
-// ObserveAt records a fully specified span whose start and duration the
-// caller already measured (the batcher's admission wait, stamped at
-// dispatch). start is an absolute time on the same clock as NewTrace.
-func (t *Trace) ObserveAt(stage string, shard, query int, start time.Time, dur time.Duration) {
-	if t == nil {
-		return
-	}
-	t.append(Span{
-		Stage: stage, Shard: shard, Query: query,
-		StartUS: us(start.Sub(t.start)), DurUS: us(dur),
-	})
-}
-
-// Extend copies other's spans onto t, rebasing their offsets onto t's
-// start — how a coalesced request adopts the spans of the shared engine
-// batch it rode in. A nil receiver or argument is a no-op.
-func (t *Trace) Extend(other *Trace) {
-	if t == nil || other == nil {
-		return
-	}
-	offset := us(other.start.Sub(t.start))
-	other.mu.Lock()
-	spans := make([]Span, len(other.spans))
-	copy(spans, other.spans)
-	other.mu.Unlock()
-	for i := range spans {
-		spans[i].StartUS += offset
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, spans...)
-	t.mu.Unlock()
 }
 
 func (t *Trace) append(s Span) {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestTraceSpans(t *testing.T) {
@@ -42,56 +41,19 @@ func TestTraceNilNoOps(t *testing.T) {
 		t.Fatal("nil trace must return nil span")
 	}
 	sp.Shard(1).Query(2).Pages(3, 4).End()
-	tr.ObserveAt("x", -1, -1, time.Time{}, 0)
-	tr.Extend(NewTrace())
-	NewTrace().Extend(tr)
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil trace Spans() = %v, want nil", got)
 	}
 }
 
-func TestObserveAt(t *testing.T) {
-	tr := NewTrace()
-	tr.ObserveAt("coalesce_wait", -1, 0, tr.start.Add(5*time.Microsecond), 40*time.Microsecond)
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
-	}
-	s := spans[0]
-	if s.Stage != "coalesce_wait" || s.StartUS != 5 || s.DurUS != 40 {
-		t.Fatalf("span = %+v", s)
-	}
-}
-
-func TestExtendRebasesOffsets(t *testing.T) {
-	outer := NewTrace()
-	inner := &Trace{start: outer.start.Add(100 * time.Microsecond)}
-	inner.ObserveAt("merge", -1, 0, inner.start.Add(7*time.Microsecond), 3*time.Microsecond)
-	outer.Extend(inner)
-	spans := outer.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
-	}
-	if got := spans[0].StartUS; got != 107 {
-		t.Fatalf("rebased StartUS = %v, want 107", got)
-	}
-	if got := spans[0].DurUS; got != 3 {
-		t.Fatalf("DurUS = %v, want 3", got)
-	}
-	// Extending must not mutate the source trace.
-	if got := inner.Spans()[0].StartUS; got != 7 {
-		t.Fatalf("source trace mutated: StartUS = %v, want 7", got)
-	}
-}
-
 func TestSpansDeterministicOrder(t *testing.T) {
-	tr := NewTrace()
 	// Same StartUS, differing scope: order must be (Stage, Shard, Query).
-	at := tr.start
-	tr.ObserveAt("shard_search", 1, 0, at, 0)
-	tr.ObserveAt("shard_search", 0, 1, at, 0)
-	tr.ObserveAt("fanout", -1, -1, at, 0)
-	tr.ObserveAt("shard_search", 0, 0, at, 0)
+	tr := &Trace{spans: []Span{
+		{Stage: "shard_search", Shard: 1, Query: 0},
+		{Stage: "shard_search", Shard: 0, Query: 1},
+		{Stage: "fanout", Shard: -1, Query: -1},
+		{Stage: "shard_search", Shard: 0, Query: 0},
+	}}
 	spans := tr.Spans()
 	want := []Span{
 		{Stage: "fanout", Shard: -1, Query: -1},
