@@ -13,8 +13,8 @@
 //	-n       corpus size per dataset (default 4000)
 //	-batch   default query batch size (default 1024)
 //	-seed    global seed (default 1)
-//	-j       experiments to run concurrently (default 1); output is
-//	         byte-identical to a serial run
+//	-j       experiments to run concurrently (default 1; values < 1 run
+//	         serially); output is byte-identical to a serial run
 //	-cache   directory for on-disk index snapshots keyed by
 //	         (profile, algo, n, seed); later runs warm-start instead of
 //	         rebuilding, with byte-identical output (empty disables)
@@ -45,8 +45,9 @@ func main() {
 	quantized := flag.Bool("quantized", false, "build suite indexes with the SQ8 compressed traversal tier")
 	rerank := flag.Int("rerank", 0, "exact-rerank width for -quantized (0 = full candidate list)")
 	flag.Parse()
-	if *rerank < 0 {
-		fmt.Fprintf(os.Stderr, "ndsearch: -rerank must be >= 0, got %d\n", *rerank)
+	if err := validateFlags(*n, *batch, *rerank); err != nil {
+		fmt.Fprintf(os.Stderr, "ndsearch: %v\n", err)
+		flag.Usage()
 		os.Exit(2)
 	}
 
@@ -64,4 +65,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ndsearch: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// validateFlags rejects flag values no experiment can run with, before
+// any workload is built: the corpus and the query batch need at least
+// one vector each, and the rerank width is a count (0 = full list).
+func validateFlags(n, batch, rerank int) error {
+	if n < 1 {
+		return fmt.Errorf("-n must be >= 1, got %d", n)
+	}
+	if batch < 1 {
+		return fmt.Errorf("-batch must be >= 1, got %d", batch)
+	}
+	if rerank < 0 {
+		return fmt.Errorf("-rerank must be >= 0 (0 = full candidate list), got %d", rerank)
+	}
+	return nil
 }

@@ -49,8 +49,8 @@ type MutateResponse struct {
 	Live int `json:"live"`
 }
 
-// allowPost gates mutating endpoints to POST; anything else is a 405
-// with an Allow header, mirroring allowGet.
+// allowPost gates /search and the mutating endpoints to POST; anything
+// else is a 405 with an Allow header, mirroring allowGet.
 func allowPost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")

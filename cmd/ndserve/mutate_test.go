@@ -221,10 +221,10 @@ func TestUpsertRejectsUnrepresentableVectors(t *testing.T) {
 	}
 }
 
-func TestMutationEndpointsRejectWrongMethod(t *testing.T) {
+func TestPostEndpointsRejectWrongMethod(t *testing.T) {
 	srv, _ := testServer(t, 2)
 	h := srv.Handler()
-	for _, path := range []string{"/upsert", "/delete", "/compact"} {
+	for _, path := range []string{"/search", "/upsert", "/delete", "/compact"} {
 		for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodDelete, http.MethodHead} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))

@@ -119,8 +119,7 @@ type SearchResponse struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+	if !allowPost(w, r) {
 		return
 	}
 	// Handler wall time feeds the slow-query log only.

@@ -42,6 +42,16 @@ type Index interface {
 	Metric() vec.Metric
 }
 
+// Tunable is an index whose search beam width (HNSW's efSearch,
+// DiskANN's L, the candidate-list budget in HCNNG/TOGG) can be adjusted
+// after construction.
+type Tunable interface {
+	Index
+	// SetBeamWidth adjusts the search-time candidate budget; values < 1
+	// are ignored.
+	SetBeamWidth(int)
+}
+
 // GraphView is the read-only adjacency view placement code needs.
 type GraphView interface {
 	Len() int

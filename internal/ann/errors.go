@@ -12,9 +12,8 @@ var (
 	// order, finite distances, unique in-range IDs.
 	ErrInvalidResults = errors.New("ann: invalid result list")
 
-	// ErrBadConfig reports a malformed tuning or search request
-	// (k < 1, recall target outside (0, 1], no queries) or a served
-	// index assembled from inconsistent parts (empty store, entry out
-	// of range, quantized flag disagreeing with the store).
+	// ErrBadConfig reports a served index assembled from inconsistent
+	// parts (empty store, entry out of range, quantized flag disagreeing
+	// with the store, a graph whose size differs from the corpus).
 	ErrBadConfig = errors.New("ann: invalid configuration")
 )

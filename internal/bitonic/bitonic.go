@@ -1,32 +1,13 @@
-// Package bitonic implements the bitonic sorting network that NDSEARCH
-// offloads to the FPGA (§IV-A, [66]). Besides a functional sorter used to
-// produce final top-k results, it exposes the network's stage and
-// comparator counts, which drive the FPGA latency model in the system
-// simulation (the FPGA evaluates one network stage per clock across
-// parallel comparator columns).
+// Package bitonic models the bitonic sorting network that NDSEARCH
+// offloads to the FPGA (§IV-A, [66]): the network's stage count drives
+// the FPGA latency model in the system simulation (the FPGA evaluates
+// one network stage per clock across parallel comparator columns).
 package bitonic
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
-
-// Item is one (key, payload) pair flowing through the network: a
-// candidate's distance and its vertex ID.
-type Item struct {
-	Dist float32
-	ID   uint32
-}
-
-// Less orders items by distance, breaking ties by ID so sorting is total
-// and deterministic.
-func (a Item) Less(b Item) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.ID < b.ID
-}
 
 // NextPow2 returns the smallest power of two >= n (minimum 1).
 func NextPow2(n int) int {
@@ -36,72 +17,12 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// Sort sorts items ascending by (Dist, ID) using the bitonic network.
-// The input is padded to a power of two with +Inf sentinels internally;
-// the returned slice has the original length. The input is not modified.
-func Sort(items []Item) []Item {
-	n := len(items)
-	if n == 0 {
-		return nil
-	}
-	p := NextPow2(n)
-	buf := make([]Item, p)
-	copy(buf, items)
-	for i := n; i < p; i++ {
-		buf[i] = Item{Dist: inf32(), ID: ^uint32(0)}
-	}
-	sortNetwork(buf)
-	return buf[:n]
-}
-
-// TopK returns the k smallest items ascending. If k >= len(items) it is
-// equivalent to Sort. k <= 0 yields nil.
-func TopK(items []Item, k int) []Item {
-	if k <= 0 {
-		return nil
-	}
-	sorted := Sort(items)
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
-}
-
-// sortNetwork runs the canonical iterative bitonic sorting network over a
-// power-of-two sized slice. The structure (k outer, j inner loops)
-// mirrors the hardware stages exactly, which is what makes the stage
-// count below a faithful latency proxy.
-func sortNetwork(a []Item) {
-	n := len(a)
-	for k := 2; k <= n; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			for i := 0; i < n; i++ {
-				l := i ^ j
-				if l <= i {
-					continue
-				}
-				ascending := i&k == 0
-				if ascending == a[l].Less(a[i]) {
-					a[i], a[l] = a[l], a[i]
-				}
-			}
-		}
-	}
-}
-
 // Stages returns the number of comparator stages of a bitonic network
 // over n inputs (n rounded up to a power of two): log2(p)*(log2(p)+1)/2.
 func Stages(n int) int {
 	p := NextPow2(n)
 	lg := bits.Len(uint(p)) - 1
 	return lg * (lg + 1) / 2
-}
-
-// Comparators returns the total comparator count of the network:
-// stages * p/2.
-func Comparators(n int) int {
-	p := NextPow2(n)
-	return Stages(n) * p / 2
 }
 
 // FPGAModel captures the bitonic kernel's hardware envelope from [66]:
@@ -141,10 +62,6 @@ func (f FPGAModel) SortLatency(n int) float64 {
 		cycles += Stages(passes) * passes / 2
 	}
 	return float64(cycles) / f.ClockHz
-}
-
-func inf32() float32 {
-	return float32(math.Inf(1))
 }
 
 // Validate checks the model's parameters.

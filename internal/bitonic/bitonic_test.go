@@ -1,12 +1,6 @@
 package bitonic
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
@@ -17,81 +11,13 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestSortSmall(t *testing.T) {
-	in := []Item{{3, 0}, {1, 1}, {2, 2}}
-	out := Sort(in)
-	if len(out) != 3 {
-		t.Fatalf("len = %d", len(out))
-	}
-	if out[0].Dist != 1 || out[1].Dist != 2 || out[2].Dist != 3 {
-		t.Errorf("Sort = %v", out)
-	}
-	// Input must be untouched.
-	if in[0].Dist != 3 {
-		t.Error("Sort mutated its input")
-	}
-}
-
-func TestSortEmpty(t *testing.T) {
-	if got := Sort(nil); got != nil {
-		t.Errorf("Sort(nil) = %v", got)
-	}
-	one := Sort([]Item{{5, 9}})
-	if len(one) != 1 || one[0].ID != 9 {
-		t.Errorf("Sort single = %v", one)
-	}
-}
-
-func TestSortTieBreak(t *testing.T) {
-	out := Sort([]Item{{1, 7}, {1, 2}, {1, 5}})
-	if out[0].ID != 2 || out[1].ID != 5 || out[2].ID != 7 {
-		t.Errorf("ties must order by ID: %v", out)
-	}
-}
-
-func TestSortAgainstStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(700)
-		in := make([]Item, n)
-		for i := range in {
-			in[i] = Item{Dist: float32(rng.NormFloat64()), ID: uint32(rng.Intn(100))}
-		}
-		want := append([]Item(nil), in...)
-		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-		got := Sort(in)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d index %d: got %v want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestTopK(t *testing.T) {
-	in := []Item{{5, 0}, {1, 1}, {4, 2}, {2, 3}, {3, 4}}
-	top := TopK(in, 3)
-	if len(top) != 3 || top[0].Dist != 1 || top[1].Dist != 2 || top[2].Dist != 3 {
-		t.Errorf("TopK = %v", top)
-	}
-	if got := TopK(in, 0); got != nil {
-		t.Errorf("TopK(0) = %v", got)
-	}
-	if got := TopK(in, 99); len(got) != len(in) {
-		t.Errorf("TopK(k>n) len = %d", len(got))
-	}
-}
-
-func TestStagesAndComparators(t *testing.T) {
+func TestStages(t *testing.T) {
 	// Classic closed forms: for p=2^m, stages = m(m+1)/2.
 	cases := map[int]int{2: 1, 4: 3, 8: 6, 16: 10, 1024: 55}
 	for n, want := range cases {
 		if got := Stages(n); got != want {
 			t.Errorf("Stages(%d) = %d, want %d", n, got, want)
 		}
-	}
-	if got := Comparators(4); got != 3*2 {
-		t.Errorf("Comparators(4) = %d, want 6", got)
 	}
 	if got := Stages(3); got != Stages(4) {
 		t.Error("non-power-of-two should round up")
@@ -123,36 +49,5 @@ func TestFPGAModel(t *testing.T) {
 	bad = FPGAModel{ClockHz: 1e8, Lanes: 1}
 	if bad.Validate() == nil {
 		t.Error("single lane must fail validation")
-	}
-}
-
-// Property: Sort output is a sorted permutation of the input.
-func TestSortProperty(t *testing.T) {
-	f := func(dists []float32) bool {
-		in := make([]Item, len(dists))
-		for i, d := range dists {
-			if math.IsNaN(float64(d)) {
-				d = 0
-			}
-			in[i] = Item{Dist: d, ID: uint32(i)}
-		}
-		out := Sort(in)
-		if len(out) != len(in) {
-			return false
-		}
-		seen := map[uint32]bool{}
-		for i, it := range out {
-			if i > 0 && it.Less(out[i-1]) {
-				return false
-			}
-			if seen[it.ID] {
-				return false
-			}
-			seen[it.ID] = true
-		}
-		return len(seen) == len(in)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }

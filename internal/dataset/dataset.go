@@ -28,8 +28,6 @@ type Profile struct {
 	// models use it to decide whether the dataset fits in host DRAM or
 	// GPU VRAM (the scaled-down graph never does that job).
 	FullScaleVectors int64
-	// RecallTarget is the recall@10 the paper tunes each graph to.
-	RecallTarget float64
 	// Clusters controls the synthetic generator's mixture size.
 	Clusters int
 	// Spread is the intra-cluster standard deviation relative to the
@@ -63,8 +61,7 @@ func ProfileByName(name string) (Profile, error) {
 func Glove100() Profile {
 	return Profile{
 		Name: "glove-100", Dim: 100, Elem: vec.F32, Metric: vec.Angular,
-		FullScaleVectors: 1_183_514, RecallTarget: 0.95,
-		Clusters: 64, Spread: 0.35,
+		FullScaleVectors: 1_183_514, Clusters: 64, Spread: 0.35,
 	}
 }
 
@@ -73,8 +70,7 @@ func Glove100() Profile {
 func FashionMNIST() Profile {
 	return Profile{
 		Name: "fashion-mnist", Dim: 784, Elem: vec.F32, Metric: vec.L2,
-		FullScaleVectors: 60_000, RecallTarget: 0.95,
-		Clusters: 10, Spread: 0.30,
+		FullScaleVectors: 60_000, Clusters: 10, Spread: 0.30,
 	}
 }
 
@@ -83,8 +79,7 @@ func FashionMNIST() Profile {
 func Sift1B() Profile {
 	return Profile{
 		Name: "sift-1b", Dim: 128, Elem: vec.U8, Metric: vec.L2,
-		FullScaleVectors: 1_000_000_000, RecallTarget: 0.94,
-		Clusters: 128, Spread: 0.25,
+		FullScaleVectors: 1_000_000_000, Clusters: 128, Spread: 0.25,
 	}
 }
 
@@ -93,8 +88,7 @@ func Sift1B() Profile {
 func Deep1B() Profile {
 	return Profile{
 		Name: "deep-1b", Dim: 96, Elem: vec.F32, Metric: vec.L2,
-		FullScaleVectors: 1_000_000_000, RecallTarget: 0.93,
-		Clusters: 96, Spread: 0.30,
+		FullScaleVectors: 1_000_000_000, Clusters: 96, Spread: 0.30,
 	}
 }
 
@@ -103,8 +97,7 @@ func Deep1B() Profile {
 func SpaceV1B() Profile {
 	return Profile{
 		Name: "spacev-1b", Dim: 100, Elem: vec.I8, Metric: vec.L2,
-		FullScaleVectors: 1_000_000_000, RecallTarget: 0.90,
-		Clusters: 100, Spread: 0.28,
+		FullScaleVectors: 1_000_000_000, Clusters: 100, Spread: 0.28,
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package nand models the NAND flash organisation of SearSSD (§II-B,
 // §IV): the channel/chip/LUN/plane/block/page hierarchy, physical
-// addressing, the timing parameters of page reads and bus transfers, the
-// multi-plane addressing restrictions (§VI-A2), and the encoding of the
-// modified <SearchPage> multi-LUN instruction (Fig. 9b).
+// addressing, the timing parameters of page reads and bus transfers, and
+// the multi-plane addressing restrictions (§VI-A2).
 package nand
 
 import (
@@ -171,13 +170,6 @@ type Timing struct {
 	// ChannelBusBytesPerSec is the ONFI bus bandwidth shared by the
 	// chips of one channel.
 	ChannelBusBytesPerSec float64
-	// ChipExternalXfer is the extra latency for moving a page buffer's
-	// content to an accelerator outside the NAND die (§III: ~30 us),
-	// paid by chip/channel-level designs such as DeepStore but not by
-	// in-LUN SiN accelerators.
-	ChipExternalXfer time.Duration
-	// CommandOverhead is the per-command issue latency on the channel.
-	CommandOverhead time.Duration
 }
 
 // DefaultTiming returns the calibrated parameters (DESIGN.md §5).
@@ -187,8 +179,6 @@ func DefaultTiming() Timing {
 		// the paper's Fig. 2b internal-bandwidth roofline.
 		ReadPage:              10240 * time.Nanosecond,
 		ChannelBusBytesPerSec: 800e6,
-		ChipExternalXfer:      30 * time.Microsecond,
-		CommandOverhead:       200 * time.Nanosecond,
 	}
 }
 

@@ -2,10 +2,7 @@ package nand
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
-
-	"ndsearch/internal/vec"
 )
 
 func TestDefaultGeometryMatchesPaper(t *testing.T) {
@@ -157,127 +154,5 @@ func TestCheckMultiPlane(t *testing.T) {
 	}
 	if err := CheckMultiPlane(g, nil); err == nil {
 		t.Error("empty group must fail")
-	}
-}
-
-func TestDimCode(t *testing.T) {
-	cases := map[int]uint8{1: 0, 16: 0, 17: 1, 100: 3, 128: 3, 784: 6, 2048: 7}
-	for dim, want := range cases {
-		got, err := DimCodeFor(dim)
-		if err != nil {
-			t.Fatalf("DimCodeFor(%d): %v", dim, err)
-		}
-		if got != want {
-			t.Errorf("DimCodeFor(%d) = %d, want %d", dim, got, want)
-		}
-	}
-	if _, err := DimCodeFor(0); err == nil {
-		t.Error("dim 0 must fail")
-	}
-	if _, err := DimCodeFor(5000); err == nil {
-		t.Error("oversized dim must fail")
-	}
-}
-
-func TestRowAddressRoundTrip(t *testing.T) {
-	g := DefaultGeometry()
-	a := Address{Channel: 0, Chip: 0, LUN: 1, Plane: 1, Block: 300, Page: 77}
-	row, err := RowAddress(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lun, plane, block, page := DecodeRow(g, row)
-	if lun != 1 || plane != 1 || block != 300 || page != 77 {
-		t.Errorf("row round trip = %d/%d/%d/%d", lun, plane, block, page)
-	}
-	// The default geometry's row space must fit 26 bits:
-	// 2 LUN * 2 plane * 512 block * 128 page = 2^19.
-	max := Address{LUN: 1, Plane: 1, Block: 511, Page: 127}
-	if _, err := RowAddress(g, max); err != nil {
-		t.Errorf("max row should fit in 26 bits: %v", err)
-	}
-}
-
-func TestSearchPageEncodeDecode(t *testing.T) {
-	s := SearchPage{Metric: vec.Angular, Row: 123456, DimCode: 3, PrecCode: 1, PageLoc: true}
-	w, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w >= 1<<36 {
-		t.Errorf("encoded word exceeds 36 bits: %d", w)
-	}
-	got, err := DecodeSearchPage(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != s {
-		t.Errorf("round trip: got %+v want %+v", got, s)
-	}
-	if _, err := DecodeSearchPage(1 << 36); err == nil {
-		t.Error("oversized word must fail")
-	}
-	bad := s
-	bad.Row = 1 << 26
-	if _, err := bad.Encode(); err == nil {
-		t.Error("oversized row must fail")
-	}
-	bad = s
-	bad.DimCode = 8
-	if _, err := bad.Encode(); err == nil {
-		t.Error("oversized dim code must fail")
-	}
-	bad = s
-	bad.PrecCode = 16
-	if _, err := bad.Encode(); err == nil {
-		t.Error("oversized prec code must fail")
-	}
-}
-
-func TestSearchPageProperty(t *testing.T) {
-	f := func(row uint32, dim, prec uint8, loc bool, metricRaw uint8) bool {
-		s := SearchPage{
-			Metric:   vec.Metric(metricRaw % 3),
-			Row:      row % (1 << 26),
-			DimCode:  dim % 8,
-			PrecCode: prec % 16,
-			PageLoc:  loc,
-		}
-		w, err := s.Encode()
-		if err != nil {
-			return false
-		}
-		got, err := DecodeSearchPage(w)
-		return err == nil && got == s
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMultiLUNWorkflow(t *testing.T) {
-	read := MultiLUNWorkflow(OpReadPage, []int{0, 1})
-	search := MultiLUNWorkflow(OpSearchPage, []int{0, 1})
-	// Fig. 9a: 8 steps for two LUNs (2 issues + 2x3 readout steps).
-	if len(read) != 8 || len(search) != 8 {
-		t.Fatalf("workflow lengths = %d/%d, want 8", len(read), len(search))
-	}
-	if read[0].Name != "<Read Page>" {
-		t.Errorf("read step 0 = %q", read[0].Name)
-	}
-	if search[0].Name != "<Search Page>" {
-		t.Errorf("search step 0 = %q", search[0].Name)
-	}
-	// The search flow must target the output buffer, not the page buffer.
-	for _, st := range search[2:] {
-		if st.Name == "<Read Status Enhanced> selects page buffer" {
-			t.Error("search workflow reads the page buffer")
-		}
-	}
-}
-
-func TestPrecCode(t *testing.T) {
-	if PrecCodeFor(vec.F32) != 0 || PrecCodeFor(vec.U8) != 1 || PrecCodeFor(vec.I8) != 2 {
-		t.Error("precision codes drifted from ElemKind values")
 	}
 }

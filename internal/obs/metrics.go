@@ -1,7 +1,8 @@
 // Package obs is the observability substrate for the serving stack: a
-// dependency-free metrics registry (atomic counters, gauges, and
-// fixed-bucket latency histograms with a Prometheus text exposition)
-// plus a lightweight per-query stage-trace recorder (trace.go).
+// dependency-free metrics registry (atomic counters, fixed-bucket latency
+// histograms, and counters and gauges read at scrape time, with a
+// Prometheus text exposition) plus a lightweight per-query stage-trace
+// recorder (trace.go).
 //
 // Design constraints, in order:
 //
@@ -10,9 +11,9 @@
 //     operation; they are the owner's only accumulators, so there is no
 //     "observability off" state. A Registry only names them for
 //     exposition (Register).
-//   - Lock-free on the hot path. Counters, gauges, and histogram
-//     buckets are single atomic operations; the only mutex in the
-//     package guards registration and scraping, which are cold.
+//   - Lock-free on the hot path. Counters and histogram buckets are
+//     single atomic operations; the only mutex in the package guards
+//     registration and scraping, which are cold.
 //   - Deterministic output shape. Metric names render sorted, bucket
 //     bounds are fixed at construction, and float formatting is
 //     canonical — two scrapes of identical counter states are
@@ -169,44 +170,6 @@ func (c *Counter) writeExposition(w io.Writer) error {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
-	return err
-}
-
-// Gauge is a float-valued instrument that can go up and down. All
-// methods are safe for concurrent use.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64 // math.Float64bits
-}
-
-// NewGauge returns a gauge.
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{name: name, help: help}
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (atomically, via compare-and-swap).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) metricName() string { return g.name }
-
-func (g *Gauge) writeExposition(w io.Writer) error {
-	if err := header(w, g.name, g.help, "gauge"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.Value()))
 	return err
 }
 

@@ -18,15 +18,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	g := NewGauge("nd_test_gauge", "test gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("Value() = %v, want 1.5", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := NewHistogram("nd_test_seconds", "test histogram", []float64{1, 2, 4})
@@ -124,7 +115,7 @@ func TestExpositionSortedAndStable(t *testing.T) {
 	r := NewRegistry()
 	r.Register(
 		NewCounter("nd_zeta_total", "z"),
-		NewGauge("nd_alpha", "a"),
+		NewGaugeFunc("nd_alpha", "a", func() float64 { return 0 }),
 		NewGaugeFunc("nd_mid", "m", func() float64 { return 7 }),
 	)
 	var b1, b2 strings.Builder
@@ -151,9 +142,8 @@ func TestExpositionSortedAndStable(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := NewCounter("nd_conc_total", "c")
-	g := NewGauge("nd_conc_gauge", "g")
 	h := NewHistogram("nd_conc_seconds", "h", LatencyBuckets)
-	r.Register(c, g, h)
+	r.Register(c, h)
 	var mx atomic.Int64
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -163,7 +153,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(1e-3)
 				StoreMax(&mx, int64(i))
 			}
@@ -185,9 +174,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	<-done
 	if got := c.Value(); got != workers*per {
 		t.Errorf("counter = %d, want %d", got, workers*per)
-	}
-	if got := g.Value(); got != workers*per {
-		t.Errorf("gauge = %v, want %d", got, workers*per)
 	}
 	if got := h.Count(); got != workers*per {
 		t.Errorf("histogram count = %d, want %d", got, workers*per)

@@ -77,8 +77,6 @@ type roundStat struct {
 
 // CPUParams parameterise the host baseline.
 type CPUParams struct {
-	// Cores is the total hardware thread budget (2 x 18 cores).
-	Cores int
 	// DRAMBytes is main-memory capacity (24 GB in the paper's setup).
 	DRAMBytes int64
 	// PCIeBytesPerSec is the SSD link (PCIe 3.0 x16).
@@ -101,7 +99,6 @@ type CPUParams struct {
 // DefaultCPUParams returns the calibrated host model.
 func DefaultCPUParams() CPUParams {
 	return CPUParams{
-		Cores:            36,
 		DRAMBytes:        24 << 30,
 		PCIeBytesPerSec:  15.4e9,
 		FetchBytes:       4096,

@@ -3,8 +3,8 @@
 // generation, the SiN engines' LUN-level accelerators (page sense +
 // plane-level ECC + MAC-group distance computation + output-buffer
 // readout), the internal DRAM holding the non-vertex LUNCSR arrays, the
-// query property table, and the links to the host and the bitonic-sort
-// FPGA.
+// embedded cores' per-query Gathering updates, and the links to the host
+// and the bitonic-sort FPGA.
 package searssd
 
 import (
@@ -49,9 +49,6 @@ type Params struct {
 	// ResultEntryBytes is the wire size of one result-list entry
 	// (query id + candidate id + scalar distance).
 	ResultEntryBytes int
-	// QueryPropertyBytes is the property-table entry size (status, entry
-	// vertex, feature vector, result list head).
-	QueryPropertyBytes int
 	// MaxHWBatch is the largest batch the device buffers can hold at
 	// once; larger host batches split into sub-batches processed
 	// serially (§VII-B "Batch size": speedup decreases once the batch
@@ -76,7 +73,6 @@ func DefaultParams() Params {
 		HostLinkBytesPerSec: 15.4e9,
 		FPGALinkBytesPerSec: 3.85e9,
 		ResultEntryBytes:    12,
-		QueryPropertyBytes:  64,
 		MaxHWBatch:          2048,
 	}
 }
@@ -101,8 +97,8 @@ func (p Params) Validate() error {
 	if p.EmbeddedCores < 1 {
 		return fmt.Errorf("searssd: need at least one embedded core")
 	}
-	if p.ResultEntryBytes < 1 || p.QueryPropertyBytes < 1 {
-		return fmt.Errorf("searssd: non-positive entry sizes")
+	if p.ResultEntryBytes < 1 {
+		return fmt.Errorf("searssd: non-positive result entry size")
 	}
 	if p.MaxHWBatch < 1 {
 		return fmt.Errorf("searssd: MaxHWBatch must be >= 1")
@@ -191,87 +187,4 @@ func (p Params) ResultShipCost(entries int) time.Duration {
 // lists.
 func (p Params) SortCost(entries int) time.Duration {
 	return time.Duration(p.FPGA.SortLatency(entries) * float64(time.Second))
-}
-
-// QueryProperty is one row of the query property table (§IV-C1) kept in
-// internal DRAM by the SSD controller.
-type QueryProperty struct {
-	QueryID   int
-	Entry     uint32
-	Iteration int
-	Done      bool
-	// ResultEntries counts candidates accumulated into the result list.
-	ResultEntries int
-}
-
-// PropertyTable is the controller's per-batch query state.
-type PropertyTable struct {
-	rows []QueryProperty
-}
-
-// NewPropertyTable initialises the table for a batch with the given
-// entry vertices.
-func NewPropertyTable(entries []uint32) *PropertyTable {
-	t := &PropertyTable{rows: make([]QueryProperty, len(entries))}
-	for i, e := range entries {
-		t.rows[i] = QueryProperty{QueryID: i, Entry: e}
-	}
-	return t
-}
-
-// Len returns the batch size.
-func (t *PropertyTable) Len() int { return len(t.rows) }
-
-// Row returns query q's state.
-func (t *PropertyTable) Row(q int) (QueryProperty, error) {
-	if q < 0 || q >= len(t.rows) {
-		return QueryProperty{}, fmt.Errorf("searssd: query %d out of range", q)
-	}
-	return t.rows[q], nil
-}
-
-// Advance moves query q to its next iteration with the new entry vertex
-// and accumulates its result count.
-func (t *PropertyTable) Advance(q int, entry uint32, newResults int) error {
-	if q < 0 || q >= len(t.rows) {
-		return fmt.Errorf("searssd: query %d out of range", q)
-	}
-	r := &t.rows[q]
-	if r.Done {
-		return fmt.Errorf("searssd: query %d already terminated", q)
-	}
-	r.Entry = entry
-	r.Iteration++
-	r.ResultEntries += newResults
-	return nil
-}
-
-// Terminate marks query q finished.
-func (t *PropertyTable) Terminate(q int) error {
-	if q < 0 || q >= len(t.rows) {
-		return fmt.Errorf("searssd: query %d out of range", q)
-	}
-	t.rows[q].Done = true
-	return nil
-}
-
-// ActiveQueries returns the IDs of queries still searching.
-func (t *PropertyTable) ActiveQueries() []int {
-	var out []int
-	for i := range t.rows {
-		if !t.rows[i].Done {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// TotalResults sums result-list entries across the batch (what ships to
-// the FPGA for sorting).
-func (t *PropertyTable) TotalResults() int {
-	var n int
-	for i := range t.rows {
-		n += t.rows[i].ResultEntries
-	}
-	return n
 }

@@ -136,44 +136,3 @@ func TestResultShipAndSort(t *testing.T) {
 		t.Errorf("ship %v / sort %v implausibly slow", ship, sort)
 	}
 }
-
-func TestPropertyTable(t *testing.T) {
-	pt := NewPropertyTable([]uint32{5, 9, 11})
-	if pt.Len() != 3 {
-		t.Fatalf("Len = %d", pt.Len())
-	}
-	r, err := pt.Row(1)
-	if err != nil || r.Entry != 9 || r.Iteration != 0 {
-		t.Errorf("Row(1) = %+v, %v", r, err)
-	}
-	if err := pt.Advance(1, 20, 8); err != nil {
-		t.Fatal(err)
-	}
-	r, _ = pt.Row(1)
-	if r.Entry != 20 || r.Iteration != 1 || r.ResultEntries != 8 {
-		t.Errorf("after advance: %+v", r)
-	}
-	if err := pt.Terminate(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Advance(1, 30, 1); err == nil {
-		t.Error("advancing a terminated query must fail")
-	}
-	active := pt.ActiveQueries()
-	if len(active) != 2 || active[0] != 0 || active[1] != 2 {
-		t.Errorf("active = %v", active)
-	}
-	pt.Advance(0, 7, 4)
-	if pt.TotalResults() != 12 {
-		t.Errorf("TotalResults = %d", pt.TotalResults())
-	}
-	if _, err := pt.Row(9); err == nil {
-		t.Error("out-of-range row must fail")
-	}
-	if err := pt.Advance(-1, 0, 0); err == nil {
-		t.Error("negative query must fail")
-	}
-	if err := pt.Terminate(9); err == nil {
-		t.Error("out-of-range terminate must fail")
-	}
-}

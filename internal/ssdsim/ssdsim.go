@@ -1,118 +1,12 @@
-// Package ssdsim provides the discrete-event primitives shared by the
-// NDSEARCH system simulator and the baseline platform models: busy-until
-// resource timelines, homogeneous resource pools with earliest-available
-// dispatch, and execution-time breakdown accounting (the categories of
-// Fig. 17).
+// Package ssdsim provides the execution-time breakdown accounting (the
+// categories of Fig. 17) shared by the NDSEARCH system simulator and the
+// baseline platform models.
 package ssdsim
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
-
-// Resource is a single serially-occupied unit (a plane, a channel bus, an
-// embedded core, a PCIe link) with a busy-until timeline.
-type Resource struct {
-	Name  string
-	avail time.Duration
-	busy  time.Duration
-}
-
-// NewResource creates an idle resource.
-func NewResource(name string) *Resource { return &Resource{Name: name} }
-
-// Acquire schedules a task of length dur that cannot start before
-// earliest. It returns the actual start and end times.
-func (r *Resource) Acquire(earliest, dur time.Duration) (start, end time.Duration) {
-	start = earliest
-	if r.avail > start {
-		start = r.avail
-	}
-	end = start + dur
-	r.avail = end
-	r.busy += dur
-	return start, end
-}
-
-// AvailableAt returns the time the resource next becomes free.
-func (r *Resource) AvailableAt() time.Duration { return r.avail }
-
-// BusyTime returns the accumulated occupancy.
-func (r *Resource) BusyTime() time.Duration { return r.busy }
-
-// Reset clears the timeline.
-func (r *Resource) Reset() { r.avail, r.busy = 0, 0 }
-
-// Pool is a set of identical resources with earliest-available dispatch
-// (e.g. the 256 LUN accelerators, the 32 channel buses).
-type Pool struct {
-	rs []*Resource
-}
-
-// NewPool creates n idle resources named name[0..n).
-func NewPool(name string, n int) *Pool {
-	p := &Pool{rs: make([]*Resource, n)}
-	for i := range p.rs {
-		p.rs[i] = NewResource(fmt.Sprintf("%s[%d]", name, i))
-	}
-	return p
-}
-
-// Len returns the pool size.
-func (p *Pool) Len() int { return len(p.rs) }
-
-// Get returns resource i, for affinity scheduling (a vertex pinned to a
-// specific LUN must use that LUN's resource, not any free one).
-func (p *Pool) Get(i int) *Resource { return p.rs[i] }
-
-// Acquire dispatches to the earliest-available member.
-func (p *Pool) Acquire(earliest, dur time.Duration) (idx int, start, end time.Duration) {
-	best := 0
-	for i, r := range p.rs {
-		if r.avail < p.rs[best].avail {
-			best = i
-		}
-		_ = r
-	}
-	s, e := p.rs[best].Acquire(earliest, dur)
-	return best, s, e
-}
-
-// Makespan returns the latest busy-until across the pool.
-func (p *Pool) Makespan() time.Duration {
-	var m time.Duration
-	for _, r := range p.rs {
-		if r.avail > m {
-			m = r.avail
-		}
-	}
-	return m
-}
-
-// BusyTime returns total occupancy across members.
-func (p *Pool) BusyTime() time.Duration {
-	var b time.Duration
-	for _, r := range p.rs {
-		b += r.busy
-	}
-	return b
-}
-
-// Utilization returns mean occupancy over the given makespan, in [0,1].
-func (p *Pool) Utilization(makespan time.Duration) float64 {
-	if makespan <= 0 || len(p.rs) == 0 {
-		return 0
-	}
-	return float64(p.BusyTime()) / (float64(makespan) * float64(len(p.rs)))
-}
-
-// Reset clears all member timelines.
-func (p *Pool) Reset() {
-	for _, r := range p.rs {
-		r.Reset()
-	}
-}
 
 // Breakdown accumulates execution time per category (Fig. 17's NAND
 // read, DRAM access, embedded cores, allocating, FPGA sort, SSD I/O...).
@@ -156,29 +50,4 @@ type CategoryShare struct {
 	Category string
 	Time     time.Duration
 	Share    float64
-}
-
-// Link models a bandwidth-bound transfer channel (PCIe, ONFI bus) as a
-// resource: transfers serialise and each takes bytes/bandwidth.
-type Link struct {
-	Resource
-	BytesPerSec float64
-}
-
-// NewLink creates a link with the given bandwidth.
-func NewLink(name string, bytesPerSec float64) *Link {
-	return &Link{Resource: Resource{Name: name}, BytesPerSec: bytesPerSec}
-}
-
-// TransferTime returns the wire time for n bytes.
-func (l *Link) TransferTime(n int64) time.Duration {
-	if n <= 0 || l.BytesPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / l.BytesPerSec * float64(time.Second))
-}
-
-// Transfer schedules an n-byte transfer no earlier than earliest.
-func (l *Link) Transfer(earliest time.Duration, n int64) (start, end time.Duration) {
-	return l.Acquire(earliest, l.TransferTime(n))
 }

@@ -1,83 +1,6 @@
 package ssdsim
 
-import (
-	"testing"
-	"time"
-)
-
-func TestResourceSerializes(t *testing.T) {
-	r := NewResource("lun")
-	s1, e1 := r.Acquire(0, 10)
-	if s1 != 0 || e1 != 10 {
-		t.Errorf("first acquire = [%v, %v]", s1, e1)
-	}
-	// Second task wants to start at 5 but the resource is busy until 10.
-	s2, e2 := r.Acquire(5, 20)
-	if s2 != 10 || e2 != 30 {
-		t.Errorf("second acquire = [%v, %v], want [10, 30]", s2, e2)
-	}
-	// A task arriving after the resource is free starts immediately.
-	s3, _ := r.Acquire(100, 1)
-	if s3 != 100 {
-		t.Errorf("late task start = %v, want 100", s3)
-	}
-	if r.BusyTime() != 31 {
-		t.Errorf("busy = %v, want 31", r.BusyTime())
-	}
-	r.Reset()
-	if r.AvailableAt() != 0 || r.BusyTime() != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-func TestPoolDispatch(t *testing.T) {
-	p := NewPool("chan", 2)
-	i1, s1, _ := p.Acquire(0, 10)
-	i2, s2, _ := p.Acquire(0, 10)
-	if i1 == i2 {
-		t.Error("two tasks should land on different members")
-	}
-	if s1 != 0 || s2 != 0 {
-		t.Error("both should start immediately")
-	}
-	// Third task queues behind the earliest-finishing member.
-	_, s3, _ := p.Acquire(0, 5)
-	if s3 != 10 {
-		t.Errorf("third start = %v, want 10", s3)
-	}
-	if p.Makespan() != 15 {
-		t.Errorf("makespan = %v, want 15", p.Makespan())
-	}
-	if got := p.Utilization(15); got != 25.0/30.0 {
-		t.Errorf("utilization = %v, want 25/30", got)
-	}
-	p.Reset()
-	if p.Makespan() != 0 {
-		t.Error("pool Reset incomplete")
-	}
-}
-
-func TestPoolAffinity(t *testing.T) {
-	p := NewPool("lun", 3)
-	p.Get(1).Acquire(0, 100)
-	if p.Get(1).AvailableAt() != 100 {
-		t.Error("affinity acquire missed")
-	}
-	if p.Get(0).AvailableAt() != 0 {
-		t.Error("other members must stay idle")
-	}
-}
-
-func TestPoolZeroUtilization(t *testing.T) {
-	p := NewPool("x", 0)
-	if p.Utilization(10) != 0 {
-		t.Error("empty pool utilization must be 0")
-	}
-	p2 := NewPool("y", 2)
-	if p2.Utilization(0) != 0 {
-		t.Error("zero makespan utilization must be 0")
-	}
-}
+import "testing"
 
 func TestBreakdown(t *testing.T) {
 	b := Breakdown{}
@@ -105,24 +28,5 @@ func TestBreakdownZeroTotalShares(t *testing.T) {
 	fr := b.Fractions()
 	if fr[0].Share != 0 {
 		t.Error("zero-total shares must be 0")
-	}
-}
-
-func TestLink(t *testing.T) {
-	l := NewLink("pcie", 1e9) // 1 GB/s
-	if got := l.TransferTime(1000); got != time.Microsecond {
-		t.Errorf("1000B at 1GB/s = %v, want 1us", got)
-	}
-	if l.TransferTime(0) != 0 || l.TransferTime(-1) != 0 {
-		t.Error("degenerate transfers must cost 0")
-	}
-	s1, e1 := l.Transfer(0, 1000)
-	s2, _ := l.Transfer(0, 1000)
-	if s1 != 0 || s2 != e1 {
-		t.Error("link transfers must serialise")
-	}
-	dead := NewLink("dead", 0)
-	if dead.TransferTime(100) != 0 {
-		t.Error("zero-bandwidth link returns 0 (validated elsewhere)")
 	}
 }

@@ -1,4 +1,4 @@
-// Package trace defines the search-trace format that couples the ANNS
+// Package trace defines the in-memory search trace that couples the ANNS
 // algorithms to the platform simulators. The paper generates memory
 // traces by instrumenting HNSW/DiskANN and feeds them to a trace-driven
 // simulator (§VII-A "Simulation method"); this package is that interface.
@@ -8,13 +8,6 @@
 // distances were computed. Everything the simulators need — page
 // accesses, LUN allocation, speculation overlap — derives from it.
 package trace
-
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
 
 // Iter is one search iteration of one query.
 type Iter struct {
@@ -44,17 +37,6 @@ func (q *Query) Length() int {
 	return n
 }
 
-// Unique returns the number of distinct vertices computed against.
-func (q *Query) Unique() int {
-	seen := map[uint32]bool{}
-	for _, it := range q.Iters {
-		for _, v := range it.Neighbors {
-			seen[v] = true
-		}
-	}
-	return len(seen)
-}
-
 // Batch is the trace of one batch of queries on one dataset/algorithm.
 type Batch struct {
 	Dataset string
@@ -81,143 +63,4 @@ func (b *Batch) MaxIterations() int {
 		}
 	}
 	return m
-}
-
-// VerticesTouched returns the set of all vertices computed against in
-// the batch, as a map for membership tests.
-func (b *Batch) VerticesTouched() map[uint32]bool {
-	seen := map[uint32]bool{}
-	for i := range b.Queries {
-		for _, it := range b.Queries[i].Iters {
-			for _, v := range it.Neighbors {
-				seen[v] = true
-			}
-		}
-	}
-	return seen
-}
-
-// ---- serialisation ------------------------------------------------------
-
-// magic identifies the trace file format; bump version on layout change.
-const magic = "NDTR\x01"
-
-// Write serialises the batch in a compact little-endian binary format.
-func (b *Batch) Write(w io.Writer) error {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	writeString(&buf, b.Dataset)
-	writeString(&buf, b.Algo)
-	writeU32(&buf, uint32(len(b.Queries)))
-	for i := range b.Queries {
-		q := &b.Queries[i]
-		writeU32(&buf, uint32(q.QueryID))
-		writeU32(&buf, uint32(len(q.Iters)))
-		for _, it := range q.Iters {
-			writeU32(&buf, it.Entry)
-			writeU32(&buf, uint32(len(it.Neighbors)))
-			for _, v := range it.Neighbors {
-				writeU32(&buf, v)
-			}
-		}
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// Read parses a batch previously serialised with Write.
-func Read(r io.Reader) (*Batch, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	p := &parser{data: data[len(magic):]}
-	b := &Batch{}
-	b.Dataset = p.str()
-	b.Algo = p.str()
-	nq := p.u32()
-	if p.err != nil {
-		return nil, p.err
-	}
-	if int(nq) > 1<<24 {
-		return nil, fmt.Errorf("trace: implausible query count %d", nq)
-	}
-	b.Queries = make([]Query, nq)
-	for i := range b.Queries {
-		q := &b.Queries[i]
-		q.QueryID = int(p.u32())
-		ni := p.u32()
-		if p.err != nil {
-			return nil, p.err
-		}
-		if int(ni) > 1<<20 {
-			return nil, fmt.Errorf("trace: implausible iteration count %d", ni)
-		}
-		q.Iters = make([]Iter, ni)
-		for j := range q.Iters {
-			it := &q.Iters[j]
-			it.Entry = p.u32()
-			nn := p.u32()
-			if p.err != nil {
-				return nil, p.err
-			}
-			if int(nn) > 1<<20 {
-				return nil, fmt.Errorf("trace: implausible neighbor count %d", nn)
-			}
-			it.Neighbors = make([]uint32, nn)
-			for k := range it.Neighbors {
-				it.Neighbors[k] = p.u32()
-			}
-		}
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	return b, nil
-}
-
-type parser struct {
-	data []byte
-	err  error
-}
-
-func (p *parser) u32() uint32 {
-	if p.err != nil {
-		return 0
-	}
-	if len(p.data) < 4 {
-		p.err = fmt.Errorf("trace: truncated input")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(p.data)
-	p.data = p.data[4:]
-	return v
-}
-
-func (p *parser) str() string {
-	n := p.u32()
-	if p.err != nil {
-		return ""
-	}
-	if int(n) > len(p.data) {
-		p.err = fmt.Errorf("trace: truncated string")
-		return ""
-	}
-	s := string(p.data[:n])
-	p.data = p.data[n:]
-	return s
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeU32(buf, uint32(len(s)))
-	buf.WriteString(s)
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // Metric identifies a distance function between two feature vectors.
-// It mirrors the 2-bit "Distance" field of the <SearchPage> instruction
-// (Fig. 9b of the paper).
+// Its value is the metric byte of a snapshot header.
 type Metric uint8
 
 const (
@@ -38,11 +37,8 @@ func (m Metric) String() string {
 	}
 }
 
-// Encode returns the 2-bit encoding of the metric used by the
-// <SearchPage> NAND instruction.
-func (m Metric) Encode() uint8 { return uint8(m) & 0x3 }
-
-// MetricFromEncoding decodes the 2-bit <SearchPage> distance field.
+// MetricFromEncoding decodes a snapshot header's metric byte, rejecting
+// values that name no metric.
 func MetricFromEncoding(bits uint8) (Metric, error) {
 	if bits > uint8(InnerProduct) {
 		return 0, fmt.Errorf("vec: invalid metric encoding %d", bits)
@@ -87,7 +83,7 @@ func (k ElemKind) Bytes() int {
 
 // Vector is a feature vector. All in-memory computation uses float32
 // regardless of the at-rest element kind; the kind only affects storage
-// footprint and the <SearchPage> fv_prec field.
+// footprint.
 type Vector []float32
 
 // Dim returns the dimensionality of the vector.

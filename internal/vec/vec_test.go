@@ -23,7 +23,7 @@ func TestMetricString(t *testing.T) {
 
 func TestMetricEncodeRoundTrip(t *testing.T) {
 	for _, m := range []Metric{L2, Angular, InnerProduct} {
-		got, err := MetricFromEncoding(m.Encode())
+		got, err := MetricFromEncoding(uint8(m))
 		if err != nil {
 			t.Fatalf("MetricFromEncoding(%v): %v", m, err)
 		}
