@@ -8,29 +8,36 @@
 //
 // A layer tracks two disjoint sets keyed by external vector ID:
 //
-//   - live: vectors upserted into this layer (authoritative values);
+//   - live: vectors upserted into this layer (authoritative values),
+//     stored contiguously — one row-major []float32 buffer with stride
+//     dim beside parallel ID and write-number slices, and an ID→row map.
+//     An overwrite rewrites its row in place; Delete and Release
+//     swap-remove (the last row moves into the hole). Search scores the
+//     buffer in batched four-row kernel calls instead of walking a map;
 //   - deleted: IDs deleted through this layer that still exist in the
 //     base generation (or in the generation a compaction is building)
 //     and must be shadowed there.
 //
 // Shadows(id) — membership in either set — is the tombstone predicate
-// the engine's base shard searches and merge fold apply to the base: a
-// live entry shadows the stale base copy it replaced, a deleted entry
-// shadows the copy it removed. Within one engine generation the shadow
-// set over base IDs only grows (Delete moves an ID from live to
-// deleted, never erases a shadow a lower tier still needs), which is
-// what makes the lock-staggered merge in engine.SearchBatch dup-free.
+// the engine's merge fold applies to the base (the engine keeps a
+// per-generation bitset over base positions that mirrors it for the
+// in-traversal filter): a live entry shadows the stale base copy it
+// replaced, a deleted entry shadows the copy it removed. Within one
+// engine generation the shadow set over base IDs only grows (Delete
+// moves an ID from live to deleted, never erases a shadow a lower tier
+// still needs), which is what makes the lock-staggered merge in
+// engine.SearchBatch dup-free and lets that bitset never clear a bit.
 //
 // Every write is numbered. A compaction Captures the layer at a write
-// number, builds a new base generation from the capture while the layer
-// keeps serving and absorbing writes, and then Releases it: on success
-// every entry written at or before the capture leaves the layer (the new
-// base holds it), on failure nothing does.
+// number — copying the captured rows out, since later writes move rows
+// in place — builds a new base generation from the capture while the
+// layer keeps serving and absorbing writes, and then Releases it: on
+// success every entry written at or before the capture leaves the layer
+// (the new base holds it), on failure nothing does.
 package delta
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -39,12 +46,6 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// entry is one live vector and the number of the write that stored it.
-type entry struct {
-	v   vec.Vector
-	seq uint64
-}
-
 // Index is one mutable delta layer. The zero value is not usable; call
 // New. All methods are safe for concurrent use.
 type Index struct {
@@ -52,8 +53,15 @@ type Index struct {
 	metric vec.Metric
 	dim    int
 	// seq numbers the writes: it is the number of the latest one.
-	seq  uint64
-	live map[uint32]entry
+	seq uint64
+	// The live set, one dense row per live ID: ids[i] holds the vector
+	// rows[i*dim:(i+1)*dim], stored by write number seqs[i], and
+	// pos[ids[i]] == i. An overwrite rewrites its row in place; a
+	// removal moves the last row into the hole.
+	ids  []uint32
+	seqs []uint64
+	rows []float32
+	pos  map[uint32]int32
 	// deleted maps each deleted ID to the number of the write that
 	// deleted it.
 	deleted map[uint32]uint64
@@ -63,15 +71,37 @@ type Index struct {
 	pinned []uint32
 }
 
+// scanChunk is how many live rows Search scores per batched kernel
+// call: the distances fit a stack buffer, so a search allocates nothing
+// for them.
+const scanChunk = 256
+
 // New returns an empty delta layer over metric m for dim-dimensional
 // vectors.
 func New(m vec.Metric, dim int) *Index {
 	return &Index{
 		metric:  m,
 		dim:     dim,
-		live:    make(map[uint32]entry),
+		pos:     make(map[uint32]int32),
 		deleted: make(map[uint32]uint64),
 	}
+}
+
+// row returns live row i of the contiguous buffer.
+func (d *Index) row(i int32) []float32 {
+	return d.rows[int(i)*d.dim : (int(i)+1)*d.dim]
+}
+
+// removeLocked drops live row i by moving the last row into its place.
+func (d *Index) removeLocked(i int32) {
+	delete(d.pos, d.ids[i])
+	last := int32(len(d.ids) - 1)
+	if i != last {
+		d.ids[i], d.seqs[i] = d.ids[last], d.seqs[last]
+		copy(d.row(i), d.row(last))
+		d.pos[d.ids[i]] = i
+	}
+	d.ids, d.seqs, d.rows = d.ids[:last], d.seqs[:last], d.rows[:int(last)*d.dim]
 }
 
 // CheckVector validates a vector for insertion: the layer's exact
@@ -99,13 +129,19 @@ func (d *Index) Upsert(id uint32, v vec.Vector) (wasLive bool, err error) {
 	if err := d.CheckVector(v); err != nil {
 		return false, err
 	}
-	cp := make(vec.Vector, len(v))
-	copy(cp, v)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, wasLive = d.live[id]
 	d.seq++
-	d.live[id] = entry{v: cp, seq: d.seq}
+	i, wasLive := d.pos[id]
+	if wasLive {
+		copy(d.row(i), v)
+		d.seqs[i] = d.seq
+	} else {
+		d.pos[id] = int32(len(d.ids))
+		d.ids = append(d.ids, id)
+		d.seqs = append(d.seqs, d.seq)
+		d.rows = append(d.rows, v...)
+	}
 	delete(d.deleted, id)
 	return wasLive, nil
 }
@@ -119,8 +155,10 @@ func (d *Index) Upsert(id uint32, v vec.Vector) (wasLive bool, err error) {
 func (d *Index) Delete(id uint32, shadow bool) (wasLive bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, wasLive = d.live[id]
-	delete(d.live, id)
+	i, wasLive := d.pos[id]
+	if wasLive {
+		d.removeLocked(i)
+	}
 	d.seq++
 	if _, captured := slices.BinarySearch(d.pinned, id); shadow || captured {
 		d.deleted[id] = d.seq
@@ -128,20 +166,11 @@ func (d *Index) Delete(id uint32, shadow bool) (wasLive bool) {
 	return wasLive
 }
 
-// Get returns id's live vector in this layer (a reference; callers must
-// not mutate it).
-func (d *Index) Get(id uint32) (vec.Vector, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	e, ok := d.live[id]
-	return e.v, ok
-}
-
 // Has reports whether id is live in this layer.
 func (d *Index) Has(id uint32) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	_, ok := d.live[id]
+	_, ok := d.pos[id]
 	return ok
 }
 
@@ -151,7 +180,7 @@ func (d *Index) Has(id uint32) bool {
 func (d *Index) Shadows(id uint32) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if _, ok := d.live[id]; ok {
+	if _, ok := d.pos[id]; ok {
 		return true
 	}
 	_, ok := d.deleted[id]
@@ -162,7 +191,7 @@ func (d *Index) Shadows(id uint32) bool {
 func (d *Index) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.live)
+	return len(d.ids)
 }
 
 // Tombstones returns the deleted-mark count.
@@ -178,7 +207,7 @@ func (d *Index) Tombstones() int {
 func (d *Index) ShadowCount() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.live) + len(d.deleted)
+	return len(d.ids) + len(d.deleted)
 }
 
 // Empty reports whether the layer holds no live vectors and no deleted
@@ -187,11 +216,12 @@ func (d *Index) Empty() bool { return d.ShadowCount() == 0 }
 
 // Search scans the live set and returns the top-k neighbors of query
 // under the layer's metric, ascending by the ann (distance, ID) total
-// order. Distances run on the same prepared-query path as
-// ann.BruteForce, so they are bit-identical to the exact tier for
-// identical vectors. A dimension-mismatched query returns nil rather
-// than panicking (engine and server validate dims at admission; this is
-// the defensive backstop).
+// order. The contiguous rows are scored in batched kernel calls
+// (vec.PreparedQuery.DistancesToFlat, bit-identical to the DistanceTo
+// ann.BruteForce uses), so distances are bit-identical to the exact
+// tier for identical vectors. A dimension-mismatched query returns nil
+// rather than panicking (engine and server validate dims at admission;
+// this is the defensive backstop).
 func (d *Index) Search(query vec.Vector, k int) []ann.Neighbor {
 	if k < 1 || len(query) != d.dim {
 		return nil
@@ -199,33 +229,42 @@ func (d *Index) Search(query vec.Vector, k int) []ann.Neighbor {
 	q := vec.PrepareQuery(d.metric, query)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if len(d.live) == 0 {
+	if len(d.ids) == 0 {
 		return nil
 	}
-	// Map iteration order is random, but Frontier admission follows the
-	// (distance, ID) total order, so the retained top-k is canonical
-	// regardless of scan order.
+	// Row order follows the write history, but Frontier admission
+	// follows the (distance, ID) total order, so the retained top-k is
+	// canonical regardless of scan order.
 	f := ann.NewFrontier(k)
-	for id, e := range d.live {
-		f.PushResult(ann.Neighbor{ID: id, Dist: q.DistanceTo(e.v)})
+	var dists [scanChunk]float32
+	for lo := 0; lo < len(d.ids); lo += scanChunk {
+		out := dists[:min(scanChunk, len(d.ids)-lo)]
+		q.DistancesToFlat(d.rows[lo*d.dim:(lo+len(out))*d.dim], out)
+		for j, dist := range out {
+			f.PushResult(ann.Neighbor{ID: d.ids[lo+j], Dist: dist})
+		}
 	}
 	return f.Results()
 }
 
 // Capture pins the layer's current state for a compaction and returns
-// it: the live entries sorted ascending by ID with vectors aliased (not
-// copied; callers must not mutate either slice), the sorted shadow set
-// the new base must drop, and the number at of the latest write the
-// capture includes. The layer keeps every captured entry — searches
-// still see it, later writes still replace it — until Release(at, ...).
-// One capture may be pinned at a time.
+// it: the live entries sorted ascending by ID with their vectors copied
+// into one private buffer (later writes rewrite and move the layer's
+// own rows in place, so the capture must not alias them), the sorted
+// shadow set the new base must drop, and the number at of the latest
+// write the capture includes. The layer keeps every captured entry —
+// searches still see it, later writes still replace it — until
+// Release(at, ...). One capture may be pinned at a time.
 func (d *Index) Capture() (ids []uint32, vecs []vec.Vector, drop []uint32, at uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ids = slices.Sorted(maps.Keys(d.live))
+	ids = slices.Clone(d.ids)
+	slices.Sort(ids)
+	buf := make([]float32, len(ids)*d.dim)
 	vecs = make([]vec.Vector, len(ids))
 	for i, id := range ids {
-		vecs[i] = d.live[id].v
+		vecs[i] = buf[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
+		copy(vecs[i], d.row(d.pos[id]))
 	}
 	d.pinned = ids
 	return ids, vecs, d.shadowIDsLocked(), d.seq
@@ -243,9 +282,11 @@ func (d *Index) Release(at uint64, built bool) {
 	if !built {
 		return
 	}
-	for id, e := range d.live {
-		if e.seq <= at {
-			delete(d.live, id)
+	for i := int32(0); int(i) < len(d.ids); {
+		if d.seqs[i] <= at {
+			d.removeLocked(i) // row i now holds the former last row
+		} else {
+			i++
 		}
 	}
 	for id, seq := range d.deleted {
@@ -265,10 +306,8 @@ func (d *Index) ShadowIDs() []uint32 {
 }
 
 func (d *Index) shadowIDsLocked() []uint32 {
-	ids := make([]uint32, 0, len(d.live)+len(d.deleted))
-	for id := range d.live {
-		ids = append(ids, id)
-	}
+	ids := make([]uint32, 0, len(d.ids)+len(d.deleted))
+	ids = append(ids, d.ids...)
 	for id := range d.deleted {
 		ids = append(ids, id)
 	}

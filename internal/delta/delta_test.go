@@ -2,7 +2,9 @@ package delta
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ndsearch/internal/ann"
@@ -34,9 +36,8 @@ func TestUpsertDeleteMembership(t *testing.T) {
 	if d.Len() != 1 || !d.Has(7) || !d.Shadows(7) {
 		t.Fatalf("live state wrong: len=%d has=%v shadows=%v", d.Len(), d.Has(7), d.Shadows(7))
 	}
-	got, ok := d.Get(7)
-	if !ok || !reflect.DeepEqual(got, vs[1]) {
-		t.Fatal("Get did not return the latest value")
+	if got := d.Search(vs[1], 1); len(got) != 1 || got[0] != (ann.Neighbor{ID: 7, Dist: 0}) {
+		t.Fatalf("Search did not find the latest value: %v", got)
 	}
 
 	// Delete with shadow: live entry goes, tombstone stays.
@@ -93,9 +94,8 @@ func TestUpsertCopiesVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	v[0] = 99
-	got, _ := d.Get(1)
-	if got[0] != 1 {
-		t.Fatal("Upsert aliased the caller's slice")
+	if got := d.Search(vec.Vector{1, 2}, 1); len(got) != 1 || got[0].Dist != 0 {
+		t.Fatalf("Upsert aliased the caller's slice: %v", got)
 	}
 }
 
@@ -211,14 +211,88 @@ func TestCaptureRelease(t *testing.T) {
 		if got := d.ShadowIDs(); !reflect.DeepEqual(got, wantShadows) {
 			t.Fatalf("built=%v: shadows after release = %v, want %v", built, got, wantShadows)
 		}
-		if v, ok := d.Get(4); !ok || v[0] != 40 {
-			t.Fatalf("built=%v: post-capture upsert of 4 lost", built)
+		if got := d.Search(vec.Vector{40}, 1); !d.Has(4) || len(got) != 1 || got[0] != (ann.Neighbor{ID: 4, Dist: 0}) {
+			t.Fatalf("built=%v: post-capture upsert of 4 lost: %v", built, got)
 		}
 		// Released: deleting an uncaptured, base-less id forgets it again.
 		up(d, 7, 7)
 		d.Delete(7, false)
 		if d.Shadows(7) {
 			t.Fatalf("built=%v: delete after release still pinned", built)
+		}
+	}
+}
+
+// Capture copies the captured rows: an overwrite (in place), a delete
+// (its swap-remove moves the last row into the hole) and an upsert (an
+// append that may grow the buffer) after the capture leave every
+// captured vector as it was.
+func TestCaptureIsolatedFromLaterWrites(t *testing.T) {
+	d := New(vec.L2, 2)
+	for id := uint32(1); id <= 4; id++ {
+		if _, err := d.Upsert(id, vec.Vector{float32(id), -float32(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids, vecs, _, at := d.Capture()
+	want := make([]vec.Vector, len(vecs))
+	for i, v := range vecs {
+		want[i] = slices.Clone(v)
+	}
+
+	if _, err := d.Upsert(1, vec.Vector{100, 100}); err != nil {
+		t.Fatal(err)
+	}
+	d.Delete(2, false) // row 4 moves into row 2's slot
+	if _, err := d.Upsert(3, vec.Vector{300, 300}); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(5); id <= 12; id++ {
+		if _, err := d.Upsert(id, vec.Vector{float32(id) * 1000, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(ids, []uint32{1, 2, 3, 4}) || !reflect.DeepEqual(vecs, want) {
+		t.Fatalf("capture changed under later writes: ids %v vecs %v, want %v", ids, vecs, want)
+	}
+	// The layer itself serves the new values, including the moved row.
+	if got := d.Search(vec.Vector{4, -4}, 1); len(got) != 1 || got[0] != (ann.Neighbor{ID: 4, Dist: 0}) {
+		t.Fatalf("moved row lost: %v", got)
+	}
+	if got := d.Search(vec.Vector{100, 100}, 1); len(got) != 1 || got[0] != (ann.Neighbor{ID: 1, Dist: 0}) {
+		t.Fatalf("in-place overwrite lost: %v", got)
+	}
+	// 2's delete landed after the capture that pinned it: its tombstone
+	// outlives the release.
+	d.Release(at, true)
+	if got := d.ShadowIDs(); !reflect.DeepEqual(got, []uint32{1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12}) {
+		t.Fatalf("shadows after release = %v", got)
+	}
+}
+
+// BenchmarkDeltaSearch is one delta scan at mutate_mix's compaction
+// threshold: 1024 live 128-d rows under L2, k = 10.
+func BenchmarkDeltaSearch(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	const rows, dim = 1024, 128
+	d := New(vec.L2, dim)
+	for id := uint32(0); id < rows; id++ {
+		v := make(vec.Vector, dim)
+		for i := range v {
+			v[i] = float32(rng.Intn(256))
+		}
+		if _, err := d.Upsert(id*7, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q := make(vec.Vector, dim)
+	for i := range q {
+		q[i] = float32(rng.Intn(256))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if len(d.Search(q, 10)) != 10 {
+			b.Fatal("short result")
 		}
 	}
 }

@@ -33,6 +33,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,12 +117,13 @@ type shard struct {
 	base  uint32
 }
 
-// generation is one immutable base of the generational shard set: built
-// shards, the position→external-ID translation (nil when positions are
-// the IDs, as in generation 0 of a fresh build), and — on the paged
-// serving path — the open per-shard snapshot handles. A generation is
-// never mutated after the engine starts serving it; compaction replaces
-// the whole value.
+// generation is one base of the generational shard set: built shards,
+// the position→external-ID translation (nil when positions are the IDs,
+// as in generation 0 of a fresh build), the in-traversal shadow bitset,
+// and — on the paged serving path — the open per-shard snapshot
+// handles. Its shards and ID table are never mutated after the engine
+// starts serving it (compaction replaces the whole value); only shadow
+// bits are set, and never cleared.
 type generation struct {
 	// num is the generation number: 0 for the initial build, then
 	// incremented per compaction. On a snapshot-backed engine it also
@@ -134,6 +136,16 @@ type generation struct {
 	ids []uint32
 	// vectors is the base row count (sum of shard lengths).
 	vectors int
+	// shadow holds one bit per base position, set exactly when the delta
+	// tier shadows that position's external ID: the shard searches' skip
+	// predicate reads it lock-free, with no ID translation and no map.
+	// Upsert and Delete set a bit (atomic Or, under writeMu) where they
+	// count a new base tombstone; the compaction swap fills a new
+	// generation's bits from the delta's shadow set before any search
+	// sees it. Within a generation the shadow set over base IDs only
+	// grows, so a bit is never cleared. It is sized by the generation
+	// (1 bit per base vector), never by an external ID.
+	shadow []atomic.Uint64
 	// paged holds the open per-shard handles on the paged serving path,
 	// for counters and for Close/retirement.
 	paged []*snapshot.PagedIndex
@@ -141,6 +153,21 @@ type generation struct {
 	// it lives on the generation because the shard count can change
 	// across compactions.
 	perShard []atomic.Int64
+}
+
+// newGeneration assembles generation num over built shards, sizing its
+// per-shard counters by the shard count and its shadow bitset by the
+// base row count.
+func newGeneration(num int, shards []shard, ids []uint32, vectors int, paged []*snapshot.PagedIndex) *generation {
+	return &generation{
+		num:      num,
+		shards:   shards,
+		ids:      ids,
+		vectors:  vectors,
+		shadow:   make([]atomic.Uint64, (vectors+63)/64),
+		paged:    paged,
+		perShard: make([]atomic.Int64, len(shards)),
+	}
 }
 
 // extID translates a global position to its external ID.
@@ -151,13 +178,31 @@ func (g *generation) extID(pos uint32) uint32 {
 	return g.ids[pos]
 }
 
+// position returns external ID id's global position, and whether the
+// base generation holds id at all.
+func (g *generation) position(id uint32) (uint32, bool) {
+	if g.ids == nil {
+		return id, uint64(id) < uint64(g.vectors)
+	}
+	i, ok := slices.BinarySearch(g.ids, id)
+	return uint32(i), ok
+}
+
 // has reports whether external ID id exists in the base generation.
 func (g *generation) has(id uint32) bool {
-	if g.ids == nil {
-		return int(id) < g.vectors
-	}
-	i := sort.Search(len(g.ids), func(i int) bool { return g.ids[i] >= id })
-	return i < len(g.ids) && g.ids[i] == id
+	_, ok := g.position(id)
+	return ok
+}
+
+// shadowed reports whether the delta shadows the vector at global
+// position pos.
+func (g *generation) shadowed(pos uint32) bool {
+	return g.shadow[pos/64].Load()&(1<<(pos%64)) != 0
+}
+
+// setShadowed marks global position pos shadowed.
+func (g *generation) setShadowed(pos uint32) {
+	g.shadow[pos/64].Or(1 << (pos % 64))
 }
 
 // Engine is a sharded, concurrency-safe batch-search engine with live
@@ -239,7 +284,8 @@ type Engine struct {
 // The task carries its generation so a batch in flight across a
 // compaction swap keeps searching the generation it started on. skip is
 // the shard's tombstone predicate over its local IDs (nil when the batch
-// started with an empty shadow set). qi and tr label the task for stage
+// started with an empty shadow set): a read of the generation's shadow
+// bitset at the shard's base offset. qi and tr label the task for stage
 // tracing (tr is nil on untraced batches).
 type task struct {
 	query vec.Vector
@@ -287,11 +333,7 @@ func New(data []vec.Vector, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := &generation{
-		shards:   shards,
-		vectors:  len(data),
-		perShard: make([]atomic.Int64, len(shards)),
-	}
+	gen := newGeneration(0, shards, nil, len(data), nil)
 	e := newEngine(gen, cfg.Workers, len(data[0]), cfg.Meta, cfg.Builder)
 	e.reqShards = cfg.Shards
 	return e, nil
@@ -505,7 +547,10 @@ func (e *Engine) SearchBatch(queries []vec.Vector, k int) ([][]ann.Neighbor, *Ba
 // byte-identical to SearchBatch — tracing only observes. Every shard
 // task searches at k: when the delta shadows anything, the shard search
 // skips shadowed base vertices inside its traversal rather than
-// over-fetching and dropping them afterwards.
+// over-fetching and dropping them afterwards. The skip test is a bit in
+// the generation's shadow bitset (no ID translation, no delta lock); the
+// merge fold's re-check of at most k entries per shard stays on the
+// delta's own Shadows.
 func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions) ([][]ann.Neighbor, *BatchStats) {
 	tr := opts.Trace
 	//ndvet:ignore determinism wall time feeds only latency fields in BatchStats, never results
@@ -526,8 +571,9 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	}
 
 	// A batch that starts with shadows hands every shard the tombstone
-	// predicate over its local IDs: a shadowed base vertex still routes
-	// the traversal but never enters the shard's result list, so each
+	// predicate over its local IDs — one lock-free bit read in the
+	// generation's shadow bitset — so a shadowed base vertex still routes
+	// the traversal but never enters the shard's result list, and each
 	// shard's top-k is already its top-k live vectors. With no shadows
 	// (the pure-read path) the shard search is the unfiltered one and
 	// results stay byte-identical.
@@ -536,7 +582,7 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	if mutated {
 		skips = make([]func(uint32) bool, len(gen.shards))
 		for si, sh := range gen.shards {
-			skips[si] = func(local uint32) bool { return dlt.Shadows(gen.extID(local + sh.base)) }
+			skips[si] = func(local uint32) bool { return gen.shadowed(local + sh.base) }
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"ndsearch/internal/snapshot"
@@ -56,7 +55,8 @@ func (e *Engine) Upsert(id uint32, v vec.Vector) error {
 	if !wasLive {
 		e.liveLen.Add(1)
 	}
-	if !shadowedBefore && e.gen.has(id) {
+	if pos, inBase := e.gen.position(id); inBase && !shadowedBefore {
+		e.gen.setShadowed(pos)
 		e.baseTombs.Add(1)
 	}
 	e.m.upserts.Inc()
@@ -79,8 +79,9 @@ func (e *Engine) Delete(id uint32) (bool, error) {
 	// still holds the ID; an ID that only ever lived in the delta is
 	// simply forgotten (the delta itself keeps one for an ID a compaction
 	// in flight captured).
-	inBase := e.gen.has(id)
-	if !e.delta.Shadows(id) && inBase {
+	pos, inBase := e.gen.position(id)
+	if inBase && !e.delta.Shadows(id) {
+		e.gen.setShadowed(pos)
 		e.baseTombs.Add(1)
 	}
 	e.delta.Delete(id, inBase)
@@ -192,7 +193,8 @@ func (e *Engine) DeltaPressure() int { return e.delta.ShadowCount() }
 //  3. Swap: under the write locks (which wait for in-flight searches to
 //     drain), the new generation replaces the old, the delta releases
 //     every entry the capture covered (the new base holds them), and
-//     the base-tombstone counter is recomputed against the new base.
+//     the base-tombstone counter and the new generation's shadow bits
+//     are recomputed from what the delta still shadows in the new base.
 //     The old generation is then retired (paged handles closed,
 //     directory deleted).
 //
@@ -244,7 +246,8 @@ func (e *Engine) compact() error {
 	e.delta.Release(at, true)
 	tombs := int64(0)
 	for _, id := range e.delta.ShadowIDs() {
-		if newGen.has(id) {
+		if pos, inBase := newGen.position(id); inBase {
+			newGen.setShadowed(pos)
 			tombs++
 		}
 	}
@@ -324,13 +327,7 @@ func (e *Engine) buildGeneration(oldGen *generation, capIDs []uint32, capVecs []
 	if identity {
 		idTab = nil
 	}
-	return &generation{
-		num:      oldGen.num + 1,
-		shards:   shards,
-		ids:      idTab,
-		vectors:  len(ids),
-		perShard: make([]atomic.Int64, len(shards)),
-	}, nil
+	return newGeneration(oldGen.num+1, shards, idTab, len(ids), nil), nil
 }
 
 // byExtID co-sorts the merged (ids, vecs) pair ascending by ID.

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/snapshot"
@@ -337,14 +336,7 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		Elem:      vec.ElemKind(man.ElemKind),
 		Quantized: man.Quantized, Rerank: man.Rerank,
 	}
-	gen := &generation{
-		num:      genNum,
-		shards:   shards,
-		ids:      man.Ids,
-		vectors:  man.Vectors,
-		paged:    paged,
-		perShard: make([]atomic.Int64, len(shards)),
-	}
+	gen := newGeneration(genNum, shards, man.Ids, man.Vectors, paged)
 	// Reconstruct the shard builder so Compact can rebuild the base. Every
 	// loadable directory has one: checkShard pinned the algo and the
 	// quantized mode to the files, and the metric is the files' own.

@@ -75,6 +75,22 @@ func l2sqRows4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
 	return l2sqF32x4(q, r0[:n], r1[:n], r2[:n], r3[:n])
 }
 
+// l2sqAll is l2sq from q to each of the len(out) rows laid end to end
+// in buf (stride len(q)), four rows per pass — the one full-scan L2 loop
+// Kernel.DistsAll and PreparedQuery.DistancesToFlat share.
+func l2sqAll(q, buf, out []float32) {
+	dim := len(q)
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r := buf[i*dim : (i+4)*dim]
+		out[i], out[i+1], out[i+2], out[i+3] = l2sqRows4(q,
+			r[:dim], r[dim:2*dim], r[2*dim:3*dim], r[3*dim:])
+	}
+	for ; i < len(out); i++ {
+		out[i] = l2sq(q, buf[i*dim:i*dim+dim])
+	}
+}
+
 // squaredNorm is the 4-way unrolled squared Euclidean norm. Matrix
 // construction and the matrix-free PreparedQuery path both use it, so
 // precomputed and on-the-fly norms are bit-identical.
@@ -163,6 +179,26 @@ func (q *PreparedQuery) DistanceTo(v Vector) float32 {
 		return -dot4(q.vec, v)
 	default:
 		panic(fmt.Sprintf("vec: unknown metric %d", q.metric))
+	}
+}
+
+// DistancesToFlat evaluates the prepared query against the len(out)
+// rows laid end to end in rows, stride the query's dim, writing
+// out[i] = DistanceTo(row i) bit for bit. It is the matrix-free full
+// scan (the delta tier's contiguous live set): L2 runs Kernel.DistsAll's
+// four-row loop, the other metrics DistanceTo per row. A rows length
+// other than len(out) × dim panics.
+func (q *PreparedQuery) DistancesToFlat(rows, out []float32) {
+	dim := len(q.vec)
+	if len(rows) != len(out)*dim {
+		panic(fmt.Sprintf("vec: DistancesToFlat rows length %d != %d rows × dim %d", len(rows), len(out), dim))
+	}
+	if q.metric == L2 {
+		l2sqAll(q.vec, rows, out)
+		return
+	}
+	for i := range out {
+		out[i] = q.DistanceTo(rows[i*dim : i*dim+dim])
 	}
 }
 
@@ -305,15 +341,7 @@ func (k *Kernel) DistsAll(q PreparedQuery, out []float32) {
 	dim, buf := k.mat.dim, k.mat.buf
 	switch k.metric {
 	case L2:
-		i := 0
-		for ; i+4 <= len(out); i += 4 {
-			r := buf[i*dim : (i+4)*dim]
-			out[i], out[i+1], out[i+2], out[i+3] = l2sqRows4(q.vec,
-				r[:dim], r[dim:2*dim], r[2*dim:3*dim], r[3*dim:])
-		}
-		for ; i < len(out); i++ {
-			out[i] = l2sq(q.vec, buf[i*dim:i*dim+dim])
-		}
+		l2sqAll(q.vec, buf, out)
 	case Angular:
 		for i := range out {
 			out[i] = angularFromDot(dot4(q.vec, buf[i*dim:i*dim+dim]), q.norm, k.mat.norms[i])

@@ -266,3 +266,52 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 		}
 	}
 }
+
+// DistancesToFlat is DistanceTo bit for bit, row by row, under every
+// metric, at every row count 0–9 (each remainder of the four-row L2
+// loop) and at dims on both sides of the unroll width.
+func TestDistancesToFlatMatchesDistanceTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, m := range []Metric{L2, Angular, InnerProduct} {
+		for _, dim := range []int{1, 3, 5, 127, 128, 131} {
+			for _, d := range asmDraws {
+				q := make(Vector, dim)
+				for i := range q {
+					q[i] = d.draw(rng)
+				}
+				pq := PrepareQuery(m, q)
+				for n := 0; n <= 9; n++ {
+					flat := make([]float32, n*dim)
+					for i := range flat {
+						flat[i] = d.draw(rng)
+					}
+					out := make([]float32, n)
+					pq.DistancesToFlat(flat, out)
+					for i := range out {
+						want := pq.DistanceTo(flat[i*dim : (i+1)*dim])
+						if math.Float32bits(out[i]) != math.Float32bits(want) {
+							t.Fatalf("%v d%d %s n=%d row %d: got %v (%08x), DistanceTo %v (%08x)",
+								m, dim, d.name, n, i, out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A flat buffer that is not rows × dim long is a caller bug and panics
+// rather than scoring a torn row.
+func TestDistancesToFlatLengthPanics(t *testing.T) {
+	pq := PrepareQuery(L2, Vector{1, 2, 3})
+	for _, n := range []int{2, 4, 7} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("buffer of %d floats for 2 rows × dim 3 did not panic", n)
+				}
+			}()
+			pq.DistancesToFlat(make([]float32, n), make([]float32, 2))
+		}()
+	}
+}
