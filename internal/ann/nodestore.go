@@ -151,7 +151,7 @@ func (s *KernelStore) Components(v uint32, dims []int, buf []float32) []float32 
 	if sq := s.kern.Matrix().SQ8(); s.Quantized() && sq != nil {
 		row := sq.Row(int(v))
 		for _, d := range dims {
-			buf = append(buf, float32(row[d]))
+			buf = append(buf, float32(int8(row[d])))
 		}
 		return buf
 	}

@@ -51,8 +51,8 @@ func TestBuilderWithOptsRejectsQuantizedExact(t *testing.T) {
 
 // A quantized engine round-trips its snapshot directory: the manifest
 // records the mode, the reload serves byte-identically, and a manifest
-// whose quantized bit contradicts the CRC-guarded shard files is
-// rejected instead of silently changing the serving mode.
+// whose quantized bit or rerank width contradicts the CRC-guarded shard
+// files is rejected instead of silently changing the serving mode.
 func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 	for _, algo := range []string{"hnsw", "diskann"} {
 		t.Run(algo, func(t *testing.T) {
@@ -83,26 +83,74 @@ func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 				}
 			}
 
-			// Clearing the manifest's quantized bit must fail the load:
-			// the shard files carry sq8 sections the manifest now denies.
+			// A hand-edited SQ8 mode must fail the load in every serving
+			// mode. Clearing the quantized bit denies the files' sq8
+			// sections; a different rerank width would otherwise be what
+			// the first compaction after the load rebuilds with.
 			manPath := inCurrent(t, dir, ManifestName)
 			blob, err := os.ReadFile(manPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var m Manifest
-			if err := json.Unmarshal(blob, &m); err != nil {
-				t.Fatal(err)
-			}
-			m.Quantized = false
-			mutated, _ := json.Marshal(&m)
-			if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
-				t.Fatalf("manifest quantized mismatch: err = %v, want ErrCorrupt", err)
+			for _, edit := range []struct {
+				field string
+				apply func(*Manifest)
+			}{
+				{"quantized", func(m *Manifest) { m.Quantized = false }},
+				{"rerank", func(m *Manifest) { m.Rerank = 16 }},
+			} {
+				var m Manifest
+				if err := json.Unmarshal(blob, &m); err != nil {
+					t.Fatal(err)
+				}
+				edit.apply(&m)
+				mutated, _ := json.Marshal(&m)
+				if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for _, serve := range []string{ServeRAM, ServeReadAt} {
+					if _, _, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Serve: serve}); !errors.Is(err, snapshot.ErrCorrupt) {
+						t.Fatalf("manifest %s mismatch, serve %s: err = %v, want ErrCorrupt", edit.field, serve, err)
+					}
+				}
 			}
 		})
+	}
+}
+
+// Save records the SQ8 mode the shards were built with, not the
+// caller's Meta: an engine whose Meta names only the algo saves a
+// directory that loads, with the shards' quantized bit and rerank
+// width in its manifest.
+func TestQuantEngineSaveRecordsShardMode(t *testing.T) {
+	prof := dataset.Sift1B()
+	d, err := dataset.Generate(prof, dataset.GenConfig{N: 300, Queries: 4, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builder, err := BuilderWithOpts("hnsw", prof.Metric, 3, IndexOpts{Quantized: true, Rerank: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(d.Vectors, Config{Shards: 2, Workers: 2, Builder: builder, Meta: Meta{Algo: "hnsw"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	loaded, man, err := Load(dir, 2)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	t.Cleanup(loaded.Close)
+	if !man.Quantized || man.Rerank != 32 {
+		t.Fatalf("manifest quantized=%v rerank=%d, want true/32", man.Quantized, man.Rerank)
+	}
+	if got := loaded.Meta(); !got.Quantized || got.Rerank != 32 {
+		t.Fatalf("loaded Meta quantized=%v rerank=%d, want true/32", got.Quantized, got.Rerank)
 	}
 }
 

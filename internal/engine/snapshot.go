@@ -12,7 +12,11 @@ import (
 	"sync"
 
 	"ndsearch/internal/ann"
+	"ndsearch/internal/hcnng"
+	"ndsearch/internal/hnsw"
 	"ndsearch/internal/snapshot"
+	"ndsearch/internal/togg"
+	"ndsearch/internal/vamana"
 	"ndsearch/internal/vec"
 )
 
@@ -52,10 +56,12 @@ type Manifest struct {
 	// with (vec.ElemKind encoding), restored into Meta on Load so a
 	// re-save keeps the compact representation.
 	ElemKind uint8 `json:"elem_kind"`
-	// Quantized and Rerank record the shards' SQ8 traversal mode. The
-	// quantized bit is cross-checked against each CRC-guarded shard file
-	// (presence of its SQ8 tier) at load time, so a hand-edited
-	// manifest cannot silently change the serving mode.
+	// Quantized and Rerank record the shards' SQ8 traversal mode, read
+	// from the shards themselves at save time (Rerank is 0 unless
+	// Quantized: a file stores the width only beside its SQ8 tier).
+	// Both are cross-checked against each CRC-guarded shard file at load
+	// time, so a hand-edited manifest cannot silently change the serving
+	// mode or the rerank width a compaction rebuilds with.
 	Quantized bool `json:"quantized,omitempty"`
 	Rerank    int  `json:"rerank,omitempty"`
 	// Dim and Vectors describe the corpus; Bounds are the contiguous
@@ -146,8 +152,6 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 		Dataset:       meta.Dataset,
 		Seed:          meta.Seed,
 		ElemKind:      uint8(meta.Elem),
-		Quantized:     meta.Quantized,
-		Rerank:        meta.Rerank,
 		Dim:           dim,
 		Vectors:       gen.vectors,
 		Shards:        len(gen.shards),
@@ -160,8 +164,13 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 		if err != nil {
 			return fmt.Errorf("engine: save shard %d: %w", i, err)
 		}
+		// The SQ8 mode is recorded from the shards, as the algo is: a
+		// manifest copied from Meta would disagree with the files
+		// whenever the caller's Meta does, and Load would reject them.
+		quantized, rerank := sq8Mode(sh.index)
 		if i == 0 {
 			detected = d
+			man.Quantized, man.Rerank = quantized, rerank
 			// A wrong caller-supplied algo would make every future Load
 			// reject this intact directory as corrupt — surface the bug
 			// here, before any file is written.
@@ -170,6 +179,9 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 			}
 		} else if d != detected {
 			return fmt.Errorf("engine: save: shard %d is %s, shard 0 is %s", i, d, detected)
+		} else if quantized != man.Quantized || rerank != man.Rerank {
+			return fmt.Errorf("engine: save: shard %d has quantized=%v rerank=%d, shard 0 has quantized=%v rerank=%d",
+				i, quantized, rerank, man.Quantized, man.Rerank)
 		}
 		name := shardFileName(i)
 		crc, err := snapshot.SaveFile(filepath.Join(gdir, name), sh.index, meta.Elem)
@@ -193,6 +205,31 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 		return fmt.Errorf("engine: save: %w", err)
 	}
 	return nil
+}
+
+// sq8Mode is the SQ8 traversal mode of a graph-family shard index as
+// its snapshot file records it: whether it traverses SQ8 codes, and
+// its exact-rerank width, which a file stores only beside the SQ8 tier
+// (0 otherwise). The flat families have no SQ8 mode.
+func sq8Mode(idx ann.Index) (quantized bool, rerank int) {
+	switch x := idx.(type) {
+	case *hnsw.Index:
+		c := x.Params()
+		quantized, rerank = c.Quantized, c.Rerank
+	case *vamana.Index:
+		c := x.Params()
+		quantized, rerank = c.Quantized, c.Rerank
+	case *hcnng.Index:
+		c := x.Params()
+		quantized, rerank = c.Quantized, c.Rerank
+	case *togg.Index:
+		c := x.Params()
+		quantized, rerank = c.Quantized, c.Rerank
+	}
+	if !quantized {
+		return false, 0
+	}
+	return true, rerank
 }
 
 // Serving modes for LoadOptions.Serve (and Engine.ServeMode).
@@ -422,9 +459,10 @@ func (m *Manifest) validate() error {
 // what its CRC-guarded file holds. The manifest itself is not
 // checksummed, so a manifest whose algo, row count, dim, or serving
 // mode disagrees must fail the load, not panic on the first search
-// (ndserve validates query dims against the manifest). quantized is the
-// in-file truth for the serving mode: presence of the SQ8 tier.
-func checkShard(man *Manifest, i int, algo string, rows, dim int, quantized bool) error {
+// (ndserve validates query dims against the manifest). quantized and
+// rerank are the in-file truth for the serving mode: presence of the
+// SQ8 tier, and the rerank width stored beside it.
+func checkShard(man *Manifest, i int, algo string, rows, dim int, quantized bool, rerank int) error {
 	f := man.Files[i]
 	if algo != man.Algo {
 		return fmt.Errorf("engine: load shard %d (%s): %w: file holds %s, manifest says %s",
@@ -440,6 +478,10 @@ func checkShard(man *Manifest, i int, algo string, rows, dim int, quantized bool
 	if quantized != man.Quantized {
 		return fmt.Errorf("engine: load shard %d (%s): %w: file quantized=%v, manifest says %v",
 			i, f.Name, snapshot.ErrCorrupt, quantized, man.Quantized)
+	}
+	if rerank != man.Rerank {
+		return fmt.Errorf("engine: load shard %d (%s): %w: file rerank=%d, manifest says %d",
+			i, f.Name, snapshot.ErrCorrupt, rerank, man.Rerank)
 	}
 	return nil
 }
@@ -462,6 +504,7 @@ func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (*
 		idx       ann.Index
 		dim       int
 		quantized bool
+		rerank    int
 		err       error
 	)
 	if mode == ServeRAM {
@@ -482,6 +525,7 @@ func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (*
 		}
 		mat := mx.Matrix()
 		dim, quantized = mat.Dim(), mat.SQ8() != nil
+		_, rerank = sq8Mode(idx)
 	} else {
 		if pi, err = snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: mode, CachePages: cachePages}); err != nil {
 			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
@@ -489,12 +533,12 @@ func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (*
 		// The blocks meta's quantized bit (paired with the sq8s section)
 		// is what the opener folded into the header.
 		idx = pi.Index()
-		dim, quantized = pi.Header().Dim, pi.Header().Quantized
+		dim, quantized, rerank = pi.Header().Dim, pi.Header().Quantized, pi.Header().Rerank
 	}
 	// An index type Detect cannot name yields "", which no manifest algo
 	// matches, so checkShard reports it.
 	algo, _ := snapshot.Detect(idx)
-	if err := checkShard(man, i, algo, idx.Len(), dim, quantized); err != nil {
+	if err := checkShard(man, i, algo, idx.Len(), dim, quantized, rerank); err != nil {
 		if pi != nil {
 			_ = pi.Close()
 		}

@@ -322,11 +322,7 @@ func addBlocks(b *builder, h Header, mat *vec.Matrix, base *graph.Graph, elem ve
 			return err
 		}
 		if quantized {
-			codes := sq.Row(v)
-			dst := rec[codeOff:]
-			for i, c := range codes {
-				dst[i] = byte(c)
-			}
+			copy(rec[codeOff:], sq.Row(v))
 		}
 	}
 	e.b = append(e.b, image...)
@@ -369,9 +365,12 @@ func decodeBlocks(f *file, data image) (*vec.Matrix, *graph.Graph, error) {
 	image := payload[blockMetaSize+pad:]
 
 	rows := make([]vec.Vector, m.n)
-	var codes []int8
+	// The codes are copied out into one buffer of their own: the SQ8
+	// tier retains what SQ8FromParts is handed, and a subslice of data
+	// would keep the whole file image reachable.
+	var codes []byte
 	if m.quantized {
-		codes = make([]int8, m.n*m.dim)
+		codes = make([]byte, m.n*m.dim)
 	}
 	g := graph.New(m.n)
 	vecOff, codeOff := m.vecOffset(), m.codeOffset(h.Elem)
@@ -397,11 +396,7 @@ func decodeBlocks(f *file, data image) (*vec.Matrix, *graph.Graph, error) {
 		}
 		rows[v] = row
 		if m.quantized {
-			dst := codes[v*m.dim : (v+1)*m.dim]
-			src := rec[codeOff : codeOff+m.dim]
-			for i, cb := range src {
-				dst[i] = int8(cb)
-			}
+			copy(codes[v*m.dim:(v+1)*m.dim], rec[codeOff:codeOff+m.dim])
 		}
 	}
 	mat := vec.NewMatrix(rows)

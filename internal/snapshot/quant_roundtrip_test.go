@@ -95,17 +95,9 @@ func requireSameSQ8(t *testing.T, got, want *vec.SQ8) {
 				i, got.Scales()[i], math.Float32bits(got.Scales()[i]), s, math.Float32bits(s))
 		}
 	}
-	if !bytes.Equal(codesAsBytes(got.Codes()), codesAsBytes(want.Codes())) {
+	if !bytes.Equal(got.Codes(), want.Codes()) {
 		t.Fatalf("code buffers differ")
 	}
-}
-
-func codesAsBytes(codes []int8) []byte {
-	out := make([]byte, len(codes))
-	for i, c := range codes {
-		out[i] = byte(c)
-	}
-	return out
 }
 
 // A loaded quantized snapshot serves searches byte-identically to the
@@ -140,6 +132,44 @@ func TestQuantizedWarmStartEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A RAM load keeps nothing of the file image: overwriting the bytes
+// Load read leaves the loaded index's SQ8 codes and its search results
+// unchanged. A code buffer aliasing the image would change with it,
+// and would keep the whole image (rows and adjacency) reachable.
+func TestQuantizedLoadDoesNotPinImage(t *testing.T) {
+	const n, dim = 160, 12
+	queries := testQueries(6, dim, 5)
+	for _, algo := range quantAlgos {
+		t.Run(algo, func(t *testing.T) {
+			built := buildQuantFamily(t, algo, vec.L2, testData(n, dim, 3), 16)
+			var buf bytes.Buffer
+			if err := Save(&buf, built, vec.F32); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+			data := buf.Bytes()
+			loaded, err := loadImage(data)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			_, _, mat := quantParams(t, loaded)
+			codes := bytes.Clone(mat.SQ8().Codes())
+			want := make([][]ann.Neighbor, len(queries))
+			for i, q := range queries {
+				want[i] = loaded.Search(q, 10)
+			}
+			for i := range data {
+				data[i] = 0xA5
+			}
+			if !bytes.Equal(mat.SQ8().Codes(), codes) {
+				t.Fatal("overwriting the file image changed the loaded SQ8 codes")
+			}
+			for i, q := range queries {
+				requireSameResults(t, t.Name(), loaded.Search(q, 10), want[i])
+			}
+		})
 	}
 }
 

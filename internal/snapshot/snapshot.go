@@ -191,6 +191,13 @@ func Load(r io.Reader) (ann.Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
+	return loadImage(data)
+}
+
+// loadImage is Load over the file's bytes. The index it returns holds
+// no reference into data: every section it keeps is decoded or copied
+// out, so the image is garbage once Load returns.
+func loadImage(data []byte) (ann.Index, error) {
 	f, fam, err := open(image(data), int64(len(data)))
 	if err != nil {
 		return nil, err

@@ -219,7 +219,7 @@ func (x *Index) queryComponents(st ann.NodeStore, q *vec.PreparedQuery) []float3
 	if st.Quantized() {
 		qc := q.Codes()
 		for i, d := range x.guideDims {
-			out[i] = float32(qc[d])
+			out[i] = float32(int8(qc[d]))
 		}
 		return out
 	}

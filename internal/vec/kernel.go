@@ -5,10 +5,20 @@ import (
 	"math"
 )
 
-// This file is the batched distance-kernel layer: 4-way unrolled float32
-// inner loops over the Matrix flat store, with stored-vector norms read
-// from the precomputed tables and the query norm computed once per
-// search (PrepareQuery) instead of once per comparison.
+// This file is the float32 layer: the 4-way unrolled float32 kernels,
+// the PreparedQuery every scorer takes as its left operand, the
+// float32-row scorer (rowDist), and the Kernel entries over a Matrix.
+//
+// vec scores through three scorers, one per row representation, and
+// each holds its representation's one metric switch: rowDist (a
+// float32 row and its norm, here), codeDist (an SQ8 code row and its
+// code norm, sq8.go) and DistanceToStored (an F32/U8/I8 row at rest,
+// stored.go). Every public distance entry is a loop over, or one call
+// of, one of them. Resident rows pass their precomputed norm;
+// matrix-free and paged rows pass unknownNorm and the scorer computes
+// it with the same accumulation, so both give the same bits. Beside
+// the switches, only the L2 four-row fast paths (DistsTo, rowsDist,
+// DistancesToStored) and DistRows' direct l2sq test the metric.
 //
 // Accumulation-order caveat: the unrolled kernels accumulate in four
 // independent float32 partial sums folded pairwise at the end, while
@@ -76,8 +86,8 @@ func l2sqRows4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
 }
 
 // l2sqAll is l2sq from q to each of the len(out) rows laid end to end
-// in buf (stride len(q)), four rows per pass — the one full-scan L2 loop
-// Kernel.DistsAll and PreparedQuery.DistancesToFlat share.
+// in buf (stride len(q)), four rows per pass — rowsDist's L2 loop, the
+// full scan Kernel.DistsAll and PreparedQuery.DistancesToFlat share.
 func l2sqAll(q, buf, out []float32) {
 	dim := len(q)
 	i := 0
@@ -92,7 +102,7 @@ func l2sqAll(q, buf, out []float32) {
 }
 
 // squaredNorm is the 4-way unrolled squared Euclidean norm. Matrix
-// construction and the matrix-free PreparedQuery path both use it, so
+// construction and rowDist's on-the-fly norm both use it, so
 // precomputed and on-the-fly norms are bit-identical.
 func squaredNorm(a []float32) float32 {
 	var s0, s1, s2, s3 float32
@@ -128,78 +138,101 @@ func angularFromDot(dot, na, nb float32) float32 {
 // PreparedQuery is a search query preprocessed for repeated distance
 // evaluation: the vector plus its Euclidean norm, computed once per
 // search rather than once per comparison (the scalar AngularDistance
-// recomputes both norms on every call).
+// recomputes both norms on every call). It is the left operand of all
+// three scorers.
 type PreparedQuery struct {
 	metric Metric
 	vec    Vector
 	norm   float32
-	// codes / codeNorm are the query quantized under the kernel's corpus
-	// scales — populated only by a quantized kernel's Prepare, and read
-	// only by quantized distance paths.
-	codes    []int8
+	// codes / codeNorm are the query quantized under the corpus scales
+	// (one two's-complement byte per code, like an SQ8 row) and their
+	// code-space norm — set only by PrepareQuantized, read only by the
+	// code-row scorer.
+	codes    []byte
 	codeNorm float32
 }
 
 // PrepareQuery preprocesses query for metric m. The query slice is
 // retained (not copied) for the lifetime of the PreparedQuery.
 func PrepareQuery(m Metric, query Vector) PreparedQuery {
-	q := PreparedQuery{metric: m, vec: query}
-	if m == Angular {
-		q.norm = float32(math.Sqrt(float64(squaredNorm(query))))
-	}
-	return q
+	return PreparedQuery{metric: m, vec: query, norm: float32(math.Sqrt(float64(squaredNorm(query))))}
 }
 
 // Vec returns the underlying query vector.
 func (q *PreparedQuery) Vec() Vector { return q.vec }
 
-// Codes returns the query's int8 codes, or nil if the query was not
-// prepared by a quantized kernel. Consumers that inspect per-dimension
-// values during quantized traversal (togg's guided stage) read these
-// instead of the float vector so they see the same representation the
-// distance kernel does.
-func (q *PreparedQuery) Codes() []int8 { return q.codes }
+// Codes returns the query's SQ8 code bytes, or nil if the query was not
+// prepared quantized. Consumers that inspect per-dimension values
+// during quantized traversal (togg's guided stage) read these instead
+// of the float vector so they see the same representation the distance
+// kernel does.
+func (q *PreparedQuery) Codes() []byte { return q.codes }
+
+// unknownNorm is the norm argument for a row whose norm is not
+// precomputed (matrix-free and paged rows): the scorer's Angular arm
+// then computes it from the row with the accumulation the precomputed
+// tables use, so both give the same bits. Norms are never negative.
+const unknownNorm = -1
+
+// rowDist is the float32-row scorer, the one metric switch over rows
+// held as float32: the distance from q to row r, whose Euclidean norm
+// is rn (or unknownNorm). Callers check the dimension.
+func (q *PreparedQuery) rowDist(r []float32, rn float32) float32 {
+	switch q.metric {
+	case L2:
+		return l2sq(q.vec, r)
+	case Angular:
+		if rn < 0 {
+			rn = float32(math.Sqrt(float64(squaredNorm(r))))
+		}
+		return angularFromDot(dot4(q.vec, r), q.norm, rn)
+	case InnerProduct:
+		return -dot4(q.vec, r)
+	}
+	panic(fmt.Sprintf("vec: unknown metric %d", q.metric))
+}
+
+// rowsDist is rowDist from q to each of the len(out) rows laid end to
+// end in buf (stride len(q.vec)), with norms[i] as row i's norm, or the
+// norm computed on the fly when norms is nil. L2 runs l2sqAll's
+// four-row loop instead, with the same bits.
+func (q *PreparedQuery) rowsDist(buf, norms, out []float32) {
+	if q.metric == L2 {
+		l2sqAll(q.vec, buf, out)
+		return
+	}
+	dim := len(q.vec)
+	for i := range out {
+		rn := float32(unknownNorm)
+		if norms != nil {
+			rn = norms[i]
+		}
+		out[i] = q.rowDist(buf[i*dim:i*dim+dim], rn)
+	}
+}
 
 // DistanceTo evaluates the prepared query against an arbitrary vector
-// (no Matrix required): the matrix-free kernel path BruteForce uses.
-// The stored-vector norm is computed on the fly with the same unrolled
-// accumulation Matrix construction uses, so results are bit-identical
-// to Kernel.DistTo over a Matrix holding v.
+// (no Matrix required): the matrix-free path BruteForce uses. The
+// vector's norm is computed on the fly with the accumulation Matrix
+// construction uses, so results are bit-identical to Kernel.DistTo
+// over a Matrix holding v.
 func (q *PreparedQuery) DistanceTo(v Vector) float32 {
 	if len(v) != len(q.vec) {
 		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.vec), len(v)))
 	}
-	switch q.metric {
-	case L2:
-		return l2sq(q.vec, v)
-	case Angular:
-		vn := float32(math.Sqrt(float64(squaredNorm(v))))
-		return angularFromDot(dot4(q.vec, v), q.norm, vn)
-	case InnerProduct:
-		return -dot4(q.vec, v)
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", q.metric))
-	}
+	return q.rowDist(v, unknownNorm)
 }
 
 // DistancesToFlat evaluates the prepared query against the len(out)
 // rows laid end to end in rows, stride the query's dim, writing
 // out[i] = DistanceTo(row i) bit for bit. It is the matrix-free full
-// scan (the delta tier's contiguous live set): L2 runs Kernel.DistsAll's
-// four-row loop, the other metrics DistanceTo per row. A rows length
-// other than len(out) × dim panics.
+// scan (the delta tier's contiguous live set), the same loop as
+// Kernel.DistsAll. A rows length other than len(out) × dim panics.
 func (q *PreparedQuery) DistancesToFlat(rows, out []float32) {
-	dim := len(q.vec)
-	if len(rows) != len(out)*dim {
+	if dim := len(q.vec); len(rows) != len(out)*dim {
 		panic(fmt.Sprintf("vec: DistancesToFlat rows length %d != %d rows × dim %d", len(rows), len(out), dim))
 	}
-	if q.metric == L2 {
-		l2sqAll(q.vec, rows, out)
-		return
-	}
-	for i := range out {
-		out[i] = q.DistanceTo(rows[i*dim : i*dim+dim])
-	}
+	q.rowsDist(rows, nil, out)
 }
 
 // Kernel evaluates distances between prepared queries and Matrix rows
@@ -215,8 +248,8 @@ func (q *PreparedQuery) DistancesToFlat(rows, out []float32) {
 type Kernel struct {
 	metric Metric
 	mat    *Matrix
-	// sq, when non-nil, switches every distance path to the int8
-	// code-space kernels over this compressed tier.
+	// sq, when non-nil, switches every distance path to the code-row
+	// scorer over this compressed tier.
 	sq *SQ8
 }
 
@@ -246,228 +279,104 @@ func (k *Kernel) Matrix() *Matrix { return k.mat }
 // Quantized reports whether this kernel evaluates over SQ8 codes.
 func (k *Kernel) Quantized() bool { return k.sq != nil }
 
-// Prepare preprocesses query once for this kernel's metric. A quantized
-// kernel also quantizes the query under the corpus scales and, for
-// Angular, precomputes its code-space norm.
+// Prepare preprocesses query once for this kernel's metric: a quantized
+// kernel's query is PrepareQuantized under the corpus scales.
 func (k *Kernel) Prepare(query Vector) PreparedQuery {
-	q := PrepareQuery(k.metric, query)
 	if k.sq != nil {
-		q.codes = k.sq.QuantizeQuery(query)
-		if k.metric == Angular {
-			q.codeNorm = codeNorm(q.codes)
-		}
+		return PrepareQuantized(k.metric, query, k.sq.scales)
 	}
-	return q
+	return PrepareQuery(k.metric, query)
 }
 
-// DistTo returns the distance from the prepared query to row. For
-// Angular the stored-vector norm comes from the precomputed table.
+// check validates, once per call, that q was prepared for this
+// kernel's rows: matching dim and, for a quantized kernel, codes
+// (non-empty matrices only; row evaluation is vacuous otherwise).
+func (k *Kernel) check(q *PreparedQuery) {
+	if k.mat.rows == 0 {
+		return
+	}
+	if len(q.vec) != k.mat.dim {
+		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.vec), k.mat.dim))
+	}
+	if k.sq != nil && len(q.codes) != k.mat.dim {
+		panic("vec: query not prepared by a quantized kernel")
+	}
+}
+
+// DistTo returns the distance from the prepared query to row, with the
+// row's norm read from the precomputed table.
 func (k *Kernel) DistTo(q PreparedQuery, row int) float32 {
+	k.check(&q)
 	if k.sq != nil {
-		k.checkCodes(q)
-		return k.distToQ(q, row)
+		return q.codeDist(k.sq.Row(row), k.sq.norms[row])
 	}
-	r := k.mat.Row(row)
-	if len(r) != len(q.vec) {
-		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.vec), len(r)))
-	}
-	switch k.metric {
-	case L2:
-		return l2sq(q.vec, r)
-	case Angular:
-		return angularFromDot(dot4(q.vec, r), q.norm, k.mat.norms[row])
-	case InnerProduct:
-		return -dot4(q.vec, r)
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
-	}
+	return q.rowDist(k.mat.Row(row), k.mat.norms[row])
 }
 
 // DistsTo evaluates the prepared query against each listed row, writing
 // distances into out (len(out) must equal len(rows)). It is the batched
 // entry point for candidate shortlists: the graph traversals score each
 // expansion's unvisited neighbours through it (ann.KernelStore.Dists).
-// The metric switch is hoisted out of the row loop, and each distance
-// is bit-identical to DistTo's.
+// Float L2 scores four rows per pass (l2sqRows4); every distance is
+// bit-identical to DistTo's.
 func (k *Kernel) DistsTo(q PreparedQuery, rows []uint32, out []float32) {
 	if len(out) != len(rows) {
 		panic(fmt.Sprintf("vec: DistsTo out length %d != rows %d", len(out), len(rows)))
 	}
+	k.check(&q)
 	if k.sq != nil {
-		k.checkCodes(q)
-		k.distsToQ(q, rows, out)
+		for i, r := range rows {
+			out[i] = q.codeDist(k.sq.Row(int(r)), k.sq.norms[r])
+		}
 		return
 	}
-	k.checkDim(q)
 	dim, buf := k.mat.dim, k.mat.buf
-	switch k.metric {
-	case L2:
-		i := 0
+	i := 0
+	if k.metric == L2 {
 		for ; i+4 <= len(rows); i += 4 {
 			r := rows[i : i+4 : i+4]
 			out[i], out[i+1], out[i+2], out[i+3] = l2sqRows4(q.vec,
 				buf[int(r[0])*dim:int(r[0])*dim+dim], buf[int(r[1])*dim:int(r[1])*dim+dim],
 				buf[int(r[2])*dim:int(r[2])*dim+dim], buf[int(r[3])*dim:int(r[3])*dim+dim])
 		}
-		for ; i < len(rows); i++ {
-			out[i] = l2sq(q.vec, buf[int(rows[i])*dim:int(rows[i])*dim+dim])
-		}
-	case Angular:
-		for i, r := range rows {
-			out[i] = angularFromDot(dot4(q.vec, buf[int(r)*dim:int(r)*dim+dim]), q.norm, k.mat.norms[r])
-		}
-	case InnerProduct:
-		for i, r := range rows {
-			out[i] = -dot4(q.vec, buf[int(r)*dim:int(r)*dim+dim])
-		}
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
+	}
+	for ; i < len(rows); i++ {
+		r := rows[i]
+		out[i] = q.rowDist(buf[int(r)*dim:int(r)*dim+dim], k.mat.norms[r])
 	}
 }
 
 // DistsAll evaluates the prepared query against every row, writing
 // distances into out (len(out) must equal Rows()) — the full-scan form
-// exact search uses. The metric switch is hoisted out of the row loop.
+// exact search uses.
 func (k *Kernel) DistsAll(q PreparedQuery, out []float32) {
 	if len(out) != k.mat.rows {
 		panic(fmt.Sprintf("vec: DistsAll out length %d != rows %d", len(out), k.mat.rows))
 	}
+	k.check(&q)
 	if k.sq != nil {
-		k.checkCodes(q)
-		k.distsAllQ(q, out)
+		for i := range out {
+			out[i] = q.codeDist(k.sq.Row(i), k.sq.norms[i])
+		}
 		return
 	}
-	k.checkDim(q)
-	dim, buf := k.mat.dim, k.mat.buf
-	switch k.metric {
-	case L2:
-		l2sqAll(q.vec, buf, out)
-	case Angular:
-		for i := range out {
-			out[i] = angularFromDot(dot4(q.vec, buf[i*dim:i*dim+dim]), q.norm, k.mat.norms[i])
-		}
-	case InnerProduct:
-		for i := range out {
-			out[i] = -dot4(q.vec, buf[i*dim:i*dim+dim])
-		}
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
-	}
+	q.rowsDist(k.mat.buf, k.mat.norms, out)
 }
 
-// checkDim validates the prepared query's dimensionality once per batch
-// call (non-empty matrices only; row evaluation is vacuous otherwise).
-func (k *Kernel) checkDim(q PreparedQuery) {
-	if k.mat.rows > 0 && len(q.vec) != k.mat.dim {
-		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.vec), k.mat.dim))
-	}
-}
-
-// DistRows returns the distance between two stored rows, using the
-// precomputed norms of both for Angular — the build-time kernel for
-// neighbor-selection heuristics, pruning, and MST construction.
+// DistRows returns the distance between two stored rows — the
+// build-time kernel for neighbor-selection heuristics, pruning, and MST
+// construction. Row i is prepared as a query with its precomputed norm
+// and scored against row j by the same scorer as DistTo; float L2, which
+// every graph build runs, calls l2sq directly.
 func (k *Kernel) DistRows(i, j int) float32 {
 	if k.sq != nil {
-		a, b := k.sq.Row(i), k.sq.Row(j)
-		switch k.metric {
-		case L2:
-			return float32(l2sqI8(a, b))
-		case Angular:
-			return angularFromDot(float32(dotI8(a, b)), k.sq.norms[i], k.sq.norms[j])
-		case InnerProduct:
-			return -float32(dotI8(a, b))
-		default:
-			panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
-		}
+		q := PreparedQuery{metric: k.metric, codes: k.sq.Row(i), codeNorm: k.sq.norms[i]}
+		return q.codeDist(k.sq.Row(j), k.sq.norms[j])
 	}
 	a, b := k.mat.Row(i), k.mat.Row(j)
-	switch k.metric {
-	case L2:
+	if k.metric == L2 {
 		return l2sq(a, b)
-	case Angular:
-		return angularFromDot(dot4(a, b), k.mat.norms[i], k.mat.norms[j])
-	case InnerProduct:
-		return -dot4(a, b)
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
 	}
-}
-
-// ---- quantized paths ----------------------------------------------------
-//
-// Code-space distances are exact int32 accumulations widened to float32
-// at the end (and, for Angular, normalized by the precomputed code
-// norms through the same angularFromDot the float path uses). Every
-// quantized consumer shares these paths, so quantized distances are
-// internally consistent the same way float kernel distances are.
-
-// checkCodes validates that the query was prepared by a quantized
-// kernel over a matching corpus (non-empty tiers only).
-func (k *Kernel) checkCodes(q PreparedQuery) {
-	if k.sq.rows == 0 {
-		return
-	}
-	if q.codes == nil {
-		panic("vec: query not prepared by a quantized kernel")
-	}
-	if len(q.codes) != k.sq.dim {
-		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.codes), k.sq.dim))
-	}
-}
-
-// distToQ is the single-pair code-space distance.
-func (k *Kernel) distToQ(q PreparedQuery, row int) float32 {
-	r := k.sq.Row(row)
-	switch k.metric {
-	case L2:
-		return float32(l2sqI8(q.codes, r))
-	case Angular:
-		return angularFromDot(float32(dotI8(q.codes, r)), q.codeNorm, k.sq.norms[row])
-	case InnerProduct:
-		return -float32(dotI8(q.codes, r))
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
-	}
-}
-
-// distsToQ is the code-space shortlist batch, metric switch hoisted.
-func (k *Kernel) distsToQ(q PreparedQuery, rows []uint32, out []float32) {
-	dim, codes := k.sq.dim, k.sq.codes
-	switch k.metric {
-	case L2:
-		for i, r := range rows {
-			out[i] = float32(l2sqI8(q.codes, codes[int(r)*dim:int(r)*dim+dim]))
-		}
-	case Angular:
-		for i, r := range rows {
-			out[i] = angularFromDot(float32(dotI8(q.codes, codes[int(r)*dim:int(r)*dim+dim])), q.codeNorm, k.sq.norms[r])
-		}
-	case InnerProduct:
-		for i, r := range rows {
-			out[i] = -float32(dotI8(q.codes, codes[int(r)*dim:int(r)*dim+dim]))
-		}
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
-	}
-}
-
-// distsAllQ is the code-space full scan, metric switch hoisted.
-func (k *Kernel) distsAllQ(q PreparedQuery, out []float32) {
-	dim, codes := k.sq.dim, k.sq.codes
-	switch k.metric {
-	case L2:
-		for i := range out {
-			out[i] = float32(l2sqI8(q.codes, codes[i*dim:i*dim+dim]))
-		}
-	case Angular:
-		for i := range out {
-			out[i] = angularFromDot(float32(dotI8(q.codes, codes[i*dim:i*dim+dim])), q.codeNorm, k.sq.norms[i])
-		}
-	case InnerProduct:
-		for i := range out {
-			out[i] = -float32(dotI8(q.codes, codes[i*dim:i*dim+dim]))
-		}
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", k.metric))
-	}
+	q := PreparedQuery{metric: k.metric, vec: a, norm: k.mat.norms[i]}
+	return q.rowDist(b, k.mat.norms[j])
 }

@@ -87,9 +87,10 @@ func BenchmarkDistRows(b *testing.B) {
 }
 
 // BenchmarkQuantKernel compares the float32 kernel full scan against
-// the SQ8 code-space kernel over the same corpus: same metric switch
-// hoisting, a quarter of the vector bytes per row. ndbench reports the
-// served-shape pair as vec.l2_d128_ns_per_dist / vec.sq8_d128_ns_per_dist.
+// the SQ8 code-space kernel over the same corpus: the float32-row and
+// code-row scorers, a quarter of the vector bytes per row. ndbench
+// reports the served-shape pair as vec.l2_d128_ns_per_dist /
+// vec.sq8_d128_ns_per_dist.
 func BenchmarkQuantKernel(b *testing.B) {
 	const rows = 1024
 	for _, m := range []Metric{L2, Angular, InnerProduct} {

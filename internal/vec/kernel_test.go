@@ -132,9 +132,6 @@ func TestMatrixStoreAndNorms(t *testing.T) {
 		if got, want := float64(m.Norm(i)), v.Norm(); math.Abs(got-want) > 1e-5*math.Max(1, want) {
 			t.Fatalf("row %d norm %v, want %v", i, got, want)
 		}
-		if got := m.SquaredNorm(i); !close1e5(got, m.Norm(i)*m.Norm(i)) {
-			t.Fatalf("row %d squared norm %v inconsistent with norm %v", i, got, m.Norm(i))
-		}
 	}
 	empty := NewMatrix(nil)
 	if empty.Rows() != 0 || empty.Dim() != 0 || empty.Bytes() != 0 {

@@ -6,9 +6,9 @@ import (
 )
 
 // Matrix is a contiguous row-major corpus store: all vectors live in one
-// flat []float32 backing array, with the Euclidean norm and squared norm
-// of every row precomputed at construction. It is the at-rest layout the
-// paper's in-flash MAC groups assume (vectors streamed row by row from a
+// flat []float32 backing array, with the Euclidean norm of every row
+// precomputed at construction. It is the at-rest layout the paper's
+// in-flash MAC groups assume (vectors streamed row by row from a
 // page), and the store every Kernel distance evaluation reads from:
 // row views are cache-friendly slices of the flat buffer, and the
 // precomputed norms let the Angular kernel skip the per-comparison
@@ -20,14 +20,10 @@ type Matrix struct {
 	buf  []float32
 	dim  int
 	rows int
-	// norms[i] / sq[i] are the Euclidean norm and squared norm of row i,
-	// computed with the same unrolled accumulation the kernels use so
-	// precomputed and on-the-fly norms are bit-identical. The Angular
-	// kernel reads norms; sq is the table expanded-form L2 kernels
-	// (|q|² + |r|² − 2⟨q,r⟩, the shape SIMD/blocked scans prefer) read —
-	// kept current from construction so those consumers need no rebuild.
+	// norms[i] is the Euclidean norm of row i, computed with the same
+	// unrolled accumulation the kernels use so precomputed and
+	// on-the-fly norms are bit-identical. The Angular scorer reads it.
 	norms []float32
-	sq    []float32
 	// sq8 is the optional compressed tier: per-dimension SQ8 codes that
 	// quantized kernels traverse instead of the float32 rows. Nil unless
 	// EnableSQ8 or AttachSQ8 ran; both are construction-time operations —
@@ -47,16 +43,13 @@ func NewMatrix(data []Vector) *Matrix {
 	m.dim = len(data[0])
 	m.buf = make([]float32, m.rows*m.dim)
 	m.norms = make([]float32, m.rows)
-	m.sq = make([]float32, m.rows)
 	for i, v := range data {
 		if len(v) != m.dim {
 			panic(fmt.Sprintf("vec: matrix row %d dim %d != %d", i, len(v), m.dim))
 		}
 		row := m.buf[i*m.dim : (i+1)*m.dim]
 		copy(row, v)
-		s := squaredNorm(row)
-		m.sq[i] = s
-		m.norms[i] = float32(math.Sqrt(float64(s)))
+		m.norms[i] = float32(math.Sqrt(float64(squaredNorm(row))))
 	}
 	return m
 }
@@ -76,11 +69,8 @@ func (m *Matrix) Row(i int) Vector {
 // Norm returns the precomputed Euclidean norm of row i.
 func (m *Matrix) Norm(i int) float32 { return m.norms[i] }
 
-// SquaredNorm returns the precomputed squared Euclidean norm of row i.
-func (m *Matrix) SquaredNorm(i int) float32 { return m.sq[i] }
-
 // Bytes returns the flat buffer size in bytes (the store's resident
-// footprint, excluding the norm tables).
+// footprint, excluding the norm table).
 func (m *Matrix) Bytes() int64 { return int64(len(m.buf)) * 4 }
 
 // EnableSQ8 quantizes the rows into the SQ8 compressed tier and caches

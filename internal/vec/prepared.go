@@ -1,59 +1,45 @@
 package vec
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // This file is the matrix-free quantized query path: preparing a query
-// against a known scale table and evaluating it against raw SQ8 code
-// rows, without an SQ8 tier or a Matrix in memory. It is what paged
+// against a known scale table and scoring it against one row of SQ8
+// code bytes, with no SQ8 tier or Matrix in memory. It is what paged
 // (beyond-RAM) node stores run on — they hold only the per-dimension
-// scales resident and read code rows from mapped pages — and it is
-// bit-identical to the in-RAM quantized Kernel: the codes come from the
-// same quantizeInto, and code-space norms are exact int32 accumulations,
-// so recomputing one on the fly cannot drift from the precomputed table.
+// scales resident and read code rows from mapped pages — and a
+// quantized Kernel's Prepare is PrepareQuantized under its tier's
+// scales. Both score through the one code-row scorer (codeDist), so
+// paged and resident quantized distances are the same bits by
+// construction.
 
 // PrepareQuantized preprocesses query for metric m against a corpus
 // quantized under the given per-dimension SQ8 scales. The result
 // carries both the float query (for exact rerank via DistanceTo) and
-// its int8 codes (for code-space traversal via DistanceToCodes),
-// exactly as a quantized Kernel's Prepare does. The query and scales
-// slices are retained.
+// its code bytes and code norm (for code-space traversal). The query
+// and scales slices are retained.
 func PrepareQuantized(m Metric, query Vector, scales []float32) PreparedQuery {
 	if len(scales) != len(query) {
 		panic(fmt.Sprintf("vec: dim mismatch %d vs %d scales", len(query), len(scales)))
 	}
 	q := PrepareQuery(m, query)
-	q.codes = make([]int8, len(query))
+	q.codes = make([]byte, len(query))
 	quantizeInto(scales, query, q.codes)
-	if m == Angular {
-		q.codeNorm = codeNorm(q.codes)
-	}
+	q.codeNorm = codeNorm(q.codes)
 	return q
 }
 
-// DistanceToCodes evaluates the prepared query against a raw SQ8 code
-// row — the matrix-free code-space path paged stores use. The query
-// must have been prepared with codes (PrepareQuantized, or a quantized
-// Kernel's Prepare). For Angular the row's code-space norm is computed
-// on the fly; integer accumulation makes it identical to the norms an
-// SQ8 tier precomputes, so results are bit-identical to Kernel.DistTo
-// on a quantized kernel over the same codes.
-func (q *PreparedQuery) DistanceToCodes(codes []int8) float32 {
+// DistanceToCodeBytes evaluates the prepared query against one row of
+// SQ8 code bytes as a blocks record stores them. The row's code norm is
+// computed on the fly; integer accumulation makes it the norm an SQ8
+// tier precomputes, so the result is Kernel.DistTo's on a quantized
+// kernel over the same bytes. The query must carry codes
+// (PrepareQuantized).
+func (q *PreparedQuery) DistanceToCodeBytes(src []byte) float32 {
 	if q.codes == nil {
 		panic("vec: query not prepared with codes")
 	}
-	if len(codes) != len(q.codes) {
-		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.codes), len(codes)))
+	if len(src) != len(q.codes) {
+		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.codes), len(src)))
 	}
-	switch q.metric {
-	case L2:
-		return float32(l2sqI8(q.codes, codes))
-	case Angular:
-		return angularFromDot(float32(dotI8(q.codes, codes)), q.codeNorm, codeNorm(codes))
-	case InnerProduct:
-		return -float32(dotI8(q.codes, codes))
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", q.metric))
-	}
+	return q.codeDist(src, unknownNorm)
 }

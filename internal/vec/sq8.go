@@ -6,8 +6,14 @@ import (
 )
 
 // This file is the SQ8 compressed tier: per-dimension symmetric scalar
-// quantization of a Matrix into int8 codes, plus the int8 batched
-// distance kernels the graph traversals run on in quantized mode.
+// quantization of a Matrix into code bytes, the integer kernels over
+// those bytes, and the code-row scorer (codeDist) that the resident
+// quantized Kernel and the paged DistanceToCodeBytes both run.
+//
+// A code is one two's-complement byte, exactly the byte a snapshot's
+// blocks record carries beside the node's adjacency, so a resident SQ8
+// tier and a paged record hold the same bytes and score them through
+// the same kernels.
 //
 // Quantization is symmetric (no zero point): each dimension d gets the
 // scale step scales[d] = max_i |row_i[d]| / 127, and a component x is
@@ -20,7 +26,7 @@ import (
 // to every distance.
 //
 // Distance semantics: quantized kernels evaluate distances in CODE
-// space — int32-accumulated dot / squared-L2 over the int8 codes, with
+// space — int32-accumulated dot / squared-L2 over the codes, with
 // the query quantized once per search by the same per-dimension scales.
 // Code space is the image of the corpus under the diagonal map
 // x[d] -> x[d]/scales[d], so code-space ranking approximates
@@ -33,12 +39,14 @@ import (
 // unrolled kernels agree bitwise with a sequential scalar evaluation —
 // the equivalence the kernel tests assert.
 //
-// int32 accumulation headroom: each product is at most 127*127 = 16129
-// (and each squared difference at most 254^2 = 64516), so sums stay
+// int32 accumulation headroom: quantization writes codes in
+// [-127, 127], but SQ8FromParts and the paged reader accept any byte,
+// so a code may be -128 (0x80). Each product is then at most 128*128
+// and each squared difference at most 255^2 = 65025, so sums stay
 // within int32 up to ~33k dimensions — far beyond any profile here.
 
 // SQ8 is the per-dimension symmetric scalar quantization of a Matrix:
-// int8 codes in one flat row-major buffer, the per-dimension scale
+// code bytes in one flat row-major buffer, the per-dimension scale
 // steps, and per-row code-space Euclidean norms (precomputed for the
 // Angular kernel, exactly as Matrix precomputes float norms).
 //
@@ -48,7 +56,7 @@ type SQ8 struct {
 	dim    int
 	rows   int
 	scales []float32
-	codes  []int8
+	codes  []byte
 	// norms[i] is the code-space Euclidean norm of row i, computed as
 	// sqrt of the exact int32 squared norm.
 	norms []float32
@@ -63,7 +71,7 @@ func QuantizeSQ8(m *Matrix) *SQ8 {
 		dim:    dim,
 		rows:   rows,
 		scales: make([]float32, dim),
-		codes:  make([]int8, rows*dim),
+		codes:  make([]byte, rows*dim),
 		norms:  make([]float32, rows),
 	}
 	for i := 0; i < rows; i++ {
@@ -85,10 +93,11 @@ func QuantizeSQ8(m *Matrix) *SQ8 {
 }
 
 // SQ8FromParts reassembles a quantizer from its serialized parts — the
-// snapshot warm-start path. The scales and codes are retained, not
-// copied; code-space norms are recomputed (exact integer arithmetic, so
-// they cannot drift from the values the original quantization had).
-func SQ8FromParts(dim, rows int, scales []float32, codes []int8) (*SQ8, error) {
+// snapshot warm-start path, whose codes are the blocks records' code
+// bytes. The scales and codes are retained, not copied; code-space
+// norms are recomputed (exact integer arithmetic, so they cannot drift
+// from the values the original quantization had).
+func SQ8FromParts(dim, rows int, scales []float32, codes []byte) (*SQ8, error) {
 	if dim < 1 || rows < 1 {
 		return nil, fmt.Errorf("vec: sq8 %dx%d", rows, dim)
 	}
@@ -111,10 +120,11 @@ func SQ8FromParts(dim, rows int, scales []float32, codes []int8) (*SQ8, error) {
 }
 
 // quantizeInto writes round(v[d]/scales[d]) clamped to [-127, 127] into
-// dst. A zero scale (all-zero dimension) always codes to 0.
-func quantizeInto(scales []float32, v Vector, dst []int8) {
+// dst as a two's-complement byte. A zero scale (all-zero dimension)
+// always codes to 0.
+func quantizeInto(scales []float32, v Vector, dst []byte) {
 	for d, x := range v {
-		dst[d] = quantizeComponent(scales[d], x)
+		dst[d] = byte(quantizeComponent(scales[d], x))
 	}
 }
 
@@ -133,8 +143,8 @@ func quantizeComponent(scale, x float32) int8 {
 
 // codeNorm is the code-space Euclidean norm: sqrt of the exact int32
 // squared norm.
-func codeNorm(c []int8) float32 {
-	return float32(math.Sqrt(float64(sqNormI8(c))))
+func codeNorm(c []byte) float32 {
+	return float32(math.Sqrt(float64(dotCodes(c, c))))
 }
 
 // Rows returns the number of quantized rows.
@@ -149,37 +159,22 @@ func (s *SQ8) Scales() []float32 { return s.scales }
 
 // Codes returns the flat row-major code buffer. Owned by the quantizer;
 // callers must not mutate it.
-func (s *SQ8) Codes() []int8 { return s.codes }
+func (s *SQ8) Codes() []byte { return s.codes }
 
-// Row returns a view of row i's codes aliasing the flat buffer. Callers
-// must not mutate it.
-func (s *SQ8) Row(i int) []int8 { return s.codes[i*s.dim : (i+1)*s.dim] }
+// Row returns a view of row i's code bytes aliasing the flat buffer —
+// the bytes a blocks record stores for node i. Callers must not mutate
+// it.
+func (s *SQ8) Row(i int) []byte { return s.codes[i*s.dim : (i+1)*s.dim] }
 
 // Norm returns the precomputed code-space Euclidean norm of row i.
 func (s *SQ8) Norm(i int) float32 { return s.norms[i] }
 
-// QuantizeQuery quantizes a search query with the corpus scales,
-// returning its int8 code vector.
-func (s *SQ8) QuantizeQuery(q Vector) []int8 {
-	if len(q) != s.dim {
-		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q), s.dim))
-	}
-	out := make([]int8, s.dim)
-	quantizeInto(s.scales, q, out)
-	return out
-}
-
 // Dequantize reconstructs row i as scales[d]*code[d] — within
 // scales[d]/2 per component of the original row.
 func (s *SQ8) Dequantize(i int) Vector {
-	return DequantizeCode(s.scales, s.Row(i))
-}
-
-// DequantizeCode reconstructs a code vector under the given scales.
-func DequantizeCode(scales []float32, code []int8) Vector {
-	out := make(Vector, len(code))
-	for d, c := range code {
-		out[d] = scales[d] * float32(c)
+	out := make(Vector, s.dim)
+	for d, c := range s.Row(i) {
+		out[d] = s.scales[d] * float32(int8(c))
 	}
 	return out
 }
@@ -192,62 +187,94 @@ func (s *SQ8) Bytes() int64 {
 	return int64(len(s.codes)) + 4*int64(len(s.scales)) + 4*int64(len(s.norms))
 }
 
-// ---- int8 kernels -------------------------------------------------------
+// ---- the code-row scorer and its kernels ----------------------------------
 
-// dotI8 is the 4-way unrolled int8 inner product with exact int32
-// accumulation. Integer addition is associative, so the unrolled and
-// sequential evaluations agree bitwise.
-func dotI8(a, b []int8) int32 {
-	b = b[:len(a)] // bounds-check elimination hint
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += int32(a[i]) * int32(b[i])
-		s1 += int32(a[i+1]) * int32(b[i+1])
-		s2 += int32(a[i+2]) * int32(b[i+2])
-		s3 += int32(a[i+3]) * int32(b[i+3])
+// codeDist is the SQ8 code-row scorer, the one metric switch over code
+// rows: the code-space distance from q's codes to row c, whose code
+// norm is cn (or unknownNorm). Sums are exact int32 widened to float32
+// at the end; Angular normalizes them by the two code norms through
+// the same angularFromDot as the float scorer. The query must carry
+// codes (PrepareQuantized); callers check the dimension.
+func (q *PreparedQuery) codeDist(c []byte, cn float32) float32 {
+	switch q.metric {
+	case L2:
+		return float32(l2sqCodes(q.codes, c))
+	case Angular:
+		if cn < 0 {
+			dot, sq := dotNormCodes(q.codes, c)
+			return angularFromDot(float32(dot), q.codeNorm, float32(math.Sqrt(float64(sq))))
+		}
+		return angularFromDot(float32(dotCodes(q.codes, c)), q.codeNorm, cn)
+	case InnerProduct:
+		return -float32(dotCodes(q.codes, c))
 	}
-	for ; i < len(a); i++ {
-		s0 += int32(a[i]) * int32(b[i])
-	}
-	return (s0 + s1) + (s2 + s3)
+	panic(fmt.Sprintf("vec: unknown metric %d", q.metric))
 }
 
-// l2sqI8 is the 4-way unrolled int8 squared Euclidean distance with
-// exact int32 accumulation.
-func l2sqI8(a, b []int8) int32 {
+// The kernels read each byte as int8 and accumulate exactly in four
+// int32 partial sums. Integer addition is associative, so the unrolling
+// cannot change a result.
+
+func l2sqCodes(a, b []byte) int32 {
 	b = b[:len(a)] // bounds-check elimination hint
 	var s0, s1, s2, s3 int32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		d0 := int32(a[i]) - int32(b[i])
-		d1 := int32(a[i+1]) - int32(b[i+1])
-		d2 := int32(a[i+2]) - int32(b[i+2])
-		d3 := int32(a[i+3]) - int32(b[i+3])
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		d0 := int32(int8(x[0])) - int32(int8(y[0]))
+		d1 := int32(int8(x[1])) - int32(int8(y[1]))
+		d2 := int32(int8(x[2])) - int32(int8(y[2]))
+		d3 := int32(int8(x[3])) - int32(int8(y[3]))
 		s0 += d0 * d0
 		s1 += d1 * d1
 		s2 += d2 * d2
 		s3 += d3 * d3
 	}
 	for ; i < len(a); i++ {
-		d := int32(a[i]) - int32(b[i])
+		d := int32(int8(a[i])) - int32(int8(b[i]))
 		s0 += d * d
 	}
 	return (s0 + s1) + (s2 + s3)
 }
 
-// sqNormI8 is the exact int32 squared Euclidean norm of a code vector.
-func sqNormI8(a []int8) int32 {
+func dotCodes(a, b []byte) int32 {
+	b = b[:len(a)]
 	var s0, s1, s2, s3 int32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += int32(a[i]) * int32(a[i])
-		s1 += int32(a[i+1]) * int32(a[i+1])
-		s2 += int32(a[i+2]) * int32(a[i+2])
-		s3 += int32(a[i+3]) * int32(a[i+3])
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		s0 += int32(int8(x[0])) * int32(int8(y[0]))
+		s1 += int32(int8(x[1])) * int32(int8(y[1]))
+		s2 += int32(int8(x[2])) * int32(int8(y[2]))
+		s3 += int32(int8(x[3])) * int32(int8(y[3]))
 	}
 	for ; i < len(a); i++ {
-		s0 += int32(a[i]) * int32(a[i])
+		s0 += int32(int8(a[i])) * int32(int8(b[i]))
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// dotNormCodes is dotCodes(a, b) and dotCodes(b, b) in one pass.
+func dotNormCodes(a, b []byte) (dot, sq int32) {
+	b = b[:len(a)]
+	var s0, s1, s2, s3, n0, n1, n2, n3 int32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		y0, y1, y2, y3 := int32(int8(y[0])), int32(int8(y[1])), int32(int8(y[2])), int32(int8(y[3]))
+		s0 += int32(int8(x[0])) * y0
+		s1 += int32(int8(x[1])) * y1
+		s2 += int32(int8(x[2])) * y2
+		s3 += int32(int8(x[3])) * y3
+		n0 += y0 * y0
+		n1 += y1 * y1
+		n2 += y2 * y2
+		n3 += y3 * y3
+	}
+	for ; i < len(a); i++ {
+		yi := int32(int8(b[i]))
+		s0 += int32(int8(a[i])) * yi
+		n0 += yi * yi
+	}
+	return (s0 + s1) + (s2 + s3), (n0 + n1) + (n2 + n3)
 }

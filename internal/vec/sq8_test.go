@@ -66,16 +66,17 @@ func TestSQ8RoundTripErrorBound(t *testing.T) {
 func TestSQ8QueryClamps(t *testing.T) {
 	mat := NewMatrix([]Vector{{1, -1, 0.5}, {0.5, 0.25, -1}})
 	s := QuantizeSQ8(mat)
-	codes := s.QuantizeQuery(Vector{100, -100, 100})
-	for d, c := range codes {
-		if c != 127 && c != -127 {
+	q := PrepareQuantized(L2, Vector{100, -100, 100}, s.Scales())
+	for d, c := range q.Codes() {
+		if c := int8(c); c != 127 && c != -127 {
 			t.Fatalf("out-of-range query dim %d coded to %d, want ±127", d, c)
 		}
 	}
 	// Zero-scale dimensions drop the query component entirely.
 	zmat := NewMatrix([]Vector{{0, 1}, {0, 2}})
 	zs := QuantizeSQ8(zmat)
-	if got := zs.QuantizeQuery(Vector{5, 1})[0]; got != 0 {
+	zq := PrepareQuantized(L2, Vector{5, 1}, zs.Scales())
+	if got := zq.Codes()[0]; got != 0 {
 		t.Fatalf("zero-scale dimension coded query to %d, want 0", got)
 	}
 }
@@ -151,17 +152,17 @@ func TestSQ8FromPartsValidates(t *testing.T) {
 }
 
 // scalarCodeDist is the sequential scalar reference for code-space
-// distances: widen each int8 code to float32 and accumulate in float32
-// exactly as a naive loop would. For the dims under test every partial
+// distances: widen each code byte, read as int8, to float32 and
+// accumulate in float32 exactly as a naive loop would. For the dims under test every partial
 // sum is an integer below 2^24 (dim · 254² < 2^24 for dim ≤ 128 for L2,
 // dim · 127² for dot), so float32 addition is exact integer arithmetic
 // and the unrolled int32 kernels must agree BITWISE, not merely within
 // tolerance. Angular mirrors the kernel's angularFromDot pipeline on
 // those exact sums.
-func scalarCodeDist(m Metric, a, b []int8, na, nb float32) float32 {
+func scalarCodeDist(m Metric, a, b []byte, na, nb float32) float32 {
 	var dot, l2 float32
 	for i := range a {
-		fa, fb := float32(a[i]), float32(b[i])
+		fa, fb := float32(int8(a[i])), float32(int8(b[i]))
 		dot += fa * fb
 		l2 += (fa - fb) * (fa - fb)
 	}

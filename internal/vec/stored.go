@@ -5,27 +5,28 @@ import (
 	"math"
 )
 
-// This file is the at-rest kernel layer: a PreparedQuery evaluated
-// straight against a record's stored bytes — an F32/U8/I8 row in the
-// Encode layout, or a row of SQ8 code bytes — with no decoded copy in
-// between. It is what paged node stores score with (the software twin
-// of computing where the page is sensed).
+// This file is the at-rest scorer: a PreparedQuery evaluated straight
+// against an F32/U8/I8 row in its Encode layout, with no decoded copy
+// in between. It is what paged node stores score vectors with (the
+// software twin of computing where the page is sensed); their SQ8 code
+// rows go through the code-row scorer (DistanceToCodeBytes).
 //
 // Accumulation contract: each kernel widens a component exactly as
 // DecodeInto does and folds it into the same four partial sums, in the
 // same order and with the same final (s0+s1)+(s2+s3) fold, as l2sq4 /
-// dot4 / squaredNorm (float rows) and l2sqI8 / dotI8 / sqNormI8 (code
-// rows). Widening is exact, so every result is bit-identical to
-// DecodeInto followed by DistanceTo / DistanceToCodes, and through
-// those to the resident Kernel. The Angular kernels carry the dot and
-// the row's squared norm through one pass in independent accumulators,
+// dot4 / squaredNorm. Widening is exact, so every result is
+// bit-identical to DecodeInto followed by DistanceTo, and through that
+// to the resident Kernel. The Angular kernels carry the dot and the
+// row's squared norm through one pass in independent accumulators,
 // which changes neither sum. L2 over U8 rows runs the SSE2 bodies on
 // amd64 (kernel_amd64.s), bit-identical to l2sqU8.
 
-// DistanceToStored evaluates the prepared query against one vector in
-// its at-rest encoding of element kind k (the bytes Encode wrote).
-// Bit-identical to DecodeInto + DistanceTo; src must be exactly
-// StoredBytes(k, dim) long.
+// DistanceToStored is the at-rest scorer, the one metric switch over
+// rows at rest: the distance from the prepared query to one vector in
+// its at-rest encoding of element kind k (the bytes Encode wrote), the
+// row's norm computed on the fly for Angular. Bit-identical to
+// DecodeInto + DistanceTo; src must be exactly StoredBytes(k, dim)
+// long.
 func (q *PreparedQuery) DistanceToStored(k ElemKind, src []byte) float32 {
 	q.checkStored(k, src)
 	switch q.metric {
@@ -96,29 +97,6 @@ func (q *PreparedQuery) checkStored(k ElemKind, src []byte) {
 	}
 	if len(src) != StoredBytes(k, len(q.vec)) {
 		panic(fmt.Sprintf("vec: dim mismatch %d vs %d stored bytes of %v", len(q.vec), len(src), k))
-	}
-}
-
-// DistanceToCodeBytes evaluates the prepared query against a row of SQ8
-// codes as stored (one byte per int8 code). Bit-identical to copying
-// the bytes into an []int8 and calling DistanceToCodes.
-func (q *PreparedQuery) DistanceToCodeBytes(src []byte) float32 {
-	if q.codes == nil {
-		panic("vec: query not prepared with codes")
-	}
-	if len(src) != len(q.codes) {
-		panic(fmt.Sprintf("vec: dim mismatch %d vs %d", len(q.codes), len(src)))
-	}
-	switch q.metric {
-	case L2:
-		return float32(l2sqCodes(q.codes, src))
-	case Angular:
-		dot, sq := dotNormCodes(q.codes, src)
-		return angularFromDot(float32(dot), q.codeNorm, float32(math.Sqrt(float64(sq))))
-	case InnerProduct:
-		return -float32(dotCodes(q.codes, src))
-	default:
-		panic(fmt.Sprintf("vec: unknown metric %d", q.metric))
 	}
 }
 
@@ -325,75 +303,6 @@ func dotNormS8(a []float32, b []byte) (dot, sq float32) {
 	for ; i < len(a); i++ {
 		yi := s8f32[b[i]]
 		s0 += a[i] * yi
-		n0 += yi * yi
-	}
-	return (s0 + s1) + (s2 + s3), (n0 + n1) + (n2 + n3)
-}
-
-// ---- SQ8 code rows --------------------------------------------------------
-//
-// Exact int32 accumulation, as l2sqI8 / dotI8 / sqNormI8: integer
-// addition is associative, so these agree with them bitwise whatever
-// the unrolling.
-
-func l2sqCodes(a []int8, b []byte) int32 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
-		d0 := int32(x[0]) - int32(int8(y[0]))
-		d1 := int32(x[1]) - int32(int8(y[1]))
-		d2 := int32(x[2]) - int32(int8(y[2]))
-		d3 := int32(x[3]) - int32(int8(y[3]))
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := int32(a[i]) - int32(int8(b[i]))
-		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-func dotCodes(a []int8, b []byte) int32 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
-		s0 += int32(x[0]) * int32(int8(y[0]))
-		s1 += int32(x[1]) * int32(int8(y[1]))
-		s2 += int32(x[2]) * int32(int8(y[2]))
-		s3 += int32(x[3]) * int32(int8(y[3]))
-	}
-	for ; i < len(a); i++ {
-		s0 += int32(a[i]) * int32(int8(b[i]))
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-func dotNormCodes(a []int8, b []byte) (dot, sq int32) {
-	b = b[:len(a)]
-	var s0, s1, s2, s3, n0, n1, n2, n3 int32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
-		y0, y1, y2, y3 := int32(int8(y[0])), int32(int8(y[1])), int32(int8(y[2])), int32(int8(y[3]))
-		s0 += int32(x[0]) * y0
-		s1 += int32(x[1]) * y1
-		s2 += int32(x[2]) * y2
-		s3 += int32(x[3]) * y3
-		n0 += y0 * y0
-		n1 += y1 * y1
-		n2 += y2 * y2
-		n3 += y3 * y3
-	}
-	for ; i < len(a); i++ {
-		yi := int32(int8(b[i]))
-		s0 += int32(a[i]) * yi
 		n0 += yi * yi
 	}
 	return (s0 + s1) + (s2 + s3), (n0 + n1) + (n2 + n3)

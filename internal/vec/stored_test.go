@@ -91,35 +91,88 @@ func TestDistanceToStoredMatchesDecode(t *testing.T) {
 	}
 }
 
-// The code-bytes kernel is DistanceToCodes bit for bit, including the
-// Angular code norm computed on the fly.
+// The paged code-row entry and the resident quantized Kernel are one
+// scorer: DistanceToCodeBytes over an SQ8.Row's bytes equals DistTo,
+// DistsTo, DistsAll and (row i as the query) DistRows by Float32bits,
+// for every metric and dimension (127 too), with the norms computed on
+// the fly on one side and precomputed on the other. The rows hold zero,
+// +127, -127 and 0x80 (-128, which quantization never writes but
+// SQ8FromParts and the paged reader accept) in every component, +127
+// and 0x80 alternating, and random bytes; the queries are random,
+// zero, and saturated to ±127.
 func TestDistanceToCodeBytesMatchesCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	fills := []func(d int) byte{
+		func(int) byte { return 0 },
+		func(int) byte { return 0x7f },
+		func(int) byte { return 0x81 },
+		func(int) byte { return 0x80 },
+		func(d int) byte { return 0x7f + byte(d%2) },
+	}
+	const rows = 12
 	for _, m := range []Metric{L2, Angular, InnerProduct} {
-		for _, dim := range storedDims {
+		for _, dim := range append(storedDims, 127) {
 			t.Run(fmt.Sprintf("%v/d%d", m, dim), func(t *testing.T) {
-				scales := make([]float32, dim)
-				for i := range scales {
-					scales[i] = 1.0 / 127
-				}
-				queries := []PreparedQuery{
-					PrepareQuantized(m, randVec(rng, dim), scales),
-					PrepareQuantized(m, make(Vector, dim), scales),
-				}
-				for trial := 0; trial < 6; trial++ {
-					codes, src := make([]int8, dim), make([]byte, dim)
-					if trial > 0 {
-						for i := range codes {
-							codes[i] = int8(rng.Intn(255) - 127)
-							src[i] = byte(codes[i])
-						}
+				codes := make([]byte, rows*dim)
+				for i := range codes {
+					codes[i] = byte(rng.Intn(256))
+					if r := i / max(dim, 1); r < len(fills) {
+						codes[i] = fills[r](i % dim)
 					}
-					for qi := range queries {
-						q := &queries[qi]
-						got, want := q.DistanceToCodeBytes(src), q.DistanceToCodes(codes)
-						if math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("trial %d query %d: code bytes %v, codes %v", trial, qi, got, want)
-						}
+				}
+				scales := make([]float32, dim)
+				for d := range scales {
+					scales[d] = 1.0 / 127
+				}
+				data := make([]Vector, rows)
+				for i := range data {
+					data[i] = make(Vector, dim)
+				}
+				mat := NewMatrix(data)
+				sq := QuantizeSQ8(mat) // dim 0: SQ8FromParts rejects the shape
+				if dim > 0 {
+					var err error
+					if sq, err = SQ8FromParts(dim, rows, scales, codes); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := mat.AttachSQ8(sq); err != nil {
+					t.Fatal(err)
+				}
+				k := NewQuantizedKernel(m, mat)
+				check := func(name string, i int, got, want float32) {
+					t.Helper()
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("%s row %d: resident %v (%08x), code bytes %v (%08x)",
+							name, i, got, math.Float32bits(got), want, math.Float32bits(want))
+					}
+				}
+				saturated := randVec(rng, dim)
+				for d := range saturated {
+					saturated[d] *= 1000
+				}
+				ids := make([]uint32, rows) // reversed: DistsTo indexes, not scans
+				for i := range ids {
+					ids[i] = uint32(rows - 1 - i)
+				}
+				all, batch := make([]float32, rows), make([]float32, rows)
+				for _, query := range []Vector{randVec(rng, dim), make(Vector, dim), saturated} {
+					q := k.Prepare(query)
+					k.DistsAll(q, all)
+					k.DistsTo(q, ids, batch)
+					for i := 0; i < rows; i++ {
+						want := q.DistanceToCodeBytes(sq.Row(i))
+						check("DistTo", i, k.DistTo(q, i), want)
+						check("DistsTo", i, batch[rows-1-i], want)
+						check("DistsAll", i, all[i], want)
+					}
+				}
+				// Row codes holding 0x80 are no quantized query, so row i
+				// becomes the query directly from its bytes.
+				for i := 0; i < rows; i++ {
+					qi := PreparedQuery{metric: m, codes: sq.Row(i), codeNorm: codeNorm(sq.Row(i))}
+					for j := 0; j < rows; j++ {
+						check(fmt.Sprintf("DistRows(%d, ·)", i), j, k.DistRows(i, j), qi.DistanceToCodeBytes(sq.Row(j)))
 					}
 				}
 			})
