@@ -94,6 +94,23 @@ import (
 // shutdownGrace bounds how long a drain may take after a signal.
 const shutdownGrace = 15 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send a request
+// header, so a half-sent header cannot hold a goroutine and a file
+// descriptor forever. idleTimeout bounds how long a keep-alive
+// connection may wait for its next request; without it net/http falls
+// back to ReadTimeout, which is unset, and an idle connection is never
+// closed. There is no WriteTimeout: a 4 096-query batch may
+// legitimately run long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 5 * time.Minute
+)
+
+// newHTTPServer is the one place ndserve's http.Server is built.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	profName := flag.String("dataset", "sift-1b", "dataset profile name")
@@ -178,7 +195,7 @@ func main() {
 	log.Printf("ndserve: listening on %s", ln.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := serve(&http.Server{Handler: srv.Handler()}, srv, ln, sig, shutdownGrace); err != nil {
+	if err := serve(newHTTPServer(srv.Handler()), srv, ln, sig, shutdownGrace); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"maps"
 	"math"
 	"net"
@@ -544,7 +546,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	sig := make(chan os.Signal, 1)
 	serveErr := make(chan error, 1)
-	hsrv := &http.Server{Handler: srv.Handler()}
+	hsrv := newHTTPServer(srv.Handler())
 	go func() { serveErr <- serve(hsrv, srv, ln, sig, 5*time.Second) }()
 
 	base := "http://" + ln.Addr().String()
@@ -629,7 +631,7 @@ func TestServeListenerError(t *testing.T) {
 	}
 	sig := make(chan os.Signal, 1)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- serve(&http.Server{Handler: srv.Handler()}, srv, ln, sig, time.Second) }()
+	go func() { serveErr <- serve(newHTTPServer(srv.Handler()), srv, ln, sig, time.Second) }()
 	ln.Close()
 	select {
 	case err := <-serveErr:
@@ -639,6 +641,69 @@ func TestServeListenerError(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve did not return after listener failure")
 	}
+}
+
+// The server ndserve runs closes a connection whose request header
+// stalls past ReadHeaderTimeout, while a keep-alive connection left idle
+// for longer than that still serves its next request: IdleTimeout, not
+// ReadHeaderTimeout, bounds the wait between requests. Both timeouts
+// are shortened here only.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv, _ := testServer(t, 1)
+	hsrv := newHTTPServer(srv.Handler())
+	if hsrv.ReadHeaderTimeout <= 0 || hsrv.IdleTimeout < time.Minute || hsrv.WriteTimeout != 0 {
+		t.Fatalf("timeouts: read header %v, idle %v, write %v; want a header bound, minutes idle, no write bound",
+			hsrv.ReadHeaderTimeout, hsrv.IdleTimeout, hsrv.WriteTimeout)
+	}
+	hsrv.ReadHeaderTimeout = 100 * time.Millisecond
+	hsrv.IdleTimeout = 10 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hsrv.Serve(ln)
+	t.Cleanup(func() { hsrv.Close() })
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	stalled := dial()
+	if _, err := io.WriteString(stalled, "GET /healthz HTTP/1.1\r\nHost: ndserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(stalled); err != nil {
+		t.Fatalf("stalled header: server kept the connection open: %v", err)
+	}
+
+	idle := dial()
+	br := bufio.NewReader(idle)
+	get := func(label string) {
+		t.Helper()
+		if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: ndserve\r\n\r\n"); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", label, resp.StatusCode)
+		}
+	}
+	get("first request")
+	time.Sleep(3 * hsrv.ReadHeaderTimeout)
+	get("request after idling past the header timeout")
 }
 
 func TestBuildServer(t *testing.T) {

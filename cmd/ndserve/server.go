@@ -272,7 +272,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse is the /stats payload: cumulative engine counters and
-// per-shard task counts. On the paged serving path, Pages carries the
+// per-shard search counts. On the paged serving path, Pages carries the
 // software page counters summed across the shards.
 type StatsResponse struct {
 	Batches            int64      `json:"batches"`

@@ -149,9 +149,9 @@ type generation struct {
 	// paged holds the open per-shard handles on the paged serving path,
 	// for counters and for Close/retirement.
 	paged []*snapshot.PagedIndex
-	// perShard counts executed tasks per shard (load-skew telemetry);
-	// it lives on the generation because the shard count can change
-	// across compactions.
+	// perShard counts executed (query, shard) searches per shard
+	// (load-skew telemetry); it lives on the generation because the
+	// shard count can change across compactions.
 	perShard []atomic.Int64
 }
 
@@ -252,8 +252,8 @@ type Engine struct {
 	compacting atomic.Bool
 
 	// tasks feeds the persistent worker pool; SearchBatch callers
-	// enqueue one task per (query, shard) pair.
-	tasks chan task
+	// enqueue one run per (shard, batch slice).
+	tasks chan run
 	// wg tracks the pool goroutines so Close can wait for them.
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -279,24 +279,28 @@ type Engine struct {
 	notifyC chan<- struct{}
 }
 
-// task is one (query, shard) search. Each task owns a distinct result
-// slot, so workers need no locking; done releases the waiting caller.
-// The task carries its generation so a batch in flight across a
-// compaction swap keeps searching the generation it started on. skip is
-// the shard's tombstone predicate over its local IDs (nil when the batch
-// started with an empty shadow set): a read of the generation's shadow
-// bitset at the shard's base offset. qi and tr label the task for stage
-// tracing (tr is nil on untraced batches).
-type task struct {
-	query vec.Vector
-	k     int
-	gen   *generation
-	si    int
-	skip  func(local uint32) bool
-	qi    int
-	tr    *obs.Trace
-	out   *[]ann.Neighbor
-	done  *sync.WaitGroup
+// run is one shard searched for a contiguous range [lo, hi) of a
+// batch's queries, back to back by one worker, so the shard's rows and
+// adjacency stay in that worker's cache across the range. Each (query,
+// shard) search in the run owns a distinct result slot, out[qi*S+si]
+// for S shards, so workers need no locking; done releases the waiting
+// caller once per run. The run carries its generation so a batch in
+// flight across a compaction swap keeps searching the generation it
+// started on. skip is the shard's tombstone predicate over its local
+// IDs (nil when the batch started with an empty shadow set): a read of
+// the generation's shadow bitset at the shard's base offset. tr records
+// one shard_search span per (query, shard) search (tr is nil on
+// untraced batches).
+type run struct {
+	queries []vec.Vector
+	lo, hi  int
+	k       int
+	gen     *generation
+	si      int
+	skip    func(local uint32) bool
+	tr      *obs.Trace
+	out     [][]ann.Neighbor
+	done    *sync.WaitGroup
 }
 
 // Partition splits n items into parts contiguous ranges as evenly as
@@ -385,7 +389,7 @@ func newEngine(gen *generation, workers, dim int, meta Meta, builder Builder) *E
 		builder: builder,
 		// A modest buffer decouples task producers from worker pickup
 		// without letting one huge batch monopolise the queue.
-		tasks: make(chan task, 4*workers),
+		tasks: make(chan run, 4*workers),
 		m:     newEngineMetrics(),
 	}
 	e.liveLen.Store(int64(gen.vectors))
@@ -399,36 +403,40 @@ func newEngine(gen *generation, workers, dim int, meta Meta, builder Builder) *E
 // worker drains the shared task channel until Close closes it.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	for t := range e.tasks {
-		sh := t.gen.shards[t.si]
-		// Tracing observes around the search without touching it: span
+	for r := range e.tasks {
+		sh := r.gen.shards[r.si]
+		// Tracing observes around each search without touching it: span
 		// timestamps come from obs, and on the paged serving path the
 		// shard's software page counters are windowed so the span carries
-		// the touches/faults this task consumed (approximate under
+		// the touches/faults this search consumed (approximate under
 		// concurrent traffic — the counters are shared per shard).
-		sp := t.tr.Span("shard_search")
 		var paged *snapshot.PagedIndex
-		var before snapshot.PagedStats
-		if t.tr != nil && t.si < len(t.gen.paged) && t.gen.paged[t.si] != nil {
-			paged = t.gen.paged[t.si]
-			before = paged.Stats()
+		if r.tr != nil && r.si < len(r.gen.paged) {
+			paged = r.gen.paged[r.si]
 		}
-		res := sh.index.SearchFilter(t.query, t.k, t.skip)
-		// Translate shard-local IDs to global positions, then to
-		// external IDs, in place on the freshly returned slice. The
-		// identity-table fast path keeps pure-read results byte-equal
-		// to the pre-generational engine.
-		for i := range res {
-			res[i].ID = t.gen.extID(res[i].ID + sh.base)
+		for qi := r.lo; qi < r.hi; qi++ {
+			sp := r.tr.Span("shard_search")
+			var before snapshot.PagedStats
+			if paged != nil {
+				before = paged.Stats()
+			}
+			res := sh.index.SearchFilter(r.queries[qi], r.k, r.skip)
+			// Translate shard-local IDs to global positions, then to
+			// external IDs, in place on the freshly returned slice. The
+			// identity-table fast path keeps pure-read results byte-equal
+			// to the pre-generational engine.
+			for i := range res {
+				res[i].ID = r.gen.extID(res[i].ID + sh.base)
+			}
+			if paged != nil {
+				after := paged.Stats()
+				sp.Pages(after.Touches-before.Touches, after.Faults-before.Faults)
+			}
+			sp.Shard(r.si).Query(qi).End()
+			r.out[qi*len(r.gen.shards)+r.si] = res
+			r.gen.perShard[r.si].Add(1)
 		}
-		if paged != nil {
-			after := paged.Stats()
-			sp.Pages(after.Touches-before.Touches, after.Faults-before.Faults)
-		}
-		sp.Shard(t.si).Query(t.qi).End()
-		*t.out = res
-		t.gen.perShard[t.si].Add(1)
-		t.done.Done()
+		r.done.Done()
 	}
 }
 
@@ -529,13 +537,13 @@ type BatchStats struct {
 	Latency time.Duration
 	// QPS is BatchSize / Latency.
 	QPS float64
-	// ShardSearches is the number of (query, shard) tasks executed.
+	// ShardSearches is the number of (query, shard) searches executed.
 	ShardSearches int
 }
 
-// SearchBatch fans the batch out to the worker pool as (query, shard)
-// tasks, merges each query's per-shard top-k lists with the delta tier
-// under the tombstone filter, and returns the merged results (external
+// SearchBatch fans the batch out to the worker pool as runs (one shard,
+// a contiguous slice of the queries), merges each query's per-shard
+// top-k lists with the delta tier under the tombstone filter, and returns the merged results (external
 // IDs, ascending by distance) plus batch stats. It is safe for
 // concurrent use, including concurrently with Upsert/Delete/Compact.
 func (e *Engine) SearchBatch(queries []vec.Vector, k int) ([][]ann.Neighbor, *BatchStats) {
@@ -544,9 +552,9 @@ func (e *Engine) SearchBatch(queries []vec.Vector, k int) ([][]ann.Neighbor, *Ba
 
 // SearchBatchOpts is SearchBatch with per-call options: an optional
 // stage trace recording fanout, per-shard, and merge spans. Results are
-// byte-identical to SearchBatch — tracing only observes. Every shard
-// task searches at k: when the delta shadows anything, the shard search
-// skips shadowed base vertices inside its traversal rather than
+// byte-identical to SearchBatch — tracing only observes. Every (query,
+// shard) search runs at k: when the delta shadows anything, the shard
+// search skips shadowed base vertices inside its traversal rather than
 // over-fetching and dropping them afterwards. The skip test is a bit in
 // the generation's shadow bitset (no ID translation, no delta lock); the
 // merge fold's re-check of at most k entries per shard stays on the
@@ -586,23 +594,27 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 		}
 	}
 
-	// partial[qi][si] is query qi's top-k from shard si; every task owns
-	// a distinct slot, so workers need no locking. The done WaitGroup
-	// pairs this call with exactly its own tasks on the shared pool.
-	partial := make([][][]ann.Neighbor, len(queries))
-	for qi := range partial {
-		partial[qi] = make([][]ann.Neighbor, len(gen.shards))
-	}
+	// The batch is cut into min(Workers, len(queries)) contiguous slices,
+	// enqueued slice-major, shard-minor: slice 0 on shards 0…S−1, then
+	// slice 1, and so on. While Workers ≤ S, concurrent runs sit on
+	// different shards (no added contention on a paged shard's cache
+	// lock); each worker gets about S runs; and a batch of one query is
+	// exactly S searches. partial[qi*S+si] is query qi's top-k from shard
+	// si. The done WaitGroup pairs this call with exactly its own runs on
+	// the shared pool.
+	nsh := len(gen.shards)
+	slices := Partition(len(queries), e.workers)
+	partial := make([][]ann.Neighbor, len(queries)*nsh)
 	fanout := tr.Span("fanout")
 	var done sync.WaitGroup
-	done.Add(len(queries) * len(gen.shards))
-	for qi, q := range queries {
+	done.Add((len(slices) - 1) * nsh)
+	for i := 1; i < len(slices); i++ {
 		for si := range gen.shards {
-			t := task{query: q, k: k, gen: gen, si: si, qi: qi, tr: tr, out: &partial[qi][si], done: &done}
+			r := run{queries: queries, lo: slices[i-1], hi: slices[i], k: k, gen: gen, si: si, tr: tr, out: partial, done: &done}
 			if mutated {
-				t.skip = skips[si]
+				r.skip = skips[si]
 			}
-			e.tasks <- t
+			e.tasks <- r
 		}
 	}
 	done.Wait()
@@ -611,10 +623,10 @@ func (e *Engine) SearchBatchOpts(queries []vec.Vector, k int, opts SearchOptions
 	merge := tr.Span("merge")
 	out := make([][]ann.Neighbor, len(queries))
 	for qi := range queries {
-		out[qi] = mergeGenerational(queries[qi], partial[qi], k, dlt, mutated, tr, qi)
+		out[qi] = mergeGenerational(queries[qi], partial[qi*nsh:(qi+1)*nsh], k, dlt, mutated, tr, qi)
 	}
 	merge.End()
-	st.ShardSearches = len(queries) * len(gen.shards)
+	st.ShardSearches = len(queries) * nsh
 	st.Latency = time.Since(start)
 	if st.Latency > 0 {
 		st.QPS = float64(st.BatchSize) / st.Latency.Seconds()
@@ -668,18 +680,18 @@ type Stats struct {
 	// Batches and Queries count completed batch executions and the
 	// queries they carried.
 	Batches, Queries int64
-	// ShardSearches counts executed (query, shard) tasks.
+	// ShardSearches counts executed (query, shard) searches.
 	ShardSearches int64
 	// Busy is the summed wall-clock batch latency.
 	Busy time.Duration
 	// MaxBatchLatency is the slowest batch seen.
 	MaxBatchLatency time.Duration
-	// PerShardSearches counts executed (query, shard) tasks per shard of
-	// the current generation, so partition skew is observable. Per-shard
-	// counters tick as tasks complete while the batch totals above
-	// update once per batch, so a snapshot taken mid-batch may show
-	// their sum ahead of ShardSearches; they restart at zero when a
-	// compaction installs a new generation.
+	// PerShardSearches counts executed (query, shard) searches per shard
+	// of the current generation, so partition skew is observable.
+	// Per-shard counters tick as searches complete while the batch
+	// totals above update once per batch, so a snapshot taken mid-batch
+	// may show their sum ahead of ShardSearches; they restart at zero
+	// when a compaction installs a new generation.
 	PerShardSearches []int64
 }
 

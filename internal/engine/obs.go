@@ -11,7 +11,7 @@ import (
 // SearchOptions parameterises one SearchBatchOpts call.
 type SearchOptions struct {
 	// Trace, when non-nil, records per-stage spans of the batch
-	// execution: fanout, one shard_search span per (query, shard) task
+	// execution: fanout, one shard_search span per (query, shard) search
 	// (with software page counters on the paged serving path), the merge
 	// fold, and per-query tier folds on a mutated engine. Tracing is
 	// observation only — results are byte-identical to an untraced call.
@@ -45,7 +45,7 @@ func newEngineMetrics() engineMetrics {
 		queries: obs.NewCounter("nd_search_queries_total",
 			"queries carried by completed engine batches"),
 		shardSearches: obs.NewCounter("nd_shard_searches_total",
-			"executed (query, shard) search tasks"),
+			"executed (query, shard) searches"),
 		compactSeconds: obs.NewHistogram("nd_compaction_seconds",
 			"delta-drain compaction duration (capture through swap)", obs.LatencyBuckets),
 		compactions: obs.NewCounter("nd_compactions_total",

@@ -11,8 +11,8 @@ import (
 // the wire form needs no absolute timestamps.
 //
 // Stage names used by the serving stack (DESIGN.md §13): fanout (engine
-// dispatch: task enqueue through the last shard completion),
-// shard_search (one (query, shard) task; Shard and Query set, page
+// dispatch: run enqueue through the last shard completion),
+// shard_search (one (query, shard) search; Shard and Query set, page
 // counters populated on the paged serving path), merge (top-k fold over
 // all queries of the batch), and — on a mutated engine — the per-query
 // tier folds merge_delta and merge_base.
