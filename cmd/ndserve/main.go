@@ -317,10 +317,7 @@ func buildServer(profName, algo string, n, shards, workers int, seed int64,
 	start := time.Now()
 	e, err := engine.New(d.Vectors, engine.Config{
 		Shards: shards, Workers: workers, Builder: builder,
-		Meta: engine.Meta{
-			Algo: algo, Dataset: profName, Seed: seed, Elem: prof.Elem,
-			Quantized: opts.Quantized, Rerank: opts.Rerank,
-		},
+		Meta: engine.Meta{Algo: algo, Dataset: profName, Seed: seed, Elem: prof.Elem},
 	})
 	if err != nil {
 		return nil, err
@@ -331,7 +328,9 @@ func buildServer(profName, algo string, n, shards, workers int, seed int64,
 	}
 	log.Printf("ndserve: built %d-shard %s%s engine over %d %s vectors in %v",
 		e.Shards(), algo, mode, e.Len(), profName, time.Since(start).Round(time.Millisecond))
-	return NewServer(e, prof.Dim, profName, algo), nil
+	srv := NewServer(e, prof.Dim, profName, algo)
+	srv.quantized = opts.Quantized
+	return srv, nil
 }
 
 // loadServer warm-starts the engine from a snapshot directory written
@@ -348,5 +347,7 @@ func loadServer(dir string, lo engine.LoadOptions) (*Server, error) {
 	log.Printf("ndserve: loaded %d-shard %s engine over %d %s vectors from %s in %v (serve=%s, format v%d)",
 		e.Shards(), man.Algo, e.Len(), man.Dataset, dir,
 		time.Since(start).Round(time.Millisecond), e.ServeMode(), snapshot.FormatVersion)
-	return NewServer(e, man.Dim, man.Dataset, man.Algo), nil
+	srv := NewServer(e, man.Dim, man.Dataset, man.Algo)
+	srv.quantized = man.Quantized
+	return srv, nil
 }

@@ -48,9 +48,6 @@ func TestQuantSaveLoadFlow(t *testing.T) {
 	if h := health(loaded); !h.Quantized {
 		t.Fatalf("loaded quantized server reports %+v", h)
 	}
-	if meta := loaded.engine.Meta(); !meta.Quantized || meta.Rerank != 32 {
-		t.Fatalf("loaded meta %+v, want quantized/32", meta)
-	}
 
 	prof := dataset.Sift1B()
 	d, err := dataset.Generate(prof, dataset.GenConfig{N: 1, Queries: 4, Seed: 77})

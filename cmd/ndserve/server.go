@@ -25,6 +25,9 @@ type Server struct {
 	dim     int
 	dataset string
 	algo    string
+	// quantized reports the shards' SQ8 traversal mode for /healthz:
+	// the -quantized flag when built, the checked manifest when loaded.
+	quantized bool
 	// compactor, when non-nil, drains the engine's delta tier in the
 	// background once it crosses the configured threshold.
 	compactor *engine.Compactor
@@ -230,7 +233,8 @@ type HealthResponse struct {
 	Workers int    `json:"workers"`
 	Dim     int    `json:"dim"`
 	// Quantized reports whether the shards traverse the SQ8 compressed
-	// tier (from engine provenance, manifest-backed on the load path).
+	// tier (the build flag, or on the load path the manifest the shard
+	// files' headers were checked against).
 	Quantized bool `json:"quantized"`
 	// Serve is the shard serving mode actually in use: "ram", "mmap",
 	// or "readat" (engine.ServeMode — a requested mmap that fell back
@@ -264,7 +268,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status: "ok", Dataset: s.dataset, Algo: s.algo,
 		Vectors: s.engine.Len(), Shards: s.engine.Shards(),
 		Workers: s.engine.Workers(), Dim: s.dim,
-		Quantized:      s.engine.Meta().Quantized,
+		Quantized:      s.quantized,
 		Serve:          s.engine.ServeMode(),
 		SnapshotFormat: snapshot.FormatVersion,
 		Generations:    s.engine.Generation(),

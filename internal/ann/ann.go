@@ -271,19 +271,6 @@ func (f *Frontier) PopNearest() (Neighbor, bool) {
 	return top, true
 }
 
-// Done reports whether the search should terminate: the closest remaining
-// candidate is farther than the worst retained result and the result list
-// is full (the pre-defined condition in §II-A).
-func (f *Frontier) Done() bool {
-	if len(f.candidates) == 0 {
-		return true
-	}
-	if len(f.results) < f.ef {
-		return false
-	}
-	return f.candidates[0].Dist > f.results[0].Dist
-}
-
 // WorstDist returns the current result-list bound (+Inf semantics when
 // not yet full are the caller's concern; ok reports fullness).
 func (f *Frontier) WorstDist() (float32, bool) {

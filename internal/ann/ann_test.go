@@ -172,21 +172,13 @@ func TestFrontierTiesMatchBruteForce(t *testing.T) {
 	}
 }
 
-func TestFrontierPopAndDone(t *testing.T) {
+func TestFrontierPopNearest(t *testing.T) {
 	f := NewFrontier(2)
-	if !f.Done() {
-		t.Error("empty frontier should be done")
-	}
 	f.Push(Neighbor{0, 2})
 	f.Push(Neighbor{1, 1})
 	n, ok := f.PopNearest()
 	if !ok || n.ID != 1 {
 		t.Errorf("PopNearest = %v %v", n, ok)
-	}
-	// Remaining candidate (dist 2) equals the worst result: not done
-	// until the candidate is strictly farther.
-	if f.Done() {
-		t.Error("candidate at bound should still be expandable")
 	}
 	n, ok = f.PopNearest()
 	if !ok || n.ID != 0 {
@@ -194,9 +186,6 @@ func TestFrontierPopAndDone(t *testing.T) {
 	}
 	if _, ok := f.PopNearest(); ok {
 		t.Error("pop from empty should report !ok")
-	}
-	if !f.Done() {
-		t.Error("drained frontier must be done")
 	}
 }
 

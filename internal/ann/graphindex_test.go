@@ -231,7 +231,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "index.ndss")
-	if _, err := snapshot.SaveFile(path, built, vec.F32); err != nil {
+	if _, _, err := snapshot.SaveFile(path, built, vec.F32); err != nil {
 		t.Fatal(err)
 	}
 	paged, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: "mmap", CachePages: 16})

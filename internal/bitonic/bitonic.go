@@ -32,14 +32,13 @@ type FPGAModel struct {
 	ClockHz float64
 	// Lanes is the number of items sorted per pass (network width).
 	Lanes int
-	// PowerWatts is the kernel's power draw (7.5 W in the paper).
-	PowerWatts float64
 }
 
 // DefaultFPGAModel returns the configuration used by the paper's
-// evaluation: a 256-lane network at 250 MHz drawing 7.5 W.
+// evaluation: a 256-lane network at 250 MHz (its 7.5 W draw is
+// energy.FPGAWatts).
 func DefaultFPGAModel() FPGAModel {
-	return FPGAModel{ClockHz: 250e6, Lanes: 256, PowerWatts: 7.5}
+	return FPGAModel{ClockHz: 250e6, Lanes: 256}
 }
 
 // SortLatency returns the time to sort n items: the items are streamed

@@ -125,9 +125,6 @@ type Dataset struct {
 	Queries []vec.Vector
 }
 
-// Dim returns the dataset's dimensionality.
-func (d *Dataset) Dim() int { return d.Profile.Dim }
-
 // GenConfig controls synthetic generation.
 type GenConfig struct {
 	// N is the number of base vectors to generate.

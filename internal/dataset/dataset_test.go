@@ -110,9 +110,6 @@ func TestGenerateShapesAndGrids(t *testing.T) {
 		if len(d.Vectors) != 100 || len(d.Queries) != 7 {
 			t.Fatalf("%s: wrong counts %d/%d", p.Name, len(d.Vectors), len(d.Queries))
 		}
-		if d.Dim() != p.Dim {
-			t.Errorf("%s: Dim() = %d, want %d", p.Name, d.Dim(), p.Dim)
-		}
 		for _, v := range d.Vectors[:10] {
 			if len(v) != p.Dim {
 				t.Fatalf("%s: vector dim %d, want %d", p.Name, len(v), p.Dim)

@@ -105,13 +105,3 @@ func Efficiency(qps, watts float64) float64 {
 	}
 	return qps / watts
 }
-
-// EfficiencyRatio returns how many times platform a is more energy
-// efficient than platform b given their throughputs.
-func EfficiencyRatio(qpsA, wattsA, qpsB, wattsB float64) float64 {
-	eb := Efficiency(qpsB, wattsB)
-	if eb == 0 {
-		return 0
-	}
-	return Efficiency(qpsA, wattsA) / eb
-}

@@ -79,12 +79,4 @@ func TestEfficiency(t *testing.T) {
 	if Efficiency(10, 0) != 0 {
 		t.Error("zero watts must return 0")
 	}
-	// NDSEARCH 10x QPS at 1/12.5 the power = 125x efficiency.
-	r := EfficiencyRatio(10000, 26.32, 1000, 330)
-	if r < 120 || r > 130 {
-		t.Errorf("EfficiencyRatio = %.1f, want ~125", r)
-	}
-	if EfficiencyRatio(1, 1, 0, 1) != 0 {
-		t.Error("zero baseline efficiency must return 0")
-	}
 }

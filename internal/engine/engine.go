@@ -78,17 +78,14 @@ type Config struct {
 // algorithm and seed built the shards, which dataset the corpus came
 // from, and the at-rest element kind snapshots should use (vec.F32, the
 // zero value, is always lossless; U8/I8 require exactly-representable
-// components, which generated corpora satisfy).
+// components, which generated corpora satisfy). Save records the shards'
+// algo and SQ8 mode from the headers of the files it writes, not from
+// Meta; a non-empty Algo that disagrees with them fails the Save.
 type Meta struct {
 	Algo    string
 	Dataset string
 	Seed    int64
 	Elem    vec.ElemKind
-	// Quantized and Rerank record the shard indexes' SQ8 traversal mode
-	// (IndexOpts), so a snapshot manifest can be cross-checked against
-	// the CRC-guarded shard files at load time.
-	Quantized bool
-	Rerank    int
 }
 
 func (c *Config) normalize(n int) error {
@@ -111,17 +108,29 @@ func (c *Config) normalize(n int) error {
 }
 
 // shard is one partition: a built index plus its global-position base
-// offset within its generation.
+// offset within its generation, and — on the paged serving path — the
+// open snapshot handle serving the index, for page counters and Close
+// (nil when the shard is resident).
 type shard struct {
 	index ann.Index
 	base  uint32
+	paged *snapshot.PagedIndex
+}
+
+// closePaged releases the paged shards' mappings and file handles;
+// resident shards hold none. No search may still be running on them.
+func closePaged(shards []shard) {
+	for _, sh := range shards {
+		if sh.paged != nil {
+			_ = sh.paged.Close()
+		}
+	}
 }
 
 // generation is one base of the generational shard set: built shards,
 // the position→external-ID translation (nil when positions are the IDs,
-// as in generation 0 of a fresh build), the in-traversal shadow bitset,
-// and — on the paged serving path — the open per-shard snapshot
-// handles. Its shards and ID table are never mutated after the engine
+// as in generation 0 of a fresh build), and the in-traversal shadow
+// bitset. Its shards and ID table are never mutated after the engine
 // starts serving it (compaction replaces the whole value); only shadow
 // bits are set, and never cleared.
 type generation struct {
@@ -146,9 +155,6 @@ type generation struct {
 	// grows, so a bit is never cleared. It is sized by the generation
 	// (1 bit per base vector), never by an external ID.
 	shadow []atomic.Uint64
-	// paged holds the open per-shard handles on the paged serving path,
-	// for counters and for Close/retirement.
-	paged []*snapshot.PagedIndex
 	// perShard counts executed (query, shard) searches per shard
 	// (load-skew telemetry); it lives on the generation because the
 	// shard count can change across compactions.
@@ -158,14 +164,13 @@ type generation struct {
 // newGeneration assembles generation num over built shards, sizing its
 // per-shard counters by the shard count and its shadow bitset by the
 // base row count.
-func newGeneration(num int, shards []shard, ids []uint32, vectors int, paged []*snapshot.PagedIndex) *generation {
+func newGeneration(num int, shards []shard, ids []uint32, vectors int) *generation {
 	return &generation{
 		num:      num,
 		shards:   shards,
 		ids:      ids,
 		vectors:  vectors,
 		shadow:   make([]atomic.Uint64, (vectors+63)/64),
-		paged:    paged,
 		perShard: make([]atomic.Int64, len(shards)),
 	}
 }
@@ -258,10 +263,10 @@ type Engine struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// serveMode is the shard serving mode ("" means ServeRAM): builds
-	// and plain loads decode shards fully resident; paged loads
-	// (LoadOptions.Serve) traverse node records through a bounded page
-	// cache over the snapshot files.
+	// serveMode is the shard serving mode: ServeRAM for builds and plain
+	// loads, which decode shards fully resident; the paged backend for
+	// paged loads (LoadOptions.Serve), which traverse node records
+	// through a bounded page cache over the snapshot files.
 	serveMode string
 
 	// m holds the obs instruments (obs.go), the engine's only serving
@@ -337,7 +342,7 @@ func New(data []vec.Vector, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := newGeneration(0, shards, nil, len(data), nil)
+	gen := newGeneration(0, shards, nil, len(data))
 	e := newEngine(gen, cfg.Workers, len(data[0]), cfg.Meta, cfg.Builder)
 	e.reqShards = cfg.Shards
 	return e, nil
@@ -387,6 +392,8 @@ func newEngine(gen *generation, workers, dim int, meta Meta, builder Builder) *E
 		dim:     dim,
 		meta:    meta,
 		builder: builder,
+		// Load switches a paged engine to its backend.
+		serveMode: ServeRAM,
 		// A modest buffer decouples task producers from worker pickup
 		// without letting one huge batch monopolise the queue.
 		tasks: make(chan run, 4*workers),
@@ -411,8 +418,8 @@ func (e *Engine) worker() {
 		// the touches/faults this search consumed (approximate under
 		// concurrent traffic — the counters are shared per shard).
 		var paged *snapshot.PagedIndex
-		if r.tr != nil && r.si < len(r.gen.paged) {
-			paged = r.gen.paged[r.si]
+		if r.tr != nil {
+			paged = sh.paged
 		}
 		for qi := r.lo; qi < r.hi; qi++ {
 			sp := r.tr.Span("shard_search")
@@ -450,11 +457,7 @@ func (e *Engine) Close() {
 		close(e.tasks)
 		e.wg.Wait()
 		// Workers have drained, so no search can touch a paged store now.
-		for _, p := range e.gen.paged {
-			if p != nil {
-				_ = p.Close()
-			}
-		}
+		closePaged(e.gen.shards)
 	})
 }
 
@@ -475,20 +478,12 @@ func (e *Engine) Dim() int { return e.dim }
 // Workers returns the worker-pool bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Meta returns the provenance the engine was built or loaded with.
-func (e *Engine) Meta() Meta { return e.meta }
-
 // ServeMode reports how the shards serve node data: ServeRAM (fully
 // resident), or ServeMmap / ServeReadAt when the engine was loaded with
 // a paged LoadOptions.Serve. On the paged path this is the backend
 // actually in use — a requested mmap that fell back to positioned reads
 // (unsupported platform) reports ServeReadAt.
-func (e *Engine) ServeMode() string {
-	if e.serveMode == "" {
-		return ServeRAM
-	}
-	return e.serveMode
-}
+func (e *Engine) ServeMode() string { return e.serveMode }
 
 // PageStats aggregates the software page counters across all paged
 // shards. ok is false when the engine serves from RAM (no paged
@@ -497,13 +492,14 @@ func (e *Engine) ServeMode() string {
 // PageSize is the (uniform) page quantum.
 func (e *Engine) PageStats() (agg snapshot.PagedStats, ok bool) {
 	e.genMu.RLock()
-	paged := e.gen.paged
+	shards := e.gen.shards
 	e.genMu.RUnlock()
-	if len(paged) == 0 {
-		return snapshot.PagedStats{}, false
-	}
-	for _, p := range paged {
-		st := p.Stats()
+	for _, sh := range shards {
+		if sh.paged == nil {
+			continue
+		}
+		ok = true
+		st := sh.paged.Stats()
 		agg.Touches += st.Touches
 		agg.Faults += st.Faults
 		agg.IOErrors += st.IOErrors
@@ -512,7 +508,7 @@ func (e *Engine) PageStats() (agg snapshot.PagedStats, ok bool) {
 		agg.TotalPages += st.TotalPages
 		agg.PageSize = st.PageSize
 	}
-	return agg, true
+	return agg, ok
 }
 
 // Search returns the merged approximate top-k neighbors of one query

@@ -214,7 +214,7 @@ func (e *Engine) Compact() error {
 func (e *Engine) compact() error {
 	//ndvet:ignore determinism wall time feeds only the LastCompactDuration stat, never results
 	start := time.Now()
-	if e.serveMode != "" && e.serveMode != ServeRAM {
+	if e.serveMode != ServeRAM {
 		return fmt.Errorf("engine: Compact: paged engine (%s) cannot read its corpus back; load with ServeRAM to compact", e.serveMode)
 	}
 
@@ -264,11 +264,7 @@ func (e *Engine) compact() error {
 	e.m.compactions.Inc()
 
 	// Retire the old generation.
-	for _, p := range oldGen.paged {
-		if p != nil {
-			_ = p.Close()
-		}
-	}
+	closePaged(oldGen.shards)
 	if e.genDir != "" {
 		if err := snapshot.RetireGeneration(e.genDir, snapshot.GenerationName(oldGen.num)); err != nil {
 			return fmt.Errorf("engine: Compact: new generation live, old not retired: %w", err)
@@ -327,7 +323,7 @@ func (e *Engine) buildGeneration(oldGen *generation, capIDs []uint32, capVecs []
 	if identity {
 		idTab = nil
 	}
-	return newGeneration(oldGen.num+1, shards, idTab, len(ids), nil), nil
+	return newGeneration(oldGen.num+1, shards, idTab, len(ids)), nil
 }
 
 // byExtID co-sorts the merged (ids, vecs) pair ascending by ID.

@@ -10,6 +10,7 @@ import (
 	"ndsearch/internal/ann"
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/snapshot"
+	"ndsearch/internal/vec"
 )
 
 // buildQuantTestEngine mirrors buildTestEngine with the SQ8 traversal
@@ -28,10 +29,7 @@ func buildQuantTestEngine(t *testing.T, algo string, shards, rerank int) (*Engin
 	}
 	e, err := New(d.Vectors, Config{
 		Shards: shards, Workers: 4, Builder: builder,
-		Meta: Meta{
-			Algo: algo, Dataset: prof.Name, Seed: 9, Elem: prof.Elem,
-			Quantized: true, Rerank: rerank,
-		},
+		Meta: Meta{Algo: algo, Dataset: prof.Name, Seed: 9, Elem: prof.Elem},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +49,9 @@ func TestBuilderWithOptsRejectsQuantizedExact(t *testing.T) {
 
 // A quantized engine round-trips its snapshot directory: the manifest
 // records the mode, the reload serves byte-identically, and a manifest
-// whose quantized bit or rerank width contradicts the CRC-guarded shard
-// files is rejected instead of silently changing the serving mode.
+// whose quantized bit, rerank width, or element kind contradicts the
+// CRC-guarded shard files is rejected instead of silently changing the
+// serving mode.
 func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 	for _, algo := range []string{"hnsw", "diskann"} {
 		t.Run(algo, func(t *testing.T) {
@@ -83,10 +82,12 @@ func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 				}
 			}
 
-			// A hand-edited SQ8 mode must fail the load in every serving
-			// mode. Clearing the quantized bit denies the files' sq8
-			// sections; a different rerank width would otherwise be what
-			// the first compaction after the load rebuilds with.
+			// A hand-edited SQ8 mode or element kind must fail the load in
+			// every serving mode. Clearing the quantized bit denies the
+			// files' sq8 sections; a different rerank width would
+			// otherwise be what the first compaction after the load
+			// rebuilds with; i8 over the files' u8 rows would refuse
+			// every upsert component above 127 and every compaction.
 			manPath := inCurrent(t, dir, ManifestName)
 			blob, err := os.ReadFile(manPath)
 			if err != nil {
@@ -98,6 +99,7 @@ func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 			}{
 				{"quantized", func(m *Manifest) { m.Quantized = false }},
 				{"rerank", func(m *Manifest) { m.Rerank = 16 }},
+				{"elem", func(m *Manifest) { m.ElemKind = uint8(vec.I8) }},
 			} {
 				var m Manifest
 				if err := json.Unmarshal(blob, &m); err != nil {
@@ -148,9 +150,6 @@ func TestQuantEngineSaveRecordsShardMode(t *testing.T) {
 	t.Cleanup(loaded.Close)
 	if !man.Quantized || man.Rerank != 32 {
 		t.Fatalf("manifest quantized=%v rerank=%d, want true/32", man.Quantized, man.Rerank)
-	}
-	if got := loaded.Meta(); !got.Quantized || got.Rerank != 32 {
-		t.Fatalf("loaded Meta quantized=%v rerank=%d, want true/32", got.Quantized, got.Rerank)
 	}
 }
 

@@ -11,12 +11,7 @@ import (
 	"runtime"
 	"sync"
 
-	"ndsearch/internal/ann"
-	"ndsearch/internal/hcnng"
-	"ndsearch/internal/hnsw"
 	"ndsearch/internal/snapshot"
-	"ndsearch/internal/togg"
-	"ndsearch/internal/vamana"
 	"ndsearch/internal/vec"
 )
 
@@ -42,26 +37,30 @@ const migrateFlat = "mkdir gen-000000 && mv manifest.json shard-*.ndx gen-000000
 // ManifestName is the manifest file written alongside the shard files.
 const ManifestName = "manifest.json"
 
-// Manifest describes a saved engine directory.
+// Manifest describes a saved engine directory. It is not checksummed:
+// Load cross-checks its Algo, ElemKind, Dim, Quantized, Rerank and each
+// file's Rows against that CRC-guarded shard file's header (checkShard),
+// so a hand-edited manifest cannot silently change the serving mode,
+// the element kind writes are encoded in, or the rerank width a
+// compaction rebuilds with.
 type Manifest struct {
 	// FormatVersion is the snapshot container version the shard files
 	// were written with; Load accepts only snapshot.FormatVersion.
 	FormatVersion int `json:"format_version"`
-	// Algo is the shard index family (a snapshot registry name).
+	// Algo is the shard index family (a snapshot registry name), as the
+	// shard files' headers record it.
 	Algo string `json:"algo"`
 	// Dataset and Seed are provenance from Config.Meta.
 	Dataset string `json:"dataset,omitempty"`
 	Seed    int64  `json:"seed"`
 	// ElemKind is the at-rest element kind the shard files were written
 	// with (vec.ElemKind encoding), restored into Meta on Load so a
-	// re-save keeps the compact representation.
+	// re-save keeps the compact representation, and upserts are checked
+	// against it.
 	ElemKind uint8 `json:"elem_kind"`
-	// Quantized and Rerank record the shards' SQ8 traversal mode, read
-	// from the shards themselves at save time (Rerank is 0 unless
-	// Quantized: a file stores the width only beside its SQ8 tier).
-	// Both are cross-checked against each CRC-guarded shard file at load
-	// time, so a hand-edited manifest cannot silently change the serving
-	// mode or the rerank width a compaction rebuilds with.
+	// Quantized and Rerank record the shards' SQ8 traversal mode, as the
+	// shard files' headers record it (Rerank is 0 unless Quantized: a
+	// file stores the width only beside its SQ8 tier).
 	Quantized bool `json:"quantized,omitempty"`
 	Rerank    int  `json:"rerank,omitempty"`
 	// Dim and Vectors describe the corpus; Bounds are the contiguous
@@ -146,7 +145,6 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 			_ = os.RemoveAll(gdir)
 		}
 	}()
-	var detected string
 	man := &Manifest{
 		FormatVersion: snapshot.FormatVersion,
 		Dataset:       meta.Dataset,
@@ -159,41 +157,30 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 		Generation:    gen.num,
 		Ids:           gen.ids,
 	}
+	// The algo and SQ8 mode are recorded from the headers of the files
+	// just written: a manifest copied from Meta would disagree with the
+	// files whenever the caller's Meta does, and Load would reject them.
 	for i, sh := range gen.shards {
-		d, err := snapshot.Detect(sh.index)
+		name := shardFileName(i)
+		h, crc, err := snapshot.SaveFile(filepath.Join(gdir, name), sh.index, meta.Elem)
 		if err != nil {
 			return fmt.Errorf("engine: save shard %d: %w", i, err)
 		}
-		// The SQ8 mode is recorded from the shards, as the algo is: a
-		// manifest copied from Meta would disagree with the files
-		// whenever the caller's Meta does, and Load would reject them.
-		quantized, rerank := sq8Mode(sh.index)
 		if i == 0 {
-			detected = d
-			man.Quantized, man.Rerank = quantized, rerank
 			// A wrong caller-supplied algo would make every future Load
 			// reject this intact directory as corrupt — surface the bug
-			// here, before any file is written.
-			if meta.Algo != "" && meta.Algo != detected {
-				return fmt.Errorf("engine: save: Meta.Algo is %q but shards are %q", meta.Algo, detected)
+			// here; the deferred cleanup drops the partial generation.
+			if meta.Algo != "" && meta.Algo != h.Algo {
+				return fmt.Errorf("engine: save: Meta.Algo is %q but shards are %q", meta.Algo, h.Algo)
 			}
-		} else if d != detected {
-			return fmt.Errorf("engine: save: shard %d is %s, shard 0 is %s", i, d, detected)
-		} else if quantized != man.Quantized || rerank != man.Rerank {
-			return fmt.Errorf("engine: save: shard %d has quantized=%v rerank=%d, shard 0 has quantized=%v rerank=%d",
-				i, quantized, rerank, man.Quantized, man.Rerank)
+			man.Algo, man.Quantized, man.Rerank = h.Algo, h.Quantized, h.Rerank
+		} else if h.Algo != man.Algo || h.Quantized != man.Quantized || h.Rerank != man.Rerank {
+			return fmt.Errorf("engine: save: shard %d is %s (quantized=%v rerank=%d), shard 0 is %s (quantized=%v rerank=%d)",
+				i, h.Algo, h.Quantized, h.Rerank, man.Algo, man.Quantized, man.Rerank)
 		}
-		name := shardFileName(i)
-		crc, err := snapshot.SaveFile(filepath.Join(gdir, name), sh.index, meta.Elem)
-		if err != nil {
-			return fmt.Errorf("engine: save shard %d: %w", i, err)
-		}
-		man.Files = append(man.Files, ShardFile{
-			Name: name, Rows: sh.index.Len(), CRC32: crc,
-		})
-		man.Bounds = append(man.Bounds, man.Bounds[i]+sh.index.Len())
+		man.Files = append(man.Files, ShardFile{Name: name, Rows: h.Rows, CRC32: crc})
+		man.Bounds = append(man.Bounds, man.Bounds[i]+h.Rows)
 	}
-	man.Algo = detected
 	blob, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("engine: save manifest: %w", err)
@@ -205,31 +192,6 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 		return fmt.Errorf("engine: save: %w", err)
 	}
 	return nil
-}
-
-// sq8Mode is the SQ8 traversal mode of a graph-family shard index as
-// its snapshot file records it: whether it traverses SQ8 codes, and
-// its exact-rerank width, which a file stores only beside the SQ8 tier
-// (0 otherwise). The flat families have no SQ8 mode.
-func sq8Mode(idx ann.Index) (quantized bool, rerank int) {
-	switch x := idx.(type) {
-	case *hnsw.Index:
-		c := x.Params()
-		quantized, rerank = c.Quantized, c.Rerank
-	case *vamana.Index:
-		c := x.Params()
-		quantized, rerank = c.Quantized, c.Rerank
-	case *hcnng.Index:
-		c := x.Params()
-		quantized, rerank = c.Quantized, c.Rerank
-	case *togg.Index:
-		c := x.Params()
-		quantized, rerank = c.Quantized, c.Rerank
-	}
-	if !quantized {
-		return false, 0
-	}
-	return true, rerank
 }
 
 // Serving modes for LoadOptions.Serve (and Engine.ServeMode).
@@ -338,10 +300,6 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	}
 	shards := make([]shard, man.Shards)
 	errs := make([]error, man.Shards)
-	var paged []*snapshot.PagedIndex
-	if mode != ServeRAM {
-		paged = make([]*snapshot.PagedIndex, man.Shards)
-	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := range man.Files {
@@ -350,30 +308,18 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			pi, idx, err := openShard(loadDir, man, i, mode, opts.CachePages)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if paged != nil {
-				paged[i] = pi
-			}
-			shards[i] = shard{index: idx, base: uint32(man.Bounds[i])}
+			shards[i], errs[i] = openShard(loadDir, man, i, mode, opts.CachePages)
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			closePaged(paged)
+			closePaged(shards)
 			return nil, nil, err
 		}
 	}
-	meta := Meta{
-		Algo: man.Algo, Dataset: man.Dataset, Seed: man.Seed,
-		Elem:      vec.ElemKind(man.ElemKind),
-		Quantized: man.Quantized, Rerank: man.Rerank,
-	}
-	gen := newGeneration(genNum, shards, man.Ids, man.Vectors, paged)
+	meta := Meta{Algo: man.Algo, Dataset: man.Dataset, Seed: man.Seed, Elem: vec.ElemKind(man.ElemKind)}
+	gen := newGeneration(genNum, shards, man.Ids, man.Vectors)
 	// Reconstruct the shard builder so Compact can rebuild the base. Every
 	// loadable directory has one: checkShard pinned the algo and the
 	// quantized mode to the files, and the metric is the files' own.
@@ -381,28 +327,18 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		Quantized: man.Quantized, Rerank: man.Rerank,
 	})
 	if err != nil {
-		closePaged(paged)
+		closePaged(shards)
 		return nil, nil, fmt.Errorf("engine: load: %w", err)
 	}
 	e := newEngine(gen, workers, man.Dim, meta, builder)
 	e.genDir = dir
 	e.reqShards = man.Shards
-	if mode != ServeRAM {
+	if p := shards[0].paged; p != nil {
 		// Report the backend actually serving: a requested mmap may have
 		// fallen back to positioned reads on platforms without mmap.
-		e.serveMode = paged[0].Backend()
+		e.serveMode = p.Backend()
 	}
 	return e, man, nil
-}
-
-// closePaged releases whatever paged shards did open before a load
-// failed.
-func closePaged(paged []*snapshot.PagedIndex) {
-	for _, p := range paged {
-		if p != nil {
-			_ = p.Close()
-		}
-	}
 }
 
 // validate checks the manifest's internal consistency before any shard
@@ -456,93 +392,72 @@ func (m *Manifest) validate() error {
 }
 
 // checkShard cross-checks the manifest's claims about shard i against
-// what its CRC-guarded file holds. The manifest itself is not
-// checksummed, so a manifest whose algo, row count, dim, or serving
-// mode disagrees must fail the load, not panic on the first search
-// (ndserve validates query dims against the manifest). quantized and
-// rerank are the in-file truth for the serving mode: presence of the
-// SQ8 tier, and the rerank width stored beside it.
-func checkShard(man *Manifest, i int, algo string, rows, dim int, quantized bool, rerank int) error {
+// h, the header of its CRC-guarded file: algo, row count, dim, element
+// kind, and SQ8 mode (presence of the SQ8 tier, and the rerank width
+// stored beside it). The manifest itself is not checksummed, so a
+// manifest that disagrees must fail the load, not panic on the first
+// search (ndserve validates query dims against the manifest) or refuse
+// writes and compactions in the wrong element kind.
+func checkShard(man *Manifest, i int, h snapshot.Header) error {
 	f := man.Files[i]
-	if algo != man.Algo {
-		return fmt.Errorf("engine: load shard %d (%s): %w: file holds %s, manifest says %s",
-			i, f.Name, snapshot.ErrCorrupt, algo, man.Algo)
-	}
-	if rows != f.Rows {
-		return fmt.Errorf("engine: load shard %d (%s): %d rows, manifest says %d", i, f.Name, rows, f.Rows)
-	}
-	if dim != man.Dim {
-		return fmt.Errorf("engine: load shard %d (%s): %w: file dim %d, manifest says %d",
-			i, f.Name, snapshot.ErrCorrupt, dim, man.Dim)
-	}
-	if quantized != man.Quantized {
-		return fmt.Errorf("engine: load shard %d (%s): %w: file quantized=%v, manifest says %v",
-			i, f.Name, snapshot.ErrCorrupt, quantized, man.Quantized)
-	}
-	if rerank != man.Rerank {
-		return fmt.Errorf("engine: load shard %d (%s): %w: file rerank=%d, manifest says %d",
-			i, f.Name, snapshot.ErrCorrupt, rerank, man.Rerank)
+	for _, c := range []struct {
+		field      string
+		file, want any
+	}{
+		{"algo", h.Algo, man.Algo},
+		{"rows", h.Rows, f.Rows},
+		{"dim", h.Dim, man.Dim},
+		{"elem", h.Elem, vec.ElemKind(man.ElemKind)},
+		{"quantized", h.Quantized, man.Quantized},
+		{"rerank", h.Rerank, man.Rerank},
+	} {
+		if c.file != c.want {
+			return fmt.Errorf("engine: load shard %d (%s): %w: file %s %v, manifest says %v",
+				i, f.Name, snapshot.ErrCorrupt, c.field, c.file, c.want)
+		}
 	}
 	return nil
 }
 
 // openShard opens shard i of the manifest in the given serving mode and
-// cross-checks the manifest's claims against what its CRC-guarded file
-// holds. The modes differ only in how the bytes arrive. ServeRAM reads
-// the whole file, verifies the manifest's whole-file CRC, and decodes it
-// with snapshot.Load. The paged modes open it with
+// cross-checks the manifest's claims against the header of its
+// CRC-guarded file. The modes differ only in how the bytes arrive.
+// ServeRAM reads the whole file, verifies the manifest's whole-file CRC,
+// and decodes it with snapshot.Load. The paged modes open it with
 // snapshot.OpenPagedFile, which walks the same sections but skips both
 // the whole-file CRC and the blocks payload's: reading the block image
 // up front is what paged serving exists to avoid, so serve-time record
 // damage is handled defensively by the paged store. The returned
-// PagedIndex is nil in ServeRAM.
-func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (*snapshot.PagedIndex, ann.Index, error) {
+// shard's paged handle is nil in ServeRAM.
+func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (shard, error) {
 	f := man.Files[i]
 	path := filepath.Join(dir, f.Name)
-	var (
-		pi        *snapshot.PagedIndex
-		idx       ann.Index
-		dim       int
-		quantized bool
-		rerank    int
-		err       error
-	)
+	sh := shard{base: uint32(man.Bounds[i])}
+	var h snapshot.Header
 	if mode == ServeRAM {
-		var data []byte
-		if data, err = os.ReadFile(path); err != nil {
-			return nil, nil, fmt.Errorf("engine: load shard %d: %w", i, err)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return shard{}, fmt.Errorf("engine: load shard %d: %w", i, err)
 		}
 		if got := crc32.ChecksumIEEE(data); got != f.CRC32 {
-			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w: file CRC %08x, manifest says %08x",
+			return shard{}, fmt.Errorf("engine: load shard %d (%s): %w: file CRC %08x, manifest says %08x",
 				i, f.Name, snapshot.ErrChecksum, got, f.CRC32)
 		}
-		if idx, err = snapshot.Load(bytes.NewReader(data)); err != nil {
-			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
+		if sh.index, h, err = snapshot.Load(bytes.NewReader(data)); err != nil {
+			return shard{}, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
 		}
-		mx, ok := idx.(interface{ Matrix() *vec.Matrix })
-		if !ok {
-			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %T exposes no corpus matrix", i, f.Name, idx)
-		}
-		mat := mx.Matrix()
-		dim, quantized = mat.Dim(), mat.SQ8() != nil
-		_, rerank = sq8Mode(idx)
 	} else {
-		if pi, err = snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: mode, CachePages: cachePages}); err != nil {
-			return nil, nil, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
+		p, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: mode, CachePages: cachePages})
+		if err != nil {
+			return shard{}, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
 		}
-		// The blocks meta's quantized bit (paired with the sq8s section)
-		// is what the opener folded into the header.
-		idx = pi.Index()
-		dim, quantized, rerank = pi.Header().Dim, pi.Header().Quantized, pi.Header().Rerank
+		sh.index, sh.paged, h = p.Index(), p, p.Header()
 	}
-	// An index type Detect cannot name yields "", which no manifest algo
-	// matches, so checkShard reports it.
-	algo, _ := snapshot.Detect(idx)
-	if err := checkShard(man, i, algo, idx.Len(), dim, quantized, rerank); err != nil {
-		if pi != nil {
-			_ = pi.Close()
+	if err := checkShard(man, i, h); err != nil {
+		if sh.paged != nil {
+			_ = sh.paged.Close()
 		}
-		return nil, nil, err
+		return shard{}, err
 	}
-	return pi, idx, nil
+	return sh, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -12,6 +13,7 @@ import (
 
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/snapshot"
+	"ndsearch/internal/vec"
 )
 
 // buildTestEngine builds a small sharded engine over a generated corpus
@@ -96,6 +98,26 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 			t.Cleanup(resaved.Close)
 			if man2.ElemKind != man.ElemKind {
 				t.Fatalf("re-save switched elem kind %d -> %d", man.ElemKind, man2.ElemKind)
+			}
+			// The re-save is byte-identical to the first save, manifest
+			// and every shard file: a built and a loaded engine record
+			// the same manifest from the same shard-file headers.
+			names := []string{ManifestName}
+			for i := 0; i < man.Shards; i++ {
+				names = append(names, shardFileName(i))
+			}
+			for _, name := range names {
+				first, err := os.ReadFile(inCurrent(t, dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err := os.ReadFile(inCurrent(t, dir2, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(first, second) {
+					t.Fatalf("re-saved %s differs from the first save (%d vs %d bytes)", name, len(second), len(first))
+				}
 			}
 			if loaded.Len() != e.Len() || loaded.Shards() != e.Shards() || loaded.Dim() != e.Dim() {
 				t.Fatalf("loaded engine shape: len=%d shards=%d dim=%d", loaded.Len(), loaded.Shards(), loaded.Dim())
@@ -191,6 +213,19 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 		t.Fatalf("manifest algo mismatch: err = %v, want ErrCorrupt", err)
 	}
 	man.Algo = "exact"
+
+	// And for a manifest element kind that disagrees with the shard
+	// files' u8 rows: serving it as i8 would refuse every upsert
+	// component above 127 and fail every persisted compaction.
+	man.ElemKind = uint8(vec.I8)
+	mutated, _ = json.Marshal(&man)
+	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("manifest elem mismatch: err = %v, want ErrCorrupt", err)
+	}
+	man.ElemKind = uint8(vec.U8)
 
 	// Any manifest format version but the current one is refused up
 	// front: a future one, and a past one.

@@ -77,7 +77,7 @@ func TestSuiteCacheRejectsStaleParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "glove-100-hnsw-n400-seed1.ndx")
-	if _, err := snapshot.SaveFile(path, stale, vec.F32); err != nil {
+	if _, _, err := snapshot.SaveFile(path, stale, vec.F32); err != nil {
 		t.Fatal(err)
 	}
 

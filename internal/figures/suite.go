@@ -226,7 +226,7 @@ func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann
 	}
 	path := filepath.Join(s.CacheDir,
 		fmt.Sprintf("%s-%s-n%d-seed%d%s.ndx", profName, algo, s.Scale.N, s.Scale.Seed, mode))
-	if idx, err := snapshot.LoadFile(path); err == nil && idx.Len() == len(d.Vectors) &&
+	if idx, _, err := snapshot.LoadFile(path); err == nil && idx.Len() == len(d.Vectors) &&
 		s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
 		return idx, nil
 	}
@@ -237,7 +237,7 @@ func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann
 	// Best effort: the cache is an optimization, so a write failure
 	// (read-only or full cache directory) must not fail a figure run
 	// that already holds a good index.
-	_, _ = snapshot.SaveFile(path, idx, vec.F32)
+	_, _, _ = snapshot.SaveFile(path, idx, vec.F32)
 	return idx, nil
 }
 

@@ -340,6 +340,3 @@ func (x *Index) MaxLevel() int { return x.maxLevel }
 
 // EntryPoint returns the global entry vertex.
 func (x *Index) EntryPoint() uint32 { return x.Entry() }
-
-// Level returns the top layer of vertex v.
-func (x *Index) Level(v uint32) int { return x.levels[v] }

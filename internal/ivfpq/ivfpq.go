@@ -455,9 +455,3 @@ func (x *Index) adcTables(residual vec.Vector) [][]float32 {
 	}
 	return tables
 }
-
-// CompressionRatio returns raw vector bytes over PQ posting bytes.
-func (x *Index) CompressionRatio(elem vec.ElemKind) float64 {
-	raw := float64(vec.StoredBytes(elem, x.dim))
-	return raw / float64(x.CodeBytes())
-}

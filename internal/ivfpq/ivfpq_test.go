@@ -150,15 +150,6 @@ func TestScanStats(t *testing.T) {
 	}
 }
 
-func TestCompressionRatio(t *testing.T) {
-	idx, _ := buildTestIndex(t, 300, DefaultConfig())
-	// sift: 128 u8 bytes raw vs 4+8 posting bytes = ~10.7x.
-	r := idx.CompressionRatio(vec.U8)
-	if r < 10 || r > 11 {
-		t.Errorf("compression ratio = %.2f, want ~10.7", r)
-	}
-}
-
 func TestKMeansBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Two well-separated blobs must produce two distinct centroids.

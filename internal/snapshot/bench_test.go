@@ -50,7 +50,7 @@ func BenchmarkSaveHNSW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := Save(&buf, idx, vec.F32); err != nil {
+		if _, err := Save(&buf, idx, vec.F32); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,13 +63,13 @@ func BenchmarkLoadHNSW(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, idx, vec.F32); err != nil {
+	if _, err := Save(&buf, idx, vec.F32); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,13 +91,13 @@ func BenchmarkLoadVamana(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, idx, vec.F32); err != nil {
+	if _, err := Save(&buf, idx, vec.F32); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -176,10 +176,10 @@ func TestV3FlatFamiliesRoundTrip(t *testing.T) {
 	for _, algo := range []string{"exact", "ivfpq"} {
 		built := buildFamily(t, algo, metricsOf(algo)[0], testData(60, 8, 9))
 		var buf bytes.Buffer
-		if err := Save(&buf, built, vec.F32); err != nil {
+		if _, err := Save(&buf, built, vec.F32); err != nil {
 			t.Fatalf("save %s: %v", algo, err)
 		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("load %s: %v", algo, err)
 		}

@@ -17,7 +17,7 @@ func snapshotOf(t testing.TB, algo string) []byte {
 	t.Helper()
 	built := buildFamily(t, algo, metricsOf(algo)[0], testData(80, 8, 17))
 	var buf bytes.Buffer
-	if err := Save(&buf, built, vec.F32); err != nil {
+	if _, err := Save(&buf, built, vec.F32); err != nil {
 		t.Fatalf("save %s: %v", algo, err)
 	}
 	return buf.Bytes()
@@ -41,7 +41,8 @@ func loadBytes(t *testing.T, label string, data []byte) (idx ann.Index, err erro
 			t.Fatalf("%s: Load panicked: %v", label, r)
 		}
 	}()
-	return Load(bytes.NewReader(data))
+	idx, _, err = Load(bytes.NewReader(data))
+	return idx, err
 }
 
 // The corruption table: truncated file, flipped byte, wrong magic, and
@@ -128,7 +129,7 @@ func TestLegacyCompatMatrix(t *testing.T) {
 	check := func(t *testing.T, built ann.Index) ann.Index {
 		t.Helper()
 		var cur bytes.Buffer
-		if err := Save(&cur, built, vec.F32); err != nil {
+		if _, err := Save(&cur, built, vec.F32); err != nil {
 			t.Fatalf("save: %v", err)
 		}
 		loaded, err := loadBytes(t, "current", cur.Bytes())
@@ -170,7 +171,7 @@ func TestLegacyCompatMatrix(t *testing.T) {
 // different index).
 func TestCorruptionFlipSweepNeverPanics(t *testing.T) {
 	good := snapshotOf(t, "hnsw")
-	want, err := Load(bytes.NewReader(good))
+	want, _, err := Load(bytes.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,9 +185,9 @@ func readGraph(d *dec, wantN int) (*graph.Graph, error) {
 
 // ---- exact --------------------------------------------------------------
 
-func saveExact(idx ann.Index, _ *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveExact(idx ann.Index, _ *builder) (Header, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*ann.Exact)
-	return x.Metric(), x.Matrix(), nil, nil
+	return Header{Metric: x.Metric()}, x.Matrix(), nil, nil
 }
 
 func loadExact(h Header, _ *file, mat *vec.Matrix) (ann.Index, error) {
@@ -203,24 +203,27 @@ var errPaged = fmt.Errorf("%w: paged index cannot be re-saved; copy the snapshot
 
 // saveGraph finishes a graph family's Saver once its navigation
 // sections are queued: it refuses a paged index, adds the scales-only
-// "sq8s" section when quantized, and reports the header fields plus the
-// base adjacency Save packs into "blocks".
-func saveGraph(b *builder, g *ann.GraphIndex, quantized bool, rerank int) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+// "sq8s" section when quantized, and reports the header fields (metric
+// and SQ8 mode; the rerank width is stored only beside the SQ8 tier)
+// plus the base adjacency Save packs into "blocks".
+func saveGraph(b *builder, g *ann.GraphIndex, quantized bool, rerank int) (Header, *vec.Matrix, *graph.Graph, error) {
 	mat, base := g.Matrix(), g.BaseGraph()
 	if mat == nil || base == nil {
-		return 0, nil, nil, errPaged
+		return Header{}, nil, nil, errPaged
 	}
+	h := Header{Metric: g.Metric()}
 	if quantized {
 		if err := addSQ8Scales(b, mat, rerank); err != nil {
-			return 0, nil, nil, err
+			return Header{}, nil, nil, err
 		}
+		h.Quantized, h.Rerank = true, rerank
 	}
-	return g.Metric(), mat, base, nil
+	return h, mat, base, nil
 }
 
 // ---- hnsw ---------------------------------------------------------------
 
-func saveHNSW(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveHNSW(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*hnsw.Index)
 	cfg := x.Params()
 	var p enc
@@ -310,7 +313,7 @@ func reconstructHNSW(h Header, f *file, store ann.NodeStore) (ann.Index, error) 
 
 // ---- vamana / diskann ---------------------------------------------------
 
-func saveVamana(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveVamana(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*vamana.Index)
 	cfg := x.Params()
 	var p enc
@@ -350,7 +353,7 @@ func reconstructVamana(h Header, f *file, store ann.NodeStore) (ann.Index, error
 
 // ---- hcnng --------------------------------------------------------------
 
-func saveHCNNG(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveHCNNG(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*hcnng.Index)
 	cfg := x.Params()
 	var p enc
@@ -390,7 +393,7 @@ func reconstructHCNNG(h Header, f *file, store ann.NodeStore) (ann.Index, error)
 
 // ---- togg ---------------------------------------------------------------
 
-func saveTOGG(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveTOGG(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*togg.Index)
 	cfg := x.Params()
 	var p enc
@@ -451,7 +454,7 @@ func reconstructTOGG(h Header, f *file, store ann.NodeStore) (ann.Index, error) 
 
 // ---- ivfpq --------------------------------------------------------------
 
-func saveIVFPQ(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error) {
+func saveIVFPQ(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
 	x := idx.(*ivfpq.Index)
 	cfg := x.Params()
 	var p enc
@@ -487,7 +490,7 @@ func saveIVFPQ(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph
 		}
 	}
 	b.add("lists", li.b)
-	return cfg.Metric, x.Matrix(), nil, nil
+	return Header{Metric: cfg.Metric}, x.Matrix(), nil, nil
 }
 
 func loadIVFPQ(h Header, f *file, mat *vec.Matrix) (ann.Index, error) {

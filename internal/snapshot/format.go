@@ -65,18 +65,26 @@ const (
 
 var magic = [4]byte{'N', 'D', 'S', 'S'}
 
-// Header carries the corpus-level fields every snapshot records.
+// Header is the one description of a snapshot file: what it holds and
+// how it serves. Save returns the header it wrote, and Load and
+// PagedIndex.Header the header they parsed, so a caller recording or
+// checking a file's contents (the engine manifest) never works them out
+// again from the index.
 type Header struct {
+	// Algo is the family name recorded in the "algo" section (a registry
+	// key, see Algos; a section, not a fixed-header field on disk).
+	Algo string
 	// Metric is the index's distance metric.
 	Metric vec.Metric
 	// Elem is the at-rest element kind of the serialized corpus matrix.
 	Elem vec.ElemKind
 	// Dim and Rows describe the corpus matrix.
 	Dim, Rows int
-	// Quantized and Rerank carry the saved SQ8 mode to the family
-	// loaders: Quantized is set when the file carries the SQ8 tier
-	// (blocks records with codes beside an "sq8s" section; it is not a
-	// header byte on disk), and Rerank is the saved exact-rerank width.
+	// Quantized and Rerank are the saved SQ8 mode, which the family
+	// loaders rebuild with: Quantized is set when the file carries the
+	// SQ8 tier (blocks records with codes beside an "sq8s" section; it
+	// is not a header byte on disk), and Rerank is the exact-rerank width
+	// stored beside that tier (0 unless Quantized).
 	Quantized bool
 	Rerank    int
 }
@@ -143,7 +151,6 @@ func (b *builder) assemble(h Header) []byte {
 // checksums it (decodeBlocks), OpenPagedFile never materializes it.
 type file struct {
 	header   Header
-	algo     string // the "algo" section, set by open
 	sections map[string][]byte
 	blocks   *blocksSection
 }
@@ -299,10 +306,10 @@ func open(src source, size int64) (*file, family, error) {
 	if err != nil {
 		return nil, family{}, err
 	}
-	f.algo = string(algo)
-	fam, ok := families[f.algo]
+	f.header.Algo = string(algo)
+	fam, ok := families[f.header.Algo]
 	if !ok {
-		return nil, family{}, fmt.Errorf("%w: unknown algo %q", ErrCorrupt, f.algo)
+		return nil, family{}, fmt.Errorf("%w: unknown algo %q", ErrCorrupt, f.header.Algo)
 	}
 	return f, fam, nil
 }

@@ -23,12 +23,12 @@ func FuzzLoadQuantized(f *testing.F) {
 	data := testData(60, 8, 17)
 	for _, algo := range quantAlgos {
 		var buf bytes.Buffer
-		if err := Save(&buf, buildQuantFamily(f, algo, vec.L2, data, 16), vec.F32); err != nil {
+		if _, err := Save(&buf, buildQuantFamily(f, algo, vec.L2, data, 16), vec.F32); err != nil {
 			f.Fatalf("seed save %s: %v", algo, err)
 		}
 		f.Add(buf.Bytes())
 		var plain bytes.Buffer
-		if err := Save(&plain, buildFamily(f, algo, vec.L2, data), vec.F32); err != nil {
+		if _, err := Save(&plain, buildFamily(f, algo, vec.L2, data), vec.F32); err != nil {
 			f.Fatalf("seed save %s: %v", algo, err)
 		}
 		f.Add(plain.Bytes())

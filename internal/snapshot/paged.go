@@ -452,7 +452,6 @@ type PagedIndex struct {
 	idx     ann.Index
 	store   *PagedStore
 	f       *os.File
-	algo    string
 	header  Header
 	backend string
 }
@@ -464,10 +463,8 @@ func (p *PagedIndex) Index() ann.Index { return p.idx }
 // Store returns the paged NodeStore.
 func (p *PagedIndex) Store() *PagedStore { return p.store }
 
-// Algo returns the family name recorded in the snapshot.
-func (p *PagedIndex) Algo() string { return p.algo }
-
-// Header returns the parsed container header.
+// Header returns the parsed header: the file's algo, metric, corpus shape,
+// element kind, and SQ8 mode.
 func (p *PagedIndex) Header() Header { return p.header }
 
 // Backend reports the byte source actually in use: "mmap" or "readat".
@@ -522,7 +519,7 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		return nil, err
 	}
 	if fam.reconstruct == nil {
-		return nil, fmt.Errorf("%w: algo %q has no paged serving mode", ErrUnsupported, f.algo)
+		return nil, fmt.Errorf("%w: algo %q has no paged serving mode", ErrUnsupported, f.header.Algo)
 	}
 	meta, scales, err := f.prepareBlocks()
 	if err != nil {
@@ -571,5 +568,5 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 		back.Close()
 		return nil, err
 	}
-	return &PagedIndex{idx: idx, store: store, f: fh, algo: f.algo, header: h, backend: backend}, nil
+	return &PagedIndex{idx: idx, store: store, f: fh, header: h, backend: backend}, nil
 }

@@ -19,7 +19,7 @@ var pagedAlgos = []string{"hnsw", "diskann", "hcnng", "togg"}
 func savedSnapshot(t testing.TB, idx ann.Index, elem vec.ElemKind) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.ndss")
-	if _, err := SaveFile(path, idx, elem); err != nil {
+	if _, _, err := SaveFile(path, idx, elem); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	return path
@@ -75,7 +75,7 @@ func TestPagedByteIdentity(t *testing.T) {
 							built = buildFamily(t, algo, m, data)
 						}
 						path := savedSnapshot(t, built, kind)
-						ram, err := LoadFile(path)
+						ram, _, err := LoadFile(path)
 						if err != nil {
 							t.Fatalf("load: %v", err)
 						}
@@ -120,7 +120,7 @@ func TestPagedConcurrentSearches(t *testing.T) {
 	const n, dim, workers = 200, 10, 8
 	built := buildQuantFamily(t, "hnsw", vec.L2, testData(n, dim, 5), 16)
 	path := savedSnapshot(t, built, vec.F32)
-	ram, err := LoadFile(path)
+	ram, _, err := LoadFile(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestPagedIndexResaveRejected(t *testing.T) {
 		t.Fatalf("open paged: %v", err)
 	}
 	defer paged.Close()
-	if _, err := SaveFile(filepath.Join(t.TempDir(), "resave.ndss"), paged.Index(), vec.F32); err == nil {
+	if _, _, err := SaveFile(filepath.Join(t.TempDir(), "resave.ndss"), paged.Index(), vec.F32); err == nil {
 		t.Fatalf("re-saving a paged index succeeded")
 	}
 }

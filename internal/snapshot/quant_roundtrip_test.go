@@ -111,10 +111,10 @@ func TestQuantizedWarmStartEquivalence(t *testing.T) {
 			t.Run(algo+"/"+m.String(), func(t *testing.T) {
 				built := buildQuantFamily(t, algo, m, testData(n, dim, 7), 24)
 				var buf bytes.Buffer
-				if err := Save(&buf, built, vec.F32); err != nil {
+				if _, err := Save(&buf, built, vec.F32); err != nil {
 					t.Fatalf("save: %v", err)
 				}
-				loaded, err := Load(bytes.NewReader(buf.Bytes()))
+				loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatalf("load: %v", err)
 				}
@@ -146,11 +146,11 @@ func TestQuantizedLoadDoesNotPinImage(t *testing.T) {
 		t.Run(algo, func(t *testing.T) {
 			built := buildQuantFamily(t, algo, vec.L2, testData(n, dim, 3), 16)
 			var buf bytes.Buffer
-			if err := Save(&buf, built, vec.F32); err != nil {
+			if _, err := Save(&buf, built, vec.F32); err != nil {
 				t.Fatalf("save: %v", err)
 			}
 			data := buf.Bytes()
-			loaded, err := loadImage(data)
+			loaded, _, err := loadImage(data)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -184,7 +184,7 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 		t.Run(algo, func(t *testing.T) {
 			built := buildQuantFamily(t, algo, vec.L2, data, 12)
 			var first bytes.Buffer
-			if err := Save(&first, built, vec.F32); err != nil {
+			if _, err := Save(&first, built, vec.F32); err != nil {
 				t.Fatalf("save: %v", err)
 			}
 			f, err := parse(image(first.Bytes()), int64(first.Len()))
@@ -194,12 +194,12 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 			if _, ok := f.sections["sq8s"]; !ok {
 				t.Fatalf("quantized save has no sq8s section")
 			}
-			loaded, err := Load(bytes.NewReader(first.Bytes()))
+			loaded, _, err := Load(bytes.NewReader(first.Bytes()))
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
 			var second bytes.Buffer
-			if err := Save(&second, loaded, vec.F32); err != nil {
+			if _, err := Save(&second, loaded, vec.F32); err != nil {
 				t.Fatalf("resave: %v", err)
 			}
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -210,7 +210,7 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 			// section, so old readers' section sets are undisturbed.
 			plain := buildFamily(t, algo, vec.L2, data)
 			var pbuf bytes.Buffer
-			if err := Save(&pbuf, plain, vec.F32); err != nil {
+			if _, err := Save(&pbuf, plain, vec.F32); err != nil {
 				t.Fatalf("save plain: %v", err)
 			}
 			pf, err := parse(image(pbuf.Bytes()), int64(pbuf.Len()))
@@ -234,7 +234,7 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 func TestSQ8SectionCorruption(t *testing.T) {
 	built := buildQuantFamily(t, "hnsw", vec.L2, testData(100, 8, 23), 8)
 	var buf bytes.Buffer
-	if err := Save(&buf, built, vec.F32); err != nil {
+	if _, err := Save(&buf, built, vec.F32); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	good := buf.Bytes()

@@ -2,11 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ndsearch/internal/ann"
@@ -117,10 +119,10 @@ func TestWarmStartSearchEquivalence(t *testing.T) {
 			t.Run(algo+"/"+m.String(), func(t *testing.T) {
 				built := buildFamily(t, algo, m, testData(n, dim, 7))
 				var buf bytes.Buffer
-				if err := Save(&buf, built, vec.F32); err != nil {
+				if _, err := Save(&buf, built, vec.F32); err != nil {
 					t.Fatalf("save: %v", err)
 				}
-				loaded, err := Load(bytes.NewReader(buf.Bytes()))
+				loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatalf("load: %v", err)
 				}
@@ -154,10 +156,10 @@ func TestQuantizedElemKinds(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			built := buildFamily(t, "hnsw", vec.L2, toKind(kind, raw))
 			var buf bytes.Buffer
-			if err := Save(&buf, built, kind); err != nil {
+			if _, err := Save(&buf, built, kind); err != nil {
 				t.Fatalf("save quantized as %v: %v", kind, err)
 			}
-			loaded, err := Load(bytes.NewReader(buf.Bytes()))
+			loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -166,7 +168,7 @@ func TestQuantizedElemKinds(t *testing.T) {
 
 			// Unquantized corpus: the save must refuse the lossy kind.
 			lossy := buildFamily(t, "exact", vec.L2, raw)
-			if err := Save(&bytes.Buffer{}, lossy, kind); err == nil {
+			if _, err := Save(&bytes.Buffer{}, lossy, kind); err == nil {
 				t.Fatalf("saving unquantized data as %v must fail", kind)
 			}
 		})
@@ -177,7 +179,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 	data := testData(150, 12, 21)
 	built := buildFamily(t, "diskann", vec.Angular, data)
 	path := filepath.Join(t.TempDir(), "sub", "idx.ndx")
-	crc, err := SaveFile(path, built, vec.F32)
+	_, crc, err := SaveFile(path, built, vec.F32)
 	if err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
@@ -188,12 +190,62 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if got := crc32.ChecksumIEEE(onDisk); got != crc {
 		t.Fatalf("SaveFile reported CRC %08x, file hashes to %08x", crc, got)
 	}
-	loaded, err := LoadFile(path)
+	loaded, _, err := LoadFile(path)
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
 	q := testQueries(1, 12, 22)[0]
 	requireSameResults(t, "file round trip", loaded.Search(q, 7), built.Search(q, 7))
+}
+
+// The header SaveFile reports is the one both readers parse back from
+// the file — algo, metric, element kind, shape, and SQ8 mode — for
+// every family, full-precision and quantized. The engine records its
+// manifest from the first and checks the manifest against the second.
+func TestSaveHeaderMatchesReaders(t *testing.T) {
+	const n, dim, rerank = 120, 16, 24
+	data := toKind(vec.U8, testData(n, dim, 17))
+	for _, algo := range Algos() {
+		for _, quantized := range []bool{false, true} {
+			if quantized && !slices.Contains(quantAlgos, algo) {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/quantized=%v", algo, quantized), func(t *testing.T) {
+				metrics := metricsOf(algo)
+				m := metrics[len(metrics)-1]
+				want := Header{Algo: algo, Metric: m, Elem: vec.U8, Dim: dim, Rows: n}
+				var idx ann.Index
+				if quantized {
+					idx = buildQuantFamily(t, algo, m, data, rerank)
+					want.Quantized, want.Rerank = true, rerank
+				} else {
+					idx = buildFamily(t, algo, m, data)
+				}
+				path := filepath.Join(t.TempDir(), "idx.ndx")
+				wrote, _, err := SaveFile(path, idx, vec.U8)
+				if err != nil {
+					t.Fatalf("SaveFile: %v", err)
+				}
+				if wrote != want {
+					t.Fatalf("SaveFile header %+v, want %+v", wrote, want)
+				}
+				if _, got, err := LoadFile(path); err != nil || got != want {
+					t.Fatalf("LoadFile header %+v (err %v), want %+v", got, err, want)
+				}
+				if !slices.Contains(pagedAlgos, algo) {
+					return
+				}
+				paged, err := OpenPagedFile(path, PagedOptions{})
+				if err != nil {
+					t.Fatalf("OpenPagedFile: %v", err)
+				}
+				defer paged.Close()
+				if got := paged.Header(); got != want {
+					t.Fatalf("OpenPagedFile header %+v, want %+v", got, want)
+				}
+			})
+		}
+	}
 }
 
 // Loaded graph families keep serving the full ann.Index surface the
@@ -203,10 +255,10 @@ func TestLoadedIndexServesAnnInterface(t *testing.T) {
 	for _, algo := range []string{"exact", "hnsw", "diskann", "hcnng", "togg"} {
 		built := buildFamily(t, algo, vec.L2, data)
 		var buf bytes.Buffer
-		if err := Save(&buf, built, vec.F32); err != nil {
+		if _, err := Save(&buf, built, vec.F32); err != nil {
 			t.Fatalf("%s: save: %v", algo, err)
 		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: load: %v", algo, err)
 		}

@@ -74,12 +74,14 @@ var (
 )
 
 // Saver appends a family's structure sections to the file under
-// construction and reports the header fields (metric + corpus matrix)
-// plus, for the graph families, the base-layer adjacency that Save
-// packs into the page-aligned "blocks" section. A nil graph means the
-// family is flat (exact, ivfpq) and Save writes the classic "matrix"
-// section instead. The "algo" section is written by Save itself.
-type Saver func(idx ann.Index, b *builder) (vec.Metric, *vec.Matrix, *graph.Graph, error)
+// construction and reports the header fields only the family knows
+// (metric, SQ8 mode) plus the corpus matrix and, for the graph
+// families, the base-layer adjacency that Save packs into the
+// page-aligned "blocks" section. A nil graph means the family is flat
+// (exact, ivfpq) and Save writes the classic "matrix" section instead.
+// The "algo" section, and the header's algo, element kind, and shape,
+// are Save's own.
+type Saver func(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error)
 
 // Loader rebuilds a flat family (exact, ivfpq) from a parsed file. mat
 // is the already decoded corpus matrix.
@@ -140,56 +142,59 @@ func Detect(idx ann.Index) (string, error) {
 	}
 }
 
-// Save serialises idx to w. elem is the at-rest element kind of the
-// corpus matrix (vec.F32 is always lossless; U8/I8 shrink the file 4x
-// but are rejected unless every stored component is representable, so
-// a reload can never silently change search results).
-func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) error {
+// Save serialises idx to w and returns the header it wrote, the same
+// Header Load and OpenPagedFile parse back from the file. elem is the
+// at-rest element kind of the corpus matrix (vec.F32 is always
+// lossless; U8/I8 shrink the file 4x but are rejected unless every
+// stored component is representable, so a reload can never silently
+// change search results).
+func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) (Header, error) {
 	algo, err := Detect(idx)
 	if err != nil {
-		return err
+		return Header{}, err
 	}
 	fam := families[algo]
 	b := &builder{}
 	b.add("algo", []byte(algo))
-	metric, mat, base, err := fam.save(idx, b)
+	h, mat, base, err := fam.save(idx, b)
 	if err != nil {
-		return fmt.Errorf("snapshot: save %s: %w", algo, err)
+		return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
 	}
-	h := Header{Metric: metric, Elem: elem, Dim: mat.Dim(), Rows: mat.Rows()}
+	h.Algo, h.Elem, h.Dim, h.Rows = algo, elem, mat.Dim(), mat.Rows()
 	if base != nil {
 		// Graph family: corpus rows, codes, and base adjacency co-locate
 		// in the page-aligned "blocks" section, written last so its node
 		// image can sit at a page boundary computed from everything that
 		// precedes it.
 		if err := addBlocks(b, h, mat, base, elem); err != nil {
-			return fmt.Errorf("snapshot: save %s: %w", algo, err)
+			return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
 		}
 	} else {
 		matrixPayload, err := encodeMatrix(mat, elem)
 		if err != nil {
-			return fmt.Errorf("snapshot: save %s: %w", algo, err)
+			return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
 		}
 		// Prepend the corpus so flat files read the same way they always
 		// have: algo first, corpus second, family structure after.
 		b.sections = append([]section{b.sections[0], {name: "matrix", payload: matrixPayload}}, b.sections[1:]...)
 	}
 	if _, err := w.Write(b.assemble(h)); err != nil {
-		return fmt.Errorf("snapshot: write: %w", err)
+		return Header{}, fmt.Errorf("snapshot: write: %w", err)
 	}
-	return nil
+	return h, nil
 }
 
 // Load restores an index from r, dispatching on the algo recorded in
-// the file. It reads the whole file into memory and walks it with the
-// same parser OpenPagedFile uses, then checks what only a full read
-// can: the CRC of a graph family's whole blocks section, before
-// decoding every node record. The returned value's concrete type is the
-// family index (*hnsw.Index, *ann.Exact, ...).
-func Load(r io.Reader) (ann.Index, error) {
+// the file, and returns it with the file's parsed header. It reads the
+// whole file into memory and walks it with the same parser
+// OpenPagedFile uses, then checks what only a full read can: the CRC of
+// a graph family's whole blocks section, before decoding every node
+// record. The returned value's concrete type is the family index
+// (*hnsw.Index, *ann.Exact, ...).
+func Load(r io.Reader) (ann.Index, Header, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: read: %w", err)
+		return nil, Header{}, fmt.Errorf("snapshot: read: %w", err)
 	}
 	return loadImage(data)
 }
@@ -197,22 +202,23 @@ func Load(r io.Reader) (ann.Index, error) {
 // loadImage is Load over the file's bytes. The index it returns holds
 // no reference into data: every section it keeps is decoded or copied
 // out, so the image is garbage once Load returns.
-func loadImage(data []byte) (ann.Index, error) {
+func loadImage(data []byte) (ann.Index, Header, error) {
 	f, fam, err := open(image(data), int64(len(data)))
 	if err != nil {
-		return nil, err
+		return nil, Header{}, err
 	}
 	if fam.reconstruct == nil {
 		// Flat family: the corpus is the "matrix" section.
 		payload, err := f.section("matrix")
 		if err != nil {
-			return nil, err
+			return nil, Header{}, err
 		}
 		mat, err := decodeMatrix(f.header, payload)
 		if err != nil {
-			return nil, err
+			return nil, Header{}, err
 		}
-		return fam.load(f.header, f, mat)
+		idx, err := fam.load(f.header, f, mat)
+		return idx, f.header, err
 	}
 	// Graph family: rows, codes, and base adjacency live in the
 	// page-aligned "blocks" section. decodeBlocks reconstructs the matrix
@@ -220,47 +226,50 @@ func loadImage(data []byte) (ann.Index, error) {
 	// attaches the SQ8 tier from the scales-only "sq8s" section.
 	mat, base, err := decodeBlocks(f, data)
 	if err != nil {
-		return nil, err
+		return nil, Header{}, err
 	}
 	store, err := ann.NewKernelStore(f.header.Metric, mat, base, f.header.Quantized)
 	if err != nil {
-		return nil, corrupt(err)
+		return nil, Header{}, corrupt(err)
 	}
-	return fam.reconstruct(f.header, f, store)
+	idx, err := fam.reconstruct(f.header, f, store)
+	return idx, f.header, err
 }
 
 // SaveFile writes idx to path atomically (temp file + rename), creating
-// parent directories as needed. It returns the CRC32-IEEE of the whole
-// file, computed while writing, so callers recording file checksums
-// (the engine manifest) need not read the file back.
-func SaveFile(path string, idx ann.Index, elem vec.ElemKind) (uint32, error) {
+// parent directories as needed. It returns the header Save wrote and
+// the CRC32-IEEE of the whole file, computed while writing, so callers
+// recording what a file holds and its checksum (the engine manifest)
+// need not read the file back.
+func SaveFile(path string, idx ann.Index, elem vec.ElemKind) (Header, uint32, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, fmt.Errorf("snapshot: %w", err)
+		return Header{}, 0, fmt.Errorf("snapshot: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return 0, fmt.Errorf("snapshot: %w", err)
+		return Header{}, 0, fmt.Errorf("snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	crc := crc32.NewIEEE()
-	if err := Save(io.MultiWriter(tmp, crc), idx, elem); err != nil {
+	h, err := Save(io.MultiWriter(tmp, crc), idx, elem)
+	if err != nil {
 		tmp.Close()
-		return 0, err
+		return Header{}, 0, err
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("snapshot: %w", err)
+		return Header{}, 0, fmt.Errorf("snapshot: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("snapshot: %w", err)
+		return Header{}, 0, fmt.Errorf("snapshot: %w", err)
 	}
-	return crc.Sum32(), nil
+	return h, crc.Sum32(), nil
 }
 
-// LoadFile restores an index from path.
-func LoadFile(path string) (ann.Index, error) {
+// LoadFile restores an index from path, with the file's parsed header.
+func LoadFile(path string) (ann.Index, Header, error) {
 	fh, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, Header{}, fmt.Errorf("snapshot: %w", err)
 	}
 	defer fh.Close()
 	return Load(fh)

@@ -119,9 +119,6 @@ func TestMatrixStoreAndNorms(t *testing.T) {
 	if m.Rows() != 10 || m.Dim() != 17 {
 		t.Fatalf("matrix shape %dx%d, want 10x17", m.Rows(), m.Dim())
 	}
-	if m.Bytes() != 10*17*4 {
-		t.Fatalf("Bytes() = %d, want %d", m.Bytes(), 10*17*4)
-	}
 	for i, v := range data {
 		row := m.Row(i)
 		for d := range v {
@@ -134,7 +131,7 @@ func TestMatrixStoreAndNorms(t *testing.T) {
 		}
 	}
 	empty := NewMatrix(nil)
-	if empty.Rows() != 0 || empty.Dim() != 0 || empty.Bytes() != 0 {
+	if empty.Rows() != 0 || empty.Dim() != 0 {
 		t.Fatalf("empty matrix not empty: %d rows, dim %d", empty.Rows(), empty.Dim())
 	}
 }

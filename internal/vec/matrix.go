@@ -69,10 +69,6 @@ func (m *Matrix) Row(i int) Vector {
 // Norm returns the precomputed Euclidean norm of row i.
 func (m *Matrix) Norm(i int) float32 { return m.norms[i] }
 
-// Bytes returns the flat buffer size in bytes (the store's resident
-// footprint, excluding the norm table).
-func (m *Matrix) Bytes() int64 { return int64(len(m.buf)) * 4 }
-
 // EnableSQ8 quantizes the rows into the SQ8 compressed tier and caches
 // it on the matrix. Idempotent: a tier already present (quantized or
 // attached) is returned as-is. Like NewMatrix, this is a construction-

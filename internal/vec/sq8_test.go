@@ -246,9 +246,10 @@ func TestSQ8BytesAtLeast3xSmaller(t *testing.T) {
 		}
 		mat := NewMatrix(data)
 		s := mat.EnableSQ8()
-		if ratio := float64(mat.Bytes()) / float64(s.Bytes()); ratio < 3 {
+		floatBytes := mat.Rows() * mat.Dim() * 4
+		if ratio := float64(floatBytes) / float64(s.Bytes()); ratio < 3 {
 			t.Fatalf("d%d: float/sq8 byte ratio %.2f < 3 (%d vs %d bytes)",
-				dim, ratio, mat.Bytes(), s.Bytes())
+				dim, ratio, floatBytes, s.Bytes())
 		}
 	}
 }
