@@ -353,30 +353,42 @@ func New(data []vec.Vector, cfg Config) (*Engine, error) {
 func buildShards(data []vec.Vector, shards, workers int, builder Builder) ([]shard, error) {
 	offsets := Partition(len(data), shards)
 	out := make([]shard, shards)
-	errs := make([]error, shards)
+	err := fanOut(shards, workers, func(i int) error {
+		idx, err := builder(i, data[offsets[i]:offsets[i+1]])
+		if err != nil {
+			return fmt.Errorf("engine: shard %d: %w", i, err)
+		}
+		out[i] = shard{index: idx, base: uint32(offsets[i])}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// fanOut runs do(i) for every i in [0, n), at most workers at a time,
+// waits for all of them, and returns the first error in index order.
+func fanOut(n, workers int, do func(i int) error) error {
+	errs := make([]error, n)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			idx, err := builder(i, data[offsets[i]:offsets[i+1]])
-			if err != nil {
-				errs[i] = fmt.Errorf("engine: shard %d: %w", i, err)
-				return
-			}
-			out[i] = shard{index: idx, base: uint32(offsets[i])}
+			errs[i] = do(i)
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // newEngine assembles an engine around an already-built base generation

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 
 	"ndsearch/internal/snapshot"
 	"ndsearch/internal/vec"
@@ -127,8 +126,10 @@ func (e *Engine) Save(dir string) error {
 // persistGeneration writes gen into root as a gen-NNNNNN subdirectory
 // (NNNNNN = gen.num) — shard files atomically, the manifest last — and
 // then atomically points root's CURRENT at it. Ordering is the
-// crash-safety argument: the generation's files are complete on disk
-// before the rename lands, so a crash anywhere leaves CURRENT naming a
+// crash-safety argument: the shard files and the manifest are synced,
+// then the generation directory and root (which hold their entries),
+// before WriteCurrent renames the pointer and syncs root again, so a
+// crash anywhere — a power loss included — leaves CURRENT naming a
 // fully written generation (the old one until the rename, the new one
 // after) or, on a first save, no CURRENT at all. On failure the partial
 // directory is removed; it is never one CURRENT names, since a
@@ -185,8 +186,13 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 	if err != nil {
 		return fmt.Errorf("engine: save manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(gdir, ManifestName), append(blob, '\n'), 0o644); err != nil {
+	if err := snapshot.WriteFileSync(filepath.Join(gdir, ManifestName), append(blob, '\n')); err != nil {
 		return fmt.Errorf("engine: save manifest: %w", err)
+	}
+	for _, d := range []string{gdir, root} {
+		if err := snapshot.SyncDir(d); err != nil {
+			return fmt.Errorf("engine: save: %w", err)
+		}
 	}
 	if err := snapshot.WriteCurrent(root, genName); err != nil {
 		return fmt.Errorf("engine: save: %w", err)
@@ -299,24 +305,13 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	shards := make([]shard, man.Shards)
-	errs := make([]error, man.Shards)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range man.Files {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			shards[i], errs[i] = openShard(loadDir, man, i, mode, opts.CachePages)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			closePaged(shards)
-			return nil, nil, err
-		}
+	err = fanOut(len(man.Files), workers, func(i int) (err error) {
+		shards[i], err = openShard(loadDir, man, i, mode, opts.CachePages)
+		return err
+	})
+	if err != nil {
+		closePaged(shards)
+		return nil, nil, err
 	}
 	meta := Meta{Algo: man.Algo, Dataset: man.Dataset, Seed: man.Seed, Elem: vec.ElemKind(man.ElemKind)}
 	gen := newGeneration(genNum, shards, man.Ids, man.Vectors)

@@ -55,7 +55,7 @@ func inCurrent(t *testing.T, dir, name string) string {
 // is byte-identical to the engine it was saved from, for every
 // registered shard algorithm.
 func TestEngineSaveLoadRoundTrip(t *testing.T) {
-	for _, algo := range []string{"exact", "hnsw", "diskann"} {
+	for _, algo := range []string{"exact", "hnsw", "diskann", "ivfpq"} {
 		t.Run(algo, func(t *testing.T) {
 			e, d := buildTestEngine(t, algo, 3)
 			dir := t.TempDir()

@@ -301,27 +301,12 @@ func (x *Index) SearchStats(query vec.Vector, k int) ([]ann.Neighbor, ScanStats)
 
 func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]ann.Neighbor, ScanStats) {
 	var st ScanStats
-	// Rank coarse centroids.
-	type cd struct {
-		list int
-		dist float32
-	}
 	// The prepared query evaluates both the coarse ranking and the
 	// exact re-rank with the query preprocessed once.
 	pq := x.kern.Prepare(query)
-	cds := make([]cd, len(x.coarse))
-	for i, c := range x.coarse {
-		cds[i] = cd{list: i, dist: pq.DistanceTo(c)}
-	}
-	sort.Slice(cds, func(i, j int) bool { return cds[i].dist < cds[j].dist })
-	probes := x.cfg.NProbe
-	if probes > len(cds) {
-		probes = len(cds)
-	}
 	// ADC over probed lists with per-list lookup tables on the residual.
 	var cands []ann.Neighbor
-	for p := 0; p < probes; p++ {
-		li := cds[p].list
+	for _, li := range x.probed(&pq) {
 		st.ListsProbed++
 		residual := make(vec.Vector, x.dim)
 		for d := 0; d < x.dim; d++ {
@@ -362,15 +347,10 @@ func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]an
 	return cands, st
 }
 
-// SearchTraced returns the search results and a single-iteration trace
-// covering the probed postings — the degenerate "graph" an inverted-list
-// scan induces, mirroring ann.Exact's flat-scan trace. It completes the
-// ann.Index interface so IVF-PQ can serve as an engine shard family.
-func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Query) {
-	res, _ := x.SearchStats(query, k)
-	// Rebuild the probed-list membership for the trace: the same coarse
-	// ranking Search performs.
-	pq := x.kern.Prepare(query)
+// probed ranks the coarse centroids by distance to the prepared query
+// and returns the NProbe nearest lists, nearest first: the lists search
+// scans and SearchTraced reports.
+func (x *Index) probed(pq *vec.PreparedQuery) []int {
 	type cd struct {
 		list int
 		dist float32
@@ -380,13 +360,25 @@ func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Que
 		cds[i] = cd{list: i, dist: pq.DistanceTo(c)}
 	}
 	sort.Slice(cds, func(i, j int) bool { return cds[i].dist < cds[j].dist })
-	probes := x.cfg.NProbe
-	if probes > len(cds) {
-		probes = len(cds)
+	lists := make([]int, min(x.cfg.NProbe, len(cds)))
+	for p := range lists {
+		lists[p] = cds[p].list
 	}
+	return lists
+}
+
+// SearchTraced returns the search results and a single-iteration trace
+// covering the probed postings — the degenerate "graph" an inverted-list
+// scan induces, mirroring ann.Exact's flat-scan trace. It completes the
+// ann.Index interface so IVF-PQ can serve as an engine shard family.
+func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Query) {
+	res, _ := x.SearchStats(query, k)
+	// Rebuild the probed-list membership for the trace: the same coarse
+	// ranking Search performs.
+	pq := x.kern.Prepare(query)
 	it := trace.Iter{}
-	for p := 0; p < probes; p++ {
-		for _, e := range x.lists[cds[p].list] {
+	for _, li := range x.probed(&pq) {
+		for _, e := range x.lists[li] {
 			it.Neighbors = append(it.Neighbors, e.ID)
 		}
 	}

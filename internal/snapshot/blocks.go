@@ -9,7 +9,8 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// Version-3 page-served layout ("blocks" section, graph families only).
+// Page-served layout ("blocks" section, every family since version 4;
+// the graph families' since version 3).
 //
 // The section co-locates each node's adjacency and vector in one
 // fixed-size record, packs records into pages of basePageSize-aligned
@@ -246,8 +247,8 @@ func (m blockMeta) validate(h Header) error {
 
 // encodeRowChecked writes row into dst in the at-rest element encoding,
 // rejecting any component not exactly representable: a reload must
-// never silently change distances. Both corpus writers (the blocks
-// records and the flat "matrix" section) encode through it.
+// never silently change distances. addBlocks, the one corpus writer,
+// encodes every record's row through it.
 func encodeRowChecked(elem vec.ElemKind, i int, row vec.Vector, dst []byte) error {
 	if _, err := vec.Encode(elem, row, dst); err != nil {
 		return err
@@ -262,7 +263,8 @@ func encodeRowChecked(elem vec.ElemKind, i int, row vec.Vector, dst []byte) erro
 // addBlocks appends the "blocks" section: meta, alignment padding, then
 // the page-aligned node image. It must be the last section added — the
 // image offset is computed from the encoded size of everything before
-// it, and assemble preserves section order.
+// it, and assemble preserves section order. A flat family passes an
+// edgeless base, so its records are a zero degree word and the row.
 func addBlocks(b *builder, h Header, mat *vec.Matrix, base *graph.Graph, elem vec.ElemKind) error {
 	n, dim := mat.Rows(), mat.Dim()
 	if n == 0 {
@@ -338,7 +340,7 @@ func putU32(b []byte, v uint32) {
 }
 
 // decodeBlocks reconstructs the corpus matrix (SQ8 tier attached) and
-// base adjacency of a walked version-3 graph file whose bytes are data,
+// base adjacency of a walked snapshot file whose bytes are data,
 // for the in-RAM serving path. Beyond prepareBlocks it does what only
 // this path does: checksum the whole blocks payload and check its
 // padding is zero, then decode every record. Reconstruction is

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ndsearch/internal/graph"
 	"ndsearch/internal/vec"
 )
 
@@ -170,14 +171,32 @@ func TestV3ImageDamageServesDefensively(t *testing.T) {
 	}
 }
 
-// The flat families keep the "matrix" section plus per-family payloads
-// under the version-3 header; a v3 exact/ivfpq file round-trips.
+// The flat families write their corpus as blocks records too: no
+// "matrix" section, a blocks section whose records carry no neighbor
+// slots (maxDegree 0) and no SQ8 codes, searches identical to the built
+// index, and a re-save of the loaded index equal byte for byte. A flat
+// file whose records do carry adjacency is refused as ErrCorrupt.
 func TestV3FlatFamiliesRoundTrip(t *testing.T) {
+	data := toKind(vec.U8, testData(60, 8, 9))
 	for _, algo := range []string{"exact", "ivfpq"} {
-		built := buildFamily(t, algo, metricsOf(algo)[0], testData(60, 8, 9))
+		built := buildFamily(t, algo, metricsOf(algo)[0], data)
 		var buf bytes.Buffer
-		if _, err := Save(&buf, built, vec.F32); err != nil {
+		if _, err := Save(&buf, built, vec.U8); err != nil {
 			t.Fatalf("save %s: %v", algo, err)
+		}
+		f, err := parse(image(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatalf("parse %s: %v", algo, err)
+		}
+		if _, ok := f.sections["matrix"]; ok {
+			t.Errorf("%s: file carries a matrix section", algo)
+		}
+		if f.blocks == nil {
+			t.Fatalf("%s: file has no blocks section", algo)
+		}
+		if m := f.blocks.meta; m.maxDegree != 0 || m.quantized || m.n != len(data) {
+			t.Errorf("%s: blocks meta maxDegree=%d quantized=%v n=%d, want 0/false/%d",
+				algo, m.maxDegree, m.quantized, m.n, len(data))
 		}
 		loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {
@@ -186,5 +205,27 @@ func TestV3FlatFamiliesRoundTrip(t *testing.T) {
 		for _, q := range testQueries(4, 8, 31) {
 			requireSameResults(t, algo, loaded.Search(q, 7), built.Search(q, 7))
 		}
+		var again bytes.Buffer
+		if _, err := Save(&again, loaded, vec.U8); err != nil {
+			t.Fatalf("re-save %s: %v", algo, err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Errorf("%s: re-saved file differs from the first save", algo)
+		}
+	}
+
+	// An exact file whose records carry a graph's adjacency.
+	built := buildFamily(t, "exact", vec.L2, testData(40, 8, 2))
+	mat := built.(interface{ Matrix() *vec.Matrix }).Matrix()
+	h := Header{Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()}
+	g := graph.New(mat.Rows())
+	g.SetNeighbors(0, []uint32{1})
+	b := &builder{}
+	b.add("algo", []byte("exact"))
+	if err := addBlocks(b, h, mat, g, vec.F32); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadBytes(t, "exact with adjacency", b.assemble(h)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("exact file with adjacency: err = %v, want ErrCorrupt", err)
 	}
 }

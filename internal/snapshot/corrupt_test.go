@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ndsearch/internal/ann"
+	"ndsearch/internal/graph"
 	"ndsearch/internal/vec"
 )
 
@@ -85,7 +86,7 @@ func TestCorruptionTypedErrors(t *testing.T) {
 			check("future version", bad, ErrVersion)
 			// Past versions, under a valid header CRC: their decoders are
 			// gone, so this build refuses them by version.
-			for _, v := range []uint16{1, 2} {
+			for _, v := range []uint16{1, 2, 3} {
 				check(fmt.Sprintf("past version %d", v), withVersion(good, v), ErrVersion)
 			}
 
@@ -141,7 +142,7 @@ func TestLegacyCompatMatrix(t *testing.T) {
 				requireSameResults(t, "current", loaded.Search(qu, k), built.Search(qu, k))
 			}
 		}
-		for _, v := range []uint16{1, 2} {
+		for _, v := range []uint16{1, 2, 3} {
 			if _, err := loadBytes(t, "past", withVersion(cur.Bytes(), v)); !errors.Is(err, ErrVersion) {
 				t.Errorf("load as v%d: err = %v, want ErrVersion", v, err)
 			}
@@ -225,18 +226,18 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Unknown algo behind valid checksums is structural corruption.
+// Unknown algo behind valid checksums is structural corruption: the
+// file is a well-formed exact snapshot in every other respect.
 func TestLoadRejectsUnknownAlgo(t *testing.T) {
 	built := buildFamily(t, "exact", vec.L2, testData(40, 8, 2))
+	mat := built.(interface{ Matrix() *vec.Matrix }).Matrix()
+	h := Header{Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()}
 	b := &builder{}
 	b.add("algo", []byte("flux-capacitor"))
-	mat := built.(interface{ Matrix() *vec.Matrix }).Matrix()
-	payload, err := encodeMatrix(mat, vec.F32)
-	if err != nil {
+	if err := addBlocks(b, h, mat, graph.New(mat.Rows()), vec.F32); err != nil {
 		t.Fatal(err)
 	}
-	b.add("matrix", payload)
-	data := b.assemble(Header{Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()})
+	data := b.assemble(h)
 	if _, err := loadBytes(t, "unknown algo", data); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown algo: err = %v, want ErrCorrupt", err)
 	}

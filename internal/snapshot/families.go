@@ -14,16 +14,17 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// This file holds the per-family codecs plus the shared matrix /
-// vector-list / graph codecs they compose. Each graph family has one
-// reconstruct function (decode the pinned navigation sections, then the
-// package's FromStore over the given NodeStore) that serves both Load
-// (a resident ann.KernelStore over the decoded corpus) and
-// OpenPagedFile (a PagedStore over the file's blocks); the flat
-// families hand their decoded parts to ann.ExactFromMatrix /
-// ivfpq.FromParts. The reconstructors revalidate the family
-// invariants; any violation is reported as ErrCorrupt (the checksums
-// held, so the structure itself is wrong).
+// This file holds the per-family codecs plus the shared vector-list /
+// graph codecs they compose; every family's corpus rows are Save's, in
+// the blocks section. Each graph family has one reconstruct function
+// (decode the pinned navigation sections, then the package's FromStore
+// over the given NodeStore) that serves both Load (a resident
+// ann.KernelStore over the decoded corpus) and OpenPagedFile (a
+// PagedStore over the file's blocks); the flat families hand their
+// decoded parts to ann.ExactFromMatrix / ivfpq.FromParts. The
+// reconstructors revalidate the family invariants; any violation is
+// reported as ErrCorrupt (the checksums held, so the structure itself
+// is wrong).
 
 // corrupt wraps a reconstruction error as ErrCorrupt.
 func corrupt(err error) error {
@@ -31,69 +32,6 @@ func corrupt(err error) error {
 		return nil
 	}
 	return fmt.Errorf("%w: %w", ErrCorrupt, err)
-}
-
-// ---- corpus matrix ------------------------------------------------------
-
-// encodeMatrix serialises the corpus store row by row with vec.Encode.
-// For U8/I8 every component must be exactly representable (generated
-// corpora are, since dataset.Generate quantizes to the profile's kind);
-// otherwise the save is rejected so a reload can never silently return
-// different distances.
-func encodeMatrix(mat *vec.Matrix, elem vec.ElemKind) ([]byte, error) {
-	rows, dim := mat.Rows(), mat.Dim()
-	if rows == 0 {
-		return nil, fmt.Errorf("%w: empty corpus matrix", ErrBadInput)
-	}
-	var e enc
-	e.u8(uint8(elem))
-	e.u32(uint32(rows))
-	e.u32(uint32(dim))
-	scratch := make([]byte, vec.StoredBytes(elem, dim))
-	for i := 0; i < rows; i++ {
-		if err := encodeRowChecked(elem, i, mat.Row(i), scratch); err != nil {
-			return nil, err
-		}
-		e.b = append(e.b, scratch...)
-	}
-	return e.b, nil
-}
-
-// decodeMatrix rebuilds the corpus store. Norms are recomputed by
-// vec.NewMatrix with the same unrolled accumulation the original build
-// used, so the restored store is bit-identical.
-func decodeMatrix(h Header, payload []byte) (*vec.Matrix, error) {
-	d := &dec{b: payload}
-	elem := vec.ElemKind(d.u8())
-	rows := d.intn(len(payload), "matrix rows")
-	dim := d.intn(len(payload), "matrix dim")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if elem != h.Elem || rows != h.Rows || dim != h.Dim {
-		return nil, fmt.Errorf("%w: matrix section (%v, %dx%d) disagrees with header (%v, %dx%d)",
-			ErrCorrupt, elem, rows, dim, h.Elem, h.Rows, h.Dim)
-	}
-	if rows == 0 || dim == 0 {
-		return nil, fmt.Errorf("%w: empty corpus matrix", ErrCorrupt)
-	}
-	stride := vec.StoredBytes(elem, dim)
-	data := make([]vec.Vector, rows)
-	for i := range data {
-		raw := d.bytes(stride)
-		if d.err != nil {
-			return nil, d.err
-		}
-		v, err := vec.Decode(elem, dim, raw)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		data[i] = v
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return vec.NewMatrix(data), nil
 }
 
 // ---- auxiliary vector lists (centroids, codebooks) ----------------------

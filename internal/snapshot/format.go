@@ -16,7 +16,7 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "NDSS"
-//	4       2     format version (currently 3)
+//	4       2     format version (currently 4)
 //	6       1     metric (vec.Metric encoding)
 //	7       1     element kind (vec.ElemKind)
 //	8       4     dim
@@ -49,8 +49,11 @@ import (
 //	   togg's "guide", the scales-only "sq8s") are the pinned
 //	   navigation set — small, resident in every serving mode.
 //	   exact/ivfpq keep the flat "matrix" section.
+//	4  one corpus encoding: exact and ivfpq write their rows as blocks
+//	   records too, with no neighbor slots (maxDegree 0), and the
+//	   "matrix" section is gone. Only the graph families serve paged.
 //
-// This build reads exactly version 3. Nothing writes versions 1 or 2
+// This build reads exactly version 4. Nothing writes versions 1 to 3
 // any more, and a snapshot is a build cache that a rebuild reproduces,
 // so keeping their decoders would only give one format two readers.
 
@@ -58,7 +61,7 @@ const (
 	// FormatVersion is the container format version this package writes
 	// and the only one it reads: Load and OpenPagedFile reject any other
 	// version with ErrVersion.
-	FormatVersion = 3
+	FormatVersion = 4
 
 	headerSize = 24
 )

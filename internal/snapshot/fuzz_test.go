@@ -13,12 +13,12 @@ import (
 // bytes written to a temp file. Seeds are valid saves: for every graph
 // family a quantized file (blocks + sq8s sections), a full-precision one
 // (blocks, no sq8s), and the quantized one labelled as a past version;
-// plus a flat-family file ("matrix" section). (The name predates the
-// paged entry point; it covers the whole reader now.) The contract under
-// test is the package's error discipline, the same for both: success or
-// one of the six typed errors — never a panic, never an undiscriminated
-// error. OpenPagedFile may also refuse an intact flat family as
-// ErrUnsupported.
+// plus a flat-family file (blocks records without neighbor slots). (The
+// name predates the paged entry point; it covers the whole reader now.)
+// The contract under test is the package's error discipline, the same
+// for both: success or one of the six typed errors — never a panic,
+// never an undiscriminated error. OpenPagedFile may also refuse an
+// intact flat family as ErrUnsupported.
 func FuzzLoadQuantized(f *testing.F) {
 	data := testData(60, 8, 17)
 	for _, algo := range quantAlgos {

@@ -5,12 +5,14 @@
 // CRC-guarded shard files, plus a CURRENT pointer file naming the
 // generation to serve. CURRENT is replaced by atomic rename, so a crash
 // at any point leaves either the old or the new generation fully
-// referenced — never a torn pointer — and a directory whose CURRENT
-// names a generation always names one whose manifest was completely
-// written first (the writer finishes the generation, fsync-free but
-// rename-ordered, before repointing CURRENT). Retired generations are
-// deleted only after the pointer has moved and in-flight searches have
-// drained.
+// referenced — never a torn pointer. The writer makes the generation
+// durable before repointing CURRENT (each shard file synced before its
+// rename, then the manifest, the generation directory and the root
+// directory), and WriteCurrent syncs the pointer and the root directory
+// around its rename, so after an OS crash or a power loss, as after a
+// process crash, CURRENT names a fully written generation. Retired
+// generations are deleted only after the pointer has moved and in-flight
+// searches have drained.
 package snapshot
 
 import (
@@ -66,22 +68,58 @@ func ReadCurrent(dir string) (name string, ok bool, err error) {
 	return name, true, nil
 }
 
-// WriteCurrent atomically repoints dir's CURRENT at the named
-// generation: the pointer is written to a temporary file and renamed
-// into place, so concurrent readers see either the old or the new
-// target, never a partial write.
+// WriteCurrent atomically and durably repoints dir's CURRENT at the
+// named generation: the pointer is written to a temporary file, synced,
+// and renamed into place, then dir is synced, so concurrent readers see
+// either the old or the new target, never a partial write, and the new
+// target survives a power loss once WriteCurrent returns. The caller
+// makes the generation itself durable first.
 func WriteCurrent(dir, name string) error {
 	if _, err := ParseGenerationName(name); err != nil {
 		return err
 	}
 	tmp := filepath.Join(dir, CurrentName+".tmp")
-	if err := os.WriteFile(tmp, []byte(name+"\n"), 0o644); err != nil {
+	if err := WriteFileSync(tmp, []byte(name+"\n")); err != nil {
 		return fmt.Errorf("snapshot: write %s: %w", CurrentName, err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, CurrentName)); err != nil {
 		return fmt.Errorf("snapshot: swap %s: %w", CurrentName, err)
 	}
+	if err := SyncDir(dir); err != nil {
+		return fmt.Errorf("snapshot: swap %s: %w", CurrentName, err)
+	}
 	return nil
+}
+
+// WriteFileSync writes data to path (created or truncated) and syncs it
+// to stable storage before closing it.
+func WriteFileSync(path string, data []byte) error {
+	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = fh.Write(data)
+	if err == nil {
+		err = fh.Sync()
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// SyncDir syncs dir itself, making the entries created or renamed in it
+// durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // RetireGeneration deletes a generation subdirectory after the CURRENT

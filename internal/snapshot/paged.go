@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the beyond-RAM serving path: a NodeStore that traverses
-// a version-3 snapshot's page-aligned blocks section directly from the
-// file, keeping only the pinned navigation set (params, upper HNSW
+// a graph-family snapshot's page-aligned blocks section directly from
+// the file, keeping only the pinned navigation set (params, upper HNSW
 // layers, entry points, SQ8 scales) and a small bounded page cache
 // resident. Bytes come from an mmap of the file where the platform
 // supports it, with a sectioned-ReadAt backend as the fallback; both
@@ -483,9 +483,9 @@ func (p *PagedIndex) Close() error {
 	return err
 }
 
-// OpenPagedFile opens a version-3 graph-family snapshot for beyond-RAM
-// serving: navigation sections resident, node records traversed through
-// a bounded page cache over mmap (or positioned reads). The returned
+// OpenPagedFile opens a graph-family snapshot for beyond-RAM serving:
+// navigation sections resident, node records traversed through a
+// bounded page cache over mmap (or positioned reads). The returned
 // index serves searches byte-identical to LoadFile of the same file.
 //
 // The file is walked with Load's parser through positioned reads, so

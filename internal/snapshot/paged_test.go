@@ -176,8 +176,9 @@ func TestPagedIndexResaveRejected(t *testing.T) {
 	}
 }
 
-// Flat families have no blocks section; the paged opener refuses an
-// intact one as ErrUnsupported rather than a structural parse failure.
+// Flat families' blocks records carry no adjacency to traverse; the
+// paged opener refuses an intact one as ErrUnsupported rather than a
+// structural parse failure.
 func TestPagedOpenRejectsFlatFamilies(t *testing.T) {
 	for _, algo := range []string{"exact", "ivfpq"} {
 		built := buildFamily(t, algo, metricsOf(algo)[0], testData(60, 8, 3))
@@ -188,8 +189,8 @@ func TestPagedOpenRejectsFlatFamilies(t *testing.T) {
 	}
 }
 
-// Past-version (v1/v2) files are refused by their version, not parsed:
-// a v3 image relabelled version 2 under a valid header CRC fails both
+// Past-version files are refused by their version, not parsed: a
+// current image relabelled version 2 under a valid header CRC fails both
 // entry points with ErrVersion naming the version, for every graph
 // family.
 func TestPagedOpenRejectsLegacyFiles(t *testing.T) {
@@ -197,7 +198,7 @@ func TestPagedOpenRejectsLegacyFiles(t *testing.T) {
 		img := withVersion(snapshotOf(t, algo), 2)
 		want := func(entry string, err error) {
 			if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") {
-				t.Errorf("%s: %s of a v3 image relabelled version 2: err = %v, want ErrVersion naming version 2", algo, entry, err)
+				t.Errorf("%s: %s of an image relabelled version 2: err = %v, want ErrVersion naming version 2", algo, entry, err)
 			}
 		}
 		_, err := loadBytes(t, algo, img)

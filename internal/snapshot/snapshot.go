@@ -58,8 +58,8 @@ var (
 	// ErrCorrupt means the framing and checksums held but the decoded
 	// structure is invalid (missing section, out-of-range vertex, ...).
 	ErrCorrupt = errors.New("snapshot: corrupt snapshot")
-	// ErrMisaligned means a version-3 blocks section records a node image
-	// offset that is not page-aligned, so the file cannot be page-served.
+	// ErrMisaligned means a blocks section records a node image offset
+	// that is not page-aligned, so the file cannot be page-served.
 	ErrMisaligned = errors.New("snapshot: misaligned block image")
 	// ErrUnsupported means the operation is valid for some snapshots
 	// but not this one: re-saving a paged index, paged-serving a flat
@@ -76,24 +76,24 @@ var (
 // Saver appends a family's structure sections to the file under
 // construction and reports the header fields only the family knows
 // (metric, SQ8 mode) plus the corpus matrix and, for the graph
-// families, the base-layer adjacency that Save packs into the
-// page-aligned "blocks" section. A nil graph means the family is flat
-// (exact, ivfpq) and Save writes the classic "matrix" section instead.
-// The "algo" section, and the header's algo, element kind, and shape,
-// are Save's own.
+// families, the base-layer adjacency. Save packs the rows and that
+// adjacency into the page-aligned "blocks" section; a flat family
+// (exact, ivfpq) returns a nil graph and its records carry no
+// neighbors. The "algo" section, and the header's algo, element kind,
+// and shape, are Save's own.
 type Saver func(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error)
 
 // Loader rebuilds a flat family (exact, ivfpq) from a parsed file. mat
-// is the already decoded corpus matrix.
+// is the corpus matrix already decoded from the file's blocks records.
 type Loader func(h Header, f *file, mat *vec.Matrix) (ann.Index, error)
 
 // family couples one algo name to its codecs. A graph-traversal family
 // sets reconstruct instead of load: the one function that rebuilds it
 // from the file's pinned navigation sections over a NodeStore, whether
-// Load hands it a resident store or OpenPagedFile a paged one. Those
-// families' snapshots pack corpus rows, SQ8 codes, and base adjacency
-// into the page-aligned "blocks" section; exact and ivfpq keep the flat
-// "matrix" section.
+// Load hands it a resident store or OpenPagedFile a paged one. Every
+// family's corpus rows (and a graph family's SQ8 codes and base
+// adjacency) live in the page-aligned "blocks" section; only the graph
+// families serve it paged.
 type family struct {
 	save        Saver
 	load        Loader
@@ -161,22 +161,14 @@ func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) (Header, error) {
 		return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
 	}
 	h.Algo, h.Elem, h.Dim, h.Rows = algo, elem, mat.Dim(), mat.Rows()
-	if base != nil {
-		// Graph family: corpus rows, codes, and base adjacency co-locate
-		// in the page-aligned "blocks" section, written last so its node
-		// image can sit at a page boundary computed from everything that
-		// precedes it.
-		if err := addBlocks(b, h, mat, base, elem); err != nil {
-			return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
-		}
-	} else {
-		matrixPayload, err := encodeMatrix(mat, elem)
-		if err != nil {
-			return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
-		}
-		// Prepend the corpus so flat files read the same way they always
-		// have: algo first, corpus second, family structure after.
-		b.sections = append([]section{b.sections[0], {name: "matrix", payload: matrixPayload}}, b.sections[1:]...)
+	if base == nil {
+		base = graph.New(mat.Rows()) // flat family: records without neighbors
+	}
+	// Corpus rows, codes, and base adjacency co-locate in the
+	// page-aligned "blocks" section, written last so its node image can
+	// sit at a page boundary computed from everything that precedes it.
+	if err := addBlocks(b, h, mat, base, elem); err != nil {
+		return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
 	}
 	if _, err := w.Write(b.assemble(h)); err != nil {
 		return Header{}, fmt.Errorf("snapshot: write: %w", err)
@@ -188,9 +180,9 @@ func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) (Header, error) {
 // the file, and returns it with the file's parsed header. It reads the
 // whole file into memory and walks it with the same parser
 // OpenPagedFile uses, then checks what only a full read can: the CRC of
-// a graph family's whole blocks section, before decoding every node
-// record. The returned value's concrete type is the family index
-// (*hnsw.Index, *ann.Exact, ...).
+// the whole blocks section, before decoding every node record. The
+// returned value's concrete type is the family index (*hnsw.Index,
+// *ann.Exact, ...).
 func Load(r io.Reader) (ann.Index, Header, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -207,26 +199,21 @@ func loadImage(data []byte) (ann.Index, Header, error) {
 	if err != nil {
 		return nil, Header{}, err
 	}
-	if fam.reconstruct == nil {
-		// Flat family: the corpus is the "matrix" section.
-		payload, err := f.section("matrix")
-		if err != nil {
-			return nil, Header{}, err
-		}
-		mat, err := decodeMatrix(f.header, payload)
-		if err != nil {
-			return nil, Header{}, err
-		}
-		idx, err := fam.load(f.header, f, mat)
-		return idx, f.header, err
-	}
-	// Graph family: rows, codes, and base adjacency live in the
-	// page-aligned "blocks" section. decodeBlocks reconstructs the matrix
-	// (norms recomputed with the same accumulation the build used) and
-	// attaches the SQ8 tier from the scales-only "sq8s" section.
+	// Rows, codes, and base adjacency live in the page-aligned "blocks"
+	// section. decodeBlocks reconstructs the matrix (norms recomputed
+	// with the same accumulation the build used) and attaches the SQ8
+	// tier from the scales-only "sq8s" section.
 	mat, base, err := decodeBlocks(f, data)
 	if err != nil {
 		return nil, Header{}, err
+	}
+	if fam.reconstruct == nil {
+		if m := f.blocks.meta; m.maxDegree != 0 || m.quantized {
+			return nil, Header{}, fmt.Errorf("%w: %s blocks carry graph records (maxDegree %d, quantized %v)",
+				ErrCorrupt, f.header.Algo, m.maxDegree, m.quantized)
+		}
+		idx, err := fam.load(f.header, f, mat)
+		return idx, f.header, err
 	}
 	store, err := ann.NewKernelStore(f.header.Metric, mat, base, f.header.Quantized)
 	if err != nil {
@@ -236,8 +223,10 @@ func loadImage(data []byte) (ann.Index, Header, error) {
 	return idx, f.header, err
 }
 
-// SaveFile writes idx to path atomically (temp file + rename), creating
-// parent directories as needed. It returns the header Save wrote and
+// SaveFile writes idx to path atomically (temp file synced, then
+// renamed), creating parent directories as needed. Syncing the
+// directory entry is the caller's: the engine syncs a generation
+// directory once, after all of its files. It returns the header Save wrote and
 // the CRC32-IEEE of the whole file, computed while writing, so callers
 // recording what a file holds and its checksum (the engine manifest)
 // need not read the file back.
@@ -255,6 +244,10 @@ func SaveFile(path string, idx ann.Index, elem vec.ElemKind) (Header, uint32, er
 	if err != nil {
 		tmp.Close()
 		return Header{}, 0, err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return Header{}, 0, fmt.Errorf("snapshot: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return Header{}, 0, fmt.Errorf("snapshot: %w", err)
