@@ -139,24 +139,16 @@ func SortNeighbors(ns []Neighbor) {
 //
 // Both heaps are plain []Neighbor binary heaps with hand-written sifts:
 // no container/heap, so no Neighbor is boxed into an interface on push
-// or pop and a reused Frontier allocates nothing. maxHeap selects the
-// order: false is the candidate min-heap (nearest at the root), true
-// the result max-heap (farthest at the root).
+// or pop and a reused Frontier allocates nothing. Each order has its
+// own pair: minPush/minFix keep the candidate min-heap (nearest at the
+// root), maxPush/maxFix the result max-heap (farthest at the root).
 
-// above reports whether a belongs closer to the root than b.
-func above(a, b Neighbor, maxHeap bool) bool {
-	if maxHeap {
-		a, b = b, a
-	}
-	return less(a, b)
-}
-
-func heapPush(h []Neighbor, n Neighbor, maxHeap bool) []Neighbor {
+func minPush(h []Neighbor, n Neighbor) []Neighbor {
 	h = append(h, n)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !above(n, h[parent], maxHeap) {
+		if !less(n, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
@@ -166,18 +158,53 @@ func heapPush(h []Neighbor, n Neighbor, maxHeap bool) []Neighbor {
 	return h
 }
 
-// heapFix restores the heap after its root was overwritten.
-func heapFix(h []Neighbor, maxHeap bool) {
+// minFix restores the min-heap after its root was overwritten.
+func minFix(h []Neighbor) {
 	n, i := h[0], 0
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			break
 		}
-		if c+1 < len(h) && above(h[c+1], h[c], maxHeap) {
+		if c+1 < len(h) && less(h[c+1], h[c]) {
 			c++
 		}
-		if !above(h[c], n, maxHeap) {
+		if !less(h[c], n) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = n
+}
+
+func maxPush(h []Neighbor, n Neighbor) []Neighbor {
+	h = append(h, n)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(h[parent], n) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = n
+	return h
+}
+
+// maxFix restores the max-heap after its root was overwritten.
+func maxFix(h []Neighbor) {
+	n, i := h[0], 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && less(h[c], h[c+1]) {
+			c++
+		}
+		if !less(n, h[c]) {
 			break
 		}
 		h[i] = h[c]
@@ -219,7 +246,7 @@ func (f *Frontier) reset(ef int) {
 // smallest neighbors under that order.
 func (f *Frontier) Push(n Neighbor) bool {
 	if f.PushResult(n) {
-		f.candidates = heapPush(f.candidates, n, false)
+		f.candidates = minPush(f.candidates, n)
 		return true
 	}
 	return false
@@ -236,7 +263,7 @@ func (f *Frontier) pushFiltered(n Neighbor, skip func(id uint32) bool) {
 	if !skip(n.ID) {
 		f.PushResult(n)
 	}
-	f.candidates = heapPush(f.candidates, n, false)
+	f.candidates = minPush(f.candidates, n)
 }
 
 // PushResult offers a neighbor to the bounded result list only, leaving
@@ -245,12 +272,12 @@ func (f *Frontier) pushFiltered(n Neighbor, skip func(id uint32) bool) {
 // order matches Push.
 func (f *Frontier) PushResult(n Neighbor) bool {
 	if len(f.results) < f.ef {
-		f.results = heapPush(f.results, n, true)
+		f.results = maxPush(f.results, n)
 		return true
 	}
 	if less(n, f.results[0]) {
 		f.results[0] = n
-		heapFix(f.results, true)
+		maxFix(f.results)
 		return true
 	}
 	return false
@@ -266,7 +293,7 @@ func (f *Frontier) PopNearest() (Neighbor, bool) {
 	f.candidates[0] = f.candidates[last]
 	f.candidates = f.candidates[:last]
 	if last > 0 {
-		heapFix(f.candidates, false)
+		minFix(f.candidates)
 	}
 	return top, true
 }
@@ -287,16 +314,30 @@ func (f *Frontier) Results() []Neighbor {
 	return out
 }
 
-// TopK returns the best k results.
+// TopK returns the best min(k, retained) results sorted ascending —
+// Results()[:k] — in a freshly allocated slice the caller owns. It
+// selects instead of sorting the whole list: each retained result is
+// insertion-placed into a sorted run of at most k, which it enters
+// only if it beats the run's last, so a search returning k of ef
+// results never orders the other ef-k.
 func (f *Frontier) TopK(k int) []Neighbor {
-	rs := f.Results()
-	if k > len(rs) {
-		k = len(rs)
+	k = min(max(k, 0), len(f.results))
+	out := make([]Neighbor, 0, k)
+	for _, n := range f.results {
+		if len(out) == k {
+			if k == 0 || !less(n, out[k-1]) {
+				continue
+			}
+			out = out[:k-1]
+		}
+		i := len(out)
+		out = append(out, n)
+		for ; i > 0 && less(n, out[i-1]); i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = n
 	}
-	if k < 0 {
-		k = 0
-	}
-	return rs[:k]
+	return out
 }
 
 // MergeTopK folds per-shard result lists through a bounded Frontier

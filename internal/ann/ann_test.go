@@ -215,6 +215,43 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// TopK(k) is Results()[:k] element for element — the same selection
+// under the (distance, ID) order, ties on distance included — at every
+// k around the budget, on frontiers pushed past ef (evictions) and
+// under it, and its slice is the caller's: writing it leaves the next
+// TopK unchanged.
+func TestFrontierTopKMatchesResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const ef = 16
+	for trial := 0; trial < 200; trial++ {
+		f := NewFrontier(ef)
+		pushes := 1 + rng.Intn(3*ef)
+		for _, id := range rng.Perm(4 * ef)[:pushes] {
+			// Few distinct distances, so most admissions tie.
+			f.Push(Neighbor{ID: uint32(id), Dist: float32(rng.Intn(6))})
+		}
+		all := f.Results()
+		for _, k := range []int{-1, 0, 1, ef - 1, ef, ef + 5} {
+			want := all[:min(max(k, 0), len(all))]
+			got := f.TopK(k)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: %d results, want %d", trial, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d k=%d [%d]: %v, want %v", trial, k, i, got[i], want[i])
+				}
+			}
+			for i := range got {
+				got[i].ID = ^uint32(0)
+			}
+			if again := f.TopK(k); len(again) > 0 && again[0] != want[0] {
+				t.Fatalf("trial %d k=%d: TopK shares memory with the frontier", trial, k)
+			}
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	good := []Neighbor{{0, 1}, {1, 2}}
 	if err := Validate(good, 5); err != nil {

@@ -48,6 +48,16 @@ func (s *Scratch) Neighbors(st NodeStore, v uint32) []uint32 {
 	return out
 }
 
+// Dists scores ids against q with one st.Dists call into the
+// scratch's own distance buffer and returns it, valid until the next
+// call.
+func (s *Scratch) Dists(st NodeStore, q *vec.PreparedQuery, ids []uint32) []float32 {
+	dists := slices.Grow(s.dists[:0], len(ids))[:len(ids)]
+	s.dists = dists
+	st.Dists(q, ids, dists)
+	return dists
+}
+
 // begin starts a search over n nodes: a fresh epoch on a table of at
 // least n stamps.
 func (s *Scratch) begin(n int) {
@@ -88,7 +98,18 @@ func (s *Scratch) begin(n int) {
 // holds it. skip is asked only about competitive vertices, the few the
 // beam admits, never about every scored one. A nil skip is the plain
 // loop.
+//
+// BeamSearch returns the whole result list sorted (rerank and builds
+// read all of it); a search that keeps only the head runs beam and
+// takes s's frontier's TopK.
 func BeamSearch(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, ef int, tr *trace.Query, scored *[]Neighbor, skip func(id uint32) bool) []Neighbor {
+	beam(s, st, q, start, ef, tr, scored, skip)
+	return s.frontier.Results()
+}
+
+// beam is BeamSearch's traversal, leaving the result list in s's
+// frontier unsorted.
+func beam(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, ef int, tr *trace.Query, scored *[]Neighbor, skip func(id uint32) bool) {
 	n := st.Len()
 	s.begin(n)
 	visited, epoch := s.visited, s.epoch
@@ -122,9 +143,7 @@ func BeamSearch(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, 
 		if len(ids) == 0 {
 			continue
 		}
-		dists := slices.Grow(s.dists[:0], len(ids))[:len(ids)]
-		s.dists = dists
-		st.Dists(q, ids, dists)
+		dists := s.Dists(st, q, ids)
 		for i, v := range ids {
 			n := Neighbor{ID: v, Dist: dists[i]}
 			if skip == nil {
@@ -140,5 +159,4 @@ func BeamSearch(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, 
 			tr.Iters = append(tr.Iters, trace.Iter{Entry: c.ID, Neighbors: slices.Clone(ids)})
 		}
 	}
-	return f.Results()
 }

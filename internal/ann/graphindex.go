@@ -93,18 +93,19 @@ func (g *GraphIndex) search(query vec.Vector, k int, tr *trace.Query, skip func(
 	q := st.Prepare(query)
 	s := scratchPool.Get().(*Scratch)
 	start := g.seed(s, st, &q, g.entry, tr)
-	res := BeamSearch(s, st, &q, start, max(g.beam, k), tr, nil, skip)
+	beam(s, st, &q, start, max(g.beam, k), tr, nil, skip)
+	if !g.quantized {
+		// Only the head is returned: select it, do not sort the beam.
+		res := s.frontier.TopK(k)
+		scratchPool.Put(s)
+		return res
+	}
+	res := s.frontier.Results()
 	scratchPool.Put(s)
-	if g.quantized {
-		// Code-space distances ordered the candidates; the head is
-		// re-scored exactly so returned distances are in metric units
-		// and the (distance, ID) total order holds.
-		return RerankExactStore(st, query, res, g.rerank, k)
-	}
-	if k < len(res) {
-		res = res[:k]
-	}
-	return res
+	// Code-space distances ordered the candidates; the head is re-scored
+	// exactly so returned distances are in metric units and the
+	// (distance, ID) total order holds.
+	return RerankExactStore(st, query, res, g.rerank, k)
 }
 
 // Store returns the traversal/storage boundary the index searches

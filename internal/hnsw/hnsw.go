@@ -284,20 +284,27 @@ func (x *builder) selectHeuristic(cands []ann.Neighbor, m int) []ann.Neighbor {
 // greedyClosest walks st's adjacency greedily from ep toward q,
 // returning the local minimum. The store carries both the distance
 // representation (float or SQ8 code space) and the adjacency (a pinned
-// upper layer via WithGraph, or the base layer/blocks). When tr is
-// non-nil each expansion is recorded.
+// upper layer via WithGraph, or the base layer/blocks). Each hop scores
+// the whole neighbour list in one st.Dists call — a paged store
+// resolves it in list order in one cache transaction, as per-neighbour
+// Dist calls would touch it — and then scans it in list order, moving
+// on a strictly smaller distance. When tr is non-nil each expansion is
+// recorded.
 func greedyClosest(s *ann.Scratch, st ann.NodeStore, q *vec.PreparedQuery, ep uint32, tr *trace.Query) (uint32, float32) {
 	cur := ep
 	curDist := st.Dist(*q, cur)
 	for {
-		improved := false
 		nbrs := s.Neighbors(st, cur)
-		if tr != nil && len(nbrs) > 0 {
+		if len(nbrs) == 0 {
+			return cur, curDist
+		}
+		if tr != nil {
 			tr.Iters = append(tr.Iters, trace.Iter{Entry: cur, Neighbors: slices.Clone(nbrs)})
 		}
-		for _, n := range nbrs {
-			if d := st.Dist(*q, n); d < curDist {
-				cur, curDist = n, d
+		improved := false
+		for i, d := range s.Dists(st, q, nbrs) {
+			if d < curDist {
+				cur, curDist = nbrs[i], d
 				improved = true
 			}
 		}

@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"slices"
 	"testing"
 
 	"ndsearch/internal/ann"
@@ -198,5 +199,74 @@ func TestSingleVertexIndex(t *testing.T) {
 	res := idx.Search(vec.Vector{1, 2, 3}, 5)
 	if len(res) != 1 || res[0].ID != 0 {
 		t.Errorf("single-vertex search = %v", res)
+	}
+}
+
+// recordingStore logs every distance request and adjacency read a
+// traversal makes through it.
+type recordingStore struct {
+	ann.NodeStore
+	dist  int        // single-node Dist calls
+	dists [][]uint32 // each Dists call's ids, copied
+	reads []uint32   // each Neighbors call's vertex
+}
+
+func (r *recordingStore) Dist(q vec.PreparedQuery, v uint32) float32 {
+	r.dist++
+	return r.NodeStore.Dist(q, v)
+}
+
+func (r *recordingStore) Dists(q *vec.PreparedQuery, ids []uint32, out []float32) {
+	r.dists = append(r.dists, slices.Clone(ids))
+	r.NodeStore.Dists(q, ids, out)
+}
+
+func (r *recordingStore) Neighbors(v uint32, buf []uint32) []uint32 {
+	r.reads = append(r.reads, v)
+	return r.NodeStore.Neighbors(v, buf)
+}
+
+// greedyClosest scores each hop's neighbour list with exactly one
+// Dists call carrying exactly that list in adjacency order (so a paged
+// store touches its pages as per-neighbour calls would), makes a single
+// Dist call (the entry), and ends where a per-neighbour walk with the
+// same strict < ends.
+func TestGreedyClosestOneDistsPerHop(t *testing.T) {
+	idx, d := buildTestIndex(t, 600)
+	g := idx.Layers()[0]
+	store, err := ann.NewKernelStore(vec.L2, idx.Matrix(), g, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, query := range d.Queries {
+		rec := &recordingStore{NodeStore: store}
+		q := rec.Prepare(query)
+		ep := uint32(qi * 29 % g.Len())
+		got, gotDist := greedyClosest(ann.NewScratch(), rec, &q, ep, nil)
+
+		// Reference: the per-neighbour walk.
+		want, wantDist := ep, store.Dist(q, ep)
+		for moved := true; moved; {
+			moved = false
+			for _, n := range g.Neighbors(want) {
+				if dn := store.Dist(q, n); dn < wantDist {
+					want, wantDist, moved = n, dn, true
+				}
+			}
+		}
+		if got != want || gotDist != wantDist {
+			t.Fatalf("query %d: greedyClosest = (%d, %v), per-neighbour walk = (%d, %v)", qi, got, gotDist, want, wantDist)
+		}
+		if rec.dist != 1 {
+			t.Fatalf("query %d: %d Dist calls, want 1 (the entry)", qi, rec.dist)
+		}
+		if len(rec.dists) != len(rec.reads) || len(rec.reads) == 0 {
+			t.Fatalf("query %d: %d Dists calls for %d hops", qi, len(rec.dists), len(rec.reads))
+		}
+		for h, v := range rec.reads {
+			if !slices.Equal(rec.dists[h], g.Neighbors(v)) {
+				t.Fatalf("query %d hop %d: Dists(%v), neighbour list of %d is %v", qi, h, rec.dists[h], v, g.Neighbors(v))
+			}
+		}
 	}
 }

@@ -273,7 +273,7 @@ func (x *Index) Search(query vec.Vector, k int) []ann.Neighbor {
 // skipped postings are dropped before ADC scoring, so they neither
 // occupy the re-rank shortlist nor reach the results.
 func (x *Index) SearchFilter(query vec.Vector, k int, skip func(id uint32) bool) []ann.Neighbor {
-	res, _ := x.search(query, k, skip)
+	res, _, _ := x.search(query, k, skip)
 	return res
 }
 
@@ -296,17 +296,21 @@ func (x *Index) CodeBytes() int { return 4 + x.cfg.Segments }
 
 // SearchStats is Search plus scan statistics.
 func (x *Index) SearchStats(query vec.Vector, k int) ([]ann.Neighbor, ScanStats) {
-	return x.search(query, k, nil)
+	res, st, _ := x.search(query, k, nil)
+	return res, st
 }
 
-func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]ann.Neighbor, ScanStats) {
+// search is the one search body: the top-k, the scan statistics, and
+// the probed lists, nearest first (SearchTraced's trace).
+func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]ann.Neighbor, ScanStats, []int) {
 	var st ScanStats
 	// The prepared query evaluates both the coarse ranking and the
 	// exact re-rank with the query preprocessed once.
 	pq := x.kern.Prepare(query)
 	// ADC over probed lists with per-list lookup tables on the residual.
 	var cands []ann.Neighbor
-	for _, li := range x.probed(&pq) {
+	probed := x.probed(&pq)
+	for _, li := range probed {
 		st.ListsProbed++
 		residual := make(vec.Vector, x.dim)
 		for d := 0; d < x.dim; d++ {
@@ -344,12 +348,12 @@ func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]an
 	if k < len(cands) {
 		cands = cands[:k]
 	}
-	return cands, st
+	return cands, st, probed
 }
 
 // probed ranks the coarse centroids by distance to the prepared query
 // and returns the NProbe nearest lists, nearest first: the lists search
-// scans and SearchTraced reports.
+// scans (and returns for SearchTraced's trace).
 func (x *Index) probed(pq *vec.PreparedQuery) []int {
 	type cd struct {
 		list int
@@ -372,12 +376,9 @@ func (x *Index) probed(pq *vec.PreparedQuery) []int {
 // scan induces, mirroring ann.Exact's flat-scan trace. It completes the
 // ann.Index interface so IVF-PQ can serve as an engine shard family.
 func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Query) {
-	res, _ := x.SearchStats(query, k)
-	// Rebuild the probed-list membership for the trace: the same coarse
-	// ranking Search performs.
-	pq := x.kern.Prepare(query)
+	res, _, probed := x.search(query, k, nil)
 	it := trace.Iter{}
-	for _, li := range x.probed(&pq) {
+	for _, li := range probed {
 		for _, e := range x.lists[li] {
 			it.Neighbors = append(it.Neighbors, e.ID)
 		}

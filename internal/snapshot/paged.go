@@ -308,7 +308,7 @@ func (s *PagedStore) records(ids []uint32, recs [][]byte) {
 			recs[i] = s.zeroRec
 			continue
 		}
-		off := int(v%perPage) * nodeLen
+		off := int(v-uint32(pages[i])*perPage) * nodeLen
 		recs[i] = recs[i][off : off+nodeLen]
 	}
 }

@@ -31,8 +31,9 @@ import (
 // Exact, and the sharded engine.
 //
 // Every L2 path over float32 rows goes through l2sq / l2sqRows4, which
-// run SSE2 bodies on amd64 (kernel_amd64.s) with l2sq4's exact bits;
-// l2sq4 itself is the reference and the path on other GOARCHes.
+// run AVX2 bodies on amd64 CPUs that have it (kernel_amd64.s) with
+// l2sq4's exact bits; l2sq4 itself is the reference and the path
+// everywhere else.
 
 // dot4 is the 4-way unrolled inner product.
 func dot4(a, b []float32) float32 {
@@ -73,9 +74,16 @@ func l2sq4(a, b []float32) float32 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// l2sq4Rows4 is l2sq4 from q to four rows: the Go body of the four-row
+// entry l2sqF32x4.
+func l2sq4Rows4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
+	return l2sq4(q, r0), l2sq4(q, r1), l2sq4(q, r2), l2sq4(q, r3)
+}
+
 // l2sq is the float32 L2 entry every kernel path calls: l2sq4's bits,
-// from the SSE2 body on amd64 (kernel_amd64.go). b is sliced to len(a)
-// here, so a short row panics in Go before the assembly runs.
+// from the AVX2 body where the CPU has it (kernel_amd64.go). b is
+// sliced to len(a) here, so a short row panics in Go before the
+// assembly runs.
 func l2sq(a, b []float32) float32 { return l2sqF32x1(a, b[:len(a)]) }
 
 // l2sqRows4 is l2sq from q to four rows in one pass: four independent

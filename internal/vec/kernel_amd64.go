@@ -1,18 +1,51 @@
 package vec
 
-// SSE2 bodies of the two L2 kernels the served corpora run: float32
-// rows (l2sq4) and u8 at-rest rows (l2sqU8). SSE2 is the amd64
-// baseline, so there is nothing to detect or dispatch. Each entry is
-// bit-identical to its Go body (kernel_other.go's definitions, and
-// TestAsmKernelsMatchGeneric's reference): SSE lane j is accumulator
-// s_j, the dim % 4 tail goes into lane 0, and the fold is
-// (s0+s1)+(s2+s3). The four-row entries exist for speed — four rows'
-// add chains in one loop, their loads overlapping — and each of their
-// results is the one-row result.
+// AVX2 bodies of the two L2 kernels the served corpora run: float32
+// rows (l2sq4) and u8 at-rest rows (l2sqU8). Each entry is bit-identical
+// to its Go body (TestAsmKernelsMatchGeneric's reference): an 8-element
+// step subtracts and squares 8 lanes, then adds the low 4-lane half and
+// after it the high half into the accumulator, so lane j is the Go
+// kernel's s_j and sums its elements in the same order; a dim % 8 ≥ 4
+// remainder is one 4-lane step, the dim % 4 tail goes into lane 0, and
+// the fold is (s0+s1)+(s2+s3). No step is fused (no FMA). The four-row
+// entries exist for speed — four rows' add chains in one loop, their
+// loads overlapping — and each of their results is the one-row result.
+//
+// useAVX2 is decided once, at init: CPUID must report AVX2 and XGETBV
+// must show the OS saving YMM state. When it is false each entry jumps
+// to its Go body (l2sq4, l2sq4Rows4, l2sqU8, l2sqU8Rows4), so an amd64
+// CPU without AVX2 computes the same bits, only slower.
 //
 // Contract: every row holds at least len(q) elements (bytes for U8).
 // The assembly reads exactly len(q) of each and checks nothing, so
 // callers slice rows to len(q) in Go first.
+
+var useAVX2 = cpuHasAVX2()
+
+// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches. XGETBV is only executed once
+// CPUID has reported OSXSAVE.
+func cpuHasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	const xmmYmmState = 1<<1 | 1<<2
+	if xgetbv0()&xmmYmmState != xmmYmmState {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() (eax uint32)
 
 //go:noescape
 func l2sqF32x1(a, b []float32) float32

@@ -1,213 +1,294 @@
 #include "textflag.h"
 
-// SSE2 bodies of the L2 kernels (see kernel_amd64.go). Each follows
-// l2sq4's arithmetic exactly: SSE lane j is the Go kernel's accumulator
-// s_j, every step is SUBPS, MULPS, ADDPS (never fused), a dim % 4 tail
-// is added into lane 0 after the main loop, and the fold is
+// AVX2 bodies of the L2 kernels (see kernel_amd64.go). Each follows
+// l2sq4's arithmetic exactly. An 8-element step subtracts and squares
+// 8 lanes at once (VSUBPS, VMULPS, never fused), then adds the low
+// 4-lane half into the 4-lane accumulator and after it the high half,
+// so accumulator lane j still sums elements j, j+4, j+8, … in step
+// order, as the Go kernel's s_j does. A dim % 8 ≥ 4 remainder is one
+// 4-lane step, a dim % 4 tail is added into lane 0, and the fold is
 // (s0+s1)+(s2+s3). The four-row entries run four independent rows'
 // chains in one loop; each row's chain is the one-row chain.
 //
+// Every entry first tests useAVX2 (set once at init) and, when it is
+// false, jumps to the Go body with the same frame.
+//
 // Register use: SI query, R8–R11 rows, CX dim, DX dim rounded down to
-// a multiple of 4, AX element index, X0–X3 accumulators, X4 the query
-// step, X5–X12 scratch, X13 zero (U8 widening).
+// a multiple of 8, AX element index, X0–X3 accumulators, Y4 the query
+// step, Y5–Y12 scratch.
+
+// STEP8 squares the 8-lane difference already in yd and adds its low
+// half xd (the same register), then its high half, into acc; t is
+// clobbered.
+#define STEP8(yd, xd, t, acc) \
+	VMULPS       yd, yd, yd; \
+	VADDPS       xd, acc, acc; \
+	VEXTRACTF128 $1, yd, t; \
+	VADDPS       t, acc, acc
 
 // FOLD leaves (s0+s1)+(s2+s3) of acc in acc's lane 0; t is clobbered.
 #define FOLD(acc, t) \
-	PSHUFD  $0xB1, acc, t; \
-	ADDPS   t, acc; \
-	MOVHLPS acc, t; \
-	ADDSS   t, acc
+	VPSHUFD  $0xB1, acc, t; \
+	VADDPS   t, acc, acc; \
+	VMOVHLPS acc, t, t; \
+	VADDSS   t, acc, acc
 
 // STEP4 adds the squared differences of the query step X4 and a row
-// step already in x into acc, lane by lane; d is clobbered.
+// step x into acc, lane by lane; d is clobbered.
 #define STEP4(x, d, acc) \
-	MOVAPS X4, d; \
-	SUBPS  x, d; \
-	MULPS  d, d; \
-	ADDPS  d, acc
+	VSUBPS x, X4, d; \
+	VMULPS d, d, d; \
+	VADDPS d, acc, acc
 
 // STEP1 adds the squared difference of the query element in X4's lane 0
 // and a row element in x's lane 0 into acc's lane 0; d is clobbered.
 #define STEP1(x, d, acc) \
-	MOVAPS X4, d; \
-	SUBSS  x, d; \
-	MULSS  d, d; \
-	ADDSS  d, acc
-
-// WIDEN4 loads four bytes from mem and widens them exactly to four
-// float32 in x (X13 must be zero).
-#define WIDEN4(mem, x) \
-	MOVSS     mem, x; \
-	PUNPCKLBW X13, x; \
-	PUNPCKLWL X13, x; \
-	CVTPL2PS  x, x
+	VSUBSS x, X4, d; \
+	VMULSS d, d, d; \
+	VADDSS d, acc, acc
 
 // WIDEN1 loads one byte from mem and converts it exactly into x's
 // lane 0; BX is clobbered.
 #define WIDEN1(mem, x) \
-	MOVBLZX  mem, BX; \
-	CVTSL2SS BX, x
+	MOVBLZX    mem, BX; \
+	VCVTSI2SSL BX, x, x
 
 // func l2sqF32x1(a, b []float32) float32
 TEXT ·l2sqF32x1(SB), NOSPLIT, $0-52
-	MOVQ  a_base+0(FP), SI
-	MOVQ  a_len+8(FP), CX
-	MOVQ  b_base+24(FP), R8
-	XORPS X0, X0
-	MOVQ  CX, DX
-	ANDQ  $~3, DX
-	XORQ  AX, AX
+	CMPB   ·useAVX2(SB), $1
+	JEQ    2(PC)
+	JMP    ·l2sq4(SB)
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), R8
+	VXORPS X0, X0, X0
+	MOVQ   CX, DX
+	ANDQ   $~7, DX
+	XORQ   AX, AX
 
 f1loop:
-	CMPQ   AX, DX
-	JGE    f1tail
-	MOVUPS (SI)(AX*4), X4
-	MOVUPS (R8)(AX*4), X5
+	CMPQ    AX, DX
+	JGE     f1rem
+	VMOVUPS (SI)(AX*4), Y4
+	VSUBPS  (R8)(AX*4), Y4, Y9
+	STEP8(Y9, X9, X10, X0)
+	ADDQ    $8, AX
+	JMP     f1loop
+
+f1rem:
+	LEAQ    4(AX), BX
+	CMPQ    BX, CX
+	JGT     f1tail
+	VMOVUPS (SI)(AX*4), X4
+	VMOVUPS (R8)(AX*4), X5
 	STEP4(X5, X9, X0)
-	ADDQ   $4, AX
-	JMP    f1loop
+	MOVQ    BX, AX
 
 f1tail:
-	CMPQ  AX, CX
-	JGE   f1fold
-	MOVSS (SI)(AX*4), X4
-	MOVSS (R8)(AX*4), X5
+	CMPQ   AX, CX
+	JGE    f1fold
+	VMOVSS (SI)(AX*4), X4
+	VMOVSS (R8)(AX*4), X5
 	STEP1(X5, X9, X0)
-	INCQ  AX
-	JMP   f1tail
+	INCQ   AX
+	JMP    f1tail
 
 f1fold:
 	FOLD(X0, X9)
-	MOVSS X0, ret+48(FP)
+	VMOVSS X0, ret+48(FP)
+	VZEROUPPER
 	RET
 
 // func l2sqF32x4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32)
 TEXT ·l2sqF32x4(SB), NOSPLIT, $0-136
-	MOVQ  q_base+0(FP), SI
-	MOVQ  q_len+8(FP), CX
-	MOVQ  r0_base+24(FP), R8
-	MOVQ  r1_base+48(FP), R9
-	MOVQ  r2_base+72(FP), R10
-	MOVQ  r3_base+96(FP), R11
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	MOVQ  CX, DX
-	ANDQ  $~3, DX
-	XORQ  AX, AX
+	CMPB   ·useAVX2(SB), $1
+	JEQ    2(PC)
+	JMP    ·l2sq4Rows4(SB)
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   r0_base+24(FP), R8
+	MOVQ   r1_base+48(FP), R9
+	MOVQ   r2_base+72(FP), R10
+	MOVQ   r3_base+96(FP), R11
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	MOVQ   CX, DX
+	ANDQ   $~7, DX
+	XORQ   AX, AX
 
 f4loop:
-	CMPQ   AX, DX
-	JGE    f4tail
-	MOVUPS (SI)(AX*4), X4
-	MOVUPS (R8)(AX*4), X5
-	MOVUPS (R9)(AX*4), X6
-	MOVUPS (R10)(AX*4), X7
-	MOVUPS (R11)(AX*4), X8
+	CMPQ    AX, DX
+	JGE     f4rem
+	VMOVUPS (SI)(AX*4), Y4
+	VSUBPS  (R8)(AX*4), Y4, Y5
+	VSUBPS  (R9)(AX*4), Y4, Y6
+	VSUBPS  (R10)(AX*4), Y4, Y7
+	VSUBPS  (R11)(AX*4), Y4, Y8
+	STEP8(Y5, X5, X9, X0)
+	STEP8(Y6, X6, X10, X1)
+	STEP8(Y7, X7, X11, X2)
+	STEP8(Y8, X8, X12, X3)
+	ADDQ    $8, AX
+	JMP     f4loop
+
+f4rem:
+	LEAQ    4(AX), BX
+	CMPQ    BX, CX
+	JGT     f4tail
+	VMOVUPS (SI)(AX*4), X4
+	VMOVUPS (R8)(AX*4), X5
+	VMOVUPS (R9)(AX*4), X6
+	VMOVUPS (R10)(AX*4), X7
+	VMOVUPS (R11)(AX*4), X8
 	STEP4(X5, X9, X0)
 	STEP4(X6, X10, X1)
 	STEP4(X7, X11, X2)
 	STEP4(X8, X12, X3)
-	ADDQ   $4, AX
-	JMP    f4loop
+	MOVQ    BX, AX
 
 f4tail:
-	CMPQ  AX, CX
-	JGE   f4fold
-	MOVSS (SI)(AX*4), X4
-	MOVSS (R8)(AX*4), X5
-	MOVSS (R9)(AX*4), X6
-	MOVSS (R10)(AX*4), X7
-	MOVSS (R11)(AX*4), X8
+	CMPQ   AX, CX
+	JGE    f4fold
+	VMOVSS (SI)(AX*4), X4
+	VMOVSS (R8)(AX*4), X5
+	VMOVSS (R9)(AX*4), X6
+	VMOVSS (R10)(AX*4), X7
+	VMOVSS (R11)(AX*4), X8
 	STEP1(X5, X9, X0)
 	STEP1(X6, X10, X1)
 	STEP1(X7, X11, X2)
 	STEP1(X8, X12, X3)
-	INCQ  AX
-	JMP   f4tail
+	INCQ   AX
+	JMP    f4tail
 
 f4fold:
 	FOLD(X0, X9)
 	FOLD(X1, X10)
 	FOLD(X2, X11)
 	FOLD(X3, X12)
-	MOVSS X0, d0+120(FP)
-	MOVSS X1, d1+124(FP)
-	MOVSS X2, d2+128(FP)
-	MOVSS X3, d3+132(FP)
+	VMOVSS X0, d0+120(FP)
+	VMOVSS X1, d1+124(FP)
+	VMOVSS X2, d2+128(FP)
+	VMOVSS X3, d3+132(FP)
+	VZEROUPPER
 	RET
 
 // func l2sqU8x1(a []float32, b []byte) float32
 TEXT ·l2sqU8x1(SB), NOSPLIT, $0-52
-	MOVQ  a_base+0(FP), SI
-	MOVQ  a_len+8(FP), CX
-	MOVQ  b_base+24(FP), R8
-	XORPS X0, X0
-	PXOR  X13, X13
-	MOVQ  CX, DX
-	ANDQ  $~3, DX
-	XORQ  AX, AX
+	CMPB   ·useAVX2(SB), $1
+	JEQ    2(PC)
+	JMP    ·l2sqU8(SB)
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), R8
+	VXORPS X0, X0, X0
+	MOVQ   CX, DX
+	ANDQ   $~7, DX
+	XORQ   AX, AX
 
 u1loop:
-	CMPQ   AX, DX
-	JGE    u1tail
-	MOVUPS (SI)(AX*4), X4
-	WIDEN4((R8)(AX*1), X5)
+	CMPQ      AX, DX
+	JGE       u1rem
+	VMOVUPS   (SI)(AX*4), Y4
+	VPMOVZXBD (R8)(AX*1), Y5
+	VCVTDQ2PS Y5, Y5
+	VSUBPS    Y5, Y4, Y9
+	STEP8(Y9, X9, X10, X0)
+	ADDQ      $8, AX
+	JMP       u1loop
+
+u1rem:
+	LEAQ      4(AX), BX
+	CMPQ      BX, CX
+	JGT       u1tail
+	VMOVUPS   (SI)(AX*4), X4
+	VPMOVZXBD (R8)(AX*1), X5
+	VCVTDQ2PS X5, X5
 	STEP4(X5, X9, X0)
-	ADDQ   $4, AX
-	JMP    u1loop
+	MOVQ      BX, AX
 
 u1tail:
-	CMPQ  AX, CX
-	JGE   u1fold
-	MOVSS (SI)(AX*4), X4
+	CMPQ   AX, CX
+	JGE    u1fold
+	VMOVSS (SI)(AX*4), X4
 	WIDEN1((R8)(AX*1), X5)
 	STEP1(X5, X9, X0)
-	INCQ  AX
-	JMP   u1tail
+	INCQ   AX
+	JMP    u1tail
 
 u1fold:
 	FOLD(X0, X9)
-	MOVSS X0, ret+48(FP)
+	VMOVSS X0, ret+48(FP)
+	VZEROUPPER
 	RET
 
 // func l2sqU8x4(q []float32, b0, b1, b2, b3 []byte) (d0, d1, d2, d3 float32)
 TEXT ·l2sqU8x4(SB), NOSPLIT, $0-136
-	MOVQ  q_base+0(FP), SI
-	MOVQ  q_len+8(FP), CX
-	MOVQ  b0_base+24(FP), R8
-	MOVQ  b1_base+48(FP), R9
-	MOVQ  b2_base+72(FP), R10
-	MOVQ  b3_base+96(FP), R11
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	PXOR  X13, X13
-	MOVQ  CX, DX
-	ANDQ  $~3, DX
-	XORQ  AX, AX
+	CMPB   ·useAVX2(SB), $1
+	JEQ    2(PC)
+	JMP    ·l2sqU8Rows4(SB)
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   b0_base+24(FP), R8
+	MOVQ   b1_base+48(FP), R9
+	MOVQ   b2_base+72(FP), R10
+	MOVQ   b3_base+96(FP), R11
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	MOVQ   CX, DX
+	ANDQ   $~7, DX
+	XORQ   AX, AX
 
 u4loop:
-	CMPQ   AX, DX
-	JGE    u4tail
-	MOVUPS (SI)(AX*4), X4
-	WIDEN4((R8)(AX*1), X5)
-	WIDEN4((R9)(AX*1), X6)
-	WIDEN4((R10)(AX*1), X7)
-	WIDEN4((R11)(AX*1), X8)
+	CMPQ      AX, DX
+	JGE       u4rem
+	VMOVUPS   (SI)(AX*4), Y4
+	VPMOVZXBD (R8)(AX*1), Y5
+	VPMOVZXBD (R9)(AX*1), Y6
+	VPMOVZXBD (R10)(AX*1), Y7
+	VPMOVZXBD (R11)(AX*1), Y8
+	VCVTDQ2PS Y5, Y5
+	VCVTDQ2PS Y6, Y6
+	VCVTDQ2PS Y7, Y7
+	VCVTDQ2PS Y8, Y8
+	VSUBPS    Y5, Y4, Y5
+	VSUBPS    Y6, Y4, Y6
+	VSUBPS    Y7, Y4, Y7
+	VSUBPS    Y8, Y4, Y8
+	STEP8(Y5, X5, X9, X0)
+	STEP8(Y6, X6, X10, X1)
+	STEP8(Y7, X7, X11, X2)
+	STEP8(Y8, X8, X12, X3)
+	ADDQ      $8, AX
+	JMP       u4loop
+
+u4rem:
+	LEAQ      4(AX), BX
+	CMPQ      BX, CX
+	JGT       u4tail
+	VMOVUPS   (SI)(AX*4), X4
+	VPMOVZXBD (R8)(AX*1), X5
+	VPMOVZXBD (R9)(AX*1), X6
+	VPMOVZXBD (R10)(AX*1), X7
+	VPMOVZXBD (R11)(AX*1), X8
+	VCVTDQ2PS X5, X5
+	VCVTDQ2PS X6, X6
+	VCVTDQ2PS X7, X7
+	VCVTDQ2PS X8, X8
 	STEP4(X5, X9, X0)
 	STEP4(X6, X10, X1)
 	STEP4(X7, X11, X2)
 	STEP4(X8, X12, X3)
-	ADDQ   $4, AX
-	JMP    u4loop
+	MOVQ      BX, AX
 
 u4tail:
-	CMPQ  AX, CX
-	JGE   u4fold
-	MOVSS (SI)(AX*4), X4
+	CMPQ   AX, CX
+	JGE    u4fold
+	VMOVSS (SI)(AX*4), X4
 	WIDEN1((R8)(AX*1), X5)
 	WIDEN1((R9)(AX*1), X6)
 	WIDEN1((R10)(AX*1), X7)
@@ -216,16 +297,17 @@ u4tail:
 	STEP1(X6, X10, X1)
 	STEP1(X7, X11, X2)
 	STEP1(X8, X12, X3)
-	INCQ  AX
-	JMP   u4tail
+	INCQ   AX
+	JMP    u4tail
 
 u4fold:
 	FOLD(X0, X9)
 	FOLD(X1, X10)
 	FOLD(X2, X11)
 	FOLD(X3, X12)
-	MOVSS X0, d0+120(FP)
-	MOVSS X1, d1+124(FP)
-	MOVSS X2, d2+128(FP)
-	MOVSS X3, d3+132(FP)
+	VMOVSS X0, d0+120(FP)
+	VMOVSS X1, d1+124(FP)
+	VMOVSS X2, d2+128(FP)
+	VMOVSS X3, d3+132(FP)
+	VZEROUPPER
 	RET

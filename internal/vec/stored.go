@@ -18,8 +18,8 @@ import (
 // bit-identical to DecodeInto followed by DistanceTo, and through that
 // to the resident Kernel. The Angular kernels carry the dot and the
 // row's squared norm through one pass in independent accumulators,
-// which changes neither sum. L2 over U8 rows runs the SSE2 bodies on
-// amd64 (kernel_amd64.s), bit-identical to l2sqU8.
+// which changes neither sum. L2 over U8 rows runs the AVX2 bodies on
+// amd64 CPUs that have it (kernel_amd64.s), bit-identical to l2sqU8.
 
 // DistanceToStored is the at-rest scorer, the one metric switch over
 // rows at rest: the distance from the prepared query to one vector in
@@ -200,6 +200,12 @@ func l2sqU8(a []float32, b []byte) float32 {
 		s0 += d * d
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// l2sqU8Rows4 is l2sqU8 from q to four rows: the Go body of the
+// four-row entry l2sqU8x4.
+func l2sqU8Rows4(q []float32, b0, b1, b2, b3 []byte) (d0, d1, d2, d3 float32) {
+	return l2sqU8(q, b0), l2sqU8(q, b1), l2sqU8(q, b2), l2sqU8(q, b3)
 }
 
 func dotU8(a []float32, b []byte) float32 {
