@@ -64,7 +64,7 @@
 // snapshot (internal/snapshot, DESIGN.md §8); every later invocation
 // warm-starts from the snapshot in file-I/O time without invoking any
 // index build. With -serve mmap (or readat), the loaded shards are not
-// materialized at all: node records are traversed straight out of the
+// materialized at all: node records are read straight out of the
 // page-aligned snapshot files through a bounded page cache (DESIGN.md
 // §10), serving corpora larger than resident memory with results
 // byte-identical to -serve ram; /stats then reports the software

@@ -40,6 +40,10 @@ type Index interface {
 	Len() int
 	// Metric returns the distance metric the index was built with.
 	Metric() vec.Metric
+	// Store returns the NodeStore the index reads its records through:
+	// a *KernelStore when the index is resident (built or loaded into
+	// RAM), the snapshot's paged store when it is served from a file.
+	Store() NodeStore
 }
 
 // Tunable is an index whose search beam width (HNSW's efSearch,

@@ -1,38 +1,48 @@
 package ann
 
 import (
+	"slices"
+
 	"ndsearch/internal/trace"
 	"ndsearch/internal/vec"
 )
 
-// Exact is a brute-force Index over an in-memory corpus: every Search is
-// a full scan, so its results are the ground truth. It serves as the
+// Exact is a brute-force Index over a NodeStore: every Search is a full
+// scan, so its results are the ground truth. It serves as the
 // reference baseline the sharded engine is validated against and as a
-// drop-in shard index when exactness matters more than speed. The
-// corpus is held in a contiguous vec.Matrix with precomputed norms, so
-// the scan runs on the batched kernel path.
+// drop-in shard index when exactness matters more than speed. Built or
+// loaded resident, the store is a KernelStore over a contiguous
+// vec.Matrix with an edgeless graph, so the scan runs on the batched
+// kernel path; served paged, it is the snapshot's record store and the
+// scan reads every record through the page cache.
 type Exact struct {
-	kern *vec.Kernel
+	store  NodeStore
+	metric vec.Metric
 }
+
+// scanChunk is how many records Exact scores per batched Dists call,
+// into the pooled search scratch's id and distance buffers, so a scan
+// allocates no n-long list.
+const scanChunk = 256
 
 // NewExact copies data into a contiguous flat store under metric m. The
 // input slices are not retained.
 func NewExact(m vec.Metric, data []vec.Vector) *Exact {
-	return &Exact{kern: vec.NewKernel(m, vec.NewMatrix(data))}
+	return &Exact{store: FlatStore(m, data), metric: m}
 }
 
-// ExactFromMatrix wraps an existing flat store under metric m without
-// copying — the snapshot warm-start path. The matrix is retained and
-// must not be mutated.
-func ExactFromMatrix(m vec.Metric, mat *vec.Matrix) *Exact {
-	return &Exact{kern: vec.NewKernel(m, mat)}
+// ExactFromStore serves an exact scan over an existing store (the
+// snapshot path: resident or paged). The store must not be quantized: a
+// quantized store's Dists are code-space keys, not metric distances.
+func ExactFromStore(m vec.Metric, store NodeStore) *Exact {
+	return &Exact{store: store, metric: m}
 }
 
 // Metric returns the search metric.
-func (e *Exact) Metric() vec.Metric { return e.kern.Metric() }
+func (e *Exact) Metric() vec.Metric { return e.metric }
 
-// Matrix returns the corpus store. Callers must not mutate it.
-func (e *Exact) Matrix() *vec.Matrix { return e.kern.Matrix() }
+// Store returns the store the scan reads.
+func (e *Exact) Store() NodeStore { return e.store }
 
 // Search returns the exact top-k neighbors of query. Distances are
 // bit-identical to BruteForce over the same corpus: both run the same
@@ -43,33 +53,40 @@ func (e *Exact) Search(query vec.Vector, k int) []Neighbor {
 }
 
 // SearchFilter returns the exact top-k among the rows skip does not
-// reject: skipped rows are dropped from the scan before ranking.
+// reject: skipped rows are dropped from the scan before ranking. Rows
+// are scored scanChunk at a time and folded through a bounded Frontier,
+// whose (distance, ID) admission keeps exactly the top k a full sort
+// would.
 func (e *Exact) SearchFilter(query vec.Vector, k int, skip func(id uint32) bool) []Neighbor {
-	n := e.kern.Matrix().Rows()
+	n := e.store.Len()
 	if n == 0 {
 		return nil
 	}
-	q := e.kern.Prepare(query)
-	dists := make([]float32, n)
-	e.kern.DistsAll(q, dists)
-	all := make([]Neighbor, 0, n)
-	for i, d := range dists {
-		if skip == nil || !skip(uint32(i)) {
-			all = append(all, Neighbor{ID: uint32(i), Dist: d})
+	q := e.store.Prepare(query)
+	s := scratchPool.Get().(*Scratch)
+	s.frontier.reset(k)
+	s.ids = slices.Grow(s.ids[:0], scanChunk)
+	for lo := 0; lo < n; lo += scanChunk {
+		ids := s.ids[:min(scanChunk, n-lo)]
+		for j := range ids {
+			ids[j] = uint32(lo + j)
+		}
+		for j, d := range s.Dists(e.store, &q, ids) {
+			if skip == nil || !skip(ids[j]) {
+				s.frontier.PushResult(Neighbor{ID: ids[j], Dist: d})
+			}
 		}
 	}
-	SortNeighbors(all)
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+	res := s.frontier.TopK(k)
+	scratchPool.Put(s)
+	return res
 }
 
 // SearchTraced returns the exact top-k and a single-iteration trace that
 // visits the whole corpus — the degenerate "graph" a full scan induces.
 func (e *Exact) SearchTraced(query vec.Vector, k int) ([]Neighbor, trace.Query) {
 	res := e.Search(query, k)
-	n := e.kern.Matrix().Rows()
+	n := e.store.Len()
 	it := trace.Iter{Neighbors: make([]uint32, n)}
 	for i := 0; i < n; i++ {
 		it.Neighbors[i] = uint32(i)
@@ -81,13 +98,20 @@ func (e *Exact) SearchTraced(query vec.Vector, k int) ([]Neighbor, trace.Query) 
 }
 
 // Graph returns an edgeless view: a flat scan has no proximity graph.
-func (e *Exact) Graph() GraphView { return exactView{n: e.kern.Matrix().Rows()} }
+func (e *Exact) Graph() GraphView { return Edgeless(e.store.Len()) }
 
 // Len returns the corpus size.
-func (e *Exact) Len() int { return e.kern.Matrix().Rows() }
+func (e *Exact) Len() int { return e.store.Len() }
 
-type exactView struct{ n int }
+// Edgeless is the proximity graph of a flat family (exact, ivfpq): its
+// value is the vertex count, and no vertex has an edge.
+type Edgeless int
 
-func (v exactView) Len() int                  { return v.n }
-func (v exactView) Neighbors(uint32) []uint32 { return nil }
-func (v exactView) Degree(uint32) int         { return 0 }
+// Len returns the vertex count.
+func (g Edgeless) Len() int { return int(g) }
+
+// Neighbors returns nil: no vertex has an edge.
+func (Edgeless) Neighbors(uint32) []uint32 { return nil }
+
+// Degree returns 0.
+func (Edgeless) Degree(uint32) int { return 0 }

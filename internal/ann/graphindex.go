@@ -131,15 +131,6 @@ func (g *GraphIndex) SetBeamWidth(w int) {
 	}
 }
 
-// Matrix returns the corpus matrix of a resident (KernelStore) index;
-// nil when the store is paged. Callers must not mutate it.
-func (g *GraphIndex) Matrix() *vec.Matrix {
-	if ks, ok := g.store.(*KernelStore); ok {
-		return ks.Matrix()
-	}
-	return nil
-}
-
 // BaseGraph returns the mutable base graph of a resident (KernelStore)
 // index, for placement experiments and snapshot saving; nil when the
 // store is paged.

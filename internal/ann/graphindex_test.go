@@ -117,17 +117,13 @@ func TestGraphIndexReconstruction(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid parts rejected: %v", err)
 			}
-			// A resident store answers Matrix/BaseGraph; the search runs.
-			full := idx.(interface {
-				Store() ann.NodeStore
-				Matrix() *vec.Matrix
-				BaseGraph() *graph.Graph
-			})
-			if idx.Len() != n || full.Store() != ann.NodeStore(resident) {
-				t.Fatalf("reconstructed index: Len %d, store %T", idx.Len(), full.Store())
+			// A resident store answers BaseGraph; the search runs.
+			full := idx.(interface{ BaseGraph() *graph.Graph })
+			if idx.Len() != n || idx.Store() != ann.NodeStore(resident) {
+				t.Fatalf("reconstructed index: Len %d, store %T", idx.Len(), idx.Store())
 			}
-			if full.Matrix() == nil || full.BaseGraph() != ring || idx.Graph() != ann.GraphView(ring) {
-				t.Error("resident store does not answer Matrix/BaseGraph/Graph")
+			if full.BaseGraph() != ring || idx.Graph() != ann.GraphView(ring) {
+				t.Error("resident store does not answer BaseGraph/Graph")
 			}
 			if err := ann.Validate(idx.Search(data[7], 5), n); err != nil {
 				t.Error(err)
@@ -162,8 +158,8 @@ func TestGraphIndexNonResidentAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gi.Matrix() != nil || gi.BaseGraph() != nil {
-		t.Error("non-resident store answered Matrix/BaseGraph")
+	if _, resident := gi.Store().(*ann.KernelStore); resident || gi.BaseGraph() != nil {
+		t.Error("non-resident store answered as resident")
 	}
 	view := gi.Graph()
 	if view.Len() != 3 || view.Degree(0) != 2 || !reflect.DeepEqual(view.Neighbors(0), []uint32{1, 2}) {

@@ -97,6 +97,16 @@ func NewKernelStore(m vec.Metric, mat *vec.Matrix, g *graph.Graph, quantized boo
 	return &KernelStore{kern: kern, tkern: tkern, g: g}, nil
 }
 
+// FlatStore is the resident store of a flat family (exact, ivfpq): data
+// copied into a contiguous matrix under metric m, with an edgeless graph
+// — the shape a flat snapshot's blocks records decode to. The input
+// slices are not retained.
+func FlatStore(m vec.Metric, data []vec.Vector) *KernelStore {
+	mat := vec.NewMatrix(data)
+	kern := vec.NewKernel(m, mat)
+	return &KernelStore{kern: kern, tkern: kern, g: graph.New(mat.Rows())}
+}
+
 // Matrix returns the corpus matrix. Callers must not mutate it.
 func (s *KernelStore) Matrix() *vec.Matrix { return s.kern.Matrix() }
 

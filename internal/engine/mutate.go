@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"ndsearch/internal/ann"
 	"ndsearch/internal/snapshot"
 	"ndsearch/internal/vec"
 )
@@ -281,11 +282,11 @@ func (e *Engine) buildGeneration(oldGen *generation, capIDs []uint32, capVecs []
 	ids := make([]uint32, 0, oldGen.vectors+len(capIDs))
 	vecs := make([]vec.Vector, 0, oldGen.vectors+len(capIDs))
 	for _, sh := range oldGen.shards {
-		mx, ok := sh.index.(interface{ Matrix() *vec.Matrix })
+		store, ok := sh.index.Store().(*ann.KernelStore)
 		if !ok {
-			return nil, fmt.Errorf("engine: Compact: shard index %T exposes no corpus matrix", sh.index)
+			return nil, fmt.Errorf("engine: Compact: shard index %T is not resident", sh.index)
 		}
-		mat := mx.Matrix()
+		mat := store.Matrix()
 		for r := 0; r < mat.Rows(); r++ {
 			ext := oldGen.extID(sh.base + uint32(r))
 			if _, shadowed := slices.BinarySearch(drop, ext); shadowed {

@@ -228,15 +228,10 @@ func TestMutableEngineMatchesModel(t *testing.T) {
 
 // recordingIndex records the k and the presence of a skip predicate of
 // every shard search the engine runs through it. It keeps the wrapped
-// index's Matrix, which compaction reads the corpus back through.
+// index's Store, which compaction reads the corpus back through.
 type recordingIndex struct {
-	matrixIndex
-	rec *shardCalls
-}
-
-type matrixIndex interface {
 	ann.Index
-	Matrix() *vec.Matrix
+	rec *shardCalls
 }
 
 type shardCalls struct {
@@ -250,7 +245,7 @@ func (r recordingIndex) SearchFilter(q vec.Vector, k int, skip func(uint32) bool
 	r.rec.ks[k]++
 	r.rec.filtered[skip != nil]++
 	r.rec.mu.Unlock()
-	return r.matrixIndex.SearchFilter(q, k, skip)
+	return r.Index.SearchFilter(q, k, skip)
 }
 
 func (c *shardCalls) reset() {
@@ -280,7 +275,7 @@ func TestShardSearchesRunAtK(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return recordingIndex{matrixIndex: idx.(matrixIndex), rec: rec}, nil
+		return recordingIndex{Index: idx, rec: rec}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -60,14 +60,16 @@ func applyWrites(t *testing.T, e *Engine, d *dataset.Dataset, pureRead [][]ann.N
 
 // The engine-level beyond-RAM property: an engine loaded with a paged
 // serving mode answers SearchBatch byte-identically to the RAM load of
-// the same snapshot directory, for both graph shard algorithms and both
-// backends, while the page counters advance under the configured budget.
+// the same snapshot directory, for two graph shard algorithms and both
+// flat ones (a paged exact shard scans its records, a paged ivfpq shard
+// reads them to re-rank) on both backends, while the page counters
+// advance under the configured budget.
 // The same holds after the same writes land on every engine: the delta
 // merges over a paged base exactly as over a resident one. A paged
 // engine cannot compact; Compact fails without touching the generation,
 // the counters, or the directory, and the delta keeps serving.
 func TestEnginePagedServingByteIdentity(t *testing.T) {
-	for _, algo := range []string{"hnsw", "diskann"} {
+	for _, algo := range []string{"hnsw", "diskann", "exact", "ivfpq"} {
 		t.Run(algo, func(t *testing.T) {
 			e, d := buildTestEngine(t, algo, 3)
 			dir := t.TempDir()

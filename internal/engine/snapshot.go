@@ -24,14 +24,7 @@ import (
 // An engine directory has one layout, written by Save and by every
 // persisted compaction alike: a CURRENT pointer naming a gen-NNNNNN
 // subdirectory that holds the manifest and shard files (see
-// snapshot/generations.go). A directory saved in the older flat layout
-// (manifest and shard files at the top level) migrates by hand; see
-// migrateFlat.
-
-// migrateFlat is the one-line shell migration, run inside a directory
-// in the older flat layout, that makes it generation 0 of the one
-// layout.
-const migrateFlat = "mkdir gen-000000 && mv manifest.json shard-*.ndx gen-000000/ && echo gen-000000 > CURRENT"
+// snapshot/generations.go).
 
 // ManifestName is the manifest file written alongside the shard files.
 const ManifestName = "manifest.json"
@@ -218,8 +211,7 @@ type LoadOptions struct {
 	// (< 1 means GOMAXPROCS).
 	Workers int
 	// Serve selects the shard serving mode: ServeRAM (or empty),
-	// ServeMmap, or ServeReadAt. The paged modes serve the graph
-	// families only; exact and ivfpq shards load only in RAM.
+	// ServeMmap, or ServeReadAt. Every family serves in every mode.
 	Serve string
 	// CachePages bounds each paged shard's resident page cache
 	// (0 = snapshot.DefaultCachePages). Ignored for ServeRAM.
@@ -254,12 +246,15 @@ func Load(dir string, workers int) (*Engine, *Manifest, error) {
 }
 
 // LoadWithOptions is Load with a serving-mode choice. With a paged mode
-// (ServeMmap, ServeReadAt), each shard's navigation sections are
-// decoded resident while node records (vectors + adjacency) stay in the
-// file, traversed through a bounded per-shard page cache; the engine
-// then serves corpora larger than memory, with software page-touch and
-// fault counters exposed by Engine.PageStats. Paged results are
-// byte-identical to RAM serving of the same directory.
+// (ServeMmap, ServeReadAt), each shard's structure sections are decoded
+// resident while node records (vectors, plus adjacency for the graph
+// families) stay in the file, read through a bounded per-shard page
+// cache; the engine then serves corpora larger than memory, with
+// software page-touch and fault counters exposed by Engine.PageStats.
+// Every family serves paged: a graph shard traverses its records, an
+// exact shard scans them all, an ivfpq shard reads one only to re-rank
+// it. Paged results are byte-identical to RAM serving of the same
+// directory.
 //
 // A loaded engine accepts Upsert/Delete (the delta tier's metric comes
 // from the CRC-guarded shard files) and carries the shard builder
@@ -277,8 +272,8 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 		return nil, nil, fmt.Errorf("engine: load: %w", err)
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("engine: load: %s has no %s: %w (to migrate a directory in the older flat layout, run inside it: %s)",
-			dir, snapshot.CurrentName, fs.ErrNotExist, migrateFlat)
+		return nil, nil, fmt.Errorf("engine: load: %s has no %s: %w (re-run -save-index to write a snapshot there)",
+			dir, snapshot.CurrentName, fs.ErrNotExist)
 	}
 	genNum, err := snapshot.ParseGenerationName(genName)
 	if err != nil {
@@ -422,8 +417,8 @@ func checkShard(man *Manifest, i int, h snapshot.Header) error {
 // snapshot.OpenPagedFile, which walks the same sections but skips both
 // the whole-file CRC and the blocks payload's: reading the block image
 // up front is what paged serving exists to avoid, so serve-time record
-// damage is handled defensively by the paged store. The returned
-// shard's paged handle is nil in ServeRAM.
+// damage is handled defensively by the paged store. Both modes open
+// every family. The returned shard's paged handle is nil in ServeRAM.
 func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (shard, error) {
 	f := man.Files[i]
 	path := filepath.Join(dir, f.Name)

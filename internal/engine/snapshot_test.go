@@ -7,8 +7,8 @@ import (
 	"io/fs"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ndsearch/internal/dataset"
@@ -260,37 +260,15 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 		t.Fatal("missing directory must fail")
 	}
 
-	// The older flat layout (manifest and shard files at the top level)
-	// fails as not found, and loads after the documented migration.
-	mutated, _ = json.Marshal(&man)
-	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gen := filepath.Dir(manPath)
-	for _, name := range []string{ManifestName, "shard-0000.ndx", "shard-0001.ndx"} {
-		if err := os.Rename(filepath.Join(gen, name), filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Remove(gen); err != nil {
-		t.Fatal(err)
-	}
+	// A directory without CURRENT is not a snapshot: not found, with the
+	// way to write one.
 	if err := os.Remove(filepath.Join(dir, snapshot.CurrentName)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(dir, 2); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("flat layout: err = %v, want fs.ErrNotExist", err)
+	_, _, err = Load(dir, 2)
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "-save-index") {
+		t.Fatalf("no CURRENT: err = %v, want fs.ErrNotExist naming -save-index", err)
 	}
-	cmd := exec.Command("sh", "-c", migrateFlat)
-	cmd.Dir = dir
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("migration %q: %v\n%s", migrateFlat, err, out)
-	}
-	migrated, _, err := Load(dir, 2)
-	if err != nil {
-		t.Fatalf("load after migration: %v", err)
-	}
-	migrated.Close()
 }
 
 // Save without caller-supplied Meta still produces a loadable manifest

@@ -234,7 +234,7 @@ func (r *recordingStore) Neighbors(v uint32, buf []uint32) []uint32 {
 func TestGreedyClosestOneDistsPerHop(t *testing.T) {
 	idx, d := buildTestIndex(t, 600)
 	g := idx.Layers()[0]
-	store, err := ann.NewKernelStore(vec.L2, idx.Matrix(), g, false)
+	store, err := ann.NewKernelStore(vec.L2, idx.Store().(*ann.KernelStore).Matrix(), g, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestQuantizedDistancesAreExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kern := vec.NewKernel(c.Profile.Metric, x.Matrix())
+	kern := vec.NewKernel(c.Profile.Metric, x.Store().(*ann.KernelStore).Matrix())
 	for _, query := range c.Queries {
 		pq := kern.Prepare(query)
 		for _, r := range x.Search(query, 10) {

@@ -78,12 +78,15 @@ type Posting struct {
 	Code []uint8
 }
 
-// Index is a built IVF-PQ index. The raw corpus lives in a contiguous
-// vec.Matrix so exact re-ranking runs on the batched kernel path.
+// Index is a built IVF-PQ index. Centroids, codebooks and postings are
+// resident; the raw corpus is read through a NodeStore only to re-rank
+// the ADC shortlist exactly — a resident KernelStore when built or
+// loaded into RAM, a snapshot's paged store when served from a file
+// (DiskANN's split: codes in memory, a full vector read from its page
+// only to re-rank).
 type Index struct {
 	cfg       Config
-	mat       *vec.Matrix
-	kern      *vec.Kernel
+	store     ann.NodeStore
 	dim       int
 	segDim    int
 	coarse    []vec.Vector   // NList centroids
@@ -107,8 +110,7 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 			cfg.NProbe = cfg.NList
 		}
 	}
-	mat := vec.NewMatrix(data)
-	x := &Index{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), dim: dim, segDim: dim / cfg.Segments}
+	x := &Index{cfg: cfg, store: ann.FlatStore(cfg.Metric, data), dim: dim, segDim: dim / cfg.Segments}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	x.coarse = kMeans(data, cfg.NList, cfg.KMeansIters, rng)
 
@@ -145,15 +147,15 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 	return x, nil
 }
 
-// FromParts reassembles a built index from its serialized parts — the
-// snapshot warm-start path. No k-means training runs; searches on the
-// result are byte-identical to the index the parts came from (centroid,
-// codebook, and posting order are all preserved). All arguments are
-// retained.
-func FromParts(cfg Config, mat *vec.Matrix, coarse []vec.Vector, codebooks [][]vec.Vector, lists [][]Posting) (*Index, error) {
-	n, dim := mat.Rows(), mat.Dim()
+// FromParts reassembles a built index from its serialized parts over
+// the store holding its corpus rows — the snapshot path, resident or
+// paged. No k-means training runs; searches on the result are
+// byte-identical to the index the parts came from (centroid, codebook,
+// and posting order are all preserved). All arguments are retained.
+func FromParts(cfg Config, store ann.NodeStore, coarse []vec.Vector, codebooks [][]vec.Vector, lists [][]Posting) (*Index, error) {
+	n, dim := store.Len(), store.Dim()
 	if n == 0 {
-		return nil, fmt.Errorf("ivfpq: empty matrix")
+		return nil, fmt.Errorf("ivfpq: empty store")
 	}
 	if err := cfg.Validate(dim); err != nil {
 		return nil, err
@@ -199,7 +201,7 @@ func FromParts(cfg Config, mat *vec.Matrix, coarse []vec.Vector, codebooks [][]v
 		}
 	}
 	return &Index{
-		cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat),
+		cfg: cfg, store: store,
 		dim: dim, segDim: segDim,
 		coarse: coarse, codebooks: codebooks, lists: lists,
 	}, nil
@@ -306,7 +308,7 @@ func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]an
 	var st ScanStats
 	// The prepared query evaluates both the coarse ranking and the
 	// exact re-rank with the query preprocessed once.
-	pq := x.kern.Prepare(query)
+	pq := x.store.PrepareExact(query)
 	// ADC over probed lists with per-list lookup tables on the residual.
 	var cands []ann.Neighbor
 	probed := x.probed(&pq)
@@ -337,7 +339,7 @@ func (x *Index) search(query vec.Vector, k int, skip func(id uint32) bool) ([]an
 			top = len(cands)
 		}
 		for i := range cands[:top] {
-			cands[i].Dist = x.kern.DistTo(pq, int(cands[i].ID))
+			cands[i].Dist = x.store.DistExact(pq, cands[i].ID)
 			st.Reranked++
 		}
 		// Re-sort the full list: exact head distances and ADC tail
@@ -391,16 +393,10 @@ func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Que
 
 // Graph returns an edgeless view: an inverted-file scan has no
 // proximity graph (the same degenerate view ann.Exact reports).
-func (x *Index) Graph() ann.GraphView { return flatView{n: x.mat.Rows()} }
-
-type flatView struct{ n int }
-
-func (v flatView) Len() int                  { return v.n }
-func (v flatView) Neighbors(uint32) []uint32 { return nil }
-func (v flatView) Degree(uint32) int         { return 0 }
+func (x *Index) Graph() ann.GraphView { return ann.Edgeless(x.Len()) }
 
 // Len returns the number of indexed vectors.
-func (x *Index) Len() int { return x.mat.Rows() }
+func (x *Index) Len() int { return x.store.Len() }
 
 // NLists returns the coarse list count.
 func (x *Index) NLists() int { return len(x.lists) }
@@ -415,8 +411,8 @@ func (x *Index) Params() Config { return x.cfg }
 // Metric returns the distance metric the index searches under.
 func (x *Index) Metric() vec.Metric { return x.cfg.Metric }
 
-// Matrix returns the corpus store. Callers must not mutate it.
-func (x *Index) Matrix() *vec.Matrix { return x.mat }
+// Store returns the store the exact re-rank reads corpus rows from.
+func (x *Index) Store() ann.NodeStore { return x.store }
 
 // Coarse returns the coarse centroids. Owned by the index.
 func (x *Index) Coarse() []vec.Vector { return x.coarse }

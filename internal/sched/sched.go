@@ -7,6 +7,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"ndsearch/internal/luncsr"
@@ -159,15 +161,28 @@ func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, cfg SpeculateConfig) ma
 	if cfg.Budget <= 0 {
 		return nil
 	}
+	// Dense per-call tables over the layout's vertices — first-order
+	// membership and second-order connection counts — reset after each
+	// query through the first-order list and the touched list, so a
+	// query costs its own work, not a map per query.
+	n := layout.Len()
+	first := make([]bool, n)
+	counts := make([]int32, n)
+	var touched []uint32
+	type ranked struct {
+		v     uint32
+		count int32
+	}
+	var cands []ranked
 	out := make(map[int][]uint32, len(iters))
 	for _, qi := range iters {
-		first := make(map[uint32]bool, len(qi.Neighbors))
 		for _, v := range qi.Neighbors {
-			first[v] = true
+			if int(v) < n {
+				first[v] = true
+			}
 		}
-		counts := map[uint32]int{}
 		for _, v := range qi.Neighbors {
-			if int(v) >= layout.Len() {
+			if int(v) >= n {
 				continue
 			}
 			for _, w := range layout.Neighbors(v) {
@@ -177,26 +192,39 @@ func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, cfg SpeculateConfig) ma
 				if cfg.Visited != nil && cfg.Visited(qi.Query, w) {
 					continue
 				}
+				if counts[w] == 0 {
+					touched = append(touched, w)
+				}
 				counts[w]++
 			}
 		}
-		if len(counts) == 0 {
+		for _, v := range qi.Neighbors {
+			if int(v) < n {
+				first[v] = false
+			}
+		}
+		if len(touched) == 0 {
 			continue
 		}
-		cands := make([]uint32, 0, len(counts))
-		for w := range counts {
-			cands = append(cands, w)
+		cands = cands[:0]
+		for _, w := range touched {
+			cands = append(cands, ranked{v: w, count: counts[w]})
+			counts[w] = 0
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if counts[cands[i]] != counts[cands[j]] {
-				return counts[cands[i]] > counts[cands[j]]
+		touched = touched[:0]
+		// Most connections first, ties by vertex ID: a total order, so
+		// the kept prefix is deterministic.
+		slices.SortFunc(cands, func(a, b ranked) int {
+			if a.count != b.count {
+				return cmp.Compare(b.count, a.count)
 			}
-			return cands[i] < cands[j]
+			return cmp.Compare(a.v, b.v)
 		})
-		if len(cands) > cfg.Budget {
-			cands = cands[:cfg.Budget]
+		sel := make([]uint32, min(len(cands), cfg.Budget))
+		for i := range sel {
+			sel[i] = cands[i].v
 		}
-		out[qi.Query] = cands
+		out[qi.Query] = sel
 	}
 	return out
 }

@@ -153,7 +153,7 @@ func readBlocksSection(src source, off, n int64, crc uint32) (*blocksSection, er
 	return &blocksSection{meta: m, off: off, len: n, crc: crc}, nil
 }
 
-// prepareBlocks is what both serving paths check before a graph family's
+// prepareBlocks is what both serving paths check before a family's
 // node records are read, by Load (decodeBlocks) or served from the file
 // (OpenPagedFile): the file has a blocks section, its meta agrees with
 // the header, and an "sq8s" section is present exactly when the records

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ndsearch/internal/graph"
@@ -83,7 +84,7 @@ func openPagedBytes(t *testing.T, label string, img []byte) (pi *PagedIndex, err
 // image offset, bad meta CRC, and bad navigation-section CRC are each
 // discriminated, and none panics.
 func TestV3BlocksCorruptionTypedErrors(t *testing.T) {
-	for _, algo := range pagedAlgos {
+	for _, algo := range graphAlgos {
 		t.Run(algo, func(t *testing.T) {
 			good := snapshotOf(t, algo)
 			if _, err := loadBytes(t, "pristine", good); err != nil {
@@ -175,7 +176,8 @@ func TestV3ImageDamageServesDefensively(t *testing.T) {
 // "matrix" section, a blocks section whose records carry no neighbor
 // slots (maxDegree 0) and no SQ8 codes, searches identical to the built
 // index, and a re-save of the loaded index equal byte for byte. A flat
-// file whose records do carry adjacency is refused as ErrCorrupt.
+// file whose records do carry adjacency or SQ8 codes is refused as
+// ErrCorrupt by both entry points.
 func TestV3FlatFamiliesRoundTrip(t *testing.T) {
 	data := toKind(vec.U8, testData(60, 8, 9))
 	for _, algo := range []string{"exact", "ivfpq"} {
@@ -214,18 +216,46 @@ func TestV3FlatFamiliesRoundTrip(t *testing.T) {
 		}
 	}
 
-	// An exact file whose records carry a graph's adjacency.
-	built := buildFamily(t, "exact", vec.L2, testData(40, 8, 2))
-	mat := built.(interface{ Matrix() *vec.Matrix }).Matrix()
-	h := Header{Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()}
-	g := graph.New(mat.Rows())
-	g.SetNeighbors(0, []uint32{1})
-	b := &builder{}
-	b.add("algo", []byte("exact"))
-	if err := addBlocks(b, h, mat, g, vec.F32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBytes(t, "exact with adjacency", b.assemble(h)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("exact file with adjacency: err = %v, want ErrCorrupt", err)
+	// Flat files whose records carry a graph's adjacency or SQ8 codes
+	// (with the "sq8s" section codes require, so the flat-record rule is
+	// what refuses them).
+	flat := testData(40, 8, 2)
+	for _, algo := range []string{"exact", "ivfpq"} {
+		built := buildFamily(t, algo, vec.L2, flat)
+		for _, codes := range []bool{false, true} {
+			label := algo + " records with adjacency"
+			mat, g := vec.NewMatrix(flat), graph.New(len(flat))
+			h := Header{Algo: algo, Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()}
+			b := &builder{}
+			b.add("algo", []byte(algo))
+			if _, err := families[algo].save(built, b); err != nil {
+				t.Fatal(err)
+			}
+			if codes {
+				label = algo + " records with SQ8 codes"
+				mat.EnableSQ8()
+				if err := addSQ8Scales(b, mat, 0); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				g.SetNeighbors(0, []uint32{1})
+			}
+			if err := addBlocks(b, h, mat, g, vec.F32); err != nil {
+				t.Fatal(err)
+			}
+			img := b.assemble(h)
+			refused := func(entry string, err error) {
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "graph records") {
+					t.Errorf("%s: %s: err = %v, want ErrCorrupt from the flat-record rule", label, entry, err)
+				}
+			}
+			_, err := loadBytes(t, label, img)
+			refused("Load", err)
+			pi, err := openPagedBytes(t, label, img)
+			if err == nil {
+				pi.Close()
+			}
+			refused("OpenPagedFile", err)
+		}
 	}
 }

@@ -230,7 +230,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // file is a well-formed exact snapshot in every other respect.
 func TestLoadRejectsUnknownAlgo(t *testing.T) {
 	built := buildFamily(t, "exact", vec.L2, testData(40, 8, 2))
-	mat := built.(interface{ Matrix() *vec.Matrix }).Matrix()
+	mat := built.Store().(*ann.KernelStore).Matrix()
 	h := Header{Metric: vec.L2, Elem: vec.F32, Dim: mat.Dim(), Rows: mat.Rows()}
 	b := &builder{}
 	b.add("algo", []byte("flux-capacitor"))

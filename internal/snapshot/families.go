@@ -3,6 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/graph"
@@ -14,17 +15,17 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// This file holds the per-family codecs plus the shared vector-list /
-// graph codecs they compose; every family's corpus rows are Save's, in
-// the blocks section. Each graph family has one reconstruct function
-// (decode the pinned navigation sections, then the package's FromStore
-// over the given NodeStore) that serves both Load (a resident
-// ann.KernelStore over the decoded corpus) and OpenPagedFile (a
-// PagedStore over the file's blocks); the flat families hand their
-// decoded parts to ann.ExactFromMatrix / ivfpq.FromParts. The
-// reconstructors revalidate the family invariants; any violation is
-// reported as ErrCorrupt (the checksums held, so the structure itself
-// is wrong).
+// This file holds the per-family codecs plus the shared params /
+// vector-list / graph codecs they compose; every family's corpus rows
+// (and a graph family's SQ8 codes and base adjacency) are Save's, in
+// the blocks section. Each family is one codec: a save function that
+// queues its structure sections, and one reconstruct function (decode
+// those sections, then the package's constructor over the given
+// NodeStore) that serves both Load (a resident ann.KernelStore over the
+// decoded corpus) and OpenPagedFile (a PagedStore over the file's
+// blocks). The reconstructors revalidate the family invariants; any
+// violation is reported as ErrCorrupt (the checksums held, so the
+// structure itself is wrong).
 
 // corrupt wraps a reconstruction error as ErrCorrupt.
 func corrupt(err error) error {
@@ -121,57 +122,100 @@ func readGraph(d *dec, wantN int) (*graph.Graph, error) {
 	return g, nil
 }
 
+// ---- params ------------------------------------------------------------
+
+// Each family's "params" section is one list of field pointers in
+// on-disk order, stated once and shared by its save and reconstruct
+// functions, so the writer and the reader cannot disagree field by
+// field. An *int is a u32 range-checked to [0, MaxInt32] on read, an
+// *uint32 a raw u32 (an entry vertex, range-checked by the family), an
+// *int64 an i64, and a *float32 its IEEE bits.
+
+// writeParams appends the "params" section encoding fields in order.
+func writeParams(b *builder, fields ...any) error {
+	var e enc
+	for i, p := range fields {
+		switch p := p.(type) {
+		case *int:
+			e.u32(uint32(*p))
+		case *uint32:
+			e.u32(*p)
+		case *int64:
+			e.i64(*p)
+		case *float32:
+			e.f32(*p)
+		default:
+			return fmt.Errorf("%w: params field %d has type %T", ErrUnsupported, i, p)
+		}
+	}
+	b.add("params", e.b)
+	return nil
+}
+
+// readParams decodes the "params" section into fields, in order, and
+// requires the payload to be consumed exactly.
+func readParams(f *file, fields ...any) error {
+	payload, err := f.section("params")
+	if err != nil {
+		return err
+	}
+	d := &dec{b: payload}
+	for i, p := range fields {
+		switch p := p.(type) {
+		case *int:
+			*p = d.intn(math.MaxInt32, "params field "+strconv.Itoa(i))
+		case *uint32:
+			*p = d.u32()
+		case *int64:
+			*p = d.i64()
+		case *float32:
+			*p = d.f32()
+		default:
+			return fmt.Errorf("%w: params field %d has type %T", ErrUnsupported, i, p)
+		}
+	}
+	return d.done()
+}
+
+// ---- flat families ------------------------------------------------------
+
+// flatRecords is the flat families' record rule, checked on RAM load
+// and paged open alike: their blocks records carry no neighbor slots
+// and no SQ8 codes.
+func flatRecords(f *file) error {
+	if m := f.blocks.meta; m.maxDegree != 0 || m.quantized {
+		return fmt.Errorf("%w: %s blocks carry graph records (maxDegree %d, quantized %v)",
+			ErrCorrupt, f.header.Algo, m.maxDegree, m.quantized)
+	}
+	return nil
+}
+
 // ---- exact --------------------------------------------------------------
 
-func saveExact(idx ann.Index, _ *builder) (Header, *vec.Matrix, *graph.Graph, error) {
-	x := idx.(*ann.Exact)
-	return Header{Metric: x.Metric()}, x.Matrix(), nil, nil
-}
+// saveExact queues nothing: an exact index is its corpus rows.
+func saveExact(ann.Index, *builder) (Header, error) { return Header{}, nil }
 
-func loadExact(h Header, _ *file, mat *vec.Matrix) (ann.Index, error) {
-	return ann.ExactFromMatrix(h.Metric, mat), nil
-}
-
-// ---- graph families (shared) --------------------------------------------
-
-// errPaged rejects re-saving a paged index: its corpus and adjacency
-// live in snapshot blocks it does not own, so the original snapshot file
-// already is its serialized form.
-var errPaged = fmt.Errorf("%w: paged index cannot be re-saved; copy the snapshot file instead", ErrUnsupported)
-
-// saveGraph finishes a graph family's Saver once its navigation
-// sections are queued: it refuses a paged index, adds the scales-only
-// "sq8s" section when quantized, and reports the header fields (metric
-// and SQ8 mode; the rerank width is stored only beside the SQ8 tier)
-// plus the base adjacency Save packs into "blocks".
-func saveGraph(b *builder, g *ann.GraphIndex, quantized bool, rerank int) (Header, *vec.Matrix, *graph.Graph, error) {
-	mat, base := g.Matrix(), g.BaseGraph()
-	if mat == nil || base == nil {
-		return Header{}, nil, nil, errPaged
+func reconstructExact(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
+	if err := flatRecords(f); err != nil {
+		return nil, err
 	}
-	h := Header{Metric: g.Metric()}
-	if quantized {
-		if err := addSQ8Scales(b, mat, rerank); err != nil {
-			return Header{}, nil, nil, err
-		}
-		h.Quantized, h.Rerank = true, rerank
-	}
-	return h, mat, base, nil
+	return ann.ExactFromStore(h.Metric, store), nil
 }
 
 // ---- hnsw ---------------------------------------------------------------
 
-func saveHNSW(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
+// hnswParams is the hnsw "params" layout.
+func hnswParams(cfg *hnsw.Config, entry *uint32, maxLevel *int) []any {
+	return []any{&cfg.M, &cfg.EfConstruction, &cfg.EfSearch, &cfg.Seed, entry, maxLevel}
+}
+
+func saveHNSW(idx ann.Index, b *builder) (Header, error) {
 	x := idx.(*hnsw.Index)
 	cfg := x.Params()
-	var p enc
-	p.u32(uint32(cfg.M))
-	p.u32(uint32(cfg.EfConstruction))
-	p.u32(uint32(cfg.EfSearch))
-	p.i64(cfg.Seed)
-	p.u32(x.EntryPoint())
-	p.u32(uint32(x.MaxLevel()))
-	b.add("params", p.b)
+	entry, maxLevel := x.EntryPoint(), x.MaxLevel()
+	if err := writeParams(b, hnswParams(&cfg, &entry, &maxLevel)...); err != nil {
+		return Header{}, err
+	}
 
 	var lv enc
 	levels := x.Levels()
@@ -190,30 +234,17 @@ func saveHNSW(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, err
 		writeGraph(&lg, g)
 	}
 	b.add("layers", lg.b)
-	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
+	return Header{Quantized: cfg.Quantized, Rerank: cfg.Rerank}, nil
 }
 
 // reconstructHNSW decodes the pinned hnsw navigation sections — params,
 // per-node levels, and the serialized layer list — and assembles the
 // index over store.
 func reconstructHNSW(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
-	p, err := f.section("params")
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: p}
-	cfg := hnsw.Config{
-		M:              d.intn(math.MaxInt32, "M"),
-		EfConstruction: d.intn(math.MaxInt32, "efConstruction"),
-		EfSearch:       d.intn(math.MaxInt32, "efSearch"),
-		Metric:         h.Metric,
-		Quantized:      h.Quantized,
-		Rerank:         h.Rerank,
-	}
-	cfg.Seed = d.i64()
-	entry := d.u32()
-	maxLevel := d.intn(math.MaxInt32, "maxLevel")
-	if err := d.done(); err != nil {
+	cfg := hnsw.Config{Metric: h.Metric, Quantized: h.Quantized, Rerank: h.Rerank}
+	var entry uint32
+	var maxLevel int
+	if err := readParams(f, hnswParams(&cfg, &entry, &maxLevel)...); err != nil {
 		return nil, err
 	}
 
@@ -221,7 +252,7 @@ func reconstructHNSW(h Header, f *file, store ann.NodeStore) (ann.Index, error) 
 	if err != nil {
 		return nil, err
 	}
-	d = &dec{b: lp}
+	d := &dec{b: lp}
 	levels := make([]int, d.intn(len(lp), "level count"))
 	for i := range levels {
 		levels[i] = d.intn(math.MaxInt32, "level")
@@ -251,38 +282,23 @@ func reconstructHNSW(h Header, f *file, store ann.NodeStore) (ann.Index, error) 
 
 // ---- vamana / diskann ---------------------------------------------------
 
-func saveVamana(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
+// vamanaParams is the diskann "params" layout.
+func vamanaParams(cfg *vamana.Config, medoid *uint32) []any {
+	return []any{&cfg.R, &cfg.L, &cfg.LSearch, &cfg.Alpha, &cfg.Seed, medoid}
+}
+
+func saveVamana(idx ann.Index, b *builder) (Header, error) {
 	x := idx.(*vamana.Index)
 	cfg := x.Params()
-	var p enc
-	p.u32(uint32(cfg.R))
-	p.u32(uint32(cfg.L))
-	p.u32(uint32(cfg.LSearch))
-	p.f32(cfg.Alpha)
-	p.i64(cfg.Seed)
-	p.u32(x.Medoid())
-	b.add("params", p.b)
-	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
+	medoid := x.Medoid()
+	err := writeParams(b, vamanaParams(&cfg, &medoid)...)
+	return Header{Quantized: cfg.Quantized, Rerank: cfg.Rerank}, err
 }
 
 func reconstructVamana(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
-	p, err := f.section("params")
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: p}
-	cfg := vamana.Config{
-		R:         d.intn(math.MaxInt32, "R"),
-		L:         d.intn(math.MaxInt32, "L"),
-		LSearch:   d.intn(math.MaxInt32, "LSearch"),
-		Metric:    h.Metric,
-		Quantized: h.Quantized,
-		Rerank:    h.Rerank,
-	}
-	cfg.Alpha = d.f32()
-	cfg.Seed = d.i64()
-	medoid := d.u32()
-	if err := d.done(); err != nil {
+	cfg := vamana.Config{Metric: h.Metric, Quantized: h.Quantized, Rerank: h.Rerank}
+	var medoid uint32
+	if err := readParams(f, vamanaParams(&cfg, &medoid)...); err != nil {
 		return nil, err
 	}
 	x, err := vamana.FromStore(cfg, store, medoid)
@@ -291,38 +307,23 @@ func reconstructVamana(h Header, f *file, store ann.NodeStore) (ann.Index, error
 
 // ---- hcnng --------------------------------------------------------------
 
-func saveHCNNG(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
+// hcnngParams is the hcnng "params" layout.
+func hcnngParams(cfg *hcnng.Config, entry *uint32) []any {
+	return []any{&cfg.Clusterings, &cfg.LeafSize, &cfg.MaxDegree, &cfg.LSearch, &cfg.Seed, entry}
+}
+
+func saveHCNNG(idx ann.Index, b *builder) (Header, error) {
 	x := idx.(*hcnng.Index)
 	cfg := x.Params()
-	var p enc
-	p.u32(uint32(cfg.Clusterings))
-	p.u32(uint32(cfg.LeafSize))
-	p.u32(uint32(cfg.MaxDegree))
-	p.u32(uint32(cfg.LSearch))
-	p.i64(cfg.Seed)
-	p.u32(x.Entry())
-	b.add("params", p.b)
-	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
+	entry := x.Entry()
+	err := writeParams(b, hcnngParams(&cfg, &entry)...)
+	return Header{Quantized: cfg.Quantized, Rerank: cfg.Rerank}, err
 }
 
 func reconstructHCNNG(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
-	p, err := f.section("params")
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: p}
-	cfg := hcnng.Config{
-		Clusterings: d.intn(math.MaxInt32, "clusterings"),
-		LeafSize:    d.intn(math.MaxInt32, "leafSize"),
-		MaxDegree:   d.intn(math.MaxInt32, "maxDegree"),
-		LSearch:     d.intn(math.MaxInt32, "LSearch"),
-		Metric:      h.Metric,
-		Quantized:   h.Quantized,
-		Rerank:      h.Rerank,
-	}
-	cfg.Seed = d.i64()
-	entry := d.u32()
-	if err := d.done(); err != nil {
+	cfg := hcnng.Config{Metric: h.Metric, Quantized: h.Quantized, Rerank: h.Rerank}
+	var entry uint32
+	if err := readParams(f, hcnngParams(&cfg, &entry)...); err != nil {
 		return nil, err
 	}
 	x, err := hcnng.FromStore(cfg, store, entry)
@@ -331,17 +332,18 @@ func reconstructHCNNG(h Header, f *file, store ann.NodeStore) (ann.Index, error)
 
 // ---- togg ---------------------------------------------------------------
 
-func saveTOGG(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
+// toggParams is the togg "params" layout.
+func toggParams(cfg *togg.Config, entry *uint32) []any {
+	return []any{&cfg.K, &cfg.GuideDims, &cfg.GuideHops, &cfg.LSearch, &cfg.Seed, entry}
+}
+
+func saveTOGG(idx ann.Index, b *builder) (Header, error) {
 	x := idx.(*togg.Index)
 	cfg := x.Params()
-	var p enc
-	p.u32(uint32(cfg.K))
-	p.u32(uint32(cfg.GuideDims))
-	p.u32(uint32(cfg.GuideHops))
-	p.u32(uint32(cfg.LSearch))
-	p.i64(cfg.Seed)
-	p.u32(x.Entry())
-	b.add("params", p.b)
+	entry := x.Entry()
+	if err := writeParams(b, toggParams(&cfg, &entry)...); err != nil {
+		return Header{}, err
+	}
 	var gd enc
 	dims := x.GuideDims()
 	gd.u32(uint32(len(dims)))
@@ -349,36 +351,22 @@ func saveTOGG(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, err
 		gd.u32(uint32(dim))
 	}
 	b.add("guide", gd.b)
-	return saveGraph(b, &x.GraphIndex, cfg.Quantized, cfg.Rerank)
+	return Header{Quantized: cfg.Quantized, Rerank: cfg.Rerank}, nil
 }
 
 // reconstructTOGG decodes the togg params and guide-dimension sections
 // and assembles the index over store.
 func reconstructTOGG(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
-	p, err := f.section("params")
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: p}
-	cfg := togg.Config{
-		K:         d.intn(math.MaxInt32, "K"),
-		GuideDims: d.intn(math.MaxInt32, "guideDims"),
-		GuideHops: d.intn(math.MaxInt32, "guideHops"),
-		LSearch:   d.intn(math.MaxInt32, "LSearch"),
-		Metric:    h.Metric,
-		Quantized: h.Quantized,
-		Rerank:    h.Rerank,
-	}
-	cfg.Seed = d.i64()
-	entry := d.u32()
-	if err := d.done(); err != nil {
+	cfg := togg.Config{Metric: h.Metric, Quantized: h.Quantized, Rerank: h.Rerank}
+	var entry uint32
+	if err := readParams(f, toggParams(&cfg, &entry)...); err != nil {
 		return nil, err
 	}
 	gp, err := f.section("guide")
 	if err != nil {
 		return nil, err
 	}
-	d = &dec{b: gp}
+	d := &dec{b: gp}
 	dims := make([]int, d.intn(len(gp), "guide dim count"))
 	for i := range dims {
 		dims[i] = d.intn(math.MaxInt32, "guide dim")
@@ -392,18 +380,17 @@ func reconstructTOGG(h Header, f *file, store ann.NodeStore) (ann.Index, error) 
 
 // ---- ivfpq --------------------------------------------------------------
 
-func saveIVFPQ(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error) {
+// ivfpqParams is the ivfpq "params" layout.
+func ivfpqParams(cfg *ivfpq.Config) []any {
+	return []any{&cfg.NList, &cfg.NProbe, &cfg.Segments, &cfg.CodeBits, &cfg.Rerank, &cfg.KMeansIters, &cfg.Seed}
+}
+
+func saveIVFPQ(idx ann.Index, b *builder) (Header, error) {
 	x := idx.(*ivfpq.Index)
 	cfg := x.Params()
-	var p enc
-	p.u32(uint32(cfg.NList))
-	p.u32(uint32(cfg.NProbe))
-	p.u32(uint32(cfg.Segments))
-	p.u32(uint32(cfg.CodeBits))
-	p.u32(uint32(cfg.Rerank))
-	p.u32(uint32(cfg.KMeansIters))
-	p.i64(cfg.Seed)
-	b.add("params", p.b)
+	if err := writeParams(b, ivfpqParams(&cfg)...); err != nil {
+		return Header{}, err
+	}
 
 	var co enc
 	writeVectors(&co, x.Coarse())
@@ -428,26 +415,15 @@ func saveIVFPQ(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, er
 		}
 	}
 	b.add("lists", li.b)
-	return Header{Metric: cfg.Metric}, x.Matrix(), nil, nil
+	return Header{}, nil
 }
 
-func loadIVFPQ(h Header, f *file, mat *vec.Matrix) (ann.Index, error) {
-	p, err := f.section("params")
-	if err != nil {
+func reconstructIVFPQ(h Header, f *file, store ann.NodeStore) (ann.Index, error) {
+	if err := flatRecords(f); err != nil {
 		return nil, err
 	}
-	d := &dec{b: p}
-	cfg := ivfpq.Config{
-		NList:       d.intn(math.MaxInt32, "nlist"),
-		NProbe:      d.intn(math.MaxInt32, "nprobe"),
-		Segments:    d.intn(math.MaxInt32, "segments"),
-		CodeBits:    d.intn(math.MaxInt32, "code bits"),
-		Rerank:      d.intn(math.MaxInt32, "rerank"),
-		KMeansIters: d.intn(math.MaxInt32, "kmeans iters"),
-		Metric:      h.Metric,
-	}
-	cfg.Seed = d.i64()
-	if err := d.done(); err != nil {
+	cfg := ivfpq.Config{Metric: h.Metric}
+	if err := readParams(f, ivfpqParams(&cfg)...); err != nil {
 		return nil, err
 	}
 
@@ -455,7 +431,7 @@ func loadIVFPQ(h Header, f *file, mat *vec.Matrix) (ann.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	d = &dec{b: cop}
+	d := &dec{b: cop}
 	coarse := readVectors(d)
 	if err := d.done(); err != nil {
 		return nil, err
@@ -484,8 +460,8 @@ func loadIVFPQ(h Header, f *file, mat *vec.Matrix) (ann.Index, error) {
 		list := make([]ivfpq.Posting, d.intn(len(lip), "posting count"))
 		for j := range list {
 			id := d.u32()
-			if d.err == nil && int(id) >= mat.Rows() {
-				return nil, fmt.Errorf("%w: posting id %d out of range %d", ErrCorrupt, id, mat.Rows())
+			if d.err == nil && int(id) >= store.Len() {
+				return nil, fmt.Errorf("%w: posting id %d out of range %d", ErrCorrupt, id, store.Len())
 			}
 			code := d.bytes(cfg.Segments)
 			if d.err != nil {
@@ -499,6 +475,6 @@ func loadIVFPQ(h Header, f *file, mat *vec.Matrix) (ann.Index, error) {
 		return nil, err
 	}
 
-	x, err := ivfpq.FromParts(cfg, mat, coarse, books, lists)
+	x, err := ivfpq.FromParts(cfg, store, coarse, books, lists)
 	return x, corrupt(err)
 }

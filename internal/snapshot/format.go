@@ -51,7 +51,7 @@ import (
 //	   exact/ivfpq keep the flat "matrix" section.
 //	4  one corpus encoding: exact and ivfpq write their rows as blocks
 //	   records too, with no neighbor slots (maxDegree 0), and the
-//	   "matrix" section is gone. Only the graph families serve paged.
+//	   "matrix" section is gone.
 //
 // This build reads exactly version 4. Nothing writes versions 1 to 3
 // any more, and a snapshot is a build cache that a rebuild reproduces,
@@ -298,8 +298,8 @@ func sectionCRC(name string, payload []byte) uint32 {
 }
 
 // open walks src and looks up the family its "algo" section names. The
-// lookup comes before anything family-specific, so what a file is (a
-// flat family, an unknown algo) is reported before what it lacks.
+// lookup comes before anything family-specific, so what a file is (an
+// unknown algo) is reported before what it lacks.
 func open(src source, size int64) (*file, family, error) {
 	f, err := parse(src, size)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ndsearch/internal/ann"
 	"ndsearch/internal/vec"
 )
 
@@ -13,12 +14,13 @@ import (
 // bytes written to a temp file. Seeds are valid saves: for every graph
 // family a quantized file (blocks + sq8s sections), a full-precision one
 // (blocks, no sq8s), and the quantized one labelled as a past version;
-// plus a flat-family file (blocks records without neighbor slots). (The
-// name predates the paged entry point; it covers the whole reader now.)
-// The contract under test is the package's error discipline, the same
-// for both: success or one of the six typed errors — never a panic,
-// never an undiscriminated error. OpenPagedFile may also refuse an
-// intact flat family as ErrUnsupported.
+// plus the flat-family files (blocks records without neighbor slots).
+// (The name predates the paged entry point; it covers the whole reader
+// now.) The contract under test is the package's error discipline, the
+// same for both: success or one of the six typed errors — never a
+// panic, never an undiscriminated error. Each index either entry point
+// opens runs one search, so a paged traversal, flat scan or re-rank
+// over damaged records runs too.
 func FuzzLoadQuantized(f *testing.F) {
 	data := testData(60, 8, 17)
 	for _, algo := range quantAlgos {
@@ -37,6 +39,7 @@ func FuzzLoadQuantized(f *testing.F) {
 	f.Add(snapshotOf(f, "ivfpq"))
 	f.Add([]byte{})
 	f.Add([]byte("NDSS"))
+	f.Add(snapshotOf(f, "exact"))
 
 	typed := []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrCorrupt, ErrMisaligned}
 	requireTyped := func(t *testing.T, entry string, err error, allowed []error) {
@@ -47,6 +50,9 @@ func FuzzLoadQuantized(f *testing.F) {
 		}
 		t.Fatalf("%s returned untyped error: %v", entry, err)
 	}
+	search := func(idx ann.Index) {
+		_ = idx.Search(make(vec.Vector, idx.Store().Dim()), 5)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		idx, err := loadBytes(t, "Load", in)
 		if err == nil && idx == nil {
@@ -54,12 +60,15 @@ func FuzzLoadQuantized(f *testing.F) {
 		}
 		if err != nil {
 			requireTyped(t, "Load", err, typed)
+		} else {
+			search(idx)
 		}
 		pi, err := openPagedBytes(t, "OpenPagedFile", in)
 		if err != nil {
-			requireTyped(t, "OpenPagedFile", err, append(typed, ErrUnsupported))
+			requireTyped(t, "OpenPagedFile", err, typed)
 			return
 		}
-		pi.Close()
+		defer pi.Close()
+		search(pi.Index())
 	})
 }

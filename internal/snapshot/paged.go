@@ -10,13 +10,14 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// This file is the beyond-RAM serving path: a NodeStore that traverses
-// a graph-family snapshot's page-aligned blocks section directly from
-// the file, keeping only the pinned navigation set (params, upper HNSW
-// layers, entry points, SQ8 scales) and a small bounded page cache
-// resident. Bytes come from an mmap of the file where the platform
-// supports it, with a sectioned-ReadAt backend as the fallback; both
-// feed the same bounded cache, so the software page-touch and
+// This file is the beyond-RAM serving path: a NodeStore that reads a
+// snapshot's page-aligned blocks section directly from the file,
+// keeping only the pinned structure sections (params, upper HNSW
+// layers, entry points, SQ8 scales, ivfpq's centroids, codebooks and
+// postings) and a small bounded page cache resident. Bytes come from
+// an mmap of the file where the platform supports it, with a
+// sectioned-ReadAt backend as the fallback; both feed the same
+// bounded cache, so the software page-touch and
 // page-fault counters are backend-independent and comparable to the
 // searssd cost model's page-read predictions.
 //
@@ -483,10 +484,13 @@ func (p *PagedIndex) Close() error {
 	return err
 }
 
-// OpenPagedFile opens a graph-family snapshot for beyond-RAM serving:
-// navigation sections resident, node records traversed through a
-// bounded page cache over mmap (or positioned reads). The returned
-// index serves searches byte-identical to LoadFile of the same file.
+// OpenPagedFile opens a snapshot of any family for beyond-RAM serving:
+// structure sections resident, node records read through a bounded
+// page cache over mmap (or positioned reads). The returned index serves
+// searches byte-identical to LoadFile of the same file. A graph family
+// traverses its records; exact scans every record; ivfpq keeps its
+// centroids, codebooks and postings resident and reads a record only to
+// re-rank it.
 //
 // The file is walked with Load's parser through positioned reads, so
 // both entry points check the header, the frames, every navigation
@@ -494,7 +498,6 @@ func (p *PagedIndex) Close() error {
 // same typed errors. What it skips is the blocks payload's CRC: reading
 // the whole node image up front is what paged serving exists to avoid,
 // so image damage degrades searches defensively instead (PagedStore).
-// A flat family (exact, ivfpq) is ErrUnsupported.
 func OpenPagedFile(path string, opts PagedOptions) (*PagedIndex, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -517,9 +520,6 @@ func openPaged(fh *os.File, opts PagedOptions) (*PagedIndex, error) {
 	f, fam, err := open(fileSource{fh}, size)
 	if err != nil {
 		return nil, err
-	}
-	if fam.reconstruct == nil {
-		return nil, fmt.Errorf("%w: algo %q has no paged serving mode", ErrUnsupported, f.header.Algo)
 	}
 	meta, scales, err := f.prepareBlocks()
 	if err != nil {

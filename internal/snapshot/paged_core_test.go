@@ -229,7 +229,7 @@ func TestPageCacheSecondFillKeepsFirstBuffer(t *testing.T) {
 // resident graph.
 func TestPagedScratchDoesNotAliasResidentGraph(t *testing.T) {
 	const n, dim = 260, 12
-	for _, algo := range pagedAlgos {
+	for _, algo := range graphAlgos {
 		t.Run(algo, func(t *testing.T) {
 			path := savedSnapshot(t, buildFamily(t, algo, vec.L2, testData(n, dim, 7)), vec.F32)
 			queries := testQueries(12, dim, 99)

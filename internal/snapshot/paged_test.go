@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,9 +13,9 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// pagedAlgos is the family set with a paged serving mode, in a fixed
-// order for deterministic subtest names.
-var pagedAlgos = []string{"hnsw", "diskann", "hcnng", "togg"}
+// graphAlgos are the graph-traversal families, in a fixed order for
+// deterministic subtest names.
+var graphAlgos = []string{"hnsw", "diskann", "hcnng", "togg"}
 
 func savedSnapshot(t testing.TB, idx ann.Index, elem vec.ElemKind) string {
 	t.Helper()
@@ -51,16 +52,19 @@ func toKind(kind vec.ElemKind, vs []vec.Vector) []vec.Vector {
 
 // The acceptance property: a paged (beyond-RAM) index returns results
 // byte-identical to the in-RAM load of the same snapshot, across all
-// four graph families, every metric each supports, full-precision and
-// quantized, every at-rest element kind, multiple k, and both byte
-// backends — with a cache far smaller than the image so eviction is
-// actually exercised.
+// six families, every metric each supports, full-precision and (graph
+// families) quantized, every at-rest element kind, multiple k, and both
+// byte backends — with a cache far smaller than the image so eviction
+// is actually exercised.
 func TestPagedByteIdentity(t *testing.T) {
 	const n, dim = 260, 12
-	for _, algo := range pagedAlgos {
+	for _, algo := range append(slices.Clone(graphAlgos), "exact", "ivfpq") {
 		for _, m := range metricsOf(algo) {
 			for _, kind := range atRestKinds {
 				for _, quantized := range []bool{false, true} {
+					if quantized && !slices.Contains(quantAlgos, algo) {
+						continue
+					}
 					name := algo + "/" + m.String() + "/" + kind.String()
 					if quantized {
 						name += "/sq8"
@@ -176,25 +180,12 @@ func TestPagedIndexResaveRejected(t *testing.T) {
 	}
 }
 
-// Flat families' blocks records carry no adjacency to traverse; the
-// paged opener refuses an intact one as ErrUnsupported rather than a
-// structural parse failure.
-func TestPagedOpenRejectsFlatFamilies(t *testing.T) {
-	for _, algo := range []string{"exact", "ivfpq"} {
-		built := buildFamily(t, algo, metricsOf(algo)[0], testData(60, 8, 3))
-		path := savedSnapshot(t, built, vec.F32)
-		if _, err := OpenPagedFile(path, PagedOptions{}); !errors.Is(err, ErrUnsupported) {
-			t.Errorf("paged open of an %s snapshot: err = %v, want ErrUnsupported", algo, err)
-		}
-	}
-}
-
 // Past-version files are refused by their version, not parsed: a
 // current image relabelled version 2 under a valid header CRC fails both
 // entry points with ErrVersion naming the version, for every graph
 // family.
 func TestPagedOpenRejectsLegacyFiles(t *testing.T) {
-	for _, algo := range pagedAlgos {
+	for _, algo := range graphAlgos {
 		img := withVersion(snapshotOf(t, algo), 2)
 		want := func(entry string, err error) {
 			if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") {

@@ -60,19 +60,20 @@ func buildQuantFamily(tb testing.TB, algo string, m vec.Metric, data []vec.Vecto
 // quantParams extracts the quantization mode a loaded index reports.
 func quantParams(tb testing.TB, idx ann.Index) (quantized bool, rerank int, mat *vec.Matrix) {
 	tb.Helper()
+	mat = idx.Store().(*ann.KernelStore).Matrix()
 	switch x := idx.(type) {
 	case *hnsw.Index:
 		cfg := x.Params()
-		return cfg.Quantized, cfg.Rerank, x.Matrix()
+		return cfg.Quantized, cfg.Rerank, mat
 	case *vamana.Index:
 		cfg := x.Params()
-		return cfg.Quantized, cfg.Rerank, x.Matrix()
+		return cfg.Quantized, cfg.Rerank, mat
 	case *hcnng.Index:
 		cfg := x.Params()
-		return cfg.Quantized, cfg.Rerank, x.Matrix()
+		return cfg.Quantized, cfg.Rerank, mat
 	case *togg.Index:
 		cfg := x.Params()
-		return cfg.Quantized, cfg.Rerank, x.Matrix()
+		return cfg.Quantized, cfg.Rerank, mat
 	default:
 		tb.Fatalf("no quant params for index type %T", idx)
 		return false, 0, nil

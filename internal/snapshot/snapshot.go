@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"ndsearch/internal/ann"
-	"ndsearch/internal/graph"
 	"ndsearch/internal/hcnng"
 	"ndsearch/internal/hnsw"
 	"ndsearch/internal/ivfpq"
@@ -62,9 +61,9 @@ var (
 	// that is not page-aligned, so the file cannot be page-served.
 	ErrMisaligned = errors.New("snapshot: misaligned block image")
 	// ErrUnsupported means the operation is valid for some snapshots
-	// but not this one: re-saving a paged index, paged-serving a flat
-	// family, an unknown serving backend, a quantized section on an
-	// index whose matrix has no SQ8 tier.
+	// but not this one: re-saving a paged index, an unknown serving
+	// backend, a quantized section on an index whose matrix has no SQ8
+	// tier.
 	ErrUnsupported = errors.New("snapshot: unsupported operation")
 	// ErrBadInput means the in-memory index handed to Save cannot be
 	// encoded as requested: empty corpus, graph/corpus length
@@ -73,30 +72,24 @@ var (
 	ErrBadInput = errors.New("snapshot: invalid input")
 )
 
-// Saver appends a family's structure sections to the file under
-// construction and reports the header fields only the family knows
-// (metric, SQ8 mode) plus the corpus matrix and, for the graph
-// families, the base-layer adjacency. Save packs the rows and that
-// adjacency into the page-aligned "blocks" section; a flat family
-// (exact, ivfpq) returns a nil graph and its records carry no
-// neighbors. The "algo" section, and the header's algo, element kind,
-// and shape, are Save's own.
-type Saver func(idx ann.Index, b *builder) (Header, *vec.Matrix, *graph.Graph, error)
+// Saver appends a family's structure sections (its "params" and
+// navigation sections) to the file under construction and reports the
+// SQ8 mode, the one header field only the family knows: Quantized and
+// the rerank width stored beside the SQ8 tier. Everything else is
+// Save's own: the "algo" section, the header's algo, metric, element
+// kind and shape, the "sq8s" section, and the page-aligned "blocks"
+// section packing the corpus rows, SQ8 codes and base adjacency it
+// takes from the index's store.
+type Saver func(idx ann.Index, b *builder) (Header, error)
 
-// Loader rebuilds a flat family (exact, ivfpq) from a parsed file. mat
-// is the corpus matrix already decoded from the file's blocks records.
-type Loader func(h Header, f *file, mat *vec.Matrix) (ann.Index, error)
-
-// family couples one algo name to its codecs. A graph-traversal family
-// sets reconstruct instead of load: the one function that rebuilds it
-// from the file's pinned navigation sections over a NodeStore, whether
-// Load hands it a resident store or OpenPagedFile a paged one. Every
-// family's corpus rows (and a graph family's SQ8 codes and base
-// adjacency) live in the page-aligned "blocks" section; only the graph
-// families serve it paged.
+// family is one algo's codec: save queues its structure sections, and
+// reconstruct rebuilds the index from them over a NodeStore holding
+// its records — a resident store from Load, a paged one from
+// OpenPagedFile. Every family's corpus rows (and a graph family's SQ8
+// codes and base adjacency) live in the page-aligned "blocks" section,
+// so every family serves in every mode.
 type family struct {
 	save        Saver
-	load        Loader
 	reconstruct func(h Header, f *file, store ann.NodeStore) (ann.Index, error)
 }
 
@@ -104,13 +97,18 @@ type family struct {
 // the file's "algo" section. Names match engine.BuilderByName where
 // both exist ("diskann" is the Vamana graph).
 var families = map[string]family{
-	"exact":   {save: saveExact, load: loadExact},
+	"exact":   {save: saveExact, reconstruct: reconstructExact},
 	"hnsw":    {save: saveHNSW, reconstruct: reconstructHNSW},
 	"diskann": {save: saveVamana, reconstruct: reconstructVamana},
 	"hcnng":   {save: saveHCNNG, reconstruct: reconstructHCNNG},
 	"togg":    {save: saveTOGG, reconstruct: reconstructTOGG},
-	"ivfpq":   {save: saveIVFPQ, load: loadIVFPQ},
+	"ivfpq":   {save: saveIVFPQ, reconstruct: reconstructIVFPQ},
 }
+
+// errPaged rejects re-saving a paged index: its corpus and adjacency
+// live in snapshot blocks it does not own, so the original snapshot file
+// already is its serialized form.
+var errPaged = fmt.Errorf("%w: paged index cannot be re-saved; copy the snapshot file instead", ErrUnsupported)
 
 // Algos returns the registered family names.
 func Algos() []string {
@@ -147,27 +145,33 @@ func Detect(idx ann.Index) (string, error) {
 // at-rest element kind of the corpus matrix (vec.F32 is always
 // lossless; U8/I8 shrink the file 4x but are rejected unless every
 // stored component is representable, so a reload can never silently
-// change search results).
+// change search results). Only a resident index saves: a paged one
+// (whose store is not an *ann.KernelStore) is refused with
+// ErrUnsupported.
 func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) (Header, error) {
 	algo, err := Detect(idx)
 	if err != nil {
 		return Header{}, err
 	}
-	fam := families[algo]
+	store, ok := idx.Store().(*ann.KernelStore)
+	if !ok || store.BaseGraph() == nil {
+		return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, errPaged)
+	}
+	mat := store.Matrix()
 	b := &builder{}
 	b.add("algo", []byte(algo))
-	h, mat, base, err := fam.save(idx, b)
-	if err != nil {
-		return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
-	}
-	h.Algo, h.Elem, h.Dim, h.Rows = algo, elem, mat.Dim(), mat.Rows()
-	if base == nil {
-		base = graph.New(mat.Rows()) // flat family: records without neighbors
+	h, err := families[algo].save(idx, b)
+	h.Algo, h.Metric, h.Elem, h.Dim, h.Rows = algo, idx.Metric(), elem, mat.Dim(), mat.Rows()
+	if err == nil && h.Quantized {
+		err = addSQ8Scales(b, mat, h.Rerank)
 	}
 	// Corpus rows, codes, and base adjacency co-locate in the
 	// page-aligned "blocks" section, written last so its node image can
 	// sit at a page boundary computed from everything that precedes it.
-	if err := addBlocks(b, h, mat, base, elem); err != nil {
+	if err == nil {
+		err = addBlocks(b, h, mat, store.BaseGraph(), elem)
+	}
+	if err != nil {
 		return Header{}, fmt.Errorf("snapshot: save %s: %w", algo, err)
 	}
 	if _, err := w.Write(b.assemble(h)); err != nil {
@@ -206,14 +210,6 @@ func loadImage(data []byte) (ann.Index, Header, error) {
 	mat, base, err := decodeBlocks(f, data)
 	if err != nil {
 		return nil, Header{}, err
-	}
-	if fam.reconstruct == nil {
-		if m := f.blocks.meta; m.maxDegree != 0 || m.quantized {
-			return nil, Header{}, fmt.Errorf("%w: %s blocks carry graph records (maxDegree %d, quantized %v)",
-				ErrCorrupt, f.header.Algo, m.maxDegree, m.quantized)
-		}
-		idx, err := fam.load(f.header, f, mat)
-		return idx, f.header, err
 	}
 	store, err := ann.NewKernelStore(f.header.Metric, mat, base, f.header.Quantized)
 	if err != nil {
