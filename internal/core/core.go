@@ -95,9 +95,6 @@ func (s SchedConfig) Label() string {
 type Config struct {
 	Params searssd.Params
 	Sched  SchedConfig
-	// SpecBudget bounds per-query speculative prefetch (ignored unless
-	// Sched.Speculative).
-	SpecBudget int
 	// Seed drives the random-BFS ordering when selected.
 	Seed int64
 	// Injector, when set, replaces the deterministic expected-ECC model
@@ -109,8 +106,12 @@ type Config struct {
 
 // DefaultConfig returns the full system with paper parameters.
 func DefaultConfig() Config {
-	return Config{Params: searssd.DefaultParams(), Sched: FullSched(), SpecBudget: 8, Seed: 1}
+	return Config{Params: searssd.DefaultParams(), Sched: FullSched(), Seed: 1}
 }
+
+// specBudget is the Pref buffer's per-query prefetch: at most this many
+// second-order candidates per query per round.
+const specBudget = 8
 
 // System is a built NDSEARCH instance over one dataset's graph.
 type System struct {
@@ -228,7 +229,7 @@ func (s *System) SimulateBatch(batch *trace.Batch) (*Result, error) {
 
 	rounds := batch.MaxIterations()
 	res.Iterations = rounds
-	var specSets map[int][]uint32
+	var spec []sched.QueryIter
 	var resultEntries int
 	basePageReads := 0
 	// visited tracks, per query, every vertex already computed against;
@@ -258,12 +259,8 @@ func (s *System) SimulateBatch(batch *trace.Batch) (*Result, error) {
 
 		// Speculation issued last round removes covered work from this
 		// round's critical path.
-		var outcome sched.SpecOutcome
-		work := iters
-		if s.cfg.Sched.Speculative && specSets != nil {
-			work, outcome = sched.MatchSpeculation(specSets, iters)
-			res.SpecHits += outcome.Hits
-		}
+		work, hits := sched.MatchSpeculation(spec, iters)
+		res.SpecHits += hits
 
 		// Allocating stage (Vgenerator + Allocator). With speculation the
 		// allocating of round r overlapped round r-1's searching, so only
@@ -303,30 +300,10 @@ func (s *System) SimulateBatch(batch *trace.Batch) (*Result, error) {
 		res.Breakdown.Add(CatDRAM, dramUpdate)
 
 		// Speculative searching for the next round runs on the (now idle)
-		// LUN accelerators while the cores gather. §VI-B2: speculation
-		// that would outlive the overlap window is forcibly terminated,
-		// so the budget shrinks until the speculative stage fits and its
-		// latency is entirely hidden under the gathering stage.
-		specSets = nil
+		// LUN accelerators while the cores gather.
+		spec = nil
 		if s.cfg.Sched.Speculative && r+1 < rounds {
-			budget := s.specBudget()
-			isVisited := func(q int, v uint32) bool { return visited[q][v] }
-			for budget >= 1 {
-				cand := sched.Speculate(s.layout, iters, sched.SpeculateConfig{Budget: budget, Visited: isVisited})
-				specAlloc := sched.Allocate(s.layout, sched.SpecTasksToIters(cand), s.cfg.Sched.DynamicAlloc)
-				if estimate := s.stageEstimate(specAlloc); estimate <= gather {
-					specTime, specStats := s.searchStage(specAlloc)
-					specSets = cand
-					res.SpecComputed += specAlloc.Tasks
-					res.PageReads += specStats.senses
-					res.Breakdown.Add(CatNANDRead, specTime)
-					break
-				}
-				budget /= 2
-			}
-			// If even a budget of one cannot hide under the gathering
-			// stage, the Pref Unit is forcibly terminated and the round
-			// proceeds without speculation.
+			spec = s.speculate(iters, visited, gather, res)
 		}
 		latency += gather
 		res.Breakdown.Add(CatCores, coreWork)
@@ -399,11 +376,38 @@ func (s *System) simulateSubBatches(batch *trace.Batch, max int) (*Result, error
 	return total, nil
 }
 
-func (s *System) specBudget() int {
-	if s.cfg.SpecBudget > 0 {
-		return s.cfg.SpecBudget
+// speculate runs the Pref Unit over round iters' second-order
+// candidates and returns the speculation issued for the next round.
+// §VI-B2: speculation that would outlive the overlap window is forcibly
+// terminated, so the budget halves until the speculative stage fits and
+// its latency is entirely hidden under the gathering stage. The
+// candidates are ranked once; each budget keeps a prefix. If even a
+// budget of one cannot hide under gather, the round proceeds without
+// speculation and speculate returns nil.
+func (s *System) speculate(iters []sched.QueryIter, visited []map[uint32]bool, gather time.Duration, res *Result) []sched.QueryIter {
+	ranked := sched.Speculate(s.layout, iters, specBudget,
+		func(q int, v uint32) bool { return visited[q][v] })
+	for budget := specBudget; budget >= 1; budget /= 2 {
+		spec := prefix(ranked, budget)
+		alloc := sched.Allocate(s.layout, spec, s.cfg.Sched.DynamicAlloc)
+		if s.stageEstimate(alloc) <= gather {
+			stage, stats := s.searchStage(alloc)
+			res.SpecComputed += alloc.Tasks
+			res.PageReads += stats.senses
+			res.Breakdown.Add(CatNANDRead, stage)
+			return spec
+		}
 	}
-	return sched.DefaultSpeculateConfig().Budget
+	return nil
+}
+
+// prefix cuts each query's ranked speculation list to budget.
+func prefix(ranked []sched.QueryIter, budget int) []sched.QueryIter {
+	out := make([]sched.QueryIter, len(ranked))
+	for i, qi := range ranked {
+		out[i] = sched.QueryIter{Query: qi.Query, Neighbors: qi.Neighbors[:min(len(qi.Neighbors), budget)]}
+	}
+	return out
 }
 
 // roundWork extracts round r's work items with IDs translated to the
@@ -450,10 +454,7 @@ func (s *System) stageEstimate(alloc sched.Allocation) time.Duration {
 	var stage time.Duration
 	for lun, jobs := range alloc.ByLUN {
 		for _, job := range jobs {
-			key := job.GlobalPlane
-			if !s.cfg.Sched.MultiPlane {
-				key = -1 - lun
-			}
+			key := s.senseUnit(lun, job)
 			planeTime[key] += p.PageSenseCost() + p.MACCost(len(job.Tasks), s.profile.Dim)
 			if planeTime[key] > stage {
 				stage = planeTime[key]
@@ -474,57 +475,47 @@ func (s *System) searchStage(alloc sched.Allocation) (time.Duration, stageStats)
 
 	planeTime := map[int]time.Duration{}
 	chanBytes := map[int]int64{}
-	addJobs := func(a sched.Allocation) {
-		// Visit LUNs in sorted order: the fault injector and FTL consume
-		// stateful RNG/counters per page job, so map-iteration order
-		// would otherwise make simulated latency vary run to run.
-		luns := make([]int, 0, len(a.ByLUN))
-		for lun := range a.ByLUN {
-			luns = append(luns, lun)
-		}
-		sort.Ints(luns)
-		for _, lun := range luns {
-			jobs := a.ByLUN[lun]
-			for _, job := range jobs {
-				key := job.GlobalPlane
-				if !s.cfg.Sched.MultiPlane {
-					// Without multi-plane mapping the planes of a LUN
-					// cannot sense concurrently: serialise on the LUN.
-					key = -1 - lun
+	// Visit LUNs in sorted order: the fault injector and FTL consume
+	// stateful RNG/counters per page job, so map-iteration order would
+	// otherwise make simulated latency vary run to run.
+	luns := make([]int, 0, len(alloc.ByLUN))
+	for lun := range alloc.ByLUN {
+		luns = append(luns, lun)
+	}
+	sort.Ints(luns)
+	for _, lun := range luns {
+		for _, job := range alloc.ByLUN[lun] {
+			// Without dynamic allocation the page buffer is flushed
+			// between queries (§VII-B: pages "may be flushed and need to
+			// be read from the NAND arrays again by another query
+			// later"), so every page job pays its sense.
+			st.senses++
+			var sense time.Duration
+			if s.cfg.Injector == nil {
+				sense = p.PageSenseCost()
+			} else {
+				out := s.cfg.Injector.DecodePage(job.GlobalPlane)
+				sense = p.Timing.ReadPage + out.Latency
+				if out.SoftUsed {
+					st.softDecodes++
+					// Soft decoding pauses the iteration on the embedded
+					// cores too.
+					st.softCore += p.ECC.SoftLatency
 				}
-				// Without dynamic allocation the page buffer is flushed
-				// between queries (§VII-B: pages "may be flushed and need
-				// to be read from the NAND arrays again by another query
-				// later"), so every page job pays its sense.
-				st.senses++
-				sense := p.Timing.ReadPage
-				if s.cfg.Injector != nil {
-					out := s.cfg.Injector.DecodePage(job.GlobalPlane)
-					sense += out.Latency
-					if out.SoftUsed {
-						st.softDecodes++
-						// Soft decoding pauses the iteration on the
-						// embedded cores too.
-						st.softCore += p.ECC.SoftLatency
-					}
-				} else {
-					sense += p.ECC.ExpectedLatency()
-				}
-				if s.cfg.FTL != nil {
-					if refreshed, err := s.cfg.FTL.RecordRead(job.GlobalPlane, logicalBlockOf(s.layout, job)); err == nil && refreshed {
-						sense += s.cfg.FTL.RefreshLatency()
-						st.refreshes++
-					}
-				}
-				mac := p.MACCost(len(job.Tasks), s.profile.Dim)
-				planeTime[key] += sense + mac
-				st.nand += sense
-				st.mac += mac
-				chanBytes[lun/geo.LUNsPerChannel()] += p.OutputBytes(len(job.Tasks))
 			}
+			if s.cfg.FTL != nil {
+				if refreshed, err := s.cfg.FTL.RecordRead(job.GlobalPlane, logicalBlockOf(s.layout, job)); err == nil && refreshed {
+					sense += s.cfg.FTL.RefreshLatency()
+					st.refreshes++
+				}
+			}
+			mac := p.MACCost(len(job.Tasks), s.profile.Dim)
+			planeTime[s.senseUnit(lun, job)] += sense + mac
+			st.nand += sense
+			st.mac += mac
+			chanBytes[lun/geo.LUNsPerChannel()] += p.OutputBytes(len(job.Tasks))
 		}
 	}
-	addJobs(alloc)
 
 	var stage time.Duration
 	for _, t := range planeTime {
@@ -540,6 +531,16 @@ func (s *System) searchStage(alloc sched.Allocation) (time.Duration, stageStats)
 		}
 	}
 	return stage, st
+}
+
+// senseUnit names the resource a page job occupies while it senses: its
+// plane, or with multi-plane mapping disabled the whole LUN, whose planes
+// then cannot sense concurrently.
+func (s *System) senseUnit(lun int, job sched.PageJob) int {
+	if !s.cfg.Sched.MultiPlane {
+		return -1 - lun
+	}
+	return job.GlobalPlane
 }
 
 // logicalBlockOf recovers the logical block of a page job's first task

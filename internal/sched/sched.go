@@ -3,13 +3,15 @@
 // the candidates of all queries in a batch by target LUN and page so
 // each page is sensed once — and speculative searching — prefetching
 // selected second-order neighbors of each iteration's entry vertex so
-// the next iteration's distances may already be computed.
+// the next iteration's distances may already be computed. Speculate
+// ranks a round's candidates once; a smaller budget is a prefix of its
+// lists, and MatchSpeculation subtracts the prefix issued from the next
+// round's work.
 package sched
 
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"ndsearch/internal/luncsr"
 )
@@ -18,8 +20,6 @@ import (
 type Task struct {
 	Query  int
 	Vertex uint32
-	// Speculative marks tasks issued by the prefetch path.
-	Speculative bool
 }
 
 // QueryIter is one query's work in the current batch iteration.
@@ -54,111 +54,70 @@ type Allocation struct {
 	LUNsTouched int
 }
 
-// Allocate runs batch-wise allocation over the iteration's work.
+// Allocate runs batch-wise allocation over the iteration's work: one
+// page job per (owner, page), each LUN's jobs in the order their first
+// task appears in iters.
 //
-// With dynamic=true (the paper's "da"), tasks targeting the same page are
-// merged into a single page sense regardless of which query issued them,
-// maximising temporal locality in each LUN.
+// With dynamic=true (the paper's "da") every job is shared: tasks
+// targeting the same page are merged into a single page sense
+// regardless of which query issued them, maximising temporal locality
+// in each LUN.
 //
-// With dynamic=false (the "w/o ds" baseline), queries are allocated
-// sequentially and nothing is shared: every (query, page) pair costs its
-// own page sense, modelling the page buffer being flushed between
-// queries (§VII-B "Scheduling").
+// With dynamic=false (the "w/o ds" baseline) the owner is the query:
+// one query's candidates on a page still share a sense, but every
+// (query, page) pair costs its own, modelling the page buffer being
+// flushed between queries (§VII-B "Scheduling").
 func Allocate(layout *luncsr.LUNCSR, iters []QueryIter, dynamic bool) Allocation {
+	type key struct {
+		owner int // the query, or -1 when every query shares the page
+		page  int64
+	}
+	jobs := map[key]int{}
+	var list []PageJob
+	var luns []int
 	alloc := Allocation{ByLUN: map[int][]PageJob{}}
-	if dynamic {
-		type key struct {
-			lun  int
-			page int64
+	for _, qi := range iters {
+		owner := -1
+		if !dynamic {
+			owner = qi.Query
 		}
-		jobs := map[key]*PageJob{}
-		var order []key
-		for _, qi := range iters {
-			for _, v := range qi.Neighbors {
-				addr, err := layout.Address(v)
-				if err != nil {
-					continue // unplaced vertex: skip defensively
-				}
-				k := key{lun: layout.LUN(v), page: addr.GlobalPage(layout.Geometry())}
-				j, ok := jobs[k]
-				if !ok {
-					j = &PageJob{
-						Page:        k.page,
-						GlobalPlane: layout.GlobalPlane(v),
-						Block:       addr.Block,
-					}
-					jobs[k] = j
-					order = append(order, k)
-				}
-				j.Tasks = append(j.Tasks, Task{Query: qi.Query, Vertex: v})
+		for _, v := range qi.Neighbors {
+			addr, err := layout.Address(v)
+			if err != nil {
+				continue // unplaced vertex: skip defensively
 			}
-		}
-		for _, k := range order {
-			alloc.ByLUN[k.lun] = append(alloc.ByLUN[k.lun], *jobs[k])
-		}
-	} else {
-		// Sequential per-query allocation: no cross-query page sharing.
-		for _, qi := range iters {
-			perQuery := map[int64]*PageJob{}
-			var order []int64
-			for _, v := range qi.Neighbors {
-				addr, err := layout.Address(v)
-				if err != nil {
-					continue
-				}
-				page := addr.GlobalPage(layout.Geometry())
-				j, ok := perQuery[page]
-				if !ok {
-					j = &PageJob{
-						Page:        page,
-						GlobalPlane: layout.GlobalPlane(v),
-						Block:       addr.Block,
-					}
-					perQuery[page] = j
-					order = append(order, page)
-				}
-				j.Tasks = append(j.Tasks, Task{Query: qi.Query, Vertex: v})
+			k := key{owner: owner, page: addr.GlobalPage(layout.Geometry())}
+			i, ok := jobs[k]
+			if !ok {
+				i = len(list)
+				jobs[k] = i
+				list = append(list, PageJob{Page: k.page, GlobalPlane: layout.GlobalPlane(v), Block: addr.Block})
+				luns = append(luns, layout.LUN(v))
 			}
-			for _, page := range order {
-				j := perQuery[page]
-				lun := j.GlobalPlane / layout.Geometry().PlanesPerLUN
-				alloc.ByLUN[lun] = append(alloc.ByLUN[lun], *j)
-			}
+			list[i].Tasks = append(list[i].Tasks, Task{Query: qi.Query, Vertex: v})
+			alloc.Tasks++
 		}
 	}
-	for lun, jobs := range alloc.ByLUN {
-		alloc.PageReads += len(jobs)
-		for _, j := range jobs {
-			alloc.Tasks += len(j.Tasks)
-		}
-		_ = lun
+	for i, j := range list {
+		alloc.ByLUN[luns[i]] = append(alloc.ByLUN[luns[i]], j)
 	}
+	alloc.PageReads = len(list)
 	alloc.LUNsTouched = len(alloc.ByLUN)
 	return alloc
 }
 
-// SpeculateConfig bounds the prefetch.
-type SpeculateConfig struct {
-	// Budget is the maximum second-order neighbors prefetched per query
-	// per iteration.
-	Budget int
-	// Visited, when non-nil, reports whether the query has already
-	// computed against v; such candidates are never prefetched again.
-	Visited func(query int, v uint32) bool
-}
-
-// DefaultSpeculateConfig matches the Pref buffer sizing: roughly one
-// neighbor-list worth of prefetch per query.
-func DefaultSpeculateConfig() SpeculateConfig { return SpeculateConfig{Budget: 32} }
-
 // Speculate computes, for each query in the iteration, the speculative
-// second-order candidate set: neighbors of the entry's neighbors, ranked
-// by how many connections they have back into the first-order set (the
-// Pref Unit's selection rule, §VI-B2), truncated to the budget. First-
-// order members themselves are excluded — they are already being
-// computed this iteration.
-func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, cfg SpeculateConfig) map[int][]uint32 {
-	if cfg.Budget <= 0 {
+// second-order candidate list: neighbors of the entry's neighbors,
+// ranked by how many connections they have back into the first-order
+// set (the Pref Unit's selection rule, §VI-B2), most connections first
+// and ties by vertex ID, cut to budget. The ranking is a total order,
+// so the list for a smaller budget is a prefix of this one. First-order
+// members and the entry are excluded — they are already being computed
+// this iteration — and so is any w with visited(query, w), when visited
+// is non-nil. The result holds one work item per query in iters order,
+// leaving out queries with no candidate; it is nil when budget <= 0.
+func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, budget int, visited func(query int, v uint32) bool) []QueryIter {
+	if budget <= 0 {
 		return nil
 	}
 	// Dense per-call tables over the layout's vertices — first-order
@@ -174,7 +133,7 @@ func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, cfg SpeculateConfig) ma
 		count int32
 	}
 	var cands []ranked
-	out := make(map[int][]uint32, len(iters))
+	var out []QueryIter
 	for _, qi := range iters {
 		for _, v := range qi.Neighbors {
 			if int(v) < n {
@@ -189,7 +148,7 @@ func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, cfg SpeculateConfig) ma
 				if first[w] || w == qi.Entry {
 					continue
 				}
-				if cfg.Visited != nil && cfg.Visited(qi.Query, w) {
+				if visited != nil && visited(qi.Query, w) {
 					continue
 				}
 				if counts[w] == 0 {
@@ -212,62 +171,45 @@ func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, cfg SpeculateConfig) ma
 			counts[w] = 0
 		}
 		touched = touched[:0]
-		// Most connections first, ties by vertex ID: a total order, so
-		// the kept prefix is deterministic.
 		slices.SortFunc(cands, func(a, b ranked) int {
 			if a.count != b.count {
 				return cmp.Compare(b.count, a.count)
 			}
 			return cmp.Compare(a.v, b.v)
 		})
-		sel := make([]uint32, min(len(cands), cfg.Budget))
+		sel := make([]uint32, min(len(cands), budget))
 		for i := range sel {
 			sel[i] = cands[i].v
 		}
-		out[qi.Query] = sel
+		out = append(out, QueryIter{Query: qi.Query, Neighbors: sel})
 	}
 	return out
 }
 
-// SpecOutcome reports speculation effectiveness for one iteration
-// transition.
-type SpecOutcome struct {
-	// Computed is the number of speculative distance computations issued.
-	Computed int
-	// Hits is how many of the next iteration's needed candidates were
-	// covered by speculation (their cost is removed from the critical
-	// path).
-	Hits int
-}
-
-// MatchSpeculation intersects the speculative sets issued at iteration i
-// with the actual work of iteration i+1 and returns, per query, the
-// subset of next-iteration neighbors that still need computing, plus the
-// aggregate outcome.
-func MatchSpeculation(spec map[int][]uint32, next []QueryIter) ([]QueryIter, SpecOutcome) {
-	var out SpecOutcome
-	for _, s := range spec {
-		out.Computed += len(s)
-	}
+// MatchSpeculation subtracts the speculative lists issued at iteration i
+// from the work of iteration i+1. Both lists must be in ascending query
+// order, as Speculate returns them for such iters. It returns, per
+// query, the next-iteration neighbors that still need computing
+// (leaving out queries with none) and how many were covered by
+// speculation — their cost is removed from the critical path.
+func MatchSpeculation(spec, next []QueryIter) (remaining []QueryIter, hits int) {
 	if len(spec) == 0 {
-		return next, out
+		return next, 0
 	}
-	remaining := make([]QueryIter, 0, len(next))
+	remaining = make([]QueryIter, 0, len(next))
 	for _, qi := range next {
-		s, ok := spec[qi.Query]
-		if !ok {
+		for len(spec) > 0 && spec[0].Query < qi.Query {
+			spec = spec[1:]
+		}
+		if len(spec) == 0 || spec[0].Query != qi.Query {
 			remaining = append(remaining, qi)
 			continue
-		}
-		hit := make(map[uint32]bool, len(s))
-		for _, v := range s {
-			hit[v] = true
 		}
 		kept := qi
 		kept.Neighbors = nil
 		for _, v := range qi.Neighbors {
-			if hit[v] {
-				out.Hits++
+			if slices.Contains(spec[0].Neighbors, v) {
+				hits++
 			} else {
 				kept.Neighbors = append(kept.Neighbors, v)
 			}
@@ -276,21 +218,5 @@ func MatchSpeculation(spec map[int][]uint32, next []QueryIter) ([]QueryIter, Spe
 			remaining = append(remaining, kept)
 		}
 	}
-	return remaining, out
-}
-
-// SpecTasksToIters converts speculative sets into iteration work items
-// (marked speculative) so they can be allocated and charged to the
-// overlapped Searching stage.
-func SpecTasksToIters(spec map[int][]uint32) []QueryIter {
-	queries := make([]int, 0, len(spec))
-	for q := range spec {
-		queries = append(queries, q)
-	}
-	sort.Ints(queries)
-	out := make([]QueryIter, 0, len(queries))
-	for _, q := range queries {
-		out = append(out, QueryIter{Query: q, Neighbors: spec[q]})
-	}
-	return out
+	return remaining, hits
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"ndsearch/internal/graph"
@@ -111,14 +113,60 @@ func TestAllocateDeterministic(t *testing.T) {
 	}
 }
 
+// TestAllocateJobOrder pins the per-LUN job order the fault injector and
+// FTL consume: each LUN lists its jobs in the order their first task
+// appears, query by query. The two queries' pages interleave across both
+// LUNs (vertices 0–7 and 16–23 sit in LUN 0, 8–15 in LUN 1; four per page).
+func TestAllocateJobOrder(t *testing.T) {
+	l := testLayout(t, 64)
+	iters := []QueryIter{
+		{Query: 0, Neighbors: []uint32{8, 0, 16, 9, 4}},
+		{Query: 1, Neighbors: []uint32{20, 1, 12, 8}},
+	}
+	job := func(page int64, plane int, tasks ...Task) PageJob {
+		return PageJob{Page: page, GlobalPlane: plane, Tasks: tasks}
+	}
+	q0 := func(v uint32) Task { return Task{Query: 0, Vertex: v} }
+	q1 := func(v uint32) Task { return Task{Query: 1, Vertex: v} }
+	for _, tc := range []struct {
+		dynamic bool
+		want    map[int][]PageJob
+	}{
+		{false, map[int][]PageJob{
+			0: {job(0, 0, q0(0)), job(1, 0, q0(16)), job(32, 1, q0(4)), job(33, 1, q1(20)), job(0, 0, q1(1))},
+			1: {job(64, 2, q0(8), q0(9)), job(96, 3, q1(12)), job(64, 2, q1(8))},
+		}},
+		{true, map[int][]PageJob{
+			0: {job(0, 0, q0(0), q1(1)), job(1, 0, q0(16)), job(32, 1, q0(4)), job(33, 1, q1(20))},
+			1: {job(64, 2, q0(8), q0(9), q1(8)), job(96, 3, q1(12))},
+		}},
+	} {
+		a := Allocate(l, iters, tc.dynamic)
+		if !reflect.DeepEqual(a.ByLUN, tc.want) {
+			t.Errorf("dynamic=%v: ByLUN =\n%+v\nwant\n%+v", tc.dynamic, a.ByLUN, tc.want)
+		}
+		pages := 0
+		for _, jobs := range tc.want {
+			pages += len(jobs)
+		}
+		if a.PageReads != pages || a.Tasks != 9 || a.LUNsTouched != 2 {
+			t.Errorf("dynamic=%v: PageReads=%d Tasks=%d LUNsTouched=%d, want %d 9 2",
+				tc.dynamic, a.PageReads, a.Tasks, a.LUNsTouched, pages)
+		}
+	}
+}
+
 func TestSpeculateSelectsSecondOrder(t *testing.T) {
 	l := testLayout(t, 64)
 	// Entry 5's neighbors per construction: line edges 4,6 plus maybe
 	// shortcuts. Use its real adjacency as the first-order set.
 	first := append([]uint32(nil), l.Neighbors(5)...)
 	iters := []QueryIter{{Query: 0, Entry: 5, Neighbors: first}}
-	spec := Speculate(l, iters, SpeculateConfig{Budget: 8})
-	s := spec[0]
+	spec := Speculate(l, iters, 8, nil)
+	if len(spec) != 1 || spec[0].Query != 0 {
+		t.Fatalf("speculation = %+v, want one item for query 0", spec)
+	}
+	s := spec[0].Neighbors
 	if len(s) == 0 {
 		t.Fatal("no speculation produced")
 	}
@@ -139,23 +187,20 @@ func TestSpeculateSelectsSecondOrder(t *testing.T) {
 func TestSpeculateBudgetZero(t *testing.T) {
 	l := testLayout(t, 32)
 	iters := []QueryIter{{Query: 0, Entry: 0, Neighbors: []uint32{1}}}
-	if got := Speculate(l, iters, SpeculateConfig{Budget: 0}); got != nil {
+	if got := Speculate(l, iters, 0, nil); got != nil {
 		t.Error("zero budget must return nil")
 	}
 }
 
 func TestMatchSpeculation(t *testing.T) {
-	spec := map[int][]uint32{0: {10, 11, 12}}
+	spec := []QueryIter{{Query: 0, Neighbors: []uint32{10, 11, 12}}}
 	next := []QueryIter{
 		{Query: 0, Neighbors: []uint32{10, 13}},
 		{Query: 1, Neighbors: []uint32{20}},
 	}
-	remaining, out := MatchSpeculation(spec, next)
-	if out.Computed != 3 {
-		t.Errorf("Computed = %d, want 3", out.Computed)
-	}
-	if out.Hits != 1 {
-		t.Errorf("Hits = %d, want 1 (vertex 10)", out.Hits)
+	remaining, hits := MatchSpeculation(spec, next)
+	if hits != 1 {
+		t.Errorf("hits = %d, want 1 (vertex 10)", hits)
 	}
 	if len(remaining) != 2 {
 		t.Fatalf("remaining iters = %d", len(remaining))
@@ -169,29 +214,77 @@ func TestMatchSpeculation(t *testing.T) {
 }
 
 func TestMatchSpeculationFullHit(t *testing.T) {
-	spec := map[int][]uint32{0: {10, 11}}
+	spec := []QueryIter{{Query: 0, Neighbors: []uint32{10, 11}}}
 	next := []QueryIter{{Query: 0, Neighbors: []uint32{10, 11}}}
-	remaining, out := MatchSpeculation(spec, next)
-	if out.Hits != 2 || len(remaining) != 0 {
-		t.Errorf("full hit mishandled: hits=%d remaining=%d", out.Hits, len(remaining))
+	remaining, hits := MatchSpeculation(spec, next)
+	if hits != 2 || len(remaining) != 0 {
+		t.Errorf("full hit mishandled: hits=%d remaining=%d", hits, len(remaining))
 	}
 }
 
 func TestMatchSpeculationEmpty(t *testing.T) {
 	next := []QueryIter{{Query: 0, Neighbors: []uint32{1}}}
-	remaining, out := MatchSpeculation(nil, next)
-	if out.Computed != 0 || out.Hits != 0 || len(remaining) != 1 {
+	remaining, hits := MatchSpeculation(nil, next)
+	if hits != 0 || len(remaining) != 1 {
 		t.Error("empty speculation must be a no-op")
 	}
 }
 
-func TestSpecTasksToIters(t *testing.T) {
-	spec := map[int][]uint32{3: {7}, 1: {5, 6}}
-	iters := SpecTasksToIters(spec)
-	if len(iters) != 2 || iters[0].Query != 1 || iters[1].Query != 3 {
-		t.Errorf("iters = %+v (must be sorted by query)", iters)
+func TestSpeculateFollowsItersOrder(t *testing.T) {
+	l := testLayout(t, 64)
+	iters := []QueryIter{
+		{Query: 1, Entry: 5, Neighbors: []uint32{4, 6}},
+		{Query: 3, Entry: 20}, // no first-order set, so no candidates
+		{Query: 4, Entry: 30, Neighbors: []uint32{29, 31}},
 	}
-	if len(iters[0].Neighbors) != 2 {
-		t.Error("neighbors lost")
+	spec := Speculate(l, iters, 8, nil)
+	if len(spec) != 2 || spec[0].Query != 1 || spec[1].Query != 4 {
+		t.Errorf("speculation = %+v, want queries 1 and 4 in iters order", spec)
+	}
+}
+
+// TestSpeculatePrefixProperty checks the contract the device model's
+// budget halving rests on: the ranking is a total order, so a smaller
+// budget's lists are prefixes of the full budget's, over the same
+// queries in the same order.
+func TestSpeculatePrefixProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	geo := testLayout(t, 4).Geometry()
+	for trial := 0; trial < 200; trial++ {
+		n := 8 + rng.Intn(250)
+		g := graph.New(n)
+		for e := rng.Intn(6 * n); e > 0; e-- {
+			g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+		}
+		l, err := luncsr.Build(g.ToCSR(), geo, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var iters []QueryIter
+		for q := 0; q < 12; q++ {
+			if rng.Intn(4) == 0 {
+				continue // a query that has finished its search
+			}
+			qi := QueryIter{Query: q, Entry: uint32(rng.Intn(n))}
+			for k := rng.Intn(10); k > 0; k-- {
+				qi.Neighbors = append(qi.Neighbors, uint32(rng.Intn(n+2))) // n, n+1: unplaced
+			}
+			iters = append(iters, qi)
+		}
+		mod := uint32(2 + rng.Intn(5))
+		visited := func(q int, v uint32) bool { return (uint32(q)*7+v)%mod == 0 }
+		if rng.Intn(3) == 0 {
+			visited = nil
+		}
+		full := Speculate(l, iters, 8, visited)
+		for b := 1; b <= 8; b++ {
+			var want []QueryIter
+			for _, qi := range full {
+				want = append(want, QueryIter{Query: qi.Query, Neighbors: qi.Neighbors[:min(len(qi.Neighbors), b)]})
+			}
+			if got := Speculate(l, iters, b, visited); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, budget %d:\n got %+v\nwant %+v", trial, b, got, want)
+			}
+		}
 	}
 }
