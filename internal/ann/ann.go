@@ -34,8 +34,6 @@ type Index interface {
 	// graph-traversal trace (entry vertex and candidate neighbors per
 	// iteration) that the platform simulators consume.
 	SearchTraced(query vec.Vector, k int) ([]Neighbor, trace.Query)
-	// Graph returns the underlying base-layer proximity graph.
-	Graph() GraphView
 	// Len returns the number of indexed vectors.
 	Len() int
 	// Metric returns the distance metric the index was built with.
@@ -43,6 +41,8 @@ type Index interface {
 	// Store returns the NodeStore the index reads its records through:
 	// a *KernelStore when the index is resident (built or loaded into
 	// RAM), the snapshot's paged store when it is served from a file.
+	// Its Neighbors are the index's base-layer adjacency (none for a
+	// flat family); CopyGraph copies them out for placement.
 	Store() NodeStore
 }
 
@@ -54,13 +54,6 @@ type Tunable interface {
 	// SetBeamWidth adjusts the search-time candidate budget; values < 1
 	// are ignored.
 	SetBeamWidth(int)
-}
-
-// GraphView is the read-only adjacency view placement code needs.
-type GraphView interface {
-	Len() int
-	Neighbors(v uint32) []uint32
-	Degree(v uint32) int
 }
 
 // BruteForce scans the whole corpus and returns the exact top-k under

@@ -97,21 +97,5 @@ func (e *Exact) SearchTraced(query vec.Vector, k int) ([]Neighbor, trace.Query) 
 	return res, trace.Query{Iters: []trace.Iter{it}}
 }
 
-// Graph returns an edgeless view: a flat scan has no proximity graph.
-func (e *Exact) Graph() GraphView { return Edgeless(e.store.Len()) }
-
 // Len returns the corpus size.
 func (e *Exact) Len() int { return e.store.Len() }
-
-// Edgeless is the proximity graph of a flat family (exact, ivfpq): its
-// value is the vertex count, and no vertex has an edge.
-type Edgeless int
-
-// Len returns the vertex count.
-func (g Edgeless) Len() int { return int(g) }
-
-// Neighbors returns nil: no vertex has an edge.
-func (Edgeless) Neighbors(uint32) []uint32 { return nil }
-
-// Degree returns 0.
-func (Edgeless) Degree(uint32) int { return 0 }

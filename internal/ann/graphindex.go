@@ -140,12 +140,3 @@ func (g *GraphIndex) BaseGraph() *graph.Graph {
 	}
 	return nil
 }
-
-// Graph returns the base-layer proximity graph: the resident graph, or
-// a store-backed view when the adjacency lives in snapshot blocks.
-func (g *GraphIndex) Graph() GraphView {
-	if bg := g.BaseGraph(); bg != nil {
-		return bg
-	}
-	return StoreGraph{S: g.store}
-}

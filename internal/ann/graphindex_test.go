@@ -117,13 +117,14 @@ func TestGraphIndexReconstruction(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid parts rejected: %v", err)
 			}
-			// A resident store answers BaseGraph; the search runs.
+			// A resident store answers BaseGraph, its adjacency copies
+			// out as the ring; the search runs.
 			full := idx.(interface{ BaseGraph() *graph.Graph })
 			if idx.Len() != n || idx.Store() != ann.NodeStore(resident) {
 				t.Fatalf("reconstructed index: Len %d, store %T", idx.Len(), idx.Store())
 			}
-			if full.BaseGraph() != ring || idx.Graph() != ann.GraphView(ring) {
-				t.Error("resident store does not answer BaseGraph/Graph")
+			if full.BaseGraph() != ring || !reflect.DeepEqual(ann.CopyGraph(idx.Store()), ring) {
+				t.Error("resident store does not answer BaseGraph/CopyGraph")
 			}
 			if err := ann.Validate(idx.Search(data[7], 5), n); err != nil {
 				t.Error(err)
@@ -144,8 +145,8 @@ func TestGraphIndexReconstruction(t *testing.T) {
 }
 
 // A paged-style store (anything but *KernelStore) has no resident
-// matrix or graph: Matrix/BaseGraph are nil and Graph falls back to a
-// store-backed view.
+// matrix or graph: Matrix/BaseGraph are nil, and CopyGraph copies the
+// adjacency out of the store's Neighbors.
 func TestGraphIndexNonResidentAccessors(t *testing.T) {
 	g := graph.New(3)
 	g.SetNeighbors(0, []uint32{1, 2})
@@ -161,9 +162,9 @@ func TestGraphIndexNonResidentAccessors(t *testing.T) {
 	if _, resident := gi.Store().(*ann.KernelStore); resident || gi.BaseGraph() != nil {
 		t.Error("non-resident store answered as resident")
 	}
-	view := gi.Graph()
-	if view.Len() != 3 || view.Degree(0) != 2 || !reflect.DeepEqual(view.Neighbors(0), []uint32{1, 2}) {
-		t.Errorf("store-backed Graph view: len %d, nbrs %v", view.Len(), view.Neighbors(0))
+	cp := ann.CopyGraph(gi.Store())
+	if cp.Len() != 3 || cp.Degree(0) != 2 || !reflect.DeepEqual(cp.Neighbors(0), []uint32{1, 2}) {
+		t.Errorf("store-backed CopyGraph: len %d, nbrs %v", cp.Len(), cp.Neighbors(0))
 	}
 	gi.SetBeamWidth(0)
 	if gi.BeamWidth() != 4 {

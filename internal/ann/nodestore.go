@@ -177,28 +177,24 @@ func (s *KernelStore) Components(v uint32, dims []int, buf []float32) []float32 
 // graphs) over whatever store serves the vectors.
 type graphOverride struct {
 	NodeStore
-	g GraphView
+	g *graph.Graph
 }
 
 func (o graphOverride) Neighbors(v uint32, _ []uint32) []uint32 { return o.g.Neighbors(v) }
 
 // WithGraph returns a NodeStore whose adjacency comes from g while
 // distances still evaluate on s.
-func WithGraph(s NodeStore, g GraphView) NodeStore { return graphOverride{NodeStore: s, g: g} }
+func WithGraph(s NodeStore, g *graph.Graph) NodeStore { return graphOverride{NodeStore: s, g: g} }
 
-// StoreGraph adapts a NodeStore's adjacency to the read-only GraphView
-// placement code consumes — the Graph() view paged indexes expose when
-// no resident base graph exists. Each call materializes the list, so
-// it is for inspection, not hot traversal.
-type StoreGraph struct {
-	S NodeStore
+// CopyGraph copies a store's adjacency into a fresh graph: node v's
+// list is Neighbors(v) for v in [0, Len()). Over a resident store that
+// is its own graph's lists, over a paged store the lists its records
+// hold, and over a flat family's store no edges at all. It reads every
+// record once, so it is for placement, not traversal.
+func CopyGraph(s NodeStore) *graph.Graph {
+	g := graph.New(s.Len())
+	for v := 0; v < s.Len(); v++ {
+		g.SetNeighbors(uint32(v), append([]uint32(nil), s.Neighbors(uint32(v), nil)...))
+	}
+	return g
 }
-
-// Len returns the node count.
-func (g StoreGraph) Len() int { return g.S.Len() }
-
-// Neighbors returns node v's adjacency (freshly materialized).
-func (g StoreGraph) Neighbors(v uint32) []uint32 { return g.S.Neighbors(v, nil) }
-
-// Degree returns node v's out-degree.
-func (g StoreGraph) Degree(v uint32) int { return len(g.S.Neighbors(v, nil)) }

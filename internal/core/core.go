@@ -156,18 +156,13 @@ func NewSystem(g *graph.Graph, profile dataset.Profile, cfg Config) (*System, er
 	return &System{cfg: cfg, profile: profile, layout: layout, perm: perm}, nil
 }
 
-// NewSystemFromIndex is a convenience wrapper over an ANNS index's base
-// graph view.
+// NewSystemFromIndex lays out an ANNS index's base-layer adjacency,
+// copied out of its NodeStore by ann.CopyGraph — the lists search
+// expands, so a resident index and the same index served paged from a
+// snapshot get the same layout, and a flat family (exact, ivfpq) an
+// edgeless one.
 func NewSystemFromIndex(idx ann.Index, profile dataset.Profile, cfg Config) (*System, error) {
-	return NewSystem(graphFromView(idx.Graph()), profile, cfg)
-}
-
-func graphFromView(v ann.GraphView) *graph.Graph {
-	g := graph.New(v.Len())
-	for i := 0; i < v.Len(); i++ {
-		g.SetNeighbors(uint32(i), append([]uint32(nil), v.Neighbors(uint32(i))...))
-	}
-	return g
+	return NewSystem(ann.CopyGraph(idx.Store()), profile, cfg)
 }
 
 // Layout exposes the LUNCSR placement (read-only use).
@@ -205,42 +200,58 @@ type Result struct {
 // SimulateBatch runs the Algorithm 1 processing model over a traced
 // batch and returns timing and statistics. The trace's vertex IDs are in
 // the original graph numbering; the system translates them through the
-// static schedule's permutation.
+// static schedule's permutation. A batch beyond the device's buffering
+// capacity runs as MaxHWBatch-sized hardware batches back to back
+// (§VII-B "Batch size"): latency and counters add up, Iterations is the
+// longest hardware batch's and LUNsTouchedFrac the mean of theirs.
 func (s *System) SimulateBatch(batch *trace.Batch) (*Result, error) {
-	if len(batch.Queries) == 0 {
+	n := len(batch.Queries)
+	if n == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	// Batches beyond the device's buffering capacity split into
-	// sub-batches processed back to back (§VII-B "Batch size").
-	if max := s.cfg.Params.MaxHWBatch; max > 0 && len(batch.Queries) > max {
-		return s.simulateSubBatches(batch, max)
+	res := &Result{BatchSize: n, Breakdown: ssdsim.Breakdown{}}
+	size := min(n, s.cfg.Params.MaxHWBatch)
+	var lunFracs float64
+	hwBatches := 0
+	for lo := 0; lo < n; lo += size {
+		lunFracs += s.runHWBatch(&trace.Batch{Queries: batch.Queries[lo:min(lo+size, n)]}, res)
+		hwBatches++
 	}
+	if res.Latency > 0 {
+		res.QPS = float64(res.BatchSize) / res.Latency.Seconds()
+	}
+	if res.TraceLength > 0 {
+		res.PageAccessRatio = float64(res.BasePageReads) / float64(res.TraceLength)
+	}
+	res.LUNsTouchedFrac = lunFracs / float64(hwBatches)
+	return res, nil
+}
+
+// runHWBatch runs one hardware batch, adds its latency, breakdown and
+// counters to res, and returns the fraction of vertex-storing LUNs it
+// touched.
+func (s *System) runHWBatch(hw *trace.Batch, res *Result) float64 {
 	p := s.cfg.Params
-	res := &Result{
-		BatchSize: len(batch.Queries),
-		Breakdown: ssdsim.Breakdown{},
-	}
 	lunsTouched := map[int]bool{}
 
 	// Host upload of the query batch (1 in Fig. 5a).
-	upload := p.HostUploadCost(len(batch.Queries), s.profile.Dim, s.profile.Elem)
+	upload := p.HostUploadCost(len(hw.Queries), s.profile.Dim, s.profile.Elem)
 	res.Breakdown.Add(CatSSDIO, upload)
 	latency := upload
 
-	rounds := batch.MaxIterations()
-	res.Iterations = rounds
+	rounds := hw.MaxIterations()
+	res.Iterations = max(res.Iterations, rounds)
 	var spec []sched.QueryIter
 	var resultEntries int
-	basePageReads := 0
 	// visited tracks, per query, every vertex already computed against;
 	// the Pref Unit never re-prefetches visited candidates (§VI-B2).
-	visited := make([]map[uint32]bool, len(batch.Queries))
+	visited := make([]map[uint32]bool, len(hw.Queries))
 	for i := range visited {
 		visited[i] = map[uint32]bool{}
 	}
 
 	for r := 0; r < rounds; r++ {
-		iters := s.roundWork(batch, r)
+		iters := s.roundWork(hw, r)
 		if len(iters) == 0 {
 			continue
 		}
@@ -278,7 +289,7 @@ func (s *System) SimulateBatch(batch *trace.Batch) (*Result, error) {
 		// output readout on the channel buses.
 		search, stats := s.searchStage(alloc)
 		latency += search
-		basePageReads += stats.senses
+		res.BasePageReads += stats.senses
 		res.PageReads += stats.senses
 		res.SoftDecodes += stats.softDecodes
 		res.Refreshes += stats.refreshes
@@ -317,63 +328,8 @@ func (s *System) SimulateBatch(batch *trace.Batch) (*Result, error) {
 	latency += ship + sort
 	res.Breakdown.Add(CatSSDIO, ship)
 	res.Breakdown.Add(CatFPGASort, sort)
-
-	res.Latency = latency
-	if latency > 0 {
-		res.QPS = float64(res.BatchSize) / latency.Seconds()
-	}
-	res.BasePageReads = basePageReads
-	if res.TraceLength > 0 {
-		res.PageAccessRatio = float64(basePageReads) / float64(res.TraceLength)
-	}
-	res.LUNsTouchedFrac = float64(len(lunsTouched)) / float64(s.layout.PopulatedLUNs())
-	return res, nil
-}
-
-// simulateSubBatches splits an oversized batch and accumulates results.
-func (s *System) simulateSubBatches(batch *trace.Batch, max int) (*Result, error) {
-	total := &Result{Breakdown: ssdsim.Breakdown{}}
-	var lunFracSum float64
-	subs := 0
-	for start := 0; start < len(batch.Queries); start += max {
-		end := start + max
-		if end > len(batch.Queries) {
-			end = len(batch.Queries)
-		}
-		sub := &trace.Batch{Dataset: batch.Dataset, Algo: batch.Algo, Queries: batch.Queries[start:end]}
-		r, err := s.SimulateBatch(sub)
-		if err != nil {
-			return nil, err
-		}
-		total.BatchSize += r.BatchSize
-		total.Latency += r.Latency
-		total.PageReads += r.PageReads
-		total.BasePageReads += r.BasePageReads
-		total.TraceLength += r.TraceLength
-		total.SpecComputed += r.SpecComputed
-		total.SpecHits += r.SpecHits
-		total.SoftDecodes += r.SoftDecodes
-		total.Refreshes += r.Refreshes
-		if r.Iterations > total.Iterations {
-			total.Iterations = r.Iterations
-		}
-		for cat, d := range r.Breakdown {
-			total.Breakdown.Add(cat, d)
-		}
-		lunFracSum += r.LUNsTouchedFrac
-		// Page-access ratio aggregates as total pages over total length.
-		subs++
-	}
-	if total.Latency > 0 {
-		total.QPS = float64(total.BatchSize) / total.Latency.Seconds()
-	}
-	if total.TraceLength > 0 {
-		total.PageAccessRatio = float64(total.BasePageReads) / float64(total.TraceLength)
-	}
-	if subs > 0 {
-		total.LUNsTouchedFrac = lunFracSum / float64(subs)
-	}
-	return total, nil
+	res.Latency += latency
+	return float64(len(lunsTouched)) / float64(s.layout.PopulatedLUNs())
 }
 
 // speculate runs the Pref Unit over round iters' second-order

@@ -1,14 +1,21 @@
 package core
 
 import (
+	"fmt"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"ndsearch/internal/ann"
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/ecc"
+	"ndsearch/internal/ftl"
 	"ndsearch/internal/hnsw"
 	"ndsearch/internal/nand"
 	"ndsearch/internal/reorder"
+	"ndsearch/internal/snapshot"
+	"ndsearch/internal/ssdsim"
 	"ndsearch/internal/trace"
 	"ndsearch/internal/vec"
 )
@@ -43,7 +50,7 @@ func buildFixture(t *testing.T, n, batch int) (*hnsw.Index, dataset.Profile, *tr
 	return idx, prof, tb
 }
 
-func newSystem(t *testing.T, idx *hnsw.Index, prof dataset.Profile, cfg Config) *System {
+func newSystem(t *testing.T, idx ann.Index, prof dataset.Profile, cfg Config) *System {
 	t.Helper()
 	sys, err := NewSystemFromIndex(idx, prof, cfg)
 	if err != nil {
@@ -314,47 +321,119 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
+// A batch past MaxHWBatch runs as hardware batches back to back: its
+// Result is the manual split's, field by field — every counter and the
+// breakdown summed, Iterations the maximum, LUNsTouchedFrac the mean —
+// with speculation off and on, and with the fault injector and FTL
+// consumed in the same order.
 func TestSubBatchingMatchesManualSplit(t *testing.T) {
-	idx, prof, tb := buildFixture(t, 800, 120)
-	cfg := scaledConfig()
-	cfg.Sched.Speculative = false
-	cfg.Params.MaxHWBatch = 40
-	sys := newSystem(t, idx, prof, cfg)
-	whole, err := sys.SimulateBatch(tb)
+	idx, prof, tb := buildFixture(t, 1800, 600)
+	for _, speculative := range []bool{false, true} {
+		t.Run(fmt.Sprintf("speculative=%v", speculative), func(t *testing.T) {
+			mk := func(maxHW int) *System {
+				cfg := scaledConfig()
+				cfg.Sched.Speculative = speculative
+				cfg.Params.MaxHWBatch = maxHW
+				m := ecc.DefaultModel()
+				m.HardFailureProb = 0.2
+				inj, err := ecc.NewInjector(m, nil, 0, 0, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Injector = inj
+				fl, err := ftl.New(nand.ScaledGeometry(), ftl.Config{
+					SpareBlocksPerPlane:  4,
+					ReadDisturbThreshold: 20,
+					RefreshLatency:       100 * time.Microsecond,
+				}, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.FTL = fl
+				return newSystem(t, idx, prof, cfg)
+			}
+			whole, err := mk(200).SimulateBatch(tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if whole.SoftDecodes == 0 || whole.Refreshes == 0 || (speculative && whole.SpecComputed == 0) {
+				t.Fatalf("fixture exercises too little: %d soft decodes, %d refreshes, %d speculated",
+					whole.SoftDecodes, whole.Refreshes, whole.SpecComputed)
+			}
+
+			sysBig := mk(4096)
+			want := &Result{BatchSize: 600, Breakdown: ssdsim.Breakdown{}}
+			var lunFracs float64
+			for start := 0; start < 600; start += 200 {
+				sub := &trace.Batch{Dataset: tb.Dataset, Algo: tb.Algo, Queries: tb.Queries[start : start+200]}
+				r, err := sysBig.SimulateBatch(sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Latency += r.Latency
+				want.PageReads += r.PageReads
+				want.BasePageReads += r.BasePageReads
+				want.TraceLength += r.TraceLength
+				want.SpecComputed += r.SpecComputed
+				want.SpecHits += r.SpecHits
+				want.SoftDecodes += r.SoftDecodes
+				want.Refreshes += r.Refreshes
+				want.Iterations = max(want.Iterations, r.Iterations)
+				for cat, d := range r.Breakdown {
+					want.Breakdown.Add(cat, d)
+				}
+				lunFracs += r.LUNsTouchedFrac
+			}
+			want.QPS = float64(want.BatchSize) / want.Latency.Seconds()
+			want.PageAccessRatio = float64(want.BasePageReads) / float64(want.TraceLength)
+			want.LUNsTouchedFrac = lunFracs / 3
+			if !reflect.DeepEqual(whole, want) {
+				t.Errorf("sub-batched result\n%+v\n!= manual split\n%+v", whole, want)
+			}
+
+			// Sub-batching must cost throughput versus one large HW
+			// batch: the fixed per-batch overheads repeat.
+			one, err := mk(4096).SimulateBatch(tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.QPS < whole.QPS {
+				t.Errorf("single HW batch (%.0f QPS) should beat 3 sub-batches (%.0f QPS)", one.QPS, whole.QPS)
+			}
+		})
+	}
+}
+
+// The device model reads a shard the way search does, through its
+// NodeStore: an index saved and served paged from the file lays out and
+// simulates exactly as the resident index it was saved from.
+func TestPagedIndexSimulatesLikeResident(t *testing.T) {
+	idx, prof, tb := buildFixture(t, 800, 64)
+	path := filepath.Join(t.TempDir(), "hnsw.ndx")
+	if _, _, err := snapshot.SaveFile(path, idx, prof.Elem); err != nil {
+		t.Fatal(err)
+	}
+	resident := newSystem(t, idx, prof, scaledConfig())
+	want, err := resident.SimulateBatch(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole.BatchSize != 120 {
-		t.Fatalf("batch size %d", whole.BatchSize)
-	}
-	// Manual split must reproduce the same totals.
-	cfgBig := cfg
-	cfgBig.Params.MaxHWBatch = 4096
-	sysBig := newSystem(t, idx, prof, cfgBig)
-	var lat time.Duration
-	var pages int
-	for start := 0; start < 120; start += 40 {
-		sub := &trace.Batch{Dataset: tb.Dataset, Algo: tb.Algo, Queries: tb.Queries[start : start+40]}
-		r, err := sysBig.SimulateBatch(sub)
+	for _, backend := range []string{"mmap", "readat"} {
+		paged, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat += r.Latency
-		pages += r.PageReads
-	}
-	if whole.Latency != lat {
-		t.Errorf("sub-batched latency %v != manual %v", whole.Latency, lat)
-	}
-	if whole.PageReads != pages {
-		t.Errorf("sub-batched pages %d != manual %d", whole.PageReads, pages)
-	}
-	// Sub-batching must cost throughput versus one large HW batch: the
-	// fixed per-batch overheads repeat.
-	one, err := sysBig.SimulateBatch(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.QPS < whole.QPS {
-		t.Errorf("single HW batch (%.0f QPS) should beat 3 sub-batches (%.0f QPS)", one.QPS, whole.QPS)
+		defer paged.Close()
+		sys := newSystem(t, paged.Index(), prof, scaledConfig())
+		if !reflect.DeepEqual(sys.Layout(), resident.Layout()) {
+			t.Errorf("%s: paged layout differs from the resident one", backend)
+		}
+		got, err := sys.SimulateBatch(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: paged result\n%+v\n!= resident\n%+v", backend, got, want)
+		}
 	}
 }

@@ -3,10 +3,8 @@ package figures
 import (
 	"math/rand"
 
-	"ndsearch/internal/luncsr"
-	"ndsearch/internal/nand"
+	"ndsearch/internal/ann"
 	"ndsearch/internal/reorder"
-	"ndsearch/internal/trace"
 	"ndsearch/internal/vec"
 )
 
@@ -102,8 +100,7 @@ func (s *Suite) Fig10() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := w.Graph()
-		res, err := reorder.Compare(g, s.Scale.Seed)
+		res, err := reorder.Compare(ann.CopyGraph(w.Index.Store()), s.Scale.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -206,41 +203,4 @@ func (s *Suite) Fig15() (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// layoutForMethod builds a layout under the given ordering (helper for
-// access-pattern analyses and tests).
-func layoutForMethod(w *Workload, m reorder.Method, seed int64) (*luncsr.LUNCSR, []uint32, error) {
-	g := w.Graph()
-	perm, err := reorder.Order(g, m, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	placed, err := g.Relabel(perm)
-	if err != nil {
-		return nil, nil, err
-	}
-	l, err := luncsr.Build(placed.ToCSR(), nand.ScaledGeometry(), vec.StoredBytes(w.Profile.Elem, w.Profile.Dim))
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, perm, nil
-}
-
-// tracePages counts distinct pages a query touches under a layout and
-// permutation (helper shared with tests).
-func tracePages(layout *luncsr.LUNCSR, perm []uint32, q *trace.Query) int {
-	pages := map[int64]bool{}
-	for _, it := range q.Iters {
-		for _, v := range it.Neighbors {
-			pv := v
-			if int(v) < len(perm) {
-				pv = perm[v]
-			}
-			if pg, err := layout.PageOf(pv); err == nil {
-				pages[pg] = true
-			}
-		}
-	}
-	return len(pages)
 }

@@ -393,37 +393,6 @@ func TestTable1(t *testing.T) {
 	}
 }
 
-func TestLayoutHelpers(t *testing.T) {
-	w, err := sharedSuite.Workload("sift-1b", "hnsw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, perm, err := layoutForMethod(w, reorder.DegreeAscendingBFS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := &w.Batch.Queries[0]
-	pages := tracePages(l, perm, q)
-	if pages <= 0 || pages > q.Length() {
-		t.Errorf("tracePages = %d for trace length %d", pages, q.Length())
-	}
-	// Identity layout should need at least as many pages as ours on
-	// average over several queries.
-	li, permI, err := layoutForMethod(w, reorder.Identity, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var oursSum, idSum int
-	for i := 0; i < 20 && i < len(w.Batch.Queries); i++ {
-		q := &w.Batch.Queries[i]
-		oursSum += tracePages(l, perm, q)
-		idSum += tracePages(li, permI, q)
-	}
-	if oursSum > idSum {
-		t.Errorf("reordered layout touches more pages (%d) than identity (%d)", oursSum, idSum)
-	}
-}
-
 func TestDiscussionIVFPQ(t *testing.T) {
 	tab, err := sharedSuite.Discussion()
 	if err != nil {

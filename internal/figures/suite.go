@@ -15,7 +15,6 @@ import (
 	"ndsearch/internal/core"
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
-	"ndsearch/internal/graph"
 	"ndsearch/internal/hcnng"
 	"ndsearch/internal/hnsw"
 	"ndsearch/internal/nand"
@@ -63,16 +62,6 @@ type Workload struct {
 	// Recall10 is the measured recall@10 of the built index (checked
 	// against the paper's tuning targets).
 	Recall10 float64
-}
-
-// Graph returns the index's base proximity graph as a mutable copy.
-func (w *Workload) Graph() *graph.Graph {
-	v := w.Index.Graph()
-	g := graph.New(v.Len())
-	for i := 0; i < v.Len(); i++ {
-		g.SetNeighbors(uint32(i), append([]uint32(nil), v.Neighbors(uint32(i))...))
-	}
-	return g
 }
 
 // SubBatch returns the first n traced queries (n clipped to the batch).

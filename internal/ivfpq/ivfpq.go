@@ -391,10 +391,6 @@ func (x *Index) SearchTraced(query vec.Vector, k int) ([]ann.Neighbor, trace.Que
 	return res, trace.Query{Iters: []trace.Iter{it}}
 }
 
-// Graph returns an edgeless view: an inverted-file scan has no
-// proximity graph (the same degenerate view ann.Exact reports).
-func (x *Index) Graph() ann.GraphView { return ann.Edgeless(x.Len()) }
-
 // Len returns the number of indexed vectors.
 func (x *Index) Len() int { return x.store.Len() }
 

@@ -33,7 +33,7 @@ type CloseCheckConfig struct {
 func CloseCheck(cfg CloseCheckConfig) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "closecheck",
-		Doc: "flag Engine/Batcher/PagedIndex constructions in tests and examples " +
+		Doc: "flag Engine/Compactor/PagedIndex constructions in tests and examples " +
 			"with no reachable Close (resource-cleanup invariant)",
 		Run: func(pass *analysis.Pass) error {
 			runCloseCheck(cfg, pass)

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -316,9 +317,9 @@ func addBlocks(b *builder, h Header, mat *vec.Matrix, base *graph.Graph, elem ve
 		rec := image[m.nodeOffset(uint32(v))-m.imageOff:]
 		rec = rec[:m.nodeLen]
 		nbrs := base.Neighbors(uint32(v))
-		putU32(rec[0:4], uint32(len(nbrs)))
+		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(nbrs)))
 		for i, w := range nbrs {
-			putU32(rec[4+4*i:], w)
+			binary.LittleEndian.PutUint32(rec[4+4*i:], w)
 		}
 		if err := encodeRowChecked(elem, v, mat.Row(v), rec[vecOff:codeOff]); err != nil {
 			return err
@@ -330,13 +331,6 @@ func addBlocks(b *builder, h Header, mat *vec.Matrix, base *graph.Graph, elem ve
 	e.b = append(e.b, image...)
 	b.add(name, e.b)
 	return nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
 }
 
 // decodeBlocks reconstructs the corpus matrix (SQ8 tier attached) and
@@ -379,13 +373,13 @@ func decodeBlocks(f *file, data image) (*vec.Matrix, *graph.Graph, error) {
 	for v := 0; v < m.n; v++ {
 		rec := image[m.nodeOffset(uint32(v))-m.imageOff:]
 		rec = rec[:m.nodeLen]
-		deg := int(getU32(rec[0:4]))
+		deg := int(binary.LittleEndian.Uint32(rec[0:4]))
 		if deg > m.maxDegree {
 			return nil, nil, fmt.Errorf("%w: node %d degree %d exceeds maxDegree %d", ErrCorrupt, v, deg, m.maxDegree)
 		}
 		nbrs := make([]uint32, deg)
 		for i := range nbrs {
-			w := getU32(rec[4+4*i:])
+			w := binary.LittleEndian.Uint32(rec[4+4*i:])
 			if int(w) >= m.n {
 				return nil, nil, fmt.Errorf("%w: node %d neighbor %d out of range %d", ErrCorrupt, v, w, m.n)
 			}
@@ -412,12 +406,4 @@ func decodeBlocks(f *file, data image) (*vec.Matrix, *graph.Graph, error) {
 		}
 	}
 	return mat, g, nil
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -26,7 +27,7 @@ func sectionFrame(t *testing.T, img []byte, name string) (crcOff, payloadOff, pa
 		}
 		got := string(img[off : off+nameLen])
 		off += nameLen
-		plen := int(getU64(img[off:]))
+		plen := int(binary.LittleEndian.Uint64(img[off:]))
 		crc := off + 8
 		payload := crc + 4
 		if got == name {
@@ -41,7 +42,7 @@ func sectionFrame(t *testing.T, img []byte, name string) (crcOff, payloadOff, pa
 func resealFrame(t *testing.T, img []byte, name string) {
 	t.Helper()
 	crcOff, payloadOff, payloadLen := sectionFrame(t, img, name)
-	putU32(img[crcOff:], sectionCRC(name, img[payloadOff:payloadOff+payloadLen]))
+	binary.LittleEndian.PutUint32(img[crcOff:], sectionCRC(name, img[payloadOff:payloadOff+payloadLen]))
 }
 
 // patchBlocksMeta returns a copy of img with the blocks meta mutated.
@@ -56,7 +57,7 @@ func patchBlocksMeta(t *testing.T, img []byte, refreshMetaCRC bool, mutate func(
 	meta := out[payloadOff : payloadOff+blockMetaSize]
 	mutate(meta)
 	if refreshMetaCRC {
-		putU32(meta[blockMetaSize-4:], crc32.ChecksumIEEE(meta[:blockMetaSize-4]))
+		binary.LittleEndian.PutUint32(meta[blockMetaSize-4:], crc32.ChecksumIEEE(meta[:blockMetaSize-4]))
 	}
 	resealFrame(t, out, "blocks")
 	return out
@@ -119,15 +120,15 @@ func TestV3BlocksCorruptionTypedErrors(t *testing.T) {
 			// adds up) is caught by the alignment check, not a generic
 			// corruption error.
 			check("misaligned image", patchBlocksMeta(t, good, true, func(meta []byte) {
-				putU32(meta[25:], getU32(meta[25:])+1) // low word of imageOff
-				putU32(meta[33:], getU32(meta[33:])-1) // low word of imageLen
+				binary.LittleEndian.PutUint32(meta[25:], binary.LittleEndian.Uint32(meta[25:])+1) // low word of imageOff
+				binary.LittleEndian.PutUint32(meta[33:], binary.LittleEndian.Uint32(meta[33:])-1) // low word of imageLen
 			}), ErrMisaligned)
 
 			// Meta damage under a stale meta CRC: the self-checksum catches
 			// it even though the section frame CRC was refreshed (the paged
 			// opener never checksums the whole payload).
 			check("bad meta CRC", patchBlocksMeta(t, good, false, func(meta []byte) {
-				putU32(meta[12:], getU32(meta[12:])+1) // n
+				binary.LittleEndian.PutUint32(meta[12:], binary.LittleEndian.Uint32(meta[12:])+1) // n
 			}), ErrChecksum)
 
 			// Navigation-section damage (first byte of the pinned "params"

@@ -29,7 +29,7 @@ func snapshotOf(t testing.TB, algo string) []byte {
 func withVersion(img []byte, v uint16) []byte {
 	out := append([]byte(nil), img...)
 	binary.LittleEndian.PutUint16(out[4:6], v)
-	putU32(out[20:24], crc32.ChecksumIEEE(out[:20]))
+	binary.LittleEndian.PutUint32(out[20:24], crc32.ChecksumIEEE(out[:20]))
 	return out
 }
 

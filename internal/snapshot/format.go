@@ -265,8 +265,8 @@ func parse(src source, size int64) (*file, error) {
 			return nil, err
 		}
 		name := string(frame[:nameLen])
-		payloadLen := getU64(frame[nameLen:])
-		wantCRC := getU32(frame[nameLen+8:])
+		payloadLen := binary.LittleEndian.Uint64(frame[nameLen:])
+		wantCRC := binary.LittleEndian.Uint32(frame[nameLen+8:])
 		off += nameLen + 8 + 4
 		if payloadLen > uint64(size-off) {
 			return nil, fmt.Errorf("%w: section %q claims %d payload bytes, %d remain", ErrTruncated, name, payloadLen, size-off)

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -398,13 +399,13 @@ func (s *PagedStore) DistExact(q vec.PreparedQuery, v uint32) float32 {
 // defensively: damage degrades recall, never memory safety.
 func (s *PagedStore) Neighbors(v uint32, buf []uint32) []uint32 {
 	rec := s.record(v)
-	deg := int(getU32(rec))
+	deg := int(binary.LittleEndian.Uint32(rec))
 	if deg > s.meta.maxDegree {
 		deg = 0
 	}
 	buf = buf[:0]
 	for i := 0; i < deg; i++ {
-		w := getU32(rec[4+4*i:])
+		w := binary.LittleEndian.Uint32(rec[4+4*i:])
 		if int(w) < s.meta.n {
 			buf = append(buf, w)
 		}

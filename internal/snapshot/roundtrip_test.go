@@ -267,8 +267,8 @@ func TestLoadedIndexServesAnnInterface(t *testing.T) {
 		if len(tr.Iters) != len(wantTr.Iters) {
 			t.Fatalf("%s: %d trace iters, want %d", algo, len(tr.Iters), len(wantTr.Iters))
 		}
-		if loaded.Graph().Len() != built.Len() {
-			t.Fatalf("%s: graph len %d, want %d", algo, loaded.Graph().Len(), built.Len())
+		if got := ann.CopyGraph(loaded.Store()).Len(); got != built.Len() {
+			t.Fatalf("%s: graph len %d, want %d", algo, got, built.Len())
 		}
 	}
 }
