@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -186,6 +187,108 @@ func (g *Graph) BFSOrder(root uint32, orderNeighbors func(v uint32, nbrs []uint3
 		}
 	}
 	return order
+}
+
+// Reach marks in seen every vertex reachable from root that seen does
+// not already mark, and returns how many it marked (0 when root is
+// already marked). A search that starts at root can only visit marked
+// vertices, so a served graph must mark every vertex from its entry.
+func (g *Graph) Reach(seen []bool, root uint32) int {
+	if seen[root] {
+		return 0
+	}
+	seen[root] = true
+	queue := []uint32{root}
+	for i := 0; i < len(queue); i++ {
+		for _, w := range g.adj[queue[i]] {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	return len(queue)
+}
+
+// Span makes every vertex reachable from root with NSG's spanning
+// repair (Fu et al., VLDB 2019) under an out-degree cap: each vertex v
+// a BFS from root did not reach, in index order, gets an edge from a
+// reached vertex that can take one, and the BFS continues from v. The
+// vertex is the first of near(v) that can — near returns the vertices
+// a search for v's vector visits, nearest first, so later searches
+// near v pass the new edge — or else the one nearest to v by dist
+// (ties to the lower ID). A vertex can take an edge into a free slot
+// (out-degree below maxDegree) or in place of its farthest out-edge
+// that is not a BFS-tree edge, so every reached vertex stays reached;
+// with maxDegree >= 1 some vertex always can, since a BFS leaf has no
+// tree out-edge. Span returns the number of edges linked: 0, and the
+// graph untouched, when root already reaches every vertex.
+func (g *Graph) Span(root uint32, maxDegree int, near func(v uint32) []uint32, dist func(v, w uint32) float32) int {
+	// parent[v] is v's BFS-tree parent (root is its own), -1 unreached.
+	parent := make([]int32, len(g.adj))
+	for i := range parent {
+		parent[i] = -1
+	}
+	grow := func(from, v uint32) {
+		parent[v] = int32(from)
+		for queue := []uint32{v}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			for _, w := range g.adj[u] {
+				if parent[w] < 0 {
+					parent[w] = int32(u)
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	// spare reports whether u's out-edge to w is not a tree edge.
+	spare := func(u, w uint32) bool { return parent[w] != int32(u) }
+	canTake := func(u uint32) bool {
+		return parent[u] >= 0 && (len(g.adj[u]) < maxDegree || slices.ContainsFunc(g.adj[u], func(w uint32) bool { return spare(u, w) }))
+	}
+	grow(root, root)
+	linked := 0
+	for v := range g.adj {
+		if parent[v] >= 0 {
+			continue
+		}
+		from := -1
+		for _, u := range near(uint32(v)) {
+			if canTake(u) {
+				from = int(u)
+				break
+			}
+		}
+		if from < 0 {
+			var best float32
+			for u := range g.adj {
+				if !canTake(uint32(u)) {
+					continue
+				}
+				if d := dist(uint32(v), uint32(u)); from < 0 || d < best {
+					from, best = u, d
+				}
+			}
+		}
+		u := uint32(from)
+		if nbrs := g.adj[u]; len(nbrs) < maxDegree {
+			g.adj[u] = append(nbrs, uint32(v))
+		} else {
+			far, farDist := -1, float32(0)
+			for i, w := range nbrs {
+				if !spare(u, w) {
+					continue
+				}
+				if d := dist(u, w); far < 0 || d > farDist {
+					far, farDist = i, d
+				}
+			}
+			nbrs[far] = uint32(v)
+		}
+		linked++
+		grow(u, uint32(v))
+	}
+	return linked
 }
 
 // MinDegreeVertex returns the vertex with the smallest out-degree,

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +114,67 @@ func TestBFSOrderCoversAll(t *testing.T) {
 	// Vertex 3 is unreachable and must come last.
 	if order[3] != 3 {
 		t.Errorf("isolated vertex not appended last: %v", order)
+	}
+}
+
+func TestReachMarksOnlyNewVertices(t *testing.T) {
+	g := buildSample()
+	seen := make([]bool, g.Len())
+	if got := g.Reach(seen, 1); got != 3 {
+		t.Fatalf("Reach from 1 marked %d, want 3", got)
+	}
+	if seen[3] {
+		t.Error("isolated vertex 3 marked")
+	}
+	if got := g.Reach(seen, 0); got != 0 {
+		t.Errorf("Reach from a marked root marked %d, want 0", got)
+	}
+	if got := g.Reach(seen, 3); got != 1 || !seen[3] {
+		t.Errorf("Reach from 3 marked %d (seen %v), want 1", got, seen)
+	}
+}
+
+func TestSpanLinksUnreachedFromNearestVertex(t *testing.T) {
+	// Vertex i sits at point i on a line. From root 1 the BFS tree is
+	// 1 -> 2 -> 0; 3 -> 4 is unreached.
+	dist := func(v, w uint32) float32 { return float32((int(v) - int(w)) * (int(v) - int(w))) }
+	g := New(5)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 0)
+	g.AddEdge(2, 1)
+	g.AddEdge(3, 4)
+	// 3 hangs off its nearest vertex 2, which is full at max degree 2.
+	// Its farthest edge, 2 -> 0, is the only way to 0, so the nearer
+	// non-tree edge 2 -> 1 makes room.
+	if got := g.Span(1, 2, func(uint32) []uint32 { return nil }, dist); got != 1 {
+		t.Fatalf("Span linked %d edges, want 1", got)
+	}
+	if nb := g.Neighbors(2); !slices.Equal(nb, []uint32{0, 3}) {
+		t.Errorf("vertex 2's neighbors = %v, want [0 3]", nb)
+	}
+	if got := g.Reach(make([]bool, g.Len()), 1); got != 5 {
+		t.Errorf("after Span, root reaches %d of 5", got)
+	}
+	if got := g.Span(1, 2, func(uint32) []uint32 { return []uint32{0} }, dist); got != 0 {
+		t.Errorf("Span on a spanned graph linked %d edges", got)
+	}
+
+	// near's first reached vertex wins over the nearest one: 2 hangs
+	// off 0, not 1; the unreached 3 that near names first is passed over.
+	g = New(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(3, 2)
+	near := func(v uint32) []uint32 {
+		if v == 2 {
+			return []uint32{3, 0, 1}
+		}
+		return nil
+	}
+	if got := g.Span(0, 2, near, dist); got != 2 {
+		t.Fatalf("Span linked %d edges, want 2", got)
+	}
+	if nb := g.Neighbors(0); !slices.Equal(nb, []uint32{1, 2}) {
+		t.Errorf("vertex 0's neighbors = %v, want [1 2]", nb)
 	}
 }
 

@@ -95,8 +95,9 @@ type builder struct {
 	maxLevel int
 }
 
-// Build constructs an HNSW index over data. The vectors are copied into
-// a contiguous flat store; the input slices are not retained.
+// Build constructs an HNSW index over data, then links any base-layer
+// vertex the entry cannot reach (graph.Span). The vectors are copied
+// into a contiguous flat store; the input slices are not retained.
 func Build(data []vec.Vector, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -124,6 +125,10 @@ func Build(data []vec.Vector, cfg Config) (*Index, error) {
 		level := int(-math.Log(rng.Float64()+1e-18) * mL)
 		b.insert(uint32(i), level)
 	}
+	// shrink can drop the last edge into a vertex (10 of 8 000
+	// fashion-mnist rows): link each vertex the entry cannot reach on
+	// the base layer, the one every search ends on.
+	b.layers[0].Span(b.entry, 2*cfg.M, b.near, func(v, w uint32) float32 { return b.kern.DistRows(int(v), int(w)) })
 	store, err := ann.NewKernelStore(cfg.Metric, mat, b.layers[0], cfg.Quantized)
 	if err != nil {
 		return nil, fmt.Errorf("hnsw: %w", err)
@@ -217,6 +222,24 @@ func (x *builder) insert(v uint32, level int) {
 		x.maxLevel = level
 		x.entry = v
 	}
+}
+
+// near returns the base-layer vertices a search for row v's vector ends
+// on, nearest first: the greedy descent from the entry, then the
+// construction beam.
+func (x *builder) near(v uint32) []uint32 {
+	q := x.kern.Prepare(x.mat.Row(int(v)))
+	ep := x.entry
+	for l := x.maxLevel; l > 0; l-- {
+		ep, _ = greedyClosest(x.scratch, x.stores[l], &q, ep, nil)
+	}
+	start := ann.Neighbor{ID: ep, Dist: x.bs.Dist(q, ep)}
+	res := ann.BeamSearch(x.scratch, x.stores[0], &q, start, x.cfg.EfConstruction, nil, nil, nil)
+	ids := make([]uint32, len(res))
+	for i, r := range res {
+		ids[i] = r.ID
+	}
+	return ids
 }
 
 // shrink re-prunes w's neighbor list on layer l to at most m entries

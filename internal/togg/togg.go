@@ -5,23 +5,27 @@
 // expanded, which shortens the route to the query's region. Stage two
 // switches to the standard greedy beam search for the final refinement.
 // The paper's Fig. 21 runs it as an emerging ANNS workload.
+//
+// TOGG's contribution is the routing, not its proximity graph: the
+// graph it routes over is HNSW's base layer (package hnsw), which
+// reaches every row from HNSW's entry point, the vertex TOGG starts
+// from.
 package togg
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"ndsearch/internal/ann"
-	"ndsearch/internal/graph"
+	"ndsearch/internal/hnsw"
 	"ndsearch/internal/trace"
 	"ndsearch/internal/vec"
 )
 
 // Config holds TOGG construction and search parameters.
 type Config struct {
-	// K is the number of nearest neighbors per vertex in the base KNN
-	// graph.
+	// K is the HNSW M the base graph is built with: each vertex keeps
+	// up to 2K out-edges.
 	K int
 	// GuideDims is how many top-variance dimensions the guided stage
 	// compares sign-wise.
@@ -32,7 +36,8 @@ type Config struct {
 	LSearch int
 	// Metric selects the distance function.
 	Metric vec.Metric
-	// Seed drives entry sampling.
+	// Seed drives HNSW's level sampling, which fixes the base graph
+	// and the entry.
 	Seed int64
 	// Quantized switches search traversal (both the guided stage and the
 	// beam refinement) to the SQ8 compressed tier with exact rerank of
@@ -75,37 +80,24 @@ type Index struct {
 
 var _ ann.Tunable = (*Index)(nil)
 
-// builder is the construction-time state; construction always
-// evaluates full precision through kern.
-type builder struct {
-	cfg  Config
-	mat  *vec.Matrix
-	kern *vec.Kernel
-	g    *graph.Graph
-}
-
-// Build constructs the KNN base graph (exact for the scaled corpora used
-// here) and selects the guide dimensions by component variance. The
-// vectors are copied into a contiguous flat store; the input slices are
-// not retained.
+// Build constructs TOGG's base graph with the HNSW builder at M = K
+// (its base layer holds up to 2K edges per vertex) and serves over that
+// graph's level 0, entered at HNSW's entry point; the upper layers are
+// dropped. The guide dimensions are the rows' top-variance components.
+// The vectors are copied into a contiguous flat store; the input slices
+// are not retained.
 func Build(data []vec.Vector, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("togg: empty dataset")
-	}
-	mat := vec.NewMatrix(data)
-	b := &builder{cfg: cfg, mat: mat, kern: vec.NewKernel(cfg.Metric, mat), g: graph.New(len(data))}
-	b.buildKNN()
-	guideDims := b.pickGuideDims()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	entry := uint32(rng.Intn(len(data)))
-	store, err := ann.NewKernelStore(cfg.Metric, mat, b.g, cfg.Quantized)
+	hcfg := hnsw.DefaultConfig(cfg.Metric)
+	hcfg.M, hcfg.Seed, hcfg.Quantized = cfg.K, cfg.Seed, cfg.Quantized
+	base, err := hnsw.Build(data, hcfg)
 	if err != nil {
 		return nil, fmt.Errorf("togg: %w", err)
 	}
-	return FromStore(cfg, store, entry, guideDims)
+	store := base.Store()
+	return FromStore(cfg, store, base.Entry(), pickGuideDims(store.(*ann.KernelStore).Matrix(), cfg.GuideDims))
 }
 
 // FromStore assembles a served index over a NodeStore, the entry point
@@ -138,66 +130,28 @@ func FromStore(cfg Config, store ann.NodeStore, entry uint32, guideDims []int) (
 	return x, nil
 }
 
-func (x *builder) buildKNN() {
-	n := x.mat.Rows()
-	k := x.cfg.K
-	if k > n-1 {
-		k = n - 1
-	}
-	for v := 0; v < n; v++ {
-		cands := make([]ann.Neighbor, 0, n-1)
-		for w := 0; w < n; w++ {
-			if w == v {
-				continue
-			}
-			cands = append(cands, ann.Neighbor{ID: uint32(w), Dist: x.kern.DistRows(v, w)})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].Dist != cands[j].Dist {
-				return cands[i].Dist < cands[j].Dist
-			}
-			return cands[i].ID < cands[j].ID
-		})
-		out := make([]uint32, k)
-		for i := 0; i < k; i++ {
-			out[i] = cands[i].ID
-		}
-		x.g.SetNeighbors(uint32(v), out)
-	}
-	// Add reverse edges (bounded) so greedy routing cannot dead-end.
-	for v := 0; v < n; v++ {
-		for _, w := range append([]uint32(nil), x.g.Neighbors(uint32(v))...) {
-			if x.g.Degree(w) < 2*k {
-				x.g.AddEdge(w, uint32(v))
-			}
-		}
-	}
-}
-
-func (x *builder) pickGuideDims() []int {
-	dim := x.mat.Dim()
-	rows := x.mat.Rows()
+// pickGuideDims returns the n dimensions of mat with the largest
+// component variance, in decreasing order of variance.
+func pickGuideDims(mat *vec.Matrix, n int) []int {
+	dim := mat.Dim()
+	rows := mat.Rows()
 	mean := make([]float64, dim)
 	for r := 0; r < rows; r++ {
-		vec.AccumulateF64(mean, x.mat.Row(r))
+		vec.AccumulateF64(mean, mat.Row(r))
 	}
 	for i := range mean {
 		mean[i] /= float64(rows)
 	}
 	variance := make([]float64, dim)
 	for r := 0; r < rows; r++ {
-		vec.AccumulateVarianceF64(variance, mean, x.mat.Row(r))
+		vec.AccumulateVarianceF64(variance, mean, mat.Row(r))
 	}
 	idxs := make([]int, dim)
 	for i := range idxs {
 		idxs[i] = i
 	}
 	sort.Slice(idxs, func(a, b int) bool { return variance[idxs[a]] > variance[idxs[b]] })
-	g := x.cfg.GuideDims
-	if g > dim {
-		g = dim
-	}
-	return idxs[:g]
+	return idxs[:min(n, dim)]
 }
 
 // guideScratch is per-search reusable buffers for the guided stage:

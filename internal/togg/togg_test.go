@@ -1,10 +1,12 @@
 package togg
 
 import (
+	"reflect"
 	"testing"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/dataset"
+	"ndsearch/internal/hnsw"
 	"ndsearch/internal/vec"
 )
 
@@ -47,26 +49,30 @@ func TestRecall(t *testing.T) {
 	}
 }
 
-func TestKNNGraphIsExact(t *testing.T) {
-	d, err := dataset.Generate(dataset.Glove100(), dataset.GenConfig{N: 60, Queries: 1, Seed: 1})
+// TOGG routes over HNSW's base layer from HNSW's entry: the same M and
+// seed give the same adjacency and entry, in both traversal modes.
+func TestBaseIsHNSWLevelZero(t *testing.T) {
+	d, err := dataset.Generate(dataset.Glove100(), dataset.GenConfig{N: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(d.Vectors, Config{K: 5, GuideDims: 4, GuideHops: 8, LSearch: 16, Metric: vec.Angular, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First K neighbors of vertex 0 must equal brute-force KNN (the graph
-	// may hold extra reverse edges after them).
-	exact := ann.BruteForce(vec.Angular, d.Vectors, d.Vectors[0], 6)
-	knn := idx.BaseGraph().Neighbors(0)[:5]
-	want := map[uint32]bool{}
-	for _, n := range exact[1:6] { // skip self
-		want[n.ID] = true
-	}
-	for _, n := range knn {
-		if !want[n] {
-			t.Errorf("neighbor %d not in exact KNN set", n)
+	for _, quantized := range []bool{false, true} {
+		cfg := Config{K: 5, GuideDims: 4, GuideHops: 8, LSearch: 16, Metric: vec.Angular, Seed: 2, Quantized: quantized}
+		idx, err := Build(d.Vectors, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcfg := hnsw.DefaultConfig(vec.Angular)
+		hcfg.M, hcfg.Seed, hcfg.Quantized = cfg.K, cfg.Seed, quantized
+		base, err := hnsw.Build(d.Vectors, hcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Entry() != base.Entry() {
+			t.Errorf("quantized=%v: entry %d, HNSW entry %d", quantized, idx.Entry(), base.Entry())
+		}
+		if !reflect.DeepEqual(idx.BaseGraph(), base.BaseGraph()) {
+			t.Errorf("quantized=%v: base graph differs from HNSW's level 0", quantized)
 		}
 	}
 }
