@@ -132,14 +132,12 @@ func SortNeighbors(ns []Neighbor) {
 	})
 }
 
-// ---- candidate list / result list heaps -------------------------------
-//
-// Both heaps are plain []Neighbor binary heaps with hand-written sifts:
-// no container/heap, so no Neighbor is boxed into an interface on push
-// or pop and a reused Frontier allocates nothing. Each order has its
-// own pair: minPush/minFix keep the candidate min-heap (nearest at the
-// root), maxPush/maxFix the result max-heap (farthest at the root).
+// ---- candidate list / result list ----------------------------------
 
+// minPush and minFix keep the overflow min-heap (nearest at the root), a
+// plain []Neighbor binary heap with hand-written sifts: no
+// container/heap, so no Neighbor is boxed into an interface and a reused
+// Frontier allocates nothing.
 func minPush(h []Neighbor, n Neighbor) []Neighbor {
 	h = append(h, n)
 	i := len(h) - 1
@@ -175,53 +173,34 @@ func minFix(h []Neighbor) {
 	h[i] = n
 }
 
-func maxPush(h []Neighbor, n Neighbor) []Neighbor {
-	h = append(h, n)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(h[parent], n) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = n
-	return h
-}
-
-// maxFix restores the max-heap after its root was overwritten.
-func maxFix(h []Neighbor) {
-	n, i := h[0], 0
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && less(h[c], h[c+1]) {
-			c++
-		}
-		if !less(n, h[c]) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = n
-}
-
 // Frontier is the best-first candidate pool used by greedy graph search:
-// a min-heap of unexpanded candidates plus a bounded max-heap of the best
-// ef results seen so far (the paper's "candidate list" and "result list",
-// §II-A).
+// the paper's "candidate list" and "result list" (§II-A) kept as one
+// sorted array, as DiskANN and NSG keep it. list holds the best ef
+// neighbours seen so far in ascending (distance, ID) order, each with an
+// expanded flag, and cursor indexes the first entry not yet expanded.
+// The candidates that are not list members — competitive vertices a
+// skip predicate kept out of the results, and entries evicted from the
+// list before they were expanded — wait in overflow, a small min-heap.
+// The nearest unexpanded candidate is therefore the smaller of
+// list[cursor] and overflow's root: the same vertex a candidate
+// min-heap holding every pushed, unpopped neighbour would yield.
 type Frontier struct {
-	candidates []Neighbor
-	results    []Neighbor
-	ef         int
+	list     []listEntry
+	cursor   int // first i with !list[i].expanded; len(list) when none
+	overflow []Neighbor
+	ef       int
+}
+
+// listEntry is one result-list entry. expanded is set once it was
+// popped, or from the start when PushResult entered it: it is not a
+// candidate.
+type listEntry struct {
+	Neighbor
+	expanded bool
 }
 
 // NewFrontier creates a frontier with result budget ef (>= 1). The
-// heaps grow on demand — ef is often a request's k, which must not
+// arrays grow on demand — ef is often a request's k, which must not
 // size an allocation.
 func NewFrontier(ef int) *Frontier {
 	f := &Frontier{}
@@ -230,67 +209,111 @@ func NewFrontier(ef int) *Frontier {
 }
 
 // reset empties the frontier for a new search with budget ef, keeping
-// the heaps' backing arrays.
+// the backing arrays.
 func (f *Frontier) reset(ef int) {
-	f.candidates, f.results, f.ef = f.candidates[:0], f.results[:0], max(ef, 1)
+	f.list, f.overflow = f.list[:0], f.overflow[:0]
+	f.cursor, f.ef = 0, max(ef, 1)
 }
 
-// Push offers a neighbor to both heaps. It returns true if the neighbor
-// entered the result list (i.e. it was competitive). Once the result
-// list is full, admission follows the package's (distance, ID) total
-// order: a candidate that ties the current worst on distance but has a
-// smaller ID evicts it, so a Frontier fold retains exactly the ef
-// smallest neighbors under that order.
-func (f *Frontier) Push(n Neighbor) bool {
-	if f.PushResult(n) {
-		f.candidates = minPush(f.candidates, n)
-		return true
+// competitive reports whether n would enter the result list: the list
+// is not full, or n precedes its last entry in the (distance, ID) order.
+func (f *Frontier) competitive(n Neighbor) bool {
+	return len(f.list) < f.ef || less(n, f.list[len(f.list)-1].Neighbor)
+}
+
+// insert places a competitive n at its sorted position (binary search
+// plus one copy), evicting the last entry when the list is full; an
+// evicted entry that was still a candidate moves to overflow. cand
+// marks n unexpanded, so it is a candidate.
+func (f *Frontier) insert(n Neighbor, cand bool) {
+	lo, hi := 0, len(f.list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if less(f.list[m].Neighbor, n) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return false
+	if last := len(f.list) - 1; len(f.list) < f.ef {
+		f.list = append(f.list, listEntry{})
+	} else if !f.list[last].expanded {
+		f.overflow = minPush(f.overflow, f.list[last].Neighbor)
+	}
+	copy(f.list[lo+1:], f.list[lo:])
+	f.list[lo] = listEntry{Neighbor: n, expanded: !cand}
+	if lo <= f.cursor {
+		if cand {
+			f.cursor = lo
+		} else {
+			f.cursor = min(f.cursor+1, len(f.list))
+		}
+	}
+}
+
+// Push offers a neighbor as a candidate and a result. It returns true
+// if the neighbor entered the result list (i.e. it was competitive).
+// Once the result list is full, admission follows the package's
+// (distance, ID) total order: a candidate that ties the current worst
+// on distance but has a smaller ID evicts it, so a Frontier fold
+// retains exactly the ef smallest neighbors under that order.
+func (f *Frontier) Push(n Neighbor) bool {
+	if !f.competitive(n) {
+		return false
+	}
+	f.insert(n, true)
+	return true
 }
 
 // pushFiltered is Push under BeamSearch's skip predicate: a competitive
-// neighbor that skip rejects enters the candidate heap only — it routes
-// the traversal but never reaches the result list. skip is evaluated
-// only once the neighbor is known to be competitive.
+// neighbor that skip rejects becomes a candidate only — it routes the
+// traversal but never reaches the result list. skip is evaluated only
+// once the neighbor is known to be competitive.
 func (f *Frontier) pushFiltered(n Neighbor, skip func(id uint32) bool) {
-	if len(f.results) >= f.ef && !less(n, f.results[0]) {
+	if !f.competitive(n) {
 		return
 	}
-	if !skip(n.ID) {
-		f.PushResult(n)
+	if skip(n.ID) {
+		f.overflow = minPush(f.overflow, n)
+	} else {
+		f.insert(n, true)
 	}
-	f.candidates = minPush(f.candidates, n)
 }
 
-// PushResult offers a neighbor to the bounded result list only, leaving
-// the candidate heap untouched — the fold for top-k merges that never
-// expand candidates (e.g. combining per-shard result lists). Admission
-// order matches Push.
+// PushResult offers a neighbor to the bounded result list only, never
+// as a candidate — the fold for top-k merges that never expand
+// candidates (e.g. combining per-shard result lists). Admission order
+// matches Push.
 func (f *Frontier) PushResult(n Neighbor) bool {
-	if len(f.results) < f.ef {
-		f.results = maxPush(f.results, n)
-		return true
+	if !f.competitive(n) {
+		return false
 	}
-	if less(n, f.results[0]) {
-		f.results[0] = n
-		maxFix(f.results)
-		return true
-	}
-	return false
+	f.insert(n, false)
+	return true
 }
 
-// PopNearest removes and returns the closest unexpanded candidate.
+// PopNearest removes and returns the closest unexpanded candidate: the
+// cursor entry, which it marks expanded, or overflow's root when that
+// is closer.
 func (f *Frontier) PopNearest() (Neighbor, bool) {
-	last := len(f.candidates) - 1
-	if last < 0 {
+	inList := f.cursor < len(f.list)
+	if h := f.overflow; len(h) > 0 && (!inList || less(h[0], f.list[f.cursor].Neighbor)) {
+		top, last := h[0], len(h)-1
+		h[0] = h[last]
+		f.overflow = h[:last]
+		if last > 0 {
+			minFix(f.overflow)
+		}
+		return top, true
+	}
+	if !inList {
 		return Neighbor{}, false
 	}
-	top := f.candidates[0]
-	f.candidates[0] = f.candidates[last]
-	f.candidates = f.candidates[:last]
-	if last > 0 {
-		minFix(f.candidates)
+	top := f.list[f.cursor].Neighbor
+	f.list[f.cursor].expanded = true
+	f.cursor++
+	for f.cursor < len(f.list) && f.list[f.cursor].expanded {
+		f.cursor++
 	}
 	return top, true
 }
@@ -298,41 +321,26 @@ func (f *Frontier) PopNearest() (Neighbor, bool) {
 // WorstDist returns the current result-list bound (+Inf semantics when
 // not yet full are the caller's concern; ok reports fullness).
 func (f *Frontier) WorstDist() (float32, bool) {
-	if len(f.results) == 0 {
+	if len(f.list) == 0 {
 		return 0, false
 	}
-	return f.results[0].Dist, len(f.results) >= f.ef
+	return f.list[len(f.list)-1].Dist, len(f.list) >= f.ef
 }
 
-// Results returns the retained results sorted ascending.
+// Results returns a copy of the retained results, sorted ascending.
 func (f *Frontier) Results() []Neighbor {
-	out := slices.Clone(f.results)
-	SortNeighbors(out)
-	return out
+	if f.list == nil {
+		return nil
+	}
+	return f.TopK(len(f.list))
 }
 
 // TopK returns the best min(k, retained) results sorted ascending —
-// Results()[:k] — in a freshly allocated slice the caller owns. It
-// selects instead of sorting the whole list: each retained result is
-// insertion-placed into a sorted run of at most k, which it enters
-// only if it beats the run's last, so a search returning k of ef
-// results never orders the other ef-k.
+// Results()[:k] — in a freshly allocated slice the caller owns.
 func (f *Frontier) TopK(k int) []Neighbor {
-	k = min(max(k, 0), len(f.results))
-	out := make([]Neighbor, 0, k)
-	for _, n := range f.results {
-		if len(out) == k {
-			if k == 0 || !less(n, out[k-1]) {
-				continue
-			}
-			out = out[:k-1]
-		}
-		i := len(out)
-		out = append(out, n)
-		for ; i > 0 && less(n, out[i-1]); i-- {
-			out[i] = out[i-1]
-		}
-		out[i] = n
+	out := make([]Neighbor, min(max(k, 0), len(f.list)))
+	for i := range out {
+		out[i] = f.list[i].Neighbor
 	}
 	return out
 }
@@ -341,7 +349,12 @@ func (f *Frontier) TopK(k int) []Neighbor {
 // into the exact top-k under the package's (distance, ID) total order —
 // the sharded engine's merge.
 func MergeTopK(lists [][]Neighbor, k int) []Neighbor {
+	total := 0
+	for _, list := range lists {
+		total += len(list)
+	}
 	f := NewFrontier(k)
+	f.list = make([]listEntry, 0, min(f.ef, total)) // sized by the input, never by k alone
 	for _, list := range lists {
 		for _, n := range list {
 			f.PushResult(n)

@@ -8,8 +8,8 @@ import (
 )
 
 // Scratch is the reusable state of one graph search at a time: the
-// visited table, the two Frontier heaps and the neighbour-ID / distance
-// buffers, so a search on a warmed Scratch allocates only what it
+// visited table, the Frontier (the sorted result list and its overflow
+// heap) and the neighbour-ID / distance buffers, so a search on a warmed Scratch allocates only what it
 // returns. GraphIndex draws one per search from a pool; a build holds
 // one for its whole run. A Scratch must not be shared by concurrent
 // searches.
@@ -78,7 +78,7 @@ func (s *Scratch) begin(n int) {
 // and paged snapshot blocks byte-identically. start must carry its
 // distance (st.Dist of the entry point); ef bounds the result list and
 // is clamped to st.Len() — a result list can never be longer, so the
-// heaps are sized by the index, not by the caller. With a skip
+// Frontier is sized by the index, not by the caller. With a skip
 // predicate the list may end shorter than ef: skipped vertices never
 // fill it.
 //
@@ -93,22 +93,22 @@ func (s *Scratch) begin(n int) {
 //
 // skip, when non-nil, names vertices that route but are never returned
 // (the engine's shadowed base copies): a competitive scored vertex —
-// start included — that skip rejects enters the candidate heap only, so
-// the traversal still expands through it but the result list never
-// holds it. skip is asked only about competitive vertices, the few the
+// start included — that skip rejects becomes a candidate only (the
+// Frontier's overflow heap), so the traversal still expands through it
+// but the result list never holds it. skip is asked only about competitive vertices, the few the
 // beam admits, never about every scored one. A nil skip is the plain
 // loop.
 //
-// BeamSearch returns the whole result list sorted (rerank and builds
-// read all of it); a search that keeps only the head runs beam and
-// takes s's frontier's TopK.
+// BeamSearch returns a copy of the whole result list, which the
+// Frontier keeps sorted (rerank and builds read all of it); a search
+// that keeps only the head runs beam and copies s's frontier's TopK.
 func BeamSearch(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, ef int, tr *trace.Query, scored *[]Neighbor, skip func(id uint32) bool) []Neighbor {
 	beam(s, st, q, start, ef, tr, scored, skip)
 	return s.frontier.Results()
 }
 
-// beam is BeamSearch's traversal, leaving the result list in s's
-// frontier unsorted.
+// beam is BeamSearch's traversal, leaving the sorted result list in
+// s's frontier.
 func beam(s *Scratch, st NodeStore, q *vec.PreparedQuery, start Neighbor, ef int, tr *trace.Query, scored *[]Neighbor, skip func(id uint32) bool) {
 	n := st.Len()
 	s.begin(n)

@@ -76,12 +76,26 @@ func TestFrontierMatchesSortOracle(t *testing.T) {
 // (distance ties) and a random out-degree-deg graph.
 func randomStore(t testing.TB, m vec.Metric, n, dim, deg int, quantized bool, seed int64) *KernelStore {
 	t.Helper()
+	return randomStoreOf(t, m, n, dim, deg, quantized, seed, gridValue)
+}
+
+// gridValue draws one of −3…3: a coarse grid, so distances tie.
+func gridValue(rng *rand.Rand) float32 { return float32(rng.Intn(7)) - 3 }
+
+// byteValue draws one of 0, 85, 170, 255: integers in [0, 255], so a
+// float L2 store and query of them take vec's order-free FMA body, on a
+// grid coarse enough that distances tie.
+func byteValue(rng *rand.Rand) float32 { return float32(85 * rng.Intn(4)) }
+
+// randomStoreOf is randomStore with components drawn by draw.
+func randomStoreOf(t testing.TB, m vec.Metric, n, dim, deg int, quantized bool, seed int64, draw func(*rand.Rand) float32) *KernelStore {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]vec.Vector, n)
 	for i := range data {
 		data[i] = make(vec.Vector, dim)
 		for d := range data[i] {
-			data[i][d] = float32(rng.Intn(7)) - 3
+			data[i][d] = draw(rng)
 		}
 	}
 	g := graph.New(n)
@@ -99,9 +113,13 @@ func randomStore(t testing.TB, m vec.Metric, n, dim, deg int, quantized bool, se
 }
 
 func randomQuery(rng *rand.Rand, dim int) vec.Vector {
+	return randomQueryOf(rng, dim, gridValue)
+}
+
+func randomQueryOf(rng *rand.Rand, dim int, draw func(*rand.Rand) float32) vec.Vector {
 	q := make(vec.Vector, dim)
 	for d := range q {
-		q[d] = float32(rng.Intn(7)) - 3
+		q[d] = draw(rng)
 	}
 	return q
 }
@@ -180,6 +198,44 @@ func TestBeamSearchMatchesReferenceLoop(t *testing.T) {
 					if untraced := BeamSearch(s, st, &q, start, ef, nil, nil, nil); !slices.Equal(untraced, wantRes) {
 						t.Fatalf("%v sq8=%v ef=%d: untraced results differ", m, quantized, ef)
 					}
+				}
+			}
+		}
+	}
+}
+
+// On byte-valued rows and queries, where KernelStore.Dists scores
+// through vec's order-free FMA body and referenceBeam's per-neighbour
+// Dist through l2sq4, BeamSearch is still the reference loop step for
+// step — results, scored sequence and trace — without and with a skip
+// predicate, at dims below, on and past the 16-element FMA step.
+func TestBeamSearchByteValuedMatchesReferenceLoop(t *testing.T) {
+	const n = 240
+	s := NewScratch()
+	for _, dim := range []int{6, 16, 37, 128} {
+		st := randomStoreOf(t, vec.L2, n, dim, 5, false, 3, byteValue)
+		rng := rand.New(rand.NewSource(23))
+		for trial := 0; trial < 20; trial++ {
+			q := st.Prepare(randomQueryOf(rng, dim, byteValue))
+			entry := uint32(rng.Intn(n))
+			start := Neighbor{ID: entry, Dist: st.Dist(q, entry)}
+			skip, _ := randomSkip(rng, n, []float64{0, 0.05, 0.3, 0.7}[trial%4])
+			if trial%4 == 0 {
+				skip = nil
+			}
+			for _, ef := range []int{1, 7, 40, n, n + 100} {
+				wantRes, wantScored, wantTr := referenceBeam(st, q, start, ef, skip)
+				var tr trace.Query
+				var scored []Neighbor
+				got := BeamSearch(s, st, &q, start, ef, &tr, &scored, skip)
+				if !slices.Equal(got, wantRes) {
+					t.Fatalf("d%d trial %d ef=%d: results differ\n got %v\nwant %v", dim, trial, ef, got, wantRes)
+				}
+				if !slices.Equal(scored, wantScored) {
+					t.Fatalf("d%d trial %d ef=%d: scored sequence differs", dim, trial, ef)
+				}
+				if !reflect.DeepEqual(tr, wantTr) {
+					t.Fatalf("d%d trial %d ef=%d: trace differs", dim, trial, ef)
 				}
 			}
 		}

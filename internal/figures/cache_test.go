@@ -3,7 +3,6 @@ package figures
 import (
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -13,8 +12,7 @@ import (
 	"ndsearch/internal/vec"
 )
 
-// cacheScale keeps the cache tests fast (TOGG's exact KNN base graph is
-// quadratic in N).
+// cacheScale keeps the cache tests fast.
 func cacheScale() Scale { return Scale{N: 400, Batch: 16, K: 5, Seed: 1} }
 
 // The suite disk cache must be invisible in the output: a workload
@@ -30,7 +28,7 @@ func TestSuiteCacheWarmStartIsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, "sift-1b-"+algo+"-n400-seed1.ndx")
+			path := cold.cachePath("sift-1b", algo, cacheRevision)
 			if _, err := os.Stat(path); err != nil {
 				t.Fatalf("cache file not written: %v", err)
 			}
@@ -76,7 +74,7 @@ func TestSuiteCacheRejectsStaleParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "glove-100-hnsw-n400-seed1.ndx")
+	path := s.cachePath("glove-100", "hnsw", cacheRevision)
 	if _, _, err := snapshot.SaveFile(path, stale, vec.F32); err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +92,54 @@ func TestSuiteCacheRejectsStaleParams(t *testing.T) {
 	}
 }
 
+// A cache entry written under another build revision is rebuilt, not
+// served, even when its parameters match: a build change that keeps
+// Params() (a different graph from the same data and config) is visible
+// only through cacheRevision. The planted entry is an HNSW index with
+// today's parameters over a different corpus of the same size, which
+// cachedIndexCurrent accepts.
+func TestSuiteCacheRebuildsOtherRevision(t *testing.T) {
+	dir := t.TempDir()
+	s := NewSuite(cacheScale())
+	s.CacheDir = dir
+	prof, err := dataset.ProfileByName("glove-100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := dataset.Generate(prof, dataset.GenConfig{N: s.Scale.N, Queries: 1, Seed: s.Scale.Seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hnsw.DefaultConfig(prof.Metric)
+	cfg.Seed = s.Scale.Seed
+	stale, err := hnsw.Build(other.Vectors, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.cachedIndexCurrent("hnsw", stale, prof.Metric) {
+		t.Fatal("planted entry fails the params check; it would not isolate the revision")
+	}
+	oldPath := s.cachePath("glove-100", "hnsw", cacheRevision-1)
+	if _, _, err := snapshot.SaveFile(oldPath, stale, vec.F32); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := s.Workload("glove-100", "hnsw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSuite(cacheScale()).Workload("glove-100", "hnsw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w.Batch, fresh.Batch) {
+		t.Fatal("an entry from another revision was served instead of a rebuild")
+	}
+	if _, err := os.Stat(s.cachePath("glove-100", "hnsw", cacheRevision)); err != nil {
+		t.Fatalf("rebuild not cached under the current revision: %v", err)
+	}
+}
+
 // A corrupt or stale cache entry is rebuilt and overwritten, never
 // served.
 func TestSuiteCacheRecoversFromCorruption(t *testing.T) {
@@ -104,7 +150,7 @@ func TestSuiteCacheRecoversFromCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "glove-100-hnsw-n400-seed1.ndx")
+	path := s.cachePath("glove-100", "hnsw", cacheRevision)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +194,7 @@ func TestSuiteCacheQuantKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "glove-100-hnsw-n400-seed1-sq8.ndx")
+	path := s.cachePath("glove-100", "hnsw", cacheRevision)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("quantized cache file not written under -sq8 key: %v", err)
 	}
@@ -191,7 +237,7 @@ func TestSuiteCacheQuantKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainPath := filepath.Join(dir, "glove-100-hnsw-n400-seed1.ndx")
+	plainPath := plain.cachePath("glove-100", "hnsw", cacheRevision)
 	if err := os.WriteFile(plainPath, quantBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -208,13 +208,7 @@ func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann
 	if s.CacheDir == "" {
 		return build(0, d.Vectors)
 	}
-	// Quantized entries are keyed apart from full-precision ones.
-	mode := ""
-	if s.Scale.Quantized {
-		mode = "-sq8"
-	}
-	path := filepath.Join(s.CacheDir,
-		fmt.Sprintf("%s-%s-n%d-seed%d%s.ndx", profName, algo, s.Scale.N, s.Scale.Seed, mode))
+	path := s.cachePath(profName, algo, cacheRevision)
 	if idx, _, err := snapshot.LoadFile(path); err == nil && idx.Len() == len(d.Vectors) &&
 		s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
 		return idx, nil
@@ -228,6 +222,25 @@ func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann
 	// that already holds a good index.
 	_, _, _ = snapshot.SaveFile(path, idx, vec.F32)
 	return idx, nil
+}
+
+// cacheRevision names the build algorithms a cache entry was written
+// under. A change to any family's Build output — a different graph from
+// the same data, seed and parameters, which cachedIndexCurrent cannot
+// see — bumps it, so entries from before the change are never read.
+// Revision 2: HNSW's spanning repair and TOGG's HNSW base graph.
+const cacheRevision = 2
+
+// cachePath is the cache file of a workload's index built under
+// revision rev. Quantized entries are keyed apart from full-precision
+// ones.
+func (s *Suite) cachePath(profName, algo string, rev int) string {
+	mode := ""
+	if s.Scale.Quantized {
+		mode = "-sq8"
+	}
+	return filepath.Join(s.CacheDir,
+		fmt.Sprintf("%s-%s-n%d-seed%d%s-rev%d.ndx", profName, algo, s.Scale.N, s.Scale.Seed, mode, rev))
 }
 
 // cachedIndexCurrent reports whether a cache-loaded index was built

@@ -10,7 +10,6 @@
 package sched
 
 import (
-	"cmp"
 	"slices"
 
 	"ndsearch/internal/luncsr"
@@ -128,11 +127,7 @@ func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, budget int, visited fun
 	first := make([]bool, n)
 	counts := make([]int32, n)
 	var touched []uint32
-	type ranked struct {
-		v     uint32
-		count int32
-	}
-	var cands []ranked
+	var top []ranked
 	var out []QueryIter
 	for _, qi := range iters {
 		for _, v := range qi.Neighbors {
@@ -165,25 +160,48 @@ func Speculate(layout *luncsr.LUNCSR, iters []QueryIter, budget int, visited fun
 		if len(touched) == 0 {
 			continue
 		}
-		cands = cands[:0]
+		// Bounded selection: top holds the best len(top) candidates so
+		// far in rank order, and a candidate enters only if it beats the
+		// last, so the other candidates are never ordered. The prefix is
+		// the one a full sort by the same key would keep.
+		top = top[:0]
 		for _, w := range touched {
-			cands = append(cands, ranked{v: w, count: counts[w]})
+			c := ranked{v: w, count: counts[w]}
 			counts[w] = 0
+			if len(top) == budget {
+				if !c.before(top[budget-1]) {
+					continue
+				}
+				top = top[:budget-1]
+			}
+			i := len(top)
+			top = append(top, c)
+			for ; i > 0 && c.before(top[i-1]); i-- {
+				top[i] = top[i-1]
+			}
+			top[i] = c
 		}
 		touched = touched[:0]
-		slices.SortFunc(cands, func(a, b ranked) int {
-			if a.count != b.count {
-				return cmp.Compare(b.count, a.count)
-			}
-			return cmp.Compare(a.v, b.v)
-		})
-		sel := make([]uint32, min(len(cands), budget))
+		sel := make([]uint32, len(top))
 		for i := range sel {
-			sel[i] = cands[i].v
+			sel[i] = top[i].v
 		}
 		out = append(out, QueryIter{Query: qi.Query, Neighbors: sel})
 	}
 	return out
+}
+
+// ranked is one second-order candidate and its connection count into
+// the first-order set.
+type ranked struct {
+	v     uint32
+	count int32
+}
+
+// before is Speculate's rank order: more connections first, ties by
+// vertex ID.
+func (a ranked) before(b ranked) bool {
+	return a.count > b.count || (a.count == b.count && a.v < b.v)
 }
 
 // MatchSpeculation subtracts the speculative lists issued at iteration i

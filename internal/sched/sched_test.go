@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"ndsearch/internal/graph"
@@ -283,6 +284,81 @@ func TestSpeculatePrefixProperty(t *testing.T) {
 				want = append(want, QueryIter{Query: qi.Query, Neighbors: qi.Neighbors[:min(len(qi.Neighbors), b)]})
 			}
 			if got := Speculate(l, iters, b, visited); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, budget %d:\n got %+v\nwant %+v", trial, b, got, want)
+			}
+		}
+	}
+}
+
+// speculateOracle is Speculate's specification as a map and a full
+// sort: count each second-order candidate's connections into the
+// first-order set, order by (count desc, vertex asc), cut to budget.
+func speculateOracle(l *luncsr.LUNCSR, iters []QueryIter, budget int, visited func(int, uint32) bool) []QueryIter {
+	var out []QueryIter
+	for _, qi := range iters {
+		first := map[uint32]bool{}
+		for _, v := range qi.Neighbors {
+			first[v] = true
+		}
+		counts := map[uint32]int{}
+		for _, v := range qi.Neighbors {
+			if int(v) >= l.Len() {
+				continue
+			}
+			for _, w := range l.Neighbors(v) {
+				if !first[w] && w != qi.Entry && (visited == nil || !visited(qi.Query, w)) {
+					counts[w]++
+				}
+			}
+		}
+		if len(counts) == 0 {
+			continue
+		}
+		var ws []uint32
+		for w := range counts {
+			ws = append(ws, w)
+		}
+		sort.Slice(ws, func(i, j int) bool {
+			if counts[ws[i]] != counts[ws[j]] {
+				return counts[ws[i]] > counts[ws[j]]
+			}
+			return ws[i] < ws[j]
+		})
+		out = append(out, QueryIter{Query: qi.Query, Neighbors: ws[:min(len(ws), budget)]})
+	}
+	return out
+}
+
+// Speculate's bounded selection keeps exactly the prefix a full sort by
+// its rank key keeps, at budgets below, at and far above the candidate
+// counts, over random graphs dense enough that connection counts tie.
+func TestSpeculateMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	geo := testLayout(t, 4).Geometry()
+	for trial := 0; trial < 200; trial++ {
+		n := 8 + rng.Intn(120)
+		g := graph.New(n)
+		for e := rng.Intn(10 * n); e > 0; e-- {
+			g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+		}
+		l, err := luncsr.Build(g.ToCSR(), geo, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var iters []QueryIter
+		for q := 0; q < 8; q++ {
+			qi := QueryIter{Query: q, Entry: uint32(rng.Intn(n))}
+			for k := rng.Intn(16); k > 0; k-- {
+				qi.Neighbors = append(qi.Neighbors, uint32(rng.Intn(n+2)))
+			}
+			iters = append(iters, qi)
+		}
+		visited := func(q int, v uint32) bool { return (uint32(q)*5+v)%7 == 0 }
+		if trial%2 == 0 {
+			visited = nil
+		}
+		for _, b := range []int{1, 3, 8, 1000} {
+			if got, want := Speculate(l, iters, b, visited), speculateOracle(l, iters, b, visited); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, budget %d:\n got %+v\nwant %+v", trial, b, got, want)
 			}
 		}

@@ -33,7 +33,9 @@ import (
 // Every L2 path over float32 rows goes through l2sq / l2sqRows4, which
 // run AVX2 bodies on amd64 CPUs that have it (kernel_amd64.s) with
 // l2sq4's exact bits; l2sq4 itself is the reference and the path
-// everywhere else.
+// everywhere else. Kernel.DistsTo over byte-valued operands takes the
+// order-free FMA body instead (l2sqByteValued), exact there by
+// construction and so l2sq4's bits too.
 
 // dot4 is the 4-way unrolled inner product.
 func dot4(a, b []float32) float32 {
@@ -109,6 +111,57 @@ func l2sqAll(q, buf, out []float32) {
 	}
 }
 
+// maxByteValuedDim is the largest dim at which byte-valued L2 is
+// order-free: 258·255² = 16 776 450 < 2²⁴ (259·255² is not).
+const maxByteValuedDim = 258
+
+// byteValued reports whether every component of v is an integer in
+// [0, 255] (NaN is not). When the query and a row both are and dim ≤
+// maxByteValuedDim, every difference is an integer in [−255, 255],
+// every square at most 255², and every partial sum of squares, under
+// any grouping, an integer below 2²⁴: each is exact in float32, so no
+// subtraction, product, sum or fused multiply-add rounds, and every
+// accumulation order yields the exact integer — l2sq4's bits.
+func byteValued(v []float32) bool {
+	for _, x := range v {
+		if !(x >= 0 && x <= 255 && x == float32(int32(x))) {
+			return false
+		}
+	}
+	return true
+}
+
+// l2sqByteValued is l2sq from q to each listed row of buf (stride
+// len(q)) through the order-free body l2sqF32x4FMA, four rows per call;
+// a one-to-three-row tail is padded by repeating its first row. Callers
+// run it only where it is exact: q and every row byte-valued, dim ≤
+// maxByteValuedDim.
+func l2sqByteValued(q, buf []float32, rows []uint32, out []float32) {
+	dim := len(q)
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		r := rows[i : i+4 : i+4]
+		out[i], out[i+1], out[i+2], out[i+3] = l2sqF32x4FMA(q,
+			buf[int(r[0])*dim:int(r[0])*dim+dim], buf[int(r[1])*dim:int(r[1])*dim+dim],
+			buf[int(r[2])*dim:int(r[2])*dim+dim], buf[int(r[3])*dim:int(r[3])*dim+dim])
+	}
+	if rem := len(rows) - i; rem > 0 {
+		r0 := rows[i]
+		r1, r2 := r0, r0
+		if rem > 1 {
+			r1 = rows[i+1]
+		}
+		if rem > 2 {
+			r2 = rows[i+2]
+		}
+		var d [4]float32
+		d[0], d[1], d[2], d[3] = l2sqF32x4FMA(q,
+			buf[int(r0)*dim:int(r0)*dim+dim], buf[int(r1)*dim:int(r1)*dim+dim],
+			buf[int(r2)*dim:int(r2)*dim+dim], buf[int(r2)*dim:int(r2)*dim+dim])
+		copy(out[i:], d[:rem])
+	}
+}
+
 // squaredNorm is the 4-way unrolled squared Euclidean norm. Matrix
 // construction and rowDist's on-the-fly norm both use it, so
 // precomputed and on-the-fly norms are bit-identical.
@@ -152,6 +205,9 @@ type PreparedQuery struct {
 	metric Metric
 	vec    Vector
 	norm   float32
+	// byteValued is the query side of DistsTo's order-free gate: every
+	// component an integer in [0, 255] and dim ≤ maxByteValuedDim.
+	byteValued bool
 	// codes / codeNorm are the query quantized under the corpus scales
 	// (one two's-complement byte per code, like an SQ8 row) and their
 	// code-space norm — set only by PrepareQuantized, read only by the
@@ -163,7 +219,8 @@ type PreparedQuery struct {
 // PrepareQuery preprocesses query for metric m. The query slice is
 // retained (not copied) for the lifetime of the PreparedQuery.
 func PrepareQuery(m Metric, query Vector) PreparedQuery {
-	return PreparedQuery{metric: m, vec: query, norm: float32(math.Sqrt(float64(squaredNorm(query))))}
+	return PreparedQuery{metric: m, vec: query, norm: float32(math.Sqrt(float64(squaredNorm(query)))),
+		byteValued: len(query) <= maxByteValuedDim && byteValued(query)}
 }
 
 // Vec returns the underlying query vector.
@@ -325,8 +382,10 @@ func (k *Kernel) DistTo(q PreparedQuery, row int) float32 {
 // distances into out (len(out) must equal len(rows)). It is the batched
 // entry point for candidate shortlists: the graph traversals score each
 // expansion's unvisited neighbours through it (ann.KernelStore.Dists).
-// Float L2 scores four rows per pass (l2sqRows4); every distance is
-// bit-identical to DistTo's.
+// Float L2 scores four rows per pass (l2sqRows4), through the
+// order-free FMA body when the query and the matrix are both
+// byte-valued and the CPU has FMA; every distance is bit-identical to
+// DistTo's.
 func (k *Kernel) DistsTo(q PreparedQuery, rows []uint32, out []float32) {
 	if len(out) != len(rows) {
 		panic(fmt.Sprintf("vec: DistsTo out length %d != rows %d", len(out), len(rows)))
@@ -341,6 +400,10 @@ func (k *Kernel) DistsTo(q PreparedQuery, rows []uint32, out []float32) {
 	dim, buf := k.mat.dim, k.mat.buf
 	i := 0
 	if k.metric == L2 {
+		if useFMA && q.byteValued && k.mat.byteValued {
+			l2sqByteValued(q.vec, buf, rows, out)
+			return
+		}
 		for ; i+4 <= len(rows); i += 4 {
 			r := rows[i : i+4 : i+4]
 			out[i], out[i+1], out[i+2], out[i+3] = l2sqRows4(q.vec,

@@ -10,6 +10,9 @@ package vec
 // the fold is (s0+s1)+(s2+s3). No step is fused (no FMA). The four-row
 // entries exist for speed — four rows' add chains in one loop, their
 // loads overlapping — and each of their results is the one-row result.
+// The one exception is l2sqF32x4FMA, which reorders and fuses freely:
+// it runs only on byte-valued operands, where no step can round
+// (byteValued in kernel.go), so it too yields l2sq4's bits.
 //
 // useAVX2 is decided once, at init: CPUID must report AVX2 and XGETBV
 // must show the OS saving YMM state. When it is false each entry jumps
@@ -21,6 +24,19 @@ package vec
 // callers slice rows to len(q) in Go first.
 
 var useAVX2 = cpuHasAVX2()
+
+// useFMA additionally enables the order-free body l2sqF32x4FMA: CPUID
+// leaf 1 must report FMA (ECX bit 12) on a CPU useAVX2 accepted, whose
+// OS saves the YMM state the FMA body runs in. When it is false the
+// body jumps to l2sq4Rows4, and Kernel.DistsTo does not take it.
+var useFMA = useAVX2 && cpuHasFMA()
+
+// cpuHasFMA reports CPUID leaf 1's FMA bit.
+func cpuHasFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches. XGETBV is only executed once
@@ -52,6 +68,9 @@ func l2sqF32x1(a, b []float32) float32
 
 //go:noescape
 func l2sqF32x4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32)
+
+//go:noescape
+func l2sqF32x4FMA(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32)
 
 //go:noescape
 func l2sqU8x1(a []float32, b []byte) float32

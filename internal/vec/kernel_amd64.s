@@ -311,3 +311,123 @@ u4fold:
 	VMOVSS X3, d3+132(FP)
 	VZEROUPPER
 	RET
+
+// FMA8 adds the squared differences of the query step q and the row
+// step at mem into acc with one fused multiply-add; d is clobbered.
+#define FMA8(q, mem, d, acc) \
+	VSUBPS      mem, q, d; \
+	VFMADD231PS d, d, acc
+
+// func l2sqF32x4FMA(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32)
+//
+// The order-free four-row body, run only on byte-valued operands
+// (kernel.go, l2sqByteValued), where every partial sum is an exact
+// integer and so any accumulation order and a fused multiply-add give
+// l2sq4's bits. Each row has two 8-lane accumulators, Y0–Y3 for the
+// even and Y4–Y7 for the odd 8-element step of a 16-element iteration,
+// so eight independent VFMADD231PS chains are in flight. Then one
+// 8-element step, a fold to 4 lanes, one 4-lane step, a scalar tail
+// into lane 0 and the (s0+s1)+(s2+s3) fold. The entry tests useFMA
+// and otherwise jumps to l2sq4Rows4.
+//
+// Register use: SI query, R8–R11 rows, CX dim, DX dim rounded down to
+// a multiple of 16, AX element index, Y0–Y7 accumulators, Y8/Y9 the
+// query steps, Y10–Y13 scratch.
+TEXT ·l2sqF32x4FMA(SB), NOSPLIT, $0-136
+	CMPB   ·useFMA(SB), $1
+	JEQ    2(PC)
+	JMP    ·l2sq4Rows4(SB)
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   r0_base+24(FP), R8
+	MOVQ   r1_base+48(FP), R9
+	MOVQ   r2_base+72(FP), R10
+	MOVQ   r3_base+96(FP), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   CX, DX
+	ANDQ   $~15, DX
+	XORQ   AX, AX
+
+e16loop:
+	CMPQ    AX, DX
+	JGE     e8
+	VMOVUPS (SI)(AX*4), Y8
+	VMOVUPS 32(SI)(AX*4), Y9
+	FMA8(Y8, (R8)(AX*4), Y10, Y0)
+	FMA8(Y8, (R9)(AX*4), Y11, Y1)
+	FMA8(Y8, (R10)(AX*4), Y12, Y2)
+	FMA8(Y8, (R11)(AX*4), Y13, Y3)
+	FMA8(Y9, 32(R8)(AX*4), Y10, Y4)
+	FMA8(Y9, 32(R9)(AX*4), Y11, Y5)
+	FMA8(Y9, 32(R10)(AX*4), Y12, Y6)
+	FMA8(Y9, 32(R11)(AX*4), Y13, Y7)
+	ADDQ    $16, AX
+	JMP     e16loop
+
+e8:
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y5, Y1, Y1
+	VADDPS  Y6, Y2, Y2
+	VADDPS  Y7, Y3, Y3
+	LEAQ    8(AX), BX
+	CMPQ    BX, CX
+	JGT     e4
+	VMOVUPS (SI)(AX*4), Y8
+	FMA8(Y8, (R8)(AX*4), Y10, Y0)
+	FMA8(Y8, (R9)(AX*4), Y11, Y1)
+	FMA8(Y8, (R10)(AX*4), Y12, Y2)
+	FMA8(Y8, (R11)(AX*4), Y13, Y3)
+	MOVQ    BX, AX
+
+e4:
+	VEXTRACTF128 $1, Y0, X10
+	VEXTRACTF128 $1, Y1, X11
+	VEXTRACTF128 $1, Y2, X12
+	VEXTRACTF128 $1, Y3, X13
+	VADDPS       X10, X0, X0
+	VADDPS       X11, X1, X1
+	VADDPS       X12, X2, X2
+	VADDPS       X13, X3, X3
+	LEAQ         4(AX), BX
+	CMPQ         BX, CX
+	JGT          e1
+	VMOVUPS      (SI)(AX*4), X8
+	FMA8(X8, (R8)(AX*4), X10, X0)
+	FMA8(X8, (R9)(AX*4), X11, X1)
+	FMA8(X8, (R10)(AX*4), X12, X2)
+	FMA8(X8, (R11)(AX*4), X13, X3)
+	MOVQ         BX, AX
+
+e1:
+	CMPQ        AX, CX
+	JGE         efold
+	VMOVSS      (SI)(AX*4), X8
+	VSUBSS      (R8)(AX*4), X8, X10
+	VSUBSS      (R9)(AX*4), X8, X11
+	VSUBSS      (R10)(AX*4), X8, X12
+	VSUBSS      (R11)(AX*4), X8, X13
+	VFMADD231SS X10, X10, X0
+	VFMADD231SS X11, X11, X1
+	VFMADD231SS X12, X12, X2
+	VFMADD231SS X13, X13, X3
+	INCQ        AX
+	JMP         e1
+
+efold:
+	FOLD(X0, X10)
+	FOLD(X1, X11)
+	FOLD(X2, X12)
+	FOLD(X3, X13)
+	VMOVSS X0, d0+120(FP)
+	VMOVSS X1, d1+124(FP)
+	VMOVSS X2, d2+128(FP)
+	VMOVSS X3, d3+132(FP)
+	VZEROUPPER
+	RET

@@ -127,21 +127,42 @@ func BenchmarkQuantKernel(b *testing.B) {
 const expansionRows, expansionCorpus, expansionDim = 24, 8000, 128
 
 // BenchmarkDistsTo measures one expansion's float32 L2 shortlist
-// through the batched kernel (four rows per pass).
+// through the batched kernel: normal rows on the four-row l2sq4 path,
+// and byte-valued rows and query (sift-1b's at-rest values) on the
+// order-free FMA body where the CPU has it.
 func BenchmarkDistsTo(b *testing.B) {
 	data, query := benchData(expansionCorpus, expansionDim)
-	k := NewKernel(L2, NewMatrix(data))
-	q := k.Prepare(query)
 	rng := rand.New(rand.NewSource(43))
+	bytesData := make([]Vector, len(data))
+	for i := range bytesData {
+		bytesData[i] = make(Vector, expansionDim)
+		for j := range bytesData[i] {
+			bytesData[i][j] = float32(rng.Intn(256))
+		}
+	}
+	bytesQuery := make(Vector, expansionDim)
+	for j := range bytesQuery {
+		bytesQuery[j] = float32(rng.Intn(256))
+	}
 	ids := make([]uint32, expansionRows)
 	for i := range ids {
 		ids[i] = uint32(rng.Intn(expansionCorpus))
 	}
 	out := make([]float32, expansionRows)
-	for b.Loop() {
-		k.DistsTo(q, ids, out)
+	for _, c := range []struct {
+		name  string
+		data  []Vector
+		query Vector
+	}{{"normal", data, query}, {"byte-valued", bytesData, bytesQuery}} {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel(L2, NewMatrix(c.data))
+			q := k.Prepare(c.query)
+			for b.Loop() {
+				k.DistsTo(q, ids, out)
+			}
+			benchSink = out[0]
+		})
 	}
-	benchSink = out[0]
 }
 
 // BenchmarkDistancesToStored is BenchmarkDistsTo's shape over u8

@@ -8,9 +8,17 @@ package vec
 // useAVX2 is false off amd64: there is no assembly to dispatch to.
 const useAVX2 = false
 
+// useFMA is false off amd64: Kernel.DistsTo never takes the order-free
+// body.
+const useFMA = false
+
 func l2sqF32x1(a, b []float32) float32 { return l2sq4(a, b) }
 
 func l2sqF32x4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
+	return l2sq4Rows4(q, r0, r1, r2, r3)
+}
+
+func l2sqF32x4FMA(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
 	return l2sq4Rows4(q, r0, r1, r2, r3)
 }
 

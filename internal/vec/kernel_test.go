@@ -175,12 +175,15 @@ var asmDraws = []struct {
 // every batch length 0–9, so each remainder mod 4 is hit. The dims
 // cover every remainder mod 8 of the 8-wide step. U8 rows sit at odd
 // byte offsets inside a page-sized buffer, as records in a cache page
-// do. Without AVX2 the entries are the Go bodies themselves, so only
-// the batched callers are checked; the log line says which ran (CI
-// requires avx2=true, so the assembly oracle cannot be skipped
-// silently).
+// do. The order-free FMA entry l2sqF32x4FMA is held to l2sq4 where
+// its gate admits the operands (zero and u8 draws, dim ≤ 258), and
+// DistsTo takes it there. Without AVX2 the entries are the Go bodies
+// themselves, so only the batched callers are checked; the log line
+// says which ran (CI requires avx2=true and fma=true, so the assembly
+// oracle cannot be skipped silently).
 func TestAsmKernelsMatchGeneric(t *testing.T) {
-	t.Logf("avx2=%v", useAVX2)
+	t.Logf("avx2=%v fma=%v", useAVX2, useFMA)
+	isByteDraw := func(name string) bool { return name == "zero" || name == "u8" }
 	rng := rand.New(rand.NewSource(29))
 	same := func(t *testing.T, what string, got, want float32) {
 		t.Helper()
@@ -235,6 +238,12 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 						for j := range f {
 							same(t, fmt.Sprintf("l2sqF32x4 row %d", r+j), f[j], wantF[r+j])
 							same(t, fmt.Sprintf("l2sqU8x4 row %d", r+j), u[j], wantU[r+j])
+						}
+						if useFMA && dim <= maxByteValuedDim && isByteDraw(qd.name) && isByteDraw(rd.name) {
+							f[0], f[1], f[2], f[3] = l2sqF32x4FMA(q, rows[r], rows[r+1], rows[r+2], rows[r+3])
+							for j := range f {
+								same(t, fmt.Sprintf("l2sqF32x4FMA row %d", r+j), f[j], wantF[r+j])
+							}
 						}
 					}
 
@@ -315,5 +324,104 @@ func TestDistancesToFlatLengthPanics(t *testing.T) {
 			}()
 			pq.DistancesToFlat(make([]float32, n), make([]float32, 2))
 		}()
+	}
+}
+
+// byteRows returns n rows of dim components drawn by draw.
+func byteRows(n, dim int, draw func() float32) []Vector {
+	rows := make([]Vector, n)
+	for r := range rows {
+		rows[r] = make(Vector, dim)
+		for i := range rows[r] {
+			rows[r][i] = draw()
+		}
+	}
+	return rows
+}
+
+// Property: on byte-valued operands the order-free body is l2sq4 bit
+// for bit, at every dim from 16 to the gate's 258 and at DistsTo batch
+// lengths 0–9 (each padded tail), including the 2²⁴ edge: dim 258
+// with an all-0 query against all-255 rows, and the reverse, whose
+// distance 258·255² is the largest the gate admits.
+func TestOrderFreeL2MatchesL2sq4(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	same := func(t *testing.T, what string, got, want float32) {
+		t.Helper()
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s: got %v (%08x), l2sq4 %v (%08x)", what, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+	u8 := func() float32 { return float32(rng.Intn(256)) }
+	for dim := 16; dim <= maxByteValuedDim; dim++ {
+		rows := byteRows(9, dim, u8)
+		q := byteRows(1, dim, u8)[0]
+		if dim == maxByteValuedDim {
+			zero, full := func() float32 { return 0 }, func() float32 { return 255 }
+			rows = append(byteRows(5, dim, full), byteRows(4, dim, zero)...)
+			q = byteRows(1, dim, zero)[0]
+			if got, want := l2sq4(q, rows[0]), float32(maxByteValuedDim*255*255); got != want {
+				t.Fatalf("edge distance %v, want %v", got, want)
+			}
+		}
+		var d [4]float32
+		d[0], d[1], d[2], d[3] = l2sqF32x4FMA(q, rows[0], rows[1], rows[2], rows[3])
+		for j := range d {
+			same(t, fmt.Sprintf("d%d l2sqF32x4FMA row %d", dim, j), d[j], l2sq4(q, rows[j]))
+		}
+		k := NewKernel(L2, NewMatrix(rows))
+		for _, pq := range []PreparedQuery{k.Prepare(q), k.Prepare(rows[0])} {
+			if !pq.byteValued || !k.mat.byteValued {
+				t.Fatalf("d%d: gate refused byte-valued operands", dim)
+			}
+			for n := 0; n <= 9; n++ {
+				ids := make([]uint32, n)
+				for i := range ids {
+					ids[i] = uint32(rng.Intn(len(rows)))
+				}
+				out := make([]float32, n)
+				k.DistsTo(pq, ids, out)
+				for i, id := range ids {
+					same(t, fmt.Sprintf("d%d DistsTo n=%d [%d]", dim, n, i), out[i], l2sq4(pq.vec, rows[id]))
+				}
+			}
+		}
+	}
+}
+
+// The gate admits exactly the operands the exactness argument covers:
+// integers 0–255 (−0 included) at dim ≤ 258, on the query side
+// (PrepareQuery) and the row side (NewMatrix) alike. dim 259 and a
+// single component of 0.5, −1, 256 or NaN are refused.
+func TestByteValuedGate(t *testing.T) {
+	at := func(dim int, x float32) Vector {
+		v := make(Vector, dim)
+		for i := range v {
+			v[i] = float32(i % 256)
+		}
+		v[dim/2] = x
+		return v
+	}
+	for _, c := range []struct {
+		v    Vector
+		want bool
+	}{
+		{at(1, 0), true},
+		{at(128, 255), true},
+		{at(128, float32(math.Copysign(0, -1))), true},
+		{at(258, 7), true},
+		{at(259, 7), false},
+		{at(128, 0.5), false},
+		{at(128, -1), false},
+		{at(128, 256), false},
+		{at(128, float32(math.NaN())), false},
+	} {
+		if got := PrepareQuery(L2, c.v).byteValued; got != c.want {
+			t.Errorf("dim %d component %v: query gate %v, want %v", len(c.v), c.v[len(c.v)/2], got, c.want)
+		}
+		rows := []Vector{at(len(c.v), 3), c.v}
+		if got := NewMatrix(rows).byteValued; got != c.want {
+			t.Errorf("dim %d component %v: row gate %v, want %v", len(c.v), c.v[len(c.v)/2], got, c.want)
+		}
 	}
 }

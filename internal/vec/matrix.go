@@ -24,6 +24,10 @@ type Matrix struct {
 	// unrolled accumulation the kernels use so precomputed and
 	// on-the-fly norms are bit-identical. The Angular scorer reads it.
 	norms []float32
+	// byteValued is the row side of Kernel.DistsTo's order-free gate:
+	// every component of every row an integer in [0, 255] and dim ≤
+	// maxByteValuedDim.
+	byteValued bool
 	// sq8 is the optional compressed tier: per-dimension SQ8 codes that
 	// quantized kernels traverse instead of the float32 rows. Nil unless
 	// EnableSQ8 or AttachSQ8 ran; both are construction-time operations —
@@ -43,6 +47,7 @@ func NewMatrix(data []Vector) *Matrix {
 	m.dim = len(data[0])
 	m.buf = make([]float32, m.rows*m.dim)
 	m.norms = make([]float32, m.rows)
+	m.byteValued = m.dim <= maxByteValuedDim
 	for i, v := range data {
 		if len(v) != m.dim {
 			panic(fmt.Sprintf("vec: matrix row %d dim %d != %d", i, len(v), m.dim))
@@ -50,6 +55,7 @@ func NewMatrix(data []Vector) *Matrix {
 		row := m.buf[i*m.dim : (i+1)*m.dim]
 		copy(row, v)
 		m.norms[i] = float32(math.Sqrt(float64(squaredNorm(row))))
+		m.byteValued = m.byteValued && byteValued(row)
 	}
 	return m
 }
