@@ -10,21 +10,17 @@
 //
 // Flags:
 //
-//	-n       corpus size per dataset (default 4000)
-//	-batch   default query batch size (default 1024)
-//	-seed    global seed (default 1)
+//	-n       corpus size per dataset (default figures.DefaultScale().N)
+//	-batch   default query batch size (default figures.DefaultScale().Batch)
+//	-seed    global seed (default figures.DefaultScale().Seed)
 //	-j       experiments to run concurrently (default 1; values < 1 run
 //	         serially); output is byte-identical to a serial run
-//	-cache   directory for on-disk index snapshots keyed by
-//	         (profile, algo, n, seed); later runs warm-start instead of
-//	         rebuilding, with byte-identical output (empty disables)
-//	-quantized  build suite indexes with the SQ8 compressed traversal
-//	            tier (cache entries keyed separately, "-sq8" suffix)
+//	-quantized  build suite indexes with the SQ8 compressed traversal tier
 //	-rerank     exact-rerank width when quantized, 0 = full list
 //
-// Every index is built through the engine registry from its family's
-// DefaultConfig (hnsw, vamana, hcnng, togg), the same recipe ndserve
-// builds with.
+// Every index is built once per process through the engine registry
+// from its family's DefaultConfig (hnsw, vamana, hcnng, togg), the same
+// recipe ndserve builds with.
 package main
 
 import (
@@ -37,11 +33,11 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 4000, "corpus size per dataset")
-	batch := flag.Int("batch", 1024, "default query batch size")
-	seed := flag.Int64("seed", 1, "global seed")
+	def := figures.DefaultScale()
+	n := flag.Int("n", def.N, "corpus size per dataset")
+	batch := flag.Int("batch", def.Batch, "default query batch size")
+	seed := flag.Int64("seed", def.Seed, "global seed")
 	jobs := flag.Int("j", 1, "experiments to run concurrently")
-	cacheDir := flag.String("cache", "", "index snapshot cache directory (empty disables)")
 	quantized := flag.Bool("quantized", false, "build suite indexes with the SQ8 compressed traversal tier")
 	rerank := flag.Int("rerank", 0, "exact-rerank width for -quantized (0 = full candidate list)")
 	flag.Parse()
@@ -57,11 +53,9 @@ func main() {
 			strings.Join(figures.ExperimentNames(), "|"))
 		os.Exit(2)
 	}
-	scale := figures.Scale{N: *n, Batch: *batch, K: 10, Seed: *seed,
+	scale := figures.Scale{N: *n, Batch: *batch, K: def.K, Seed: *seed,
 		Quantized: *quantized, Rerank: *rerank}
-	suite := figures.NewSuite(scale)
-	suite.CacheDir = *cacheDir
-	if err := figures.RunMany(suite, args, *jobs, os.Stdout); err != nil {
+	if err := figures.RunMany(figures.NewSuite(scale), args, *jobs, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ndsearch: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,14 +1,19 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"ndsearch/internal/figures"
+)
 
 func TestValidateFlags(t *testing.T) {
+	def := figures.DefaultScale()
 	cases := []struct {
 		name             string
 		n, batch, rerank int
 		ok               bool
 	}{
-		{"defaults", 4000, 1024, 0, true},
+		{"defaults", def.N, def.Batch, 0, true},
 		{"smallest", 1, 1, 0, true},
 		{"rerank", 400, 16, 64, true},
 		{"zero n", 0, 16, 0, false},

@@ -172,8 +172,8 @@ func TestFig14ReorderingHelps(t *testing.T) {
 		// DiskANN enters every query at the medoid; reordering co-locates
 		// that neighborhood on one plane and serialises the first round's
 		// senses across the batch, so up to ~8% slowdown is possible at
-		// simulation scale (see EXPERIMENTS.md). Anything below 0.9 is a
-		// genuine regression.
+		// simulation scale (DESIGN.md §2 describes the layout). Anything
+		// below 0.9 is a genuine regression.
 		if mustFloat(t, ours[4]) < 0.90 {
 			t.Errorf("%s/%s: ours slowed down (%.3fx)", base[0], base[1], mustFloat(t, ours[4]))
 		}

@@ -1,13 +1,13 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation (§VII): each FigNN function runs the relevant workloads
 // through the NDSEARCH simulator and the baseline platform models and
-// emits the same rows/series the paper reports. DESIGN.md carries the
-// per-experiment index; EXPERIMENTS.md records measured-vs-paper values.
+// emits the same rows/series the paper reports. DESIGN.md §6 carries the
+// per-experiment index; each table's note lines carry the
+// measured-vs-paper comparison.
 package figures
 
 import (
 	"fmt"
-	"path/filepath"
 	"slices"
 	"sync"
 
@@ -15,15 +15,9 @@ import (
 	"ndsearch/internal/core"
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/engine"
-	"ndsearch/internal/hcnng"
-	"ndsearch/internal/hnsw"
 	"ndsearch/internal/nand"
 	"ndsearch/internal/platform"
-	"ndsearch/internal/snapshot"
-	"ndsearch/internal/togg"
 	"ndsearch/internal/trace"
-	"ndsearch/internal/vamana"
-	"ndsearch/internal/vec"
 )
 
 // Scale controls the experiment size. Defaults reproduce the paper's
@@ -40,7 +34,7 @@ type Scale struct {
 	// Quantized builds every suite graph index with the SQ8 compressed
 	// traversal tier (exact rerank of Rerank candidates, 0 = full
 	// list), so figures can be regenerated in the quantized serving
-	// mode. Cached snapshots are keyed separately per mode.
+	// mode.
 	Quantized bool
 	Rerank    int
 }
@@ -84,17 +78,8 @@ func (w *Workload) PlatformWorkload() platform.Workload {
 // build.
 type Suite struct {
 	Scale Scale
-	// CacheDir, when non-empty, persists built indexes as snapshot
-	// files keyed by (profile, algo, N, seed), so repeated suite runs
-	// (and repeated figure reproduction across processes) warm-start
-	// instead of rebuilding. Loaded indexes answer searches
-	// byte-identically to fresh builds, so traced batches, recall, and
-	// therefore every figure are unchanged by the cache. Unreadable or
-	// corrupt cache entries are rebuilt and overwritten; cache write
-	// failures are ignored (the freshly built index is used directly).
-	CacheDir string
-	mu       sync.Mutex
-	cache    map[string]*workloadSlot
+	mu    sync.Mutex
+	cache map[string]*workloadSlot
 }
 
 // workloadSlot serialises construction of one (dataset, algo) workload.
@@ -155,7 +140,7 @@ func (s *Suite) WorkloadSized(profName, algo string, queries int) (*Workload, er
 	}
 	var w *Workload
 	if slot.w == nil {
-		idx, err := s.buildOrLoadIndex(profName, algo, d)
+		idx, err := s.buildIndex(algo, d)
 		if err != nil {
 			return nil, err
 		}
@@ -193,87 +178,17 @@ func (s *Suite) recall(idx ann.Index, d *dataset.Dataset) float64 {
 	return sum / float64(probe)
 }
 
-// buildOrLoadIndex builds the workload's index through the engine
-// registry as shard 0 (built with the suite's own seed), consulting the
-// on-disk snapshot cache (when enabled) before paying construction. The
-// slot lock in WorkloadSized serialises same-key callers, and
-// snapshot.SaveFile is atomic (temp + rename), so concurrent suite
-// processes sharing a cache directory race benignly.
-func (s *Suite) buildOrLoadIndex(profName, algo string, d *dataset.Dataset) (ann.Index, error) {
+// buildIndex builds the workload's index through the engine registry as
+// shard 0, with the suite's own seed and quantized mode. The slot lock
+// in WorkloadSized makes this the one build of the workload's index in
+// the process.
+func (s *Suite) buildIndex(algo string, d *dataset.Dataset) (ann.Index, error) {
 	build, err := engine.BuilderWithOpts(algo, d.Profile.Metric, s.Scale.Seed,
 		engine.IndexOpts{Quantized: s.Scale.Quantized, Rerank: s.Scale.Rerank})
 	if err != nil {
 		return nil, err
 	}
-	if s.CacheDir == "" {
-		return build(0, d.Vectors)
-	}
-	path := s.cachePath(profName, algo, cacheRevision)
-	if idx, _, err := snapshot.LoadFile(path); err == nil && idx.Len() == len(d.Vectors) &&
-		s.cachedIndexCurrent(algo, idx, d.Profile.Metric) {
-		return idx, nil
-	}
-	idx, err := build(0, d.Vectors)
-	if err != nil {
-		return nil, err
-	}
-	// Best effort: the cache is an optimization, so a write failure
-	// (read-only or full cache directory) must not fail a figure run
-	// that already holds a good index.
-	_, _, _ = snapshot.SaveFile(path, idx, vec.F32)
-	return idx, nil
-}
-
-// cacheRevision names the build algorithms a cache entry was written
-// under. A change to any family's Build output — a different graph from
-// the same data, seed and parameters, which cachedIndexCurrent cannot
-// see — bumps it, so entries from before the change are never read.
-// Revision 2: HNSW's spanning repair and TOGG's HNSW base graph.
-const cacheRevision = 2
-
-// cachePath is the cache file of a workload's index built under
-// revision rev. Quantized entries are keyed apart from full-precision
-// ones.
-func (s *Suite) cachePath(profName, algo string, rev int) string {
-	mode := ""
-	if s.Scale.Quantized {
-		mode = "-sq8"
-	}
-	return filepath.Join(s.CacheDir,
-		fmt.Sprintf("%s-%s-n%d-seed%d%s-rev%d.ndx", profName, algo, s.Scale.N, s.Scale.Seed, mode, rev))
-}
-
-// cachedIndexCurrent reports whether a cache-loaded index was built
-// with exactly the parameters a fresh build uses today — its family's
-// DefaultConfig with the suite's seed and quantized mode. A stale entry
-// (hyperparameters changed since it was written) must be rebuilt, or
-// cached figure runs would silently diverge from cache-less ones.
-func (s *Suite) cachedIndexCurrent(algo string, idx ann.Index, m vec.Metric) bool {
-	seed, quantized, rerank := s.Scale.Seed, s.Scale.Quantized, s.Scale.Rerank
-	switch algo {
-	case "hnsw":
-		x, ok := idx.(*hnsw.Index)
-		want := hnsw.DefaultConfig(m)
-		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
-		return ok && x.Params() == want
-	case "diskann":
-		x, ok := idx.(*vamana.Index)
-		want := vamana.DefaultConfig(m)
-		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
-		return ok && x.Params() == want
-	case "hcnng":
-		x, ok := idx.(*hcnng.Index)
-		want := hcnng.DefaultConfig(m)
-		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
-		return ok && x.Params() == want
-	case "togg":
-		x, ok := idx.(*togg.Index)
-		want := togg.DefaultConfig(m)
-		want.Seed, want.Quantized, want.Rerank = seed, quantized, rerank
-		return ok && x.Params() == want
-	default:
-		return false
-	}
+	return build(0, d.Vectors)
 }
 
 // workloadMaxDegree is the graph R (the layout constant for footprints)
@@ -303,7 +218,14 @@ func Datasets() []string {
 	return names
 }
 
-// BillionDatasets lists only the billion-scale datasets (Figs. 1, 2).
+// BillionDatasets lists only the billion-scale datasets (Figs. 1, 2),
+// in the paper's order.
 func BillionDatasets() []string {
-	return []string{"sift-1b", "deep-1b", "spacev-1b"}
+	var names []string
+	for _, p := range dataset.Profiles() {
+		if p.IsBillionScale() {
+			names = append(names, p.Name)
+		}
+	}
+	return names
 }

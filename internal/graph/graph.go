@@ -7,7 +7,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Graph is a directed graph over vertices 0..N-1 with bounded out-degree,
@@ -66,14 +65,6 @@ func (g *Graph) MaxDegree() int {
 	return m
 }
 
-// AvgDegree returns the mean out-degree.
-func (g *Graph) AvgDegree() float64 {
-	if g.Len() == 0 {
-		return 0
-	}
-	return float64(g.Edges()) / float64(g.Len())
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.Len())
@@ -115,15 +106,6 @@ func (c *CSR) Neighbors(v uint32) []uint32 {
 // Degree returns v's out-degree.
 func (c *CSR) Degree(v uint32) int {
 	return int(c.Offsets[v+1] - c.Offsets[v])
-}
-
-// FromCSR rebuilds a mutable graph from a CSR snapshot.
-func FromCSR(c *CSR) *Graph {
-	g := New(c.Len())
-	for v := 0; v < c.Len(); v++ {
-		g.adj[v] = append([]uint32(nil), c.Neighbors(uint32(v))...)
-	}
-	return g
 }
 
 // Relabel returns a new graph in which vertex v of g becomes vertex
@@ -304,24 +286,6 @@ func (g *Graph) MinDegreeVertex() uint32 {
 		}
 	}
 	return best
-}
-
-// DegreeHistogram returns a sorted list of (degree, count) pairs.
-func (g *Graph) DegreeHistogram() [][2]int {
-	counts := map[int]int{}
-	for _, ns := range g.adj {
-		counts[len(ns)]++
-	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([][2]int, len(keys))
-	for i, k := range keys {
-		out[i] = [2]int{k, counts[k]}
-	}
-	return out
 }
 
 // Undirected returns a copy with every edge mirrored, used by reordering

@@ -120,12 +120,6 @@ func Bandwidth(g *graph.Graph, perm []uint32) (float64, error) {
 	return total / float64(n), nil
 }
 
-// Apply relabels g under perm, producing the reordered graph whose vertex
-// i is the vertex perm^-1(i) of the original.
-func Apply(g *graph.Graph, perm []uint32) (*graph.Graph, error) {
-	return g.Relabel(perm)
-}
-
 // Compare evaluates all three methods on g and returns their β values,
 // keyed by method. RandomBFS uses the given seed.
 func Compare(g *graph.Graph, seed int64) (map[Method]float64, error) {

@@ -192,12 +192,12 @@ func TestOursCompetitiveOnANNSGraph(t *testing.T) {
 func TestApplyPreservesStructure(t *testing.T) {
 	g := fig10Graph()
 	perm, _ := Order(g, DegreeAscendingBFS, 0)
-	r, err := Apply(g, perm)
+	r, err := g.Relabel(perm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Edges() != g.Edges() {
-		t.Error("Apply changed edge count")
+		t.Error("Relabel changed edge count")
 	}
 	// β computed on the relabeled graph under identity equals β of the
 	// original under perm.
