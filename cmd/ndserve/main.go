@@ -335,7 +335,8 @@ func buildServer(profName, algo string, n, shards, workers int, seed int64,
 
 // loadServer warm-starts the engine from a snapshot directory written
 // by -save-index (or engine.Save): no corpus generation, no index
-// build — the serving configuration comes from the manifest. With a
+// build — the serving configuration comes from the shard files'
+// headers and the manifest's provenance. With a
 // paged serving mode, shard node records stay in the files and are
 // traversed through a bounded per-shard page cache.
 func loadServer(dir string, lo engine.LoadOptions) (*Server, error) {
@@ -345,9 +346,9 @@ func loadServer(dir string, lo engine.LoadOptions) (*Server, error) {
 		return nil, err
 	}
 	log.Printf("ndserve: loaded %d-shard %s engine over %d %s vectors from %s in %v (serve=%s, format v%d)",
-		e.Shards(), man.Algo, e.Len(), man.Dataset, dir,
+		e.Shards(), man.Header.Algo, e.Len(), man.Dataset, dir,
 		time.Since(start).Round(time.Millisecond), e.ServeMode(), snapshot.FormatVersion)
-	srv := NewServer(e, man.Dim, man.Dataset, man.Algo)
-	srv.quantized = man.Quantized
+	srv := NewServer(e, man.Header.Dim, man.Dataset, man.Header.Algo)
+	srv.quantized = man.Header.Quantized
 	return srv, nil
 }

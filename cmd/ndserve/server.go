@@ -233,8 +233,8 @@ type HealthResponse struct {
 	Workers int    `json:"workers"`
 	Dim     int    `json:"dim"`
 	// Quantized reports whether the shards traverse the SQ8 compressed
-	// tier (the build flag, or on the load path the manifest the shard
-	// files' headers were checked against).
+	// tier (the build flag, or on the load path the shard files'
+	// headers, which every shard must agree on).
 	Quantized bool `json:"quantized"`
 	// Serve is the shard serving mode actually in use: "ram", "mmap",
 	// or "readat" (engine.ServeMode — a requested mmap that fell back

@@ -104,7 +104,7 @@ func main() {
 	}
 	warm.Close()
 	fmt.Printf("warm-start: built %d-shard %s engine in %v; saved in %v, restored in %v (%.0fx faster than building)\n",
-		eng.Shards(), man.Algo, buildTime.Round(time.Millisecond),
+		eng.Shards(), man.Header.Algo, buildTime.Round(time.Millisecond),
 		saveTime.Round(time.Millisecond), loadTime.Round(time.Millisecond),
 		float64(buildTime)/float64(loadTime))
 	fmt.Println("restored engine verified byte-identical on sample queries")

@@ -74,13 +74,16 @@ type Config struct {
 	Meta Meta
 }
 
-// Meta is caller-supplied provenance for snapshot manifests: which
-// algorithm and seed built the shards, which dataset the corpus came
-// from, and the at-rest element kind snapshots should use (vec.F32, the
-// zero value, is always lossless; U8/I8 require exactly-representable
-// components, which generated corpora satisfy). Save records the shards'
-// algo and SQ8 mode from the headers of the files it writes, not from
-// Meta; a non-empty Algo that disagrees with them fails the Save.
+// Meta is caller-supplied provenance for snapshots: which algorithm and
+// seed built the shards, which dataset the corpus came from, and the
+// at-rest element kind snapshots should use (vec.F32, the zero value, is
+// always lossless; U8/I8 require exactly-representable components,
+// which generated corpora satisfy). Save records Dataset and Seed in
+// the manifest and writes the shard files in Elem; Algo is recorded
+// nowhere — each file's header names its own family — so a non-empty
+// Algo is only checked, and one that disagrees with the shards fails
+// the Save. A loaded engine's Algo and Elem come from the shard
+// headers.
 type Meta struct {
 	Algo    string
 	Dataset string
@@ -755,13 +758,14 @@ type IndexOpts struct {
 // seed, and quantization opts.
 type builderFactory func(m vec.Metric, seed int64, opts IndexOpts) (Builder, error)
 
-// builders is the shard-family registry. It covers every family in the
-// snapshot codec registry (snapshot.Algos): the flat families exact and
-// ivfpq, and the graph families hnsw, diskann (Vamana), hcnng, and
-// togg. Every entry starts from its family's DefaultConfig, the one
-// recipe the figure suite builds with too; shard i is built with seed
-// seed+i. Algos derives the documented name list from this map, so the
-// two can never drift apart again.
+// builders is the shard-family registry. It covers every family the
+// snapshot codec registry saves, under the name the codec records
+// (TestAlgosCoverSnapshotRegistry): the flat families exact and ivfpq,
+// and the graph families hnsw, diskann (Vamana), hcnng, and togg. Every
+// entry starts from its family's DefaultConfig, the one recipe the
+// figure suite builds with too; shard i is built with seed seed+i.
+// Algos derives the documented name list from this map, so the two can
+// never drift apart again.
 var builders = map[string]builderFactory{
 	"exact": func(m vec.Metric, _ int64, opts IndexOpts) (Builder, error) {
 		if opts.Quantized {

@@ -232,7 +232,7 @@ func (e *Engine) compact() error {
 
 	newGen, err := e.buildGeneration(oldGen, ids, vecs, drop)
 	if err == nil && e.genDir != "" {
-		err = persistGeneration(e.genDir, newGen, e.meta, e.dim)
+		err = persistGeneration(e.genDir, newGen, e.meta)
 	}
 	if err != nil {
 		e.delta.Release(at, false)

@@ -999,16 +999,27 @@ func TestMutationCounters(t *testing.T) {
 }
 
 // TestAlgosCoverSnapshotRegistry pins the builder registry to the
-// snapshot codec registry, so a family added to one cannot silently be
-// missing from the other (the doc-drift this PR fixes).
+// snapshot codec registry: every family Algos lists builds an index the
+// snapshot codec detects under the same name, so a family added to the
+// builders cannot silently be missing a codec, or saved under another
+// name.
 func TestAlgosCoverSnapshotRegistry(t *testing.T) {
-	if got, want := Algos(), snapshot.Algos(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine.Algos() = %v, snapshot.Algos() = %v", got, want)
+	d, err := dataset.Generate(dataset.Sift1B(), dataset.GenConfig{N: 300, Queries: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, algo := range Algos() {
-		m := vec.L2
-		if _, err := BuilderWithOpts(algo, m, 1, IndexOpts{}); err != nil {
+		builder, err := BuilderWithOpts(algo, vec.L2, 1, IndexOpts{})
+		if err != nil {
 			t.Errorf("BuilderWithOpts(%q): %v", algo, err)
+			continue
+		}
+		idx, err := builder(0, d.Vectors)
+		if err != nil {
+			t.Fatalf("build %s: %v", algo, err)
+		}
+		if got, err := snapshot.Detect(idx); got != algo || err != nil {
+			t.Errorf("snapshot.Detect(%s index) = %q, %v", algo, got, err)
 		}
 	}
 	if _, err := BuilderWithOpts("nope", vec.L2, 1, IndexOpts{}); err == nil {

@@ -1,16 +1,11 @@
 package engine
 
 import (
-	"encoding/json"
-	"errors"
 	"math"
-	"os"
 	"testing"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/dataset"
-	"ndsearch/internal/snapshot"
-	"ndsearch/internal/vec"
 )
 
 // buildQuantTestEngine mirrors buildTestEngine with the SQ8 traversal
@@ -47,11 +42,8 @@ func TestBuilderWithOptsRejectsQuantizedExact(t *testing.T) {
 	}
 }
 
-// A quantized engine round-trips its snapshot directory: the manifest
-// records the mode, the reload serves byte-identically, and a manifest
-// whose quantized bit, rerank width, or element kind contradicts the
-// CRC-guarded shard files is rejected instead of silently changing the
-// serving mode.
+// A quantized engine round-trips its snapshot directory: the shard
+// headers record the mode, and the reload serves byte-identically.
 func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 	for _, algo := range []string{"hnsw", "diskann"} {
 		t.Run(algo, func(t *testing.T) {
@@ -65,8 +57,8 @@ func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("load: %v", err)
 			}
 			t.Cleanup(loaded.Close)
-			if !man.Quantized || man.Rerank != 32 {
-				t.Fatalf("manifest quantized=%v rerank=%d, want true/32", man.Quantized, man.Rerank)
+			if !man.Header.Quantized || man.Header.Rerank != 32 {
+				t.Fatalf("loaded header quantized=%v rerank=%d, want true/32", man.Header.Quantized, man.Header.Rerank)
 			}
 			want, _ := e.SearchBatch(d.Queries, 10)
 			got, _ := loaded.SearchBatch(d.Queries, 10)
@@ -81,49 +73,14 @@ func TestQuantEngineSaveLoadRoundTrip(t *testing.T) {
 					}
 				}
 			}
-
-			// A hand-edited SQ8 mode or element kind must fail the load in
-			// every serving mode. Clearing the quantized bit denies the
-			// files' sq8 sections; a different rerank width would
-			// otherwise be what the first compaction after the load
-			// rebuilds with; i8 over the files' u8 rows would refuse
-			// every upsert component above 127 and every compaction.
-			manPath := inCurrent(t, dir, ManifestName)
-			blob, err := os.ReadFile(manPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, edit := range []struct {
-				field string
-				apply func(*Manifest)
-			}{
-				{"quantized", func(m *Manifest) { m.Quantized = false }},
-				{"rerank", func(m *Manifest) { m.Rerank = 16 }},
-				{"elem", func(m *Manifest) { m.ElemKind = uint8(vec.I8) }},
-			} {
-				var m Manifest
-				if err := json.Unmarshal(blob, &m); err != nil {
-					t.Fatal(err)
-				}
-				edit.apply(&m)
-				mutated, _ := json.Marshal(&m)
-				if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				for _, serve := range []string{ServeRAM, ServeReadAt} {
-					if _, _, err := LoadWithOptions(dir, LoadOptions{Workers: 2, Serve: serve}); !errors.Is(err, snapshot.ErrCorrupt) {
-						t.Fatalf("manifest %s mismatch, serve %s: err = %v, want ErrCorrupt", edit.field, serve, err)
-					}
-				}
-			}
 		})
 	}
 }
 
-// Save records the SQ8 mode the shards were built with, not the
-// caller's Meta: an engine whose Meta names only the algo saves a
-// directory that loads, with the shards' quantized bit and rerank
-// width in its manifest.
+// The SQ8 mode a directory loads with is the one the shards were built
+// with, not the caller's Meta: an engine whose Meta names only the algo
+// saves a directory that loads with the shards' quantized bit and
+// rerank width.
 func TestQuantEngineSaveRecordsShardMode(t *testing.T) {
 	prof := dataset.Sift1B()
 	d, err := dataset.Generate(prof, dataset.GenConfig{N: 300, Queries: 4, Seed: 13})
@@ -148,8 +105,8 @@ func TestQuantEngineSaveRecordsShardMode(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	t.Cleanup(loaded.Close)
-	if !man.Quantized || man.Rerank != 32 {
-		t.Fatalf("manifest quantized=%v rerank=%d, want true/32", man.Quantized, man.Rerank)
+	if !man.Header.Quantized || man.Header.Rerank != 32 {
+		t.Fatalf("loaded header quantized=%v rerank=%d, want true/32", man.Header.Quantized, man.Header.Rerank)
 	}
 }
 

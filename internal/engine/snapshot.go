@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -11,15 +10,14 @@ import (
 	"runtime"
 
 	"ndsearch/internal/snapshot"
-	"ndsearch/internal/vec"
 )
 
 // This file persists and restores the full shard set: one snapshot file
-// per shard plus a manifest recording the algorithm, build seed,
-// partition bounds, and per-file checksums. Load rebuilds the engine
-// without invoking any index Build, so a restart costs file I/O instead
-// of graph construction — the build-once / serve-many model the paper's
-// on-SSD indexes assume.
+// per shard plus a manifest recording what no shard file can say about
+// itself (provenance, the external-ID table, and each file's row count
+// and checksum). Load rebuilds the engine without invoking any index
+// Build, so a restart costs file I/O instead of graph construction —
+// the build-once / serve-many model the paper's on-SSD indexes assume.
 //
 // An engine directory has one layout, written by Save and by every
 // persisted compaction alike: a CURRENT pointer naming a gen-NNNNNN
@@ -29,54 +27,42 @@ import (
 // ManifestName is the manifest file written alongside the shard files.
 const ManifestName = "manifest.json"
 
-// Manifest describes a saved engine directory. It is not checksummed:
-// Load cross-checks its Algo, ElemKind, Dim, Quantized, Rerank and each
-// file's Rows against that CRC-guarded shard file's header (checkShard),
-// so a hand-edited manifest cannot silently change the serving mode,
-// the element kind writes are encoded in, or the rerank width a
-// compaction rebuilds with.
+// Manifest describes a saved engine directory. It records only what no
+// shard file can say about itself; every shard file carries its own
+// CRC-guarded snapshot.Header (algo, metric, dim, element kind, SQ8
+// mode, rows), and Load holds each header to shard 0's. The manifest
+// is not checksummed: each file's Rows is checked against that file's
+// header before anything is sized from it, and the shard count, the
+// partition bounds (prefix sums of Rows), the vector count and the file
+// names (shardFileName) are derived, not stored.
 type Manifest struct {
 	// FormatVersion is the snapshot container version the shard files
 	// were written with; Load accepts only snapshot.FormatVersion.
 	FormatVersion int `json:"format_version"`
-	// Algo is the shard index family (a snapshot registry name), as the
-	// shard files' headers record it.
-	Algo string `json:"algo"`
-	// Dataset and Seed are provenance from Config.Meta.
+	// Dataset and Seed are provenance from Config.Meta; a loaded
+	// engine's compaction builder rebuilds with Seed.
 	Dataset string `json:"dataset,omitempty"`
 	Seed    int64  `json:"seed"`
-	// ElemKind is the at-rest element kind the shard files were written
-	// with (vec.ElemKind encoding), restored into Meta on Load so a
-	// re-save keeps the compact representation, and upserts are checked
-	// against it.
-	ElemKind uint8 `json:"elem_kind"`
-	// Quantized and Rerank record the shards' SQ8 traversal mode, as the
-	// shard files' headers record it (Rerank is 0 unless Quantized: a
-	// file stores the width only beside its SQ8 tier).
-	Quantized bool `json:"quantized,omitempty"`
-	Rerank    int  `json:"rerank,omitempty"`
-	// Dim and Vectors describe the corpus; Bounds are the contiguous
-	// partition offsets (len Shards+1, Bounds[i]..Bounds[i+1] is shard i).
-	Dim     int   `json:"dim"`
-	Vectors int   `json:"vectors"`
-	Shards  int   `json:"shards"`
-	Bounds  []int `json:"bounds"`
 	// Generation is the base generation number (0 for a fresh build),
 	// cross-checked against the gen-NNNNNN directory holding the
 	// manifest.
 	Generation int `json:"generation,omitempty"`
 	// Ids is the global-position → external-ID table of a compacted
-	// generation, strictly ascending and of length Vectors; omitted when
-	// positions are the IDs (the identity fast path).
+	// generation, strictly ascending with one entry per row; omitted
+	// when positions are the IDs (the identity fast path).
 	Ids []uint32 `json:"ids,omitempty"`
-	// Files lists the per-shard snapshot files with their CRC32-IEEE
-	// whole-file checksums. File i is named shardFileName(i).
+	// Files lists the per-shard snapshot files in shard order; file i
+	// is named shardFileName(i).
 	Files []ShardFile `json:"files"`
+	// Header is not stored: Load fills it with the header every shard
+	// file agrees on, its Rows set to the total over all shards.
+	Header snapshot.Header `json:"-"`
 }
 
-// ShardFile is one per-shard snapshot file entry.
+// ShardFile is one per-shard snapshot file entry. RAM serving checks
+// CRC32 (IEEE, over the whole file); paged serving skips whole-file
+// checksums, so Rows is what catches a misplaced file there.
 type ShardFile struct {
-	Name  string `json:"name"`
 	Rows  int    `json:"rows"`
 	CRC32 uint32 `json:"crc32"`
 }
@@ -113,7 +99,7 @@ func (e *Engine) Save(dir string) error {
 		return fmt.Errorf("engine: save: %s already holds a snapshot (%s names %s): %w",
 			dir, snapshot.CurrentName, name, fs.ErrExist)
 	}
-	return persistGeneration(dir, e.gen, e.meta, e.dim)
+	return persistGeneration(dir, e.gen, e.meta)
 }
 
 // persistGeneration writes gen into root as a gen-NNNNNN subdirectory
@@ -128,7 +114,7 @@ func (e *Engine) Save(dir string) error {
 // directory is removed; it is never one CURRENT names, since a
 // compaction always writes a higher number and Save refuses a directory
 // that has a CURRENT.
-func persistGeneration(root string, gen *generation, meta Meta, dim int) (err error) {
+func persistGeneration(root string, gen *generation, meta Meta) (err error) {
 	genName := snapshot.GenerationName(gen.num)
 	gdir := filepath.Join(root, genName)
 	if err := os.MkdirAll(gdir, 0o755); err != nil {
@@ -143,37 +129,22 @@ func persistGeneration(root string, gen *generation, meta Meta, dim int) (err er
 		FormatVersion: snapshot.FormatVersion,
 		Dataset:       meta.Dataset,
 		Seed:          meta.Seed,
-		ElemKind:      uint8(meta.Elem),
-		Dim:           dim,
-		Vectors:       gen.vectors,
-		Shards:        len(gen.shards),
-		Bounds:        []int{0},
 		Generation:    gen.num,
 		Ids:           gen.ids,
 	}
-	// The algo and SQ8 mode are recorded from the headers of the files
-	// just written: a manifest copied from Meta would disagree with the
-	// files whenever the caller's Meta does, and Load would reject them.
 	for i, sh := range gen.shards {
 		name := shardFileName(i)
 		h, crc, err := snapshot.SaveFile(filepath.Join(gdir, name), sh.index, meta.Elem)
 		if err != nil {
 			return fmt.Errorf("engine: save shard %d: %w", i, err)
 		}
-		if i == 0 {
-			// A wrong caller-supplied algo would make every future Load
-			// reject this intact directory as corrupt — surface the bug
-			// here; the deferred cleanup drops the partial generation.
-			if meta.Algo != "" && meta.Algo != h.Algo {
-				return fmt.Errorf("engine: save: Meta.Algo is %q but shards are %q", meta.Algo, h.Algo)
-			}
-			man.Algo, man.Quantized, man.Rerank = h.Algo, h.Quantized, h.Rerank
-		} else if h.Algo != man.Algo || h.Quantized != man.Quantized || h.Rerank != man.Rerank {
-			return fmt.Errorf("engine: save: shard %d is %s (quantized=%v rerank=%d), shard 0 is %s (quantized=%v rerank=%d)",
-				i, h.Algo, h.Quantized, h.Rerank, man.Algo, man.Quantized, man.Rerank)
+		// A caller-supplied algo the shards contradict is a caller bug:
+		// surface it here; the deferred cleanup drops the partial
+		// generation.
+		if i == 0 && meta.Algo != "" && meta.Algo != h.Algo {
+			return fmt.Errorf("engine: save: Meta.Algo is %q but shards are %q", meta.Algo, h.Algo)
 		}
-		man.Files = append(man.Files, ShardFile{Name: name, Rows: h.Rows, CRC32: crc})
-		man.Bounds = append(man.Bounds, man.Bounds[i]+h.Rows)
+		man.Files = append(man.Files, ShardFile{Rows: h.Rows, CRC32: crc})
 	}
 	blob, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -237,10 +208,9 @@ func normalizeServe(mode string) (string, error) {
 // fs.ErrNotExist): shard files are checksum-verified, decoded
 // concurrently (bounded by workers, which also sizes the search pool;
 // < 1 means GOMAXPROCS), and served without invoking any index Build.
-// The returned manifest
-// carries the provenance the writer recorded. Shards are fully
-// resident; use LoadWithOptions for the paged (beyond-RAM) serving
-// modes.
+// The returned manifest carries the provenance the writer recorded and,
+// in Header, what the shard files hold. Shards are fully resident; use
+// LoadWithOptions for the paged (beyond-RAM) serving modes.
 func Load(dir string, workers int) (*Engine, *Manifest, error) {
 	return LoadWithOptions(dir, LoadOptions{Workers: workers})
 }
@@ -256,11 +226,13 @@ func Load(dir string, workers int) (*Engine, *Manifest, error) {
 // it. Paged results are byte-identical to RAM serving of the same
 // directory.
 //
-// A loaded engine accepts Upsert/Delete (the delta tier's metric comes
-// from the CRC-guarded shard files) and carries the shard builder
-// Compact rebuilds with, reconstructed from the manifest's algo, seed,
-// and quantization mode; a manifest no builder accepts fails the load.
-// Compact additionally requires RAM serving.
+// Every shard file's header must agree with shard 0's on algo, metric,
+// dim, element kind and SQ8 mode, and its row count with the
+// manifest's entry for the file; a directory that disagrees fails with
+// snapshot.ErrCorrupt. A loaded engine accepts Upsert/Delete and carries
+// the shard builder Compact rebuilds with, reconstructed from shard 0's
+// header and the manifest's seed; a header no builder accepts fails the
+// load. Compact additionally requires RAM serving.
 func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	mode, err := normalizeServe(opts.Serve)
 	if err != nil {
@@ -288,41 +260,44 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	if err := json.Unmarshal(blob, man); err != nil {
 		return nil, nil, fmt.Errorf("engine: load manifest: %w", err)
 	}
-	if err := man.validate(); err != nil {
+	bounds, err := man.validate(genName, genNum)
+	if err != nil {
 		return nil, nil, err
-	}
-	if man.Generation != genNum {
-		return nil, nil, fmt.Errorf("engine: load manifest: %w: directory %s holds generation %d",
-			snapshot.ErrCorrupt, genName, man.Generation)
 	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := make([]shard, man.Shards)
+	shards := make([]shard, len(man.Files))
+	headers := make([]snapshot.Header, len(man.Files))
 	err = fanOut(len(man.Files), workers, func(i int) (err error) {
-		shards[i], err = openShard(loadDir, man, i, mode, opts.CachePages)
+		shards[i], headers[i], err = openShard(loadDir, man.Files[i], i, bounds[i], mode, opts.CachePages)
 		return err
 	})
+	if err == nil {
+		err = checkShards(man.Files, headers)
+	}
 	if err != nil {
 		closePaged(shards)
 		return nil, nil, err
 	}
-	meta := Meta{Algo: man.Algo, Dataset: man.Dataset, Seed: man.Seed, Elem: vec.ElemKind(man.ElemKind)}
-	gen := newGeneration(genNum, shards, man.Ids, man.Vectors)
-	// Reconstruct the shard builder so Compact can rebuild the base. Every
-	// loadable directory has one: checkShard pinned the algo and the
-	// quantized mode to the files, and the metric is the files' own.
-	builder, err := BuilderWithOpts(man.Algo, shards[0].index.Metric(), man.Seed, IndexOpts{
-		Quantized: man.Quantized, Rerank: man.Rerank,
+	h := headers[0]
+	h.Rows = bounds[len(man.Files)]
+	man.Header = h
+	meta := Meta{Algo: h.Algo, Dataset: man.Dataset, Seed: man.Seed, Elem: h.Elem}
+	// Reconstruct the shard builder so Compact can rebuild the base.
+	builder, err := BuilderWithOpts(h.Algo, h.Metric, man.Seed, IndexOpts{
+		Quantized: h.Quantized, Rerank: h.Rerank,
 	})
 	if err != nil {
 		closePaged(shards)
 		return nil, nil, fmt.Errorf("engine: load: %w", err)
 	}
-	e := newEngine(gen, workers, man.Dim, meta, builder)
+	// Sized only now: every header has vouched for its file's rows.
+	gen := newGeneration(genNum, shards, man.Ids, h.Rows)
+	e := newEngine(gen, workers, h.Dim, meta, builder)
 	e.genDir = dir
-	e.reqShards = man.Shards
+	e.reqShards = len(shards)
 	if p := shards[0].paged; p != nil {
 		// Report the backend actually serving: a requested mmap may have
 		// fallen back to positioned reads on platforms without mmap.
@@ -331,87 +306,78 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Engine, *Manifest, error) {
 	return e, man, nil
 }
 
-// validate checks the manifest's internal consistency before any shard
-// file is read.
-func (m *Manifest) validate() error {
+// validate checks what the manifest alone can, before any shard file is
+// read: its format version, its generation against genNum (parsed from
+// genName, the directory holding it), a positive row count per file and
+// the shape of the ID table. It returns the partition bounds, the
+// prefix sums of the files' rows (len(Files)+1 entries).
+func (m *Manifest) validate(genName string, genNum int) ([]int, error) {
 	if m.FormatVersion != snapshot.FormatVersion {
-		return fmt.Errorf("engine: load manifest: %w: version %d, this build reads only version %d",
+		return nil, fmt.Errorf("engine: load manifest: %w: version %d, this build reads only version %d",
 			snapshot.ErrVersion, m.FormatVersion, snapshot.FormatVersion)
 	}
-	if m.Shards < 1 || len(m.Files) != m.Shards || len(m.Bounds) != m.Shards+1 {
-		return fmt.Errorf("engine: load manifest: %d shards with %d files and %d bounds",
-			m.Shards, len(m.Files), len(m.Bounds))
+	if m.Generation != genNum {
+		return nil, fmt.Errorf("engine: load manifest: %w: directory %s holds generation %d",
+			snapshot.ErrCorrupt, genName, m.Generation)
 	}
-	if m.Dim < 1 {
-		return fmt.Errorf("engine: load manifest: dim %d", m.Dim)
+	if len(m.Files) == 0 {
+		return nil, fmt.Errorf("engine: load manifest: %w: no shard files", snapshot.ErrCorrupt)
 	}
-	if m.ElemKind > uint8(vec.I8) {
-		return fmt.Errorf("engine: load manifest: unknown element kind %d", m.ElemKind)
-	}
-	if m.Rerank < 0 {
-		return fmt.Errorf("engine: load manifest: rerank %d", m.Rerank)
-	}
-	if m.Generation < 0 {
-		return fmt.Errorf("engine: load manifest: generation %d", m.Generation)
-	}
-	if m.Bounds[0] != 0 || m.Bounds[m.Shards] != m.Vectors {
-		return fmt.Errorf("engine: load manifest: bounds %v do not cover %d vectors", m.Bounds, m.Vectors)
-	}
+	bounds := make([]int, 1, len(m.Files)+1)
 	for i, f := range m.Files {
-		// File names are untrusted input: anything but the name the writer
-		// uses could point the loader at an arbitrary path.
-		if f.Name != shardFileName(i) {
-			return fmt.Errorf("engine: load manifest: %w: shard %d file %q, want %q",
-				snapshot.ErrCorrupt, i, f.Name, shardFileName(i))
+		if f.Rows < 1 {
+			return nil, fmt.Errorf("engine: load manifest: %w: shard %d has %d rows", snapshot.ErrCorrupt, i, f.Rows)
 		}
-		if want := m.Bounds[i+1] - m.Bounds[i]; f.Rows != want || want < 1 {
-			return fmt.Errorf("engine: load manifest: shard %d has %d rows, bounds say %d", i, f.Rows, want)
-		}
+		bounds = append(bounds, bounds[i]+f.Rows)
 	}
 	if m.Ids != nil {
-		if len(m.Ids) != m.Vectors {
-			return fmt.Errorf("engine: load manifest: %d ids for %d vectors", len(m.Ids), m.Vectors)
+		if vectors := bounds[len(m.Files)]; len(m.Ids) != vectors {
+			return nil, fmt.Errorf("engine: load manifest: %w: %d ids for %d rows", snapshot.ErrCorrupt, len(m.Ids), vectors)
 		}
 		for i := 1; i < len(m.Ids); i++ {
 			if m.Ids[i] <= m.Ids[i-1] {
-				return fmt.Errorf("engine: load manifest: ids not strictly ascending at index %d", i)
+				return nil, fmt.Errorf("engine: load manifest: %w: ids not strictly ascending at index %d", snapshot.ErrCorrupt, i)
+			}
+		}
+	}
+	return bounds, nil
+}
+
+// checkShards holds each shard file's CRC-guarded header to its
+// manifest entry's row count and to shard 0's header: one algo,
+// metric, dim, element kind and SQ8 mode (presence of the SQ8 tier, and
+// the rerank width stored beside it) across the set. A file from
+// another save must fail the load, not rank one metric's distances
+// among another's, panic on the first search of the wrong dim, or
+// refuse writes and compactions in the wrong element kind.
+func checkShards(files []ShardFile, headers []snapshot.Header) error {
+	h0 := headers[0]
+	for i, h := range headers {
+		for _, c := range []struct {
+			field, source string
+			file, want    any
+		}{
+			{"rows", "manifest", h.Rows, files[i].Rows},
+			{"algo", "shard 0", h.Algo, h0.Algo},
+			{"metric", "shard 0", h.Metric, h0.Metric},
+			{"dim", "shard 0", h.Dim, h0.Dim},
+			{"elem", "shard 0", h.Elem, h0.Elem},
+			{"quantized", "shard 0", h.Quantized, h0.Quantized},
+			{"rerank", "shard 0", h.Rerank, h0.Rerank},
+		} {
+			if c.file != c.want {
+				return fmt.Errorf("engine: load shard %d (%s): %w: file %s %v, %s says %v",
+					i, shardFileName(i), snapshot.ErrCorrupt, c.field, c.file, c.source, c.want)
 			}
 		}
 	}
 	return nil
 }
 
-// checkShard cross-checks the manifest's claims about shard i against
-// h, the header of its CRC-guarded file: algo, row count, dim, element
-// kind, and SQ8 mode (presence of the SQ8 tier, and the rerank width
-// stored beside it). The manifest itself is not checksummed, so a
-// manifest that disagrees must fail the load, not panic on the first
-// search (ndserve validates query dims against the manifest) or refuse
-// writes and compactions in the wrong element kind.
-func checkShard(man *Manifest, i int, h snapshot.Header) error {
-	f := man.Files[i]
-	for _, c := range []struct {
-		field      string
-		file, want any
-	}{
-		{"algo", h.Algo, man.Algo},
-		{"rows", h.Rows, f.Rows},
-		{"dim", h.Dim, man.Dim},
-		{"elem", h.Elem, vec.ElemKind(man.ElemKind)},
-		{"quantized", h.Quantized, man.Quantized},
-		{"rerank", h.Rerank, man.Rerank},
-	} {
-		if c.file != c.want {
-			return fmt.Errorf("engine: load shard %d (%s): %w: file %s %v, manifest says %v",
-				i, f.Name, snapshot.ErrCorrupt, c.field, c.file, c.want)
-		}
-	}
-	return nil
-}
-
-// openShard opens shard i of the manifest in the given serving mode and
-// cross-checks the manifest's claims against the header of its
-// CRC-guarded file. The modes differ only in how the bytes arrive.
+// openShard opens shard i, described by its manifest entry f and
+// starting at global position base, in the given serving mode and
+// returns it with its file's parsed header, which the caller checks
+// (checkShards). The modes differ only in how the bytes arrive.
 // ServeRAM reads the whole file, verifies the manifest's whole-file CRC,
 // and decodes it with snapshot.Load. The paged modes open it with
 // snapshot.OpenPagedFile, which walks the same sections but skips both
@@ -419,35 +385,29 @@ func checkShard(man *Manifest, i int, h snapshot.Header) error {
 // up front is what paged serving exists to avoid, so serve-time record
 // damage is handled defensively by the paged store. Both modes open
 // every family. The returned shard's paged handle is nil in ServeRAM.
-func openShard(dir string, man *Manifest, i int, mode string, cachePages int) (shard, error) {
-	f := man.Files[i]
-	path := filepath.Join(dir, f.Name)
-	sh := shard{base: uint32(man.Bounds[i])}
+func openShard(dir string, f ShardFile, i, base int, mode string, cachePages int) (shard, snapshot.Header, error) {
+	name := shardFileName(i)
+	path := filepath.Join(dir, name)
+	sh := shard{base: uint32(base)}
 	var h snapshot.Header
 	if mode == ServeRAM {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return shard{}, fmt.Errorf("engine: load shard %d: %w", i, err)
+			return shard{}, h, fmt.Errorf("engine: load shard %d: %w", i, err)
 		}
 		if got := crc32.ChecksumIEEE(data); got != f.CRC32 {
-			return shard{}, fmt.Errorf("engine: load shard %d (%s): %w: file CRC %08x, manifest says %08x",
-				i, f.Name, snapshot.ErrChecksum, got, f.CRC32)
+			return shard{}, h, fmt.Errorf("engine: load shard %d (%s): %w: file CRC %08x, manifest says %08x",
+				i, name, snapshot.ErrChecksum, got, f.CRC32)
 		}
-		if sh.index, h, err = snapshot.Load(bytes.NewReader(data)); err != nil {
-			return shard{}, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
+		if sh.index, h, err = snapshot.Load(data); err != nil {
+			return shard{}, h, fmt.Errorf("engine: load shard %d (%s): %w", i, name, err)
 		}
-	} else {
-		p, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: mode, CachePages: cachePages})
-		if err != nil {
-			return shard{}, fmt.Errorf("engine: load shard %d (%s): %w", i, f.Name, err)
-		}
-		sh.index, sh.paged, h = p.Index(), p, p.Header()
+		return sh, h, nil
 	}
-	if err := checkShard(man, i, h); err != nil {
-		if sh.paged != nil {
-			_ = sh.paged.Close()
-		}
-		return shard{}, err
+	p, err := snapshot.OpenPagedFile(path, snapshot.PagedOptions{Backend: mode, CachePages: cachePages})
+	if err != nil {
+		return shard{}, h, fmt.Errorf("engine: load shard %d (%s): %w", i, name, err)
 	}
-	return sh, nil
+	sh.index, sh.paged = p.Index(), p
+	return sh, p.Header(), nil
 }

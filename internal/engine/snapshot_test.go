@@ -13,7 +13,6 @@ import (
 
 	"ndsearch/internal/dataset"
 	"ndsearch/internal/snapshot"
-	"ndsearch/internal/vec"
 )
 
 // buildTestEngine builds a small sharded engine over a generated corpus
@@ -42,7 +41,7 @@ func buildTestEngine(t *testing.T, algo string, shards int) (*Engine, *dataset.D
 
 // inCurrent resolves name inside the generation directory dir's CURRENT
 // names.
-func inCurrent(t *testing.T, dir, name string) string {
+func inCurrent(t testing.TB, dir, name string) string {
 	t.Helper()
 	gen, ok, err := snapshot.ReadCurrent(dir)
 	if err != nil || !ok {
@@ -77,14 +76,12 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 			} else {
 				again.Close()
 			}
-			if man.Algo != algo || man.Dataset != d.Profile.Name || man.Seed != 9 {
+			if man.Dataset != d.Profile.Name || man.Seed != 9 {
 				t.Fatalf("manifest provenance %+v", man)
 			}
-			if man.Dim != d.Profile.Dim || man.Vectors != 600 || man.Shards != 3 {
-				t.Fatalf("manifest shape %+v", man)
-			}
-			if man.ElemKind != uint8(d.Profile.Elem) {
-				t.Fatalf("manifest elem kind %d, want %d", man.ElemKind, d.Profile.Elem)
+			wantHeader := snapshot.Header{Algo: algo, Metric: d.Profile.Metric, Elem: d.Profile.Elem, Dim: d.Profile.Dim, Rows: 600}
+			if man.Header != wantHeader || loaded.Shards() != 3 {
+				t.Fatalf("loaded header %+v over %d shards, want %+v over 3", man.Header, loaded.Shards(), wantHeader)
 			}
 			// Re-saving a loaded engine keeps the at-rest element kind.
 			dir2 := t.TempDir()
@@ -96,14 +93,14 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("re-load: %v", err)
 			}
 			t.Cleanup(resaved.Close)
-			if man2.ElemKind != man.ElemKind {
-				t.Fatalf("re-save switched elem kind %d -> %d", man.ElemKind, man2.ElemKind)
+			if man2.Header.Elem != man.Header.Elem {
+				t.Fatalf("re-save switched elem kind %v -> %v", man.Header.Elem, man2.Header.Elem)
 			}
 			// The re-save is byte-identical to the first save, manifest
 			// and every shard file: a built and a loaded engine record
 			// the same manifest from the same shard-file headers.
 			names := []string{ManifestName}
-			for i := 0; i < man.Shards; i++ {
+			for i := range man.Files {
 				names = append(names, shardFileName(i))
 			}
 			for _, name := range names {
@@ -143,8 +140,8 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 }
 
 // Saved manifests carry per-file checksums; damage to a shard file is
-// caught before decoding, and manifest/shard-file mismatches fail
-// loudly.
+// caught before decoding, and a manifest row count or format version
+// the files contradict fails loudly.
 func TestEngineLoadRejectsDamage(t *testing.T) {
 	e, _ := buildTestEngine(t, "exact", 2)
 	dir := t.TempDir()
@@ -166,7 +163,8 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 		t.Fatalf("damaged shard file: err = %v, want ErrChecksum", err)
 	}
 
-	// Restore the file but break the manifest bounds.
+	// Restore the file but misstate its row count: the shard header
+	// disagrees.
 	data[len(data)/2] ^= 0x01
 	if err := os.WriteFile(shardPath, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -180,52 +178,15 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 	if err := json.Unmarshal(blob, &man); err != nil {
 		t.Fatal(err)
 	}
-	man.Bounds[1]++
+	man.Files[1].Rows++
 	mutated, _ := json.Marshal(&man)
 	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(dir, 2); err == nil {
-		t.Fatal("inconsistent manifest bounds must fail")
-	}
-
-	// A manifest dim that disagrees with the checksummed shard files is
-	// caught at load (ndserve validates query dims against the
-	// manifest, so serving it would panic on the first search).
-	man.Bounds[1]--
-	man.Dim++
-	mutated, _ = json.Marshal(&man)
-	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("manifest dim mismatch: err = %v, want ErrCorrupt", err)
+		t.Fatalf("manifest rows mismatch: err = %v, want ErrCorrupt", err)
 	}
-	man.Dim--
-
-	// Same for a manifest algo that disagrees with the shard files.
-	man.Algo = "hnsw"
-	mutated, _ = json.Marshal(&man)
-	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("manifest algo mismatch: err = %v, want ErrCorrupt", err)
-	}
-	man.Algo = "exact"
-
-	// And for a manifest element kind that disagrees with the shard
-	// files' u8 rows: serving it as i8 would refuse every upsert
-	// component above 127 and fail every persisted compaction.
-	man.ElemKind = uint8(vec.I8)
-	mutated, _ = json.Marshal(&man)
-	if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("manifest elem mismatch: err = %v, want ErrCorrupt", err)
-	}
-	man.ElemKind = uint8(vec.U8)
+	man.Files[1].Rows--
 
 	// Any manifest format version but the current one is refused up
 	// front: a future one, and a past one.
@@ -240,20 +201,6 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 		}
 	}
 	man.FormatVersion = snapshot.FormatVersion
-
-	// Shard file names are untrusted input: anything but the writer's own
-	// name is refused before any file opens.
-	for _, name := range []string{"../shard-0001.ndx", shardPath} {
-		man.Files[1].Name = name
-		mutated, _ = json.Marshal(&man)
-		if err := os.WriteFile(manPath, mutated, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Load(dir, 2); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("manifest file name %q: err = %v, want ErrCorrupt", name, err)
-		}
-	}
-	man.Files[1].Name = "shard-0001.ndx"
 
 	// Missing directory.
 	if _, _, err := Load(filepath.Join(dir, "nope"), 2); err == nil {
@@ -271,8 +218,8 @@ func TestEngineLoadRejectsDamage(t *testing.T) {
 	}
 }
 
-// Save without caller-supplied Meta still produces a loadable manifest
-// (algo detected from the shard type).
+// Save without caller-supplied Meta still produces a loadable directory
+// (each shard file records its algo, detected from the shard type).
 func TestEngineSaveDetectsAlgo(t *testing.T) {
 	prof := dataset.Glove100()
 	d, err := dataset.Generate(prof, dataset.GenConfig{N: 200, Queries: 2, Seed: 5})
@@ -294,8 +241,8 @@ func TestEngineSaveDetectsAlgo(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(loaded.Close)
-	if man.Algo != "hnsw" {
-		t.Fatalf("detected algo %q, want hnsw", man.Algo)
+	if man.Header.Algo != "hnsw" {
+		t.Fatalf("detected algo %q, want hnsw", man.Header.Algo)
 	}
 	// A Meta.Algo that contradicts the shard type is a caller bug and
 	// must fail at save time, not as ErrCorrupt on every future load.

@@ -69,7 +69,7 @@ func BenchmarkLoadHNSW(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, err := Load(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func BenchmarkLoadVamana(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, err := Load(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}

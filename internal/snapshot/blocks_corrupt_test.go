@@ -201,7 +201,7 @@ func TestV3FlatFamiliesRoundTrip(t *testing.T) {
 			t.Errorf("%s: blocks meta maxDegree=%d quantized=%v n=%d, want 0/false/%d",
 				algo, m.maxDegree, m.quantized, m.n, len(data))
 		}
-		loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
+		loaded, _, err := Load(buf.Bytes())
 		if err != nil {
 			t.Fatalf("load %s: %v", algo, err)
 		}

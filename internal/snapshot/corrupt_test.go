@@ -42,7 +42,7 @@ func loadBytes(t *testing.T, label string, data []byte) (idx ann.Index, err erro
 			t.Fatalf("%s: Load panicked: %v", label, r)
 		}
 	}()
-	idx, _, err = Load(bytes.NewReader(data))
+	idx, _, err = Load(data)
 	return idx, err
 }
 
@@ -53,7 +53,7 @@ func loadBytes(t *testing.T, label string, data []byte) (idx ann.Index, err erro
 // the file is for, so Load and OpenPagedFile must report the same
 // sentinel for it.
 func TestCorruptionTypedErrors(t *testing.T) {
-	for _, algo := range Algos() {
+	for algo := range families {
 		t.Run(algo, func(t *testing.T) {
 			good := snapshotOf(t, algo)
 			if _, err := loadBytes(t, "pristine", good); err != nil {
@@ -149,7 +149,7 @@ func TestLegacyCompatMatrix(t *testing.T) {
 		}
 		return loaded
 	}
-	for _, algo := range Algos() {
+	for algo := range families {
 		t.Run(algo, func(t *testing.T) {
 			check(t, buildFamily(t, algo, metricsOf(algo)[0], data))
 		})
@@ -172,7 +172,7 @@ func TestLegacyCompatMatrix(t *testing.T) {
 // different index).
 func TestCorruptionFlipSweepNeverPanics(t *testing.T) {
 	good := snapshotOf(t, "hnsw")
-	want, _, err := Load(bytes.NewReader(good))
+	want, _, err := Load(good)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ var magic = [4]byte{'N', 'D', 'S', 'S'}
 // again from the index.
 type Header struct {
 	// Algo is the family name recorded in the "algo" section (a registry
-	// key, see Algos; a section, not a fixed-header field on disk).
+	// key, see families; a section, not a fixed-header field on disk).
 	Algo string
 	// Metric is the index's distance metric.
 	Metric vec.Metric

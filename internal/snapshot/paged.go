@@ -488,7 +488,7 @@ func (p *PagedIndex) Close() error {
 // OpenPagedFile opens a snapshot of any family for beyond-RAM serving:
 // structure sections resident, node records read through a bounded
 // page cache over mmap (or positioned reads). The returned index serves
-// searches byte-identical to LoadFile of the same file. A graph family
+// searches byte-identical to Load of the same file. A graph family
 // traverses its records; exact scans every record; ivfpq keeps its
 // centroids, codebooks and postings resident and reads a record only to
 // re-rank it.

@@ -233,7 +233,7 @@ func TestPagedScratchDoesNotAliasResidentGraph(t *testing.T) {
 		t.Run(algo, func(t *testing.T) {
 			path := savedSnapshot(t, buildFamily(t, algo, vec.L2, testData(n, dim, 7)), vec.F32)
 			queries := testQueries(12, dim, 99)
-			fresh, _, err := LoadFile(path)
+			fresh, _, err := loadFile(path)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -241,7 +241,7 @@ func TestPagedScratchDoesNotAliasResidentGraph(t *testing.T) {
 			for i, q := range queries {
 				want[i] = fresh.Search(q, 9)
 			}
-			ram, _, err := LoadFile(path)
+			ram, _, err := loadFile(path)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}

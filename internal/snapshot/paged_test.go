@@ -79,7 +79,7 @@ func TestPagedByteIdentity(t *testing.T) {
 							built = buildFamily(t, algo, m, data)
 						}
 						path := savedSnapshot(t, built, kind)
-						ram, _, err := LoadFile(path)
+						ram, _, err := loadFile(path)
 						if err != nil {
 							t.Fatalf("load: %v", err)
 						}
@@ -124,7 +124,7 @@ func TestPagedConcurrentSearches(t *testing.T) {
 	const n, dim, workers = 200, 10, 8
 	built := buildQuantFamily(t, "hnsw", vec.L2, testData(n, dim, 5), 16)
 	path := savedSnapshot(t, built, vec.F32)
-	ram, _, err := LoadFile(path)
+	ram, _, err := loadFile(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

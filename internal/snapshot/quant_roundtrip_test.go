@@ -115,7 +115,7 @@ func TestQuantizedWarmStartEquivalence(t *testing.T) {
 				if _, err := Save(&buf, built, vec.F32); err != nil {
 					t.Fatalf("save: %v", err)
 				}
-				loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
+				loaded, _, err := Load(buf.Bytes())
 				if err != nil {
 					t.Fatalf("load: %v", err)
 				}
@@ -151,7 +151,7 @@ func TestQuantizedLoadDoesNotPinImage(t *testing.T) {
 				t.Fatalf("save: %v", err)
 			}
 			data := buf.Bytes()
-			loaded, _, err := loadImage(data)
+			loaded, _, err := Load(data)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -195,7 +195,7 @@ func TestQuantizedSnapshotByteIdenticalResave(t *testing.T) {
 			if _, ok := f.sections["sq8s"]; !ok {
 				t.Fatalf("quantized save has no sq8s section")
 			}
-			loaded, _, err := Load(bytes.NewReader(first.Bytes()))
+			loaded, _, err := Load(first.Bytes())
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}

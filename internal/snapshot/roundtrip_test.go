@@ -20,6 +20,15 @@ import (
 	"ndsearch/internal/vec"
 )
 
+// loadFile reads the snapshot file at path and restores it with Load.
+func loadFile(path string) (ann.Index, Header, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, Header{}, err
+	}
+	return Load(data)
+}
+
 // testData mirrors the PR 3 kernel-equivalence harness: seeded random
 // components in [-1, 1], a zero vector in the mix (Angular's special
 // case), dims including non-multiples of 4.
@@ -114,7 +123,7 @@ func requireSameResults(t *testing.T, label string, got, want []ann.Neighbor) {
 func TestWarmStartSearchEquivalence(t *testing.T) {
 	const n, dim = 220, 20
 	queries := testQueries(12, dim, 99)
-	for _, algo := range Algos() {
+	for algo := range families {
 		for _, m := range metricsOf(algo) {
 			t.Run(algo+"/"+m.String(), func(t *testing.T) {
 				built := buildFamily(t, algo, m, testData(n, dim, 7))
@@ -122,7 +131,7 @@ func TestWarmStartSearchEquivalence(t *testing.T) {
 				if _, err := Save(&buf, built, vec.F32); err != nil {
 					t.Fatalf("save: %v", err)
 				}
-				loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
+				loaded, _, err := Load(buf.Bytes())
 				if err != nil {
 					t.Fatalf("load: %v", err)
 				}
@@ -159,7 +168,7 @@ func TestQuantizedElemKinds(t *testing.T) {
 			if _, err := Save(&buf, built, kind); err != nil {
 				t.Fatalf("save quantized as %v: %v", kind, err)
 			}
-			loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
+			loaded, _, err := Load(buf.Bytes())
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -190,9 +199,9 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if got := crc32.ChecksumIEEE(onDisk); got != crc {
 		t.Fatalf("SaveFile reported CRC %08x, file hashes to %08x", crc, got)
 	}
-	loaded, _, err := LoadFile(path)
+	loaded, _, err := Load(onDisk)
 	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	q := testQueries(1, 12, 22)[0]
 	requireSameResults(t, "file round trip", loaded.Search(q, 7), built.Search(q, 7))
@@ -200,12 +209,12 @@ func TestSaveFileLoadFile(t *testing.T) {
 
 // The header SaveFile reports is the one both readers parse back from
 // the file — algo, metric, element kind, shape, and SQ8 mode — for
-// every family, full-precision and quantized. The engine records its
-// manifest from the first and checks the manifest against the second.
+// every family, full-precision and quantized. The engine's loader holds
+// each shard file's parsed header to shard 0's.
 func TestSaveHeaderMatchesReaders(t *testing.T) {
 	const n, dim, rerank = 120, 16, 24
 	data := toKind(vec.U8, testData(n, dim, 17))
-	for _, algo := range Algos() {
+	for algo := range families {
 		for _, quantized := range []bool{false, true} {
 			if quantized && !slices.Contains(quantAlgos, algo) {
 				continue
@@ -229,8 +238,8 @@ func TestSaveHeaderMatchesReaders(t *testing.T) {
 				if wrote != want {
 					t.Fatalf("SaveFile header %+v, want %+v", wrote, want)
 				}
-				if _, got, err := LoadFile(path); err != nil || got != want {
-					t.Fatalf("LoadFile header %+v (err %v), want %+v", got, err, want)
+				if _, got, err := loadFile(path); err != nil || got != want {
+					t.Fatalf("Load header %+v (err %v), want %+v", got, err, want)
 				}
 				paged, err := OpenPagedFile(path, PagedOptions{})
 				if err != nil {
@@ -255,7 +264,7 @@ func TestLoadedIndexServesAnnInterface(t *testing.T) {
 		if _, err := Save(&buf, built, vec.F32); err != nil {
 			t.Fatalf("%s: save: %v", algo, err)
 		}
-		loaded, _, err := Load(bytes.NewReader(buf.Bytes()))
+		loaded, _, err := Load(buf.Bytes())
 		if err != nil {
 			t.Fatalf("%s: load: %v", algo, err)
 		}

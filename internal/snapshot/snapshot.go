@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"ndsearch/internal/ann"
 	"ndsearch/internal/hcnng"
@@ -110,16 +109,6 @@ var families = map[string]family{
 // already is its serialized form.
 var errPaged = fmt.Errorf("%w: paged index cannot be re-saved; copy the snapshot file instead", ErrUnsupported)
 
-// Algos returns the registered family names.
-func Algos() []string {
-	out := make([]string, 0, len(families))
-	for name := range families {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Detect returns the registry name for a concrete index type.
 func Detect(idx ann.Index) (string, error) {
 	switch idx.(type) {
@@ -180,25 +169,15 @@ func Save(w io.Writer, idx ann.Index, elem vec.ElemKind) (Header, error) {
 	return h, nil
 }
 
-// Load restores an index from r, dispatching on the algo recorded in
-// the file, and returns it with the file's parsed header. It reads the
-// whole file into memory and walks it with the same parser
-// OpenPagedFile uses, then checks what only a full read can: the CRC of
-// the whole blocks section, before decoding every node record. The
-// returned value's concrete type is the family index (*hnsw.Index,
-// *ann.Exact, ...).
-func Load(r io.Reader) (ann.Index, Header, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, Header{}, fmt.Errorf("snapshot: read: %w", err)
-	}
-	return loadImage(data)
-}
-
-// loadImage is Load over the file's bytes. The index it returns holds
-// no reference into data: every section it keeps is decoded or copied
-// out, so the image is garbage once Load returns.
-func loadImage(data []byte) (ann.Index, Header, error) {
+// Load restores an index from the whole file's bytes, dispatching on
+// the algo recorded in the file, and returns it with the file's parsed
+// header. It walks data with the same parser OpenPagedFile uses, then
+// checks what only a full read can: the CRC of the whole blocks
+// section, before decoding every node record. The returned value's
+// concrete type is the family index (*hnsw.Index, *ann.Exact, ...), and
+// it holds no reference into data: every section it keeps is decoded or
+// copied out, so the image is garbage once Load returns.
+func Load(data []byte) (ann.Index, Header, error) {
 	f, fam, err := open(image(data), int64(len(data)))
 	if err != nil {
 		return nil, Header{}, err
@@ -252,14 +231,4 @@ func SaveFile(path string, idx ann.Index, elem vec.ElemKind) (Header, uint32, er
 		return Header{}, 0, fmt.Errorf("snapshot: %w", err)
 	}
 	return h, crc.Sum32(), nil
-}
-
-// LoadFile restores an index from path, with the file's parsed header.
-func LoadFile(path string) (ann.Index, Header, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, Header{}, fmt.Errorf("snapshot: %w", err)
-	}
-	defer fh.Close()
-	return Load(fh)
 }

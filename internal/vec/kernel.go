@@ -96,8 +96,7 @@ func l2sqRows4(q, r0, r1, r2, r3 []float32) (d0, d1, d2, d3 float32) {
 }
 
 // l2sqAll is l2sq from q to each of the len(out) rows laid end to end
-// in buf (stride len(q)), four rows per pass — rowsDist's L2 loop, the
-// full scan Kernel.DistsAll and PreparedQuery.DistancesToFlat share.
+// in buf (stride len(q)), four rows per pass: rowsDist's L2 loop.
 func l2sqAll(q, buf, out []float32) {
 	dim := len(q)
 	i := 0
@@ -258,21 +257,16 @@ func (q *PreparedQuery) rowDist(r []float32, rn float32) float32 {
 }
 
 // rowsDist is rowDist from q to each of the len(out) rows laid end to
-// end in buf (stride len(q.vec)), with norms[i] as row i's norm, or the
-// norm computed on the fly when norms is nil. L2 runs l2sqAll's
-// four-row loop instead, with the same bits.
-func (q *PreparedQuery) rowsDist(buf, norms, out []float32) {
+// end in buf (stride len(q.vec)), each row's norm computed on the fly.
+// L2 runs l2sqAll's four-row loop instead, with the same bits.
+func (q *PreparedQuery) rowsDist(buf, out []float32) {
 	if q.metric == L2 {
 		l2sqAll(q.vec, buf, out)
 		return
 	}
 	dim := len(q.vec)
 	for i := range out {
-		rn := float32(unknownNorm)
-		if norms != nil {
-			rn = norms[i]
-		}
-		out[i] = q.rowDist(buf[i*dim:i*dim+dim], rn)
+		out[i] = q.rowDist(buf[i*dim:i*dim+dim], unknownNorm)
 	}
 }
 
@@ -291,13 +285,13 @@ func (q *PreparedQuery) DistanceTo(v Vector) float32 {
 // DistancesToFlat evaluates the prepared query against the len(out)
 // rows laid end to end in rows, stride the query's dim, writing
 // out[i] = DistanceTo(row i) bit for bit. It is the matrix-free full
-// scan (the delta tier's contiguous live set), the same loop as
-// Kernel.DistsAll. A rows length other than len(out) × dim panics.
+// scan (the delta tier's contiguous live set). A rows length other than
+// len(out) × dim panics.
 func (q *PreparedQuery) DistancesToFlat(rows, out []float32) {
 	if dim := len(q.vec); len(rows) != len(out)*dim {
 		panic(fmt.Sprintf("vec: DistancesToFlat rows length %d != %d rows × dim %d", len(rows), len(out), dim))
 	}
-	q.rowsDist(rows, nil, out)
+	q.rowsDist(rows, out)
 }
 
 // Kernel evaluates distances between prepared queries and Matrix rows
@@ -415,23 +409,6 @@ func (k *Kernel) DistsTo(q PreparedQuery, rows []uint32, out []float32) {
 		r := rows[i]
 		out[i] = q.rowDist(buf[int(r)*dim:int(r)*dim+dim], k.mat.norms[r])
 	}
-}
-
-// DistsAll evaluates the prepared query against every row, writing
-// distances into out (len(out) must equal Rows()) — the full-scan form
-// exact search uses.
-func (k *Kernel) DistsAll(q PreparedQuery, out []float32) {
-	if len(out) != k.mat.rows {
-		panic(fmt.Sprintf("vec: DistsAll out length %d != rows %d", len(out), k.mat.rows))
-	}
-	k.check(&q)
-	if k.sq != nil {
-		for i := range out {
-			out[i] = q.codeDist(k.sq.Row(i), k.sq.norms[i])
-		}
-		return
-	}
-	q.rowsDist(k.mat.buf, k.mat.norms, out)
 }
 
 // DistRows returns the distance between two stored rows — the

@@ -9,7 +9,7 @@ import (
 
 // The dispatch is invisible in the bits: with useAVX2 and useFMA
 // switched off (the Go bodies), AVX2 alone, and both on (the order-free
-// FMA body, where the CPU has them), Kernel.DistsTo, Kernel.DistsAll,
+// FMA body, where the CPU has them), Kernel.DistsTo,
 // PreparedQuery.DistancesToStored over U8 rows and Kernel.DistRows
 // return the same Float32bits, at dims on every remainder mod 8 and at
 // row counts on every remainder mod 4, over normal float rows and over
@@ -52,11 +52,10 @@ func TestAVX2DispatchBitIdentical(t *testing.T) {
 					q := k.Prepare(query)
 					run := func(avx2, fma bool) []float32 {
 						useAVX2, useFMA = avx2, fma
-						to, all, stored := make([]float32, n), make([]float32, n), make([]float32, n)
+						to, stored := make([]float32, n), make([]float32, n)
 						k.DistsTo(q, ids, to)
-						k.DistsAll(q, all)
 						q.DistancesToStored(U8, srcs, stored)
-						out := append(append(to, all...), stored...)
+						out := append(to, stored...)
 						for i := range rows {
 							out = append(out, k.DistRows(i, (i+1)%n))
 						}

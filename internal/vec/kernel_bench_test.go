@@ -15,6 +15,16 @@ import (
 
 var benchSink float32
 
+// allRows is every row index of a rows-row matrix, in order: the
+// shortlist an exact scan hands DistsTo.
+func allRows(rows int) []uint32 {
+	ids := make([]uint32, rows)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
+}
+
 func benchData(rows, dim int) ([]Vector, Vector) {
 	rng := rand.New(rand.NewSource(42))
 	data := make([]Vector, rows)
@@ -42,12 +52,12 @@ func BenchmarkDistance(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("kernel/%v/d%d", m, dim), func(b *testing.B) {
 				k := NewKernel(m, NewMatrix(data))
-				out := make([]float32, rows)
+				ids, out := allRows(rows), make([]float32, rows)
 				b.SetBytes(int64(rows) * int64(dim) * 4)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q := k.Prepare(query)
-					k.DistsAll(q, out)
+					k.DistsTo(q, ids, out)
 					benchSink = out[rows-1]
 				}
 			})
@@ -98,13 +108,13 @@ func BenchmarkQuantKernel(b *testing.B) {
 			data, query := benchData(rows, dim)
 			mat := NewMatrix(data)
 			mat.EnableSQ8()
-			out := make([]float32, rows)
+			ids, out := allRows(rows), make([]float32, rows)
 			b.Run(fmt.Sprintf("f32/%v/d%d", m, dim), func(b *testing.B) {
 				k := NewKernel(m, mat)
 				b.SetBytes(int64(rows) * int64(dim) * 4)
 				for i := 0; i < b.N; i++ {
 					q := k.Prepare(query)
-					k.DistsAll(q, out)
+					k.DistsTo(q, ids, out)
 					benchSink = out[rows-1]
 				}
 			})
@@ -113,7 +123,7 @@ func BenchmarkQuantKernel(b *testing.B) {
 				b.SetBytes(int64(rows) * int64(dim))
 				for i := 0; i < b.N; i++ {
 					q := k.Prepare(query)
-					k.DistsAll(q, out)
+					k.DistsTo(q, ids, out)
 					benchSink = out[rows-1]
 				}
 			})

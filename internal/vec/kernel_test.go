@@ -24,7 +24,7 @@ func close1e5(a, b float32) bool {
 }
 
 // Property: every kernel entry point — the matrix-free PreparedQuery
-// path, DistTo, DistsTo, DistsAll, and DistRows — agrees with the
+// path, DistTo, DistsTo, and DistRows — agrees with the
 // scalar vec.Distance reference within 1e-5 relative tolerance, across
 // all three metrics, random dims (including non-multiples of the 4-way
 // unroll width), and zero vectors.
@@ -44,8 +44,6 @@ func TestKernelMatchesScalar(t *testing.T) {
 			queries := []Vector{randVec(rng, dim), make(Vector, dim)}
 			for _, query := range queries {
 				q := k.Prepare(query)
-				all := make([]float32, rows)
-				k.DistsAll(q, all)
 				rowIDs := make([]uint32, rows)
 				for i := range rowIDs {
 					rowIDs[i] = uint32(i)
@@ -58,7 +56,6 @@ func TestKernelMatchesScalar(t *testing.T) {
 						"PreparedQuery.DistanceTo": q.DistanceTo(v),
 						"Kernel.DistTo":            k.DistTo(q, i),
 						"Kernel.DistsTo":           batch[i],
-						"Kernel.DistsAll":          all[i],
 					} {
 						if !close1e5(got, want) {
 							t.Fatalf("%v dim=%d row=%d %s = %v, scalar = %v",
@@ -171,7 +168,7 @@ var asmDraws = []struct {
 // The L2 entries (AVX2 assembly on amd64 CPUs that have it) are their
 // Go bodies bit for bit: l2sqF32x1/l2sqF32x4 against l2sq4,
 // l2sqU8x1/l2sqU8x4 against l2sqU8, and the batched callers built on
-// them (Kernel.DistsTo, DistsAll, PreparedQuery.DistancesToStored) at
+// them (Kernel.DistsTo, PreparedQuery.DistancesToStored) at
 // every batch length 0–9, so each remainder mod 4 is hit. The dims
 // cover every remainder mod 8 of the 8-wide step. U8 rows sit at odd
 // byte offsets inside a page-sized buffer, as records in a cache page
@@ -264,12 +261,6 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 						pq.DistancesToStored(U8, srcs, out)
 						for i, id := range ids {
 							same(t, fmt.Sprintf("DistancesToStored n=%d [%d]", n, i), out[i], wantU[id])
-						}
-						if n > 0 {
-							NewKernel(L2, NewMatrix(rows[:n])).DistsAll(pq, out)
-							for i := range out {
-								same(t, fmt.Sprintf("DistsAll n=%d [%d]", n, i), out[i], wantF[i])
-							}
 						}
 					}
 				})

@@ -203,8 +203,6 @@ func TestQuantizedKernelBitwiseEquivalence(t *testing.T) {
 			}
 			qn := codeNorm(q.Codes())
 
-			all := make([]float32, rows)
-			k.DistsAll(q, all)
 			rowIDs := make([]uint32, rows)
 			for i := range rowIDs {
 				rowIDs[i] = uint32(i)
@@ -215,9 +213,8 @@ func TestQuantizedKernelBitwiseEquivalence(t *testing.T) {
 			for i := 0; i < rows; i++ {
 				want := scalarCodeDist(m, q.Codes(), s.Row(i), qn, s.Norm(i))
 				for name, got := range map[string]float32{
-					"DistTo":   k.DistTo(q, i),
-					"DistsTo":  batch[i],
-					"DistsAll": all[i],
+					"DistTo":  k.DistTo(q, i),
+					"DistsTo": batch[i],
 				} {
 					if math.Float32bits(got) != math.Float32bits(want) {
 						t.Fatalf("%v d%d row %d %s: %v (bits %x) != scalar %v (bits %x)",

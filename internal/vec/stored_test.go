@@ -93,7 +93,7 @@ func TestDistanceToStoredMatchesDecode(t *testing.T) {
 
 // The paged code-row entry and the resident quantized Kernel are one
 // scorer: DistanceToCodeBytes over an SQ8.Row's bytes equals DistTo,
-// DistsTo, DistsAll and (row i as the query) DistRows by Float32bits,
+// DistsTo and (row i as the query) DistRows by Float32bits,
 // for every metric and dimension (127 too), with the norms computed on
 // the fly on one side and precomputed on the other. The rows hold zero,
 // +127, -127 and 0x80 (-128, which quantization never writes but
@@ -155,16 +155,14 @@ func TestDistanceToCodeBytesMatchesCodes(t *testing.T) {
 				for i := range ids {
 					ids[i] = uint32(rows - 1 - i)
 				}
-				all, batch := make([]float32, rows), make([]float32, rows)
+				batch := make([]float32, rows)
 				for _, query := range []Vector{randVec(rng, dim), make(Vector, dim), saturated} {
 					q := k.Prepare(query)
-					k.DistsAll(q, all)
 					k.DistsTo(q, ids, batch)
 					for i := 0; i < rows; i++ {
 						want := q.DistanceToCodeBytes(sq.Row(i))
 						check("DistTo", i, k.DistTo(q, i), want)
 						check("DistsTo", i, batch[rows-1-i], want)
-						check("DistsAll", i, all[i], want)
 					}
 				}
 				// Row codes holding 0x80 are no quantized query, so row i
